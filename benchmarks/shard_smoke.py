@@ -27,9 +27,9 @@ import time
 from pathlib import Path
 
 from repro.engine import GdeltStore, col
+from repro.engine.terminal import jsonable
 from repro.ingest.direct import dataset_to_binary
 from repro.serve import ErrorCode
-from repro.serve.request import _jsonable
 from repro.shard import ShardRouter, launch_shards, split_dataset
 from repro.synth import generate_dataset, small_config
 
@@ -40,7 +40,7 @@ ROUTED_QUERIES = 120
 
 
 def canon(value) -> str:
-    return json.dumps(_jsonable(value), sort_keys=True)
+    return json.dumps(jsonable(value), sort_keys=True)
 
 
 #: Integer-column terminals only (Delay int32, Confidence int16):

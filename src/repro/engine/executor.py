@@ -60,7 +60,6 @@ __all__ = [
     "ChunkRetryPolicy",
     "CancelToken",
     "QueryCancelled",
-    "TimedResult",
     "default_chunk_rows",
 ]
 
@@ -139,15 +138,6 @@ def default_chunk_rows(n_rows: int, n_workers: int) -> int:
     """Chunk size giving each worker ~4 morsels (load balance without
     drowning in kernel-launch overhead)."""
     return max(65_536, -(-n_rows // max(1, 4 * n_workers)))
-
-
-@dataclass(slots=True)
-class TimedResult:
-    """A map_chunks result with its wall-clock time."""
-
-    partials: list
-    seconds: float
-    n_chunks: int
 
 
 class Executor:
@@ -256,24 +246,6 @@ class Executor:
         list — the planner's entry point for pruned scans.  Results come
         back in ``slices`` order."""
         return self._execute(kernel, list(slices), profile, cancel)
-
-    def map_chunks_timed(
-        self,
-        kernel: Callable[[slice], T],
-        n_rows: int,
-        chunk_rows: int | None = None,
-        profile: ProfileCollector | None = None,
-    ) -> TimedResult:
-        """:meth:`map_chunks` plus wall-clock measurement (thin wrapper)."""
-        chunks = self._plan(n_rows, chunk_rows)
-        t0 = time.perf_counter()
-        partials = self._execute(kernel, chunks, profile)
-        seconds = time.perf_counter() - t0
-        if _obs._enabled:
-            _metrics.histogram(
-                "executor_map_seconds", executor=type(self).__name__
-            ).observe(seconds)
-        return TimedResult(partials=partials, seconds=seconds, n_chunks=len(chunks))
 
     # -- instrumented execution -------------------------------------------
 
@@ -611,6 +583,11 @@ class ProcessExecutor(Executor):
                 handles = [result_q._reader]
                 handles.extend(p.sentinel for p in workers.values())
                 _mpconn.wait(handles, timeout=0.1)
+                # Deaths are noted before the drain: a worker seen dead
+                # here has every message it sent already in the pipe, so
+                # its last "start" is read before its chunk is looked up
+                # (the other order can lose a chunk that crashed fast).
+                dead = [w for w, p in workers.items() if p.exitcode is not None]
                 while not result_q.empty():
                     msg, wid, idx, payload = result_q.get()
                     if msg == "start":
@@ -626,10 +603,8 @@ class ProcessExecutor(Executor):
                             error = payload
                 if error is not None:
                     break
-                for wid, p in list(workers.items()):
-                    if p.exitcode is None:
-                        continue
-                    del workers[wid]
+                for wid in dead:
+                    p = workers.pop(wid)
                     held = in_flight.pop(wid, None)
                     _metrics.counter("executor_workers_died_total").inc()
                     _telemetry.flight().record(

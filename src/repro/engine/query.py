@@ -11,9 +11,10 @@ Every terminal operation runs through the query planner
 match, chunks the filter provably matches skip mask evaluation, and
 results land in an LRU cache keyed by the canonicalized filter.  The
 preferred entry point is :meth:`GdeltStore.query`, whose terminals
-return :class:`QueryResult` (value + profile + plan); constructing
-``Query`` directly returns bare values for backward compatibility.
-Grouped aggregation is spelled ``q.group_by("Quarter").count()``.
+return :class:`QueryResult` (value + profile + plan).  Grouped
+aggregation is spelled ``q.group_by("Quarter").count()``.  What each
+aggregate computes per chunk and how chunk partials combine lives in
+:mod:`repro.engine.terminal`; this module plans, dispatches and caches.
 
 :func:`aggregated_country_query` is the paper's Section VI-G workload:
 one pass over the mentions table that simultaneously produces the inputs
@@ -30,17 +31,12 @@ from typing import Callable
 
 import numpy as np
 
-from repro.engine.aggregate import (
-    group_count,
-    group_count_2d,
-    group_stats_dict,
-    group_sum,
-    topk_from_counts,
-)
+from repro.engine.aggregate import group_count, group_count_2d
 from repro.engine.executor import Executor, SerialExecutor
 from repro.engine.expr import Expr
 from repro.engine.planner import Plan, plan_query, result_cache
 from repro.engine.store import GdeltStore
+from repro.engine.terminal import Terminal, TerminalSpec
 from repro.obs import metrics as _metrics
 from repro.obs import state as _obs
 from repro.obs.profile import ProfileCollector, QueryProfile
@@ -52,36 +48,53 @@ __all__ = [
     "GroupedQuery",
     "CountryQueryResult",
     "aggregated_country_query",
-    "terminal_signature",
+    "bind_terminal",
 ]
 
 
-def terminal_signature(
-    op: str,
-    column: str | None = None,
-    group: str | None = None,
-    n_groups: int | None = None,
-) -> tuple:
-    """Cache-key signature of a terminal operation.
+def bind_terminal(
+    store: GdeltStore,
+    table: str,
+    spec: TerminalSpec,
+    where: Expr | None = None,
+) -> tuple[Terminal, Callable[[slice, bool], object]]:
+    """Resolve a terminal description against a store.
 
-    The single source of truth shared by :class:`Query`'s terminals and
-    the serving layer (:mod:`repro.serve`), so a result computed by
-    either fills the same :class:`~repro.engine.planner.QueryCache`
-    entry the other probes.  ``group`` is the *canonical* group-key
-    name from :meth:`GdeltStore.group_key`.
+    Returns the terminal bound to the store's facts (canonical group
+    name and width from :meth:`GdeltStore.group_key`, the aggregated
+    column's dtype) and its chunk kernel ``kernel(sl, need_mask)`` over
+    absolute row slices of ``table``.
+
+    Raises:
+        KeyError: unknown column, group key or filter column — up
+            front, never from inside a worker kernel.
     """
-    if group is not None:
-        return ("group", group, n_groups, op, column)
-    if op in ("sum", "mean"):
-        return (op, column)
-    if op == "mask":
-        return ("mask",)
-    return ()
+    cols = store.table(table)
+    if spec.column is not None and spec.column not in cols:
+        raise KeyError(f"unknown column {spec.column!r} for table {table!r}")
+    if where is not None:
+        missing = [c for c in where.columns() if c not in cols]
+        if missing:
+            raise KeyError(
+                f"unknown filter column(s) {', '.join(sorted(missing))} "
+                f"for table {table!r}"
+            )
+    keys = n_groups = None
+    if spec.group is not None:
+        group, keys, n_groups = store.group_key(table, spec.group)
+        spec = TerminalSpec(spec.op, spec.column, group, spec.k)
+    values = cols[spec.column] if spec.column is not None else None
+    terminal = spec.bind(n_groups, None if values is None else values.dtype)
+
+    def mask_of(sl: slice) -> np.ndarray:
+        return np.asarray(where.evaluate(cols, sl), dtype=bool)
+
+    return terminal, terminal.kernel(keys, values, mask_of)
 
 
 @dataclass(slots=True)
 class QueryResult:
-    """What a rich query terminal returns: the answer plus how it ran.
+    """What a query terminal returns: the answer plus how it ran.
 
     Attributes:
         value: the terminal's result (count, array, stats dict, ...).
@@ -110,9 +123,6 @@ class Query:
         q.count()                      # QueryResult(value=..., plan=...)
         q.group_by("Quarter").count()  # per-quarter counts
 
-    Constructing ``Query(store, table)`` directly keeps the legacy
-    contract: terminals return bare values (``rich=False``).
-
     Re-entrancy: a ``Query`` is cheap per-call state — builder methods
     return fresh instances and terminals touch only locals plus the
     thread-safe store/planner caches — so any number of threads may
@@ -129,7 +139,6 @@ class Query:
         where: Expr | None = None,
         executor: Executor | None = None,
         rows: slice | None = None,
-        rich: bool = False,
         prune: bool = True,
     ) -> None:
         self.store = store
@@ -137,7 +146,6 @@ class Query:
         self.table = store.table(table)
         self.where = where
         self.executor = executor or SerialExecutor()
-        self.rich = rich
         self.prune = prune
         total = store.n_rows(table)
         if rows is None:
@@ -163,7 +171,6 @@ class Query:
             where=self.where,
             executor=self.executor,
             rows=self.rows,
-            rich=self.rich,
             prune=self.prune,
         )
         args.update(kw)
@@ -200,11 +207,9 @@ class Query:
             raise ValueError("time_range requires the capture-sorted mentions table")
         if end_interval < start_interval:
             raise ValueError("inverted time range")
-        col_vals = self.table["MentionInterval"]
-        lo = int(np.searchsorted(col_vals, start_interval, side="left"))
-        hi = int(np.searchsorted(col_vals, end_interval, side="left"))
-        lo = max(lo, self.rows.start)
-        hi = min(hi, self.rows.stop)
+        span = self.store.interval_rows(start_interval, end_interval)
+        lo = max(span.start, self.rows.start)
+        hi = min(span.stop, self.rows.stop)
         return self._clone(rows=slice(lo, max(lo, hi)))
 
     def group_by(self, key: str) -> "GroupedQuery":
@@ -313,15 +318,15 @@ class Query:
     def _run(
         self,
         op: str,
-        kernel_for: Callable[[Callable[[slice], bool]], Callable],
+        kernel: Callable[[slice, bool], object],
         reduce: Callable[[list, Plan], object],
         sig: tuple | None = (),
-    ):
+    ) -> QueryResult:
         """Plan → cache probe → dispatch → reduce → cache fill.
 
-        ``kernel_for`` receives a ``needs_mask(slice) -> bool`` predicate
-        (False exactly for morsels the zone maps proved all-matching) and
-        returns the chunk kernel.  ``sig=None`` disables result caching.
+        ``kernel(sl, need_mask)`` is the chunk kernel; ``need_mask`` is
+        False exactly for morsels the zone maps proved all-matching.
+        ``sig=None`` disables result caching.
         """
         plan = self._plan(op, sig)
         self.last_plan = plan
@@ -332,39 +337,45 @@ class Query:
                 plan.cache_status = "hit"
                 if _obs._enabled:
                     _metrics.counter("queries_total", op=op).inc()
-                return self._finish(hit, plan, None)
+                return QueryResult(value=hit, plan=plan)
             plan.cache_status = "miss"
         masked = {
             (u.rows.start, u.rows.stop) for u in plan.units if u.need_mask
         }
-        kernel = kernel_for(lambda sl: (sl.start, sl.stop) in masked)
-        parts = self._execute_plan(plan, kernel)
+        parts = self._execute_plan(
+            plan, lambda sl: kernel(sl, (sl.start, sl.stop) in masked)
+        )
         value = reduce(parts, plan)
         if plan.cache_key is not None:
             cache.put(plan.cache_key, value)
-        return self._finish(value, plan, self.last_profile)
+        return QueryResult(value=value, plan=plan, profile=self.last_profile)
 
-    def _finish(self, value, plan: Plan, profile: QueryProfile | None):
-        if self.rich:
-            return QueryResult(value=value, plan=plan, profile=profile)
-        return value
+    def _aggregate(self, spec: TerminalSpec) -> QueryResult:
+        """Run one aggregate terminal: ``finalize(fold(chunk partials))``."""
+        spec.validate()
+        terminal, kernel = bind_terminal(
+            self.store, self.table_name, spec, self.where
+        )
+        return self._run(
+            spec.op_name,
+            kernel,
+            lambda parts, _: terminal.finalize(terminal.fold(parts)),
+            sig=terminal.signature(),
+        )
 
     # -- terminal operations -------------------------------------------------
 
-    def mask(self):
+    def mask(self) -> QueryResult:
         """Full boolean filter mask over the view (all-true when
         unfiltered; pruned regions are filled False without scanning)."""
         if self.where is None:
             value = np.ones(self.n_rows, dtype=bool)
-            return self._finish(value, self._plan("mask", sig=None), None)
+            return QueryResult(value=value, plan=self._plan("mask", sig=None))
 
         base = self.rows.start
 
-        def kernel_for(needs_mask):
-            def kernel(sl: slice):
-                return self._mask_abs(sl) if needs_mask(sl) else None
-
-            return kernel
+        def kernel(sl: slice, need_mask: bool):
+            return self._mask_abs(sl) if need_mask else None
 
         def reduce(parts, plan):
             out = np.zeros(self.n_rows, dtype=bool)
@@ -373,174 +384,19 @@ class Query:
                 out[seg] = True if part is None else part
             return out
 
-        return self._run("mask", kernel_for, reduce, sig=terminal_signature("mask"))
+        return self._run("mask", kernel, reduce, sig=("mask",))
 
-    def count(self):
+    def count(self) -> QueryResult:
         """Number of rows passing the filter."""
+        return self._aggregate(TerminalSpec("count"))
 
-        def kernel_for(needs_mask):
-            def kernel(sl: slice) -> int:
-                if not needs_mask(sl):
-                    return sl.stop - sl.start
-                return int(self._mask_abs(sl).sum())
-
-            return kernel
-
-        return self._run(
-            "count", kernel_for, lambda parts, _: int(sum(parts)),
-            sig=terminal_signature("count"),
-        )
-
-    def sum(self, column: str):
+    def sum(self, column: str) -> QueryResult:
         """Sum of a column over passing rows."""
+        return self._aggregate(TerminalSpec("sum", column))
 
-        def kernel_for(needs_mask):
-            def kernel(sl: slice) -> float:
-                v = self.table[column][sl]
-                if not needs_mask(sl):
-                    return float(v.sum())
-                return float(v[self._mask_abs(sl)].sum())
-
-            return kernel
-
-        return self._run(
-            "sum", kernel_for, lambda parts, _: float(sum(parts)),
-            sig=terminal_signature("sum", column),
-        )
-
-    def mean(self, column: str):
-        """Mean of a column over passing rows (NaN when empty).
-
-        Fused: one pass accumulates (count, sum) per chunk, so the data
-        is scanned once, not twice.
-        """
-
-        def kernel_for(needs_mask):
-            def kernel(sl: slice) -> tuple[int, float]:
-                v = self.table[column][sl]
-                if not needs_mask(sl):
-                    return sl.stop - sl.start, float(v.sum())
-                m = self._mask_abs(sl)
-                return int(m.sum()), float(v[m].sum())
-
-            return kernel
-
-        def reduce(parts, _):
-            n = sum(p[0] for p in parts)
-            s = sum(p[1] for p in parts)
-            return s / n if n else float("nan")
-
-        return self._run(
-            "mean", kernel_for, reduce, sig=terminal_signature("mean", column)
-        )
-
-    # -- grouped terminals (used by GroupedQuery and the legacy shims) -------
-
-    def _grouped_count(self, keys, n_groups: int, sig: tuple | None):
-        def kernel_for(needs_mask):
-            def kernel(sl: slice) -> np.ndarray:
-                m = self._mask_abs(sl) if needs_mask(sl) else None
-                return group_count(keys[sl], n_groups, m)
-
-            return kernel
-
-        def reduce(parts, _):
-            if not parts:
-                return np.zeros(n_groups, dtype=np.int64)
-            return np.sum(parts, axis=0)
-
-        return self._run("groupby_count", kernel_for, reduce, sig=sig)
-
-    def _grouped_sum(self, keys, column: str, n_groups: int, sig: tuple | None):
-        def kernel_for(needs_mask):
-            def kernel(sl: slice) -> np.ndarray:
-                m = self._mask_abs(sl) if needs_mask(sl) else None
-                return group_sum(keys[sl], self.table[column][sl], n_groups, m)
-
-            return kernel
-
-        def reduce(parts, _):
-            if not parts:
-                return np.zeros(n_groups)
-            return np.sum(parts, axis=0)
-
-        return self._run("groupby_sum", kernel_for, reduce, sig=sig)
-
-    def _grouped_mean(self, keys, column: str, n_groups: int, sig: tuple | None):
-        def kernel_for(needs_mask):
-            def kernel(sl: slice) -> tuple[np.ndarray, np.ndarray]:
-                m = self._mask_abs(sl) if needs_mask(sl) else None
-                v = self.table[column][sl]
-                k = keys[sl]
-                return group_count(k, n_groups, m), group_sum(k, v, n_groups, m)
-
-            return kernel
-
-        def reduce(parts, _):
-            counts = np.zeros(n_groups, dtype=np.int64)
-            sums = np.zeros(n_groups)
-            for c, s in parts:
-                counts += c
-                sums += s
-            with np.errstate(invalid="ignore", divide="ignore"):
-                return np.where(counts > 0, sums / counts, np.nan)
-
-        return self._run("groupby_mean", kernel_for, reduce, sig=sig)
-
-    def _grouped_stats(self, keys, column: str, n_groups: int, sig: tuple | None):
-        """min/max/mean/median per group.
-
-        Fused: each chunk compacts its passing (key, value) pairs in
-        parallel — pruned chunks contribute nothing — then the group
-        kernels run once over the (typically far smaller) selection.
-        """
-
-        def kernel_for(needs_mask):
-            def kernel(sl: slice) -> tuple[np.ndarray, np.ndarray]:
-                k = keys[sl]
-                v = self.table[column][sl]
-                if needs_mask(sl):
-                    m = self._mask_abs(sl)
-                    k, v = k[m], v[m]
-                return np.asarray(k), np.asarray(v)
-
-            return kernel
-
-        def reduce(parts, _):
-            if parts:
-                k = np.concatenate([p[0] for p in parts])
-                v = np.concatenate([p[1] for p in parts])
-            else:
-                # Keep the column dtype: the empty-group min/max
-                # sentinels (iinfo extremes vs ±inf) depend on it, and a
-                # fully-pruned scan must answer byte-identically to a
-                # scan that merely selected nothing.
-                k = np.zeros(0, dtype=np.int64)
-                v = np.zeros(0, dtype=self.table[column].dtype)
-            return group_stats_dict(k, v, n_groups)
-
-        return self._run("groupby_stats", kernel_for, reduce, sig=sig)
-
-    def _grouped_top(self, keys, n_groups: int, k_top: int, sig: tuple | None):
-        """Top-``k_top`` groups by row count (descending, key ties
-        ascending; zero-count groups excluded)."""
-
-        def kernel_for(needs_mask):
-            def kernel(sl: slice) -> np.ndarray:
-                m = self._mask_abs(sl) if needs_mask(sl) else None
-                return group_count(keys[sl], n_groups, m)
-
-            return kernel
-
-        def reduce(parts, _):
-            counts = (
-                np.sum(parts, axis=0)
-                if parts
-                else np.zeros(n_groups, dtype=np.int64)
-            )
-            return topk_from_counts(np.asarray(counts, dtype=np.int64), k_top)
-
-        return self._run("groupby_top", kernel_for, reduce, sig=sig)
+    def mean(self, column: str) -> QueryResult:
+        """Mean of a column over passing rows (NaN when empty)."""
+        return self._aggregate(TerminalSpec("mean", column))
 
 
 class GroupedQuery:
@@ -549,51 +405,40 @@ class GroupedQuery:
     Built by :meth:`Query.group_by`; the key name resolves through the
     store's group-key registry (aliases share one canonical name, so
     ``group_by("Quarter")`` and ``group_by("MentionQuarter")`` share
-    cache entries).  Terminals return arrays of length
-    :attr:`n_groups` — or :class:`QueryResult` wrapping one, when the
-    parent query is rich.
+    cache entries).  Terminals return a :class:`QueryResult` wrapping
+    arrays of length :attr:`n_groups`.
     """
 
     def __init__(self, query: Query, key: str) -> None:
         self._q = query
-        self.key, self._keys, self.n_groups = query.store.group_key(
+        self._name = key
+        self.key, _keys, self.n_groups = query.store.group_key(
             query.table_name, key
         )
 
-    def _sig(self, op: str, column: str | None = None) -> tuple:
-        return terminal_signature(op, column, group=self.key, n_groups=self.n_groups)
+    def _aggregate(self, op: str, column: str | None = None, k: int | None = None):
+        return self._q._aggregate(TerminalSpec(op, column, self._name, k))
 
-    def count(self):
+    def count(self) -> QueryResult:
         """Rows per group."""
-        return self._q._grouped_count(self._keys, self.n_groups, self._sig("count"))
+        return self._aggregate("count")
 
-    def sum(self, column: str):
+    def sum(self, column: str) -> QueryResult:
         """Sum of ``column`` per group."""
-        return self._q._grouped_sum(
-            self._keys, column, self.n_groups, self._sig("sum", column)
-        )
+        return self._aggregate("sum", column)
 
-    def mean(self, column: str):
+    def mean(self, column: str) -> QueryResult:
         """Mean of ``column`` per group (NaN for empty groups)."""
-        return self._q._grouped_mean(
-            self._keys, column, self.n_groups, self._sig("mean", column)
-        )
+        return self._aggregate("mean", column)
 
-    def stats(self, column: str):
+    def stats(self, column: str) -> QueryResult:
         """min/max/mean/median of ``column`` per group."""
-        return self._q._grouped_stats(
-            self._keys, column, self.n_groups, self._sig("stats", column)
-        )
+        return self._aggregate("stats", column)
 
-    def top(self, k: int):
+    def top(self, k: int) -> QueryResult:
         """The ``k`` busiest groups: ``{"keys", "counts"}`` arrays sorted
         by descending row count (ascending key on ties)."""
-        k = int(k)
-        if k < 1:
-            raise ValueError("top(k) requires k >= 1")
-        return self._q._grouped_top(
-            self._keys, self.n_groups, k, self._sig("top") + (k,)
-        )
+        return self._aggregate("top", k=k)
 
 
 # --- the paper's aggregated country query ------------------------------------

@@ -226,7 +226,7 @@ class GdeltStore:
         """The end-user query entry point.
 
         Returns a :class:`repro.engine.query.Query` whose terminal
-        operations run through the zone-map planner and return rich
+        operations run through the zone-map planner and return
         :class:`repro.engine.query.QueryResult` objects (value + profile
         + plan)::
 
@@ -235,7 +235,18 @@ class GdeltStore:
         """
         from repro.engine.query import Query
 
-        return Query(self, table, rich=True)
+        return Query(self, table)
+
+    def interval_rows(self, start_interval: int, end_interval: int) -> slice:
+        """Mention rows captured in ``[start_interval, end_interval)``.
+
+        The mentions table is stored sorted by capture interval, so a
+        time window is two binary searches — O(log n), never a scan.
+        """
+        col = self.mentions["MentionInterval"]
+        lo = int(np.searchsorted(col, start_interval, side="left"))
+        hi = int(np.searchsorted(col, end_interval, side="left"))
+        return slice(lo, max(lo, hi))
 
     def fingerprint(self) -> tuple[str, int]:
         """Identity token for planner cache keys.
@@ -559,15 +570,23 @@ class GdeltStore:
         )
 
     def n_quarters(self) -> int:
-        """Number of quarters spanned by the mention data (max quarter + 1)."""
-        mq = self.mention_quarter()
-        eq = self.event_quarter()
-        hi = 0
-        if len(mq):
-            hi = max(hi, int(mq.max()))
-        if len(eq):
-            hi = max(hi, int(eq.max()))
-        return hi + 1
+        """Number of quarters spanned by the mention data (max quarter + 1).
+
+        Cached like the quarter columns it scans: every grouped terminal
+        resolves its key's width through here.
+        """
+
+        def compute() -> int:
+            mq = self.mention_quarter()
+            eq = self.event_quarter()
+            hi = 0
+            if len(mq):
+                hi = max(hi, int(mq.max()))
+            if len(eq):
+                hi = max(hi, int(eq.max()))
+            return hi + 1
+
+        return self._cached("n_quarters", compute)  # type: ignore[return-value]
 
     # -- navigation ---------------------------------------------------------------
 

@@ -174,15 +174,16 @@ def _shrink_and_write(
 def inject_kernel_bug():
     """Deliberately break the engine's grouped-count kernel.
 
-    Patches the name bound inside :mod:`repro.engine.query` (the local
-    scan path) with a wrapper that inflates group 0 by one per chunk —
-    the classic off-by-one a differential oracle exists to catch.  The
+    Patches the name bound inside :mod:`repro.engine.terminal` (the op
+    table's chunk kernels) with a wrapper that inflates group 0 by one
+    per chunk — the classic off-by-one a differential oracle exists to
+    catch.  The
     independent reference is untouched, so every grouped ``count`` or
     ``top`` case over a nonempty selection must now mismatch.
     """
-    import repro.engine.query as engine_query
+    import repro.engine.terminal as engine_terminal
 
-    real = engine_query.group_count
+    real = engine_terminal.group_count
 
     def skewed(keys, n_groups, mask=None):
         out = np.array(real(keys, n_groups, mask), copy=True)
@@ -190,11 +191,11 @@ def inject_kernel_bug():
             out[0] += 1
         return out
 
-    engine_query.group_count = skewed
+    engine_terminal.group_count = skewed
     try:
         yield
     finally:
-        engine_query.group_count = real
+        engine_terminal.group_count = real
 
 
 def self_test(seed: int = 0, cases: int = 40, corpus_dir: str | Path | None = None):

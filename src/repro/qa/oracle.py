@@ -35,9 +35,9 @@ from pathlib import Path
 from repro.engine.expr import to_conjuncts
 from repro.engine.planner import result_cache
 from repro.engine.store import GdeltStore
+from repro.engine.terminal import jsonable
 from repro.qa.generator import StoreSpec, build_store, expr_from_spec, spec_is_wire
 from repro.qa.reference import reference_value
-from repro.serve.request import _jsonable
 from repro.views.definition import ViewDefinition, expr_from_conjuncts
 
 __all__ = ["canon", "Mismatch", "OracleInfraError", "StoreHarness", "Oracle"]
@@ -48,7 +48,7 @@ HEAVY_SURFACES = ("shard", "remote", "view")
 
 def canon(value) -> str:
     """Canonical JSON bytes of a query value (NaN → null, arrays → lists)."""
-    return json.dumps(_jsonable(value), sort_keys=True)
+    return json.dumps(jsonable(value), sort_keys=True)
 
 
 class OracleInfraError(RuntimeError):

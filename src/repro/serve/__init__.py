@@ -22,6 +22,7 @@ Over a socket (``repro-gdelt serve data/``)::
         resp = client.query(table="mentions", op="count")
 """
 
+from repro.engine.terminal import GROUP_OPS, OPS
 from repro.serve.admission import AdmissionController, TokenBucket
 from repro.serve.batcher import (
     BatchItem,
@@ -55,8 +56,6 @@ from repro.serve.remote import (
     connect,
 )
 from repro.serve.request import (
-    GROUP_OPS,
-    OPS,
     QueryRequest,
     QueryResponse,
     request_from_wire,

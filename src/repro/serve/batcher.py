@@ -1,11 +1,10 @@
 """Shared-scan batching: one pass over the data serving N pending queries.
 
-Every admitted request compiles to an :class:`ExecutableOp` — a chunk
-kernel plus a reduce, mirroring the exact semantics of the matching
-:class:`~repro.engine.query.Query` terminal (same partial shapes, same
-reduce expressions), so a value computed here is interchangeable with
-one computed by ``store.query(...)`` and both share the planner's
-result cache.
+Every admitted request compiles to an :class:`ExecutableOp` — the
+request's terminal (:mod:`repro.engine.terminal`) bound to the store,
+the same kernel and fold a :class:`~repro.engine.query.Query` terminal
+runs, so a value computed here is interchangeable with one computed by
+``store.query(...)`` and both share the planner's result cache.
 
 Compatible requests against the same table are then *fused*: the
 planner builds each request's pruned plan, :func:`~repro.engine.planner
@@ -26,17 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.engine.aggregate import (
-    group_count,
-    group_stats_dict,
-    group_sum,
-    topk_from_counts,
-)
 from repro.engine.executor import CancelToken, Executor, QueryCancelled
 from repro.engine.planner import Plan, fuse_plans, plan_query, request_key
-from repro.engine.query import terminal_signature
+from repro.engine.query import bind_terminal
 from repro.engine.store import GdeltStore
 from repro.serve.request import QueryRequest
 
@@ -44,57 +35,36 @@ __all__ = ["ExecutableOp", "BatchItem", "compile_request", "execute_batch"]
 
 
 class ExecutableOp:
-    """One request compiled against a store: kernel + reduce + identity.
+    """One request bound to a store: terminal + kernel + identity.
 
     ``partial(sl, need_mask)`` computes the chunk partial for an
     absolute row slice; ``need_mask=False`` means the planner proved
     every row in the slice passes the filter, so mask evaluation is
     skipped (identical to the Query terminals' mask-free fast path).
+    ``reduce(parts)`` folds the partials and finalizes — or, for a
+    ``partials`` request, returns the mergeable wire form instead.
     """
 
     __slots__ = (
-        "store", "req", "table", "rows", "op_name", "sig", "key",
-        "_keys", "_n_groups", "_kernel", "_reduce",
+        "store", "req", "rows", "op_name", "sig", "key", "_terminal", "_kernel",
     )
 
     def __init__(self, store: GdeltStore, req: QueryRequest) -> None:
         self.store = store
         self.req = req
-        self.table = store.table(req.table)
-        total = store.n_rows(req.table)
-        rows = slice(0, total)
         if req.time_range is not None:
-            lo_i, hi_i = req.time_range
-            col_vals = self.table["MentionInterval"]
-            lo = int(np.searchsorted(col_vals, lo_i, side="left"))
-            hi = int(np.searchsorted(col_vals, hi_i, side="left"))
-            rows = slice(lo, max(lo, hi))
-        self.rows = rows
-
-        group = None
-        self._keys = None
-        self._n_groups = 0
-        if req.group_by is not None:
-            group, self._keys, self._n_groups = store.group_key(
-                req.table, req.group_by
-            )
-            self.op_name = f"groupby_{req.op}"
+            self.rows = store.interval_rows(*req.time_range)
         else:
-            self.op_name = req.op
-        self.sig = terminal_signature(
-            req.op, req.column, group=group, n_groups=self._n_groups if group else None
+            self.rows = slice(0, store.n_rows(req.table))
+        spec = req.terminal()
+        self._terminal, self._kernel = bind_terminal(
+            store, req.table, spec, req.where
         )
-        if req.op == "top":
-            self.sig = self.sig + (int(req.k),)
-        if req.partials:
-            # Partial-aggregate mode returns a different value shape, so
-            # it must occupy a different result-cache entry than the
-            # finalized terminal.
-            self.sig = self.sig + ("partial",)
+        self.op_name = spec.op_name
+        self.sig = self._terminal.signature(partial=req.partials)
         self.key = request_key(
-            store, req.table, req.where, rows, self.op_name, self.sig
+            store, req.table, req.where, self.rows, self.op_name, self.sig
         )
-        self._kernel, self._reduce = self._build()
 
     def plan(self, executor: Executor, prune: bool = True) -> Plan:
         """This request's pruned scan plan (planner cache key included)."""
@@ -103,170 +73,15 @@ class ExecutableOp:
             self.op_name, executor, self.sig, prune=prune,
         )
 
-    def _mask(self, sl: slice) -> np.ndarray:
-        return np.asarray(self.req.where.evaluate(self.table, sl), dtype=bool)
-
     def partial(self, sl: slice, need_mask: bool):
         return self._kernel(sl, need_mask and self.req.where is not None)
 
     def reduce(self, parts: list):
-        return self._reduce(parts)
-
-    # -- op table (each mirrors the matching Query terminal exactly) -------
-
-    def _build(self):
-        if self.req.group_by is not None:
-            return getattr(self, f"_group_{self.req.op}")()
-        return getattr(self, f"_scalar_{self.req.op}")()
-
-    def _scalar_count(self):
-        def kernel(sl, need):
-            if not need:
-                return sl.stop - sl.start
-            return int(self._mask(sl).sum())
-
-        return kernel, lambda parts: int(sum(parts))
-
-    def _scalar_sum(self):
-        column = self.req.column
-
-        def kernel(sl, need):
-            v = self.table[column][sl]
-            if not need:
-                return float(v.sum())
-            return float(v[self._mask(sl)].sum())
-
-        return kernel, lambda parts: float(sum(parts))
-
-    def _scalar_mean(self):
-        column = self.req.column
-        partials = self.req.partials
-
-        def kernel(sl, need):
-            v = self.table[column][sl]
-            if not need:
-                return sl.stop - sl.start, float(v.sum())
-            m = self._mask(sl)
-            return int(m.sum()), float(v[m].sum())
-
-        def reduce(parts):
-            n = sum(p[0] for p in parts)
-            s = sum(p[1] for p in parts)
-            if partials:
-                return [int(n), float(s)]
-            return s / n if n else float("nan")
-
-        return kernel, reduce
-
-    def _group_count(self):
-        keys, n_groups = self._keys, self._n_groups
-
-        def kernel(sl, need):
-            m = self._mask(sl) if need else None
-            return group_count(keys[sl], n_groups, m)
-
-        def reduce(parts):
-            if not parts:
-                return np.zeros(n_groups, dtype=np.int64)
-            return np.sum(parts, axis=0)
-
-        return kernel, reduce
-
-    def _group_sum(self):
-        keys, n_groups, column = self._keys, self._n_groups, self.req.column
-
-        def kernel(sl, need):
-            m = self._mask(sl) if need else None
-            return group_sum(keys[sl], self.table[column][sl], n_groups, m)
-
-        def reduce(parts):
-            if not parts:
-                return np.zeros(n_groups)
-            return np.sum(parts, axis=0)
-
-        return kernel, reduce
-
-    def _group_mean(self):
-        keys, n_groups, column = self._keys, self._n_groups, self.req.column
-        partials = self.req.partials
-
-        def kernel(sl, need):
-            m = self._mask(sl) if need else None
-            v = self.table[column][sl]
-            k = keys[sl]
-            return group_count(k, n_groups, m), group_sum(k, v, n_groups, m)
-
-        def reduce(parts):
-            counts = np.zeros(n_groups, dtype=np.int64)
-            sums = np.zeros(n_groups)
-            for c, s in parts:
-                counts += c
-                sums += s
-            if partials:
-                return {"count": counts, "sum": sums}
-            with np.errstate(invalid="ignore", divide="ignore"):
-                return np.where(counts > 0, sums / counts, np.nan)
-
-        return kernel, reduce
-
-    def _group_stats(self):
-        keys, n_groups, column = self._keys, self._n_groups, self.req.column
-        partials = self.req.partials
-
-        def kernel(sl, need):
-            k = keys[sl]
-            v = self.table[column][sl]
-            if need:
-                m = self._mask(sl)
-                k, v = k[m], v[m]
-            return np.asarray(k), np.asarray(v)
-
-        def reduce(parts):
-            if parts:
-                k = np.concatenate([p[0] for p in parts])
-                v = np.concatenate([p[1] for p in parts])
-            else:
-                k = np.zeros(0, dtype=np.int64)
-                v = np.zeros(0, dtype=self.table[column].dtype)
-            if partials:
-                # Compacted passing pairs, in row order: the shard-side
-                # half of the stats reduce.  The router concatenates
-                # shard parts in shard order (= global row order) and
-                # runs group_stats_dict once, exactly like a local run.
-                # The values dtype rides along because the stats kernels'
-                # empty-group sentinels (iinfo min/max) depend on it — a
-                # JSON round-trip must not silently widen int32 to int64.
-                return {"keys": k, "values": v, "dtype": v.dtype.name}
-            return group_stats_dict(k, v, n_groups)
-
-        return kernel, reduce
-
-    def _group_top(self):
-        keys, n_groups = self._keys, self._n_groups
-        k_top = int(self.req.k)
-        partials = self.req.partials
-
-        def kernel(sl, need):
-            m = self._mask(sl) if need else None
-            return group_count(keys[sl], n_groups, m)
-
-        def reduce(parts):
-            counts = (
-                np.sum(parts, axis=0)
-                if parts
-                else np.zeros(n_groups, dtype=np.int64)
-            )
-            counts = np.asarray(counts, dtype=np.int64)
-            if partials:
-                # Sparse over-fetch: every nonzero group, not just the
-                # local top-k — a group outside one shard's top-k can
-                # still make the global top-k, so exact merging needs
-                # the full nonzero support (usually tiny vs dense).
-                nz = np.flatnonzero(counts)
-                return {"keys": nz.astype(np.int64), "counts": counts[nz]}
-            return topk_from_counts(counts, k_top)
-
-        return kernel, reduce
+        terminal = self._terminal
+        folded = terminal.fold(parts)
+        if self.req.partials:
+            return terminal.to_wire(folded)
+        return terminal.finalize(folded)
 
 
 def compile_request(store: GdeltStore, req: QueryRequest) -> ExecutableOp:
@@ -277,20 +92,7 @@ def compile_request(store: GdeltStore, req: QueryRequest) -> ExecutableOp:
         to the client as an ``error`` response, never a crash.
     """
     req.validate()
-    op = ExecutableOp(store, req)
-    # Fail fast on a bad column name instead of inside a worker kernel.
-    if req.column is not None and req.column not in op.table:
-        raise KeyError(
-            f"unknown column {req.column!r} for table {req.table!r}"
-        )
-    if req.where is not None:
-        missing = [c for c in req.where.columns() if c not in op.table]
-        if missing:
-            raise KeyError(
-                f"unknown filter column(s) {', '.join(sorted(missing))} "
-                f"for table {req.table!r}"
-            )
-    return op
+    return ExecutableOp(store, req)
 
 
 @dataclass(slots=True)

@@ -28,11 +28,10 @@ with the missing shard ids in ``result.stats["missing_shards"]``.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.engine.expr import Expr, to_conjuncts
 from repro.engine.planner import Plan, ScanUnit
 from repro.engine.query import QueryResult
+from repro.engine.terminal import TerminalSpec
 from repro.serve.client import ServeClient
 from repro.serve.protocol import ErrorCode
 
@@ -211,7 +210,11 @@ class RemoteQuery:
             raise ValueError("time_range requires the mentions table")
         if end_interval < start_interval:
             raise ValueError("inverted time range")
-        return self._clone(rows=(int(start_interval), int(end_interval)))
+        lo, hi = int(start_interval), int(end_interval)
+        if self._range is not None:  # chained ranges intersect, as locally
+            lo = max(lo, self._range[0])
+            hi = max(lo, min(hi, self._range[1]))
+        return self._clone(rows=(lo, hi))
 
     def with_deadline(self, deadline_s: float | None) -> "RemoteQuery":
         """Per-query deadline override (None removes the default)."""
@@ -244,6 +247,8 @@ class RemoteQuery:
         group_by: str | None = None,
         k: int | None = None,
     ) -> QueryResult:
+        spec = TerminalSpec(op, column, group_by, k)
+        spec.validate()
         conjuncts = to_conjuncts(self.where) if self.where is not None else []
         resp = self.store._call(
             table=self.table_name,
@@ -260,11 +265,9 @@ class RemoteQuery:
         if resp.get("status") == "partial":
             stats["missing_shards"] = list(resp.get("missing_shards") or [])
             stats["reason"] = str(ErrorCode.PARTIAL_RESULT)
-        value = _revive(op, group_by, resp.get("value"))
-        op_name = f"groupby_{op}" if group_by is not None else op
         return QueryResult(
-            value=value,
-            plan=self._synthesize_plan(op_name, stats),
+            value=spec.bind().revive(resp.get("value")),
+            plan=self._synthesize_plan(spec.op_name, stats),
             stats=stats,
         )
 
@@ -331,41 +334,4 @@ class RemoteGroupedQuery:
 
     def top(self, k: int) -> QueryResult:
         """The ``k`` busiest groups (descending count, ascending key ties)."""
-        k = int(k)
-        if k < 1:
-            raise ValueError("top(k) requires k >= 1")
         return self._q._run("top", group_by=self.key, k=k)
-
-
-def _num_array(values, prefer_int: bool) -> np.ndarray:
-    """JSON list → numpy array; nulls become NaN (forcing float64)."""
-    if prefer_int and all(isinstance(v, int) for v in values):
-        return np.asarray(values, dtype=np.int64)
-    return np.asarray(
-        [np.nan if v is None else float(v) for v in values], dtype=np.float64
-    )
-
-
-def _revive(op: str, group_by: str | None, value):
-    """Wire value → the type the matching local terminal returns."""
-    if group_by is None:
-        if op == "count":
-            return int(value)
-        if op == "sum":
-            return float(value)
-        return float("nan") if value is None else float(value)  # mean
-    if op == "count":
-        return np.asarray(value, dtype=np.int64)
-    if op in ("sum", "mean"):
-        return _num_array(value, prefer_int=False)
-    if op == "stats":
-        return {
-            name: _num_array(vals, prefer_int=name in ("min", "max"))
-            for name, vals in value.items()
-        }
-    if op == "top":
-        return {
-            "keys": np.asarray(value["keys"], dtype=np.int64),
-            "counts": np.asarray(value["counts"], dtype=np.int64),
-        }
-    raise ValueError(f"unknown grouped op {op!r}")

@@ -24,24 +24,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.engine.expr import Expr, parse_predicate
+from repro.engine.terminal import TerminalSpec, jsonable
 from repro.serve.protocol import ErrorCode
 
 __all__ = [
-    "OPS",
-    "GROUP_OPS",
     "ErrorCode",
     "QueryRequest",
     "QueryResponse",
     "request_from_wire",
 ]
-
-#: Scalar terminal operations the service executes.
-OPS = ("count", "sum", "mean")
-#: Grouped terminal operations (require ``group_by``).
-GROUP_OPS = ("count", "sum", "mean", "stats", "top")
 
 #: Fallback ids for requests submitted without one.
 _REQ_SEQ = itertools.count(1)
@@ -76,6 +68,10 @@ class QueryRequest:
     partials: bool = False
     id: str = field(default_factory=lambda: f"r{next(_REQ_SEQ)}")
 
+    def terminal(self) -> TerminalSpec:
+        """The request's terminal description."""
+        return TerminalSpec(self.op, self.column, self.group_by, self.k)
+
     def validate(self) -> None:
         """Cheap structural validation (no store access).
 
@@ -84,21 +80,7 @@ class QueryRequest:
         """
         if self.table not in ("events", "mentions"):
             raise ValueError(f"unknown table {self.table!r}")
-        ops = GROUP_OPS if self.group_by is not None else OPS
-        if self.op not in ops:
-            raise ValueError(
-                f"unknown op {self.op!r} (expected one of {', '.join(ops)})"
-            )
-        needs_column = self.op in ("sum", "mean", "stats")
-        if needs_column and not self.column:
-            raise ValueError(f"op {self.op!r} requires a column")
-        if not needs_column and self.column:
-            raise ValueError(f"op {self.op!r} takes no column")
-        if self.op == "top":
-            if self.k is None or int(self.k) < 1:
-                raise ValueError("op 'top' requires k >= 1")
-        elif self.k is not None:
-            raise ValueError(f"op {self.op!r} takes no k")
+        self.terminal().validate()
         if self.time_range is not None:
             lo, hi = self.time_range
             if hi < lo:
@@ -141,7 +123,7 @@ class QueryResponse:
         """JSON-safe dict form (numpy values listified)."""
         out: dict = {"id": self.id, "status": self.status}
         if self.status in ("ok", "partial"):
-            out["value"] = _jsonable(self.value)
+            out["value"] = jsonable(self.value)
         if self.reason is not None:
             out["reason"] = str(getattr(self.reason, "value", self.reason))
         if self.retry_after_s is not None:
@@ -151,22 +133,8 @@ class QueryResponse:
         if self.missing is not None:
             out["missing_shards"] = list(self.missing)
         if self.stats:
-            out["stats"] = {k: _jsonable(v) for k, v in self.stats.items()}
+            out["stats"] = {k: jsonable(v) for k, v in self.stats.items()}
         return out
-
-
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, np.generic):
-        value = value.item()
-    if isinstance(value, float) and value != value:  # NaN -> null
-        return None
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 def request_from_wire(obj: dict, client_id: str = "remote") -> QueryRequest:

@@ -1,64 +1,16 @@
 """Exact merges of per-shard partial aggregates.
 
 Each backend answers a ``partials=True`` query with the *mergeable*
-form of its terminal (the same shapes
-:class:`repro.serve.batcher.ExecutableOp` produces for its own chunk
-reduce), JSON-decoded by the time it reaches the router:
-
-=============  ====================================================
-op             partial shape per shard
-=============  ====================================================
-count          int
-sum            float
-mean           ``[n, sum]``
-group count    int vector (shard-local group width)
-group sum      float vector
-group mean     ``{"count": vector, "sum": vector}``
-group stats    ``{"keys": [...], "values": [...], "dtype": name}``
-               — compacted passing pairs in shard row order
-group top      ``{"keys": [...], "counts": [...]}`` — every nonzero
-               group (sparse over-fetch, not the local top-k)
-=============  ====================================================
-
-Merging mirrors the single-store reduce exactly: vectors are padded to
-the global group width and summed in shard order (= global row order),
-stats pairs are concatenated in shard order and handed to
-:func:`~repro.engine.aggregate.group_stats_dict` once, top counts are
-densified, summed, and cut by
-:func:`~repro.engine.aggregate.topk_from_counts`.  Counts and
-integer-column aggregates merge bit-exactly; float-column sums may
-associate differently across the shard boundary — the same last-ulp
-caveat the in-process shared-scan batcher documents.
+wire form of its terminal; the shapes, and the fold that makes merging
+them equal to a single-store run, are documented in
+:mod:`repro.engine.terminal`, which these two functions call.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.engine.aggregate import group_stats_dict, topk_from_counts
+from repro.engine.terminal import TerminalSpec
 
 __all__ = ["merge_parts", "zero_value"]
-
-
-def _int_vector(part, width: int) -> np.ndarray:
-    out = np.zeros(width, dtype=np.int64)
-    a = np.asarray(part, dtype=np.int64)
-    out[: len(a)] = a
-    return out
-
-
-def _float_vector(part, width: int) -> np.ndarray:
-    out = np.zeros(width, dtype=np.float64)
-    a = np.asarray(
-        [np.nan if v is None else float(v) for v in part], dtype=np.float64
-    )
-    out[: len(a)] = a
-    return out
-
-
-def _width(parts: list, n_groups: int | None, key=len) -> int:
-    hint = int(n_groups) if n_groups else 0
-    return max([hint, *[key(p) for p in parts]], default=hint)
 
 
 def merge_parts(
@@ -70,80 +22,14 @@ def merge_parts(
 ):
     """Merge shard partials into the finalized terminal value.
 
-    ``parts`` are the JSON-decoded partial values in shard order;
-    ``n_groups`` is the *global* group width hint (shard-local vectors
-    are padded up to it; it is further widened by any longer part).
-    An empty ``parts`` list yields the op's zero value — what a router
-    answers when pruning skipped every shard.
+    ``parts`` are the partial values in shard order (= global row
+    order), JSON-decoded or still arrays; ``n_groups`` is the *global*
+    group width hint (shard-local vectors are padded up to it; it is
+    further widened by any longer part).  An empty ``parts`` list
+    yields the op's zero value — what a router answers when pruning
+    skipped every shard.
     """
-    if group_by is None:
-        if op == "count":
-            return int(sum(int(p) for p in parts))
-        if op == "sum":
-            return float(sum(float(p) for p in parts))
-        if op == "mean":
-            n = sum(int(p[0]) for p in parts)
-            s = sum(0.0 if p[1] is None else float(p[1]) for p in parts)
-            return s / n if n else float("nan")
-        raise ValueError(f"unmergeable scalar op {op!r}")
-
-    if op == "count":
-        width = _width(parts, n_groups)
-        out = np.zeros(width, dtype=np.int64)
-        for p in parts:
-            out += _int_vector(p, width)
-        return out
-    if op == "sum":
-        width = _width(parts, n_groups)
-        out = np.zeros(width, dtype=np.float64)
-        for p in parts:
-            out += _float_vector(p, width)
-        return out
-    if op == "mean":
-        width = _width(parts, n_groups, key=lambda p: len(p["count"]))
-        counts = np.zeros(width, dtype=np.int64)
-        sums = np.zeros(width, dtype=np.float64)
-        for p in parts:
-            counts += _int_vector(p["count"], width)
-            sums += _float_vector(p["sum"], width)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(counts > 0, sums / counts, np.nan)
-    if op == "stats":
-        width = int(n_groups or 0)
-        dtype = np.dtype(parts[0]["dtype"]) if parts else np.dtype(np.float64)
-        if parts:
-            keys = np.concatenate(
-                [np.asarray(p["keys"], dtype=np.int64) for p in parts]
-            )
-            values = np.concatenate(
-                [
-                    np.asarray(
-                        [np.nan if v is None else v for v in p["values"]]
-                        if dtype.kind == "f"
-                        else p["values"],
-                        dtype=dtype,
-                    )
-                    for p in parts
-                ]
-            )
-        else:
-            keys = np.zeros(0, dtype=np.int64)
-            values = np.zeros(0, dtype=dtype)
-        return group_stats_dict(keys, values, width)
-    if op == "top":
-        if k is None or int(k) < 1:
-            raise ValueError("merging op 'top' requires k >= 1")
-        width = _width(
-            parts,
-            n_groups,
-            key=lambda p: (int(max(p["keys"])) + 1) if len(p["keys"]) else 0,
-        )
-        counts = np.zeros(width, dtype=np.int64)
-        for p in parts:
-            idx = np.asarray(p["keys"], dtype=np.int64)
-            counts[idx] += np.asarray(p["counts"], dtype=np.int64)
-        return topk_from_counts(counts, int(k))
-    raise ValueError(f"unmergeable grouped op {op!r}")
+    return TerminalSpec(op, group=group_by, k=k).bind(n_groups).merge(parts)
 
 
 def zero_value(
@@ -155,13 +41,10 @@ def zero_value(
 ):
     """The value of a query no shard can contain (all pruned/empty).
 
-    ``dtype`` (a numpy dtype name) matters only for grouped ``stats``:
-    the empty-group min/max sentinels are iinfo extremes for integer
-    value columns but ±inf for floats, so a caller that knows the
-    column's dtype must pass it to get the same bytes a shard that
-    scanned-and-matched-nothing would have produced.
+    ``dtype`` is the value column's numpy dtype name: grouped
+    ``stats``' empty-group min/max sentinels are iinfo extremes for
+    integer columns but ±inf for floats, so a caller that knows it must
+    pass it to get the same bytes a shard that scanned-and-matched-
+    nothing would have produced.
     """
-    if op == "stats" and group_by is not None and dtype is not None:
-        part = {"keys": [], "values": [], "dtype": dtype}
-        return merge_parts(op, group_by, k, [part], n_groups)
-    return merge_parts(op, group_by, k, [], n_groups)
+    return TerminalSpec(op, group=group_by, k=k).bind(n_groups, dtype).merge([])

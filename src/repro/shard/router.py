@@ -336,13 +336,13 @@ class ShardRouter:
 
         if not targets:
             # Pruning answered the query: no shard can hold a matching
-            # row, so the op's zero value IS the exact result.  Seed the
-            # stats zero with the value column's dtype from the shard
-            # meta so its empty-group sentinels match a scanned run.
+            # row, so the op's zero value IS the exact result — built
+            # with the value column's dtype from the shard meta, so it
+            # matches a run that scanned and selected nothing.
             self._count("zero_fanout")
             _metrics.histogram("shard_fanout").observe(0)
             dtype = None
-            if request.op == "stats" and request.column is not None:
+            if request.column is not None:
                 dtype = self.map.column_dtype(request.table, request.column)
             value = zero_value(
                 request.op, request.group_by, request.k, n_groups, dtype=dtype

@@ -6,9 +6,10 @@ retained per-chunk partial aggregates (:class:`~repro.views.delta
 .Segment`) that make maintenance *exact*: a refresh computes partials
 over only the rows published since the last refresh
 (:func:`~repro.views.delta.compute_segments`) and appends them; the
-finalized value is :func:`repro.shard.merge.merge_parts` over all
-retained segments in row order — the same fold a scatter-gather router
-applies to shard partials, so counts and integer-column aggregates are
+finalized value is the terminal's merge
+(:meth:`repro.engine.terminal.Terminal.merge`) over all retained
+segments in row order — the same fold a scatter-gather router applies
+to shard partials, so counts and integer-column aggregates are
 bit-exact against a direct query (float-column sums carry the usual
 last-ulp association caveat).
 
@@ -57,8 +58,7 @@ from pathlib import Path
 from repro.engine.planner import _copy_value
 from repro.obs import metrics as _metrics
 from repro.obs import telemetry as _telemetry
-from repro.serve.request import _jsonable
-from repro.shard.merge import merge_parts
+from repro.engine.terminal import jsonable
 from repro.views.definition import ViewDefinition
 from repro.views.delta import Segment, compute_segments, segment_parts
 
@@ -91,9 +91,9 @@ class ViewState:
         self.rows_total: int = 0
         #: Global group width at the last refresh (grouped views).
         self.n_groups: int = 0
-        #: Aggregated column's dtype name at the last refresh (stats
-        #: views); decides the empty-group sentinels when the table has
-        #: no rows and therefore no segment carries the dtype.
+        #: Aggregated column's dtype name at the last refresh; decides
+        #: ``stats``' empty-group sentinels when the table has no rows
+        #: and therefore no segment carries the dtype.
         self.value_dtype: str | None = None
         self.segments: list[Segment] = []
         #: Retracted ``[lo, hi)`` row ranges (non-servable until rebuilt).
@@ -108,14 +108,8 @@ class ViewState:
 
     def value(self):
         """Finalize the view: exact merge of retained segments in row order."""
-        d = self.definition
-        parts = segment_parts(self.segments)
-        if not parts and d.op == "stats" and self.value_dtype is not None:
-            # Zero segments (empty table): seed the merge with the
-            # recorded column dtype so the empty-group sentinels match
-            # what a scanned store would have answered.
-            parts = [{"keys": [], "values": [], "dtype": self.value_dtype}]
-        return merge_parts(d.op, d.group_by, d.k, parts, self.n_groups or None)
+        terminal = self.definition.spec.bind(self.n_groups or None, self.value_dtype)
+        return terminal.merge(segment_parts(self.segments))
 
     def fresh_for(self, store) -> bool:
         """True when this view answers queries against ``store`` exactly."""
@@ -375,9 +369,7 @@ class ViewCatalog:
             )
             base_rows = state.rows_total if extend else 0
             new_segments = compute_segments(store, d, base_rows, rows_now)
-            n_groups = state.n_groups
-            if d.group_by is not None:
-                _canon, _keys, n_groups = store.group_key(d.table, d.group_by)
+            terminal = d.terminal(store)
             value = None
             with self._lock:
                 if not extend:
@@ -387,18 +379,16 @@ class ViewCatalog:
                 state.store_token = token
                 state.store_generation = gen
                 state.rows_total = rows_now
-                state.n_groups = int(n_groups)
-                if d.op == "stats" and d.column is not None:
-                    arr = store.table(d.table).get(d.column)
-                    if arr is not None:
-                        state.value_dtype = arr.dtype.name
+                state.n_groups = int(terminal.n_groups or 0)
+                if terminal.value_dtype is not None:
+                    state.value_dtype = terminal.value_dtype.name
                 state.refreshed_unix = time.time()
                 state.refresh_count += 1
                 state.last_delta_rows = rows_now - base_rows
                 state.last_refresh_s = time.monotonic() - t0
                 state.last_error = None
                 value = state.value()
-                self._install_serving(state, store, value)
+                self._install_serving(state, store, value, terminal.signature())
                 self._persist_state(state)
             elapsed = time.monotonic() - t0
             _metrics.counter("view_refresh_total", status="ok").inc()
@@ -414,7 +404,7 @@ class ViewCatalog:
                         "delta_rows": state.last_delta_rows,
                         "generation": state.store_generation,
                         "refreshed_unix": round(state.refreshed_unix, 3),
-                        "value": _jsonable(value),
+                        "value": jsonable(value),
                     }
                 )
             return {
@@ -497,7 +487,7 @@ class ViewCatalog:
     def _terminal_key(table: str, canonical: str | None, op_name: str, sig) -> tuple:
         return (table, canonical, op_name, tuple(sig) if sig is not None else None)
 
-    def _install_serving(self, state: ViewState, store, value) -> None:
+    def _install_serving(self, state: ViewState, store, value, sig: tuple) -> None:
         """Replace ``state``'s serving entry (caller holds the lock)."""
         self._serving = {
             key: e for key, e in self._serving.items() if e.name != state.definition.name
@@ -505,9 +495,7 @@ class ViewCatalog:
         if state.retracted:
             return
         d = state.definition
-        key = self._terminal_key(
-            d.table, d.where_canonical(), d.op_name(), d.signature(store)
-        )
+        key = self._terminal_key(d.table, d.where_canonical(), d.spec.op_name, sig)
         self._serving[key] = _Serving(
             name=d.name,
             fingerprint=store.fingerprint(),
@@ -593,7 +581,7 @@ class ViewCatalog:
                 "delta_rows": state.last_delta_rows,
                 "generation": state.store_generation,
                 "refreshed_unix": round(state.refreshed_unix, 3),
-                "value": _jsonable(state.value()),
+                "value": jsonable(state.value()),
             }
 
     def _notify(self, event: dict) -> None:

@@ -7,7 +7,7 @@ wire protocol's textual predicate conjuncts (the exact strings
 :func:`repro.engine.expr.parse_predicate` accepts), so a definition
 read back from disk can never execute anything, and the identity of
 the terminal is the planner's canonical signature
-(:func:`repro.engine.query.terminal_signature`) — the same key the
+(:meth:`repro.engine.terminal.Terminal.signature`) — the same key the
 result cache and the serving single-flight layer use, which is what
 lets :class:`~repro.serve.service.QueryService` recognise "this wire
 request IS that view" without any per-request matching heuristics.
@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.engine.expr import Expr, parse_predicate, to_conjuncts
-from repro.engine.query import terminal_signature
-from repro.serve.request import GROUP_OPS, OPS, QueryRequest
+from repro.engine.query import bind_terminal
+from repro.engine.terminal import Terminal, TerminalSpec
 
 __all__ = ["ViewDefinition", "expr_from_conjuncts"]
 
@@ -152,17 +152,24 @@ class ViewDefinition:
         """Structural validation (no store access).
 
         Raises:
-            ValueError: bad name, unknown op, missing/extra column — the
-                same rules :meth:`QueryRequest.validate` enforces.
+            ValueError: bad name, unknown table or op, missing/extra
+                column — the same rules a wire request lives under.
         """
         if not self.name or not set(self.name) <= _NAME_OK:
             raise ValueError(
                 f"bad view name {self.name!r} (letters, digits, _-. only)"
             )
+        if self.table not in ("events", "mentions"):
+            raise ValueError(f"unknown table {self.table!r}")
         expr_from_conjuncts(self.where)  # raises on grammar violations
-        self.to_request().validate()
+        self.spec.validate()
 
     # -- derived forms -----------------------------------------------------
+
+    @property
+    def spec(self) -> TerminalSpec:
+        """The view's terminal description."""
+        return TerminalSpec(self.op, self.column, self.group_by, self.k)
 
     def parsed_where(self) -> Expr | None:
         return expr_from_conjuncts(self.where)
@@ -172,39 +179,15 @@ class ViewDefinition:
         expr = self.parsed_where()
         return expr.canonical() if expr is not None else None
 
-    def to_request(self, partials: bool = False) -> QueryRequest:
-        """The equivalent serving request (what the delta pass compiles)."""
-        return QueryRequest(
-            table=self.table,
-            op=self.op,
-            where=self.parsed_where(),
-            column=self.column,
-            group_by=self.group_by,
-            k=self.k,
-            partials=partials,
-            client_id=f"view:{self.name}",
-        )
-
-    def op_name(self) -> str:
-        """Planner op name (``groupby_`` prefix for grouped terminals)."""
-        return f"groupby_{self.op}" if self.group_by is not None else self.op
-
-    def signature(self, store) -> tuple:
-        """The terminal's canonical signature against ``store``.
-
-        Exactly what :class:`~repro.serve.batcher.ExecutableOp` stamps
-        on a non-partials request for the same terminal, so a view is
+    def terminal(self, store) -> Terminal:
+        """The view's terminal bound to ``store`` (group width, value
+        dtype).  Its :meth:`~Terminal.signature` is exactly what
+        :class:`~repro.serve.batcher.ExecutableOp` stamps on a
+        non-partials request for the same terminal, so a view is
         matched to incoming requests by tuple equality, never by
         re-deriving intent.
         """
-        group = None
-        n_groups = None
-        if self.group_by is not None:
-            group, _keys, n_groups = store.group_key(self.table, self.group_by)
-        sig = terminal_signature(self.op, self.column, group=group, n_groups=n_groups)
-        if self.op == "top":
-            sig = sig + (int(self.k),)
-        return sig
+        return bind_terminal(store, self.table, self.spec)[0]
 
     def describe(self) -> str:
         """One-line human summary for ``view list`` and ``/varz``."""
@@ -222,9 +205,3 @@ class ViewDefinition:
             term += "()"
         parts.append(term)
         return " | ".join(parts)
-
-
-# Keep the module import-light: OPS/GROUP_OPS re-exported for the CLI's
-# argument choices without importing the serve package there.
-VALID_OPS = OPS
-VALID_GROUP_OPS = GROUP_OPS

@@ -3,10 +3,9 @@
 The incremental-maintenance kernel.  Given a view definition and a row
 window ``[row_lo, row_hi)`` (typically "everything published since the
 last refresh"), :func:`compute_segments` produces one mergeable partial
-per zone-map chunk the window touches — the exact partial shapes
-:class:`repro.serve.batcher.ExecutableOp` emits in ``partials=True``
-mode, which are the shapes :func:`repro.shard.merge.merge_parts` folds
-exactly.
+per zone-map chunk the window touches, in the terminal's wire shape
+(:mod:`repro.engine.terminal`) — the shapes a ``partials=True`` server
+emits and every fold merges exactly.
 
 The pass is planned: :func:`~repro.engine.planner.plan_query` runs the
 zone-map pruning over just the window, so chunks the filter provably
@@ -25,11 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.engine.executor import SerialExecutor
 from repro.engine.planner import plan_query
-from repro.serve.batcher import ExecutableOp, compile_request
+from repro.engine.query import bind_terminal
+from repro.engine.terminal import jsonable
 
 __all__ = ["Segment", "compute_segments", "segment_parts"]
 
@@ -38,10 +36,10 @@ __all__ = ["Segment", "compute_segments", "segment_parts"]
 class Segment:
     """One retained per-chunk partial: absolute row range + partial value.
 
-    ``part`` is the mergeable partial (JSON-able after
-    :func:`repro.serve.request._jsonable`; freshly computed segments may
-    hold numpy arrays — :func:`~repro.shard.merge.merge_parts` accepts
-    both forms).
+    ``part`` is the mergeable partial in wire shape (JSON-able after
+    :func:`repro.engine.terminal.jsonable`; freshly computed segments
+    hold numpy arrays, which :meth:`Terminal.from_wire
+    <repro.engine.terminal.Terminal.from_wire>` takes without copying).
     """
 
     row_lo: int
@@ -49,10 +47,8 @@ class Segment:
     part: object
 
     def to_dict(self) -> dict:
-        from repro.serve.request import _jsonable
-
         return {"rows": [int(self.row_lo), int(self.row_hi)],
-                "part": _jsonable(self.part)}
+                "part": jsonable(self.part)}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Segment":
@@ -84,12 +80,12 @@ def compute_segments(
     row_lo, row_hi = int(row_lo), int(row_hi)
     if row_hi <= row_lo:
         return []
-    req = definition.to_request(partials=True)
-    op: ExecutableOp = compile_request(store, req)
+    where = definition.parsed_where()
+    terminal, kernel = bind_terminal(store, definition.table, definition.spec, where)
     executor = executor if executor is not None else SerialExecutor()
     plan = plan_query(
-        store, definition.table, req.where, slice(row_lo, row_hi),
-        op.op_name, executor, sig=None, prune=True,
+        store, definition.table, where, slice(row_lo, row_hi),
+        definition.spec.op_name, executor, sig=None, prune=True,
     )
 
     zm = store.zone_maps(definition.table)
@@ -106,7 +102,7 @@ def compute_segments(
         lo = unit.rows.start
         while lo < unit.rows.stop:
             hi = min(unit.rows.stop, (chunk_of(lo) + 1) * chunk_rows)
-            part = op.partial(slice(lo, hi), unit.need_mask)
+            part = kernel(slice(lo, hi), unit.need_mask)
             parts_by_chunk.setdefault(chunk_of(lo), []).append(part)
             lo = hi
 
@@ -115,24 +111,9 @@ def compute_segments(
     for chunk in range(first, last + 1):
         lo = max(row_lo, chunk * chunk_rows)
         hi = min(row_hi, (chunk + 1) * chunk_rows)
-        # reduce() in partials mode folds this chunk's unit partials
-        # into one mergeable partial; an empty list (the chunk was
-        # pruned) folds to the op's zero partial, keeping the window
-        # tiled so retraction bookkeeping stays trivial.
-        parts = parts_by_chunk.get(chunk, [])
-        if not parts and definition.group_by is not None and definition.op == "stats":
-            # A pruned chunk's zero stats partial must still carry the
-            # aggregated column's true dtype: merge_parts takes the
-            # dtype from the first part, and the stats kernels' empty-
-            # group sentinels depend on it — a float64 placeholder would
-            # silently widen an int column and break byte-identity.
-            dtype = op.table[definition.column].dtype
-            part = {
-                "keys": np.zeros(0, dtype=np.int64),
-                "values": np.zeros(0, dtype=dtype),
-                "dtype": dtype.name,
-            }
-        else:
-            part = op.reduce(parts)
+        # A pruned chunk has no unit partials and folds to the op's
+        # zero partial, keeping the window tiled so retraction
+        # bookkeeping stays trivial.
+        part = terminal.to_wire(terminal.fold(parts_by_chunk.get(chunk, [])))
         segments.append(Segment(row_lo=lo, row_hi=hi, part=part))
     return segments

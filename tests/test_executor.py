@@ -35,13 +35,6 @@ class TestSerial:
         ex = SerialExecutor()
         assert ex.map_chunks(lambda sl: 1, 0) == []
 
-    def test_timed_result(self, data):
-        ex = SerialExecutor()
-        res = ex.map_chunks_timed(count_kernel_factory(data), len(data), 10_000)
-        assert res.n_chunks == 10
-        assert res.seconds >= 0
-        assert len(res.partials) == 10
-
 
 class TestThread:
     @pytest.mark.parametrize("schedule", ["dynamic", "static"])

@@ -12,15 +12,26 @@ algebra has to hold for *any* partition of the rows into parts:
 * ``zero_value`` is the merge of nothing, for every op shape.
 
 Each test draws several random partitions per run; shapes mirror the
-partial table documented in ``repro/shard/merge.py``.
+partial table documented in ``repro/engine/terminal.py``.
+
+:class:`TestFullAlgebra` runs every op shape through the whole terminal
+algebra — ``chunk`` per random row part, ``fold`` per random bunch of
+parts (a "shard"), ``to_wire`` → JSON → ``from_wire``, ``fold`` again,
+``finalize`` — and holds the result to the single-pass answer and to
+the independent row-at-a-time reference (:mod:`repro.qa.reference`).
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
 
 from repro.engine.aggregate import group_stats_dict, topk_from_counts
+from repro.engine.terminal import TerminalSpec, jsonable
+from repro.qa.oracle import canon
+from repro.qa.reference import reference_value
 from repro.shard.merge import merge_parts, zero_value
 
 N_TRIALS = 5
@@ -216,3 +227,84 @@ class TestZeroValueIdentity:
             padded.extend([zero, p])
         padded.append(zero)
         assert_same(merge_parts(op, group_by, k, padded, width), want)
+
+
+class _ArrayStore:
+    """What :func:`repro.qa.reference.reference_value` needs of a store."""
+
+    def __init__(self, keys, values, passing, width):
+        self._table = {"v": values, "passing": passing.astype(np.int8)}
+        self._keys, self._width = keys, width
+
+    def table(self, name):
+        return self._table
+
+    def group_key(self, table, name):
+        return name, self._keys, self._width
+
+
+class TestFullAlgebra:
+    """chunk → fold → wire → fold → finalize, under any partition."""
+
+    SHAPES = TestZeroValueIdentity.SHAPES
+    WHERE = {"kind": "cmp", "column": "passing", "op": "==", "value": 1}
+
+    def check(self, rng, op, group_by, k, dtype, n, selection):
+        width = int(rng.integers(1, 9))
+        # -1 keys are "ungrouped" rows every grouped kernel must drop.
+        keys = rng.integers(-1, width, size=n).astype(np.int64)
+        # Integer-valued even for float32, so sums are exact in any order.
+        values = rng.integers(-50, 50, size=n).astype(dtype)
+        passing = {
+            "all": np.ones(n, dtype=bool),
+            "none": np.zeros(n, dtype=bool),
+            "some": rng.random(n) < 0.5,
+        }[selection]
+        spec = TerminalSpec(op, "v" if op in ("sum", "mean", "stats") else None,
+                            group_by, k)
+        spec.validate()
+        term = spec.bind(width if group_by is not None else None, dtype)
+
+        def chunk(lo, hi):
+            return term.chunk(
+                keys[lo:hi] if group_by is not None else None,
+                values[lo:hi],
+                None if selection == "all" else passing[lo:hi],
+                hi - lo,
+            )
+
+        single = term.finalize(term.fold([chunk(0, n)]))
+
+        parts = [chunk(lo, hi) for lo, hi in random_cuts(rng, n)]
+        bunches = [parts[lo:hi] for lo, hi in random_cuts(rng, len(parts), 4)]
+        arrays = [term.to_wire(term.fold(b)) for b in bunches]
+        decoded = [json.loads(json.dumps(jsonable(w))) for w in arrays]
+        assert_same(term.merge(arrays), single)
+        assert_same(term.merge(decoded), single)
+        # A pruned shard's zero partial anywhere in the list is an identity.
+        assert_same(term.merge([term.to_wire(term.fold([])), *decoded]), single)
+
+        case = {"table": "t", "op": op, "column": spec.column,
+                "group_by": group_by, "k": k, "where": self.WHERE}
+        want = reference_value(_ArrayStore(keys, values, passing, width), case)
+        assert canon(single) == canon(want)
+        return term, single
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.float32])
+    @pytest.mark.parametrize("op,group_by,k", SHAPES)
+    def test_any_partition_any_dtype(self, rng, op, group_by, k, dtype):
+        for _ in range(N_TRIALS):
+            for selection in ("all", "some", "none"):
+                n = int(rng.integers(1, 300))
+                self.check(rng, op, group_by, k, dtype, n, selection)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.float32])
+    @pytest.mark.parametrize("op,group_by,k", SHAPES)
+    def test_fold_of_nothing_is_the_empty_table(self, rng, op, group_by, k, dtype):
+        """``parts=[]`` answers exactly what scanning zero rows answers —
+        group width and sentinel dtype included, no caller patching."""
+        term, scanned = self.check(rng, op, group_by, k, dtype, 0, "all")
+        assert_same(term.merge([]), scanned)
+        if op == "stats":
+            assert scanned["min"].dtype == np.dtype(dtype)
+            assert len(scanned["min"]) == term.n_groups

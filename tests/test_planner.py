@@ -363,13 +363,13 @@ class TestExplain:
 
 
 class TestQuerySurface:
-    def test_store_query_returns_rich_results(self, zstore, _fresh_cache):
+    def test_store_query_returns_results(self, zstore, _fresh_cache):
         res = zstore.query("mentions").count()
         assert isinstance(res, QueryResult)
         assert res.plan.op == "count"
         assert res.profile is None  # profiles only with observability on
 
-    def test_rich_profile_with_observability(self, zstore, _fresh_cache):
+    def test_profile_with_observability(self, zstore, _fresh_cache):
         import repro.obs as obs
 
         obs.enable()
@@ -380,8 +380,10 @@ class TestQuerySurface:
         finally:
             obs.disable()
 
-    def test_legacy_query_returns_bare_values(self, zstore, _fresh_cache):
-        assert Query(zstore, "mentions").count() == zstore.n_mentions
+    def test_direct_query_returns_results_too(self, zstore, _fresh_cache):
+        res = Query(zstore, "mentions").count()
+        assert isinstance(res, QueryResult)
+        assert res.value == zstore.n_mentions
 
     def test_unknown_table_rejected(self, zstore):
         with pytest.raises(ValueError, match="mentions"):

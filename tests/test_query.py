@@ -18,10 +18,10 @@ from repro.engine.baseline import row_at_a_time_country_query
 
 class TestQueryBuilder:
     def test_count_unfiltered(self, tiny_store):
-        assert Query(tiny_store, "mentions").count() == tiny_store.n_mentions
+        assert Query(tiny_store, "mentions").count().value == tiny_store.n_mentions
 
     def test_count_filtered(self, tiny_store):
-        got = Query(tiny_store, "mentions").filter(col("Delay") > 96).count()
+        got = Query(tiny_store, "mentions").filter(col("Delay") > 96).count().value
         want = int((np.asarray(tiny_store.mentions["Delay"]) > 96).sum())
         assert got == want
 
@@ -33,28 +33,30 @@ class TestQueryBuilder:
         )
         d = np.asarray(tiny_store.mentions["Delay"])
         c = np.asarray(tiny_store.mentions["Confidence"])
-        assert q.count() == int(((d > 10) & (c >= 50)).sum())
+        assert q.count().value == int(((d > 10) & (c >= 50)).sum())
 
     def test_sum_and_mean(self, tiny_store):
         q = Query(tiny_store, "mentions").filter(col("Delay") <= 96)
         d = np.asarray(tiny_store.mentions["Delay"])
         sel = d[d <= 96]
-        assert q.sum("Delay") == pytest.approx(sel.sum())
-        assert q.mean("Delay") == pytest.approx(sel.mean())
+        assert q.sum("Delay").value == pytest.approx(sel.sum())
+        assert q.mean("Delay").value == pytest.approx(sel.mean())
 
     def test_mean_of_empty_filter_is_nan(self, tiny_store):
         q = Query(tiny_store, "mentions").filter(col("Delay") > 10**9)
-        assert np.isnan(q.mean("Delay"))
+        assert np.isnan(q.mean("Delay").value)
 
     def test_groupby_count(self, tiny_store):
         keys = tiny_store.mention_quarter().astype(np.int64)
-        got = Query(tiny_store, "mentions").group_by("Quarter").count()
+        got = Query(tiny_store, "mentions").group_by("Quarter").count().value
         n = tiny_store.n_quarters()
         assert np.array_equal(got, np.bincount(keys, minlength=n))
 
     def test_groupby_stats_match_numpy(self, tiny_store):
         keys = np.asarray(tiny_store.mentions["SourceId"]).astype(np.int64)
-        stats = Query(tiny_store, "mentions").group_by("SourceId").stats("Delay")
+        stats = (
+            Query(tiny_store, "mentions").group_by("SourceId").stats("Delay").value
+        )
         d = np.asarray(tiny_store.mentions["Delay"])
         sid = 0
         mine = d[keys == sid]
@@ -65,7 +67,7 @@ class TestQueryBuilder:
     def test_events_table(self, tiny_store):
         q = Query(tiny_store, "events").filter(col("NumArticles") >= 10)
         want = int((np.asarray(tiny_store.events["NumArticles"]) >= 10).sum())
-        assert q.count() == want
+        assert q.count().value == want
 
     def test_unknown_table(self, tiny_store):
         with pytest.raises(ValueError):
@@ -73,12 +75,12 @@ class TestQueryBuilder:
 
     def test_mask_concatenation(self, tiny_store):
         q = Query(tiny_store, "mentions").filter(col("Delay") > 96)
-        assert q.mask().sum() == q.count()
+        assert q.mask().value.sum() == q.count().value
 
     def test_thread_executor_equivalent(self, tiny_store):
         q = Query(tiny_store, "mentions").filter(col("Delay") > 96)
         with ThreadExecutor(3) as ex:
-            assert q.with_executor(ex).count() == q.count()
+            assert q.with_executor(ex).count().value == q.count().value
 
 
 class TestAggregatedCountryQuery:
@@ -146,11 +148,12 @@ class TestTimeRange:
         from repro.gdelt.time_util import quarter_index_range
 
         lo, hi = quarter_index_range(5)
-        sliced = Query(tiny_store, "mentions").time_range(lo, hi).count()
+        sliced = Query(tiny_store, "mentions").time_range(lo, hi).count().value
         scanned = (
             Query(tiny_store, "mentions")
             .filter((col("MentionInterval") >= lo) & (col("MentionInterval") < hi))
             .count()
+            .value
         )
         assert sliced == scanned > 0
 
@@ -162,7 +165,7 @@ class TestTimeRange:
         d = np.asarray(tiny_store.mentions["Delay"])
         mi = np.asarray(tiny_store.mentions["MentionInterval"])
         want = int(((mi >= lo) & (mi < hi) & (d > 96)).sum())
-        assert q.count() == want
+        assert q.count().value == want
 
     def test_sum_and_groupby_respect_range(self, tiny_store):
         from repro.gdelt.time_util import quarter_index_range
@@ -171,9 +174,9 @@ class TestTimeRange:
         q = Query(tiny_store, "mentions").time_range(lo, hi)
         mi = np.asarray(tiny_store.mentions["MentionInterval"])
         sel = (mi >= lo) & (mi < hi)
-        assert q.sum("Delay") == np.asarray(tiny_store.mentions["Delay"])[sel].sum()
+        assert q.sum("Delay").value == np.asarray(tiny_store.mentions["Delay"])[sel].sum()
         keys = np.asarray(tiny_store.mentions["SourceId"]).astype(np.int64)
-        got = q.group_by("SourceId").count()
+        got = q.group_by("SourceId").count().value
         want = np.bincount(keys[sel], minlength=tiny_store.n_sources)
         assert np.array_equal(got, want)
 
@@ -183,7 +186,7 @@ class TestTimeRange:
         lo, hi = quarter_index_range(3)
         q = Query(tiny_store, "mentions").time_range(lo, hi)
         keys = np.asarray(tiny_store.mentions["SourceId"]).astype(np.int64)
-        stats = q.group_by("SourceId").stats("Delay")
+        stats = q.group_by("SourceId").stats("Delay").value
         mi = np.asarray(tiny_store.mentions["MentionInterval"])
         d = np.asarray(tiny_store.mentions["Delay"])
         sel = (mi >= lo) & (mi < hi)
@@ -197,12 +200,12 @@ class TestTimeRange:
         q2 = q1.time_range(40_000, 170_000)
         mi = np.asarray(tiny_store.mentions["MentionInterval"])
         want = int(((mi >= 40_000) & (mi < 50_000)).sum())
-        assert q2.count() == want
+        assert q2.count().value == want
 
     def test_empty_range(self, tiny_store):
         q = Query(tiny_store, "mentions").time_range(10, 10)
-        assert q.count() == 0
-        assert np.isnan(q.mean("Delay"))
+        assert q.count().value == 0
+        assert np.isnan(q.mean("Delay").value)
 
     def test_events_table_rejected(self, tiny_store):
         with pytest.raises(ValueError, match="mentions"):
@@ -217,7 +220,7 @@ class TestTimeRange:
             col("Confidence") > 50
         )
         with ThreadExecutor(3) as ex:
-            assert q.with_executor(ex).count() == q.count()
+            assert q.with_executor(ex).count().value == q.count().value
 
 
 class TestExplain:

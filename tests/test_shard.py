@@ -23,6 +23,7 @@ import pytest
 import repro
 from repro.engine import GdeltStore, col
 from repro.engine.query import QueryResult
+from repro.engine.terminal import jsonable
 from repro.ingest.direct import dataset_to_binary
 from repro.serve import (
     CAPABILITIES,
@@ -35,7 +36,6 @@ from repro.serve import (
     ServeServer,
     negotiate_hello,
 )
-from repro.serve.request import _jsonable
 from repro.shard import (
     ShardMap,
     ShardProcess,
@@ -52,7 +52,7 @@ N_SHARDS = 3
 
 def canon(value) -> str:
     """Byte-identity comparator: the exact wire form of a value."""
-    return json.dumps(_jsonable(value), sort_keys=True)
+    return json.dumps(jsonable(value), sort_keys=True)
 
 
 @pytest.fixture(scope="module")
@@ -446,9 +446,22 @@ class TestRemoteStore:
                     .stats("Confidence")
                     .value
                 ),
+                # chained time ranges intersect (and may come out empty)
+                store.query("mentions")
+                .time_range(0, 50_000)
+                .time_range(40_000, 170_000)
+                .count()
+                .value,
+                store.query("mentions")
+                .time_range(0, 50_000)
+                .time_range(60_000, 170_000)
+                .count()
+                .value,
             )
 
-        assert run(remote) == run(full_store)
+        got, want = run(remote), run(full_store)
+        assert got == want
+        assert 0 < want[-2] < full_store.n_mentions and want[-1] == 0
 
     def test_result_shape(self, remote):
         r = remote.query("mentions").filter(col("Delay") > 96).count()

@@ -2,9 +2,10 @@
 """Benchmark regression guard: fresh results vs committed baselines.
 
 Compares the JSON reports the smoke benchmarks just wrote
-(``benchmarks/out/BENCH_*.json``) against the committed baselines in
-``benchmarks/baselines/`` and fails (exit 1) when a guarded metric
-regressed beyond its tolerance.  This is the CI tripwire that catches
+(``benchmarks/out/BENCH_*.json`` — run outputs, never committed) against
+the committed baselines in ``benchmarks/baselines/`` and fails (exit 1)
+when a guarded metric regressed beyond its tolerance, or when no smoke
+ran at all.  This is the CI tripwire that catches
 "the optimisation still passes its floor assert but quietly lost half
 its win" — floors catch breakage, baselines catch erosion.
 
@@ -101,6 +102,13 @@ GUARDS: dict[str, tuple[Metric, ...]] = {
 }
 
 
+def _producer(name: str) -> str:
+    """The command that writes report ``name`` (``BENCH_<x>.json``)."""
+    stem = name.removeprefix("BENCH_").removesuffix(".json")
+    script = "soak.py" if stem == "soak" else f"{stem}_smoke.py"
+    return f"PYTHONPATH=src python benchmarks/{script}"
+
+
 def _lookup(doc: dict, dotted: str):
     cur = doc
     for part in dotted.split("."):
@@ -114,15 +122,16 @@ def _check_file(name: str, metrics: tuple[Metric, ...]) -> list[str]:
     """Returns failure strings for one report; [] when clean or skipped.
 
     A missing *fresh* report is a skip — each CI job runs one smoke and
-    regress checks whatever landed in ``out/``.  A missing *baseline*
-    (file or metric) for a report that DID run is a hard failure: a
+    regress checks whatever landed in ``out/`` (``main`` fails when
+    nothing did).  A missing *baseline* (file or metric) for a report
+    that DID run is a hard failure: a
     guard that silently stops comparing is indistinguishable from a
     guard that passes.
     """
     fresh_path = OUT_DIR / name
     base_path = BASELINE_DIR / name
     if not fresh_path.exists():
-        print(f"  {name}: no fresh report, skipped")
+        print(f"  {name}: no fresh report, skipped (run '{_producer(name)}')")
         return []
     if not base_path.exists():
         return [
@@ -198,6 +207,11 @@ def main(argv: list[str] | None = None) -> int:
     print("benchmark regression check:")
     for name, metrics in GUARDS.items():
         failures.extend(_check_file(name, metrics))
+    if not any((OUT_DIR / name).exists() for name in GUARDS):
+        failures.append(
+            f"no fresh report in {OUT_DIR}: nothing was compared; run a "
+            f"smoke first, e.g. '{_producer(next(iter(GUARDS)))}'"
+        )
     if failures:
         print("\nREGRESSIONS:", file=sys.stderr)
         for f in failures:

@@ -24,6 +24,10 @@ Hard assertions at the end:
 * >= 1 deadline-cancelled query, with all workers back in service after
   (``/varz`` worker counts, ``serve_worker_revives_total``);
 * bounded p99 during reload windows;
+* every archive dropped into the mirror is in the final generation
+  (follower rows == corpus rows, nothing quarantined) although the chaos
+  plan fails 15% of first archive reads — the follower retried them
+  (``repro_ingest_retries_total`` >= 1 in the scraped ``/metrics``);
 * ``repro_breaker_state`` exported and closed (0) after the run.
 
 Emits ``benchmarks/out/BENCH_soak.json`` and a flight-recorder dump at
@@ -39,6 +43,7 @@ import datetime as dt
 import json
 import os
 import random
+import re
 import shutil
 import signal
 import tempfile
@@ -78,8 +83,11 @@ DOOMED_DELAY_S = 0.06
 RELOAD_P99_CEILING_S = 2.0
 
 
-def build_mirror(root: Path) -> tuple[Path, list[str]]:
+def build_mirror(root: Path) -> tuple[Path, list[str], dict[str, int]]:
     """Synth a raw GDELT mirror; stage 40% of archives, hold the rest.
+
+    Returns the staged directory, the held-back archive paths and the
+    corpus row counts (what the follower must hold once all have landed).
 
     The staged directory gets the *full* master list up front (missing
     archives are retried every poll, exactly like a laggy GDELT upload);
@@ -104,7 +112,8 @@ def build_mirror(root: Path) -> tuple[Path, list[str]]:
         shutil.copy(full / name, stage / name)
     held = names[cut:]
     print(f"mirror: {cut}/{len(names)} archives staged, {len(held)} held back")
-    return stage, [str(full / n) for n in held]
+    rows = {"events": int(ds.n_events), "mentions": int(ds.n_articles)}
+    return stage, [str(full / n) for n in held], rows
 
 
 class LoadGenerator:
@@ -233,6 +242,12 @@ def scrape(port: int, path: str) -> str:
         return resp.read().decode()
 
 
+def metric_value(metrics_text: str, name: str) -> float:
+    """Value of an unlabelled sample in a Prometheus scrape (0 if absent)."""
+    m = re.search(rf"^{re.escape(name)} (\S+)$", metrics_text, re.MULTILINE)
+    return float(m.group(1)) if m else 0.0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--duration", type=float, default=30.0,
@@ -265,7 +280,7 @@ def main() -> int:
 
 
 def _soak(args, tmp: Path) -> int:
-    mirror, held = build_mirror(tmp)
+    mirror, held, corpus_rows = build_mirror(tmp)
 
     follower = LiveFollower(mirror, verify_checksums=True)
     first = follower.poll()
@@ -408,6 +423,12 @@ def _soak(args, tmp: Path) -> int:
         "latency": {"p99_s": round(p99_all, 6),
                     "p99_reload_s": round(p99_reload, 6),
                     "reload_samples": len(in_reload)},
+        "ingest": {
+            "retries": metric_value(metrics_text, "repro_ingest_retries_total"),
+            "problems": follower.report.total(),
+            "final_rows": history[-1]["rows"],
+            "corpus_rows": corpus_rows,
+        },
         "breakers": stats["breakers"],
         "ready_at_end": readyz["ready"],
     }
@@ -443,6 +464,18 @@ def _soak(args, tmp: Path) -> int:
     assert p99_reload <= RELOAD_P99_CEILING_S, (
         f"p99 during reload {p99_reload:.3f}s exceeds "
         f"{RELOAD_P99_CEILING_S}s"
+    )
+    # The follower reads through the retrying fetcher: the chaos plan's
+    # transient fetch.read faults cost retries, never archives.
+    assert report["ingest"]["retries"] >= 1, (
+        "no fetch retry observed: the follower never reached fetch.read"
+    )
+    assert follower.report.total() == 0, (
+        f"follower recorded problems: {follower.report}"
+    )
+    assert history[-1]["rows"] == corpus_rows, (
+        f"final generation {history[-1]['rows']} is missing dropped "
+        f"archives (corpus {corpus_rows})"
     )
     assert 'repro_reload_total{status="ok"}' in metrics_text, (
         "repro_reload_total not exported"

@@ -605,26 +605,21 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
-def _parse_predicate(text: str):
-    """``"Delay > 96"`` / ``"SourceId in 1,2,3"`` -> an Expr conjunct."""
-    from repro.engine import parse_predicate
-
-    return parse_predicate(text)
-
-
 def _cmd_explain(args) -> int:
     from repro.engine import GdeltStore
+    from repro.engine.expr import parse_conjuncts
 
     store = GdeltStore.open(args.dataset)
     q = store.query(args.table)
     if args.time_range:
         q = q.time_range(*args.time_range)
     try:
-        for pred in args.where:
-            q = q.filter(_parse_predicate(pred))
+        where = parse_conjuncts(args.where)
     except ValueError as exc:
         logger.error("%s", exc)
         return 2
+    if where is not None:
+        q = q.filter(where)
     print(q.explain())
     if args.run:
         res = q.count()

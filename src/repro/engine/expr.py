@@ -29,7 +29,14 @@ import re
 
 import numpy as np
 
-__all__ = ["Expr", "col", "const", "parse_predicate", "to_conjuncts"]
+__all__ = [
+    "Expr",
+    "col",
+    "const",
+    "parse_predicate",
+    "parse_conjuncts",
+    "to_conjuncts",
+]
 
 Table = dict[str, np.ndarray]
 
@@ -458,14 +465,31 @@ def _conjunct_text(node: Expr) -> str:
     )
 
 
+def parse_conjuncts(texts) -> Expr | None:
+    """AND-fold textual predicates into one :class:`Expr`.
+
+    The inverse of :func:`to_conjuncts`, and the only reader of conjunct
+    lists (wire requests, view definitions, ``--where`` flags); an
+    empty list means "no filter".
+
+    Raises:
+        ValueError: from :func:`parse_predicate`, on the first
+            conjunct outside the grammar.
+    """
+    expr: Expr | None = None
+    for text in texts:
+        conjunct = parse_predicate(str(text))
+        expr = conjunct if expr is None else (expr & conjunct)
+    return expr
+
+
 def to_conjuncts(expr: Expr | None) -> list[str]:
     """Serialize a filter to the wire's textual conjunct list.
 
-    The exact inverse of AND-folding :func:`parse_predicate` over the
-    result: only conjunctions of column-vs-constant comparisons and
-    numeric ``isin`` are expressible — the same grammar the server
-    parses, so a remote filter can never widen the server's attack
-    surface.  Used by :class:`repro.serve.remote.RemoteStore` to ship
+    The exact inverse of :func:`parse_conjuncts`: only conjunctions of
+    column-vs-constant comparisons and numeric ``isin`` are expressible
+    — the same grammar the server parses, so a remote filter can never
+    widen the server's attack surface.  Used by :class:`repro.serve.remote.RemoteStore` to ship
     ``store.query(...).filter(expr)`` filters to a server or router.
 
     Raises:

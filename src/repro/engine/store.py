@@ -28,7 +28,7 @@ from repro.gdelt.time_util import intervals_to_quarters
 from repro.obs import metrics as _metrics
 from repro.storage.columns import StringDictionary
 from repro.storage.format import StorageError
-from repro.storage.index import aligned_group_bounds, sort_permutation
+from repro.storage.index import mention_join_index
 from repro.storage.reader import DatasetReader
 from repro.storage.stats import DEFAULT_ZONE_CHUNK_ROWS, ZoneMaps, compute_zone_maps
 
@@ -122,11 +122,9 @@ class GdeltStore:
         except StorageError as exc:
             logger.warning("index load failed (%s); rebuilding from tables", exc)
             _metrics.counter("storage_index_rebuilds_total").inc()
-            perm = sort_permutation(mentions["GlobalEventID"])
-            sorted_eids = np.asarray(mentions["GlobalEventID"])[perm]
-            bounds = aligned_group_bounds(events["GlobalEventID"], sorted_eids)
-            ev_lo = bounds[:, 0].astype(np.int64)
-            ev_hi = bounds[:, 1].astype(np.int64)
+            perm, ev_lo, ev_hi = mention_join_index(
+                events["GlobalEventID"], mentions["GlobalEventID"]
+            )
         return cls(
             events=events,
             mentions=mentions,
@@ -152,17 +150,17 @@ class GdeltStore:
         lazily on first planner use (``zone_chunk_rows`` sets their
         granularity — useful for tests exercising pruning on small data).
         """
-        perm = sort_permutation(mentions["GlobalEventID"])
-        sorted_eids = mentions["GlobalEventID"][perm]
-        bounds = aligned_group_bounds(events["GlobalEventID"], sorted_eids)
+        perm, ev_lo, ev_hi = mention_join_index(
+            events["GlobalEventID"], mentions["GlobalEventID"]
+        )
         store = cls(
             events=events,
             mentions=mentions,
             sources=dictionaries["sources"],
             countries=dictionaries["countries"],
             mentions_by_event=perm,
-            ev_lo=bounds[:, 0].copy(),
-            ev_hi=bounds[:, 1].copy(),
+            ev_lo=ev_lo,
+            ev_hi=ev_hi,
             zone_chunk_rows=zone_chunk_rows,
         )
         if "mention_urls" in dictionaries:
@@ -468,7 +466,22 @@ class GdeltStore:
     def _gk_event_country(self):
         return "events.Country", self.event_country_idx(), self.n_countries
 
-    # -- lazy URL dictionaries -------------------------------------------------
+    # -- manifest meta and dictionaries ----------------------------------------
+
+    @property
+    def dataset_meta(self) -> dict:
+        """Manifest meta of the backing dataset (empty when array-backed)."""
+        return dict(self._reader.manifest.meta) if self._reader is not None else {}
+
+    def dictionaries(self) -> dict[str, StringDictionary]:
+        """Every string dictionary the store has, by name — what
+        :meth:`from_arrays` takes and the dataset writer writes."""
+        out = {"countries": self.countries, "sources": self.sources}
+        for name in ("event_urls", "mention_urls"):
+            d = self._lazy_dict(name)
+            if d is not None:
+                out[name] = d
+        return out
 
     def _lazy_dict(self, name: str) -> StringDictionary | None:
         cached = self._cache.get(name)

@@ -1,45 +1,29 @@
 """Raw archives → indexed binary dataset (the preprocessing tool).
 
-Streams every chunk referenced by the master file list, validates rows,
-dictionary-encodes strings, converts timestamps to 15-minute interval
-indices, sorts both tables, precomputes the event→mentions join index,
-and writes one binary dataset directory.
-
-Table layouts produced (see DESIGN.md):
-
-* ``events``: GlobalEventID i64, DayInterval i32 (midnight interval of
-  the event day), RootCode u8, QuadClass u8, NumMentions/NumSources/
-  NumArticles i32, AvgTone f32, CountryCode i16 (``countries`` dict,
-  code 0 = untagged), AddedInterval i32, SourceURLId i32 (``event_urls``).
-* ``mentions``: GlobalEventID i64, EventInterval i32, MentionInterval
-  i32, Delay i32, SourceId i32 (``sources``), UrlId i32
-  (``mention_urls``), Confidence i16, DocTone f32.
-* indexes ``mentions_by_event`` (permutation), ``mentions_ev_lo`` /
-  ``mentions_ev_hi`` (per-event [start, end) into the permutation).
+Batch conversion is the live follower run once: one
+:meth:`~repro.ingest.stream.LiveFollower.poll` walks every chunk the
+master file list references (fetch with retry/quarantine, validate rows,
+dictionary-encode strings), ``finalize_missing`` audits the archives
+that never showed up, the accumulated rows are frozen into sorted
+tables, and :func:`repro.storage.gdelt.write_gdelt_dataset` (which owns
+the on-disk layout) writes one binary dataset directory.  What batch
+mode adds is the checkpoint journal.
 """
 
 from __future__ import annotations
 
 import logging
-import time
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.faults.injector import fault_point
-from repro.gdelt.csv_io import event_from_row, mention_from_row, open_chunk_text
-from repro.gdelt.masterlist import EXPORT_KIND, parse_master_list
-from repro.ingest.accumulate import EventAccumulator, MentionAccumulator
 from repro.ingest.checkpoint import CheckpointJournal
-from repro.ingest.fetch import LocalFetcher, RetryingFetcher, RetryPolicy
+from repro.ingest.fetch import RetryPolicy
+from repro.ingest.stream import LiveFollower
 from repro.ingest.validate import ProblemReport
-from repro.obs import metrics as _metrics
-from repro.obs import state as _obs
 from repro.obs.trace import span as _span
-from repro.storage.index import aligned_group_bounds, sort_permutation
-from repro.storage.writer import DatasetWriter
+from repro.storage.gdelt import write_gdelt_dataset
 
 __all__ = ["ConversionResult", "convert_raw_to_binary"]
 
@@ -56,60 +40,6 @@ class ConversionResult:
     n_mentions: int
     n_sources: int
     n_intervals: int
-
-
-#: Codec assignment used when compression is requested: delta-zlib for
-#: near-sorted interval columns, plain zlib for the rest of the bulky
-#: ones.  Key/id columns stay raw so the dataset remains partially
-#: mmap-able and index navigation stays zero-decode.
-COMPRESSED_EVENT_CODECS = {"DayInterval": "delta-zlib", "AvgTone": "zlib"}
-COMPRESSED_MENTION_CODECS = {
-    "MentionInterval": "delta-zlib",
-    "EventInterval": "zlib",
-    "Delay": "zlib",
-    "DocTone": "zlib",
-}
-
-
-def _parse_chunk_lines(
-    kind: str,
-    lines,
-    chunk_name: str,
-    events_acc: EventAccumulator,
-    mentions_acc: MentionAccumulator,
-    report: ProblemReport,
-) -> int:
-    """Validate and accumulate one chunk's rows; returns rows kept.
-
-    Shared by the live parse path and checkpoint replay so both produce
-    identical accumulator, dictionary, and problem-report state.
-    """
-    rows = 0
-    if kind == EXPORT_KIND:
-        for line in lines:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                e = event_from_row(line.split("\t"))
-            except (ValueError, IndexError) as exc:
-                report.note("bad_event_rows", f"{chunk_name}: {exc}")
-                continue
-            events_acc.add(e, report)
-            rows += 1
-    else:
-        for line in lines:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                m = mention_from_row(line.split("\t"))
-            except (ValueError, IndexError) as exc:
-                report.note("bad_mention_rows", f"{chunk_name}: {exc}")
-                continue
-            mentions_acc.add(m, report)
-            rows += 1
-    return rows
 
 
 def convert_raw_to_binary(
@@ -142,122 +72,51 @@ def convert_raw_to_binary(
     """
     raw_dir = Path(raw_dir)
     out_dir = Path(out_dir)
-    report = ProblemReport()
+    master_path = raw_dir / "masterfilelist.txt"
+    if not master_path.exists():  # a live mirror may not have one yet; a batch must
+        raise FileNotFoundError(master_path)
 
-    with _span("ingest.parse_master"):
-        master_text = (raw_dir / "masterfilelist.txt").read_text(encoding="utf-8")
-        parsed = parse_master_list(master_text)
-    for line in parsed.malformed_lines:
-        report.note("malformed_master_entries", line[:120])
-
-    fetcher = RetryingFetcher(
-        LocalFetcher(raw_dir, verify_checksums=verify_checksums),
-        policy=retry_policy,
-    )
-    chunks = sorted(parsed.chunks, key=lambda c: (c.interval, c.kind))
-    logger.info("converting %d chunk archives from %s", len(chunks), raw_dir)
-
-    events_acc = EventAccumulator()
-    mentions_acc = MentionAccumulator()
     journal = CheckpointJournal(out_dir) if checkpoint else None
-    resumed = 0
-
-    with _span("ingest.scan_chunks", chunks=len(chunks)) as scan_sp:
-        for ref in chunks:
-            name = ref.entry.url.rsplit("/", 1)[-1]
-            cached = journal.get_text(name) if journal is not None else None
-            if cached is not None:
-                _parse_chunk_lines(
-                    ref.kind, cached.split("\n"), name,
-                    events_acc, mentions_acc, report,
-                )
-                resumed += 1
-                continue
-            res = fetcher.fetch(ref, report)
-            if res.path is None:
-                continue  # missing or quarantined, already recorded
-            if res.checksum_ok is False:
-                continue  # checksum_mismatch recorded by the fetcher
-            try:
-                fh = open_chunk_text(res.path)
-            except (zipfile.BadZipFile, ValueError, OSError) as exc:
-                report.note("corrupt_archives", f"{res.path.name}: {exc}")
-                continue
-            t0 = time.perf_counter()
-            with fh:
-                text = fh.read()
-            rows = _parse_chunk_lines(
-                ref.kind, text.split("\n"), name,
-                events_acc, mentions_acc, report,
-            )
-            if journal is not None:
-                journal.commit(name, text)
-            # Crash-resume test hook: the chunk is committed, the run may
-            # "die" here and must resume from the next chunk.
-            fault_point("convert.commit", key=name)
-            dt = time.perf_counter() - t0
-            if _obs._enabled:
-                _metrics.counter("ingest_archives_total", kind=ref.kind).inc()
-                _metrics.counter("ingest_rows_total", kind=ref.kind).inc(rows)
-                _metrics.histogram("ingest_archive_seconds").observe(dt)
-            logger.debug(
-                "%s: %d rows in %.3fs (%.0f rows/s)",
-                res.path.name, rows, dt, rows / dt if dt > 0 else 0.0,
-            )
-        scan_sp.set(events=len(events_acc), mentions=len(mentions_acc))
-    if resumed:
-        _metrics.counter("ingest_chunks_resumed_total").inc(resumed)
-        logger.info("resumed %d chunks from the checkpoint journal", resumed)
-
+    follower = LiveFollower(
+        raw_dir,
+        verify_checksums=verify_checksums,
+        retry_policy=retry_policy,
+        journal=journal,
+    )
+    logger.info("converting chunk archives from %s", raw_dir)
+    with _span("ingest.scan_chunks") as scan_sp:
+        polled = follower.poll()
+        follower.finalize_missing()
+        scan_sp.set(
+            chunks=polled.new_chunks,
+            events=follower.n_events,
+            mentions=follower.n_mentions,
+        )
+    report = follower.report
     logger.info(
         "scanned %d events / %d mentions, %d problems",
-        len(events_acc), len(mentions_acc), report.total(),
+        follower.n_events, follower.n_mentions, report.total(),
     )
 
     with _span("ingest.sort_index"):
-        events, countries_dict, event_urls_dict = events_acc.freeze()
-        mentions, sources_dict, mention_urls_dict = mentions_acc.freeze()
-
-        perm = sort_permutation(mentions["GlobalEventID"])
-        sorted_eids = mentions["GlobalEventID"][perm]
-        bounds = aligned_group_bounds(events["GlobalEventID"], sorted_eids)
-
+        events, mentions, dictionaries = follower.freeze()
+    n_sources = len(dictionaries["sources"])
+    n_intervals = int(len(np.unique(mentions["MentionInterval"])))
     with _span("ingest.write", compress=compress):
-        writer = DatasetWriter(out_dir)
-        writer.add_table(
-            "events",
+        write_gdelt_dataset(
+            out_dir,
             events,
-            dictionaries={"CountryCode": "countries", "SourceURLId": "event_urls"},
-            codecs=COMPRESSED_EVENT_CODECS if compress else None,
-        )
-        writer.add_table(
-            "mentions",
             mentions,
-            dictionaries={"SourceId": "sources", "UrlId": "mention_urls"},
-            codecs=COMPRESSED_MENTION_CODECS if compress else None,
-        )
-        writer.add_dictionary("countries", countries_dict)
-        writer.add_dictionary("event_urls", event_urls_dict)
-        writer.add_dictionary("sources", sources_dict)
-        writer.add_dictionary("mention_urls", mention_urls_dict)
-        writer.add_index("mentions_by_event", "mentions", "permutation", perm)
-        writer.add_index(
-            "mentions_ev_lo", "events", "boundaries", bounds[:, 0].astype(np.int64)
-        )
-        writer.add_index(
-            "mentions_ev_hi", "events", "boundaries", bounds[:, 1].astype(np.int64)
-        )
-
-        n_intervals = int(len(np.unique(mentions["MentionInterval"])))
-        writer.finish(
+            dictionaries,
+            compress=compress,
             meta={
                 "origin": "raw-conversion",
-                "n_events": len(events_acc),
-                "n_mentions": len(mentions_acc),
-                "n_sources": len(sources_dict),
+                "n_events": follower.n_events,
+                "n_mentions": follower.n_mentions,
+                "n_sources": n_sources,
                 "n_intervals": n_intervals,
                 "problems_total": report.total(),
-            }
+            },
         )
     if journal is not None:
         journal.discard()
@@ -265,8 +124,8 @@ def convert_raw_to_binary(
     return ConversionResult(
         dataset_dir=out_dir,
         report=report,
-        n_events=len(events_acc),
-        n_mentions=len(mentions_acc),
-        n_sources=len(sources_dict),
+        n_events=follower.n_events,
+        n_mentions=follower.n_mentions,
+        n_sources=n_sources,
         n_intervals=n_intervals,
     )

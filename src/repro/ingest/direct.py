@@ -20,8 +20,7 @@ import numpy as np
 from repro.gdelt.codes import COUNTRIES
 from repro.gdelt.time_util import INTERVALS_PER_DAY
 from repro.storage.columns import StringDictionary
-from repro.storage.index import aligned_group_bounds, sort_permutation
-from repro.storage.writer import DatasetWriter
+from repro.storage.gdelt import write_gdelt_dataset
 from repro.synth.generator import SyntheticDataset, article_url
 
 __all__ = ["dataset_to_arrays", "dataset_to_binary"]
@@ -34,7 +33,7 @@ def dataset_to_arrays(
 
     Returns:
         ``(events, mentions, dictionaries)`` where the dicts follow the
-        column layout documented in :mod:`repro.ingest.convert` and
+        column layout documented in :mod:`repro.storage.gdelt` and
         ``dictionaries`` maps dictionary names to
         :class:`~repro.storage.columns.StringDictionary` (URL dictionaries
         are omitted when ``include_urls`` is false, and the corresponding
@@ -131,53 +130,22 @@ def dataset_to_binary(
     With ``compress=True`` the bulky interval/tone columns are written
     with the compression codecs (same data, smaller files, no mmap).
     ``zone_chunk_rows`` overrides the zone-map granularity (None keeps
-    the writer's default).
+    the format default).
     """
-    from repro.ingest.convert import (
-        COMPRESSED_EVENT_CODECS,
-        COMPRESSED_MENTION_CODECS,
-    )
-
     events, mentions, dictionaries = dataset_to_arrays(ds, include_urls=include_urls)
-
-    perm = sort_permutation(mentions["GlobalEventID"])
-    sorted_eids = mentions["GlobalEventID"][perm]
-    bounds = aligned_group_bounds(events["GlobalEventID"], sorted_eids)
-
-    writer = (
-        DatasetWriter(out_dir)
-        if zone_chunk_rows is None
-        else DatasetWriter(out_dir, zone_chunk_rows=zone_chunk_rows)
-    )
-    ev_dicts = {"CountryCode": "countries"}
-    mt_dicts = {"SourceId": "sources"}
-    if include_urls:
-        ev_dicts["SourceURLId"] = "event_urls"
-        mt_dicts["UrlId"] = "mention_urls"
-    writer.add_table(
-        "events",
+    write_gdelt_dataset(
+        out_dir,
         events,
-        dictionaries=ev_dicts,
-        codecs=COMPRESSED_EVENT_CODECS if compress else None,
-    )
-    writer.add_table(
-        "mentions",
         mentions,
-        dictionaries=mt_dicts,
-        codecs=COMPRESSED_MENTION_CODECS if compress else None,
-    )
-    for name, d in dictionaries.items():
-        writer.add_dictionary(name, d)
-    writer.add_index("mentions_by_event", "mentions", "permutation", perm)
-    writer.add_index("mentions_ev_lo", "events", "boundaries", bounds[:, 0].astype(np.int64))
-    writer.add_index("mentions_ev_hi", "events", "boundaries", bounds[:, 1].astype(np.int64))
-    writer.finish(
+        dictionaries,
+        compress=compress,
+        zone_chunk_rows=zone_chunk_rows,
         meta={
             "origin": "synthetic-direct",
             "n_events": int(ds.n_events),
             "n_mentions": int(ds.n_articles),
             "n_sources": int(ds.catalog.n_sources),
             "seed": int(ds.cfg.seed),
-        }
+        },
     )
     return Path(out_dir)

@@ -1,11 +1,16 @@
-"""Live following of a GDELT mirror (the paper's real-time mode).
+"""How a mirror archive becomes accumulated rows (batch and real-time).
 
 GDELT publishes two new archives every 15 minutes; the paper's system is
 "capable of reading the entire GDELT database and extracting information
-in real time".  :class:`LiveFollower` is that mode: it re-reads the
-master file list, ingests only chunks it has not seen, and serves
-consistent point-in-time snapshots as fully functional
-:class:`~repro.engine.store.GdeltStore` objects.
+in real time".  :class:`LiveFollower` is that mode *and* the batch
+converter's scan: it re-reads the master file list, ingests only chunks
+it has not seen (fetch with retry/quarantine → open → parse → validate
+→ accumulate, in ``(interval, kind)`` order so dictionary codes are
+reproducible), and serves consistent point-in-time snapshots as fully
+functional :class:`~repro.engine.store.GdeltStore` objects.
+:func:`~repro.ingest.convert.convert_raw_to_binary` is one
+:meth:`~LiveFollower.poll` plus :meth:`~LiveFollower.finalize_missing`
+with a checkpoint journal attached.
 
 Snapshots are rebuilt from the accumulated rows (sort + index), which at
 the 15-minute cadence the paper describes is trivial: one week of real
@@ -17,15 +22,18 @@ extends the previous one.
 from __future__ import annotations
 
 import logging
+import time
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.engine.store import GdeltStore
+from repro.faults.injector import fault_point
 from repro.gdelt.csv_io import event_from_row, mention_from_row, open_chunk_text
-from repro.gdelt.masterlist import EXPORT_KIND, parse_master_list
+from repro.gdelt.masterlist import EXPORT_KIND, ChunkRef, parse_master_list
 from repro.ingest.accumulate import EventAccumulator, MentionAccumulator
-from repro.ingest.fetch import LocalFetcher, stream_md5
+from repro.ingest.checkpoint import CheckpointJournal
+from repro.ingest.fetch import LocalFetcher, RetryingFetcher, RetryPolicy
 from repro.ingest.validate import ProblemReport
 from repro.obs import metrics as _metrics
 from repro.obs import state as _obs
@@ -60,13 +68,29 @@ class LiveFollower:
             if not result.idle:
                 store = follower.snapshot()
                 ...  # run queries on the fresh snapshot
+
+    Archives are fetched through a :class:`RetryingFetcher`
+    (``retry_policy``; backoff sleeps on the polling thread), so flaky
+    reads are retried and archives that keep failing are quarantined in
+    :attr:`report` instead of stopping the feed.  With a ``journal``,
+    every parsed chunk is committed to it and chunks it already holds
+    are replayed instead of fetched (crash-resume for batch conversion).
     """
 
-    def __init__(self, raw_dir: Path, verify_checksums: bool = False) -> None:
+    def __init__(
+        self,
+        raw_dir: Path,
+        verify_checksums: bool = False,
+        retry_policy: RetryPolicy | None = None,
+        journal: CheckpointJournal | None = None,
+    ) -> None:
         self.raw_dir = Path(raw_dir)
         self.report = ProblemReport()
-        self.verify_checksums = verify_checksums
-        self._fetcher = LocalFetcher(self.raw_dir, verify_checksums=verify_checksums)
+        self._fetcher = RetryingFetcher(
+            LocalFetcher(self.raw_dir, verify_checksums=verify_checksums),
+            policy=retry_policy,
+        )
+        self._journal = journal
         self._seen_urls: set[str] = set()
         self._seen_malformed: set[str] = set()
         self._events = EventAccumulator()
@@ -80,75 +104,114 @@ class LiveFollower:
     def n_mentions(self) -> int:
         return len(self._mentions)
 
+    def _unseen(self) -> list[tuple[ChunkRef, str]]:
+        """``(ref, archive name)`` of every listed chunk not yet handled,
+        in ``(interval, kind)`` order; new malformed lines are recorded."""
+        master_path = self.raw_dir / "masterfilelist.txt"
+        if not master_path.exists():
+            return []
+        with _span("ingest.parse_master"):
+            parsed = parse_master_list(master_path.read_text(encoding="utf-8"))
+        fresh = [m for m in parsed.malformed_lines if m not in self._seen_malformed]
+        self._seen_malformed.update(fresh)
+        for line in fresh:
+            self.report.note("malformed_master_entries", line[:120])
+        return [
+            (ref, ref.entry.url.rsplit("/", 1)[-1])
+            for ref in sorted(parsed.chunks, key=lambda c: (c.interval, c.kind))
+            if ref.entry.url not in self._seen_urls
+        ]
+
+    def _parse_chunk_lines(self, kind: str, lines: list[str], name: str) -> int:
+        """Validate and accumulate one chunk's rows; returns rows kept.
+
+        The only row parser: fetched archives and checkpoint replay both
+        come through here, so they leave identical accumulator,
+        dictionary, and problem-report state.
+        """
+        if kind == EXPORT_KIND:
+            from_row, acc, bad = event_from_row, self._events, "bad_event_rows"
+        else:
+            from_row, acc, bad = mention_from_row, self._mentions, "bad_mention_rows"
+        rows = 0
+        for line in lines:
+            if not line:
+                continue
+            try:
+                record = from_row(line.split("\t"))
+            except (ValueError, IndexError) as exc:
+                self.report.note(bad, f"{name}: {exc}")
+                continue
+            acc.add(record, self.report)
+            rows += 1
+        return rows
+
+    def _ingest_archive(self, ref: ChunkRef, name: str) -> None:
+        """Fetch, open, parse and (with a journal) commit one archive."""
+        res = self._fetcher.fetch(ref, self.report)
+        if res.path is None:
+            return  # quarantined (or vanished since the exists() check)
+        if res.checksum_ok is False:
+            # A truncated upload or on-disk corruption, recorded by the
+            # fetcher: skipped *before* parsing so bad rows can never
+            # reach the accumulators (and therefore never a snapshot).
+            _metrics.counter("live_checksum_skips_total").inc()
+            return
+        try:
+            fh = open_chunk_text(res.path)
+        except (zipfile.BadZipFile, ValueError, OSError) as exc:
+            self.report.note("corrupt_archives", f"{name}: {exc}")
+            return
+        t0 = time.perf_counter()
+        with fh:
+            text = fh.read()  # one 15-minute file; the journal needs it whole
+        rows = self._parse_chunk_lines(ref.kind, text.split("\n"), name)
+        if self._journal is not None:
+            self._journal.commit(name, text)
+            # Crash-resume test hook: the chunk is committed, the run may
+            # "die" here and must resume from the next chunk.
+            fault_point("convert.commit", key=name)
+        dt = time.perf_counter() - t0
+        if _obs._enabled:
+            _metrics.counter("ingest_archives_total", kind=ref.kind).inc()
+            _metrics.counter("ingest_rows_total", kind=ref.kind).inc(rows)
+            _metrics.histogram("ingest_archive_seconds").observe(dt)
+        logger.debug(
+            "%s: %d rows in %.3fs (%.0f rows/s)",
+            name, rows, dt, rows / dt if dt > 0 else 0.0,
+        )
+
     def poll(self) -> PollResult:
         """Ingest chunks that appeared since the last poll.
 
-        Missing/corrupt archives and malformed master lines are recorded
-        in :attr:`report` exactly as in batch conversion; a missing
-        archive is retried on every poll until it appears (GDELT uploads
-        can lag the master list).
+        Corrupt, checksum-failing and quarantined archives and malformed
+        master lines are recorded in :attr:`report`; a missing archive
+        is retried on every poll until it appears (GDELT uploads can lag
+        the master list) and only :meth:`finalize_missing` records it.
         """
-        master_path = self.raw_dir / "masterfilelist.txt"
-        if not master_path.exists():
-            return PollResult(0, 0, 0)
-        parsed = parse_master_list(master_path.read_text(encoding="utf-8"))
-        for line in parsed.malformed_lines:
-            if line not in self._seen_malformed:
-                self._seen_malformed.add(line)
-                self.report.note("malformed_master_entries", line[:120])
-
+        pending = self._unseen()
         ev_before, mt_before = len(self._events), len(self._mentions)
-        new_chunks = 0
+        new_chunks = resumed = 0
         with _span("ingest.poll") as sp:
-            for ref in sorted(parsed.chunks, key=lambda c: (c.interval, c.kind)):
-                if ref.entry.url in self._seen_urls:
-                    continue
-                name = ref.entry.url.rsplit("/", 1)[-1]
-                path = self.raw_dir / name
-                if not path.exists():
-                    # Not marked seen: retried next poll. Recorded once the
-                    # follower is closed via finalize_missing().
-                    continue
+            for ref, name in pending:
+                cached = (
+                    self._journal.get_text(name)
+                    if self._journal is not None
+                    else None
+                )
+                if cached is None and not (self.raw_dir / name).exists():
+                    continue  # not marked seen: retried next poll
                 self._seen_urls.add(ref.entry.url)
                 new_chunks += 1
-                if self.verify_checksums and ref.entry.md5:
-                    # The master list carries each archive's md5: a
-                    # mismatched file is a truncated upload or on-disk
-                    # corruption — skip it *before* parsing so bad rows
-                    # can never reach the accumulators (and therefore
-                    # never a published snapshot).
-                    if stream_md5(path) != ref.entry.md5:
-                        self.report.note("checksum_mismatch", name)
-                        _metrics.counter("live_checksum_skips_total").inc()
-                        continue
-                try:
-                    fh = open_chunk_text(path)
-                except (zipfile.BadZipFile, ValueError, OSError) as exc:
-                    self.report.note("corrupt_archives", f"{name}: {exc}")
-                    continue
-                with fh:
-                    for line in fh:
-                        line = line.rstrip("\n")
-                        if not line:
-                            continue
-                        if ref.kind == EXPORT_KIND:
-                            try:
-                                self._events.add(
-                                    event_from_row(line.split("\t")), self.report
-                                )
-                            except (ValueError, IndexError) as exc:
-                                self.report.note("bad_event_rows", f"{name}: {exc}")
-                        else:
-                            try:
-                                self._mentions.add(
-                                    mention_from_row(line.split("\t")), self.report
-                                )
-                            except (ValueError, IndexError) as exc:
-                                self.report.note(
-                                    "bad_mention_rows", f"{name}: {exc}"
-                                )
-                logger.debug("live ingest: %s", name)
+                if cached is not None:
+                    self._parse_chunk_lines(ref.kind, cached.split("\n"), name)
+                    resumed += 1
+                else:
+                    self._ingest_archive(ref, name)
             sp.set(chunks=new_chunks)
+        if resumed:
+            _metrics.counter("ingest_chunks_resumed_total").inc(resumed)
+            logger.info("resumed %d chunks from the checkpoint journal", resumed)
 
         result = PollResult(
             new_chunks=new_chunks,
@@ -174,32 +237,27 @@ class LiveFollower:
 
         Returns the number recorded.
         """
-        master_path = self.raw_dir / "masterfilelist.txt"
-        if not master_path.exists():
-            return 0
-        parsed = parse_master_list(master_path.read_text(encoding="utf-8"))
         n = 0
-        for ref in parsed.chunks:
-            if ref.entry.url in self._seen_urls:
-                continue
-            name = ref.entry.url.rsplit("/", 1)[-1]
+        for ref, name in self._unseen():
             if not (self.raw_dir / name).exists():
                 self.report.note("missing_archives", name)
                 self._seen_urls.add(ref.entry.url)
                 n += 1
         return n
 
-    def snapshot(self) -> GdeltStore:
-        """A consistent point-in-time store over everything ingested."""
+    def freeze(self) -> tuple[dict, dict, dict]:
+        """Sorted ``(events, mentions, dictionaries)`` of everything
+        ingested, in the layout :meth:`GdeltStore.from_arrays` and the
+        dataset writer take."""
         events, countries, event_urls = self._events.freeze()
         mentions, sources, mention_urls = self._mentions.freeze()
-        return GdeltStore.from_arrays(
-            events,
-            mentions,
-            {
-                "countries": countries,
-                "sources": sources,
-                "event_urls": event_urls,
-                "mention_urls": mention_urls,
-            },
-        )
+        return events, mentions, {
+            "countries": countries,
+            "sources": sources,
+            "event_urls": event_urls,
+            "mention_urls": mention_urls,
+        }
+
+    def snapshot(self) -> GdeltStore:
+        """A consistent point-in-time store over everything ingested."""
+        return GdeltStore.from_arrays(*self.freeze())

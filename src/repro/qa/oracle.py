@@ -32,13 +32,13 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.engine.expr import to_conjuncts
+from repro.engine.expr import parse_conjuncts, to_conjuncts
 from repro.engine.planner import result_cache
 from repro.engine.store import GdeltStore
 from repro.engine.terminal import jsonable
 from repro.qa.generator import StoreSpec, build_store, expr_from_spec, spec_is_wire
 from repro.qa.reference import reference_value
-from repro.views.definition import ViewDefinition, expr_from_conjuncts
+from repro.views.definition import ViewDefinition
 
 __all__ = ["canon", "Mismatch", "OracleInfraError", "StoreHarness", "Oracle"]
 
@@ -302,7 +302,7 @@ class Oracle:
             resp = harness.view_service.query(
                 table=case["table"],
                 op=case["op"],
-                where=expr_from_conjuncts(conjuncts),
+                where=parse_conjuncts(conjuncts),
                 column=case.get("column"),
                 group_by=case.get("group_by"),
                 k=case.get("k"),

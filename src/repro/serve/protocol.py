@@ -187,10 +187,7 @@ def store_meta(store) -> dict:
                 continue
             groups[alias] = {"canonical": canonical, "n_groups": int(n)}
         meta["groups"][table] = groups
-    shard_stamp = None
-    reader = getattr(store, "_reader", None)
-    if reader is not None:
-        shard_stamp = reader.manifest.meta.get("shard")
+    shard_stamp = store.dataset_meta.get("shard")
     if shard_stamp is not None:
         meta["shard"] = shard_stamp
     return meta

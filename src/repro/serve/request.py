@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from repro.engine.expr import Expr, parse_predicate
+from repro.engine.expr import Expr, parse_conjuncts
 from repro.engine.terminal import TerminalSpec, jsonable
 from repro.serve.protocol import ErrorCode
 
@@ -148,10 +148,7 @@ def request_from_wire(obj: dict, client_id: str = "remote") -> QueryRequest:
     where_raw = obj.get("where") or []
     if isinstance(where_raw, str):
         where_raw = [where_raw]
-    where: Expr | None = None
-    for text in where_raw:
-        conjunct = parse_predicate(str(text))
-        where = conjunct if where is None else (where & conjunct)
+    where = parse_conjuncts(where_raw)
     time_range = obj.get("time_range")
     if time_range is not None:
         if not isinstance(time_range, (list, tuple)) or len(time_range) != 2:

@@ -28,20 +28,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
-from repro.storage.index import aligned_group_bounds, sort_permutation
-from repro.storage.reader import DatasetReader
-from repro.storage.writer import DatasetWriter
+from repro.engine.store import GdeltStore
+from repro.storage.gdelt import write_gdelt_dataset
 
 __all__ = ["shard_ranges", "split_dataset", "split_store"]
-
-#: Store-backed splits have no manifest to consult; these are the
-#: dict-encoded columns the ingest paths produce.
-_KNOWN_DICT_COLS = {
-    "events": {"CountryCode": "countries", "SourceURLId": "event_urls"},
-    "mentions": {"SourceId": "sources", "UrlId": "mention_urls"},
-}
 
 
 def shard_ranges(rows: int, shards: int) -> list[tuple[int, int]]:
@@ -68,108 +58,45 @@ def split_dataset(
     complete dataset.  ``zone_chunk_rows`` overrides the shard writers'
     zone-map granularity (None keeps the default).
     """
-    reader = DatasetReader(Path(dataset_dir), mode="memory")
-    events = reader.table_arrays("events")
-    mentions = reader.table_arrays("mentions")
-    dict_cols = {
-        t.name: {
-            c.name: c.dictionary for c in t.columns if c.dictionary is not None
-        }
-        for t in reader.manifest.tables
-    }
-    dictionaries = {
-        m.name: reader.dictionary(m.name) for m in reader.manifest.dictionaries
-    }
-    base_meta = dict(reader.manifest.meta, origin="split")
-    return _write_shards(
-        Path(out_dir), shards, events, mentions, dictionaries, dict_cols,
-        base_meta, zone_chunk_rows,
+    return split_store(
+        GdeltStore.open(Path(dataset_dir)), out_dir, shards, zone_chunk_rows
     )
 
 
 def split_store(
-    store,
+    store: GdeltStore,
     out_dir: Path,
     shards: int,
     zone_chunk_rows: int | None = None,
 ) -> list[Path]:
     """Split an open :class:`~repro.engine.store.GdeltStore` (array- or
-    dataset-backed) into ``shards`` shard directories."""
-    events = dict(store.table("events"))
-    mentions = dict(store.table("mentions"))
-    dictionaries = {"sources": store.sources, "countries": store.countries}
-    for name in ("mention_urls", "event_urls"):
-        d = store._lazy_dict(name)
-        if d is not None:
-            dictionaries[name] = d
-    dict_cols = {
-        table: {
-            col: dname
-            for col, dname in known.items()
-            if col in (events if table == "events" else mentions)
-            and dname in dictionaries
-        }
-        for table, known in _KNOWN_DICT_COLS.items()
-    }
-    return _write_shards(
-        Path(out_dir), shards, events, mentions, dictionaries, dict_cols,
-        {"origin": "split"}, zone_chunk_rows,
-    )
+    dataset-backed) into ``shards`` shard directories.
 
-
-def _write_shards(
-    out_dir: Path,
-    shards: int,
-    events: dict,
-    mentions: dict,
-    dictionaries: dict,
-    dict_cols: dict,
-    base_meta: dict,
-    zone_chunk_rows: int | None,
-) -> list[Path]:
-    n_mentions = len(next(iter(mentions.values())))
+    Each shard's manifest meta is the source dataset's (when there is
+    one) with ``origin: split`` and the ``shard`` stamp; its join index
+    is rebuilt by the dataset writer against the shard's mention slice,
+    while the (replicated) events side keeps its global row numbering.
+    """
+    dictionaries = store.dictionaries()
     paths: list[Path] = []
-    for i, (lo, hi) in enumerate(shard_ranges(n_mentions, shards)):
-        shard_dir = out_dir / f"shard{i}"
-        part = {col: arr[lo:hi] for col, arr in mentions.items()}
-        writer = (
-            DatasetWriter(shard_dir)
-            if zone_chunk_rows is None
-            else DatasetWriter(shard_dir, zone_chunk_rows=zone_chunk_rows)
-        )
-        writer.add_table(
-            "events", events, dictionaries=dict_cols.get("events") or None
-        )
-        writer.add_table(
-            "mentions", part, dictionaries=dict_cols.get("mentions") or None
-        )
-        for name, d in dictionaries.items():
-            writer.add_dictionary(name, d)
-        # Join indexes are recomputed against the shard's mention slice;
-        # the (replicated) events side keeps its global row numbering.
-        perm = sort_permutation(part["GlobalEventID"])
-        bounds = aligned_group_bounds(
-            events["GlobalEventID"], part["GlobalEventID"][perm]
-        )
-        writer.add_index("mentions_by_event", "mentions", "permutation", perm)
-        writer.add_index(
-            "mentions_ev_lo", "events", "boundaries",
-            bounds[:, 0].astype(np.int64),
-        )
-        writer.add_index(
-            "mentions_ev_hi", "events", "boundaries",
-            bounds[:, 1].astype(np.int64),
-        )
-        writer.finish(
+    for i, (lo, hi) in enumerate(shard_ranges(store.n_mentions, shards)):
+        shard_dir = Path(out_dir) / f"shard{i}"
+        write_gdelt_dataset(
+            shard_dir,
+            store.events,
+            {col: arr[lo:hi] for col, arr in store.mentions.items()},
+            dictionaries,
+            zone_chunk_rows=zone_chunk_rows,
             meta=dict(
-                base_meta,
+                store.dataset_meta,
+                origin="split",
                 shard={
                     "index": i,
                     "count": shards,
                     "row_lo": int(lo),
                     "row_hi": int(hi),
                 },
-            )
+            ),
         )
         paths.append(shard_dir)
     return paths

@@ -15,6 +15,8 @@ This subpackage is that format: a dataset directory holding
 
 Writers validate shapes and fsync the manifest last, so a dataset
 directory is either complete or detectably unfinished.
+:class:`DatasetWriter` is schema-agnostic; the GDELT layout on top of it
+(dictionary bindings, codecs, index names) is :mod:`repro.storage.gdelt`.
 """
 
 from repro.storage.format import (
@@ -31,6 +33,7 @@ from repro.storage.codecs import CODECS, codec_supports, decode_column, encode_c
 from repro.storage.stats import DEFAULT_ZONE_CHUNK_ROWS, ZoneMaps, compute_zone_maps
 from repro.storage.writer import DatasetWriter
 from repro.storage.reader import DatasetReader
+from repro.storage.gdelt import write_gdelt_dataset
 from repro.storage.verify import VerifyIssue, VerifyReport, verify_dataset
 
 __all__ = [
@@ -52,6 +55,7 @@ __all__ = [
     "encode_column",
     "DatasetWriter",
     "DatasetReader",
+    "write_gdelt_dataset",
     "VerifyIssue",
     "VerifyReport",
     "verify_dataset",

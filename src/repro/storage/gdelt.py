@@ -1,0 +1,108 @@
+"""The GDELT dataset layout: tables + dictionaries → one dataset directory.
+
+:class:`~repro.storage.writer.DatasetWriter` is schema-agnostic; this
+module is the one place that knows what a *GDELT* dataset looks like on
+disk — which columns are dictionary codes, which columns the
+compression codecs apply to, and the names of the join-index files.
+Raw conversion, the synthetic fast path and the shard splitter all end
+in :func:`write_gdelt_dataset`; :meth:`GdeltStore.open` is its reader.
+
+Tables (see ``docs/FORMAT.md``):
+
+* ``events``: GlobalEventID i64, DayInterval i32 (midnight interval of
+  the event day), RootCode u8, QuadClass u8, NumMentions/NumSources/
+  NumArticles i32, AvgTone f32, CountryCode i16 (``countries`` dict,
+  code 0 = untagged), AddedInterval i32, SourceURLId i32 (``event_urls``).
+* ``mentions``: GlobalEventID i64, EventInterval i32, MentionInterval
+  i32, Delay i32, SourceId i32 (``sources``), UrlId i32
+  (``mention_urls``), Confidence i16, DocTone f32.
+* indexes ``mentions_by_event`` (permutation), ``mentions_ev_lo`` /
+  ``mentions_ev_hi`` (per-event [start, end) into the permutation).
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+
+from repro.storage.columns import StringDictionary
+from repro.storage.format import Manifest
+from repro.storage.index import mention_join_index
+from repro.storage.stats import DEFAULT_ZONE_CHUNK_ROWS
+from repro.storage.writer import DatasetWriter
+
+__all__ = ["DICTIONARY_COLUMNS", "COMPRESSED_CODECS", "write_gdelt_dataset"]
+
+#: Dictionary-coded columns per table → the dictionary they index.  A
+#: binding is recorded only when that dictionary is written too (URL
+#: dictionaries are optional; their id columns then hold -1).
+DICTIONARY_COLUMNS = {
+    "events": {"CountryCode": "countries", "SourceURLId": "event_urls"},
+    "mentions": {"SourceId": "sources", "UrlId": "mention_urls"},
+}
+
+#: Codec assignment used when compression is requested: delta-zlib for
+#: near-sorted interval columns, plain zlib for the rest of the bulky
+#: ones.  Key/id columns stay raw so the dataset remains partially
+#: mmap-able and index navigation stays zero-decode.
+COMPRESSED_CODECS = {
+    "events": {"DayInterval": "delta-zlib", "AvgTone": "zlib"},
+    "mentions": {
+        "MentionInterval": "delta-zlib",
+        "EventInterval": "zlib",
+        "Delay": "zlib",
+        "DocTone": "zlib",
+    },
+}
+
+
+def write_gdelt_dataset(
+    out_dir: Path,
+    events: dict[str, np.ndarray],
+    mentions: dict[str, np.ndarray],
+    dictionaries: dict[str, StringDictionary],
+    compress: bool = False,
+    zone_chunk_rows: int | None = None,
+    meta: dict | None = None,
+) -> Manifest:
+    """Write binary-layout tables + dictionaries as a dataset directory.
+
+    The event→mentions join index is rebuilt from the tables' key
+    columns, so ``mentions`` may be any row subset (a shard's slice).
+    The arrays are written as given, never copied.
+
+    Args:
+        compress: write the bulky columns with :data:`COMPRESSED_CODECS`
+            (same data, smaller files, those columns no longer mmap).
+        zone_chunk_rows: zone-map granularity; ``None`` is the format
+            default (:data:`DEFAULT_ZONE_CHUNK_ROWS`) — every dataset
+            written here carries zone maps.
+        meta: free-form manifest meta (``origin``, counts, shard stamp).
+    """
+    perm, ev_lo, ev_hi = mention_join_index(
+        events["GlobalEventID"], mentions["GlobalEventID"]
+    )
+    writer = DatasetWriter(
+        out_dir,
+        zone_chunk_rows=(
+            DEFAULT_ZONE_CHUNK_ROWS if zone_chunk_rows is None else zone_chunk_rows
+        ),
+    )
+    for table, columns in (("events", events), ("mentions", mentions)):
+        writer.add_table(
+            table,
+            columns,
+            dictionaries={
+                col: name
+                for col, name in DICTIONARY_COLUMNS[table].items()
+                if col in columns and name in dictionaries
+            },
+            codecs=COMPRESSED_CODECS[table] if compress else None,
+        )
+    for name, dictionary in dictionaries.items():
+        writer.add_dictionary(name, dictionary)
+    writer.add_index("mentions_by_event", "mentions", "permutation", perm)
+    writer.add_index("mentions_ev_lo", "events", "boundaries", ev_lo)
+    writer.add_index("mentions_ev_hi", "events", "boundaries", ev_hi)
+    return writer.finish(meta=meta)

@@ -4,12 +4,14 @@ The "indexed" part of the binary format: precomputed sort permutations
 and group-boundary arrays that let the engine run joins and time slices
 with ``searchsorted`` instead of scans.
 
-Standard indexes written by the converter:
+Standard indexes of a GDELT dataset (:func:`mention_join_index` computes
+them; :func:`repro.storage.gdelt.write_gdelt_dataset` owns their file
+names and is the only code that writes them):
 
 * ``mentions_by_event`` — permutation of mention rows ordered by
   GlobalEventID (event → its mentions becomes a binary search);
-* ``mentions_event_bounds`` — boundaries of equal-event runs within that
-  permutation, aligned with the *events* table row order;
+* ``mentions_ev_lo`` / ``mentions_ev_hi`` — per-event ``[start, end)``
+  into that permutation, aligned with the *events* table row order;
 * ``events_by_interval`` / ``mentions_by_interval`` — nothing to store:
   both tables are written pre-sorted by time, so time slices are
   ``searchsorted`` on the interval columns directly.
@@ -19,7 +21,12 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sort_permutation", "run_boundaries", "aligned_group_bounds"]
+__all__ = [
+    "sort_permutation",
+    "run_boundaries",
+    "aligned_group_bounds",
+    "mention_join_index",
+]
 
 
 def sort_permutation(keys: np.ndarray) -> np.ndarray:
@@ -60,3 +67,18 @@ def aligned_group_bounds(
     lo = np.searchsorted(sorted_keys, group_keys, side="left")
     hi = np.searchsorted(sorted_keys, group_keys, side="right")
     return np.stack([lo, hi], axis=1).astype(np.int64)
+
+
+def mention_join_index(
+    event_ids: np.ndarray, mention_ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The event→mentions join index ``(perm, ev_lo, ev_hi)``.
+
+    ``perm`` orders mention rows by GlobalEventID; the mentions of
+    events-table row ``r`` are ``perm[ev_lo[r]:ev_hi[r]]`` (an empty
+    range for an event nobody mentioned).  Built from the two key
+    columns alone, so it can always be recomputed from the tables.
+    """
+    perm = sort_permutation(mention_ids)
+    bounds = aligned_group_bounds(event_ids, np.asarray(mention_ids)[perm])
+    return perm, bounds[:, 0].copy(), bounds[:, 1].copy()

@@ -23,27 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine.expr import Expr, parse_predicate, to_conjuncts
+from repro.engine.expr import Expr, parse_conjuncts, to_conjuncts
 from repro.engine.query import bind_terminal
 from repro.engine.terminal import Terminal, TerminalSpec
 
-__all__ = ["ViewDefinition", "expr_from_conjuncts"]
+__all__ = ["ViewDefinition"]
 
 #: View names become file names; keep them boring.
 _NAME_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-.")
-
-
-def expr_from_conjuncts(conjuncts: tuple[str, ...] | list[str]) -> Expr | None:
-    """AND-fold textual predicates back into one :class:`Expr`.
-
-    The inverse of :func:`repro.engine.expr.to_conjuncts`; an empty
-    list means "no filter".
-    """
-    expr: Expr | None = None
-    for text in conjuncts:
-        conjunct = parse_predicate(str(text))
-        expr = conjunct if expr is None else (expr & conjunct)
-    return expr
 
 
 @dataclass(frozen=True)
@@ -161,7 +148,7 @@ class ViewDefinition:
             )
         if self.table not in ("events", "mentions"):
             raise ValueError(f"unknown table {self.table!r}")
-        expr_from_conjuncts(self.where)  # raises on grammar violations
+        parse_conjuncts(self.where)  # raises on grammar violations
         self.spec.validate()
 
     # -- derived forms -----------------------------------------------------
@@ -172,7 +159,7 @@ class ViewDefinition:
         return TerminalSpec(self.op, self.column, self.group_by, self.k)
 
     def parsed_where(self) -> Expr | None:
-        return expr_from_conjuncts(self.where)
+        return parse_conjuncts(self.where)
 
     def where_canonical(self) -> str | None:
         """The filter's planner-canonical string (cache-key component)."""

@@ -10,7 +10,9 @@ must not mutate store arrays.
 from __future__ import annotations
 
 import datetime as dt
+import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,23 @@ from repro.synth import SynthConfig, generate_dataset, tiny_config, write_raw_ar
 #: is printed per-test (pytest shows captured stdout on failure), so a
 #: red randomized test always names the seed that reproduces it.
 TEST_SEED = int(os.environ.get("REPRO_TEST_SEED", "1234"))
+
+
+def manifest_crcs(dataset_dir) -> dict[str, int]:
+    """Every data file of a dataset → the CRC32 its manifest records
+    (the writer computes it from the bytes it wrote, and ``repro-gdelt
+    verify`` checks it), so equal dicts mean equal files on disk."""
+    manifest = json.loads((Path(dataset_dir) / "manifest.json").read_text())
+    crcs = {
+        f"{t['name']}/{c['name']}": c["crc32"]
+        for t in manifest["tables"]
+        for c in t["columns"]
+    }
+    for d in manifest["dictionaries"]:
+        crcs[f"dict/{d['name']}.offsets"] = d["offsets_crc32"]
+        crcs[f"dict/{d['name']}.blob"] = d["blob_crc32"]
+    crcs.update({f"index/{i['name']}": i["crc32"] for i in manifest["indexes"]})
+    return crcs
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -11,13 +11,25 @@ from repro.engine import GdeltStore
 from repro.ingest import convert_raw_to_binary
 from repro.ingest.direct import dataset_to_arrays, dataset_to_binary
 from repro.ingest.validate import ProblemReport
+from repro.storage.gdelt import write_gdelt_dataset
 from repro.synth import CorruptionPlan, inject_corruption, write_raw_archives
+from tests.conftest import manifest_crcs
 
 
 @pytest.fixture(scope="module")
 def converted(raw_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("converted") / "db"
     return convert_raw_to_binary(raw_dir, out)
+
+
+def rewrite(dataset_dir, out_dir, compress=False):
+    """Open a dataset and write it again through the one dataset writer."""
+    store = GdeltStore.open(dataset_dir)
+    write_gdelt_dataset(
+        out_dir, store.events, store.mentions, store.dictionaries(),
+        compress=compress, meta=store.dataset_meta,
+    )
+    return out_dir
 
 
 class TestCleanConversion:
@@ -84,6 +96,21 @@ class TestCleanConversion:
             assert (np.asarray(store.mentions["GlobalEventID"])[rows] == eid).all()
 
 
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_open_then_write_is_file_identical(
+        self, converted, raw_dir, tmp_path, compress
+    ):
+        src = converted.dataset_dir
+        if compress:
+            src = convert_raw_to_binary(
+                raw_dir, tmp_path / "packed", compress=True
+            ).dataset_dir
+            assert manifest_crcs(src) != manifest_crcs(converted.dataset_dir)
+        again = rewrite(src, tmp_path / "again", compress=compress)
+        assert manifest_crcs(again) == manifest_crcs(src)
+        assert GdeltStore.open(again).dataset_meta == GdeltStore.open(src).dataset_meta
+
+
 class TestDirectBinary:
     def test_binary_equals_arrays(self, raw_ds, tmp_path):
         out = dataset_to_binary(raw_ds, tmp_path / "db", include_urls=True)
@@ -102,6 +129,28 @@ class TestDirectBinary:
         store = GdeltStore.open(out)
         assert store.event_url(0) is None
         assert store.mention_url(0) is None
+        # No URL dictionary on disk, so no column is bound to one.
+        assert sorted(store.dictionaries()) == ["countries", "sources"]
+        bound = {
+            c.name: c.dictionary
+            for t in store._reader.manifest.tables
+            for c in t.columns
+            if c.dictionary is not None
+        }
+        assert bound == {"CountryCode": "countries", "SourceId": "sources"}
+
+    @pytest.mark.parametrize("include_urls", [True, False])
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_open_then_write_is_file_identical(
+        self, raw_ds, tmp_path, include_urls, compress
+    ):
+        out = dataset_to_binary(
+            raw_ds, tmp_path / "db", include_urls=include_urls, compress=compress
+        )
+        again = rewrite(out, tmp_path / "again", compress=compress)
+        crcs = manifest_crcs(out)
+        assert manifest_crcs(again) == crcs
+        assert ("dict/mention_urls.blob" in crcs) == include_urls
 
 
 class TestCorruptedConversion:

@@ -322,6 +322,18 @@ class TestStorageIntegrity:
         np.testing.assert_array_equal(
             np.asarray(store.ev_hi), np.asarray(clean.ev_hi)
         )
+        # ...down to the dtypes, and it is the one join-index helper
+        # every writer uses (the stored files are its output).
+        from repro.storage.index import mention_join_index
+
+        rebuilt = (store.mentions_by_event, store.ev_lo, store.ev_hi)
+        stored = (clean.mentions_by_event, clean.ev_lo, clean.ev_hi)
+        helper = mention_join_index(
+            clean.events["GlobalEventID"], clean.mentions["GlobalEventID"]
+        )
+        for a, b, c in zip(rebuilt, stored, helper):
+            assert a.dtype == b.dtype == c.dtype
+            np.testing.assert_array_equal(np.asarray(b), c)
 
     def test_corrupt_dictionary_raises(self, dataset):
         victim = dataset / "dict" / "sources.offsets.bin"

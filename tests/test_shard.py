@@ -45,7 +45,8 @@ from repro.shard import (
     zero_value,
 )
 from repro.shard.map import ShardInfo
-from repro.shard.partition import shard_ranges
+from repro.shard.partition import shard_ranges, split_store
+from tests.conftest import manifest_crcs
 
 N_SHARDS = 3
 
@@ -151,6 +152,26 @@ class TestSplit:
             for p in paths
         )
         assert total == full_store.query("mentions").filter(pred).count().value
+
+    def test_split_dataset_is_split_store_of_the_opened_dataset(
+        self, shard_env, full_store, tiny_store, tmp_path
+    ):
+        dataset, paths = shard_env
+        again = split_store(full_store, tmp_path / "a", N_SHARDS, zone_chunk_rows=4096)
+        for p, q in zip(paths, again):
+            assert manifest_crcs(q) == manifest_crcs(p)
+            a, b = GdeltStore.open(p), GdeltStore.open(q)
+            assert a.dataset_meta == b.dataset_meta
+            assert a.dataset_meta["origin"] == "split"
+            assert a.dataset_meta["seed"] == full_store.dataset_meta["seed"]
+        # An array-backed store holding the same rows splits to the same
+        # files; it just has no source manifest meta to carry along.
+        live = split_store(tiny_store, tmp_path / "b", N_SHARDS, zone_chunk_rows=4096)
+        for i, (p, q) in enumerate(zip(paths, live)):
+            assert manifest_crcs(q) == manifest_crcs(p)
+            meta = GdeltStore.open(q).dataset_meta
+            assert sorted(meta) == ["origin", "shard"]
+            assert meta["shard"]["index"] == i
 
 
 class TestMergeVsBruteForce:

@@ -7,8 +7,15 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.ingest import LiveFollower, convert_raw_to_binary
+from repro import faults
 from repro.engine import GdeltStore
+from repro.ingest import LiveFollower, RetryPolicy, convert_raw_to_binary
+from repro.obs import metrics as _metrics
+from repro.storage.gdelt import write_gdelt_dataset
+from repro.synth import CorruptionPlan, inject_corruption, write_raw_archives
+from tests.conftest import manifest_crcs
+
+NO_FAULTS = faults.FaultPlan()  # masks any session-level chaos plan
 
 
 def split_mirror(raw_dir, stage_dir, fraction: float) -> list[str]:
@@ -72,6 +79,12 @@ class TestLiveFollower:
                 np.sort(snap.mentions[colname]),
                 np.sort(np.asarray(store.mentions[colname])),
             )
+        # On disk too: converting a mirror is writing the drained
+        # follower's snapshot with the one dataset writer, file for file.
+        write_gdelt_dataset(
+            tmp_path / "snap", snap.events, snap.mentions, snap.dictionaries()
+        )
+        assert manifest_crcs(tmp_path / "snap") == manifest_crcs(batch.dataset_dir)
 
     def test_snapshots_are_queryable(self, raw_dir):
         from repro.analysis import dataset_statistics, top_publishers
@@ -133,6 +146,58 @@ class TestLiveFollower:
         follower = LiveFollower(stage)
         follower.poll()
         assert follower.report.corrupt_archives == 1
+
+
+    def test_permanent_faults_quarantine_like_batch(self, raw_ds, tmp_path):
+        """The live path goes through the retrying fetcher and its
+        ``fetch.read`` fault site: under permanent read faults a drained
+        follower and a batch conversion lose exactly the same archives."""
+        raw = tmp_path / "raw"
+        write_raw_archives(raw_ds, raw, chunk_intervals=96)
+        inject_corruption(raw, CorruptionPlan(
+            malformed_master_entries=7, missing_archives=3,
+            missing_source_urls=2, future_event_dates=4, seed=5,
+        ))
+        plan = faults.FaultPlan.parse("seed=3;fetch.read:permanent:prob=0.2")
+        with faults.active(plan):
+            follower = LiveFollower(raw)
+            while not follower.poll().idle:
+                pass
+            follower.finalize_missing()
+            batch = convert_raw_to_binary(raw, tmp_path / "db", checkpoint=False)
+        assert batch.report.quarantined_archives > 0
+        assert (
+            follower.report.quarantined_archives
+            == batch.report.quarantined_archives
+        )
+        assert follower.report.as_table() == batch.report.as_table()
+
+        snap = follower.snapshot()
+        store = GdeltStore.open(batch.dataset_dir)
+        for table in ("events", "mentions"):
+            assert list(snap.table(table)) == list(store.table(table))
+            for colname, arr in snap.table(table).items():
+                assert np.array_equal(arr, store.table(table)[colname]), colname
+        on_disk = store.dictionaries()
+        assert sorted(on_disk) == sorted(snap.dictionaries())
+        for name, d in snap.dictionaries().items():
+            assert list(d) == list(on_disk[name]), name
+
+    def test_transient_faults_are_retried(self, raw_ds, raw_dir):
+        plan = faults.FaultPlan.parse("fetch.read:transient:fail_attempts=1")
+        retries = _metrics.counter("ingest_retries_total")
+        before = retries.value
+        follower = LiveFollower(
+            raw_dir, retry_policy=RetryPolicy(sleep=lambda s: None)
+        )
+        with faults.active(plan) as inj:
+            follower.poll()
+        injected = inj.receipt.count(site="fetch.read", kind="transient")
+        assert injected > 0
+        assert retries.value - before == injected
+        assert follower.report.total() == 0  # nothing quarantined or lost
+        assert follower.n_events == raw_ds.n_events
+        assert follower.n_mentions == raw_ds.n_articles
 
 
 class TestChecksumVerification:

@@ -31,7 +31,9 @@ Hard assertions at the end:
 * ``repro_breaker_state`` exported and closed (0) after the run.
 
 Emits ``benchmarks/out/BENCH_soak.json`` and a flight-recorder dump at
-``benchmarks/out/soak_flight.json`` (both CI artifacts).
+``benchmarks/out/soak_flight.json``.  Both are CI artifacts for reading
+after a failure, not inputs to any later check: the assertions above
+are the whole gate, and no baseline is compared.
 
 Run:  REPRO_FAULTS=chaos PYTHONPATH=src python benchmarks/soak.py
 """

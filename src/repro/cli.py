@@ -11,7 +11,6 @@ The future-work Python interface the paper promises, as a CLI::
     repro-gdelt profile db/ --threads 4                  # traced query profile
     repro-gdelt explain db/ --where "Delay > 96"         # planner decisions
     repro-gdelt serve db/ --port 7311 --workers 4        # concurrent query service
-    repro-gdelt bench-serve db/ --clients 32             # serving benchmark
     repro-gdelt split db/ shards/ --shards 4             # partition for sharding
     repro-gdelt shard-serve shards/shard* --port 7411    # scatter-gather router
     repro-gdelt view create views/ delayed --where "Delay > 96"  # register a view
@@ -251,22 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 0.99)",
     )
     add_metrics_out(sv)
-
-    bs = sub.add_parser(
-        "bench-serve",
-        help="benchmark naive vs batched serving; write BENCH_serve.json",
-    )
-    bs.add_argument("dataset", type=Path)
-    bs.add_argument("--clients", type=int, default=32)
-    bs.add_argument("--distinct", type=int, default=12)
-    bs.add_argument("--dup-factor", type=int, default=4)
-    bs.add_argument("--workers", type=int, default=4)
-    bs.add_argument("--scan-threads", type=int, default=1)
-    bs.add_argument(
-        "--out", type=Path, default=Path("BENCH_serve.json"),
-        help="where to write the JSON report",
-    )
-    add_metrics_out(bs)
 
     sp = sub.add_parser(
         "split",
@@ -758,7 +741,6 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_view(args) -> int:
-    from repro.storage import StorageError
     from repro.views import ViewCatalog, ViewDefinition, ViewError
 
     catalog = ViewCatalog(args.views_dir)
@@ -832,7 +814,7 @@ def _cmd_view(args) -> int:
                         f"in {info['elapsed_s']:.3f}s"
                     )
             return 1 if failed else 0
-    except (ViewError, ValueError, StorageError) as exc:
+    except (ViewError, ValueError) as exc:
         logger.error("%s", exc)
         return 2
     raise AssertionError(f"unhandled view command {args.view_command!r}")
@@ -929,38 +911,6 @@ def _cmd_shard_serve(args) -> int:
     return 0
 
 
-def _cmd_bench_serve(args) -> int:
-    from repro.engine import GdeltStore
-    from repro.serve.bench import run_serve_bench
-
-    store = GdeltStore.open(args.dataset)
-    t0 = time.perf_counter()
-    report = run_serve_bench(
-        store,
-        clients=args.clients,
-        distinct=args.distinct,
-        dup_factor=args.dup_factor,
-        workers=args.workers,
-        scan_threads=args.scan_threads,
-    )
-    logger.info("bench-serve finished in %.1fs", time.perf_counter() - t0)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    naive, served = report["naive"], report["served"]
-    print(
-        f"naive:  {naive['throughput_rps']:.0f} req/s "
-        f"({naive['scans']} scans, wall {naive['wall_seconds']:.3f}s)"
-    )
-    print(
-        f"served: {served['throughput_rps']:.0f} req/s "
-        f"({served['scans']} scans, {served['dedup_hits']} deduped, "
-        f"{served['batches']} batches, wall {served['wall_seconds']:.3f}s)"
-    )
-    print(f"speedup: {report['speedup']:.2f}x")
-    print(f"wrote {args.out}")
-    return 0
-
-
 def _write_metrics(path: Path) -> None:
     import repro.obs as obs
 
@@ -1032,13 +982,18 @@ def main(argv: list[str] | None = None) -> int:
         "cluster": _cmd_cluster,
         "explain": _cmd_explain,
         "serve": _cmd_serve,
-        "bench-serve": _cmd_bench_serve,
         "split": _cmd_split,
         "shard-serve": _cmd_shard_serve,
         "view": _cmd_view,
         "fuzz": _cmd_fuzz,
     }
-    rc = handlers[args.command](args)
+    from repro.storage import StorageError
+
+    try:
+        rc = handlers[args.command](args)
+    except StorageError as exc:  # e.g. a DATASET that is not a dataset
+        logger.error("%s", exc)
+        return 2
     if metrics_out is not None and rc == 0:
         _write_metrics(metrics_out)
     return rc

@@ -66,11 +66,11 @@ class ExecutableOp:
             store, req.table, req.where, self.rows, self.op_name, self.sig
         )
 
-    def plan(self, executor: Executor, prune: bool = True) -> Plan:
+    def plan(self, executor: Executor) -> Plan:
         """This request's pruned scan plan (planner cache key included)."""
         return plan_query(
             self.store, self.req.table, self.req.where, self.rows,
-            self.op_name, executor, self.sig, prune=prune,
+            self.op_name, executor, self.sig,
         )
 
     def partial(self, sl: slice, need_mask: bool):
@@ -111,7 +111,6 @@ class BatchItem:
 def execute_batch(
     items: list[BatchItem],
     executor: Executor,
-    prune: bool = True,
     cancel: CancelToken | None = None,
 ) -> None:
     """Plan, fuse, and execute a batch of unique requests in one pass.
@@ -128,7 +127,7 @@ def execute_batch(
     live: list[BatchItem] = []
     for item in items:
         try:
-            item.plan = item.op.plan(executor, prune=prune)
+            item.plan = item.op.plan(executor)
             item.rows_planned = item.plan.rows_planned
             live.append(item)
         except Exception as exc:  # bad column resolved late, etc.

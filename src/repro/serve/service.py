@@ -13,7 +13,8 @@ multi-tenant server in three stages:
    to its in-flight entry and receive copies of the same value.
    Requests already past their deadline when dequeued are shed instead
    of scanned.  Unique requests against the same table are grouped for
-   shared-scan fusion.
+   shared-scan fusion.  Single-flight, grouping and zone-map pruning
+   always apply.
 3. **Execution** — worker threads pull batches, plan each member
    through the zone-map planner, probe the process-wide result cache,
    fuse the cache-missing remainder into one pass
@@ -140,10 +141,7 @@ class QueryService:
             batch one scheduler pass forms.
         rate_limit / burst: per-client token bucket (requests/second);
             None disables rate limiting.
-        batching / single_flight: ablation switches — disable both to
-            get naive one-query-at-a-time serving for comparison.
         default_deadline_s: applied to requests that carry none.
-        prune: forward zone-map pruning to the planner (ablation).
         slo: burn-rate tracker for this service's objectives (default:
             :func:`repro.obs.telemetry.default_serve_objectives`).
         lifecycle: optional :class:`~repro.serve.lifecycle.StoreLifecycle`
@@ -169,10 +167,7 @@ class QueryService:
         max_batch: int = 16,
         rate_limit: float | None = None,
         burst: float | None = None,
-        batching: bool = True,
-        single_flight: bool = True,
         default_deadline_s: float | None = None,
-        prune: bool = True,
         slo: SloTracker | None = None,
         lifecycle: StoreLifecycle | None = None,
         breakers: BreakerBoard | None = None,
@@ -194,11 +189,8 @@ class QueryService:
         #: bad events — from the client's side a shed IS a failed request;
         #: the tracker is what tells operators the shedding is material.
         self.slo = slo if slo is not None else SloTracker()
-        self.max_batch = max(1, max_batch) if batching else 1
-        self.batching = batching
-        self.single_flight = single_flight
+        self.max_batch = max(1, max_batch)
         self.default_deadline_s = default_deadline_s
-        self.prune = prune
         self.admission = AdmissionController(
             max_queue=max_queue,
             workers=self.workers,
@@ -323,21 +315,13 @@ class QueryService:
                         self._error(pending, exc)
                         self.admission.done()
                         continue
-                    if self.single_flight and self._attach_duplicate(
-                        pending, op.key
-                    ):
+                    if self._attach_duplicate(pending, op.key):
                         continue
                     leaders.append((pending, op))
-                if not leaders:
-                    continue
-                if self.batching:
-                    groups: dict[str, list] = {}
-                    for entry in leaders:
-                        groups.setdefault(entry[1].req.table, []).append(entry)
-                    batches = list(groups.values())
-                else:
-                    batches = [[entry] for entry in leaders]
-                for group in batches:
+                groups: dict[str, list] = {}
+                for entry in leaders:
+                    groups.setdefault(entry[1].req.table, []).append(entry)
+                for group in groups.values():
                     batch_lease = (
                         StoreLease(store.retain(), lease.generation)
                         if lease is not None
@@ -509,7 +493,7 @@ class QueryService:
                 # carry the same plan accounting as scans, stamped with
                 # the serving source for explain().
                 try:
-                    item.plan = item.op.plan(executor, prune=self.prune)
+                    item.plan = item.op.plan(executor)
                     item.plan.source = "view"
                     item.rows_planned = item.plan.rows_planned
                 except Exception:
@@ -530,7 +514,7 @@ class QueryService:
                 # query surface plans before probing this same cache, so
                 # remote clients get identical plan accounting on hits.
                 try:
-                    item.plan = item.op.plan(executor, prune=self.prune)
+                    item.plan = item.op.plan(executor)
                     item.rows_planned = item.plan.rows_planned
                 except Exception:
                     pass
@@ -545,8 +529,7 @@ class QueryService:
                 "serve.batch", table=to_scan[0].op.req.table, size=len(to_scan)
             ):
                 execute_batch(
-                    to_scan, executor, prune=self.prune,
-                    cancel=self._batch_cancel_token(batch),
+                    to_scan, executor, cancel=self._batch_cancel_token(batch)
                 )
             self._count("scans", len(to_scan))
             _metrics.counter("serve_scans_total").inc(len(to_scan))
@@ -762,8 +745,6 @@ class QueryService:
                 "max_batch": self.max_batch,
                 "max_queue": self.admission.max_queue,
                 "rate_limit": self.admission.rate_limit,
-                "batching": self.batching,
-                "single_flight": self.single_flight,
                 "default_deadline_s": self.default_deadline_s,
                 "views": len(self.views) if self.views is not None else 0,
             },

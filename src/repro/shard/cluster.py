@@ -1,11 +1,11 @@
 """Per-shard server subprocess management.
 
-``repro-gdelt shard-serve`` (and the shard smoke benchmark) need N real
-backend *processes*, each serving one shard dataset over the LDJSON
-protocol.  :func:`launch_shards` spawns them with ``--port 0``
-(ephemeral), reads the bound address from each child's
-``listening on host:port`` line — the same line operators see — and
-hands the addresses to a :class:`~repro.shard.router.ShardRouter`.
+``repro-gdelt shard-serve`` needs N real backend *processes*, each
+serving one shard dataset over the LDJSON protocol.
+:func:`launch_shards` spawns them with ``--port 0`` (ephemeral), reads
+the bound address from each child's ``listening on host:port`` line —
+the same line operators see — and hands the addresses to a
+:class:`~repro.shard.router.ShardRouter`.
 
 Children are plain ``repro-gdelt serve`` invocations: a shard backend
 IS a single-store server; nothing shard-specific runs inside it.

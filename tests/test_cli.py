@@ -330,23 +330,6 @@ class TestServeCommands:
                 proc.kill()
                 proc.wait(timeout=10.0)
 
-    def test_bench_serve_writes_report(self, tiny_binary, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "BENCH_serve.json"
-        rc = main([
-            "bench-serve", str(tiny_binary), "--clients", "4",
-            "--distinct", "4", "--dup-factor", "2", "--workers", "2",
-            "--out", str(out),
-        ])
-        assert rc == 0
-        report = json.loads(out.read_text())
-        assert report["bench"] == "serve"
-        assert report["served"]["throughput_rps"] > 0
-        assert report["overload"]["shed"] > 0
-        assert set(report["served"]["latency_s"]) == {"p50", "p95", "p99"}
-        assert "speedup" in capsys.readouterr().out
-
 
 class TestVerifyCommand:
     """Exit codes and messages of ``repro-gdelt verify``."""
@@ -400,16 +383,49 @@ class TestVerifyCommand:
         assert any(issue["kind"] == "size" for issue in doc["issues"])
 
 
-class TestViewCommandErrors:
-    """``repro-gdelt view`` maps user errors to exit code 2 + stderr."""
+#: Every subcommand whose positional argument is a dataset directory
+#: ({db}); {tmp} is the test's scratch directory.
+_ON_A_DATASET = {
+    "stats": ["stats", "{db}"],
+    "tables": ["tables", "{db}"],
+    "scaling": ["scaling", "{db}", "--threads", "1"],
+    "profile": ["profile", "{db}"],
+    "wildfires": ["wildfires", "{db}"],
+    "cluster": ["cluster", "{db}"],
+    "explain": ["explain", "{db}"],
+    "serve": ["serve", "{db}", "--port", "0"],
+    "split": ["split", "{db}", "{tmp}/shards"],
+    "view-refresh": ["view", "refresh", "{tmp}/views", "{db}"],
+}
 
-    def test_refresh_against_missing_dataset(self, tmp_path, capsys):
-        views = tmp_path / "views"
-        assert main(["view", "create", str(views), "v1"]) == 0
-        rc = main(["view", "refresh", str(views), str(tmp_path / "nope")])
+
+class TestMissingDataset:
+    """A DATASET that is not a dataset: exit 2 and a message, no traceback."""
+
+    @pytest.mark.parametrize(
+        "template", list(_ON_A_DATASET.values()), ids=list(_ON_A_DATASET)
+    )
+    def test_exit_2_with_one_stderr_line(self, template, tmp_path, capsys):
+        import signal
+
+        import repro.obs as obs
+
+        argv = [a.format(db=tmp_path / "nope", tmp=tmp_path) for a in template]
+        sigusr1 = signal.getsignal(signal.SIGUSR1)  # `serve` installs a dump
+        try:
+            rc = main(argv)
+        finally:
+            signal.signal(signal.SIGUSR1, sigusr1)
+            obs.disable()  # `profile` enables observability before opening
+            obs.reset()
         assert rc == 2
         err = capsys.readouterr().err
         assert "not a dataset" in err
+        assert "Traceback" not in err
+
+
+class TestViewCommandErrors:
+    """``repro-gdelt view`` maps user errors to exit code 2 + stderr."""
 
     def test_create_invalid_definition(self, tmp_path, capsys):
         rc = main(["view", "create", str(tmp_path / "views"), "bad name!"])

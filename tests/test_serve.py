@@ -15,6 +15,7 @@ import json
 import socket
 import threading
 import time
+import urllib.request
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.engine.expr import parse_predicate
 from repro.engine.planner import result_cache
 from repro.serve import (
     AdmissionController,
+    OpsServer,
     QueryRequest,
     QueryResponse,
     QueryService,
@@ -234,12 +236,22 @@ class TestSingleFlight:
         with QueryService(tiny_store, workers=2, max_batch=16) as svc:
             result_cache().invalidate()
             before = svc.stats()["scans"]
-            pendings = [
-                svc.submit(QueryRequest(table="mentions", op="count", where=pred))
-                for _ in range(24)
-            ]
-            responses = [p.result(timeout=30.0) for p in pendings]
+            with OpsServer(svc) as ops:
+                pendings = [
+                    svc.submit(
+                        QueryRequest(table="mentions", op="count", where=pred)
+                    )
+                    for _ in range(24)
+                ]
+                # Scrape while the burst is outstanding: the ops plane
+                # answers a busy service, not only an idle one.
+                url = f"http://{ops.host}:{ops.port}/metrics"
+                with urllib.request.urlopen(url, timeout=10.0) as resp:
+                    assert resp.status == 200
+                    scrape = resp.read().decode()
+                responses = [p.result(timeout=30.0) for p in pendings]
             stats = svc.stats()
+        assert "repro_serve_queue_depth" in scrape
         assert all(r.ok for r in responses)
         assert len({r.value for r in responses}) == 1
         assert responses[0].value == _direct_count(tiny_store, pred)
@@ -248,19 +260,6 @@ class TestSingleFlight:
         assert stats["scans"] - before == 1
         assert stats["dedup_hits"] + stats["cache_hits"] >= len(pendings) - 1
         assert any(r.stats.get("deduped") for r in responses)
-
-    def test_dedup_disabled_still_correct(self, tiny_store):
-        pred = parse_predicate("Delay > 48")
-        with QueryService(
-            tiny_store, workers=2, single_flight=False, batching=False
-        ) as svc:
-            pendings = [
-                svc.submit(QueryRequest(table="mentions", op="count", where=pred))
-                for _ in range(8)
-            ]
-            responses = [p.result(timeout=30.0) for p in pendings]
-        assert all(r.ok for r in responses)
-        assert len({r.value for r in responses}) == 1
 
     def test_distinct_requests_batch_into_shared_scans(self, tiny_store):
         preds = [parse_predicate(f"Delay > {16 * i}") for i in range(1, 7)]

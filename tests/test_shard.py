@@ -40,6 +40,7 @@ from repro.shard import (
     ShardMap,
     ShardProcess,
     ShardRouter,
+    launch_shards,
     merge_parts,
     split_dataset,
     zero_value,
@@ -308,6 +309,20 @@ class TestRouter:
         assert resp.value == full_store.query("mentions").filter(pred).count().value
         assert resp.stats["fanout"] == N_SHARDS
 
+        # Integer columns: float64 sums are exact, so identity is literal.
+        conf = col("Confidence") >= 80
+        resp = router.query(op="sum", column="Delay", where=conf)
+        local = full_store.query("mentions").filter(conf).sum("Delay")
+        assert canon(resp.value) == canon(local.value)
+
+        resp = router.query(op="sum", column="Delay", group_by="Source")
+        local = full_store.query("mentions").group_by("Source").sum("Delay")
+        assert canon(resp.value) == canon(local.value)
+
+        resp = router.query(op="count", group_by="Quarter")
+        local = full_store.query("mentions").group_by("Quarter").count()
+        assert canon(resp.value) == canon(local.value)
+
         resp = router.query(op="mean", column="Delay", group_by="Quarter")
         local = full_store.query("mentions").group_by("Quarter").mean("Delay")
         assert canon(resp.value) == canon(local.value)
@@ -328,7 +343,7 @@ class TestRouter:
         local = full_store.query("mentions").time_range(lo, hi).count().value
         assert resp.value == local
         assert resp.stats["shards_pruned"] >= 1
-        assert resp.stats["fanout"] < N_SHARDS
+        assert resp.stats["fanout"] + resp.stats["shards_pruned"] == N_SHARDS
 
     def test_all_pruned_answers_without_fanout(self, router, backends, full_store):
         services, _ = backends
@@ -571,3 +586,22 @@ class TestShardProcess:
         finally:
             proc.kill()
         assert not proc.alive()
+
+    def test_killed_backend_process_degrades_to_partial(
+        self, shard_env, full_store
+    ):
+        """A real backend process dies; the router answers with the rest."""
+        _, paths = shard_env
+        procs = launch_shards(paths)
+        try:
+            addresses = [p.address for p in procs]
+            with ShardRouter(addresses, partial_ok=True) as router:
+                procs[1].kill()
+                resp = router.query(op="count")
+            assert resp.status == "partial"
+            assert resp.reason == ErrorCode.PARTIAL_RESULT
+            assert resp.missing == ["shard1"]
+            assert 0 < resp.value < full_store.n_mentions
+        finally:
+            for proc in procs:
+                proc.kill()

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.engine.aggregate import group_count, group_count_2d
 from repro.engine.executor import Executor, SerialExecutor
@@ -492,7 +493,7 @@ def aggregated_country_query(
     and publisher country (via the TLD rule), accumulate the 2-D article
     count matrix, and mark (event, country) incidence bits.  The reduce
     step sums count matrices, ORs incidence, and turns incidence into the
-    country-pair co-event matrix with one matmul.
+    country-pair co-event matrix with one sparse product.
 
     Args:
         profile: force profile collection on (True) or off (False);
@@ -545,13 +546,15 @@ def aggregated_country_query(
             )
 
         with _span("query.reduce", pairs=int(len(all_pairs))):
-            # e_ij via one BLAS matmul on the (events x countries)
-            # incidence.  float32 is exact: entries are 0/1 and co-counts
-            # stay far below 2^24 per accumulation step at any realistic
-            # country count.
-            incidence = np.zeros((n_events, n_c), dtype=np.float32)
-            incidence[all_pairs // n_c, all_pairs % n_c] = 1.0
-            co_events = np.rint(incidence.T @ incidence).astype(np.int64)
+            # e_ij = I^T I over the sparse (events x countries) incidence
+            # I: one nonzero per unique (event, publisher country) pair,
+            # so the product costs O(pairs), not O(events x countries).
+            incidence = sp.csr_matrix(
+                (np.ones(len(all_pairs), dtype=np.int64),
+                 (all_pairs // n_c, all_pairs % n_c)),
+                shape=(n_events, n_c),
+            )
+            co_events = (incidence.T @ incidence).toarray()
             publisher_articles = cross.sum(axis=0) + _unlocated_articles(
                 store, src_country, source_id, n_c
             )

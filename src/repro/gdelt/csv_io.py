@@ -29,6 +29,7 @@ __all__ = [
     "event_from_row",
     "mention_to_row",
     "mention_from_row",
+    "numeric_root_code",
     "write_events_tsv",
     "write_mentions_tsv",
     "read_events_tsv",
@@ -42,6 +43,33 @@ _M = {f.name: field_index(MENTIONS_SCHEMA, f.name) for f in MENTIONS_SCHEMA}
 
 _EVENTS_WIDTH = len(EVENTS_SCHEMA)
 _MENTIONS_WIDTH = len(MENTIONS_SCHEMA)
+
+# Inclusive bounds of every integer field, from the binary column it
+# ends up in (``Day`` becomes the int64 timestamp ``Day * 10**6``).  A
+# row outside them is a bad row here, not an OverflowError at freeze.
+_I64_LO, _I64_HI = -(2**63), 2**63 - 1
+_I32_LO, _I32_HI = -(2**31), 2**31 - 1
+_I16_LO, _I16_HI = -(2**15), 2**15 - 1
+_DAY_LO, _DAY_HI = -(_I64_HI // 10**6), _I64_HI // 10**6
+_U8_HI = 2**8 - 1
+
+
+def numeric_root_code(code: str) -> int:
+    """A CAMEO root code as the ``RootCode`` column stores it
+    (non-numeric codes become 0)."""
+    try:
+        return int(code)
+    except ValueError:
+        return 0
+
+
+def _out_of_range(fields: dict[str, tuple[int, int, int]]) -> ValueError:
+    """The error naming the first of ``fields`` (name → value, lo, hi)
+    whose value lies outside its bounds."""
+    for name, (value, lo, hi) in fields.items():
+        if not lo <= value <= hi:
+            return ValueError(f"{name} {value} out of range for its column [{lo}, {hi}]")
+    raise AssertionError("every field is in range")
 
 
 @dataclass(slots=True)
@@ -103,15 +131,16 @@ def event_from_row(row: list[str]) -> EventRecord:
     """Parse a raw 61-column row into an :class:`EventRecord`.
 
     Raises:
-        ValueError: on a row of the wrong width or with unparseable core
-            numeric fields (the validator turns these into problem-report
+        ValueError: on a row of the wrong width, with unparseable core
+            numeric fields, or with an integer out of range for its
+            binary column (the validator turns these into problem-report
             entries rather than crashes).
     """
     if len(row) != _EVENTS_WIDTH:
         raise ValueError(
             f"events row has {len(row)} columns, expected {_EVENTS_WIDTH}"
         )
-    return EventRecord(
+    e = EventRecord(
         global_event_id=int(row[_E["GlobalEventID"]]),
         day=int(row[_E["Day"]]),
         event_root_code=row[_E["EventRootCode"]],
@@ -124,6 +153,28 @@ def event_from_row(row: list[str]) -> EventRecord:
         date_added=int(row[_E["DATEADDED"]]),
         source_url=row[_E["SOURCEURL"]],
     )
+    root = numeric_root_code(e.event_root_code)
+    if not (
+        _I64_LO <= e.global_event_id <= _I64_HI
+        and _DAY_LO <= e.day <= _DAY_HI
+        and 0 <= root <= _U8_HI
+        and 0 <= e.quad_class <= _U8_HI
+        and _I32_LO <= e.num_mentions <= _I32_HI
+        and _I32_LO <= e.num_sources <= _I32_HI
+        and _I32_LO <= e.num_articles <= _I32_HI
+        and _I64_LO <= e.date_added <= _I64_HI
+    ):
+        raise _out_of_range({
+            "GlobalEventID": (e.global_event_id, _I64_LO, _I64_HI),
+            "Day": (e.day, _DAY_LO, _DAY_HI),
+            "EventRootCode": (root, 0, _U8_HI),
+            "QuadClass": (e.quad_class, 0, _U8_HI),
+            "NumMentions": (e.num_mentions, _I32_LO, _I32_HI),
+            "NumSources": (e.num_sources, _I32_LO, _I32_HI),
+            "NumArticles": (e.num_articles, _I32_LO, _I32_HI),
+            "DATEADDED": (e.date_added, _I64_LO, _I64_HI),
+        })
+    return e
 
 
 def mention_to_row(m: MentionRecord) -> list[str]:
@@ -142,12 +193,16 @@ def mention_to_row(m: MentionRecord) -> list[str]:
 
 
 def mention_from_row(row: list[str]) -> MentionRecord:
-    """Parse a raw 16-column row into a :class:`MentionRecord`."""
+    """Parse a raw 16-column row into a :class:`MentionRecord`.
+
+    Raises:
+        ValueError: as :func:`event_from_row` does.
+    """
     if len(row) != _MENTIONS_WIDTH:
         raise ValueError(
             f"mentions row has {len(row)} columns, expected {_MENTIONS_WIDTH}"
         )
-    return MentionRecord(
+    m = MentionRecord(
         global_event_id=int(row[_M["GlobalEventID"]]),
         event_time=int(row[_M["EventTimeDate"]]),
         mention_time=int(row[_M["MentionTimeDate"]]),
@@ -156,6 +211,19 @@ def mention_from_row(row: list[str]) -> MentionRecord:
         confidence=int(row[_M["Confidence"]] or "0"),
         doc_tone=float(row[_M["MentionDocTone"]] or "0"),
     )
+    if not (
+        _I64_LO <= m.global_event_id <= _I64_HI
+        and _I64_LO <= m.event_time <= _I64_HI
+        and _I64_LO <= m.mention_time <= _I64_HI
+        and _I16_LO <= m.confidence <= _I16_HI
+    ):
+        raise _out_of_range({
+            "GlobalEventID": (m.global_event_id, _I64_LO, _I64_HI),
+            "EventTimeDate": (m.event_time, _I64_LO, _I64_HI),
+            "MentionTimeDate": (m.mention_time, _I64_LO, _I64_HI),
+            "Confidence": (m.confidence, _I16_LO, _I16_HI),
+        })
+    return m
 
 
 def _write_rows(fh: io.TextIOBase, rows: Iterable[list[str]]) -> int:

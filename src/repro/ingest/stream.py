@@ -12,16 +12,20 @@ functional :class:`~repro.engine.store.GdeltStore` objects.
 :meth:`~LiveFollower.poll` plus :meth:`~LiveFollower.finalize_missing`
 with a checkpoint journal attached.
 
-Snapshots are rebuilt from the accumulated rows (sort + index), which at
-the 15-minute cadence the paper describes is trivial: one week of real
-GDELT is ~1 GB, and a snapshot here is a vectorized sort of everything
-seen so far.  The accumulators never drop data, so each snapshot strictly
-extends the previous one.
+Rows land in typed, append-only column buffers
+(:mod:`repro.ingest.accumulate`) that stay sorted as they grow, so a
+snapshot sorts only the rows that arrived since the previous one and
+hands :meth:`GdeltStore.from_arrays` read-only views of the shared
+sorted prefix; the store then builds its join index.  Nothing is ever
+dropped or rewritten, so each snapshot strictly extends the previous one
+and older snapshots keep their contents.  A poll re-parses the master
+list only when its text changed, and lists the mirror once.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import time
 import zipfile
 from dataclasses import dataclass
@@ -93,6 +97,8 @@ class LiveFollower:
         self._journal = journal
         self._seen_urls: set[str] = set()
         self._seen_malformed: set[str] = set()
+        self._master_text: str | None = None
+        self._listed: list[tuple[ChunkRef, str]] = []
         self._events = EventAccumulator()
         self._mentions = MentionAccumulator()
 
@@ -110,17 +116,27 @@ class LiveFollower:
         master_path = self.raw_dir / "masterfilelist.txt"
         if not master_path.exists():
             return []
-        with _span("ingest.parse_master"):
-            parsed = parse_master_list(master_path.read_text(encoding="utf-8"))
-        fresh = [m for m in parsed.malformed_lines if m not in self._seen_malformed]
-        self._seen_malformed.update(fresh)
-        for line in fresh:
-            self.report.note("malformed_master_entries", line[:120])
+        text = master_path.read_text(encoding="utf-8")
+        if text != self._master_text:  # the same text parses the same
+            with _span("ingest.parse_master"):
+                parsed = parse_master_list(text)
+            fresh = [m for m in parsed.malformed_lines if m not in self._seen_malformed]
+            self._seen_malformed.update(fresh)
+            for line in fresh:
+                self.report.note("malformed_master_entries", line[:120])
+            self._master_text = text
+            self._listed = [
+                (ref, ref.entry.url.rsplit("/", 1)[-1])
+                for ref in sorted(parsed.chunks, key=lambda c: (c.interval, c.kind))
+            ]
         return [
-            (ref, ref.entry.url.rsplit("/", 1)[-1])
-            for ref in sorted(parsed.chunks, key=lambda c: (c.interval, c.kind))
+            (ref, name) for ref, name in self._listed
             if ref.entry.url not in self._seen_urls
         ]
+
+    def _present(self) -> set[str]:
+        """Names of the files in the mirror right now."""
+        return set(os.listdir(self.raw_dir))
 
     def _parse_chunk_lines(self, kind: str, lines: list[str], name: str) -> int:
         """Validate and accumulate one chunk's rows; returns rows kept.
@@ -133,18 +149,16 @@ class LiveFollower:
             from_row, acc, bad = event_from_row, self._events, "bad_event_rows"
         else:
             from_row, acc, bad = mention_from_row, self._mentions, "bad_mention_rows"
-        rows = 0
+        records = []
         for line in lines:
             if not line:
                 continue
             try:
-                record = from_row(line.split("\t"))
+                records.append(from_row(line.split("\t")))
             except (ValueError, IndexError) as exc:
                 self.report.note(bad, f"{name}: {exc}")
-                continue
-            acc.add(record, self.report)
-            rows += 1
-        return rows
+        acc.extend(records, self.report)
+        return len(records)
 
     def _ingest_archive(self, ref: ChunkRef, name: str) -> None:
         """Fetch, open, parse and (with a journal) commit one archive."""
@@ -190,6 +204,7 @@ class LiveFollower:
         the master list) and only :meth:`finalize_missing` records it.
         """
         pending = self._unseen()
+        present = self._present() if pending else set()
         ev_before, mt_before = len(self._events), len(self._mentions)
         new_chunks = resumed = 0
         with _span("ingest.poll") as sp:
@@ -199,7 +214,7 @@ class LiveFollower:
                     if self._journal is not None
                     else None
                 )
-                if cached is None and not (self.raw_dir / name).exists():
+                if cached is None and name not in present:
                     continue  # not marked seen: retried next poll
                 self._seen_urls.add(ref.entry.url)
                 new_chunks += 1
@@ -208,6 +223,8 @@ class LiveFollower:
                     resumed += 1
                 else:
                     self._ingest_archive(ref, name)
+            self._events.flush()
+            self._mentions.flush()
             sp.set(chunks=new_chunks)
         if resumed:
             _metrics.counter("ingest_chunks_resumed_total").inc(resumed)
@@ -238,8 +255,10 @@ class LiveFollower:
         Returns the number recorded.
         """
         n = 0
-        for ref, name in self._unseen():
-            if not (self.raw_dir / name).exists():
+        pending = self._unseen()
+        present = self._present() if pending else set()
+        for ref, name in pending:
+            if name not in present:
                 self.report.note("missing_archives", name)
                 self._seen_urls.add(ref.entry.url)
                 n += 1
@@ -248,7 +267,8 @@ class LiveFollower:
     def freeze(self) -> tuple[dict, dict, dict]:
         """Sorted ``(events, mentions, dictionaries)`` of everything
         ingested, in the layout :meth:`GdeltStore.from_arrays` and the
-        dataset writer take."""
+        dataset writer take: read-only views that later polls never
+        change."""
         events, countries, event_urls = self._events.freeze()
         mentions, sources, mention_urls = self._mentions.freeze()
         return events, mentions, {

@@ -6,15 +6,23 @@ code columns plus one shared dictionary per namespace: an ``int64``
 offsets array (size + 1 entries) into a single UTF-8 blob.  Lookups are
 O(1) slices of the memory-mapped blob, and the whole dictionary never
 needs to be materialized as Python strings unless asked for.
+:class:`DictionaryBuilder` appends to the same two arrays while ingest
+runs, so a built dictionary is a view, never a re-encoding.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["StringDictionary", "DictionaryBuilder", "encode_strings"]
+__all__ = [
+    "StringDictionary",
+    "DictionaryBuilder",
+    "encode_strings",
+    "ensure_capacity",
+    "readonly_prefix",
+]
 
 
 class StringDictionary:
@@ -68,31 +76,69 @@ class StringDictionary:
         return cls(offsets, blob)
 
 
+def ensure_capacity(buf: np.ndarray, used: int, need: int) -> np.ndarray:
+    """``buf`` if it holds ``need`` elements, else a fresh buffer of at
+    least twice the size holding a copy of ``buf[:used]``.
+
+    Append-only buffers grow through here: the old buffer is never
+    written again, so views handed out over its prefix stay valid.
+    """
+    if need <= len(buf):
+        return buf
+    fresh = np.empty(max(need, 2 * len(buf), 64), dtype=buf.dtype)
+    fresh[:used] = buf[:used]
+    return fresh
+
+
+def readonly_prefix(buf: np.ndarray, n: int) -> np.ndarray:
+    """A read-only view of ``buf[:n]`` (the buffer itself stays writable)."""
+    view = buf[:n]
+    view.flags.writeable = False
+    return view
+
+
 class DictionaryBuilder:
-    """Incremental string interner assigning codes by first occurrence."""
+    """Append-only string interner assigning codes by first occurrence.
+
+    Codes live in a ``str → code`` dict; each new string's UTF-8 bytes
+    are appended to a growing ``uint8`` blob with ``int64`` offsets, the
+    layout :class:`StringDictionary` reads.  :meth:`build` is therefore
+    a read-only view of the prefix interned so far, not a copy, and a
+    dictionary built earlier never changes as interning goes on.
+    """
 
     def __init__(self) -> None:
         self._codes: dict[str, int] = {}
-        self._strings: list[str] = []
+        self._offsets = np.zeros(1, dtype=np.int64)
+        self._blob = np.empty(0, dtype=np.uint8)
 
     def __len__(self) -> int:
-        return len(self._strings)
+        return len(self._codes)
 
-    def intern(self, s: str) -> int:
-        code = self._codes.get(s)
-        if code is None:
-            code = len(self._strings)
-            self._codes[s] = code
-            self._strings.append(s)
-        return code
-
-    def intern_many(self, strings: Iterable[str]) -> np.ndarray:
-        return np.fromiter(
-            (self.intern(s) for s in strings), dtype=np.int64, count=-1
-        )
+    def intern_many(self, strings: Sequence[str]) -> np.ndarray:
+        """Codes (int64) of a whole column, interning unseen strings in
+        order of first occurrence."""
+        codes = self._codes
+        n = len(codes)
+        new = []
+        for s in strings:
+            if s not in codes:
+                codes[s] = len(codes)
+                new.append(s)
+        if new:
+            encoded = [s.encode("utf-8") for s in new]
+            start = int(self._offsets[n])
+            ends = start + np.cumsum(np.fromiter(map(len, encoded), np.int64, len(new)))
+            end = int(ends[-1])
+            self._offsets = ensure_capacity(self._offsets, n + 1, len(codes) + 1)
+            self._offsets[n + 1:len(codes) + 1] = ends
+            self._blob = ensure_capacity(self._blob, start, end)
+            self._blob[start:end] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+        return np.fromiter(map(codes.__getitem__, strings), np.int64, len(strings))
 
     def build(self) -> StringDictionary:
-        return StringDictionary.from_strings(self._strings)
+        offsets = readonly_prefix(self._offsets, len(self._codes) + 1)
+        return StringDictionary(offsets, readonly_prefix(self._blob, int(offsets[-1])))
 
 
 def encode_strings(strings: list[str]) -> tuple[np.ndarray, StringDictionary]:

@@ -56,6 +56,28 @@ def make_mention(**kw) -> MentionRecord:
     return MentionRecord(**base)
 
 
+#: Integer fields with the bounds of the binary column each lands in.
+EVENT_INT_FIELDS = [
+    ("GlobalEventID", "global_event_id", -(2**63), 2**63 - 1),
+    ("Day", "day", -(2**63 // 10**6), (2**63 - 1) // 10**6),  # Day * 10**6 is int64
+    ("QuadClass", "quad_class", 0, 255),
+    ("NumMentions", "num_mentions", -(2**31), 2**31 - 1),
+    ("NumSources", "num_sources", -(2**31), 2**31 - 1),
+    ("NumArticles", "num_articles", -(2**31), 2**31 - 1),
+    ("DATEADDED", "date_added", -(2**63), 2**63 - 1),
+]
+MENTION_INT_FIELDS = [
+    ("GlobalEventID", "global_event_id", -(2**63), 2**63 - 1),
+    ("EventTimeDate", "event_time", -(2**63), 2**63 - 1),
+    ("MentionTimeDate", "mention_time", -(2**63), 2**63 - 1),
+    ("Confidence", "confidence", -(2**15), 2**15 - 1),
+]
+
+
+def _ids(fields) -> list[str]:
+    return [f[0] for f in fields]
+
+
 class TestEventRows:
     def test_roundtrip(self):
         e = make_event()
@@ -96,6 +118,29 @@ class TestEventRows:
         assert back.num_mentions == nm
         assert abs(back.avg_tone - tone) < 1e-3  # %.4f formatting
 
+    def test_non_numeric_root_code_accepted(self):
+        e = make_event(event_root_code="x")
+        assert event_from_row(event_to_row(e)).event_root_code == "x"
+
+    @pytest.mark.parametrize(
+        "field,attr,lo,hi", EVENT_INT_FIELDS, ids=_ids(EVENT_INT_FIELDS)
+    )
+    def test_integer_bounds_follow_the_column(self, field, attr, lo, hi):
+        """An integer that does not fit its binary column makes a bad row
+        naming the field; the column's own extremes are accepted."""
+        for ok in (lo, hi):
+            assert getattr(event_from_row(event_to_row(make_event(**{attr: ok}))), attr) == ok
+        for bad in (lo - 1, hi + 1):
+            with pytest.raises(ValueError, match=f"{field} {bad} out of range"):
+                event_from_row(event_to_row(make_event(**{attr: bad})))
+
+    def test_root_code_bounds(self):
+        for ok in ("0", "255", "07"):
+            assert event_from_row(event_to_row(make_event(event_root_code=ok)))
+        for bad in ("256", "300", "-1"):
+            with pytest.raises(ValueError, match=f"EventRootCode {int(bad)} out of range"):
+                event_from_row(event_to_row(make_event(event_root_code=bad)))
+
 
 class TestMentionRows:
     def test_roundtrip(self):
@@ -108,6 +153,16 @@ class TestMentionRows:
     def test_wrong_width_raises(self):
         with pytest.raises(ValueError, match="columns"):
             mention_from_row(["1"] * 15)
+
+    @pytest.mark.parametrize(
+        "field,attr,lo,hi", MENTION_INT_FIELDS, ids=_ids(MENTION_INT_FIELDS)
+    )
+    def test_integer_bounds_follow_the_column(self, field, attr, lo, hi):
+        for ok in (lo, hi):
+            assert getattr(mention_from_row(mention_to_row(make_mention(**{attr: ok}))), attr) == ok
+        for bad in (lo - 1, hi + 1):
+            with pytest.raises(ValueError, match=f"{field} {bad} out of range"):
+                mention_from_row(mention_to_row(make_mention(**{attr: bad})))
 
 
 class TestStreams:

@@ -14,6 +14,7 @@ from repro.engine import (
     col,
 )
 from repro.engine.baseline import row_at_a_time_country_query
+from repro.storage import StringDictionary
 
 
 class TestQueryBuilder:
@@ -114,6 +115,34 @@ class TestAggregatedCountryQuery:
     def test_percentages_columns_le_100(self, result):
         pct = result.percentages()
         assert (pct.sum(axis=0) <= 100.0 + 1e-9).all()
+
+    def test_co_events_equal_brute_force_country_sets(self, tiny_arrays):
+        """e_ij counts the events whose publishers span countries i and j:
+        events without a geotag count, publishers of unknown country do not."""
+        events, mentions, dicts = tiny_arrays
+        domains = [  # every 7th source loses its TLD: no country
+            d if i % 7 else f"unattributable-{i}" for i, d in enumerate(dicts["sources"])
+        ]
+        store = GdeltStore.from_arrays(
+            events, mentions, {**dicts, "sources": StringDictionary.from_strings(domains)}
+        )
+        result = aggregated_country_query(store)
+        ev_row = store.mention_event_row()
+        pub = store.source_country_idx()[np.asarray(store.mentions["SourceId"])]
+        assert (store.event_country_idx()[ev_row[ev_row >= 0]] < 0).any()
+        assert (pub < 0).any()
+        publishers: dict[int, set[int]] = {}
+        for row, country in zip(ev_row.tolist(), pub.tolist()):
+            if row >= 0 and country >= 0:
+                publishers.setdefault(row, set()).add(country)
+        n_c = store.n_countries
+        want = np.zeros((n_c, n_c), dtype=np.int64)
+        for countries in publishers.values():
+            for i in countries:
+                for j in countries:
+                    want[i, j] += 1
+        assert result.co_events.dtype == np.int64
+        assert np.array_equal(result.co_events, want)
 
     def test_chunked_equals_single_chunk(self, tiny_store, result):
         small = aggregated_country_query(

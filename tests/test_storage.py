@@ -167,6 +167,36 @@ class TestStringDictionary:
         assert codes.tolist() == [0, 1, 0, 2, 1]
         assert b.build().to_list() == ["x", "y", "z"]
 
+    def test_builder_codes_across_batches(self):
+        b = DictionaryBuilder()
+        assert b.intern_many(["b", "a", "b"]).tolist() == [0, 1, 0]
+        assert b.intern_many([]).tolist() == []
+        assert b.intern_many(["c", "a", "d", "c"]).tolist() == [2, 1, 3, 2]
+        assert b.intern_many(["d", "b"]).tolist() == [3, 0]
+        assert len(b) == 4
+        assert b.build().to_list() == ["b", "a", "c", "d"]
+
+    def test_builder_empty_string_and_multibyte_utf8(self):
+        b = DictionaryBuilder()
+        strings = ["", "nachrichten-köln.de", "", "新闻.cn", "🦉"]
+        assert b.intern_many(strings).tolist() == [0, 1, 0, 2, 3]
+        d = b.build()
+        assert d.to_list() == ["", "nachrichten-köln.de", "新闻.cn", "🦉"]
+        assert d.lengths().tolist() == [0, 20, 9, 4]
+
+    def test_earlier_build_unchanged_by_later_interning(self):
+        b = DictionaryBuilder()
+        b.intern_many(["alpha", "β"])
+        early = b.build()
+        offsets, blob = (a.copy() for a in early.arrays)
+        for i in range(200):  # enough to regrow both buffers
+            b.intern_many([f"s{i}", "alpha", f"long-entry-{i}-" * 3])
+        assert early.to_list() == ["alpha", "β"]
+        assert np.array_equal(early.arrays[0], offsets)
+        assert np.array_equal(early.arrays[1], blob)
+        assert not any(a.flags.writeable for a in early.arrays)
+        assert len(b.build()) == 402
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.text(max_size=30), max_size=40))
     def test_encode_decode_property(self, strings):

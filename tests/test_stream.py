@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import shutil
 
 import numpy as np
@@ -9,6 +10,15 @@ import pytest
 
 from repro import faults
 from repro.engine import GdeltStore
+from repro.gdelt.csv_io import (
+    open_chunk_text,
+    read_events_tsv,
+    read_mentions_tsv,
+    write_chunk_zip,
+)
+from repro.gdelt.masterlist import parse_master_list
+from repro.gdelt.schema import EVENTS_SCHEMA, MENTIONS_SCHEMA, field_index
+from repro.gdelt.time_util import timestamp_to_interval
 from repro.ingest import LiveFollower, RetryPolicy, convert_raw_to_binary
 from repro.obs import metrics as _metrics
 from repro.storage.gdelt import write_gdelt_dataset
@@ -16,6 +26,58 @@ from repro.synth import CorruptionPlan, inject_corruption, write_raw_archives
 from tests.conftest import manifest_crcs
 
 NO_FAULTS = faults.FaultPlan()  # masks any session-level chaos plan
+
+
+def store_arrays(store) -> dict[str, np.ndarray]:
+    """Every column and dictionary array of a store, by name."""
+    arrays = {
+        f"{table}/{name}": arr
+        for table in ("events", "mentions")
+        for name, arr in store.table(table).items()
+    }
+    for name, d in store.dictionaries().items():
+        arrays[f"dict/{name}.offsets"], arrays[f"dict/{name}.blob"] = d.arrays
+    return arrays
+
+
+def digests(store) -> dict[str, str]:
+    return {
+        name: hashlib.sha256(arr.tobytes()).hexdigest()
+        for name, arr in store_arrays(store).items()
+    }
+
+
+def stage_lines(raw_dir, stage, lines: list[str]) -> None:
+    """Append master ``lines`` to ``stage``'s list and copy in whichever
+    archives they name exist in ``raw_dir`` (malformed lines and missing
+    archives included, as a dirty mirror has them)."""
+    stage.mkdir(parents=True, exist_ok=True)
+    for ref in parse_master_list("\n".join(lines)).chunks:
+        name = ref.entry.url.rsplit("/", 1)[-1]
+        if (raw_dir / name).exists():
+            shutil.copy(raw_dir / name, stage / name)
+    master = stage / "masterfilelist.txt"
+    old = master.read_text() if master.exists() else ""
+    master.write_text(old + "\n".join(lines) + "\n")
+
+
+def assert_snapshots_equal_batch(raw_dir, tmp_path, parts: int = 3) -> None:
+    """Publish ``raw_dir``'s master list in ``parts`` steps; after each
+    poll the snapshot, written by the one dataset writer, must be file
+    for file the batch conversion of the mirror as it stands."""
+    lines = (raw_dir / "masterfilelist.txt").read_text().splitlines()
+    stage = tmp_path / "mirror"
+    follower = None
+    for i in range(parts):
+        stage_lines(raw_dir, stage, lines[i * len(lines) // parts:(i + 1) * len(lines) // parts])
+        follower = follower or LiveFollower(stage)
+        follower.poll()
+        snap = follower.snapshot()
+        write_gdelt_dataset(
+            tmp_path / f"snap{i}", snap.events, snap.mentions, snap.dictionaries()
+        )
+        batch = convert_raw_to_binary(stage, tmp_path / f"db{i}")
+        assert manifest_crcs(tmp_path / f"snap{i}") == manifest_crcs(batch.dataset_dir), i
 
 
 def split_mirror(raw_dir, stage_dir, fraction: float) -> list[str]:
@@ -85,6 +147,87 @@ class TestLiveFollower:
             tmp_path / "snap", snap.events, snap.mentions, snap.dictionaries()
         )
         assert manifest_crcs(tmp_path / "snap") == manifest_crcs(batch.dataset_dir)
+
+        # Intermediate snapshots too, of a clean and of a dirty mirror.
+        assert_snapshots_equal_batch(raw_dir, tmp_path / "clean")
+        dirty = tmp_path / "dirty-raw"
+        write_raw_archives(raw_ds, dirty, chunk_intervals=96)
+        inject_corruption(dirty, CorruptionPlan(
+            malformed_master_entries=7, missing_archives=3,
+            missing_source_urls=2, future_event_dates=4, seed=5,
+        ))
+        assert_snapshots_equal_batch(dirty, tmp_path / "dirty")
+
+    def test_out_of_order_landing_is_a_stable_sort(self, raw_dir, tmp_path):
+        """An archive pair that lands after later ones merges into the
+        sorted prefix exactly where a stable sort over ingest order puts
+        its rows; the snapshot taken before it landed does not change."""
+        stage = tmp_path / "mirror"
+        split_mirror(raw_dir, stage, 1.0)
+        refs = sorted(
+            parse_master_list((stage / "masterfilelist.txt").read_text()).chunks,
+            key=lambda c: (c.interval, c.kind),
+        )
+        names = [ref.entry.url.rsplit("/", 1)[-1] for ref in refs]
+        held = names[2:4]  # one interval's events + mentions pair
+        hold = tmp_path / "held"
+        hold.mkdir()
+        for name in held:
+            shutil.move(stage / name, hold / name)
+        follower = LiveFollower(stage)
+        follower.poll()
+        before = follower.snapshot()
+        taken = digests(before)
+        for name in held:
+            shutil.move(hold / name, stage / name)
+        assert follower.poll().new_chunks == 2
+        snap = follower.snapshot()
+
+        # The reference: the same archives parsed in the follower's order,
+        # then Python's (stable) sort by each table's key.
+        events, mentions = [], []
+        for name in [n for n in names if n not in held] + held:
+            with open_chunk_text(stage / name) as fh:
+                if ".export." in name:
+                    events += read_events_tsv(fh)
+                else:
+                    mentions += read_mentions_tsv(fh)
+        ev = sorted(events, key=lambda e: e.global_event_id)
+        mt = sorted(mentions, key=lambda m: timestamp_to_interval(m.mention_time))
+        # The held rows really interleave with the earlier ones.
+        assert min(e.global_event_id for e in events[before.n_events:]) < (
+            before.events["GlobalEventID"][-1]
+        )
+        assert min(
+            timestamp_to_interval(m.mention_time) for m in mentions[before.n_mentions:]
+        ) < before.mentions["MentionInterval"][-1]
+
+        dicts = snap.dictionaries()
+        assert snap.events["GlobalEventID"].tolist() == [e.global_event_id for e in ev]
+        assert snap.events["NumArticles"].tolist() == [e.num_articles for e in ev]
+        assert [dicts["event_urls"][c] for c in snap.events["SourceURLId"]] == [
+            e.source_url for e in ev
+        ]
+        assert [dicts["countries"][c] for c in snap.events["CountryCode"]] == [
+            e.action_geo_country for e in ev
+        ]
+        assert snap.mentions["GlobalEventID"].tolist() == [m.global_event_id for m in mt]
+        assert snap.mentions["MentionInterval"].tolist() == [
+            timestamp_to_interval(m.mention_time) for m in mt
+        ]
+        assert snap.mentions["Confidence"].tolist() == [m.confidence for m in mt]
+        assert [dicts["sources"][c] for c in snap.mentions["SourceId"]] == [
+            m.source_name for m in mt
+        ]
+        assert [dicts["mention_urls"][c] for c in snap.mentions["UrlId"]] == [
+            m.identifier for m in mt
+        ]
+        # Dictionary codes are first occurrences in ingest order.
+        assert list(dicts["sources"]) == list(dict.fromkeys(m.source_name for m in mentions))
+        assert list(dicts["countries"]) == list(
+            dict.fromkeys([""] + [e.action_geo_country for e in events])
+        )
+        assert digests(before) == taken
 
     def test_snapshots_are_queryable(self, raw_dir):
         from repro.analysis import dataset_statistics, top_publishers
@@ -200,6 +343,44 @@ class TestLiveFollower:
         assert follower.n_mentions == raw_ds.n_articles
 
 
+def set_first_row_field(archive, schema, field: str, value: str) -> None:
+    """Rewrite ``field`` of the first row of one chunk archive."""
+    with open_chunk_text(archive) as fh:
+        lines = fh.read().split("\n")
+    row = lines[0].split("\t")
+    row[field_index(schema, field)] = value
+    lines[0] = "\t".join(row)
+    write_chunk_zip(archive, archive.name.removesuffix(".zip"), "\n".join(lines))
+
+
+class TestOutOfRangeRows:
+    def test_out_of_range_integers_are_bad_rows(self, raw_dir, tmp_path):
+        """An integer that does not fit its column is a bad row at parse
+        time: it must not poison every later snapshot and conversion."""
+        stage = tmp_path / "mirror"
+        split_mirror(raw_dir, stage, 1.0)
+        set_first_row_field(
+            sorted(stage.glob("*.export.CSV.zip"))[1], EVENTS_SCHEMA, "EventRootCode", "300"
+        )
+        set_first_row_field(
+            sorted(stage.glob("*.mentions.CSV.zip"))[1], MENTIONS_SCHEMA, "Confidence", "70000"
+        )
+        follower = LiveFollower(stage)
+        follower.poll()
+        snap = follower.snapshot()
+        report = follower.report
+        assert report.bad_event_rows == report.bad_mention_rows == 1
+        assert "EventRootCode 300 out of range" in report.examples["bad_event_rows"][0]
+        assert "Confidence 70000 out of range" in report.examples["bad_mention_rows"][0]
+
+        batch = convert_raw_to_binary(stage, tmp_path / "db")
+        assert batch.report == report
+        write_gdelt_dataset(
+            tmp_path / "snap", snap.events, snap.mentions, snap.dictionaries()
+        )
+        assert manifest_crcs(tmp_path / "snap") == manifest_crcs(batch.dataset_dir)
+
+
 class TestChecksumVerification:
     def test_checksum_mismatch_skipped_before_parsing(self, raw_dir, tmp_path):
         """A staged archive whose bytes drifted from the master list's
@@ -233,17 +414,19 @@ class TestChecksumVerification:
 class TestInterleavedSnapshots:
     def test_poll_snapshot_interleaving_is_monotone(self, raw_dir, tmp_path):
         """snapshot / poll / snapshot / poll: every snapshot is a
-        consistent superset of the previous one."""
+        consistent superset of the previous one, and read-only views that
+        later polls leave exactly as they were when taken."""
         stage = tmp_path / "mirror"
         late = split_mirror(raw_dir, stage, 0.34)
         follower = LiveFollower(stage)
 
-        counts = []
+        counts, generations = [], []
         publish_at = [len(late) * 2 // 3, len(late) // 3, 0]
         remaining = list(late)
         while True:
             follower.poll()
             snap = follower.snapshot()
+            generations.append((snap, digests(snap)))
             ev = snap.n_rows("events")
             mt = snap.n_rows("mentions")
             assert ev == follower.n_events and mt == follower.n_mentions
@@ -269,6 +452,10 @@ class TestInterleavedSnapshots:
         for (e0, m0), (e1, m1) in zip(counts, counts[1:]):
             assert e1 >= e0 and m1 >= m0
         assert counts[-1] > counts[0]
+        for i, (snap, taken) in enumerate(generations):
+            assert digests(snap) == taken, i
+            for name, arr in store_arrays(snap).items():
+                assert not arr.flags.writeable, (i, name)
 
 
 class TestFinalizeMissing:

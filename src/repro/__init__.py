@@ -22,11 +22,29 @@ Quickstart::
 
 See DESIGN.md for the paper-to-module map and EXPERIMENTS.md for
 paper-vs-measured results of every table and figure.
+
+The seven subpackages import lazily, on first attribute access (PEP
+562), so a process pays only for the code it runs: every ``import
+repro.X`` runs this file first, and an eager import here would load
+:mod:`repro.analysis` (with SciPy) and :mod:`repro.synth` into servers
+that never call them.  ``from repro import analysis``,
+``repro.analysis.f(...)`` and ``from repro import *`` all resolve
+through :func:`__getattr__`.
 """
 
-from repro import analysis, engine, gdelt, ingest, parallel, storage, synth
+import importlib
 
 __version__ = "1.0.0"
+
+_SUBPACKAGES = frozenset(
+    ("analysis", "engine", "gdelt", "ingest", "parallel", "storage", "synth")
+)
+
+
+def __getattr__(name):
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f"repro.{name}")
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")
 
 
 def connect(address, **kwargs):

@@ -14,7 +14,6 @@ benchmarked against each other in the ablation suite.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.engine.executor import Executor, SerialExecutor
 from repro.engine.query import aggregated_country_query
@@ -86,6 +85,8 @@ def source_coreporting_sparse(
     e_ij as a sparse matrix sum, then densify only for the final Jaccard.
     Produces exactly the same matrix as :func:`source_coreporting`.
     """
+    import scipy.sparse as sp  # only this fallback needs it
+
     rows, keys, k = _incidence(store, source_ids)
 
     def inc_matrix(r: np.ndarray, c: np.ndarray) -> sp.csr_matrix:

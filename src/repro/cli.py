@@ -624,7 +624,6 @@ def _cmd_serve(args) -> int:
     )
     from repro.serve import (
         BreakerBoard,
-        OpsServer,
         QueryService,
         ServeServer,
         StoreLifecycle,
@@ -694,6 +693,8 @@ def _cmd_serve(args) -> int:
     server = ServeServer(service, host=args.host, port=args.port)
     ops = None
     if args.ops_port is not None:
+        from repro.serve.ops import OpsServer
+
         ops = OpsServer(service, host=args.host, port=args.ops_port)
         logger.info("ops plane on http://%s:%d/metrics", ops.host, ops.port)
     logger.info(
@@ -846,7 +847,7 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_shard_serve(args) -> int:
-    from repro.serve import OpsServer, ServeServer
+    from repro.serve import ServeServer
     from repro.shard import ShardRouter, launch_shards
 
     if not args.shards and not args.backend:
@@ -872,6 +873,8 @@ def _cmd_shard_serve(args) -> int:
         )
         server = ServeServer(router, host=args.host, port=args.port)
         if args.ops_port is not None:
+            from repro.serve.ops import OpsServer
+
             ops = OpsServer(router, host=args.host, port=args.ops_port)
             logger.info("ops plane on http://%s:%d/metrics", ops.host, ops.port)
         logger.info(

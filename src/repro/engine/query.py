@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.engine.aggregate import group_count, group_count_2d
 from repro.engine.executor import Executor, SerialExecutor
@@ -413,9 +412,7 @@ class GroupedQuery:
     def __init__(self, query: Query, key: str) -> None:
         self._q = query
         self._name = key
-        self.key, _keys, self.n_groups = query.store.group_key(
-            query.table_name, key
-        )
+        self.key, self.n_groups = query.store.group_width(query.table_name, key)
 
     def _aggregate(self, op: str, column: str | None = None, k: int | None = None):
         return self._q._aggregate(TerminalSpec(op, column, self._name, k))
@@ -501,6 +498,8 @@ def aggregated_country_query(
             The collected :class:`QueryProfile` lands on the result's
             ``profile`` attribute.
     """
+    import scipy.sparse as sp  # its one user here: the co-event reduce
+
     executor = executor or SerialExecutor()
     n_c = store.n_countries
     src_country = store.source_country_idx()

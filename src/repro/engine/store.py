@@ -8,7 +8,12 @@ paper's analyses use everywhere:
   source domain's TLD (the paper's attribution rule);
 * ``mention_quarter`` / ``event_quarter`` — calendar quarter indices of
   capture and event-day intervals;
-* ``mention_event_row`` — events-table row of each mention (join column).
+* ``mention_event_row`` — events-table row of each mention (join column);
+* ``mention_source_country`` / ``mention_event_country`` — roster index
+  of each mention's publisher / event (the country group keys).
+
+Group keys resolve through one registry: :meth:`GdeltStore.group_key`
+builds a key column, :meth:`GdeltStore.group_width` reads only its width.
 
 A store can be opened from a binary dataset directory (the normal path)
 or constructed directly from arrays (the synthetic fast path).
@@ -381,22 +386,32 @@ class GdeltStore:
         _metrics.counter("storage_zone_map_backfills_total").inc()
         logger.info("backfilled zone maps for table %s in %s", name, self._reader.root)
 
-    #: Named group keys per table: label → method computing (keys, n_groups).
+    #: Named group keys per table: alias → (canonical name, key column,
+    #: width).  The key column is a derived-column method or a column of
+    #: the table; the width is a store attribute (called when it is a
+    #: method), so :meth:`group_width` never builds the key column.
+    #: Aliases share one canonical name, so they share cache entries.
     _GROUP_KEYS = {
         "mentions": {
-            "Quarter": "_gk_mention_quarter",
-            "MentionQuarter": "_gk_mention_quarter",
-            "EventQuarter": "_gk_mention_event_quarter",
-            "Source": "_gk_source",
-            "SourceId": "_gk_source",
-            "SourceCountry": "_gk_mention_source_country",
-            "EventCountry": "_gk_mention_event_country",
+            "Quarter": ("mentions.Quarter", "mention_quarter", "n_quarters"),
+            "MentionQuarter": ("mentions.Quarter", "mention_quarter", "n_quarters"),
+            "EventQuarter": (
+                "mentions.EventQuarter", "mention_event_quarter", "n_quarters"
+            ),
+            "Source": ("mentions.SourceId", "SourceId", "n_sources"),
+            "SourceId": ("mentions.SourceId", "SourceId", "n_sources"),
+            "SourceCountry": (
+                "mentions.SourceCountry", "mention_source_country", "n_countries"
+            ),
+            "EventCountry": (
+                "mentions.EventCountry", "mention_event_country", "n_countries"
+            ),
         },
         "events": {
-            "Quarter": "_gk_event_quarter",
-            "EventQuarter": "_gk_event_quarter",
-            "Country": "_gk_event_country",
-            "CountryCode": "_gk_event_country",
+            "Quarter": ("events.Quarter", "event_quarter", "n_quarters"),
+            "EventQuarter": ("events.Quarter", "event_quarter", "n_quarters"),
+            "Country": ("events.Country", "event_country_idx", "n_countries"),
+            "CountryCode": ("events.Country", "event_country_idx", "n_countries"),
         },
     }
 
@@ -408,63 +423,41 @@ class GdeltStore:
         column of the table (grouped by value; negative values are
         dropped by the kernels).
         """
+        canonical, n = self.group_width(table, name)
+        entry = self._GROUP_KEYS.get(table, {}).get(name)
+        column = name if entry is None else entry[1]
+        cols = self.table(table)
+        keys = cols[column] if column in cols else getattr(self, column)()
+        return canonical, keys, n
+
+    def group_width(self, table: str, name: str) -> tuple[str, int]:
+        """``(canonical name, n_groups)`` of a group key, without
+        building its key column — what ``meta`` and
+        :meth:`Query.group_by` need before any scan.
+
+        Raises:
+            KeyError: unknown group key (same registry as
+                :meth:`group_key`).
+        """
         cols = self.table(table)
         registry = self._GROUP_KEYS.get(table, {})
-        method = registry.get(name)
-        if method is not None:
-            return getattr(self, method)()
+        entry = registry.get(name)
+        if entry is not None:
+            canonical, _column, width = entry
+            n = getattr(self, width)
+            return canonical, n() if callable(n) else n
         arr = cols.get(name)
         if arr is not None and np.issubdtype(np.asarray(arr).dtype, np.integer):
             n = self._cached(
                 f"ngroups:{table}:{name}",
                 lambda: int(arr.max()) + 1 if len(arr) else 0,
             )
-            return f"{table}.{name}", arr, n
+            return f"{table}.{name}", n
         options = sorted(set(registry) | {c for c in cols})
         raise KeyError(
             f"unknown group key {name!r} for table {table!r}; "
             f"available: {', '.join(options)}"
         )
-
-    def _gk_mention_quarter(self):
-        return "mentions.Quarter", self.mention_quarter(), self.n_quarters()
-
-    def _gk_mention_event_quarter(self):
-        return (
-            "mentions.EventQuarter",
-            self.mention_event_quarter(),
-            self.n_quarters(),
-        )
-
-    def _gk_source(self):
-        return "mentions.SourceId", self.mentions["SourceId"], self.n_sources
-
-    def _gk_mention_source_country(self):
-        cached = self._cached(
-            "mention_source_country",
-            lambda: self.source_country_idx()[self.mentions["SourceId"]],
-        )
-        return "mentions.SourceCountry", cached, self.n_countries
-
-    def _gk_mention_event_country(self):
-        def compute():
-            rows = self.mention_event_row()
-            evc = self.event_country_idx()
-            return np.where(
-                rows >= 0, evc[np.clip(rows, 0, None)], np.int16(-1)
-            ).astype(np.int16)
-
-        return (
-            "mentions.EventCountry",
-            self._cached("mention_event_country", compute),
-            self.n_countries,
-        )
-
-    def _gk_event_quarter(self):
-        return "events.Quarter", self.event_quarter(), self.n_quarters()
-
-    def _gk_event_country(self):
-        return "events.Country", self.event_country_idx(), self.n_countries
 
     # -- manifest meta and dictionaries ----------------------------------------
 
@@ -548,12 +541,32 @@ class GdeltStore:
         def compute() -> np.ndarray:
             eids = self.events["GlobalEventID"]
             m = self.mentions["GlobalEventID"]
+            if not len(eids):  # e.g. a mentions archive landed first
+                return np.full(len(m), -1, dtype=np.int64)
             pos = np.searchsorted(eids, m)
             pos_c = np.clip(pos, 0, len(eids) - 1)
             ok = eids[pos_c] == m
             return np.where(ok, pos_c, -1).astype(np.int64)
 
         return self._cached("mention_event_row", compute)  # type: ignore[return-value]
+
+    def mention_source_country(self) -> np.ndarray:
+        """Roster index of each mention's publisher (-1 = unattributable)."""
+        return self._cached(  # type: ignore[return-value]
+            "mention_source_country",
+            lambda: self.source_country_idx()[self.mentions["SourceId"]],
+        )
+
+    def mention_event_country(self) -> np.ndarray:
+        """Roster index of each mention's event (-1 = dangling/untagged)."""
+        def compute() -> np.ndarray:
+            rows = self.mention_event_row()
+            out = np.full(len(rows), -1, dtype=np.int16)
+            ok = rows >= 0
+            out[ok] = self.event_country_idx()[rows[ok]]
+            return out
+
+        return self._cached("mention_event_country", compute)  # type: ignore[return-value]
 
     def mention_quarter(self) -> np.ndarray:
         """Calendar quarter of each mention's capture interval."""
@@ -583,20 +596,19 @@ class GdeltStore:
         )
 
     def n_quarters(self) -> int:
-        """Number of quarters spanned by the mention data (max quarter + 1).
+        """Number of quarters spanned by the data (max quarter + 1).
 
-        Cached like the quarter columns it scans: every grouped terminal
-        resolves its key's width through here.
+        ``intervals_to_quarters`` is monotone, so the latest quarter is
+        the quarter of the latest ``MentionInterval`` / ``DayInterval``:
+        two column maxima, no quarter column built.  Cached: every
+        grouped terminal resolves its key's width through here.
         """
 
         def compute() -> int:
-            mq = self.mention_quarter()
-            eq = self.event_quarter()
             hi = 0
-            if len(mq):
-                hi = max(hi, int(mq.max()))
-            if len(eq):
-                hi = max(hi, int(eq.max()))
+            for col in (self.mentions["MentionInterval"], self.events["DayInterval"]):
+                if len(col):
+                    hi = max(hi, int(intervals_to_quarters(col.max())))
             return hi + 1
 
         return self._cached("n_quarters", compute)  # type: ignore[return-value]

@@ -14,6 +14,7 @@ does not display URLs.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -21,7 +22,9 @@ from repro.gdelt.codes import COUNTRIES
 from repro.gdelt.time_util import INTERVALS_PER_DAY
 from repro.storage.columns import StringDictionary
 from repro.storage.gdelt import write_gdelt_dataset
-from repro.synth.generator import SyntheticDataset, article_url
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; keeps ingest off synth
+    from repro.synth.generator import SyntheticDataset
 
 __all__ = ["dataset_to_arrays", "dataset_to_binary"]
 
@@ -86,6 +89,8 @@ def dataset_to_arrays(
     }
 
     if include_urls:
+        from repro.synth.generator import article_url
+
         domains = cat.domains
         eids = ev.event_id
         slugs = [

@@ -20,7 +20,15 @@ Over a socket (``repro-gdelt serve data/``)::
 
     with ServeClient("127.0.0.1", 7311) as client:
         resp = client.query(table="mentions", op="count")
+
+The HTTP ops plane (:class:`OpsServer`, :data:`METRICS_CONTENT_TYPE`)
+resolves lazily, on first attribute access: :mod:`repro.serve.ops`
+pulls in ``http.server`` and, through it, ``ssl`` — megabytes of
+resident code that a server started without ``--ops-port`` and every
+client never use.
 """
+
+import importlib
 
 from repro.engine.terminal import GROUP_OPS, OPS
 from repro.serve.admission import AdmissionController, TokenBucket
@@ -38,7 +46,6 @@ from repro.serve.lifecycle import (
     StoreLease,
     StoreLifecycle,
 )
-from repro.serve.ops import METRICS_CONTENT_TYPE, OpsServer
 from repro.serve.protocol import (
     CAPABILITIES,
     MIN_PROTOCOL_VERSION,
@@ -62,6 +69,15 @@ from repro.serve.request import (
 )
 from repro.serve.server import ServeServer
 from repro.serve.service import PendingRequest, QueryService
+
+_OPS_NAMES = frozenset(("METRICS_CONTENT_TYPE", "OpsServer"))
+
+
+def __getattr__(name):
+    if name in _OPS_NAMES:
+        return getattr(importlib.import_module("repro.serve.ops"), name)
+    raise AttributeError(f"module 'repro.serve' has no attribute {name!r}")
+
 
 __all__ = [
     "AdmissionController",

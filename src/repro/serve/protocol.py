@@ -163,7 +163,8 @@ def store_meta(store) -> dict:
     Everything a scatter-gather front end needs to route without
     touching the data: row counts, column bounds (for shard-level
     pruning), group-key cardinalities (so merged group vectors can be
-    padded to the global width), and the manifest's shard stamp when
+    padded to the global width; read as widths, without building the
+    derived key columns), and the manifest's shard stamp when
     the dataset was produced by ``repro-gdelt split``.
     """
     token, generation = store.fingerprint()
@@ -181,10 +182,7 @@ def store_meta(store) -> dict:
     for table, registry in store._GROUP_KEYS.items():
         groups: dict = {}
         for alias in registry:
-            try:
-                canonical, _keys, n = store.group_key(table, alias)
-            except Exception:  # derived key unavailable on this store
-                continue
+            canonical, n = store.group_width(table, alias)
             groups[alias] = {"canonical": canonical, "n_groups": int(n)}
         meta["groups"][table] = groups
     shard_stamp = store.dataset_meta.get("shard")

@@ -177,7 +177,12 @@ class DatasetReader:
 
     def index(self, name: str) -> np.ndarray:
         """Load an index array (CRC-checked; corrupt indexes raise and the
-        store rebuilds them from the tables)."""
+        store rebuilds them from the tables).
+
+        In either mode the result is a read-only view over the bytes
+        read for the checksum: the file is already resident, so a copy
+        would only hold the index twice.
+        """
         meta = self.manifest.index(name)
         path = index_path(self.root, name)
         data = path.read_bytes()
@@ -190,10 +195,7 @@ class DatasetReader:
             )
         if meta.crc32 is not None and zlib.crc32(data) != meta.crc32:
             raise _note_corrupt(path, "index", "CRC32 mismatch")
-        arr = np.frombuffer(data, dtype=np.dtype(meta.dtype))
-        if self.mode == "memory":
-            return arr.copy()
-        return arr
+        return np.frombuffer(data, dtype=np.dtype(meta.dtype))
 
     def has_index(self, name: str) -> bool:
         return any(i.name == name for i in self.manifest.indexes)

@@ -3,13 +3,35 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+from repro.engine import GdeltStore
 from repro.engine.join import (
     gather_event_column,
     mention_mask_for_event_mask,
     mentions_for_events,
 )
 from repro.gdelt.codes import COUNTRIES, source_country
+from repro.gdelt.time_util import intervals_to_quarters
+from repro.qa.reference import reference_value
+from repro.serve.protocol import store_meta
+from repro.storage.gdelt import write_gdelt_dataset
+
+
+def _store(arrays, events=slice(None), mentions=slice(None)):
+    """A fresh array-backed store over row slices of ``(events,
+    mentions, dicts)`` — its own derived-column cache, nothing shared,
+    and no URL dictionaries parked in that cache."""
+    ev, mt, dicts = arrays
+    return GdeltStore.from_arrays(
+        {k: v[events] for k, v in ev.items()},
+        {k: v[mentions] for k, v in mt.items()},
+        {k: dicts[k] for k in ("countries", "sources")},
+    )
+
+
+def _aliases(store):
+    return [(t, a) for t, reg in store._GROUP_KEYS.items() for a in reg]
 
 
 class TestDerivedColumns:
@@ -144,3 +166,114 @@ class TestRefcounting:
         assert store._cache
         store.release()
         assert not store._cache
+
+
+class TestMentionsWithoutEvents:
+    """A live snapshot whose first landing brought a mentions archive
+    before its export archive: every mention dangles."""
+
+    @pytest.fixture()
+    def store(self, tiny_arrays):
+        return _store(tiny_arrays, events=slice(0, 0), mentions=slice(0, 2000))
+
+    def test_join_column_all_dangling(self, store):
+        rows = store.mention_event_row()
+        assert len(rows) == store.n_mentions == 2000
+        assert (rows == -1).all()
+
+    def test_every_mentions_group_key_counts(self, store):
+        for alias in store._GROUP_KEYS["mentions"]:
+            got = store.query("mentions").group_by(alias).count().value
+            want = reference_value(
+                store, {"table": "mentions", "op": "count", "group_by": alias}
+            )
+            assert np.array_equal(got, want), alias
+        got = store.query("mentions").group_by("EventCountry").count().value
+        assert np.array_equal(got, np.zeros(store.n_countries, dtype=np.int64))
+
+    def test_meta_lists_every_alias(self, store):
+        meta = store_meta(store)
+        for table, registry in store._GROUP_KEYS.items():
+            assert sorted(meta["groups"][table]) == sorted(registry)
+        assert meta["groups"]["mentions"]["EventCountry"] == {
+            "canonical": "mentions.EventCountry",
+            "n_groups": store.n_countries,
+        }
+
+
+class TestGroupWidths:
+    """``group_width`` is ``group_key`` minus the key column."""
+
+    INT_COLUMNS = {"mentions": "Confidence", "events": "RootCode"}
+
+    def _check(self, store):
+        keys = _aliases(store) + list(self.INT_COLUMNS.items())
+        for table, name in keys:
+            assert store.group_width(table, name) == store.group_key(table, name)[::2]
+
+    def test_array_backed(self, tiny_arrays):
+        self._check(_store(tiny_arrays))
+
+    def test_dataset_backed(self, tiny_arrays, tmp_path):
+        events, mentions, dicts = tiny_arrays
+        write_gdelt_dataset(tmp_path / "db", events, mentions, dicts)
+        self._check(GdeltStore.open(tmp_path / "db"))
+
+    def test_zero_events(self, tiny_arrays):
+        self._check(_store(tiny_arrays, events=slice(0, 0)))
+
+    def test_zero_mentions(self, tiny_arrays):
+        self._check(_store(tiny_arrays, mentions=slice(0, 0)))
+
+    def test_unknown_key_raises(self, tiny_store):
+        with pytest.raises(KeyError, match="unknown group key"):
+            tiny_store.group_width("mentions", "NoSuchKey")
+        with pytest.raises(KeyError, match="unknown group key"):
+            tiny_store.group_width("mentions", "DocTone")  # float column
+
+    def test_meta_builds_no_key_column(self, tiny_arrays):
+        store = _store(tiny_arrays)
+        store_meta(store)
+        assert set(store._cache) == {
+            "zone_maps:events", "zone_maps:mentions", "n_quarters",
+        }
+
+
+class TestNQuarters:
+    @staticmethod
+    def _brute(store):
+        hi = 0
+        for col in (store.mentions["MentionInterval"], store.events["DayInterval"]):
+            if len(col):
+                hi = max(hi, int(intervals_to_quarters(col).max()))
+        return hi + 1
+
+    def test_matches_quarter_columns(self, tiny_arrays):
+        store = _store(tiny_arrays)
+        assert store.n_quarters() == self._brute(store) == max(
+            int(store.mention_quarter().max()), int(store.event_quarter().max())
+        ) + 1
+
+    def test_events_dated_after_last_mention(self, tiny_arrays):
+        _ev, mt, _d = tiny_arrays
+        # Mentions are capture-sorted: keep the first third of them.
+        store = _store(tiny_arrays, mentions=slice(0, len(mt["MentionInterval"]) // 3))
+        last_mention_q = int(intervals_to_quarters(store.mentions["MentionInterval"]).max())
+        last_event_q = int(intervals_to_quarters(store.events["DayInterval"]).max())
+        assert last_event_q > last_mention_q
+        assert store.n_quarters() == self._brute(store) == last_event_q + 1
+
+    @pytest.mark.parametrize(
+        "events, mentions",
+        [(slice(0, 0), slice(None)), (slice(None), slice(0, 0)),
+         (slice(0, 0), slice(0, 0))],
+        ids=["no-events", "no-mentions", "empty"],
+    )
+    def test_empty_tables(self, tiny_arrays, events, mentions):
+        store = _store(tiny_arrays, events=events, mentions=mentions)
+        assert store.n_quarters() == self._brute(store)
+
+    def test_builds_no_quarter_column(self, tiny_arrays):
+        store = _store(tiny_arrays)
+        store.n_quarters()
+        assert set(store._cache) == {"n_quarters"}

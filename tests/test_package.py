@@ -3,11 +3,28 @@
 from __future__ import annotations
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro
+
+
+def _fresh_python(code: str) -> str:
+    """Run ``code`` in a new interpreter (nothing imported yet) and
+    return its stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def _all_modules():
@@ -30,7 +47,10 @@ class TestImports:
 
     @pytest.mark.parametrize(
         "subpackage",
-        ["gdelt", "synth", "ingest", "storage", "engine", "parallel", "analysis"],
+        [
+            "gdelt", "synth", "ingest", "storage", "engine", "parallel",
+            "analysis", "serve", "shard", "views", "obs",
+        ],
     )
     def test_all_exports_resolve(self, subpackage):
         """Every name in a subpackage's __all__ must actually exist."""
@@ -42,3 +62,31 @@ class TestImports:
         from repro.cli import main
 
         assert callable(main)
+
+    def test_server_modules_leave_heavy_imports_out(self):
+        """A server process loads neither SciPy, the HTTP/TLS stack of
+        the ops plane, nor the analysis and generator packages."""
+        out = _fresh_python(
+            "import sys\n"
+            "import repro, repro.cli, repro.engine, repro.serve, repro.shard\n"
+            "import repro.views, repro.ingest\n"
+            "heavy = ('scipy', 'ssl', 'http.server', 'repro.analysis',"
+            " 'repro.synth')\n"
+            "print(' '.join(m for m in heavy if m in sys.modules))\n"
+        )
+        assert out.split() == []
+
+    def test_lazy_subpackages_resolve(self):
+        out = _fresh_python(
+            "import repro\n"
+            "print(callable(repro.analysis.dataset_statistics),"
+            " callable(repro.synth.tiny_config))\n"
+        )
+        assert out.split() == ["True", "True"]
+
+    def test_star_import_and_unknown_attribute(self):
+        namespace: dict = {}
+        exec("from repro import *", namespace)
+        assert set(repro.__all__) <= set(namespace)
+        with pytest.raises(AttributeError):
+            repro.no_such_subpackage  # noqa: B018

@@ -33,6 +33,7 @@ from repro.gdelt.time_util import intervals_to_quarters
 from repro.obs import metrics as _metrics
 from repro.storage.columns import StringDictionary
 from repro.storage.format import StorageError
+from repro.storage.gdelt import DICTIONARIES
 from repro.storage.index import mention_join_index
 from repro.storage.reader import DatasetReader
 from repro.storage.stats import DEFAULT_ZONE_CHUNK_ROWS, ZoneMaps, compute_zone_maps
@@ -469,9 +470,10 @@ class GdeltStore:
     def dictionaries(self) -> dict[str, StringDictionary]:
         """Every string dictionary the store has, by name — what
         :meth:`from_arrays` takes and the dataset writer writes."""
-        out = {"countries": self.countries, "sources": self.sources}
-        for name in ("event_urls", "mention_urls"):
-            d = self._lazy_dict(name)
+        resident = {"countries": self.countries, "sources": self.sources}
+        out = {}
+        for name in DICTIONARIES:
+            d = resident[name] if name in resident else self._lazy_dict(name)
             if d is not None:
                 out[name] = d
         return out

@@ -18,7 +18,6 @@ selection as a pure function for cross-process ground truth.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
 import time
@@ -107,6 +106,8 @@ class FaultReceipt:
 
 def _selection_fraction(seed: int, spec: FaultSpec, site: str, key: str) -> float:
     """Stable per-key uniform draw in [0, 1)."""
+    import hashlib  # lazy: loads OpenSSL, which only an active plan needs
+
     token = f"{seed}|{spec.site}|{spec.kind}|{spec.key}|{site}|{key}".encode()
     h = hashlib.blake2b(token, digest_size=8).digest()
     return int.from_bytes(h, "big") / 2.0**64
@@ -117,6 +118,8 @@ def _flip_bit(path: Path, seed: int, key: str) -> str:
     size = path.stat().st_size
     if size == 0:
         return f"{path}: empty, not flipped"
+    import hashlib
+
     token = f"{seed}|bitflip|{key}".encode()
     h = hashlib.blake2b(token, digest_size=16).digest()
     offset = int.from_bytes(h[:8], "big") % size

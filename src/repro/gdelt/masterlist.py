@@ -11,7 +11,6 @@ forgiving: malformed lines are returned separately, not raised.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -71,6 +70,8 @@ def chunk_basename(interval: int, kind: str) -> str:
 
 def entry_for_file(path: Path, url_prefix: str = "") -> MasterListEntry:
     """Build a list entry (size + md5) for an archive on disk."""
+    import hashlib  # lazy: loads OpenSSL, which only ingest needs
+
     data = path.read_bytes()
     return MasterListEntry(
         size=len(data),

@@ -17,7 +17,6 @@ as ``quarantined_archives`` so a conversion degrades instead of dying.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import time
 from dataclasses import dataclass, field
@@ -38,6 +37,8 @@ _MD5_BLOCK = 1 << 20
 
 def stream_md5(path: Path, block_size: int = _MD5_BLOCK) -> str:
     """md5 of a file, read in fixed-size blocks."""
+    import hashlib  # lazy: loads OpenSSL, which only ingest needs
+
     digest = hashlib.md5()
     with open(path, "rb") as fh:
         while True:

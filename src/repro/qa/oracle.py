@@ -110,14 +110,17 @@ class StoreHarness:
         from repro.serve.remote import connect
         from repro.serve.server import ServeServer
         from repro.serve.service import QueryService
-        from repro.shard.partition import split_store
+        from repro.shard.partition import split_dataset
         from repro.shard.router import ShardRouter
+        from repro.storage.gdelt import write_gdelt_dataset
         from repro.views.catalog import ViewCatalog
 
-        shard_dirs = split_store(
-            self.store,
-            Path(tmp_dir) / "shards",
-            shards,
+        source = Path(tmp_dir) / "source"
+        write_gdelt_dataset(
+            source, self.store.events, self.store.mentions, self.store.dictionaries()
+        )
+        shard_dirs = split_dataset(
+            source, Path(tmp_dir) / "shards", shards,
             zone_chunk_rows=spec.zone_chunk_rows,
         )
         try:

@@ -7,7 +7,8 @@ process.  This package scales it *out*:
   datasets: the capture-sorted mentions table is cut into contiguous
   row ranges, while the events table and the string dictionaries are
   replicated (they are small and every shard needs them for joins and
-  group keys).
+  group keys).  The split streams: it holds one column slice at a time
+  and copies the dictionary files in blocks.
 * :mod:`repro.shard.map` — the shard map a router builds from each
   backend's ``meta`` self-description: row counts, zone-map column
   bounds, group cardinalities.  The planner's interval analysis
@@ -27,7 +28,7 @@ process.  This package scales it *out*:
 from repro.shard.cluster import ShardProcess, launch_shards
 from repro.shard.map import ShardMap
 from repro.shard.merge import merge_parts, zero_value
-from repro.shard.partition import split_dataset, split_store
+from repro.shard.partition import split_dataset
 from repro.shard.router import ShardRouter
 
 __all__ = [
@@ -37,6 +38,5 @@ __all__ = [
     "launch_shards",
     "merge_parts",
     "split_dataset",
-    "split_store",
     "zero_value",
 ]

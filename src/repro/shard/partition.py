@@ -22,16 +22,25 @@ unchanged — plus a ``shard`` stamp in its manifest meta
 (``{"index", "count", "row_lo", "row_hi"}``) that
 :func:`~repro.serve.protocol.store_meta` surfaces so a router can name
 shards stably.
+
+The split is a streaming file operation: the source is never opened as
+a store.  Each column (or a mention column's ``[lo, hi)`` slice) is read
+by offset when the dataset writer asks for it and dropped once written;
+the replicated dictionary files are copied in blocks.  Memory follows
+one column slice, however large the corpus and its URL dictionaries.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterator, Mapping
 
-from repro.engine.store import GdeltStore
-from repro.storage.gdelt import write_gdelt_dataset
+import numpy as np
 
-__all__ = ["shard_ranges", "split_dataset", "split_store"]
+from repro.storage.gdelt import DICTIONARIES, write_gdelt_dataset
+from repro.storage.reader import DatasetReader
+
+__all__ = ["shard_ranges", "split_dataset"]
 
 
 def shard_ranges(rows: int, shards: int) -> list[tuple[int, int]]:
@@ -46,6 +55,28 @@ def shard_ranges(rows: int, shards: int) -> list[tuple[int, int]]:
     return [(cuts[i], cuts[i + 1]) for i in range(shards)]
 
 
+class _SourceTable(Mapping):
+    """One table of a source dataset as a column mapping that reads a
+    column (its ``rows`` slice, when given) only when asked."""
+
+    def __init__(
+        self, reader: DatasetReader, table: str, rows: tuple[int, int] | None = None
+    ) -> None:
+        self._reader, self._table, self._rows = reader, table, rows
+        self._names = reader.columns(table)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name not in self._names:
+            raise KeyError(name)
+        return self._reader.column(self._table, name, rows=self._rows)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+
 def split_dataset(
     dataset_dir: Path,
     out_dir: Path,
@@ -56,39 +87,27 @@ def split_dataset(
 
     Returns the shard directory paths (``out_dir/shard0`` ...), each a
     complete dataset.  ``zone_chunk_rows`` overrides the shard writers'
-    zone-map granularity (None keeps the default).
+    zone-map granularity (None keeps the default).  Each shard's
+    manifest meta is the source's with ``origin: split`` and the
+    ``shard`` stamp; its columns are written raw whatever the source's
+    codecs, and its join index is rebuilt against the shard's mention
+    slice while the (replicated) events side keeps its global row
+    numbering.  The source's own index files are never read.
     """
-    return split_store(
-        GdeltStore.open(Path(dataset_dir)), out_dir, shards, zone_chunk_rows
-    )
-
-
-def split_store(
-    store: GdeltStore,
-    out_dir: Path,
-    shards: int,
-    zone_chunk_rows: int | None = None,
-) -> list[Path]:
-    """Split an open :class:`~repro.engine.store.GdeltStore` (array- or
-    dataset-backed) into ``shards`` shard directories.
-
-    Each shard's manifest meta is the source dataset's (when there is
-    one) with ``origin: split`` and the ``shard`` stamp; its join index
-    is rebuilt by the dataset writer against the shard's mention slice,
-    while the (replicated) events side keeps its global row numbering.
-    """
-    dictionaries = store.dictionaries()
+    source = DatasetReader(Path(dataset_dir), mode="memory")
+    present = {d.name for d in source.manifest.dictionaries}
+    dictionaries = {name: source for name in DICTIONARIES if name in present}
     paths: list[Path] = []
-    for i, (lo, hi) in enumerate(shard_ranges(store.n_mentions, shards)):
+    for i, (lo, hi) in enumerate(shard_ranges(source.rows("mentions"), shards)):
         shard_dir = Path(out_dir) / f"shard{i}"
         write_gdelt_dataset(
             shard_dir,
-            store.events,
-            {col: arr[lo:hi] for col, arr in store.mentions.items()},
+            _SourceTable(source, "events"),
+            _SourceTable(source, "mentions", rows=(lo, hi)),
             dictionaries,
             zone_chunk_rows=zone_chunk_rows,
             meta=dict(
-                store.dataset_meta,
+                source.manifest.meta,
                 origin="split",
                 shard={
                     "index": i,

@@ -23,16 +23,27 @@ Tables (see ``docs/FORMAT.md``):
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
 from repro.storage.columns import StringDictionary
 from repro.storage.format import Manifest
 from repro.storage.index import mention_join_index
+from repro.storage.reader import DatasetReader
 from repro.storage.stats import DEFAULT_ZONE_CHUNK_ROWS
 from repro.storage.writer import DatasetWriter
 
-__all__ = ["DICTIONARY_COLUMNS", "COMPRESSED_CODECS", "write_gdelt_dataset"]
+__all__ = [
+    "DICTIONARIES",
+    "DICTIONARY_COLUMNS",
+    "COMPRESSED_CODECS",
+    "write_gdelt_dataset",
+]
+
+#: The dictionaries a GDELT dataset may hold, in the order a store lists
+#: them (:meth:`~repro.engine.store.GdeltStore.dictionaries`).
+DICTIONARIES = ("countries", "sources", "event_urls", "mention_urls")
 
 #: Dictionary-coded columns per table → the dictionary they index.  A
 #: binding is recorded only when that dictionary is written too (URL
@@ -59,9 +70,9 @@ COMPRESSED_CODECS = {
 
 def write_gdelt_dataset(
     out_dir: Path,
-    events: dict[str, np.ndarray],
-    mentions: dict[str, np.ndarray],
-    dictionaries: dict[str, StringDictionary],
+    events: Mapping[str, np.ndarray],
+    mentions: Mapping[str, np.ndarray],
+    dictionaries: Mapping[str, StringDictionary | DatasetReader],
     compress: bool = False,
     zone_chunk_rows: int | None = None,
     meta: dict | None = None,
@@ -70,7 +81,12 @@ def write_gdelt_dataset(
 
     The event→mentions join index is rebuilt from the tables' key
     columns, so ``mentions`` may be any row subset (a shard's slice).
-    The arrays are written as given, never copied.
+    The arrays are written as given, never copied, and taken one column
+    at a time: ``events``/``mentions`` may be mappings that load each
+    column (or slice) only when asked, and a dictionary may be given as
+    the source dataset whose files are copied (see
+    :meth:`DatasetWriter.add_dictionary`) — together that is how a shard
+    split streams a dataset instead of holding it.
 
     Args:
         compress: write the bulky columns with :data:`COMPRESSED_CODECS`
@@ -80,9 +96,6 @@ def write_gdelt_dataset(
             written here carries zone maps.
         meta: free-form manifest meta (``origin``, counts, shard stamp).
     """
-    perm, ev_lo, ev_hi = mention_join_index(
-        events["GlobalEventID"], mentions["GlobalEventID"]
-    )
     writer = DatasetWriter(
         out_dir,
         zone_chunk_rows=(
@@ -96,12 +109,15 @@ def write_gdelt_dataset(
             dictionaries={
                 col: name
                 for col, name in DICTIONARY_COLUMNS[table].items()
-                if col in columns and name in dictionaries
+                if name in dictionaries
             },
             codecs=COMPRESSED_CODECS[table] if compress else None,
         )
     for name, dictionary in dictionaries.items():
         writer.add_dictionary(name, dictionary)
+    perm, ev_lo, ev_hi = mention_join_index(
+        events["GlobalEventID"], mentions["GlobalEventID"]
+    )
     writer.add_index("mentions_by_event", "mentions", "permutation", perm)
     writer.add_index("mentions_ev_lo", "events", "boundaries", ev_lo)
     writer.add_index("mentions_ev_hi", "events", "boundaries", ev_hi)

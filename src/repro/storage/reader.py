@@ -43,7 +43,7 @@ __all__ = ["DatasetReader"]
 logger = logging.getLogger(__name__)
 
 
-def _note_corrupt(path: Path, kind: str, detail: str) -> StorageError:
+def note_corrupt(path: Path, kind: str, detail: str) -> StorageError:
     """Count a corrupt file (unconditionally — corruption is never noise)
     and build the error to raise."""
     _metrics.counter("storage_corrupt_files_total", kind=kind).inc()
@@ -116,26 +116,42 @@ class DatasetReader:
     def columns(self, table: str) -> list[str]:
         return [c.name for c in self.manifest.table(table).columns]
 
-    def column(self, table: str, name: str) -> np.ndarray:
+    def column(
+        self, table: str, name: str, rows: tuple[int, int] | None = None
+    ) -> np.ndarray:
         """Load one column (memmap view or in-memory copy per ``mode``).
 
-        Compressed columns decode into resident arrays in either mode;
-        their stored bytes are CRC-checked before decoding.
+        ``rows=(lo, hi)`` loads only rows ``[lo, hi)``: a raw column is
+        read (or mapped) at that byte offset, so a slice costs its own
+        size, not the column's.  Compressed columns decode whole into
+        resident arrays in either mode — their stored bytes CRC-checked
+        first — and a slice of one is a view of that decoded column.
         """
         t = self.manifest.table(table)
         c = t.column(name)
+        lo, hi = (0, t.rows) if rows is None else rows
+        if not 0 <= lo <= hi <= t.rows:
+            raise ValueError(f"{table}.{name}: rows {rows} outside [0, {t.rows}]")
+        dtype = c.np_dtype()
         path = column_path(self.root, table, name)
         if c.codec != "raw":
             from repro.storage.codecs import decode_column
 
             payload = path.read_bytes()
             if c.crc32 is not None and zlib.crc32(payload) != c.crc32:
-                raise _note_corrupt(path, "column", "CRC32 mismatch")
-            out = decode_column(payload, c.codec, c.np_dtype(), t.rows)
-        elif self.mode == "mmap":
-            out = np.memmap(path, dtype=c.np_dtype(), mode="r", shape=(t.rows,))
+                raise note_corrupt(path, "column", "CRC32 mismatch")
+            out = decode_column(payload, c.codec, dtype, t.rows)
+            if rows is not None:
+                out = out[lo:hi]
+        elif self.mode == "mmap" and hi > lo:
+            out = np.memmap(
+                path, dtype=dtype, mode="r", offset=lo * dtype.itemsize,
+                shape=(hi - lo,),
+            )
         else:
-            out = np.fromfile(path, dtype=c.np_dtype())
+            out = np.fromfile(
+                path, dtype=dtype, count=hi - lo, offset=lo * dtype.itemsize
+            )
         if _obs._enabled:
             _metrics.counter(
                 "storage_columns_read_total", mode=self.mode, codec=c.codec
@@ -168,9 +184,9 @@ class DatasetReader:
                 f"manifest says {meta.size}"
             )
         if meta.offsets_crc32 is not None and zlib.crc32(obytes) != meta.offsets_crc32:
-            raise _note_corrupt(opath, "dictionary", "CRC32 mismatch")
+            raise note_corrupt(opath, "dictionary", "CRC32 mismatch")
         if meta.blob_crc32 is not None and zlib.crc32(bbytes) != meta.blob_crc32:
-            raise _note_corrupt(bpath, "dictionary", "CRC32 mismatch")
+            raise note_corrupt(bpath, "dictionary", "CRC32 mismatch")
         offsets = np.frombuffer(obytes, dtype="<i8")
         blob = np.frombuffer(bbytes, dtype=np.uint8)
         return StringDictionary(offsets, blob)
@@ -188,13 +204,13 @@ class DatasetReader:
         data = path.read_bytes()
         itemsize = np.dtype(meta.dtype).itemsize
         if len(data) != meta.length * itemsize:
-            raise _note_corrupt(
+            raise note_corrupt(
                 path, "index",
                 f"{len(data) // itemsize} entries, "
                 f"manifest says {meta.length}",
             )
         if meta.crc32 is not None and zlib.crc32(data) != meta.crc32:
-            raise _note_corrupt(path, "index", "CRC32 mismatch")
+            raise note_corrupt(path, "index", "CRC32 mismatch")
         return np.frombuffer(data, dtype=np.dtype(meta.dtype))
 
     def has_index(self, name: str) -> bool:

@@ -47,6 +47,10 @@ class ZoneMaps:
     maxs: dict[str, np.ndarray]
     nulls: dict[str, np.ndarray]
 
+    def __post_init__(self) -> None:
+        if self.chunk_rows <= 0:
+            raise ValueError("chunk_rows must be positive")
+
     @property
     def n_chunks(self) -> int:
         if self.n_rows == 0:
@@ -55,6 +59,27 @@ class ZoneMaps:
 
     def has(self, column: str) -> bool:
         return column in self.mins
+
+    def add_column(self, name: str, arr: np.ndarray) -> None:
+        """Compute one column's maps (``arr`` is ``n_rows`` long) — how a
+        writer holding one column at a time builds a table's maps."""
+        arr = np.asarray(arr)
+        if self.n_rows == 0:
+            self.mins[name] = np.empty(0, dtype=np.float64)
+            self.maxs[name] = np.empty(0, dtype=np.float64)
+            self.nulls[name] = np.empty(0, dtype=np.int64)
+            return
+        starts = np.arange(0, self.n_rows, self.chunk_rows)
+        values = arr.astype(np.float64, copy=False)
+        with np.errstate(invalid="ignore"):
+            self.mins[name] = np.fmin.reduceat(values, starts)
+            self.maxs[name] = np.fmax.reduceat(values, starts)
+        if np.issubdtype(arr.dtype, np.floating):
+            self.nulls[name] = np.add.reduceat(
+                np.isnan(values).astype(np.int64), starts
+            )
+        else:
+            self.nulls[name] = np.zeros(len(starts), dtype=np.int64)
 
     def chunk_slice(self, chunk: int) -> slice:
         lo = chunk * self.chunk_rows
@@ -104,33 +129,11 @@ def compute_zone_maps(
     One ``reduceat`` pass per column per statistic; ``fmin``/``fmax``
     skip NaNs so a partially-null float chunk keeps usable bounds.
     """
-    if chunk_rows <= 0:
-        raise ValueError("chunk_rows must be positive")
     n_rows = 0
     for a in columns.values():
         n_rows = len(a)
         break
-    mins: dict[str, np.ndarray] = {}
-    maxs: dict[str, np.ndarray] = {}
-    nulls: dict[str, np.ndarray] = {}
-    starts = np.arange(0, n_rows, chunk_rows)
+    zones = ZoneMaps(chunk_rows=chunk_rows, n_rows=n_rows, mins={}, maxs={}, nulls={})
     for name, arr in columns.items():
-        arr = np.asarray(arr)
-        if n_rows == 0:
-            mins[name] = np.empty(0, dtype=np.float64)
-            maxs[name] = np.empty(0, dtype=np.float64)
-            nulls[name] = np.empty(0, dtype=np.int64)
-            continue
-        values = arr.astype(np.float64, copy=False)
-        with np.errstate(invalid="ignore"):
-            mins[name] = np.fmin.reduceat(values, starts)
-            maxs[name] = np.fmax.reduceat(values, starts)
-        if np.issubdtype(arr.dtype, np.floating):
-            nulls[name] = np.add.reduceat(
-                np.isnan(values).astype(np.int64), starts
-            )
-        else:
-            nulls[name] = np.zeros(len(starts), dtype=np.int64)
-    return ZoneMaps(
-        chunk_rows=chunk_rows, n_rows=n_rows, mins=mins, maxs=maxs, nulls=nulls
-    )
+        zones.add_column(name, arr)
+    return zones

@@ -17,6 +17,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -30,21 +31,38 @@ from repro.storage.format import (
     manifest_path,
 )
 
-__all__ = ["VerifyIssue", "VerifyReport", "verify_dataset", "file_crc32"]
+__all__ = [
+    "VerifyIssue",
+    "VerifyReport",
+    "verify_dataset",
+    "file_blocks",
+    "file_crc32",
+]
 
 #: Streaming read granularity for checksumming.
 _BLOCK = 1 << 20
 
 
+def file_blocks(path: Path, block_size: int = _BLOCK) -> Iterator[memoryview]:
+    """A file's bytes in fixed-size blocks (the last one may be short).
+
+    Every block is a view of one reused buffer, so streaming a file of
+    any size holds ``block_size`` bytes; a block is valid only until the
+    next one is taken.
+    """
+    buf = bytearray(block_size)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            yield view[:n]
+
+
 def file_crc32(path: Path, block_size: int = _BLOCK) -> int:
     """CRC32 of a file's bytes, streamed in fixed-size blocks."""
     crc = 0
-    with open(path, "rb") as fh:
-        while True:
-            block = fh.read(block_size)
-            if not block:
-                return crc
-            crc = zlib.crc32(block, crc)
+    for block in file_blocks(path, block_size):
+        crc = zlib.crc32(block, crc)
+    return crc
 
 
 @dataclass(slots=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import zlib
 from pathlib import Path
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -32,7 +33,9 @@ from repro.storage.format import (
     index_path,
     write_manifest,
 )
-from repro.storage.stats import DEFAULT_ZONE_CHUNK_ROWS, compute_zone_maps
+from repro.storage.reader import DatasetReader, note_corrupt
+from repro.storage.stats import DEFAULT_ZONE_CHUNK_ROWS, ZoneMaps
+from repro.storage.verify import file_blocks
 
 __all__ = ["DatasetWriter"]
 
@@ -51,6 +54,11 @@ class DatasetWriter:
     ``zone_chunk_rows`` sets the zone-map granularity recorded for each
     table (format v4); pass ``None`` to skip zone-map computation (the
     engine then backfills them lazily on first planner use).
+
+    The writer holds one column at a time (:meth:`add_table`) and copies
+    a source dataset's dictionary files in blocks (:meth:`add_dictionary`),
+    so its memory follows the largest column it is handed, not the
+    dataset.
     """
 
     def __init__(
@@ -62,13 +70,17 @@ class DatasetWriter:
         self._manifest = Manifest(version=FORMAT_VERSION)
         self._finished = False
 
-    def _commit_bytes(self, path: Path, payload: bytes) -> int:
-        """Atomically write ``payload`` to ``path``; returns its CRC32."""
+    def _commit(self, path: Path, write: Callable[[Path], int]) -> int:
+        """Atomically create ``path``: ``write(tmp)`` fills a ``*.tmp``
+        sibling and returns its CRC32, which is renamed into place."""
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_bytes(payload)
+        try:
+            crc = write(tmp)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         os.replace(tmp, path)
-        crc = zlib.crc32(payload)
         fault_point(
             "storage.write",
             key=str(path.relative_to(self.root)),
@@ -78,26 +90,44 @@ class DatasetWriter:
 
     def _commit_array(self, path: Path, arr: np.ndarray) -> int:
         """Atomically write a contiguous array's raw bytes; returns CRC32."""
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        arr.tofile(tmp)
-        os.replace(tmp, path)
-        crc = zlib.crc32(np.ascontiguousarray(arr).data)
-        fault_point(
-            "storage.write",
-            key=str(path.relative_to(self.root)),
-            path=path,
-        )
-        return crc
+
+        def write(tmp: Path) -> int:
+            arr.tofile(tmp)
+            return zlib.crc32(np.ascontiguousarray(arr).data)
+
+        return self._commit(path, write)
+
+    def _commit_copy(self, path: Path, src: Path, crc32: int | None) -> int:
+        """Atomically copy file ``src`` to ``path`` in fixed-size blocks,
+        checking the source's bytes against ``crc32`` on the way (a
+        mismatch is counted as a corrupt dictionary and nothing is
+        committed); returns the CRC32."""
+
+        def write(tmp: Path) -> int:
+            crc = 0
+            with open(tmp, "wb") as out:
+                for block in file_blocks(src):
+                    crc = zlib.crc32(block, crc)
+                    out.write(block)
+            if crc32 is not None and crc != crc32:
+                raise note_corrupt(src, "dictionary", "CRC32 mismatch")
+            return crc
+
+        return self._commit(path, write)
 
     def add_table(
         self,
         name: str,
-        columns: dict[str, np.ndarray],
+        columns: Mapping[str, np.ndarray],
         dictionaries: dict[str, str] | None = None,
         codecs: dict[str, str] | None = None,
     ) -> None:
-        """Write all columns of a table.
+        """Write all columns of a table, one at a time.
+
+        Each column is taken from ``columns.items()``, written, folded
+        into the table's zone maps and dropped before the next is taken,
+        so a mapping that loads columns on access (a source dataset's,
+        say) streams through holding one column at a time.
 
         Args:
             name: table name.
@@ -110,18 +140,27 @@ class DatasetWriter:
         self._check_open()
         if not columns:
             raise StorageError(f"table {name!r} has no columns")
-        lengths = {c: len(a) for c, a in columns.items()}
-        rows = next(iter(lengths.values()))
-        if any(n != rows for n in lengths.values()):
-            raise StorageError(f"table {name!r}: ragged columns {lengths}")
         dictionaries = dictionaries or {}
         codecs = codecs or {}
 
-        table = TableMeta(name=name, rows=rows)
+        table = TableMeta(name=name, rows=0)
+        zones: ZoneMaps | None = None
         for col, arr in columns.items():
             arr = np.ascontiguousarray(arr)
             if arr.ndim != 1:
                 raise StorageError(f"{name}.{col}: columns must be 1-D")
+            if not table.columns:  # the first column sets the row count
+                table.rows = len(arr)
+                if self.zone_chunk_rows is not None:
+                    zones = ZoneMaps(
+                        chunk_rows=self.zone_chunk_rows, n_rows=len(arr),
+                        mins={}, maxs={}, nulls={},
+                    )
+            elif len(arr) != table.rows:
+                raise StorageError(
+                    f"table {name!r}: ragged columns ({col!r} has {len(arr)} "
+                    f"rows, the first column {table.rows})"
+                )
             dtype_name = arr.dtype.name
             codec = codecs.get(col, "raw")
             path = column_path(self.root, name, col)
@@ -143,26 +182,54 @@ class DatasetWriter:
                     codec=codec,
                     stored_bytes=len(payload),
                 )
-                meta.crc32 = self._commit_bytes(path, payload)
+                meta.crc32 = self._commit_array(
+                    path, np.frombuffer(payload, np.uint8)
+                )
             table.columns.append(meta)
-        if self.zone_chunk_rows is not None:
-            table.zone_maps = compute_zone_maps(
-                columns, self.zone_chunk_rows
-            ).to_manifest()
+            if zones is not None:
+                zones.add_column(col, arr)
+            del arr  # before ``columns`` hands over the next one
+        if zones is not None:
+            table.zone_maps = zones.to_manifest()
         self._manifest.tables.append(table)
 
-    def add_dictionary(self, name: str, dictionary: StringDictionary) -> None:
-        """Write a shared string dictionary (offsets + blob files)."""
+    def add_dictionary(
+        self, name: str, dictionary: StringDictionary | DatasetReader
+    ) -> None:
+        """Write a shared string dictionary (offsets + blob files).
+
+        ``dictionary`` is either the dictionary in hand or a source
+        dataset holding one under the same name; the source's two files
+        are then copied block by block, never loaded, and a source file
+        whose CRC32 does not match its manifest raises
+        :class:`StorageError`.
+        """
         self._check_open()
-        offsets, blob = dictionary.arrays
-        o_crc = self._commit_array(
-            dict_offsets_path(self.root, name), offsets.astype("<i8")
-        )
-        b_crc = self._commit_array(dict_blob_path(self.root, name), blob)
+        if isinstance(dictionary, StringDictionary):
+            offsets, blob = dictionary.arrays
+            size = len(dictionary)
+            o_crc = self._commit_array(
+                dict_offsets_path(self.root, name), offsets.astype("<i8", copy=False)
+            )
+            b_crc = self._commit_array(dict_blob_path(self.root, name), blob)
+        else:
+            src = dictionary.manifest.dictionary(name)
+            size = src.size
+            o_src = dict_offsets_path(dictionary.root, name)
+            if o_src.stat().st_size != (size + 1) * 8:
+                raise StorageError(f"{o_src}: not {size} entries")
+            o_crc = self._commit_copy(
+                dict_offsets_path(self.root, name), o_src, src.offsets_crc32
+            )
+            b_crc = self._commit_copy(
+                dict_blob_path(self.root, name),
+                dict_blob_path(dictionary.root, name),
+                src.blob_crc32,
+            )
         self._manifest.dictionaries.append(
             DictionaryMeta(
                 name=name,
-                size=len(dictionary),
+                size=size,
                 offsets_crc32=o_crc,
                 blob_crc32=b_crc,
             )

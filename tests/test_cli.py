@@ -133,6 +133,25 @@ class TestConvertCommand:
         assert "Articles" in capsys.readouterr().out
 
 
+class TestSplitCommand:
+    def test_split_of_a_compressed_conversion_verifies(self, tmp_path, capsys):
+        raw, db, out = tmp_path / "raw", tmp_path / "db", tmp_path / "shards"
+        assert (
+            main(["synth", "--preset", "tiny", "--raw-dir", str(raw),
+                  "--chunk-days", "60"])
+            == 0
+        )
+        assert main(["convert", str(raw), str(db), "--compress"]) == 0
+        capsys.readouterr()
+        assert main(["split", str(db), str(out), "--shards", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            str(out / f"shard{i}") for i in range(3)
+        ]
+        for i in range(3):
+            assert main(["verify", str(out / f"shard{i}")]) == 0
+
+
 class TestProfileCommand:
     def test_profile_emits_scan_aggregate_reduce_spans(self, tiny_binary, capsys):
         import json

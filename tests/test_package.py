@@ -65,13 +65,16 @@ class TestImports:
 
     def test_server_modules_leave_heavy_imports_out(self):
         """A server process loads neither SciPy, the HTTP/TLS stack of
-        the ops plane, nor the analysis and generator packages."""
+        the ops plane, OpenSSL's hashes (``hashlib``, or
+        ``multiprocessing.shared_memory`` via ``secrets``), nor the
+        analysis and generator packages."""
         out = _fresh_python(
             "import sys\n"
             "import repro, repro.cli, repro.engine, repro.serve, repro.shard\n"
             "import repro.views, repro.ingest\n"
             "heavy = ('scipy', 'ssl', 'http.server', 'repro.analysis',"
-            " 'repro.synth')\n"
+            " 'repro.synth', 'hashlib', '_hashlib',"
+            " 'multiprocessing.shared_memory')\n"
             "print(' '.join(m for m in heavy if m in sys.modules))\n"
         )
         assert out.split() == []

@@ -4,7 +4,9 @@ The sharding contract under test:
 
 * ``split_dataset`` partitions mentions into contiguous capture-time
   row ranges and replicates events + dictionaries, so any shard order
-  traversal reproduces global row order;
+  traversal reproduces global row order — streaming the source one
+  column slice at a time, yet writing exactly the files a whole-store
+  round trip writes;
 * ``merge_parts`` over per-shard partials is byte-identical to running
   the same query on the unsplit store — for every terminal;
 * the router prunes whole shards with the planner's own interval
@@ -16,15 +18,20 @@ The sharding contract under test:
 from __future__ import annotations
 
 import json
+import re
+import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import repro
+from repro import faults
 from repro.engine import GdeltStore, col
 from repro.engine.query import QueryResult
 from repro.engine.terminal import jsonable
 from repro.ingest.direct import dataset_to_binary
+from repro.obs import metrics as _metrics
 from repro.serve import (
     CAPABILITIES,
     PROTOCOL_VERSION,
@@ -46,10 +53,26 @@ from repro.shard import (
     zero_value,
 )
 from repro.shard.map import ShardInfo
-from repro.shard.partition import shard_ranges, split_store
+from repro.shard.partition import shard_ranges
+from repro.storage.columns import StringDictionary
+from repro.storage.format import StorageError, dict_blob_path, index_path
+from repro.storage.gdelt import write_gdelt_dataset
+from repro.storage.verify import file_crc32, verify_dataset
 from tests.conftest import manifest_crcs
 
 N_SHARDS = 3
+
+#: Split byte-identity cases: ``dataset_to_binary`` options of the source
+#: (zone maps of 4096 rows unless given), shard count, and the split's
+#: own ``zone_chunk_rows``.
+SPLIT_CASES = {
+    "tiny-1": ({}, 1, 4096),
+    "tiny-3": ({}, 3, 4096),
+    "tiny-7": ({}, 7, 4096),
+    "compressed": ({"compress": True}, 3, 4096),
+    "no-urls": ({"include_urls": False}, 3, 4096),
+    "rechunked": ({}, 3, 1000),
+}
 
 
 def canon(value) -> str:
@@ -64,6 +87,55 @@ def shard_env(tiny_ds, tmp_path_factory):
     dataset = dataset_to_binary(tiny_ds, root / "db", zone_chunk_rows=4096)
     paths = split_dataset(dataset, root / "shards", N_SHARDS, zone_chunk_rows=4096)
     return dataset, paths
+
+
+@pytest.fixture(scope="module")
+def split_source(tiny_ds, tmp_path_factory):
+    """``split_source(**dataset_to_binary options)`` → that tiny source
+    dataset, written once per module."""
+    root = tmp_path_factory.mktemp("split-src")
+    built: dict[str, object] = {}
+
+    def build(**kw):
+        kw.setdefault("zone_chunk_rows", 4096)
+        key = json.dumps(kw, sort_keys=True)
+        if key not in built:
+            built[key] = dataset_to_binary(tiny_ds, root / f"db{len(built)}", **kw)
+        return built[key]
+
+    return build
+
+
+def _reference_split(src, out, shards, zone_chunk_rows):
+    """The split spelled as a store round trip: open the source whole,
+    slice its mentions, write each shard with the one dataset writer."""
+    store = GdeltStore.open(src)
+    dictionaries = store.dictionaries()
+    paths = []
+    for i, (lo, hi) in enumerate(shard_ranges(store.n_mentions, shards)):
+        paths.append(out / f"shard{i}")
+        write_gdelt_dataset(
+            paths[-1],
+            store.events,
+            {c: a[lo:hi] for c, a in store.mentions.items()},
+            dictionaries,
+            zone_chunk_rows=zone_chunk_rows,
+            meta=dict(
+                store.dataset_meta,
+                origin="split",
+                shard={"index": i, "count": shards, "row_lo": lo, "row_hi": hi},
+            ),
+        )
+    return paths
+
+
+def _file_crcs(root) -> dict[str, int]:
+    """Every file under a directory → CRC32 of its bytes."""
+    return {
+        str(p.relative_to(root)): file_crc32(p)
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
 
 
 @pytest.fixture(scope="module")
@@ -154,25 +226,96 @@ class TestSplit:
         )
         assert total == full_store.query("mentions").filter(pred).count().value
 
-    def test_split_dataset_is_split_store_of_the_opened_dataset(
-        self, shard_env, full_store, tiny_store, tmp_path
+    @pytest.mark.parametrize("case", list(SPLIT_CASES), ids=list(SPLIT_CASES))
+    def test_split_matches_the_opened_store_written_per_shard(
+        self, case, split_source, tmp_path
     ):
-        dataset, paths = shard_env
-        again = split_store(full_store, tmp_path / "a", N_SHARDS, zone_chunk_rows=4096)
-        for p, q in zip(paths, again):
-            assert manifest_crcs(q) == manifest_crcs(p)
-            a, b = GdeltStore.open(p), GdeltStore.open(q)
-            assert a.dataset_meta == b.dataset_meta
-            assert a.dataset_meta["origin"] == "split"
-            assert a.dataset_meta["seed"] == full_store.dataset_meta["seed"]
-        # An array-backed store holding the same rows splits to the same
-        # files; it just has no source manifest meta to carry along.
-        live = split_store(tiny_store, tmp_path / "b", N_SHARDS, zone_chunk_rows=4096)
-        for i, (p, q) in enumerate(zip(paths, live)):
-            assert manifest_crcs(q) == manifest_crcs(p)
-            meta = GdeltStore.open(q).dataset_meta
-            assert sorted(meta) == ["origin", "shard"]
-            assert meta["shard"]["index"] == i
+        """Streaming the split changes how much it holds, never what it
+        writes: every shard file, ``manifest.json`` included, equals the
+        store round trip's."""
+        source_kw, shards, zone_chunk_rows = SPLIT_CASES[case]
+        src = split_source(**source_kw)
+        got = split_dataset(src, tmp_path / "got", shards, zone_chunk_rows)
+        want = _reference_split(src, tmp_path / "want", shards, zone_chunk_rows)
+        assert [p.name for p in got] == [p.name for p in want]
+        for p, q in zip(got, want):
+            assert _file_crcs(p) == _file_crcs(q), p.name
+            assert (p / "manifest.json").read_bytes() == (
+                q / "manifest.json"
+            ).read_bytes()
+        meta = GdeltStore.open(got[0]).dataset_meta
+        assert meta["origin"] == "split"
+        assert meta["seed"] == GdeltStore.open(src).dataset_meta["seed"]
+
+    def test_split_memory_follows_one_column_slice(self, tiny_arrays, tmp_path):
+        """A dataset whose bulk is its URL dictionary: the split's heap
+        peak is one copy block plus a few column slices, not the
+        dictionary it replicates into every shard."""
+        events, mentions, dicts = tiny_arrays
+        n = len(mentions["GlobalEventID"])
+        urls = StringDictionary.from_strings(
+            [f"https://example.org/{i}/{'x' * 600}" for i in range(n)]
+        )
+        mentions = dict(mentions, UrlId=np.arange(n, dtype=mentions["UrlId"].dtype))
+        write_gdelt_dataset(
+            tmp_path / "db", events, mentions, dict(dicts, mention_urls=urls)
+        )
+        assert len(urls.arrays[1]) > 8 << 20  # the dictionary is the dataset
+        del urls, mentions
+        # The widest column a split holds: an int64 slice of the larger of
+        # the replicated events table and one shard's mentions.
+        column_slice = 8 * max(len(events["GlobalEventID"]), -(-n // N_SHARDS))
+        tracemalloc.start()
+        try:
+            split_dataset(tmp_path / "db", tmp_path / "shards", N_SHARDS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (1 << 20) + 16 * column_slice, peak
+
+    def test_corrupt_source_dictionary_raises_before_commit(
+        self, shard_env, tmp_path
+    ):
+        src = tmp_path / "db"
+        shutil.copytree(shard_env[0], src)
+        blob = dict_blob_path(src, "mention_urls")
+        raw = bytearray(blob.read_bytes())
+        raw[len(raw) // 2] ^= 0x01
+        blob.write_bytes(bytes(raw))
+        corrupt = _metrics.counter("storage_corrupt_files_total", kind="dictionary")
+        before = corrupt.value
+        with pytest.raises(StorageError, match=re.escape(str(blob))):
+            split_dataset(src, tmp_path / "shards", N_SHARDS)
+        assert corrupt.value - before == 1
+        shard0 = tmp_path / "shards" / "shard0"
+        assert not (shard0 / "manifest.json").exists()
+        assert not list(shard0.rglob("*.tmp"))
+
+    def test_corrupt_source_index_is_never_read(self, shard_env, tmp_path):
+        src = tmp_path / "db"
+        shutil.copytree(shard_env[0], src)
+        index = index_path(src, "mentions_by_event")
+        raw = bytearray(index.read_bytes())
+        raw[0] ^= 0xFF
+        index.write_bytes(bytes(raw))
+        paths = split_dataset(src, tmp_path / "shards", N_SHARDS, zone_chunk_rows=4096)
+        assert [manifest_crcs(p) for p in paths] == [
+            manifest_crcs(p) for p in shard_env[1]
+        ]
+
+    def test_bitflip_in_a_copied_dictionary_is_caught_by_verify(
+        self, shard_env, tmp_path
+    ):
+        plan = faults.FaultPlan.parse(
+            "storage.write:bitflip:key=dict/*,max_injections=1"
+        )
+        with faults.active(plan) as inj:
+            paths = split_dataset(shard_env[0], tmp_path / "shards", N_SHARDS)
+        assert inj.receipt.count(kind="bitflip") == 1
+        (flipped,) = inj.receipt.keys(kind="bitflip")
+        issues = {p.name: verify_dataset(p).issues for p in paths}
+        assert [(i.path, i.kind) for i in issues.pop("shard0")] == [(flipped, "crc")]
+        assert all(not found for found in issues.values())
 
 
 class TestMergeVsBruteForce:

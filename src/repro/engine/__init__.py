@@ -27,6 +27,11 @@ Layers:
 * :mod:`repro.engine.numa`, :mod:`repro.engine.costmodel` — the 8-node
   NUMA topology of the paper's EPYC 7601 testbed and the analytic
   scaling model used to extrapolate Fig 12 beyond this host's cores.
+
+One engine runs on one node.  Spreading a dataset over processes or
+machines — the paper's distributed-memory future work — is
+:mod:`repro.shard`: contiguous mention ranges behind a router whose
+merges are byte-identical to this engine's answers.
 """
 
 from repro.engine.store import GdeltStore
@@ -56,10 +61,6 @@ from repro.engine.executor import (
 )
 from repro.engine.numa import NumaTopology, Placement
 from repro.engine.costmodel import ScalingModel, calibrate_from_measurement
-from repro.engine.distributed import (
-    DistributedQueryReport,
-    distributed_country_query,
-)
 
 __all__ = [
     "GdeltStore",
@@ -88,6 +89,4 @@ __all__ = [
     "Placement",
     "ScalingModel",
     "calibrate_from_measurement",
-    "DistributedQueryReport",
-    "distributed_country_query",
 ]

@@ -120,14 +120,11 @@ class ChunkRetryPolicy:
     """Bounded re-execution of chunks whose kernel raised transiently.
 
     Chunk kernels are pure reads over immutable columns, so re-running
-    one is always safe.  ``retry_on`` defaults to injected transient
-    faults; callers running kernels that touch flaky media can widen it
-    (e.g. to ``(OSError,)``).
+    one is always safe.  A chunk that raises :class:`TransientFault` is
+    re-run at once, up to ``max_attempts`` runs in all.
     """
 
     max_attempts: int = 3
-    retry_on: tuple[type[BaseException], ...] = (TransientFault,)
-    backoff_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -178,7 +175,7 @@ class Executor:
                         attempt=attempt,
                     )
                     return kernel(sl)
-                except policy.retry_on:
+                except TransientFault:
                     attempt += 1
                     if attempt >= policy.max_attempts:
                         raise
@@ -189,8 +186,6 @@ class Executor:
                         chunk=f"{sl.start}:{sl.stop}",
                         attempt=attempt,
                     )
-                    if policy.backoff_s:
-                        time.sleep(policy.backoff_s * attempt)
 
         return resilient
 
@@ -354,11 +349,9 @@ class ThreadExecutor(Executor):
     def __init__(
         self,
         n_threads: int | None = None,
-        schedule: str = "dynamic",
         retry: ChunkRetryPolicy | None = None,
     ) -> None:
         self.n_workers = n_threads or (os.cpu_count() or 1)
-        self.schedule = schedule
         self.retry = retry
         self._team: ThreadTeam | None = None
 
@@ -368,7 +361,7 @@ class ThreadExecutor(Executor):
         return self._team
 
     def _run(self, kernel, chunks):
-        return self._ensure_team().run(kernel, list(chunks), self.schedule)
+        return self._ensure_team().run(kernel, list(chunks))
 
     def close(self) -> None:
         if self._team is not None:

@@ -8,18 +8,11 @@ executor decides who runs them.
 
 from __future__ import annotations
 
-__all__ = ["row_chunks", "morsel_count", "DEFAULT_MORSEL_ROWS"]
+__all__ = ["row_chunks", "DEFAULT_MORSEL_ROWS"]
 
 #: Default morsel size: large enough that NumPy kernel launch overhead is
 #: negligible, small enough for dynamic load balancing (~8 MB of int64).
 DEFAULT_MORSEL_ROWS = 1_000_000
-
-
-def morsel_count(n_rows: int, chunk_rows: int = DEFAULT_MORSEL_ROWS) -> int:
-    """Number of chunks ``row_chunks`` will produce."""
-    if chunk_rows <= 0:
-        raise ValueError("chunk_rows must be positive")
-    return max(1, -(-n_rows // chunk_rows)) if n_rows else 0
 
 
 def row_chunks(n_rows: int, chunk_rows: int = DEFAULT_MORSEL_ROWS) -> list[slice]:

@@ -1,11 +1,10 @@
-"""A persistent thread team with OpenMP-style scheduling.
+"""A persistent thread team with OpenMP-style dynamic scheduling.
 
 NumPy kernels release the GIL while they run, so a team of Python
 threads executing vectorized kernels over disjoint row ranges achieves
 real shared-memory parallelism — the same execution model as the paper's
-``#pragma omp parallel for`` loops, including the choice between
-*static* scheduling (ranges pre-assigned round-robin) and *dynamic*
-scheduling (ranges pulled from a shared queue as workers free up).
+``#pragma omp parallel for schedule(dynamic)`` loops: each row range is
+pulled from a shared queue by whichever worker frees up first.
 
 Workers are long-lived; a team is created once and reused across
 queries, avoiding per-query thread spawn cost.
@@ -33,8 +32,7 @@ class ThreadTeam:
     Usage::
 
         with ThreadTeam(8) as team:
-            partials = team.run(kernel, chunks)           # dynamic
-            partials = team.run(kernel, chunks, "static") # static
+            partials = team.run(kernel, chunks)
     """
 
     def __init__(self, n_threads: int) -> None:
@@ -99,22 +97,17 @@ class ThreadTeam:
         self,
         kernel: Callable[[object], object],
         items: Sequence[object],
-        schedule: str = "dynamic",
     ) -> list[object]:
         """Run ``kernel(item)`` for every item; returns results in order.
 
-        ``schedule="dynamic"``: each item is an independent task pulled by
-        whichever worker is free (good for skewed chunk costs).
-        ``schedule="static"``: items are pre-assigned round-robin and each
-        worker processes its share as one task (minimal queue traffic).
+        Each item is an independent task pulled by whichever worker is
+        free, so skewed chunk costs balance themselves.
 
         A kernel exception cancels nothing — other chunks still run — but
         the first exception is re-raised afterwards.
         """
         if self._shutdown:
             raise RuntimeError("team is closed")
-        if schedule not in ("dynamic", "static"):
-            raise ValueError(f"unknown schedule {schedule!r}")
         obs_on = _obs._enabled
         busy0 = sum(self._busy_ns) if obs_on else 0
         wall0 = time.perf_counter_ns() if obs_on else 0
@@ -130,21 +123,7 @@ class ThreadTeam:
                 with lock:
                     errors.append(exc)
 
-        if schedule == "dynamic":
-            thunks = [lambda i=i: run_one(i) for i in range(n)]
-        else:
-            assignments: list[list[int]] = [[] for _ in range(self.n_threads)]
-            for i in range(n):
-                assignments[i % self.n_threads].append(i)
-
-            def run_share(share: list[int]) -> None:
-                for i in share:
-                    run_one(i)
-
-            thunks = [
-                (lambda s=share: run_share(s)) for share in assignments if share
-            ]
-
+        thunks = [lambda i=i: run_one(i) for i in range(n)]
         self._submit_and_wait(thunks)
         if obs_on:
             # Busy/idle accounting for this batch: busy is summed worker

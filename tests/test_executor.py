@@ -37,11 +37,10 @@ class TestSerial:
 
 
 class TestThread:
-    @pytest.mark.parametrize("schedule", ["dynamic", "static"])
-    def test_equals_serial(self, data, schedule):
+    def test_equals_serial(self, data):
         kernel = count_kernel_factory(data)
         want = SerialExecutor().map_chunks(kernel, len(data), 9_999)
-        with ThreadExecutor(4, schedule=schedule) as ex:
+        with ThreadExecutor(4) as ex:
             got = ex.map_chunks(kernel, len(data), 9_999)
         for a, b in zip(want, got):
             assert np.array_equal(a, b)

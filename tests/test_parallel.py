@@ -1,23 +1,14 @@
-"""Parallel runtime: chunking, thread team, shared memory, STREAM."""
+"""Parallel runtime: chunking, thread team, STREAM."""
 
 from __future__ import annotations
 
 import threading
-import time
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel import (
-    SharedArray,
-    ThreadTeam,
-    row_chunks,
-    morsel_count,
-    shared_copy,
-    stream_triad,
-)
+from repro.parallel import ThreadTeam, row_chunks, stream_triad
 
 
 class TestChunking:
@@ -43,7 +34,7 @@ class TestChunking:
     def test_partition_property(self, n, c):
         """Chunks must tile [0, n) exactly: contiguous, disjoint, complete."""
         chunks = row_chunks(n, c)
-        assert len(chunks) == (morsel_count(n, c) if n else 0)
+        assert len(chunks) == -(-n // c)
         pos = 0
         for sl in chunks:
             assert sl.start == pos
@@ -57,11 +48,6 @@ class TestThreadTeam:
         with ThreadTeam(4) as team:
             got = team.run(lambda x: x * x, list(range(20)))
         assert got == [x * x for x in range(20)]
-
-    def test_static_schedule(self):
-        with ThreadTeam(3) as team:
-            got = team.run(lambda x: x + 1, list(range(10)), schedule="static")
-        assert got == list(range(1, 11))
 
     def test_actually_concurrent(self):
         """Two blocking tasks must overlap on a 2-thread team."""
@@ -104,43 +90,10 @@ class TestThreadTeam:
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             ThreadTeam(0)
-        with ThreadTeam(1) as team:
-            with pytest.raises(ValueError):
-                team.run(lambda x: x, [1], schedule="guided")
 
     def test_empty_items(self):
         with ThreadTeam(2) as team:
             assert team.run(lambda x: x, []) == []
-
-
-class TestSharedArray:
-    def test_create_and_write(self):
-        with SharedArray.create((10,), np.int64) as sa:
-            sa.array[:] = np.arange(10)
-            assert sa.array.sum() == 45
-
-    def test_attach_sees_data(self):
-        owner = SharedArray.create((5,), np.float64)
-        try:
-            owner.array[:] = 1.5
-            peer = SharedArray.attach(owner.handle)
-            assert np.array_equal(np.asarray(peer.array), owner.array)
-            peer.array[0] = 9.0  # writes visible both ways
-            assert owner.array[0] == 9.0
-            peer.close()
-        finally:
-            owner.close()
-
-    def test_shared_copy(self):
-        src = np.arange(20, dtype=np.int32)
-        with shared_copy(src) as sa:
-            assert np.array_equal(sa.array, src)
-            assert sa.array.dtype == np.int32
-
-    def test_close_idempotent(self):
-        sa = SharedArray.create((1,), np.int8)
-        sa.close()
-        sa.close()
 
 
 class TestStream:

@@ -150,6 +150,7 @@ class TestAggregatedCountryQuery:
         )
         assert np.array_equal(small.cross_counts, result.cross_counts)
         assert np.array_equal(small.co_events, result.co_events)
+        assert np.array_equal(small.publisher_articles, result.publisher_articles)
 
     def test_threaded_equals_serial(self, tiny_store, result):
         with ThreadExecutor(4) as ex:

@@ -191,6 +191,10 @@ class TestShardRanges:
         assert sum(hi - lo for lo, hi in ranges) == 2
         assert any(lo == hi for lo, hi in ranges)  # empty tails are legal
 
+    def test_invalid_count(self):
+        with pytest.raises(ValueError):
+            shard_ranges(10, 0)
+
 
 class TestSplit:
     def test_placement_contract(self, shard_env, full_store):

@@ -12,6 +12,7 @@ conftest), so a red run reproduces with the same env var it prints.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from tests.conftest import TEST_SEED
 
-from repro.engine import GdeltStore, aggregated_country_query
+from repro.engine import GdeltStore, SerialExecutor, aggregated_country_query
 from repro.ingest.direct import dataset_to_arrays
 from repro.synth import SynthConfig, generate_dataset
 from repro.synth.config import DELAY_CAP, DelayModelConfig, MediaGroupConfig
@@ -128,14 +129,19 @@ def test_store_pipeline_invariants(cfg):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(small_configs(), st.integers(2, 4))
-def test_distributed_equals_local_for_any_config(cfg, n_ranks):
+def test_row_range_partials_equal_one_pass_for_any_config(cfg, n_parts):
+    """Partials over ``n_parts`` contiguous row ranges reduce to the
+    one-pass answer — the property sharded placement relies on."""
     print(f"REPRO_TEST_SEED={TEST_SEED}")
-    from repro.engine.distributed import distributed_country_query
-
     ds = generate_dataset(replace(cfg, n_events=min(cfg.n_events, 800)))
     events, mentions, dicts = dataset_to_arrays(ds, include_urls=False)
     store = GdeltStore.from_arrays(events, mentions, dicts)
     local = aggregated_country_query(store)
-    dist = distributed_country_query(store, n_ranks).result
-    assert np.array_equal(local.cross_counts, dist.cross_counts)
-    assert np.array_equal(local.co_events, dist.co_events)
+    parts = aggregated_country_query(
+        store,
+        SerialExecutor(),
+        chunk_rows=max(1, math.ceil(store.n_mentions / n_parts)),
+    )
+    assert np.array_equal(local.cross_counts, parts.cross_counts)
+    assert np.array_equal(local.co_events, parts.co_events)
+    assert np.array_equal(local.publisher_articles, parts.publisher_articles)

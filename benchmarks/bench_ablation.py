@@ -8,16 +8,20 @@
    documented scaling fallback.
 3. Morsel size — bandwidth-bound scans are insensitive over a broad
    plateau but degrade at pathological extremes.
-4. Thread vs process executor — fork+IPC overhead vs GIL-releasing
-   threads on the same kernels.
-5. Columnar vs row-at-a-time engine — measured in bench_fig12.
+4. Time slicing — a sorted-range restriction vs a full predicate scan vs
+   the same scan with zone-map pruning.
+5. Column compression — space saved vs decode cost per codec.
+6. NUMA placement — model-predicted query time under the paper's
+   thread/memory placement regimes.
+
+The columnar vs row-at-a-time engine comparison lives in bench_fig12.
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis import source_coreporting, source_coreporting_sparse, top_publishers
-from repro.engine import SerialExecutor, ThreadExecutor, ProcessExecutor
+from repro.engine import SerialExecutor
 from repro.engine.aggregate import group_count
 from repro.engine.query import aggregated_country_query
 
@@ -80,24 +84,7 @@ def bench_ablation_morsel_size(benchmark, bench_store, chunk_rows):
     assert result.cross_counts.sum() > 0
 
 
-# --- 4. thread vs process executor ---------------------------------------------
-
-
-def bench_ablation_thread_executor(benchmark, bench_store):
-    with ThreadExecutor(2) as ex:
-        result = benchmark(aggregated_country_query, bench_store, ex)
-    assert result.cross_counts.sum() > 0
-
-
-def bench_ablation_process_executor(benchmark, bench_store):
-    ex = ProcessExecutor(2)
-    result = benchmark.pedantic(
-        aggregated_country_query, args=(bench_store, ex), rounds=3, iterations=1
-    )
-    assert result.cross_counts.sum() > 0
-
-
-# --- 6. time slicing: sorted-range restriction vs predicate scan ---------------
+# --- 4. time slicing: sorted-range restriction vs predicate scan ---------------
 
 
 def bench_ablation_time_range_sorted(benchmark, bench_store):
@@ -155,7 +142,7 @@ def bench_ablation_time_range_pruned(benchmark, bench_store):
     assert res.plan.pruning == "zone-map"
 
 
-# --- 7. column compression: space vs scan-time trade-off ------------------------
+# --- 5. column compression: space vs scan-time trade-off ------------------------
 
 
 def bench_ablation_codec_report(benchmark, bench_store, save_output):
@@ -202,7 +189,7 @@ def bench_ablation_codec_report(benchmark, bench_store, save_output):
     assert by[("MentionInterval", "delta-zlib")] > by[("MentionInterval", "zlib")]
 
 
-# --- 8. NUMA placement: the paper's thread/memory placement warning ------------
+# --- 6. NUMA placement: the paper's thread/memory placement warning ------------
 
 
 def bench_ablation_numa_placement(benchmark, save_output):

@@ -16,8 +16,8 @@ Layers:
   (bincount-based counts/sums, per-group min/max/median);
 * :mod:`repro.engine.join` — event↔mention navigation via the
   precomputed sort index;
-* :mod:`repro.engine.executor` — serial / threaded / process execution
-  of chunked kernels;
+* :mod:`repro.engine.executor` — serial / threaded execution of
+  chunked kernels;
 * :mod:`repro.engine.planner` — zone-map chunk pruning and the LRU
   plan/result cache every query terminal runs through;
 * :mod:`repro.engine.query` — the user-facing query builder and the
@@ -56,7 +56,6 @@ from repro.engine.query import (
 from repro.engine.executor import (
     SerialExecutor,
     ThreadExecutor,
-    ProcessExecutor,
     Executor,
 )
 from repro.engine.numa import NumaTopology, Placement
@@ -83,7 +82,6 @@ __all__ = [
     "aggregated_country_query",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "Executor",
     "NumaTopology",
     "Placement",

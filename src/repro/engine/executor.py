@@ -1,4 +1,4 @@
-"""Chunked kernel execution: serial, threaded, and process-based.
+"""Chunked kernel execution: serial and threaded.
 
 An executor runs ``kernel(slice) -> partial`` over every row chunk of a
 table and returns the partials in chunk order; the caller reduces them
@@ -8,10 +8,9 @@ parallel-for + reduction structure.
 * :class:`SerialExecutor` — reference implementation.
 * :class:`ThreadExecutor` — a persistent :class:`ThreadTeam`; real
   parallelism because NumPy kernels drop the GIL.
-* :class:`ProcessExecutor` — fork-based; workers inherit the parent's
-  address space copy-on-write, so read-only column arrays are shared for
-  free.  Exists mainly for the thread-vs-process ablation; fork+IPC cost
-  is part of what it measures.
+
+Work across processes and nodes is :mod:`repro.shard`'s job, not an
+executor's.
 
 All executors share one instrumented execution path: when observability
 is enabled (:mod:`repro.obs`) or a :class:`ProfileCollector` is passed,
@@ -21,21 +20,15 @@ is a single flag check per map call.
 
 Fault tolerance: chunks are pure functions of their row range, so every
 recovery is a re-execution.  A :class:`ChunkRetryPolicy` retries a
-chunk whose kernel raised a transient error; :class:`ProcessExecutor`
-additionally detects dead workers (a fork child that segfaulted or was
-OOM-killed), re-dispatches their in-flight chunk to a fresh worker, and
-can duplicate chunks that straggle past a deadline (first result wins).
-All of it is off the hot path: with no retry policy and no fault
-injector installed, kernels run exactly as before.
+chunk whose kernel raised a transient error, and the :class:`ThreadTeam`
+revives a worker thread that died.  All of it is off the hot path: with
+no retry policy and no fault injector installed, kernels run exactly as
+before.
 """
 
 from __future__ import annotations
 
-import logging
-import multiprocessing
-import multiprocessing.connection as _mpconn
 import os
-import pickle
 import threading
 import time
 from dataclasses import dataclass
@@ -56,7 +49,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "ChunkRetryPolicy",
     "CancelToken",
     "QueryCancelled",
@@ -64,8 +56,6 @@ __all__ = [
 ]
 
 T = TypeVar("T")
-
-logger = logging.getLogger(__name__)
 
 
 class QueryCancelled(Exception):
@@ -143,10 +133,6 @@ class Executor:
     n_workers: int = 1
     #: Optional per-chunk retry policy (set by subclass constructors).
     retry: ChunkRetryPolicy | None = None
-    #: True when workers count ``rows_scanned_total`` themselves and ship
-    #: it back via the telemetry delta (ProcessExecutor) — the parent
-    #: must then not double-count it.
-    _rows_counted_in_child: bool = False
 
     def _maybe_resilient(
         self, kernel: Callable[[slice], T]
@@ -269,18 +255,13 @@ class Executor:
             workers=self.n_workers,
         ) as sp:
             parent = getattr(sp, "span_id", None)
-            results = self._finalize(
-                self._run(self._wrap(kernel, collector, parent), chunks),
-                collector,
-                parent,
-            )
+            results = self._run(self._wrap(kernel, collector, parent), chunks)
         if _obs._enabled and chunks:
             name = type(self).__name__
             rows = sum(sl.stop - sl.start for sl in chunks)
             _metrics.counter("executor_map_calls_total", executor=name).inc()
             _metrics.counter("executor_chunks_total", executor=name).inc(len(chunks))
-            if not self._rows_counted_in_child:
-                _metrics.counter("rows_scanned_total", executor=name).inc(rows)
+            _metrics.counter("rows_scanned_total", executor=name).inc(rows)
             hist = _metrics.histogram("chunk_seconds", executor=name)
             busy = 0.0
             for c in collector.timings():
@@ -314,12 +295,6 @@ class Executor:
             return result
 
         return wrapped
-
-    def _finalize(
-        self, results: list, collector: ProfileCollector, parent: int | None
-    ) -> list:
-        """Post-process instrumented results (hook for fork executors)."""
-        return results
 
     def _run(self, kernel: Callable[[slice], T], chunks: Sequence[slice]) -> list[T]:
         raise NotImplementedError
@@ -367,304 +342,3 @@ class ThreadExecutor(Executor):
         if self._team is not None:
             self._team.close()
             self._team = None
-
-
-# --- process executor -----------------------------------------------------
-
-# Fork-inherited kernel registry: populated in the parent immediately
-# before the pool forks, read by children.  _FORK_LOCK serializes
-# concurrent map calls (from different threads or different
-# ProcessExecutor instances) so one call's kernel can never leak into
-# another call's forked children.
-_FORK_KERNEL: list = [None]
-_FORK_LOCK = threading.Lock()
-
-
-def _invoke_forked(sl: slice):
-    kernel = _FORK_KERNEL[0]
-    return kernel(sl)
-
-
-def _pool_worker(wid: int, task_q, result_q) -> None:
-    """Fork-worker loop: pull (idx, start, stop, base_attempt) tasks,
-    run the fork-inherited kernel, ship results back.
-
-    Every task is bracketed by a ``start`` message and a ``done`` /
-    ``error`` message, so the parent always knows which chunk an
-    abruptly-dead worker was holding.  ``base_attempt`` carries the
-    attempt count a previous (crashed) worker already consumed, keeping
-    deterministic fail-after-N fault semantics across process
-    boundaries.
-    """
-    while True:
-        task = task_q.get()
-        if task is None:
-            return
-        idx, start, stop, base_attempt = task
-        _faults.set_base_attempt(base_attempt)
-        result_q.put(("start", wid, idx, None))
-        try:
-            payload = _invoke_forked(slice(start, stop))
-        except BaseException as exc:  # noqa: BLE001 - shipped to the parent
-            try:
-                pickle.dumps(exc)
-            except Exception:
-                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-            result_q.put(("error", wid, idx, exc))
-            continue
-        try:
-            result_q.put(("done", wid, idx, payload))
-        except Exception as exc:  # unpicklable partial
-            result_q.put(
-                ("error", wid, idx,
-                 RuntimeError(f"unpicklable chunk result: {exc!r}"))
-            )
-
-
-@dataclass(slots=True)
-class _ForkChunk:
-    """A chunk result measured inside a forked worker (pickled back).
-
-    ``telemetry`` carries the compact metrics/span delta the worker
-    recorded while running this chunk (None when it recorded nothing or
-    observability is off) — the parent folds it into its own registry
-    and tracer so worker-side telemetry survives the child's exit.
-    """
-
-    result: object
-    start_row: int
-    stop_row: int
-    t0_ns: int
-    t1_ns: int
-    pid: int
-    telemetry: object | None = None
-
-
-class ProcessExecutor(Executor):
-    """Fork-pool execution (one fresh pool per map call).
-
-    The kernel and the arrays it closes over reach workers through fork
-    copy-on-write rather than pickling, so arbitrary closures over huge
-    read-only columns work; only the *partials* are pickled back.  Pool
-    setup cost is intentionally included — it is precisely the overhead
-    the thread-vs-process ablation quantifies.
-
-    Unlike ``multiprocessing.Pool`` (which deadlocks if a worker dies
-    mid-task), the pool is supervised: a dead worker's in-flight chunk
-    is re-dispatched to a fresh fork, and with ``straggler_deadline_s``
-    set, a chunk running past the deadline is duplicated onto another
-    worker — whichever copy finishes first wins.
-    """
-
-    _rows_counted_in_child = True
-
-    def __init__(
-        self,
-        n_workers: int | None = None,
-        retry: ChunkRetryPolicy | None = None,
-        straggler_deadline_s: float | None = None,
-    ) -> None:
-        self.n_workers = n_workers or (os.cpu_count() or 1)
-        self.retry = retry
-        self.straggler_deadline_s = straggler_deadline_s
-        if multiprocessing.get_start_method(allow_none=True) not in (None, "fork"):
-            raise RuntimeError("ProcessExecutor requires the fork start method")
-
-    def _wrap(self, kernel, collector, parent):
-        # Timings are taken inside the child and shipped back with the
-        # partial; perf_counter_ns is CLOCK_MONOTONIC-based on Linux, so
-        # child timestamps share the parent's timeline.  With obs on,
-        # the child also counts its own scanned rows and captures a
-        # registry/tracer delta around the kernel, so metrics and spans
-        # recorded inside the fork ride the result pipe back instead of
-        # dying with the worker.
-        ship_telemetry = _obs._enabled
-
-        def wrapped(sl: slice) -> _ForkChunk:
-            baseline = _telemetry.capture_baseline() if ship_telemetry else None
-            t0 = time.perf_counter_ns()
-            result = kernel(sl)
-            t1 = time.perf_counter_ns()
-            delta = None
-            if ship_telemetry:
-                _metrics.counter(
-                    "rows_scanned_total", executor="ProcessExecutor"
-                ).inc(sl.stop - sl.start)
-                delta = _telemetry.capture_delta(baseline)
-            return _ForkChunk(
-                result, sl.start, sl.stop, t0, t1, os.getpid(), delta
-            )
-
-        return wrapped
-
-    def _finalize(self, results, collector, parent):
-        record_spans = _obs._enabled
-        out = []
-        for item in results:
-            worker = f"pid-{item.pid}"
-            collector.add(
-                item.start_row, item.stop_row,
-                item.t0_ns / 1e9, item.t1_ns / 1e9, worker,
-            )
-            if record_spans:
-                _tracer().add_complete(
-                    "executor.chunk", item.t0_ns, item.t1_ns, parent=parent,
-                    thread_name=worker, rows=item.stop_row - item.start_row,
-                )
-            _telemetry.merge_worker_telemetry(item.telemetry, parent=parent)
-            out.append(item.result)
-        return out
-
-    def _run(self, kernel, chunks):
-        chunks = list(chunks)
-        if not chunks:
-            return []
-        with _FORK_LOCK:
-            _FORK_KERNEL[0] = kernel
-            try:
-                return self._run_pool(chunks)
-            finally:
-                _FORK_KERNEL[0] = None
-
-    def _run_pool(self, chunks: list[slice]) -> list:
-        """Supervised fork pool: dispatch all chunks, collect results,
-        replace dead workers, duplicate stragglers."""
-        ctx = multiprocessing.get_context("fork")
-        n = len(chunks)
-        n_workers = max(1, min(self.n_workers, n))
-        # SimpleQueue (not Queue): puts pickle synchronously in the
-        # sender, so a worker can catch its own serialization failures,
-        # and there is no feeder thread to lose messages.
-        task_q = ctx.SimpleQueue()
-        result_q = ctx.SimpleQueue()
-        results: list = [None] * n
-        have = [False] * n
-        dispatches = [0] * n
-        in_flight: dict[int, tuple[int, float]] = {}  # wid -> (idx, started)
-        workers: dict[int, multiprocessing.Process] = {}
-        relaunched: set[int] = set()
-        next_wid = 0
-        respawns = 0
-        respawn_cap = max(4, 2 * n_workers)
-        error: BaseException | None = None
-
-        def spawn() -> None:
-            nonlocal next_wid
-            wid = next_wid
-            next_wid += 1
-            p = ctx.Process(
-                target=_pool_worker, args=(wid, task_q, result_q), daemon=True
-            )
-            p.start()
-            workers[wid] = p
-
-        def dispatch(idx: int) -> None:
-            # base_attempt = prior dispatches, so a chunk that crashed a
-            # worker k times re-runs at attempt k (fail_attempts-aware).
-            sl = chunks[idx]
-            task_q.put((idx, sl.start, sl.stop, dispatches[idx]))
-            dispatches[idx] += 1
-
-        for _ in range(n_workers):
-            spawn()
-        for idx in range(n):
-            dispatch(idx)
-
-        try:
-            while not all(have) and error is None:
-                # Wake on a result message OR a worker death.
-                handles = [result_q._reader]
-                handles.extend(p.sentinel for p in workers.values())
-                _mpconn.wait(handles, timeout=0.1)
-                # Deaths are noted before the drain: a worker seen dead
-                # here has every message it sent already in the pipe, so
-                # its last "start" is read before its chunk is looked up
-                # (the other order can lose a chunk that crashed fast).
-                dead = [w for w, p in workers.items() if p.exitcode is not None]
-                while not result_q.empty():
-                    msg, wid, idx, payload = result_q.get()
-                    if msg == "start":
-                        in_flight[wid] = (idx, time.monotonic())
-                    elif msg == "done":
-                        in_flight.pop(wid, None)
-                        if not have[idx]:  # duplicates: first result wins
-                            have[idx] = True
-                            results[idx] = payload
-                    else:  # "error"
-                        in_flight.pop(wid, None)
-                        if error is None and not have[idx]:
-                            error = payload
-                if error is not None:
-                    break
-                for wid in dead:
-                    p = workers.pop(wid)
-                    held = in_flight.pop(wid, None)
-                    _metrics.counter("executor_workers_died_total").inc()
-                    _telemetry.flight().record(
-                        "worker_death",
-                        wid=wid,
-                        exitcode=p.exitcode,
-                        chunk=held[0] if held else None,
-                    )
-                    logger.warning(
-                        "fork worker %d died (exit %s)%s",
-                        wid, p.exitcode,
-                        f" holding chunk {held[0]}" if held else "",
-                    )
-                    if held is not None and not have[held[0]]:
-                        _metrics.counter("chunks_redispatched_total").inc()
-                        _telemetry.flight().record(
-                            "chunk_redispatch", wid=wid, chunk=held[0]
-                        )
-                        dispatch(held[0])
-                    if all(have):
-                        break
-                    if respawns >= respawn_cap:
-                        error = RuntimeError(
-                            f"ProcessExecutor: gave up after {respawns} "
-                            "worker deaths"
-                        )
-                        break
-                    respawns += 1
-                    spawn()
-                if self.straggler_deadline_s is not None and error is None:
-                    now = time.monotonic()
-                    for wid, (idx, t0) in list(in_flight.items()):
-                        if have[idx] or idx in relaunched:
-                            continue
-                        if now - t0 > self.straggler_deadline_s:
-                            relaunched.add(idx)
-                            _metrics.counter("stragglers_relaunched_total").inc()
-                            _telemetry.flight().record(
-                                "straggler_relaunch",
-                                wid=wid,
-                                chunk=idx,
-                                running_s=round(now - t0, 3),
-                            )
-                            logger.warning(
-                                "chunk %d straggling on worker %d "
-                                "(%.2fs > %.2fs); duplicating",
-                                idx, wid, now - t0, self.straggler_deadline_s,
-                            )
-                            dispatch(idx)
-        finally:
-            for _ in workers:
-                task_q.put(None)
-            join_by = time.monotonic() + 5.0
-            for p in workers.values():
-                p.join(max(0.0, join_by - time.monotonic()))
-            for p in workers.values():
-                if p.exitcode is None:
-                    p.terminate()
-                    p.join(1.0)
-            task_q.close()
-            result_q.close()
-        if error is not None:
-            # Post-mortem state (worker deaths, redispatches, recent
-            # spans) must survive the abort — dump before raising.
-            _telemetry.flight().record(
-                "pool_abort", error=f"{type(error).__name__}: {error}"
-            )
-            _telemetry.crash_dump(f"ProcessExecutor abort: {type(error).__name__}")
-            raise error
-        return results

@@ -2,9 +2,9 @@
 
 The runtime-fault complement to :mod:`repro.synth.corruption` (which
 plants *data* defects): this package injects *operational* failures —
-transient and permanent I/O errors, slow reads, forked-worker crashes,
-whole-run aborts, and bit flips in written files — at named fault
-points across ingest, storage, and execution.
+transient and permanent I/O errors, slow reads, whole-run aborts, and
+bit flips in written files — at named fault points across ingest,
+storage, and execution.
 
 Injection is seeded and order-independent: whether a given key (an
 archive name, a chunk range, a file path) is afflicted is a pure
@@ -32,7 +32,6 @@ chaos; the suite's conftest installs the parsed plan session-wide.
 from __future__ import annotations
 
 from repro.faults.injector import (
-    CRASH_EXIT_CODE,
     FaultInjector,
     FaultReceipt,
     InjectedCrash,
@@ -45,7 +44,6 @@ from repro.faults.injector import (
     enabled,
     fault_point,
     install,
-    set_base_attempt,
     site_active,
 )
 from repro.faults.plan import FAULT_KINDS, FaultPlan, FaultSpec, chaos_plan
@@ -61,13 +59,11 @@ __all__ = [
     "TransientFault",
     "PermanentFault",
     "InjectedCrash",
-    "CRASH_EXIT_CODE",
     "install",
     "clear",
     "current",
     "enabled",
     "active",
     "fault_point",
-    "set_base_attempt",
     "site_active",
 ]

@@ -9,16 +9,15 @@ the attempt number decides whether the fault still fires (transient
 faults stop after ``fail_attempts``, which is what a retry loop needs
 to recover deterministically).
 
-Every in-process injection is recorded in a thread-safe
-:class:`FaultReceipt` — the ground truth that resilience tests compare
-retry/quarantine counters against.  Faults that kill a forked worker
-cannot report back, so :meth:`FaultInjector.preview` recomputes the
-selection as a pure function for cross-process ground truth.
+Every injection is recorded in a thread-safe :class:`FaultReceipt` —
+the ground truth that resilience tests compare retry/quarantine
+counters against.  :meth:`FaultInjector.preview` recomputes the
+selection as a pure function, so a test can know which keys a plan
+afflicts before it runs anything.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from contextlib import contextmanager
@@ -43,13 +42,8 @@ __all__ = [
     "enabled",
     "active",
     "fault_point",
-    "set_base_attempt",
     "site_active",
-    "CRASH_EXIT_CODE",
 ]
-
-#: Exit status of a worker process killed by a ``crash`` fault.
-CRASH_EXIT_CODE = 73
 
 
 class TransientFault(OSError):
@@ -76,7 +70,7 @@ class InjectedFault:
 
 
 class FaultReceipt:
-    """Thread-safe ledger of every fault actually injected in-process."""
+    """Thread-safe ledger of every fault actually injected."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -140,7 +134,6 @@ class FaultInjector:
         self.receipt = FaultReceipt()
         self._lock = threading.Lock()
         self._injected_per_spec = [0] * len(plan.specs)
-        self._install_pid = os.getpid()
         self._site_cache: dict[str, tuple[int, ...]] = {}
 
     # -- selection (pure) --------------------------------------------------
@@ -171,9 +164,9 @@ class FaultInjector:
         return _selection_fraction(self.plan.seed, spec, site, key) < spec.prob
 
     def preview(self, site: str, keys) -> dict[str, str]:
-        """Ground truth for faults that cannot report back (worker
-        crashes): key → kind of the first spec that would fire at
-        attempt 0.  Ignores ``max_injections``."""
+        """Ground truth computed before anything runs: key → kind of the
+        first spec that would fire at attempt 0.  Ignores
+        ``max_injections``."""
         out: dict[str, str] = {}
         for key in keys:
             key = str(key)
@@ -191,7 +184,7 @@ class FaultInjector:
         """Evaluate every matching spec; raise/sleep/flip as planned."""
         for i in self._spec_indices(site):
             spec = self.plan.specs[i]
-            if spec.kind in ("transient", "slow", "crash", "bitflip"):
+            if spec.kind in ("transient", "slow", "bitflip"):
                 if attempt >= spec.fail_attempts:
                     continue
             if not self.selects(spec, site, key):
@@ -203,14 +196,6 @@ class FaultInjector:
                 ):
                     continue
                 self._injected_per_spec[i] += 1
-            if spec.kind == "crash":
-                # Never kill the process the injector was installed in —
-                # crash faults only fire inside forked workers.
-                if os.getpid() == self._install_pid:
-                    with self._lock:
-                        self._injected_per_spec[i] -= 1
-                    continue
-                os._exit(CRASH_EXIT_CODE)
             detail: str | None = None
             if spec.kind == "bitflip":
                 if path is None:
@@ -242,10 +227,6 @@ class FaultInjector:
 # --- module-level installation --------------------------------------------
 
 _ACTIVE: list[FaultInjector | None] = [None]
-#: Extra attempts already consumed before this process saw the task —
-#: set by a parent that re-dispatches work to a fresh forked worker, so
-#: ``fail_attempts`` semantics survive process boundaries.
-_BASE_ATTEMPT = [0]
 
 
 def install(injector: FaultInjector) -> FaultInjector:
@@ -289,11 +270,6 @@ def active(plan_or_injector: FaultPlan | FaultInjector):
         _ACTIVE[0] = prev
 
 
-def set_base_attempt(n: int) -> None:
-    """Attempt offset for re-dispatched work (see ``_BASE_ATTEMPT``)."""
-    _BASE_ATTEMPT[0] = int(n)
-
-
 def fault_point(
     site: str, key: str, attempt: int = 0, path: Path | None = None
 ) -> None:
@@ -301,4 +277,4 @@ def fault_point(
     inj = _ACTIVE[0]
     if inj is None:
         return
-    inj.fire(site, str(key), attempt + _BASE_ATTEMPT[0], path)
+    inj.fire(site, str(key), attempt, path)

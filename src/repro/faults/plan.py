@@ -6,8 +6,8 @@ seed plus a list of :class:`FaultSpec` entries, each naming a fault
 a fault *kind*, and selection knobs.  Selection is deterministic — a
 key is afflicted or not as a pure function of ``(seed, spec, site,
 key)`` — so a plan doubles as its own ground truth: tests can predict
-exactly which archives fail, which chunks crash, and which files get a
-flipped byte, independent of thread or process scheduling.
+exactly which archives fail, which chunks raise, and which files get a
+flipped byte, independent of thread scheduling.
 
 Plans can also be parsed from the ``REPRO_FAULTS`` environment
 variable, which is how CI runs the whole suite under (recoverable)
@@ -28,14 +28,10 @@ __all__ = ["FAULT_KINDS", "FaultSpec", "FaultPlan", "chaos_plan"]
 #: * ``permanent`` — raises :class:`~repro.faults.injector.PermanentFault`
 #:   on every attempt; only quarantine recovers.
 #: * ``slow`` — sleeps ``delay_s`` (straggler / timeout simulation).
-#: * ``crash`` — ``os._exit`` of the current *forked worker* process
-#:   (never the installing process) on attempts ``< fail_attempts``.
 #: * ``abort`` — raises :class:`~repro.faults.injector.InjectedCrash`,
 #:   simulating a kill of the whole pipeline mid-run.
 #: * ``bitflip`` — flips one bit of the file handed to the fault point.
-FAULT_KINDS = frozenset(
-    {"transient", "permanent", "slow", "crash", "abort", "bitflip"}
-)
+FAULT_KINDS = frozenset({"transient", "permanent", "slow", "abort", "bitflip"})
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,9 +41,9 @@ class FaultSpec:
     ``site`` and ``key`` are :mod:`fnmatch` patterns; ``prob`` is the
     fraction of matching keys afflicted (chosen per key by a seeded
     hash, so the choice is stable across runs and independent of call
-    order).  ``fail_attempts`` bounds transient/slow/crash faults to
-    the first attempts of a key, which is what makes retry and
-    re-dispatch recovery deterministic.
+    order).  ``fail_attempts`` bounds transient/slow/bitflip faults to
+    the first attempts of a key, which is what makes retry recovery
+    deterministic.
     """
 
     site: str

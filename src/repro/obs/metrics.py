@@ -136,18 +136,6 @@ class Histogram:
         bounds = _BOUNDS + [math.inf]
         return [(bounds[i], c) for i, c in enumerate(self._buckets)]
 
-    def _merge(
-        self, buckets: list[int], total: float, count: int, mn: float, mx: float
-    ) -> None:
-        """Fold another histogram's state in (cross-process aggregation)."""
-        with self._lock:
-            for i, c in enumerate(buckets):
-                self._buckets[i] += c
-            self._sum += total
-            self._count += count
-            self._min = min(self._min, mn)
-            self._max = max(self._max, mx)
-
 
 def _label_key(labels: dict[str, str]) -> tuple[tuple[str, str], ...]:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
@@ -228,85 +216,6 @@ class MetricsRegistry:
         """Forget every series (tests and fresh measurement runs)."""
         with self._lock:
             self._series.clear()
-
-    # -- cross-process aggregation -----------------------------------------
-    #
-    # A fork worker inherits the parent's registry contents, records into
-    # its private copy, and ships back only what changed:
-    #
-    #     baseline = registry().snapshot()         # child, before the task
-    #     ...run the kernel...
-    #     delta = registry().delta_since(baseline)  # child, after
-    #     # pickle `delta` over the result pipe; then in the parent:
-    #     registry().merge_delta(delta)
-    #
-    # Snapshots and deltas are plain picklable dicts keyed like the
-    # series map: ``{(name, labels): (kind, state)}``.
-
-    def snapshot(self) -> dict:
-        """Picklable point-in-time state of every series."""
-        with self._lock:
-            items = list(self._series.items())
-        out: dict = {}
-        for key, m in items:
-            if isinstance(m, Histogram):
-                with m._lock:
-                    out[key] = (
-                        "histogram",
-                        (list(m._buckets), m._sum, m._count, m._min, m._max),
-                    )
-            elif isinstance(m, Counter):
-                out[key] = ("counter", m.value)
-            else:
-                out[key] = ("gauge", m.value)
-        return out
-
-    def delta_since(self, baseline: dict) -> dict:
-        """What changed since ``baseline`` (a prior :meth:`snapshot`).
-
-        Counters and histograms subtract; gauges carry their latest
-        value.  Unchanged series are omitted, keeping the delta compact
-        enough to ride the per-chunk result pipe.
-        """
-        delta: dict = {}
-        for key, (kind, state) in self.snapshot().items():
-            base = baseline.get(key)
-            if kind == "counter":
-                prev = base[1] if base is not None else 0.0
-                if state != prev:
-                    delta[key] = (kind, state - prev)
-            elif kind == "gauge":
-                if base is None or state != base[1]:
-                    delta[key] = (kind, state)
-            else:
-                buckets, total, count, mn, mx = state
-                if base is not None:
-                    b_buckets, b_total, b_count = base[1][0], base[1][1], base[1][2]
-                    buckets = [c - b for c, b in zip(buckets, b_buckets)]
-                    total, count = total - b_total, count - b_count
-                if count or any(buckets):
-                    delta[key] = (kind, (buckets, total, count, mn, mx))
-        return delta
-
-    def merge_delta(self, delta: dict) -> None:
-        """Fold a worker's :meth:`delta_since` result into this registry.
-
-        Tolerant of kind mismatches and negative counter deltas (a child
-        that reset its registry) — those entries are skipped rather than
-        corrupting the parent's series.
-        """
-        for (name, labels), (kind, state) in delta.items():
-            kw = dict(labels)
-            try:
-                if kind == "counter":
-                    if state > 0:
-                        self.counter(name, **kw).inc(state)
-                elif kind == "gauge":
-                    self.gauge(name, **kw).set(state)
-                else:
-                    self.histogram(name, **kw)._merge(*state)
-            except ValueError:
-                continue  # registered under a different kind here
 
     # -- exports -----------------------------------------------------------
 

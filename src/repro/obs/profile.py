@@ -156,9 +156,9 @@ class QueryProfile:
 class ProfileCollector:
     """Thread-safe accumulator of chunk timings for one map call.
 
-    Executors call :meth:`add` once per finished chunk (from worker
-    threads, or from the parent after unwrapping fork results); the
-    query layer calls :meth:`finish` to freeze a :class:`QueryProfile`.
+    Executors call :meth:`add` once per finished chunk, from the worker
+    thread that ran it; the query layer calls :meth:`finish` to freeze a
+    :class:`QueryProfile`.
     """
 
     def __init__(self) -> None:

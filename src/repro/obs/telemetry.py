@@ -1,24 +1,14 @@
-"""Live telemetry plane: worker deltas, flight recorder, SLO burn rates.
+"""Live telemetry plane: flight recorder, SLO burn rates.
 
-Three capabilities that turn the obs substrate into an *operational*
+Two capabilities that turn the obs substrate into an *operational*
 plane (served over HTTP by :mod:`repro.serve.ops`):
 
-* **Cross-process aggregation** — a fork worker inherits the parent's
-  registry/tracer contents copy-on-write, records into its private
-  copies, and ships back only the delta:
-  :func:`capture_baseline` before the task, :func:`capture_delta`
-  after, and :func:`merge_worker_telemetry` in the parent.  Without
-  this, everything a :class:`~repro.engine.executor.ProcessExecutor`
-  chunk records dies with the child.
-
 * **Flight recorder** — a bounded ring buffer of notable runtime events
-  (shed decisions, chunk retries, worker deaths, injected faults).
+  (shed decisions, chunk retries, worker revivals, injected faults).
   :meth:`FlightRecorder.dump` snapshots the ring plus the tracer's most
   recent spans; it is wired to ``SIGUSR1``
-  (:func:`install_signal_dump`) and to the supervised executor's crash
-  path (:func:`crash_dump`), so post-mortem state survives worker death
-  and abort.  Recording is unconditional — the events are rare and the
-  cost is one lock + deque append.
+  (:func:`install_signal_dump`).  Recording is unconditional — the
+  events are rare and the cost is one lock + deque append.
 
 * **SLO tracking** — :class:`SloTracker` evaluates declarative latency
   / error-rate objectives over rolling multi-window event counts and
@@ -45,14 +35,9 @@ from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 
 __all__ = [
-    "WorkerTelemetry",
-    "capture_baseline",
-    "capture_delta",
-    "merge_worker_telemetry",
     "FlightEvent",
     "FlightRecorder",
     "flight",
-    "crash_dump",
     "install_signal_dump",
     "SloObjective",
     "SloTracker",
@@ -61,63 +46,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Environment variable naming the file crash/signal dumps are written to.
+#: Environment variable naming the file signal dumps are written to.
 FLIGHT_DUMP_ENV = "REPRO_FLIGHT_DUMP"
-
-
-# --- cross-process aggregation --------------------------------------------
-
-
-@dataclass(slots=True)
-class WorkerTelemetry:
-    """What one fork worker recorded while running one task.
-
-    Picklable by construction: the metrics delta is a plain dict (see
-    :meth:`~repro.obs.metrics.MetricsRegistry.delta_since`) and spans
-    are :class:`~repro.obs.trace.SpanRecord` dataclasses.
-    """
-
-    metrics: dict
-    spans: list
-
-
-def capture_baseline() -> tuple[dict, int]:
-    """Snapshot the global registry + tracer before running a task.
-
-    Called in the fork child (or any worker) immediately before the
-    kernel; pair with :func:`capture_delta` afterwards.
-    """
-    return (_metrics.registry().snapshot(), _trace.tracer().count())
-
-
-def capture_delta(baseline: tuple[dict, int]) -> WorkerTelemetry | None:
-    """Everything recorded since ``baseline``; None when nothing was.
-
-    Returning None keeps the result pipe free of empty payloads — the
-    common case for kernels that record nothing themselves.
-    """
-    snap, n_spans = baseline
-    delta = _metrics.registry().delta_since(snap)
-    spans = _trace.tracer().records()[n_spans:]
-    if not delta and not spans:
-        return None
-    return WorkerTelemetry(metrics=delta, spans=spans)
-
-
-def merge_worker_telemetry(
-    wt: WorkerTelemetry | None, parent: int | None = None
-) -> None:
-    """Fold a worker's telemetry into the parent's registry and tracer.
-
-    ``parent`` re-roots the worker's orphaned spans (typically the
-    ``executor.map_chunks`` span that dispatched the chunk).
-    """
-    if wt is None:
-        return
-    if wt.metrics:
-        _metrics.registry().merge_delta(wt.metrics)
-    if wt.spans:
-        _trace.tracer().adopt(wt.spans, parent=parent)
 
 
 # --- flight recorder ------------------------------------------------------
@@ -215,30 +145,6 @@ _FLIGHT = FlightRecorder()
 def flight() -> FlightRecorder:
     """The process-global flight recorder."""
     return _FLIGHT
-
-
-def crash_dump(reason: str) -> str | None:
-    """Best-effort dump on a crash path (supervised executor give-up).
-
-    Writes to the ``REPRO_FLIGHT_DUMP`` path when set, else logs a
-    one-line summary; never raises (the caller is already failing).
-    """
-    path = os.environ.get(FLIGHT_DUMP_ENV, "").strip() or None
-    try:
-        if path:
-            _FLIGHT.dump_to(path, reason=reason)
-            logger.warning("flight recorder dumped to %s (%s)", path, reason)
-            return path
-        counts = _FLIGHT.counts()
-        logger.warning(
-            "flight recorder (%s): %s",
-            reason,
-            ", ".join(f"{k}={v}" for k, v in sorted(counts.items())) or "no events",
-        )
-        return None
-    except Exception:  # noqa: BLE001 - crash paths must not crash harder
-        logger.exception("flight recorder dump failed")
-        return None
 
 
 def install_signal_dump(

@@ -8,10 +8,9 @@ submitting thread by passing ``parent=`` explicitly (the executors do
 this so per-chunk spans hang under the ``executor.map_chunks`` span that
 spawned them).
 
-Timings use ``time.perf_counter_ns()``: monotonic, comparable across
-threads of one process, and (on Linux) across fork children, which is
-what lets :class:`~repro.engine.executor.ProcessExecutor` chunks appear
-on the same timeline.
+Timings use ``time.perf_counter_ns()``: monotonic and comparable across
+threads of one process, so chunk spans from every worker thread share
+one timeline.
 
 Exports: :meth:`Tracer.to_json` (one dict per span, seconds-based) and
 :meth:`Tracer.to_chrome` (a ``chrome://tracing`` / Perfetto event list).
@@ -161,11 +160,10 @@ class Tracer:
         start_ns: int,
         end_ns: int,
         parent: int | None = None,
-        thread_name: str | None = None,
         **attrs,
     ) -> None:
         """Record an already-timed span (executors use this for chunks
-        measured inside worker threads or forked children)."""
+        measured inside worker threads)."""
         cur = threading.current_thread()
         self._record(
             SpanRecord(
@@ -175,7 +173,7 @@ class Tracer:
                 start_ns=start_ns,
                 end_ns=end_ns,
                 thread_id=cur.ident or 0,
-                thread_name=thread_name or cur.name,
+                thread_name=cur.name,
                 attrs=attrs,
             )
         )
@@ -190,43 +188,6 @@ class Tracer:
             self._capacity = capacity
             if capacity is not None and len(self._records) > capacity:
                 del self._records[: len(self._records) - capacity]
-
-    def adopt(
-        self, records: list[SpanRecord], parent: int | None = None
-    ) -> list[int]:
-        """Fold spans recorded in another tracer (a fork worker) into this
-        one, returning the new span ids.
-
-        Each adopted span gets a fresh id from this tracer; parent links
-        *within* the adopted batch are remapped so the worker's span tree
-        survives, while parents pointing outside the batch (the worker's
-        inherited pre-fork stack) are re-rooted at ``parent``.
-        """
-        id_map: dict[int, int] = {}
-        adopted: list[SpanRecord] = []
-        for rec in records:
-            new_id = self._next_id()
-            id_map[rec.span_id] = new_id
-        for rec in records:
-            adopted.append(
-                SpanRecord(
-                    span_id=id_map[rec.span_id],
-                    parent_id=id_map.get(rec.parent_id, parent)
-                    if rec.parent_id is not None
-                    else parent,
-                    name=rec.name,
-                    start_ns=rec.start_ns,
-                    end_ns=rec.end_ns,
-                    thread_id=rec.thread_id,
-                    thread_name=rec.thread_name,
-                    attrs=rec.attrs,
-                )
-            )
-        with self._lock:
-            self._records.extend(adopted)
-            if self._capacity is not None and len(self._records) > self._capacity:
-                del self._records[: len(self._records) - self._capacity]
-        return [r.span_id for r in adopted]
 
     def records(self) -> list[SpanRecord]:
         """Snapshot of finished spans in completion order."""

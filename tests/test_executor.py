@@ -1,4 +1,4 @@
-"""Executors: serial / thread / process equivalence and chunk contracts."""
+"""Executors: serial / thread equivalence and chunk contracts."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.engine.executor import (
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     default_chunk_rows,
@@ -61,62 +60,6 @@ class TestThread:
         # A closed executor lazily builds a new team.
         ex.map_chunks(kernel, len(data))
         ex.close()
-
-
-class TestProcess:
-    def test_equals_serial(self, data):
-        kernel = count_kernel_factory(data)
-        want = np.sum(SerialExecutor().map_chunks(kernel, len(data), 25_000), axis=0)
-        with ProcessExecutor(2) as ex:
-            got = np.sum(ex.map_chunks(kernel, len(data), 25_000), axis=0)
-        assert np.array_equal(want, got)
-
-    def test_closure_over_arrays_works(self):
-        """Kernels closing over parent arrays must work via fork COW."""
-        big = np.arange(1_000_000, dtype=np.int64)
-
-        def kernel(sl: slice) -> int:
-            return int(big[sl].sum())
-
-        with ProcessExecutor(2) as ex:
-            total = sum(ex.map_chunks(kernel, len(big), 250_000))
-        assert total == big.sum()
-
-    def test_concurrent_map_calls_do_not_cross_kernels(self):
-        """Regression: the fork-kernel handoff global is guarded by a
-        lock, so concurrent map_chunks calls from different threads can
-        never fork children holding the other call's kernel."""
-        import threading
-
-        a = np.arange(60_000, dtype=np.int64)
-        b = np.arange(60_000, dtype=np.int64) * 3
-        results: dict[str, int] = {}
-        errors: list[BaseException] = []
-
-        def run(name: str, arr: np.ndarray) -> None:
-            def kernel(sl: slice) -> int:
-                return int(arr[sl].sum())
-
-            try:
-                with ProcessExecutor(2) as ex:
-                    for _ in range(3):
-                        results[name] = sum(
-                            ex.map_chunks(kernel, len(arr), 15_000)
-                        )
-            except BaseException as exc:  # noqa: BLE001 - reported below
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=run, args=("a", a)),
-            threading.Thread(target=run, args=("b", b)),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert results["a"] == int(a.sum())
-        assert results["b"] == int(b.sum())
 
 
 class TestChunkSizing:

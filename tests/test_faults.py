@@ -41,6 +41,8 @@ class TestPlanParsing:
         with pytest.raises(ValueError):
             faults.FaultPlan.parse("fetch.read:transient:bogus=1")
         with pytest.raises(ValueError):
+            faults.FaultPlan.parse("executor.chunk:crash")
+        with pytest.raises(ValueError):
             faults.FaultSpec(site="x", kind="transient", prob=1.5)
 
     def test_from_env(self, monkeypatch):
@@ -132,14 +134,6 @@ class TestFiring:
         assert hits == 2
         assert inj.receipt.count() == 2
 
-    def test_crash_refused_in_installing_process(self):
-        # A crash fault must never kill the process that installed the
-        # injector (it would take the whole test run down).
-        spec = faults.FaultSpec(site="s", kind="crash")
-        with faults.active(_plan(spec)) as inj:
-            faults.fault_point("s", key="k")  # no os._exit, no exception
-        assert inj.receipt.count() == 0
-
     def test_bitflip_flips_exactly_one_bit(self, tmp_path):
         victim = tmp_path / "col.bin"
         original = bytes(range(256)) * 4
@@ -185,14 +179,3 @@ class TestFiring:
                 assert faults.current() is not inner
             assert faults.current() is inner
         assert faults.current() is prev
-
-    def test_base_attempt_offsets_attempts(self):
-        spec = faults.FaultSpec(site="s", kind="transient", fail_attempts=2)
-        with faults.active(_plan(spec)):
-            try:
-                faults.set_base_attempt(2)
-                faults.fault_point("s", key="k", attempt=0)  # 2 >= 2: passes
-            finally:
-                faults.set_base_attempt(0)
-            with pytest.raises(faults.TransientFault):
-                faults.fault_point("s", key="k", attempt=0)

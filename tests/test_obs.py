@@ -11,7 +11,7 @@ import pytest
 
 import repro.obs as obs
 from repro.engine.aggregate import group_count_2d
-from repro.engine.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.engine.executor import SerialExecutor, ThreadExecutor
 from repro.engine.query import Query, _unlocated_articles, aggregated_country_query
 from repro.obs.metrics import MetricsRegistry, _bucket_index
 from repro.obs.profile import ProfileCollector, QueryProfile
@@ -294,19 +294,19 @@ class TestQueryProfile:
         assert len(d["chunks"]) == 3
         json.dumps(d)
 
-    def test_collector_records_process_workers(self):
+    def test_collector_records_team_workers(self):
         data = np.arange(60_000, dtype=np.int64)
 
         def kernel(sl: slice) -> int:
             return int(data[sl].sum())
 
         collector = ProfileCollector()
-        with ProcessExecutor(2) as ex:
+        with ThreadExecutor(2) as ex:
             parts = ex.map_chunks(kernel, len(data), 20_000, profile=collector)
         assert sum(parts) == int(data.sum())
         timings = collector.timings()
         assert len(timings) == 3
-        assert all(t.worker.startswith("pid-") for t in timings)
+        assert all(t.worker.startswith("team-") for t in timings)
         assert all(t.seconds >= 0 for t in timings)
 
     def test_query_last_profile(self, tiny_store, obs_on):

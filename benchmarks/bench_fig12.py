@@ -18,18 +18,14 @@ This host exposes few cores, so the reproduction has three parts:
 
 import time
 
-import numpy as np
-
-from repro.analysis.report import render_table
-from repro.engine import (
-    SerialExecutor,
-    ThreadExecutor,
-    aggregated_country_query,
-    calibrate_from_measurement,
-)
+from repro.benchlib import fig12_scaling
+from repro.engine import SerialExecutor, ThreadExecutor, aggregated_country_query
 from repro.engine.baseline import row_at_a_time_country_query
 
 BASELINE_ROWS = 20_000
+
+#: Thread counts the calibrated cost model is extrapolated to.
+MODEL_COUNTS = (1, 2, 4, 8, 16, 32, 64)
 
 
 def bench_fig12_serial(benchmark, bench_store):
@@ -58,33 +54,16 @@ def bench_fig12_row_baseline(benchmark, bench_store):
 
 def bench_fig12_report(benchmark, bench_store, save_output):
     """Assemble the full Fig 12 curve: measurements + model + speedup."""
-
-    def measure_and_model():
-        t0 = time.perf_counter()
-        aggregated_country_query(bench_store, SerialExecutor())
-        t1 = time.perf_counter() - t0
-
-        rows = [(1, t1, 1.0, "measured")]
-        for p in (2, 4):
-            with ThreadExecutor(p) as ex:
-                t0 = time.perf_counter()
-                aggregated_country_query(bench_store, ex)
-                tp = time.perf_counter() - t0
-            rows.append((p, tp, t1 / tp, "measured"))
-
-        model = calibrate_from_measurement(t1)
-        for p in (1, 2, 4, 8, 16, 32, 64):
-            pred = model.predict(p)
-            rows.append((p, pred, model.speedup(p), "model"))
-        return rows, model
-
-    rows, model = benchmark.pedantic(measure_and_model, rounds=1, iterations=1)
-    text = render_table(
-        ["threads", "seconds", "speedup", "kind"],
-        rows,
-        title="Fig 12: aggregated query scaling "
-        "(paper: 344 s @ 1 thread -> 43 s @ 64 threads, ~8x)",
-        floatfmt=".4f",
+    result = benchmark.pedantic(
+        fig12_scaling,
+        args=(bench_store,),
+        kwargs={"thread_counts": (1, 2, 4), "model_counts": MODEL_COUNTS},
+        rounds=1,
+        iterations=1,
+    )
+    text = (
+        f"{result.text}\n"
+        "(paper: 344 s @ 1 thread -> 43 s @ 64 threads, ~8x)\n"
     )
 
     # Columnar vs row-engine speedup (per-row normalized).
@@ -101,7 +80,8 @@ def bench_fig12_report(benchmark, bench_store, save_output):
     save_output("fig12", text)
 
     # The paper's curve shape, on the calibrated model.
-    s8, s64 = model.speedup(8), model.speedup(64)
+    model = {p.threads: p.speedup for p in result.data if p.kind == "model"}
+    s8, s64 = model[8], model[64]
     assert 4.0 < s8 <= 8.0  # near-linear early
     assert 6.0 < s64 < 10.0  # paper: 344/43 = 8.0, I/O-capped
     assert s64 / 64 < s8 / 8  # efficiency decays

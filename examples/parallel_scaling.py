@@ -17,7 +17,7 @@ import os
 import time
 
 from repro import engine, ingest, synth
-from repro.analysis.report import render_table
+from repro.benchlib import fig12_scaling
 from repro.engine.baseline import row_at_a_time_country_query
 from repro.parallel import stream_triad
 
@@ -35,28 +35,15 @@ def main() -> None:
     sr = stream_triad(n=5_000_000, repeats=2)
     print(f"triad {sr.triad_gbs:.1f} GB/s (paper's node: ~240 GB/s)")
 
-    rows = []
-    t1 = None
     max_threads = min(4, (os.cpu_count() or 1) * 2)
-    for p in sorted({1, 2, max_threads}):
-        ex = engine.SerialExecutor() if p == 1 else engine.ThreadExecutor(p)
-        t0 = time.perf_counter()
-        engine.aggregated_country_query(store, ex)
-        dt = time.perf_counter() - t0
-        ex.close()
-        t1 = t1 or dt
-        rows.append((p, dt, t1 / dt, "measured"))
-
-    model = engine.calibrate_from_measurement(t1)
-    for p in (1, 2, 4, 8, 16, 32, 64):
-        rows.append((p, model.predict(p), model.speedup(p), "model (EPYC 7601)"))
-
-    print(render_table(
-        ["threads", "seconds", "speedup", "kind"],
-        rows,
-        title="\nAggregated country query scaling (paper: 344s -> 43s, ~8x)",
-        floatfmt=".4f",
-    ))
+    result = fig12_scaling(
+        store,
+        thread_counts=tuple(sorted({1, 2, max_threads})),
+        model_counts=(1, 2, 4, 8, 16, 32, 64),
+    )
+    print()
+    print(result.text)
+    print("(model: EPYC 7601 node; paper: 344s -> 43s, ~8x)")
 
     n_rows = 20_000
     t0 = time.perf_counter()

@@ -615,19 +615,19 @@ def _cmd_explain(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    from repro.engine import GdeltStore
-    from repro.obs.telemetry import (
-        SloTracker,
-        default_serve_objectives,
-        install_signal_dump,
-    )
-    from repro.serve import (
-        BreakerBoard,
-        QueryService,
-        ServeServer,
-        StoreLifecycle,
-    )
+def _run_front_end(args, start, interval_s: float) -> int:
+    """The front end ``serve`` and ``shard-serve`` share.
+
+    With telemetry (``--ops-port``) and the SIGUSR1 flight dump on,
+    ``start()`` builds the service (a ``QueryService`` or a
+    ``ShardRouter``) and returns ``(service, tick, stop)``, or ``None``
+    for exit status 2.  The service is mounted on a socket server (and
+    an ops server), the banners are printed, and ``tick()`` runs every
+    ``interval_s`` until Ctrl-C; then the servers close around a draining
+    service, and ``stop()`` runs the command's teardown and stats line.
+    """
+    from repro.obs.telemetry import install_signal_dump
+    from repro.serve import ServeServer
 
     if args.ops_port is not None:
         # The ops plane is only useful with live telemetry behind it.
@@ -635,81 +635,105 @@ def _cmd_serve(args) -> int:
 
         obs.enable()
     install_signal_dump()
-
-    breakers = BreakerBoard()
-    follower = None
-    if args.follow:
-        from repro.ingest.stream import LiveFollower
-
-        follower = LiveFollower(
-            args.dataset, verify_checksums=not args.no_verify
-        )
-        first = follower.poll()
-        if first.idle:
-            logger.error("mirror %s has no ingestible archives", args.dataset)
-            return 2
-        store = follower.snapshot()
-        logger.info(
-            "followed %s: %d chunks, %d events, %d mentions",
-            args.dataset, first.new_chunks, first.new_events,
-            first.new_mentions,
-        )
-    else:
-        store = GdeltStore.open(args.dataset)
-    lifecycle = StoreLifecycle(
-        store,
-        follower=follower,
-        reload_path=None if args.follow else args.dataset,
-        verify_storage=not args.no_verify,
-        breakers=breakers,
-    )
-    lifecycle.install_sighup()
-    slo = SloTracker(
-        default_serve_objectives(
-            latency_threshold_s=args.slo_latency, target=args.slo_target
-        )
-    )
-    views = refresher = None
-    if args.views is not None:
-        from repro.views import ViewCatalog, ViewRefresher
-
-        views = ViewCatalog(args.views)
-        refresher = ViewRefresher(views, lifecycle).start(initial=True)
-        logger.info(
-            "view catalog %s: %d view(s)", args.views, len(views)
-        )
-    service = QueryService(
-        workers=args.workers,
-        scan_threads=args.scan_threads,
-        max_queue=args.max_queue,
-        max_batch=args.max_batch,
-        rate_limit=args.rate_limit,
-        default_deadline_s=args.default_deadline,
-        slo=slo,
-        lifecycle=lifecycle,
-        breakers=breakers,
-        views=views,
-    )
-    server = ServeServer(service, host=args.host, port=args.port)
-    ops = None
-    if args.ops_port is not None:
-        from repro.serve.ops import OpsServer
-
-        ops = OpsServer(service, host=args.host, port=args.ops_port)
-        logger.info("ops plane on http://%s:%d/metrics", ops.host, ops.port)
-    logger.info(
-        "serving %s on %s:%d (%d workers, queue %d, batch %d%s)",
-        args.dataset, server.host, server.port, args.workers,
-        args.max_queue, args.max_batch,
-        ", following" if args.follow else "",
-    )
-    print(f"listening on {server.host}:{server.port}", flush=True)
-    if ops is not None:
-        print(f"ops on {ops.host}:{ops.port}", flush=True)
-    next_poll = time.monotonic() + args.poll_interval
+    started = start()
+    if started is None:
+        return 2
+    service, tick, stop = started
+    server = ops = None
     try:
+        server = ServeServer(service, host=args.host, port=args.port)
+        if args.ops_port is not None:
+            from repro.serve.ops import OpsServer
+
+            ops = OpsServer(service, host=args.host, port=args.ops_port)
+            logger.info("ops plane on http://%s:%d/metrics", ops.host, ops.port)
+        print(f"listening on {server.host}:{server.port}", flush=True)
+        if ops is not None:
+            print(f"ops on {ops.host}:{ops.port}", flush=True)
         while True:
-            time.sleep(0.2)
+            time.sleep(interval_s)
+            tick()
+    except KeyboardInterrupt:
+        logger.info("draining and shutting down ...")
+    finally:
+        if server is not None:
+            server.close()
+        service.close()
+        if ops is not None:
+            ops.close()
+        stop()
+    return 0
+
+
+def _cmd_serve(args) -> int:
+    from repro.engine import GdeltStore
+    from repro.obs.telemetry import SloTracker, default_serve_objectives
+    from repro.serve import BreakerBoard, QueryService, StoreLifecycle
+
+    def start():
+        breakers = BreakerBoard()
+        follower = None
+        if args.follow:
+            from repro.ingest.stream import LiveFollower
+
+            follower = LiveFollower(
+                args.dataset, verify_checksums=not args.no_verify
+            )
+            first = follower.poll()
+            if first.idle:
+                logger.error("mirror %s has no ingestible archives", args.dataset)
+                return None
+            store = follower.snapshot()
+            logger.info(
+                "followed %s: %d chunks, %d events, %d mentions",
+                args.dataset, first.new_chunks, first.new_events,
+                first.new_mentions,
+            )
+        else:
+            store = GdeltStore.open(args.dataset)
+        lifecycle = StoreLifecycle(
+            store,
+            follower=follower,
+            reload_path=None if args.follow else args.dataset,
+            verify_storage=not args.no_verify,
+            breakers=breakers,
+        )
+        lifecycle.install_sighup()
+        slo = SloTracker(
+            default_serve_objectives(
+                latency_threshold_s=args.slo_latency, target=args.slo_target
+            )
+        )
+        views = refresher = None
+        if args.views is not None:
+            from repro.views import ViewCatalog, ViewRefresher
+
+            views = ViewCatalog(args.views)
+            refresher = ViewRefresher(views, lifecycle).start(initial=True)
+            logger.info(
+                "view catalog %s: %d view(s)", args.views, len(views)
+            )
+        service = QueryService(
+            workers=args.workers,
+            scan_threads=args.scan_threads,
+            max_queue=args.max_queue,
+            max_batch=args.max_batch,
+            rate_limit=args.rate_limit,
+            default_deadline_s=args.default_deadline,
+            slo=slo,
+            lifecycle=lifecycle,
+            breakers=breakers,
+            views=views,
+        )
+        logger.info(
+            "serving %s (%d workers, queue %d, batch %d%s)",
+            args.dataset, args.workers, args.max_queue, args.max_batch,
+            ", following" if args.follow else "",
+        )
+        next_poll = time.monotonic() + args.poll_interval
+
+        def tick() -> None:
+            nonlocal next_poll
             # SIGHUP handlers only flag; the swap happens here, on the
             # main thread, where a failure is loggable and harmless.
             result = lifecycle.run_pending()
@@ -722,23 +746,21 @@ def _cmd_serve(args) -> int:
                     "now serving generation %d (%s)",
                     result.generation, result.rows,
                 )
-    except KeyboardInterrupt:
-        logger.info("draining and shutting down ...")
-    finally:
-        server.close()
-        service.close(drain=True)
-        if ops is not None:
-            ops.close()
-        if refresher is not None:
-            refresher.stop()
-        lifecycle.close()
-        stats = service.stats()
-        logger.info(
-            "served %d requests (%d ok, %d shed, %d error), %d scans",
-            stats["submitted"], stats["ok"], stats["shed"], stats["error"],
-            stats["scans"],
-        )
-    return 0
+
+        def stop() -> None:
+            if refresher is not None:
+                refresher.stop()
+            lifecycle.close()
+            stats = service.stats()
+            logger.info(
+                "served %d requests (%d ok, %d shed, %d error), %d scans",
+                stats["submitted"], stats["ok"], stats["shed"],
+                stats["error"], stats["scans"],
+            )
+
+        return service, tick, stop
+
+    return _run_front_end(args, start, 0.2)
 
 
 def _cmd_view(args) -> int:
@@ -847,46 +869,28 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_shard_serve(args) -> int:
-    from repro.serve import ServeServer
     from repro.shard import ShardRouter, launch_shards
 
     if not args.shards and not args.backend:
         logger.error("shard-serve needs shard directories and/or --backend")
         return 2
-    if args.ops_port is not None:
-        import repro.obs as obs
+    procs = []
 
-        obs.enable()
-
-    procs = launch_shards(args.shards) if args.shards else []
-    for proc in procs:
-        logger.info("spawned backend %s for %s", proc.address, proc.dataset)
-    addresses = [p.address for p in procs] + list(args.backend)
-    router = None
-    server = None
-    ops = None
-    try:
+    def start():
+        procs.extend(launch_shards(args.shards))
+        for proc in procs:
+            logger.info("spawned backend %s for %s", proc.address, proc.dataset)
         router = ShardRouter(
-            addresses,
+            [p.address for p in procs] + list(args.backend),
             partial_ok=args.partial_ok,
             deadline_fraction=args.deadline_fraction,
         )
-        server = ServeServer(router, host=args.host, port=args.port)
-        if args.ops_port is not None:
-            from repro.serve.ops import OpsServer
-
-            ops = OpsServer(router, host=args.host, port=args.ops_port)
-            logger.info("ops plane on http://%s:%d/metrics", ops.host, ops.port)
         logger.info(
-            "routing %d shards on %s:%d (partial_ok=%s)",
-            len(router.map), server.host, server.port, args.partial_ok,
+            "routing %d shards (partial_ok=%s)", len(router.map), args.partial_ok
         )
-        print(f"listening on {server.host}:{server.port}", flush=True)
-        if ops is not None:
-            print(f"ops on {ops.host}:{ops.port}", flush=True)
         reported_dead: set[str] = set()
-        while True:
-            time.sleep(0.5)
+
+        def tick() -> None:
             for proc in procs:
                 if not proc.alive() and proc.address not in reported_dead:
                     reported_dead.add(proc.address)
@@ -894,24 +898,22 @@ def _cmd_shard_serve(args) -> int:
                         "backend %s died (breaker will degrade it)",
                         proc.address,
                     )
-    except KeyboardInterrupt:
-        logger.info("shutting down router ...")
-    finally:
-        if server is not None:
-            server.close()
-        if router is not None:
+
+        def stop() -> None:
             stats = router.stats()
-            router.close()
             logger.info(
                 "routed %d requests (%d ok, %d partial, %d shed, %d error)",
                 stats["submitted"], stats["ok"], stats["partial"],
                 stats["shed"], stats["error"],
             )
-        if ops is not None:
-            ops.close()
+
+        return router, tick, stop
+
+    try:
+        return _run_front_end(args, start, 0.5)
+    finally:
         for proc in procs:
             proc.kill()
-    return 0
 
 
 def _write_metrics(path: Path) -> None:

@@ -87,9 +87,9 @@ class GdeltStore:
         #: derived-column factory may itself request other derived
         #: columns (e.g. mention_event_country needs mention_event_row).
         self._lock = threading.RLock()
-        #: Zone-map granularity for maps computed by this store (lazy
-        #: backfill / from_arrays); persisted datasets keep whatever
-        #: granularity the writer recorded.
+        #: Zone-map granularity for maps computed by an array-backed
+        #: store; persisted datasets keep whatever granularity the
+        #: writer recorded.
         self.zone_chunk_rows = (
             DEFAULT_ZONE_CHUNK_ROWS if zone_chunk_rows is None else zone_chunk_rows
         )
@@ -353,39 +353,15 @@ class GdeltStore:
         return value
 
     def zone_maps(self, name: str) -> ZoneMaps:
-        """Zone maps for a table, computing (and backfilling) on demand.
-
-        * dataset-backed store, v4 manifest — decoded from the manifest;
-        * dataset-backed store, v3 manifest — computed from the loaded
-          columns, then written back (best effort: the manifest is
-          upgraded to v4 in place so the cost is paid once per dataset,
-          but a read-only directory just recomputes per process);
-        * array-backed store — computed from the arrays.
-        """
+        """Zone maps for a table: decoded from the manifest of a
+        dataset-backed store, computed from the arrays of an array-backed
+        one (once, on first planner use)."""
         def compute() -> ZoneMaps:
-            zm = self._reader.zone_maps(name) if self._reader else None
-            if zm is None:
-                zm = compute_zone_maps(self.table(name), self.zone_chunk_rows)
-                if self._reader is not None:
-                    self._backfill_zone_maps(name, zm)
-            return zm
+            if self._reader is not None:
+                return self._reader.zone_maps(name)
+            return compute_zone_maps(self.table(name), self.zone_chunk_rows)
 
         return self._cached(f"zone_maps:{name}", compute)  # type: ignore[return-value]
-
-    def _backfill_zone_maps(self, name: str, zm: ZoneMaps) -> None:
-        """Upgrade a v3 manifest in place with freshly computed zone maps."""
-        from repro.storage.format import FORMAT_VERSION, write_manifest
-
-        manifest = self._reader.manifest
-        manifest.table(name).zone_maps = zm.to_manifest()
-        manifest.version = FORMAT_VERSION
-        try:
-            write_manifest(self._reader.root, manifest)
-        except OSError as exc:  # read-only dataset: recompute per process
-            logger.warning("zone-map backfill of %s failed: %s", self._reader.root, exc)
-            return
-        _metrics.counter("storage_zone_map_backfills_total").inc()
-        logger.info("backfilled zone maps for table %s in %s", name, self._reader.root)
 
     #: Named group keys per table: alias → (canonical name, key column,
     #: width).  The key column is a derived-column method or a column of

@@ -149,11 +149,6 @@ class Tracer:
         """Start building a span; use as a context manager."""
         return _Span(self, name, parent, attrs)
 
-    def current_id(self) -> int | None:
-        """Span id at the top of the calling thread's stack (or None)."""
-        stack = self._stack()
-        return stack[-1] if stack else None
-
     def add_complete(
         self,
         name: str,
@@ -177,17 +172,6 @@ class Tracer:
                 attrs=attrs,
             )
         )
-
-    def set_capacity(self, capacity: int | None) -> None:
-        """Bound the record buffer (long-running servers); None = unbounded.
-
-        The newest ``capacity`` spans are kept; older ones are dropped as
-        new spans complete.
-        """
-        with self._lock:
-            self._capacity = capacity
-            if capacity is not None and len(self._records) > capacity:
-                del self._records[: len(self._records) - capacity]
 
     def records(self) -> list[SpanRecord]:
         """Snapshot of finished spans in completion order."""

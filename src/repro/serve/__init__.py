@@ -46,15 +46,7 @@ from repro.serve.lifecycle import (
     StoreLease,
     StoreLifecycle,
 )
-from repro.serve.protocol import (
-    CAPABILITIES,
-    MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
-    RETRYABLE_CODES,
-    ErrorCode,
-    negotiate_hello,
-    store_meta,
-)
+from repro.serve.protocol import RETRYABLE_CODES, ErrorCode, store_meta
 from repro.serve.remote import (
     RemoteError,
     RemoteGroupedQuery,
@@ -83,17 +75,14 @@ __all__ = [
     "AdmissionController",
     "BatchItem",
     "BreakerBoard",
-    "CAPABILITIES",
     "CircuitBreaker",
     "ErrorCode",
     "ExecutableOp",
     "GROUP_OPS",
     "LifecycleError",
     "METRICS_CONTENT_TYPE",
-    "MIN_PROTOCOL_VERSION",
     "OPS",
     "OpsServer",
-    "PROTOCOL_VERSION",
     "PendingRequest",
     "QueryRequest",
     "QueryResponse",
@@ -113,7 +102,6 @@ __all__ = [
     "compile_request",
     "connect",
     "execute_batch",
-    "negotiate_hello",
     "next_backoff",
     "request_from_wire",
     "store_meta",

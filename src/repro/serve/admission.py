@@ -128,11 +128,6 @@ class AdmissionController:
         waiting = len(self._heap) + self._in_flight + extra
         return self._ewma_service_s * waiting / self.workers
 
-    def estimated_delay(self) -> float:
-        """Expected queue delay for a request arriving right now."""
-        with self._lock:
-            return self._estimate_locked(extra=1)
-
     # -- admission ---------------------------------------------------------
 
     def offer(

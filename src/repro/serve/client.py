@@ -25,7 +25,7 @@ import socket
 import threading
 import time
 
-from repro.serve.protocol import PROTOCOL_VERSION, RETRYABLE_CODES
+from repro.serve.protocol import RETRYABLE_CODES
 
 __all__ = ["ServeClient", "ViewSubscription", "next_backoff"]
 
@@ -77,18 +77,6 @@ class ServeClient:
 
     def ping(self) -> bool:
         return self.call({"kind": "ping"}).get("pong", False)
-
-    def hello(self, version: int = PROTOCOL_VERSION) -> dict:
-        """Negotiate the protocol version and capability set.
-
-        Optional — a v1 server (no ``hello`` verb) replies with an
-        ``unknown kind`` error, which this method maps to the implied
-        v1 contract instead of raising.
-        """
-        resp = self.call({"kind": "hello", "version": int(version)})
-        if resp.get("status") != "ok":
-            return {"status": "ok", "version": 1, "capabilities": []}
-        return resp
 
     def meta(self) -> dict:
         """The server's store metadata (fingerprint, tables, groups)."""

@@ -217,9 +217,9 @@ class StoreLifecycle:
     def _open_candidate(self, path: Path) -> GdeltStore:
         if self.verify_storage:
             report = verify_dataset(path)
-            # "unchecked" (no CRC recorded — v2 datasets) degrades to a
-            # warning: refusing to serve data we merely cannot attest
-            # would turn a metadata gap into an outage.
+            # "unchecked" (no CRC recorded) degrades to a warning:
+            # refusing to serve data we merely cannot attest would turn
+            # a metadata gap into an outage.
             hard = [i for i in report.issues if i.kind != "unchecked"]
             if hard:
                 raise StorageError(

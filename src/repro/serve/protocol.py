@@ -1,20 +1,14 @@
 """Wire-protocol contract shared by server, router, and clients.
 
-The LDJSON protocol grew up ad hoc: shed reasons were bare strings,
-every peer assumed the same implicit revision, and there was no way for
-a backend to describe itself to a front end.  This module pins the
-contract down in one place:
+Every peer — server, router, client, benchmark — speaks the one
+revision of the LDJSON protocol, so there is nothing to negotiate.
+This module pins down the parts of the contract that more than one
+peer reads:
 
-* :data:`PROTOCOL_VERSION` + :func:`negotiate_hello` — an optional
-  ``{"kind": "hello", "version": N}`` exchange.  The server answers
-  with the highest mutually supported version and its capability list.
-  Clients that never send a hello (every pre-v2 client) are served at
-  v1 semantics — the query/ping/stats verbs are unchanged, so old
-  clients keep working without knowing v2 exists.
 * :class:`ErrorCode` — the machine-readable reason vocabulary used in
   ``shed``/``error``/``partial`` responses.  The enum is a ``str``
-  subclass, so members compare equal to the literal strings that have
-  always been on the wire (``resp["reason"] == "RATE_LIMITED"`` and
+  subclass, so members compare equal to their wire strings
+  (``resp["reason"] == "RATE_LIMITED"`` and
   ``resp["reason"] == ErrorCode.RATE_LIMITED`` are both true).
 * :func:`store_meta` — the self-description a backend serves for
   ``{"kind": "meta"}``: table row counts, per-column min/max/null
@@ -28,37 +22,14 @@ from __future__ import annotations
 
 import enum
 
-__all__ = [
-    "PROTOCOL_VERSION",
-    "MIN_PROTOCOL_VERSION",
-    "CAPABILITIES",
-    "ErrorCode",
-    "RETRYABLE_CODES",
-    "negotiate_hello",
-    "store_meta",
-]
-
-#: Current protocol revision.  v1: query/ping/stats verbs, string
-#: reasons.  v2 adds: hello negotiation, the meta verb, ``partials``
-#: query mode (mergeable partial aggregates), the ``top`` group
-#: terminal, and ``partial`` responses with ``missing_shards``.
-PROTOCOL_VERSION = 2
-
-#: Oldest revision still served (v1 clients are the silent default).
-MIN_PROTOCOL_VERSION = 1
-
-#: What a v2 server can do beyond the v1 surface.  Servers advertise
-#: these in the hello response; routers check for ``partials``/``meta``
-#: before relying on them, and clients check ``subscribe`` before
-#: opening a view-subscription connection.
-CAPABILITIES = ("meta", "partials", "top", "deadline", "stats", "subscribe")
+__all__ = ["ErrorCode", "RETRYABLE_CODES", "store_meta"]
 
 
 class ErrorCode(str, enum.Enum):
     """Machine-readable reason codes for non-``ok`` outcomes.
 
-    ``str``-mixin: members ARE their wire string, so existing code and
-    old clients comparing against literals keep working unchanged.
+    ``str``-mixin: members ARE their wire string, so code comparing
+    against literals works unchanged.
     """
 
     # Admission-control sheds (request never touched the engine).
@@ -94,29 +65,6 @@ RETRYABLE_CODES = frozenset(
         ErrorCode.CIRCUIT_OPEN,
     }
 )
-
-
-def negotiate_hello(obj: dict, capabilities: tuple[str, ...] = CAPABILITIES) -> dict:
-    """Answer one ``{"kind": "hello"}`` request.
-
-    The client states the highest version it speaks; the reply carries
-    the version the connection will use (``min(client, server)``,
-    floored at v1) plus the server's capability list.  A client asking
-    for a *lower* version than we can serve simply gets its own version
-    back — the v1 surface is a strict subset, so nothing needs to be
-    switched off server-side.
-    """
-    try:
-        asked = int(obj.get("version", MIN_PROTOCOL_VERSION))
-    except (TypeError, ValueError):
-        asked = MIN_PROTOCOL_VERSION
-    version = max(MIN_PROTOCOL_VERSION, min(asked, PROTOCOL_VERSION))
-    return {
-        "status": "ok",
-        "version": version,
-        "server_version": PROTOCOL_VERSION,
-        "capabilities": list(capabilities) if version >= 2 else [],
-    }
 
 
 def _table_bounds(store, table: str) -> dict:

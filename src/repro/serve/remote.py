@@ -102,11 +102,9 @@ class RemoteStore:
         self._client = ServeClient(
             self.host, self.port, timeout=timeout_s, client_id=client_id
         )
-        #: Negotiated protocol version + capability list.
-        self.hello = self._client.hello()
         #: The server's self-description (merged across shards when the
         #: endpoint is a router).
-        self.meta = self._client.meta() if self.hello.get("version", 1) >= 2 else {}
+        self.meta = self._client.meta()
 
     # -- store-shaped surface ----------------------------------------------
 

@@ -61,7 +61,7 @@ class QueryRequest:
     deadline_s: float | None = None
     #: ``top`` terminal only: how many groups to keep.
     k: int | None = None
-    #: Protocol v2: return the op's *mergeable partial* instead of the
+    #: Return the op's *mergeable partial* instead of the
     #: final value (mean -> [n, sum]; group mean -> {count, sum};
     #: group stats -> compacted {keys, values}; top -> sparse nonzero
     #: {keys, counts}).  What a scatter-gather router asks shards for.

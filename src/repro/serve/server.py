@@ -8,7 +8,7 @@ Request::
      "where": ["Delay > 96"], "deadline_s": 2.0, "id": "q1"}
 
 ``kind`` defaults to ``"query"``; ``"ping"``, ``"stats"``, ``"meta"``,
-``"hello"``, and ``"subscribe"``/``"unsubscribe"`` are the other verbs.
+and ``"subscribe"``/``"unsubscribe"`` are the other verbs.
 The query response mirrors
 :meth:`repro.serve.request.QueryResponse.to_wire`::
 
@@ -21,7 +21,7 @@ Error responses carry a machine-readable ``code``
 ``error`` string; a malformed frame is always answered with
 ``BAD_REQUEST``, never a dropped connection or a server traceback.
 
-**Subscriptions** (protocol v2, capability ``"subscribe"``): after
+**Subscriptions**: after
 ``{"kind": "subscribe", "views": ["name", ...]}`` the server pushes
 ``{"kind": "view_update", "view": ..., "seq": N, "value": ...}``
 frames on every refresh of those views, interleaved with (but never
@@ -49,12 +49,7 @@ import logging
 import socket
 import threading
 
-from repro.serve.protocol import (
-    CAPABILITIES,
-    PROTOCOL_VERSION,
-    ErrorCode,
-    negotiate_hello,
-)
+from repro.serve.protocol import ErrorCode
 from repro.serve.request import request_from_wire
 from repro.serve.service import QueryService
 
@@ -193,16 +188,8 @@ class ServeServer:
         kind = obj.get("kind", "query")
         if kind == "ping":
             return {"status": "ok", "pong": True}
-        if kind == "hello":
-            return negotiate_hello(
-                obj, getattr(self.service, "capabilities", CAPABILITIES)
-            )
         if kind == "meta":
-            return {
-                "status": "ok",
-                "version": PROTOCOL_VERSION,
-                "meta": self.service.meta(),
-            }
+            return {"status": "ok", "meta": self.service.meta()}
         if kind == "stats":
             return {"status": "ok", "profile": self.service.profile()}
         if kind == "subscribe":
@@ -226,8 +213,6 @@ class ServeServer:
 
     def _subscribe_views(self, obj: dict) -> list[str]:
         views = obj.get("views")
-        if views is None and obj.get("view") is not None:
-            views = [obj["view"]]
         if not isinstance(views, list) or not views:
             raise ValueError('subscribe needs "views": [name, ...]')
         return [str(v) for v in views]

@@ -57,7 +57,7 @@ from repro.serve.admission import AdmissionController
 from repro.serve.batcher import BatchItem, ExecutableOp, compile_request, execute_batch
 from repro.serve.breaker import BreakerBoard
 from repro.serve.lifecycle import StoreLease, StoreLifecycle
-from repro.serve.protocol import CAPABILITIES, ErrorCode, store_meta
+from repro.serve.protocol import ErrorCode, store_meta
 from repro.serve.request import QueryRequest, QueryResponse
 
 __all__ = ["PendingRequest", "QueryService"]
@@ -721,10 +721,6 @@ class QueryService:
             "slo_ok": self.slo.healthy(),
             "slo": self.slo.snapshot(),
         }
-
-    #: Protocol capabilities this service's front ends advertise in the
-    #: hello handshake.
-    capabilities = CAPABILITIES
 
     def meta(self) -> dict:
         """Backend self-description for the wire ``meta`` verb.

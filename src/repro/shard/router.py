@@ -42,7 +42,7 @@ from repro.engine.expr import to_conjuncts
 from repro.obs import metrics as _metrics
 from repro.serve.breaker import BreakerBoard
 from repro.serve.client import ServeClient
-from repro.serve.protocol import CAPABILITIES, ErrorCode
+from repro.serve.protocol import ErrorCode
 from repro.serve.request import QueryRequest, QueryResponse
 from repro.serve.service import PendingRequest
 from repro.shard.map import ShardInfo, ShardMap
@@ -103,11 +103,12 @@ class ShardRouter:
 
     Args:
         backends: backend addresses (``"host:port"`` strings or
-            ``(host, port)`` pairs).  All must be reachable and speak
-            protocol v2 with the ``partials`` capability at
-            construction time — a router with a wrong shard map would
-            silently return wrong answers, so construction is strict
-            even though serving later degrades gracefully.
+            ``(host, port)`` pairs).  All must be reachable and
+            answer ``meta`` at construction time, and none may be
+            another router (a router does not serve the ``partials``
+            requests it would be sent) — a router with a wrong shard
+            map would silently return wrong answers, so construction is
+            strict even though serving later degrades gracefully.
         partial_ok: with shards missing, answer ``status="partial"``
             (reason ``PARTIAL_RESULT``, missing ids listed) instead of
             failing the request with ``SHARD_UNAVAILABLE``.
@@ -162,26 +163,20 @@ class ShardRouter:
         self._started_s = time.monotonic()
         self._closed = False
 
-    #: Advertised in the hello handshake (the router speaks the full v2
-    #: surface *except* partials-of-partials, rejected per request).
-    capabilities = CAPABILITIES
-
     def _enroll(self, index: int, address: tuple[str, int]) -> ShardInfo:
-        """Handshake one backend and read its self-description."""
+        """Read one backend's self-description; refuse another router."""
         host, port = address
         client = ServeClient(host, port, timeout=self.timeout_s, client_id="router")
         try:
-            hello = client.hello()
-            if hello.get("version", 1) < 2 or "partials" not in hello.get(
-                "capabilities", []
-            ):
-                raise ValueError(
-                    f"backend {host}:{port} does not speak protocol v2 with "
-                    f"the 'partials' capability (got {hello!r})"
-                )
             meta = client.meta()
         finally:
             client.close()
+        if "shards" in meta:
+            raise ValueError(
+                f"backend {host}:{port} is a shard router, not a shard server"
+            )
+        if "tables" not in meta:
+            raise ValueError(f"backend {host}:{port} answered no meta")
         stamp = meta.get("shard") or {}
         shard_id = (
             f"shard{int(stamp['index'])}" if "index" in stamp else f"shard{index}"

@@ -13,11 +13,12 @@ kept the length) and back the ``repro-gdelt verify`` subcommand.
 Checksum fields are optional in the schema so hand-built manifests
 without them still load — they are then simply not verifiable.
 
-Format version 4 adds optional per-table **zone maps** (``zone_maps``
-on each table: min/max/null-count per column per fixed-size row chunk,
-see :mod:`repro.storage.stats`), which the query planner uses to skip
-chunks a filter provably cannot match.  Version-3 datasets still load;
-the engine backfills their zone maps lazily on first use.
+Every table carries **zone maps** (``zone_maps``: min/max/null-count
+per column per fixed-size row chunk, see :mod:`repro.storage.stats`),
+which the query planner uses to skip chunks a filter provably cannot
+match.  The reader accepts exactly :data:`FORMAT_VERSION` (4, the
+revision that made zone maps part of every table); a manifest of any
+other version, or one with a table lacking zone maps, is malformed.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "FORMAT_VERSION",
-    "SUPPORTED_VERSIONS",
     "StorageError",
     "ColumnMeta",
     "TableMeta",
@@ -42,9 +42,6 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 4
-
-#: Versions the reader accepts.  v3 manifests simply lack zone maps.
-SUPPORTED_VERSIONS = frozenset({3, FORMAT_VERSION})
 
 #: dtypes allowed in column files (little-endian, fixed width).
 ALLOWED_DTYPES = frozenset(
@@ -93,17 +90,16 @@ class ColumnMeta:
 
 @dataclass(slots=True)
 class TableMeta:
-    """One table: row count, columns, and (since v4) optional zone maps.
+    """One table: row count, columns, and zone maps.
 
     ``zone_maps`` is the plain-JSON form produced by
-    :meth:`repro.storage.stats.ZoneMaps.to_manifest` (``None`` on v3
-    datasets until backfilled).
+    :meth:`repro.storage.stats.ZoneMaps.to_manifest`.
     """
 
     name: str
     rows: int
-    columns: list[ColumnMeta] = field(default_factory=list)
-    zone_maps: dict | None = None
+    columns: list[ColumnMeta]
+    zone_maps: dict
 
     def column(self, name: str) -> ColumnMeta:
         for c in self.columns:
@@ -169,20 +165,23 @@ class Manifest:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise StorageError(f"manifest is not valid JSON: {exc}") from exc
-        if raw.get("version") not in SUPPORTED_VERSIONS:
+        if raw.get("version") != FORMAT_VERSION:
             raise StorageError(
-                f"dataset format version {raw.get('version')} not in "
-                f"{sorted(SUPPORTED_VERSIONS)}"
+                f"dataset format version {raw.get('version')} is not "
+                f"{FORMAT_VERSION}"
             )
-        tables = [
-            TableMeta(
-                name=t["name"],
-                rows=t["rows"],
-                columns=[ColumnMeta(**c) for c in t["columns"]],
-                zone_maps=t.get("zone_maps"),
+        tables = []
+        for t in raw.get("tables", []):
+            if not isinstance(t.get("zone_maps"), dict):
+                raise StorageError(f"table {t['name']!r}: manifest has no zone maps")
+            tables.append(
+                TableMeta(
+                    name=t["name"],
+                    rows=t["rows"],
+                    columns=[ColumnMeta(**c) for c in t["columns"]],
+                    zone_maps=t["zone_maps"],
+                )
             )
-            for t in raw.get("tables", [])
-        ]
         dicts = [DictionaryMeta(**d) for d in raw.get("dictionaries", [])]
         indexes = [IndexMeta(**i) for i in raw.get("indexes", [])]
         return cls(

@@ -213,13 +213,8 @@ class DatasetReader:
             raise note_corrupt(path, "index", "CRC32 mismatch")
         return np.frombuffer(data, dtype=np.dtype(meta.dtype))
 
-    def has_index(self, name: str) -> bool:
-        return any(i.name == name for i in self.manifest.indexes)
-
     def zone_maps(self, table: str):
-        """Zone maps recorded for ``table`` (None on v3 datasets until
-        backfilled — see :meth:`repro.engine.store.GdeltStore.zone_maps`)."""
+        """Zone maps recorded for ``table``."""
         from repro.storage.stats import ZoneMaps
 
-        raw = self.manifest.table(table).zone_maps
-        return ZoneMaps.from_manifest(raw) if raw else None
+        return ZoneMaps.from_manifest(self.manifest.table(table).zone_maps)

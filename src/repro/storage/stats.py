@@ -9,10 +9,8 @@ membership predicate against *any* column — a selective filter over the
 capture-sorted ``MentionInterval`` column skips almost every chunk.
 
 Zone maps are computed at convert time by :class:`DatasetWriter` and
-persisted in the manifest (format v4).  Older v3 datasets are lazily
-backfilled: the store computes the maps from the loaded columns on
-first use and rewrites the manifest in place (best effort — a read-only
-dataset still works, it just recomputes per process).
+persisted in the manifest, one per table; a store built from arrays
+computes its own in memory on first planner use.
 
 Bounds are stored as float64: exact for every column dtype the format
 allows (int64 key columns in GDELT stay far below 2^53).
@@ -94,7 +92,7 @@ class ZoneMaps:
     # -- manifest (de)serialization ----------------------------------------
 
     def to_manifest(self) -> dict:
-        """Plain-JSON form stored on ``TableMeta.zone_maps`` (format v4)."""
+        """Plain-JSON form stored on ``TableMeta.zone_maps``."""
         return {
             "chunk_rows": int(self.chunk_rows),
             "n_rows": int(self.n_rows),

@@ -52,8 +52,7 @@ class DatasetWriter:
         w.finish(meta={"origin": "synthetic"})
 
     ``zone_chunk_rows`` sets the zone-map granularity recorded for each
-    table (format v4); pass ``None`` to skip zone-map computation (the
-    engine then backfills them lazily on first planner use).
+    table.
 
     The writer holds one column at a time (:meth:`add_table`) and copies
     a source dataset's dictionary files in blocks (:meth:`add_dictionary`),
@@ -62,7 +61,7 @@ class DatasetWriter:
     """
 
     def __init__(
-        self, root: Path, zone_chunk_rows: int | None = DEFAULT_ZONE_CHUNK_ROWS
+        self, root: Path, zone_chunk_rows: int = DEFAULT_ZONE_CHUNK_ROWS
     ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
@@ -143,23 +142,21 @@ class DatasetWriter:
         dictionaries = dictionaries or {}
         codecs = codecs or {}
 
-        table = TableMeta(name=name, rows=0)
+        metas: list[ColumnMeta] = []
         zones: ZoneMaps | None = None
         for col, arr in columns.items():
             arr = np.ascontiguousarray(arr)
             if arr.ndim != 1:
                 raise StorageError(f"{name}.{col}: columns must be 1-D")
-            if not table.columns:  # the first column sets the row count
-                table.rows = len(arr)
-                if self.zone_chunk_rows is not None:
-                    zones = ZoneMaps(
-                        chunk_rows=self.zone_chunk_rows, n_rows=len(arr),
-                        mins={}, maxs={}, nulls={},
-                    )
-            elif len(arr) != table.rows:
+            if zones is None:  # the first column sets the row count
+                zones = ZoneMaps(
+                    chunk_rows=self.zone_chunk_rows, n_rows=len(arr),
+                    mins={}, maxs={}, nulls={},
+                )
+            elif len(arr) != zones.n_rows:
                 raise StorageError(
                     f"table {name!r}: ragged columns ({col!r} has {len(arr)} "
-                    f"rows, the first column {table.rows})"
+                    f"rows, the first column {zones.n_rows})"
                 )
             dtype_name = arr.dtype.name
             codec = codecs.get(col, "raw")
@@ -185,13 +182,12 @@ class DatasetWriter:
                 meta.crc32 = self._commit_array(
                     path, np.frombuffer(payload, np.uint8)
                 )
-            table.columns.append(meta)
-            if zones is not None:
-                zones.add_column(col, arr)
+            metas.append(meta)
+            zones.add_column(col, arr)
             del arr  # before ``columns`` hands over the next one
-        if zones is not None:
-            table.zone_maps = zones.to_manifest()
-        self._manifest.tables.append(table)
+        self._manifest.tables.append(
+            TableMeta(name, zones.n_rows, metas, zones.to_manifest())
+        )
 
     def add_dictionary(
         self, name: str, dictionary: StringDictionary | DatasetReader

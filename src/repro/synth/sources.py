@@ -68,10 +68,6 @@ class SourceCatalog:
     def n_quarters(self) -> int:
         return self.activity.shape[1]
 
-    def country_fips(self) -> list[str]:
-        """True FIPS country per source (catalog ground truth)."""
-        return [COUNTRIES[i].fips for i in self.country_idx]
-
 
 def _allocate_countries(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
     """Assign a true country index to every source, per configured weights."""

@@ -349,6 +349,55 @@ class TestServeCommands:
                 proc.kill()
                 proc.wait(timeout=10.0)
 
+    def test_shard_serve_survives_sigusr1(self, tiny_binary, tmp_path):
+        """``shard-serve`` shares ``serve``'s front end, flight dump
+        included: SIGUSR1 writes the dump instead of killing the router."""
+        import json
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        from pathlib import Path
+
+        import repro
+        from repro.engine import GdeltStore
+        from repro.serve import QueryService, ServeClient, ServeServer
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        env.pop("REPRO_FAULTS", None)
+        dump = tmp_path / "flight.json"
+        env["REPRO_FLIGHT_DUMP"] = str(dump)
+        with QueryService(GdeltStore.open(tiny_binary), workers=1) as svc, \
+                ServeServer(svc) as backend:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "shard-serve",
+                 "--backend", f"{backend.host}:{backend.port}", "--port", "0"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env=env,
+            )
+            try:
+                banner = proc.stdout.readline()
+                m = re.match(r"listening on ([\d.]+):(\d+)", banner)
+                assert m, f"unexpected banner: {banner!r}"
+                proc.send_signal(signal.SIGUSR1)
+                deadline = time.monotonic() + 10.0
+                while not dump.exists() and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                assert proc.poll() is None, "SIGUSR1 killed the router"
+                assert json.loads(dump.read_text())["kind"] == "flight_dump"
+                with ServeClient(m.group(1), int(m.group(2))) as client:
+                    assert client.query(table="mentions", op="count")["status"] == "ok"
+                proc.send_signal(signal.SIGINT)
+                assert proc.wait(timeout=30.0) == 0
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait(timeout=10.0)
+
 
 class TestVerifyCommand:
     """Exit codes and messages of ``repro-gdelt verify``."""

@@ -4,8 +4,8 @@ The soundness tests are the load-bearing ones: for randomized columns
 (including NaNs) and every predicate node type, a chunk the planner
 prunes must contain no matching row, and a chunk it marks mask-free
 must contain only matching rows.  Everything else — plan accounting,
-cache byte-identity, v3 manifest backfill, explain output — builds on
-that guarantee.
+cache byte-identity, refusing manifests without zone maps, explain
+output — builds on that guarantee.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.engine import (
 )
 from repro.gdelt.time_util import quarter_index_range
 from repro.ingest.direct import dataset_to_binary
-from repro.storage.format import FORMAT_VERSION, manifest_path
+from repro.storage.format import FORMAT_VERSION, StorageError, manifest_path
 from repro.storage.stats import ZoneMaps, compute_zone_maps
 
 
@@ -394,39 +394,31 @@ class TestQuerySurface:
         assert zstore.n_rows("events") == zstore.n_events
 
 
-class TestManifestBackfill:
-    def test_v3_dataset_is_backfilled_to_v4(self, tmp_path, tiny_ds):
+class TestManifestZoneMaps:
+    @pytest.mark.parametrize("version", [3, FORMAT_VERSION], ids=["v3", "v4-null"])
+    def test_manifest_without_zone_maps_is_refused(self, tmp_path, tiny_ds, version):
+        """A v3 manifest (tables carry no zone maps) and a v4 one whose
+        zone maps are null are both malformed: the store refuses them and
+        writes nothing into the dataset directory."""
         db = tmp_path / "db"
         dataset_to_binary(tiny_ds, db)
-
-        # Rewrite the manifest as a v3 dataset: no zone maps.
         mpath = manifest_path(db)
         raw = json.loads(mpath.read_text(encoding="utf-8"))
-        assert raw["version"] == FORMAT_VERSION
-        raw["version"] = 3
+        raw["version"] = version
         for t in raw["tables"]:
-            t["zone_maps"] = None
+            if version == FORMAT_VERSION:
+                t["zone_maps"] = None
+            else:
+                del t["zone_maps"]
         mpath.write_text(json.dumps(raw), encoding="utf-8")
+        before = mpath.read_bytes()
+        files = sorted(db.rglob("*"))
 
-        store = GdeltStore.open(db)
-        zm = store.zone_maps("mentions")
-        assert zm is not None and zm.n_chunks >= 1
-
-        # First use upgraded the manifest in place.
-        raw2 = json.loads(mpath.read_text(encoding="utf-8"))
-        assert raw2["version"] == FORMAT_VERSION
-        by_name = {t["name"]: t for t in raw2["tables"]}
-        assert by_name["mentions"]["zone_maps"] is not None
-
-        # A fresh open reads the persisted maps and they match.
-        zm2 = GdeltStore.open(db).zone_maps("mentions")
-        for name in zm.mins:
-            assert np.array_equal(
-                zm.mins[name], zm2.mins[name], equal_nan=True
-            )
-            assert np.array_equal(
-                zm.maxs[name], zm2.maxs[name], equal_nan=True
-            )
+        with pytest.raises(StorageError):
+            store = GdeltStore.open(db)
+            store.query("mentions").filter(_interval_pred()).count()
+        assert mpath.read_bytes() == before
+        assert sorted(db.rglob("*")) == files
 
     def test_v4_roundtrip_prunes_from_disk(self, tmp_path, tiny_ds):
         db = tmp_path / "db"

@@ -537,6 +537,7 @@ class TestProtocolRobustness:
                     b"[1, 2, 3]",                   # JSON but not an object
                     b'"just a string"',
                     b'{"kind": "teleport"}',        # unknown verb
+                    b'{"kind": "hello"}',           # no handshake verb either
                     b'{"kind": "query", "op": "launch"}',  # bad request
                 ):
                     conn.sendall(payload + b"\n")

@@ -33,15 +33,12 @@ from repro.engine.terminal import jsonable
 from repro.ingest.direct import dataset_to_binary
 from repro.obs import metrics as _metrics
 from repro.serve import (
-    CAPABILITIES,
-    PROTOCOL_VERSION,
     RETRYABLE_CODES,
     ErrorCode,
     QueryService,
     RemoteError,
     ServeClient,
     ServeServer,
-    negotiate_hello,
 )
 from repro.shard import (
     ShardMap,
@@ -530,6 +527,14 @@ class TestRouter:
         assert resp.status == "error"
         assert resp.reason == ErrorCode.BAD_REQUEST
 
+    def test_refuses_another_router_as_backend(self, router):
+        """A router does not serve partials, so an outer router over it
+        would fail every scattered query: construction refuses it."""
+        with ServeServer(router, host="127.0.0.1", port=0) as inner:
+            address = f"127.0.0.1:{inner.port}"
+            with pytest.raises(ValueError, match=address):
+                ShardRouter([address])
+
     def test_disjunctive_filter_rejected(self, router):
         resp = router.query(op="count", where=(col("Delay") > 96) | (col("Delay") < 2))
         assert resp.status == "error"
@@ -600,9 +605,7 @@ class TestRemoteStore:
         with repro.connect(endpoint) as store:
             yield store
 
-    def test_hello_and_meta(self, remote, full_store):
-        assert remote.hello["version"] == PROTOCOL_VERSION
-        assert "partials" in remote.hello["capabilities"]
+    def test_meta(self, remote, full_store):
         assert remote.n_mentions == full_store.n_mentions
         assert remote.n_events == full_store.n_events
         assert remote.fingerprint()[0] == full_store.fingerprint()[0]
@@ -703,19 +706,6 @@ class TestProtocol:
     def test_partial_result_is_not_retryable(self):
         assert ErrorCode.PARTIAL_RESULT not in RETRYABLE_CODES
         assert ErrorCode.RATE_LIMITED in RETRYABLE_CODES
-
-    def test_negotiation(self):
-        v2 = negotiate_hello({"kind": "hello", "version": 2})
-        assert v2["version"] == PROTOCOL_VERSION
-        assert v2["capabilities"] == list(CAPABILITIES)
-        # A v1 client (or garbage) is served at v1 with no capabilities.
-        assert negotiate_hello({"kind": "hello"})["version"] == 1
-        assert negotiate_hello({"kind": "hello", "version": "x"})["version"] == 1
-        assert negotiate_hello({"kind": "hello", "version": 1})["capabilities"] == []
-        # A too-new client is clamped to what we can actually serve.
-        assert negotiate_hello({"kind": "hello", "version": 99})["version"] == (
-            PROTOCOL_VERSION
-        )
 
 
 class TestShardProcess:

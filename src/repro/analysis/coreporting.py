@@ -18,6 +18,7 @@ import numpy as np
 from repro.engine.executor import Executor, SerialExecutor
 from repro.engine.query import aggregated_country_query
 from repro.engine.store import GdeltStore
+from repro.kernels import distinct
 
 __all__ = [
     "source_event_counts",
@@ -52,7 +53,7 @@ def source_event_counts(
 ) -> np.ndarray:
     """e_i: number of *distinct* events each chosen source reported on."""
     rows, keys, k = _incidence(store, source_ids)
-    pair = np.unique(rows * np.int64(k) + keys)
+    pair = distinct(rows * np.int64(k) + keys)
     return np.bincount((pair % k).astype(np.int64), minlength=k).astype(np.int64)
 
 
@@ -90,7 +91,7 @@ def source_coreporting_sparse(
     rows, keys, k = _incidence(store, source_ids)
 
     def inc_matrix(r: np.ndarray, c: np.ndarray) -> sp.csr_matrix:
-        pair = np.unique(r * np.int64(k) + c)
+        pair = distinct(r * np.int64(k) + c)
         return sp.csr_matrix(
             (
                 np.ones(len(pair), dtype=np.int64),

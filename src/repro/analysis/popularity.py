@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine.store import GdeltStore
+from repro.kernels import distinct
 
 __all__ = [
     "DatasetStatistics",
@@ -63,8 +64,8 @@ def dataset_statistics(store: GdeltStore) -> DatasetStatistics:
     """
     per_event = _articles_per_event(store)
     covered = per_event[per_event > 0]
-    n_sources = int(len(np.unique(store.mentions["SourceId"])))
-    n_intervals = int(len(np.unique(store.mentions["MentionInterval"])))
+    n_sources = int(len(distinct(store.mentions["SourceId"])))
+    n_intervals = int(len(distinct(store.mentions["MentionInterval"])))
     return DatasetStatistics(
         n_sources=n_sources,
         n_events=store.n_events,

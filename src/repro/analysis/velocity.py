@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine.store import GdeltStore
+from repro.kernels import distinct
 
 __all__ = [
     "first_reaction_delays",
@@ -93,7 +94,7 @@ def early_coverage(store: GdeltStore, window: int) -> np.ndarray:
     delay = store.mentions["Delay"].astype(np.int64)
     sid = store.mentions["SourceId"].astype(np.int64)
     ok = (rows >= 0) & (delay <= window)
-    pair = np.unique(rows[ok] * np.int64(store.n_sources) + sid[ok])
+    pair = distinct(rows[ok] * np.int64(store.n_sources) + sid[ok])
     return np.bincount(
         (pair // store.n_sources).astype(np.int64), minlength=store.n_events
     ).astype(np.int64)

@@ -29,6 +29,8 @@ import re
 
 import numpy as np
 
+from repro.kernels import distinct
+
 __all__ = [
     "Expr",
     "col",
@@ -312,7 +314,7 @@ class _Unary(Expr):
 class _IsIn(Expr):
     def __init__(self, inner: Expr, values: np.ndarray) -> None:
         self.inner = inner
-        self.values = np.unique(values)
+        self.values = distinct(values)
 
     def _eval(self, table: Table, sl: slice) -> np.ndarray:
         x = self.inner._eval(table, sl)

@@ -37,6 +37,7 @@ from repro.engine.expr import Expr
 from repro.engine.planner import Plan, plan_query, result_cache
 from repro.engine.store import GdeltStore
 from repro.engine.terminal import Terminal, TerminalSpec
+from repro.kernels import distinct
 from repro.obs import metrics as _metrics
 from repro.obs import state as _obs
 from repro.obs.profile import ProfileCollector, QueryProfile
@@ -518,7 +519,7 @@ def aggregated_country_query(
         ok = (rows >= 0) & (pub >= 0)
         # Compact (event, publisher-country) incidence keys: far smaller
         # than a per-chunk boolean matrix, and cheap to union at reduce.
-        pairs = np.unique(rows[ok] * np.int64(n_c) + pub[ok])
+        pairs = distinct(rows[ok] * np.int64(n_c) + pub[ok])
         return counts, pairs
 
     collect = _obs._enabled if profile is None else profile
@@ -539,7 +540,7 @@ def aggregated_country_query(
                 cross += counts
                 pair_parts.append(pairs)
             all_pairs = (
-                np.unique(np.concatenate(pair_parts))
+                distinct(np.concatenate(pair_parts))
                 if pair_parts
                 else np.empty(0, dtype=np.int64)
             )

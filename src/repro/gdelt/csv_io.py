@@ -11,10 +11,11 @@ parse-and-project work the paper's converter does.
 from __future__ import annotations
 
 import io
+import re
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.gdelt.schema import (
     EVENTS_SCHEMA,
@@ -26,8 +27,10 @@ __all__ = [
     "EventRecord",
     "MentionRecord",
     "event_to_row",
+    "event_lines",
     "event_from_row",
     "mention_to_row",
+    "mention_lines",
     "mention_from_row",
     "numeric_root_code",
     "write_events_tsv",
@@ -102,29 +105,97 @@ class MentionRecord:
     doc_tone: float
 
 
+# The raw row layouts, the one place they are spelled: schema column →
+# the text it carries, with ``{placeholders}`` naming record fields (or
+# the derived event fields of :func:`_event_values`).  Columns not
+# listed stay empty.  :func:`event_to_row` renders one record through
+# them, :func:`event_lines` whole columns at once.
+_EVENT_LAYOUT = {
+    "GlobalEventID": "{global_event_id}",
+    "Day": "{day}",
+    "MonthYear": "{month_year}",
+    "Year": "{year}",
+    "FractionDate": "{year}.{month:02d}",
+    "IsRootEvent": "1",
+    "EventCode": "{event_root_code}0",
+    "EventBaseCode": "{event_root_code}0",
+    "EventRootCode": "{event_root_code}",
+    "QuadClass": "{quad_class}",
+    "GoldsteinScale": "0.0",
+    "NumMentions": "{num_mentions}",
+    "NumSources": "{num_sources}",
+    "NumArticles": "{num_articles}",
+    "AvgTone": "{avg_tone:.4f}",
+    "ActionGeo_Type": "{geo_type}",
+    "ActionGeo_CountryCode": "{action_geo_country}",
+    "DATEADDED": "{date_added}",
+    "SOURCEURL": "{source_url}",
+}
+_MENTION_LAYOUT = {
+    "GlobalEventID": "{global_event_id}",
+    "EventTimeDate": "{event_time}",
+    "MentionTimeDate": "{mention_time}",
+    "MentionType": "1",  # 1 = WEB in the GDELT codebook
+    "MentionSourceName": "{source_name}",
+    "MentionIdentifier": "{identifier}",
+    "SentenceID": "1",
+    "Confidence": "{confidence}",
+    "MentionDocTone": "{doc_tone:.4f}",
+}
+
+
+def _event_values(columns: Mapping[str, list]) -> dict[str, list]:
+    """The event layout's placeholders, one list each: the record
+    fields plus the calendar fields and geo type derived from them."""
+    day = columns["day"]
+    return {
+        **columns,
+        "month_year": [d // 100 for d in day],
+        "year": [d // 10000 for d in day],
+        "month": [d // 100 % 100 for d in day],
+        "geo_type": ["1" if c else "0" for c in columns["action_geo_country"]],
+    }
+
+
+def _one_row(schema, layout: dict[str, str], values: dict[str, list]) -> list[str]:
+    """The full-width row of one record (``values`` holds one-item lists)."""
+    scalars = {name: v[0] for name, v in values.items()}
+    return [layout.get(f.name, "").format_map(scalars) for f in schema]
+
+
+def _line(schema, layout: dict[str, str]) -> str:
+    """One newline-terminated raw line with named placeholders."""
+    return "\t".join(layout.get(f.name, "") for f in schema) + "\n"
+
+
+_EVENT_LINE = _line(EVENTS_SCHEMA, _EVENT_LAYOUT)
+_MENTION_LINE = _line(MENTIONS_SCHEMA, _MENTION_LAYOUT)
+
+
+def _lines(line: str, values: dict[str, Sequence]) -> list[str]:
+    """``line`` rendered once per row of the columns ``values``: its
+    named placeholders become positional, so ``str.format`` takes one
+    value from each column per call."""
+    names = list(values)
+    positional = re.sub(r"\{(\w+)", lambda m: "{%d" % names.index(m[1]), line)
+    return list(map(positional.format, *values.values()))
+
+
 def event_to_row(e: EventRecord) -> list[str]:
     """Render a full-width 61-column raw row for an event."""
-    row = [""] * _EVENTS_WIDTH
-    row[_E["GlobalEventID"]] = str(e.global_event_id)
-    row[_E["Day"]] = str(e.day)
-    row[_E["MonthYear"]] = str(e.day // 100)
-    row[_E["Year"]] = str(e.day // 10000)
-    row[_E["FractionDate"]] = f"{e.day // 10000}.{(e.day // 100) % 100:02d}"
-    row[_E["IsRootEvent"]] = "1"
-    row[_E["EventCode"]] = e.event_root_code + "0"
-    row[_E["EventBaseCode"]] = e.event_root_code + "0"
-    row[_E["EventRootCode"]] = e.event_root_code
-    row[_E["QuadClass"]] = str(e.quad_class)
-    row[_E["GoldsteinScale"]] = "0.0"
-    row[_E["NumMentions"]] = str(e.num_mentions)
-    row[_E["NumSources"]] = str(e.num_sources)
-    row[_E["NumArticles"]] = str(e.num_articles)
-    row[_E["AvgTone"]] = f"{e.avg_tone:.4f}"
-    row[_E["ActionGeo_Type"]] = "1" if e.action_geo_country else "0"
-    row[_E["ActionGeo_CountryCode"]] = e.action_geo_country
-    row[_E["DATEADDED"]] = str(e.date_added)
-    row[_E["SOURCEURL"]] = e.source_url
-    return row
+    columns = {name: [getattr(e, name)] for name in EventRecord.__slots__}
+    return _one_row(EVENTS_SCHEMA, _EVENT_LAYOUT, _event_values(columns))
+
+
+def event_lines(columns: Mapping[str, list]) -> list[str]:
+    """Newline-terminated raw lines of many events at once.
+
+    ``columns`` maps every :class:`EventRecord` field to one list of
+    values per row; line i is record i's :func:`event_to_row`, tab-joined,
+    rendered by one ``str.format`` call instead of a record, a row list
+    and a join.
+    """
+    return _lines(_EVENT_LINE, _event_values(columns))
 
 
 def event_from_row(row: list[str]) -> EventRecord:
@@ -179,17 +250,13 @@ def event_from_row(row: list[str]) -> EventRecord:
 
 def mention_to_row(m: MentionRecord) -> list[str]:
     """Render a full-width 16-column raw row for a mention."""
-    row = [""] * _MENTIONS_WIDTH
-    row[_M["GlobalEventID"]] = str(m.global_event_id)
-    row[_M["EventTimeDate"]] = str(m.event_time)
-    row[_M["MentionTimeDate"]] = str(m.mention_time)
-    row[_M["MentionType"]] = "1"  # 1 = WEB in the GDELT codebook
-    row[_M["MentionSourceName"]] = m.source_name
-    row[_M["MentionIdentifier"]] = m.identifier
-    row[_M["SentenceID"]] = "1"
-    row[_M["Confidence"]] = str(m.confidence)
-    row[_M["MentionDocTone"]] = f"{m.doc_tone:.4f}"
-    return row
+    columns = {name: [getattr(m, name)] for name in MentionRecord.__slots__}
+    return _one_row(MENTIONS_SCHEMA, _MENTION_LAYOUT, columns)
+
+
+def mention_lines(columns: Mapping[str, list]) -> list[str]:
+    """Raw lines of many mentions at once (see :func:`event_lines`)."""
+    return _lines(_MENTION_LINE, columns)
 
 
 def mention_from_row(row: list[str]) -> MentionRecord:
@@ -263,11 +330,20 @@ def read_mentions_tsv(fh: io.TextIOBase) -> Iterator[MentionRecord]:
         yield mention_from_row(line.split("\t"))
 
 
+#: Timestamp stamped on every chunk member (the zip format's epoch), so
+#: one dataset always exports to the same bytes and the master list's
+#: md5s do not depend on the wall clock.
+CHUNK_MEMBER_DATE_TIME = (1980, 1, 1, 0, 0, 0)
+
+
 def write_chunk_zip(path: Path, inner_name: str, text: str) -> None:
     """Write one GDELT chunk archive: a zip holding a single TSV member."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
-        zf.writestr(inner_name, text)
+    member = zipfile.ZipInfo(inner_name, date_time=CHUNK_MEMBER_DATE_TIME)
+    member.compress_type = zipfile.ZIP_DEFLATED
+    member.external_attr = 0o600 << 16  # what writestr gives a named member
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr(member, text)
 
 
 def open_chunk_text(path: Path) -> io.TextIOBase:

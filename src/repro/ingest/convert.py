@@ -22,6 +22,7 @@ from repro.ingest.checkpoint import CheckpointJournal
 from repro.ingest.fetch import RetryPolicy
 from repro.ingest.stream import LiveFollower
 from repro.ingest.validate import ProblemReport
+from repro.kernels import distinct
 from repro.obs.trace import span as _span
 from repro.storage.gdelt import write_gdelt_dataset
 
@@ -101,7 +102,7 @@ def convert_raw_to_binary(
     with _span("ingest.sort_index"):
         events, mentions, dictionaries = follower.freeze()
     n_sources = len(dictionaries["sources"])
-    n_intervals = int(len(np.unique(mentions["MentionInterval"])))
+    n_intervals = int(len(distinct(mentions["MentionInterval"])))
     with _span("ingest.write", compress=compress):
         write_gdelt_dataset(
             out_dir,

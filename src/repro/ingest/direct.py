@@ -6,9 +6,12 @@ in-memory arrays of a :class:`~repro.synth.generator.SyntheticDataset`,
 skipping TSV serialization and parsing.  Benchmarks that measure *query*
 performance (not ingest) build their stores this way.
 
-URL dictionaries are the only Python-speed part (one f-string per
-article); pass ``include_urls=False`` to skip them when an experiment
-does not display URLs.
+Every column is array work, the URL dictionaries included: they are
+gathered from per-site, per-event and per-repeat pieces
+(:meth:`~repro.synth.generator.SyntheticDataset.article_urls`), never
+formatted per article.  ``include_urls=False`` still chooses the data
+shape — no URL dictionaries, -1 id columns — for experiments that do
+not display URLs.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 
 from repro.gdelt.codes import COUNTRIES
 from repro.gdelt.time_util import INTERVALS_PER_DAY
+from repro.kernels import distinct
 from repro.storage.columns import StringDictionary
 from repro.storage.gdelt import write_gdelt_dataset
 
@@ -46,7 +50,7 @@ def dataset_to_arrays(
 
     # countries dictionary: code 0 = untagged, then roster order for
     # countries actually present.
-    present = np.unique(ev.country_idx[ev.country_idx >= 0])
+    present = distinct(ev.country_idx[ev.country_idx >= 0])
     code_of = np.full(len(COUNTRIES), 0, dtype=np.int16)
     names = [""]
     for c in present:
@@ -89,33 +93,10 @@ def dataset_to_arrays(
     }
 
     if include_urls:
-        from repro.synth.generator import article_url
-
-        domains = cat.domains
-        eids = ev.event_id
-        slugs = [
-            ds.cfg.mega_events[k].slug if k >= 0 else None
-            for k in ev.mega_idx
-        ]
-        m_urls = [
-            article_url(domains[s], int(eids[r]), int(k), slugs[r])
-            for s, r, k in zip(mt.source_idx, mt.event_row, mt.repeat_k)
-        ]
-        dictionaries["mention_urls"] = StringDictionary.from_strings(m_urls)
-        mentions["UrlId"] = np.arange(len(m_urls), dtype=np.int32)
-
-        seed = ds.seed_mention
-        e_urls = [
-            article_url(
-                domains[int(mt.source_idx[m])],
-                int(eids[r]),
-                int(mt.repeat_k[m]),
-                slugs[r],
-            )
-            for r, m in enumerate(seed)
-        ]
-        dictionaries["event_urls"] = StringDictionary.from_strings(e_urls)
-        events["SourceURLId"] = np.arange(len(e_urls), dtype=np.int32)
+        dictionaries["mention_urls"] = ds.mention_urls()
+        mentions["UrlId"] = np.arange(mt.n_mentions, dtype=np.int32)
+        dictionaries["event_urls"] = ds.event_urls()
+        events["SourceURLId"] = np.arange(ev.n_events, dtype=np.int32)
     else:
         mentions["UrlId"] = np.full(mt.n_mentions, -1, dtype=np.int32)
         events["SourceURLId"] = np.full(ev.n_events, -1, dtype=np.int32)

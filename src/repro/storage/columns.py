@@ -7,7 +7,10 @@ offsets array (size + 1 entries) into a single UTF-8 blob.  Lookups are
 O(1) slices of the memory-mapped blob, and the whole dictionary never
 needs to be materialized as Python strings unless asked for.
 :class:`DictionaryBuilder` appends to the same two arrays while ingest
-runs, so a built dictionary is a view, never a re-encoding.
+runs, so a built dictionary is a view, never a re-encoding, and
+:func:`concat_gather` builds a dictionary of composite strings (an
+article URL is a site prefix + an event stem + a repeat suffix) by
+gathering bytes from a few small ones instead of formatting each row.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import numpy as np
 __all__ = [
     "StringDictionary",
     "DictionaryBuilder",
+    "concat_gather",
     "encode_strings",
     "ensure_capacity",
     "readonly_prefix",
@@ -57,7 +61,18 @@ class StringDictionary:
 
     def to_list(self) -> list[str]:
         """Materialize all entries (use sparingly on URL dictionaries)."""
-        return list(self)
+        return self.take(np.arange(len(self)))
+
+    def take(self, codes: np.ndarray) -> list[str]:
+        """Entries ``codes`` as Python strings, one decode each."""
+        codes = _checked(codes, len(self))
+        view = memoryview(self._blob)
+        return [
+            str(view[lo:hi], "utf-8")
+            for lo, hi in zip(
+                self._offsets[codes].tolist(), self._offsets[codes + 1].tolist()
+            )
+        ]
 
     def lengths(self) -> np.ndarray:
         """Byte length of each entry, vectorized."""
@@ -74,6 +89,54 @@ class StringDictionary:
         np.cumsum([len(b) for b in encoded], out=offsets[1:])
         blob = np.frombuffer(b"".join(encoded), dtype=np.uint8)
         return cls(offsets, blob)
+
+
+# Rows per gather step in :func:`concat_gather`: the step's byte index
+# array stays cache-sized instead of spanning the whole output.
+_GATHER_BLOCK_ROWS = 1 << 14
+
+
+def _checked(codes, size: int) -> np.ndarray:
+    """``codes`` as int64, every one a valid code of a ``size``-entry
+    dictionary (negative codes do not wrap around)."""
+    codes = np.asarray(codes, dtype=np.int64)
+    if len(codes) and not (0 <= codes.min() and codes.max() < size):
+        raise IndexError(f"dictionary code out of range [0, {size})")
+    return codes
+
+
+def concat_gather(
+    parts: Sequence[tuple[StringDictionary, np.ndarray]],
+) -> StringDictionary:
+    """The dictionary whose entry i is ``d[codes[i]]`` concatenated over
+    the ``(d, codes)`` pairs of ``parts`` (one or more, all ``codes``
+    equally long).
+
+    Byte-level and row-free: with the parts' blobs laid end to end, the
+    output is one gather from them, whose index array is each piece's
+    source start repeated over its length plus a running byte counter.
+    Rows go ``_GATHER_BLOCK_ROWS`` at a time, so the index array stays
+    cache-sized and scratch memory is bounded by the block, not the
+    output.
+    """
+    parts = [(d, _checked(codes, len(d))) for d, codes in parts]
+    blob = np.concatenate([d.arrays[1] for d, _ in parts])
+    bases = np.cumsum([0] + [len(d.arrays[1]) for d, _ in parts[:-1]])
+    starts = [base + d.arrays[0][:-1] for base, (d, _) in zip(bases, parts)]
+    # (rows, parts) piece lengths; row-major order is output byte order.
+    lengths = np.stack([d.lengths()[codes] for d, codes in parts], axis=1)
+    n = len(lengths)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths.sum(axis=1), out=offsets[1:])
+    out = np.empty(int(offsets[-1]), dtype=np.uint8)
+    for lo in range(0, n, _GATHER_BLOCK_ROWS):
+        hi = min(n, lo + _GATHER_BLOCK_ROWS)
+        first = np.stack([s[codes[lo:hi]] for s, (_, codes) in zip(starts, parts)], axis=1)
+        piece = lengths[lo:hi].ravel()
+        src = np.repeat(first.ravel() - (np.cumsum(piece) - piece), piece)
+        src += np.arange(len(src))
+        out[offsets[lo]:offsets[hi]] = blob[src]
+    return StringDictionary(offsets, out)
 
 
 def ensure_capacity(buf: np.ndarray, used: int, need: int) -> np.ndarray:

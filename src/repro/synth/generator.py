@@ -21,13 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.gdelt.codes import COUNTRIES
-from repro.gdelt.csv_io import (
-    EventRecord,
-    MentionRecord,
-    event_to_row,
-    mention_to_row,
-    write_chunk_zip,
-)
+from repro.gdelt.csv_io import event_lines, mention_lines, write_chunk_zip
 from repro.gdelt.masterlist import (
     EXPORT_KIND,
     MENTIONS_KIND,
@@ -35,25 +29,15 @@ from repro.gdelt.masterlist import (
     entry_for_file,
     format_master_list,
 )
-from repro.gdelt.time_util import interval_to_timestamp
+from repro.gdelt.time_util import intervals_to_timestamps
+from repro.kernels import distinct
+from repro.storage.columns import StringDictionary, concat_gather
 from repro.synth.config import SynthConfig
 from repro.synth.events import EventTable, generate_events
 from repro.synth.mentions import MentionTable, generate_mentions
 from repro.synth.sources import SourceCatalog, build_source_catalog
 
-__all__ = ["SyntheticDataset", "generate_dataset", "write_raw_archives", "article_url"]
-
-
-def article_url(
-    domain: str, event_id: int, repeat_k: int, slug: str | None = None
-) -> str:
-    """Deterministic unique URL for the ``repeat_k``-th article a source
-    published about an event.  Headline events carry a human-readable
-    slug (so the Table III URL column reads like the paper's)."""
-    stem = f"{slug}-{event_id}" if slug else str(event_id)
-    if repeat_k == 0:
-        return f"https://{domain}/news/{stem}"
-    return f"https://{domain}/news/{stem}-{repeat_k}"
+__all__ = ["SyntheticDataset", "generate_dataset", "write_raw_archives"]
 
 
 @dataclass(slots=True)
@@ -82,20 +66,46 @@ class SyntheticDataset:
     def n_articles(self) -> int:
         return self.mentions.n_mentions
 
-    def event_slug(self, row: int) -> str | None:
-        """Headline slug of event ``row`` (None for ordinary events)."""
-        k = int(self.events.mega_idx[row])
-        return self.cfg.mega_events[k].slug if k >= 0 else None
+    def article_urls(
+        self, source: np.ndarray, event_row: np.ndarray, repeat_k: np.ndarray
+    ) -> StringDictionary:
+        """The article URL rule: entry i is the URL of the
+        ``repeat_k[i]``-th article source ``source[i]`` published about
+        event row ``event_row[i]`` —
+        ``https://{domain}/news/{stem}``, plus ``-{k}`` when k > 0.  The
+        stem is the event id, behind a human-readable slug for the
+        headline events (so the Table III URL column reads like the
+        paper's).
 
-    def event_seed_url(self, row: int) -> str:
-        """SOURCEURL of event ``row`` (URL of its first captured article)."""
-        m = int(self.seed_mention[row])
-        domain = self.catalog.domains[int(self.mentions.source_idx[m])]
-        return article_url(
-            domain,
-            int(self.events.event_id[row]),
-            int(self.mentions.repeat_k[m]),
-            self.event_slug(row),
+        Built by gathering bytes from three small dictionaries (site
+        heads, event stems, repeat suffixes), not formatted per row.
+        """
+        ev = self.events
+        stems = ev.event_id.astype(str).astype(object)
+        for row in np.flatnonzero(ev.mega_idx >= 0):
+            slug = self.cfg.mega_events[ev.mega_idx[row]].slug
+            if slug:
+                stems[row] = f"{slug}-{stems[row]}"
+        heads = [f"https://{domain}/news/" for domain in self.catalog.domains]
+        n_suffixes = int(np.max(repeat_k, initial=0)) + 1
+        suffixes = [""] + [f"-{k}" for k in range(1, n_suffixes)]
+        return concat_gather([
+            (StringDictionary.from_strings(heads), source),
+            (StringDictionary.from_strings(stems), event_row),
+            (StringDictionary.from_strings(suffixes), repeat_k),
+        ])
+
+    def mention_urls(self) -> StringDictionary:
+        """URL of every mention row (GDELT's ``MentionIdentifier``)."""
+        mt = self.mentions
+        return self.article_urls(mt.source_idx, mt.event_row, mt.repeat_k)
+
+    def event_urls(self) -> StringDictionary:
+        """SOURCEURL of every event row: the URL of its first captured
+        article."""
+        mt, seed = self.mentions, self.seed_mention
+        return self.article_urls(
+            mt.source_idx[seed], np.arange(self.n_events), mt.repeat_k[seed]
         )
 
 
@@ -135,7 +145,7 @@ def generate_dataset(cfg: SynthConfig) -> SyntheticDataset:
 
     # Distinct sources per event via unique (event, source) pairs.
     key = mentions.event_row * np.int64(catalog.n_sources) + mentions.source_idx
-    uniq = np.unique(key)
+    uniq = distinct(key)
     num_sources = np.bincount(
         (uniq // catalog.n_sources).astype(np.int64), minlength=events.n_events
     ).astype(np.int64)
@@ -152,43 +162,50 @@ def generate_dataset(cfg: SynthConfig) -> SyntheticDataset:
     )
 
 
-def _event_record(ds: SyntheticDataset, row: int) -> EventRecord:
+def _event_columns(ds: SyntheticDataset) -> dict:
+    """Every :class:`~repro.gdelt.csv_io.EventRecord` field as a column
+    over event rows (the URLs as a dictionary whose code is the row)."""
     ev = ds.events
-    ci = int(ev.country_idx[row])
-    ts_event = interval_to_timestamp(int(ev.interval[row]))
-    return EventRecord(
-        global_event_id=int(ev.event_id[row]),
-        day=ts_event // 10**6,
-        event_root_code=f"{int(ev.root_code[row]):02d}",
-        quad_class=(int(ev.root_code[row]) - 1) // 5 + 1,
-        num_mentions=int(ds.num_articles[row]),
-        num_sources=int(ds.num_sources[row]),
-        num_articles=int(ds.num_articles[row]),
-        avg_tone=float(ev.avg_tone[row]),
-        action_geo_country=COUNTRIES[ci].fips if ci >= 0 else "",
-        date_added=interval_to_timestamp(int(ds.first_interval[row])),
-        source_url=ds.event_seed_url(row),
-    )
+    root = ev.root_code.astype(np.int64)
+    codes = range(int(root.max(initial=0)) + 1)
+    two_digit = np.array([f"{r:02d}" for r in codes], dtype=object)
+    fips = np.array([c.fips for c in COUNTRIES] + [""], dtype=object)
+    return {
+        "global_event_id": ev.event_id,
+        "day": intervals_to_timestamps(ev.interval) // 10**6,
+        "event_root_code": two_digit[root],
+        "quad_class": (root - 1) // 5 + 1,
+        "num_mentions": ds.num_articles,
+        "num_sources": ds.num_sources,
+        "num_articles": ds.num_articles,
+        "avg_tone": ev.avg_tone,
+        "action_geo_country": fips[ev.country_idx],
+        "date_added": intervals_to_timestamps(ds.first_interval),
+        "source_url": ds.event_urls(),
+    }
 
 
-def _mention_record(ds: SyntheticDataset, m: int) -> MentionRecord:
-    mt = ds.mentions
-    row = int(mt.event_row[m])
-    domain = ds.catalog.domains[int(mt.source_idx[m])]
-    return MentionRecord(
-        global_event_id=int(ds.events.event_id[row]),
-        event_time=interval_to_timestamp(int(ds.events.interval[row])),
-        mention_time=interval_to_timestamp(int(mt.interval[m])),
-        source_name=domain,
-        identifier=article_url(
-            domain,
-            int(ds.events.event_id[row]),
-            int(mt.repeat_k[m]),
-            ds.event_slug(row),
-        ),
-        confidence=int(mt.confidence[m]),
-        doc_tone=float(mt.doc_tone[m]),
-    )
+def _mention_columns(ds: SyntheticDataset) -> dict:
+    """Every :class:`~repro.gdelt.csv_io.MentionRecord` field as a
+    column over mention rows (the URLs as a dictionary, code = row)."""
+    mt, ev = ds.mentions, ds.events
+    return {
+        "global_event_id": ev.event_id[mt.event_row],
+        "event_time": intervals_to_timestamps(ev.interval)[mt.event_row],
+        "mention_time": intervals_to_timestamps(mt.interval),
+        "source_name": np.array(ds.catalog.domains, dtype=object)[mt.source_idx],
+        "identifier": ds.mention_urls(),
+        "confidence": mt.confidence,
+        "doc_tone": mt.doc_tone,
+    }
+
+
+def _take(columns: dict, rows: np.ndarray) -> dict[str, list]:
+    """Rows ``rows`` of every column, as Python lists."""
+    return {
+        name: col.take(rows) if isinstance(col, StringDictionary) else col[rows].tolist()
+        for name, col in columns.items()
+    }
 
 
 def write_raw_archives(
@@ -200,7 +217,9 @@ def write_raw_archives(
 
     Events land in the chunk containing their DATEADDED capture interval,
     mentions in the chunk containing their capture interval — mirroring
-    GDELT's publish-when-scraped behaviour.  Returns the master list path.
+    GDELT's publish-when-scraped behaviour.  Each archive's text is
+    rendered from columns (:func:`~repro.gdelt.csv_io.event_lines`), not
+    one record per row.  Returns the master list path.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -211,35 +230,24 @@ def write_raw_archives(
     mt_chunk = (ds.mentions.interval - start) // chunk_intervals
     n_chunks = int(np.ceil((end - start) / chunk_intervals))
 
+    tables = []
+    for kind, chunk_of, columns, lines in (
+        (EXPORT_KIND, ev_chunk, _event_columns(ds), event_lines),
+        (MENTIONS_KIND, mt_chunk, _mention_columns(ds), mention_lines),
+    ):
+        order = np.argsort(chunk_of, kind="stable")
+        tables.append((kind, order, chunk_of[order], columns, lines))
     entries = []
-    ev_order = np.argsort(ev_chunk, kind="stable")
-    mt_order = np.argsort(mt_chunk, kind="stable")
-    ev_sorted = ev_chunk[ev_order]
-    mt_sorted = mt_chunk[mt_order]
-
     for chunk in range(n_chunks):
         interval0 = start + chunk * chunk_intervals
-        lo = np.searchsorted(ev_sorted, chunk, side="left")
-        hi = np.searchsorted(ev_sorted, chunk, side="right")
-        if hi > lo:
-            lines = []
-            for row in ev_order[lo:hi]:
-                lines.append("\t".join(event_to_row(_event_record(ds, int(row)))))
-            name = chunk_basename(interval0, EXPORT_KIND)
-            path = out_dir / name
-            write_chunk_zip(path, name[: -len(".zip")], "\n".join(lines) + "\n")
-            entries.append(entry_for_file(path))
-
-        lo = np.searchsorted(mt_sorted, chunk, side="left")
-        hi = np.searchsorted(mt_sorted, chunk, side="right")
-        if hi > lo:
-            lines = []
-            for m in mt_order[lo:hi]:
-                lines.append("\t".join(mention_to_row(_mention_record(ds, int(m)))))
-            name = chunk_basename(interval0, MENTIONS_KIND)
-            path = out_dir / name
-            write_chunk_zip(path, name[: -len(".zip")], "\n".join(lines) + "\n")
-            entries.append(entry_for_file(path))
+        for kind, order, chunk_sorted, columns, lines in tables:
+            lo, hi = np.searchsorted(chunk_sorted, [chunk, chunk + 1])
+            if hi > lo:
+                text = "".join(lines(_take(columns, order[lo:hi])))
+                name = chunk_basename(interval0, kind)
+                path = out_dir / name
+                write_chunk_zip(path, name[: -len(".zip")], text)
+                entries.append(entry_for_file(path))
 
     master = out_dir / "masterfilelist.txt"
     master.write_text(format_master_list(entries), encoding="utf-8")

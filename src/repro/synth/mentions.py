@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.gdelt.codes import COUNTRIES
 from repro.gdelt.time_util import intervals_to_quarters
+from repro.kernels import distinct
 from repro.synth.config import SynthConfig
 from repro.synth.delays import sample_delays
 from repro.synth.events import EventTable
@@ -140,7 +141,7 @@ def _syndication(
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32))
     member_set = np.zeros(catalog.n_sources, dtype=bool)
     member_set[members] = True
-    covered = np.unique(event_row[member_set[source_idx]])
+    covered = distinct(event_row[member_set[source_idx]])
     if len(covered) == 0:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32))
     # Each member republishes each covered event independently.
@@ -232,9 +233,9 @@ def generate_mentions(
     keep = interval < cfg.end_interval
     # Guarantee a seed mention for events whose articles all fell off the
     # window end: clamp the first (lowest-delay) article of each such event.
-    lost = np.unique(event_row[~keep])
+    lost = distinct(event_row[~keep])
     if len(lost):
-        kept_events = np.unique(event_row[keep])
+        kept_events = distinct(event_row[keep])
         really_lost = np.setdiff1d(lost, kept_events, assume_unique=True)
         if len(really_lost):
             # For each lost event pick its first article and set delay 1.

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import zipfile
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,10 @@ from repro.gdelt.csv_io import (
     EventRecord,
     MentionRecord,
     event_from_row,
+    event_lines,
     event_to_row,
     mention_from_row,
+    mention_lines,
     mention_to_row,
     open_chunk_text,
     read_events_tsv,
@@ -142,6 +146,75 @@ class TestEventRows:
                 event_from_row(event_to_row(make_event(event_root_code=bad)))
 
 
+def _columns(records) -> dict[str, list]:
+    """Record fields as columns, the input of ``event_lines``/``mention_lines``."""
+    rows = [asdict(r) for r in records]
+    return {name: [row[name] for row in rows] for name in rows[0]} if rows else {}
+
+
+EVENT_GOLDEN = (
+    "410000001\t20160612\t201606\t2016\t2016.06" + "\t" * 21
+    + "1\t140\t140\t14\t3\t0.0\t17\t9\t17\t-3.2500" + "\t" * 17
+    + "1\t\tUS" + "\t" * 6
+    + "20160612021500\thttps://example.com/news/410000001"
+)
+MENTION_GOLDEN = (
+    "410000001\t20160612020000\t20160612024500\t1\texample.co.uk\t"
+    "https://example.co.uk/news/410000001\t1\t\t\t\t\t80\t\t-2.5000\t\t"
+)
+
+event_records = st.builds(
+    make_event,
+    global_event_id=st.integers(-(2**70), 2**70),
+    day=st.integers(0, 99_999_999),
+    event_root_code=st.sampled_from(["01", "14", "20", "x", ""]),
+    avg_tone=st.floats(allow_nan=False, allow_infinity=False, width=32),
+    action_geo_country=st.sampled_from(["", "US", "UK"]),
+    source_url=st.text(max_size=20),
+)
+mention_records = st.builds(
+    make_mention,
+    global_event_id=st.integers(-(2**70), 2**70),
+    source_name=st.text(max_size=12),
+    identifier=st.text(max_size=20),
+    confidence=st.integers(-100, 100),
+    doc_tone=st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestColumnarLines:
+    """``event_lines``/``mention_lines`` render whole columns through the
+    same layout as the one-record ``*_to_row`` functions."""
+
+    def test_event_golden(self):
+        assert "\t".join(event_to_row(make_event())) == EVENT_GOLDEN
+        assert event_lines(_columns([make_event()])) == [EVENT_GOLDEN + "\n"]
+
+    def test_mention_golden(self):
+        assert "\t".join(mention_to_row(make_mention())) == MENTION_GOLDEN
+        assert mention_lines(_columns([make_mention()])) == [MENTION_GOLDEN + "\n"]
+
+    def test_untagged_event_has_geo_type_zero(self):
+        from repro.gdelt.schema import EVENTS_SCHEMA, field_index
+
+        e = make_event(action_geo_country="")
+        (line,) = event_lines(_columns([e]))
+        assert line.split("\t")[field_index(EVENTS_SCHEMA, "ActionGeo_Type")] == "0"
+        assert line == "\t".join(event_to_row(e)) + "\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(event_records, max_size=8))
+    def test_event_lines_equal_rows(self, records):
+        want = ["\t".join(event_to_row(e)) + "\n" for e in records]
+        assert (event_lines(_columns(records)) if records else []) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(mention_records, max_size=8))
+    def test_mention_lines_equal_rows(self, records):
+        want = ["\t".join(mention_to_row(m)) + "\n" for m in records]
+        assert (mention_lines(_columns(records)) if records else []) == want
+
+
 class TestMentionRows:
     def test_roundtrip(self):
         m = make_mention()
@@ -191,6 +264,21 @@ class TestChunkZip:
         write_chunk_zip(path, "x.export.CSV", "hello\tworld\n")
         with open_chunk_text(path) as fh:
             assert fh.read() == "hello\tworld\n"
+
+    def test_member_date_time_is_fixed(self, tmp_path):
+        """The member carries a fixed timestamp, not the wall clock."""
+        path = tmp_path / "x.export.CSV.zip"
+        write_chunk_zip(path, "x.export.CSV", "hello\tworld\n")
+        with zipfile.ZipFile(path) as zf:
+            (member,) = zf.infolist()
+        assert member.date_time == (1980, 1, 1, 0, 0, 0)
+        assert member.compress_type == zipfile.ZIP_DEFLATED
+
+    def test_same_text_same_bytes(self, tmp_path):
+        a, b = tmp_path / "a.zip", tmp_path / "b.zip"
+        write_chunk_zip(a, "x.export.CSV", "1\t2\n")
+        write_chunk_zip(b, "x.export.CSV", "1\t2\n")
+        assert a.read_bytes() == b.read_bytes()
 
     def test_missing_archive_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -104,3 +104,21 @@ class TestImports:
         assert set(repro.__all__) <= set(namespace)
         with pytest.raises(AttributeError):
             repro.no_such_subpackage  # noqa: B018
+
+
+class TestOneSpelling:
+    def test_no_numpy_unique_in_package(self):
+        """The sorted distinct values of an array have one spelling in
+        the package, ``repro.kernels.distinct``: NumPy 2.x's ``unique``
+        hashes integer keys and is ~40x slower on them."""
+        src = Path(repro.__file__).resolve().parent
+        offenders = [
+            f"{path.relative_to(src)}:{n}"
+            for path in sorted(src.rglob("*.py"))
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if "np.unique(" in line or "numpy.unique(" in line
+        ]
+        assert not offenders, (
+            f"use repro.kernels.distinct instead of np.unique: {offenders}"
+        )
+

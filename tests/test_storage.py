@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,8 @@ from repro.storage import (
     StringDictionary,
     encode_strings,
 )
-from repro.storage.columns import DictionaryBuilder
+from repro.storage import columns
+from repro.storage.columns import DictionaryBuilder, concat_gather
 from repro.storage.format import FORMAT_VERSION, ColumnMeta
 from repro.storage.index import aligned_group_bounds, run_boundaries, sort_permutation
 
@@ -210,6 +213,56 @@ class TestStringDictionary:
         p.write_bytes(p.read_bytes()[:-8])
         with pytest.raises(StorageError, match="entries"):
             DatasetReader(root).dictionary("names")
+
+
+class TestConcatGather:
+    """The byte-level kernel behind the URL dictionaries equals per-row
+    string concatenation."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        parts=st.lists(st.lists(st.text(max_size=12), min_size=1, max_size=8),
+                       min_size=1, max_size=4),
+        n=st.integers(0, 60),
+        block_rows=st.integers(1, 70),
+    )
+    def test_equals_per_row_concatenation(self, data, parts, n, block_rows):
+        dicts = [StringDictionary.from_strings(p) for p in parts]
+        codes = [np.array(data.draw(st.lists(st.integers(0, len(p) - 1),
+                                             min_size=n, max_size=n)), dtype=np.int64)
+                 for p in parts]
+        with mock.patch.object(columns, "_GATHER_BLOCK_ROWS", block_rows):
+            got = concat_gather(list(zip(dicts, codes)))
+        want = ["".join(p[c[i]] for p, c in zip(parts, codes)) for i in range(n)]
+        assert got.to_list() == want
+        assert np.array_equal(got.arrays[0], StringDictionary.from_strings(want).arrays[0])
+
+    def test_multibyte_nul_and_empty_pieces(self):
+        heads = StringDictionary.from_strings(["https://新闻.cn/", "", "a\x00b"])
+        tails = StringDictionary.from_strings(["", "🦉", "x"])
+        got = concat_gather(
+            [(heads, np.array([0, 1, 2, 2])), (tails, np.array([1, 0, 0, 2]))]
+        )
+        assert got.to_list() == ["https://新闻.cn/🦉", "", "a\x00b", "a\x00bx"]
+
+    def test_zero_rows(self):
+        d = StringDictionary.from_strings(["a", "b"])
+        got = concat_gather([(d, np.empty(0, dtype=np.int64))])
+        assert len(got) == 0 and got.to_list() == []
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_code_out_of_range(self, bad):
+        d = StringDictionary.from_strings(["a", "b"])
+        with pytest.raises(IndexError):
+            concat_gather([(d, np.array([0, bad]))])
+
+    def test_take(self):
+        d = StringDictionary.from_strings(["a", "", "köln", "🦉"])
+        assert d.take(np.array([3, 0, 2, 2, 1])) == ["🦉", "a", "köln", "köln", ""]
+        assert d.take(np.empty(0, dtype=np.int64)) == []
+        with pytest.raises(IndexError):
+            d.take([-1])
 
 
 class TestIndexHelpers:

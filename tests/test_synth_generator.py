@@ -2,12 +2,33 @@
 
 from __future__ import annotations
 
+import dataclasses
+import zipfile
+
 import numpy as np
 
-from repro.gdelt.csv_io import open_chunk_text
+from repro.gdelt.csv_io import (
+    EventRecord,
+    MentionRecord,
+    event_to_row,
+    mention_to_row,
+    open_chunk_text,
+)
+from repro.gdelt.codes import COUNTRIES
 from repro.gdelt.masterlist import parse_master_list
-from repro.synth import generate_dataset, tiny_config
-from repro.synth.generator import article_url
+from repro.gdelt.time_util import interval_to_timestamp
+from repro.synth import generate_dataset, tiny_config, write_raw_archives
+
+
+def scalar_url(ds, source: int, event_row: int, repeat_k: int) -> str:
+    """The article URL rule spelled per row, as the reference."""
+    domain = ds.catalog.domains[source]
+    k = int(ds.events.mega_idx[event_row])
+    slug = ds.cfg.mega_events[k].slug if k >= 0 else None
+    event_id = int(ds.events.event_id[event_row])
+    stem = f"{slug}-{event_id}" if slug else str(event_id)
+    suffix = f"-{repeat_k}" if repeat_k else ""
+    return f"https://{domain}/news/{stem}{suffix}"
 
 
 class TestDatasetAssembly:
@@ -52,18 +73,86 @@ class TestDatasetAssembly:
         assert not np.array_equal(a.mentions.source_idx[:100], b.mentions.source_idx[:100])
 
     def test_event_seed_url_well_formed(self, tiny_ds):
-        url = tiny_ds.event_seed_url(0)
+        url = tiny_ds.event_urls()[0]
         assert url.startswith("https://")
         assert str(int(tiny_ds.events.event_id[0])) in url
 
 
 class TestArticleUrl:
-    def test_first_article(self):
-        assert article_url("x.co.uk", 410, 0) == "https://x.co.uk/news/410"
+    def test_first_article(self, tiny_ds):
+        domain = tiny_ds.catalog.domains[5]
+        event_id = int(tiny_ds.events.event_id[0])
+        assert tiny_ds.article_urls([5], [0], [0]).to_list() == [
+            f"https://{domain}/news/{event_id}"
+        ]
 
-    def test_repeat_article_distinct(self):
-        assert article_url("x.co.uk", 410, 1) == "https://x.co.uk/news/410-1"
-        assert article_url("x.co.uk", 410, 0) != article_url("x.co.uk", 410, 1)
+    def test_repeat_article_distinct(self, tiny_ds):
+        first, again = tiny_ds.article_urls([5, 5], [0, 0], [0, 1]).to_list()
+        assert again == f"{first}-1"
+
+    def test_mention_urls_equal_per_row_rule(self, tiny_ds):
+        """Covers slug events, repeat articles and a non-ASCII domain."""
+        domains = list(tiny_ds.catalog.domains)
+        domains[int(tiny_ds.mentions.source_idx[0])] = "nachrichten-köln.de"
+        ds = dataclasses.replace(
+            tiny_ds, catalog=dataclasses.replace(tiny_ds.catalog, domains=domains)
+        )
+        mt = ds.mentions
+        assert (ds.events.mega_idx[mt.event_row] >= 0).any()
+        assert (mt.repeat_k > 0).any()
+        rows = zip(mt.source_idx.tolist(), mt.event_row.tolist(), mt.repeat_k.tolist())
+        want = [scalar_url(ds, s, r, k) for s, r, k in rows]
+        assert ds.mention_urls().to_list() == want
+        assert "https://nachrichten-köln.de/news/" in want[0]
+
+    def test_event_urls_are_seed_article_urls(self, tiny_ds):
+        mt, seed = tiny_ds.mentions, tiny_ds.seed_mention
+        want = [
+            scalar_url(tiny_ds, int(mt.source_idx[m]), r, int(mt.repeat_k[m]))
+            for r, m in enumerate(seed.tolist())
+        ]
+        assert tiny_ds.event_urls().to_list() == want
+
+    def test_zero_rows(self, tiny_ds):
+        none = np.empty(0, dtype=np.int64)
+        urls = tiny_ds.article_urls(none, none, none)
+        assert len(urls) == 0 and urls.to_list() == []
+
+
+def _records(ds):
+    """Per-row records of every event and mention, built the way a
+    record-at-a-time exporter would (the reference for the columns)."""
+    ev, mt = ds.events, ds.mentions
+    events = []
+    for row in range(ds.n_events):
+        m = int(ds.seed_mention[row])
+        ci = int(ev.country_idx[row])
+        events.append(EventRecord(
+            global_event_id=int(ev.event_id[row]),
+            day=interval_to_timestamp(int(ev.interval[row])) // 10**6,
+            event_root_code=f"{int(ev.root_code[row]):02d}",
+            quad_class=(int(ev.root_code[row]) - 1) // 5 + 1,
+            num_mentions=int(ds.num_articles[row]),
+            num_sources=int(ds.num_sources[row]),
+            num_articles=int(ds.num_articles[row]),
+            avg_tone=float(ev.avg_tone[row]),
+            action_geo_country=COUNTRIES[ci].fips if ci >= 0 else "",
+            date_added=interval_to_timestamp(int(ds.first_interval[row])),
+            source_url=scalar_url(ds, int(mt.source_idx[m]), row, int(mt.repeat_k[m])),
+        ))
+    mentions = []
+    for m in range(ds.n_articles):
+        row, source = int(mt.event_row[m]), int(mt.source_idx[m])
+        mentions.append(MentionRecord(
+            global_event_id=int(ev.event_id[row]),
+            event_time=interval_to_timestamp(int(ev.interval[row])),
+            mention_time=interval_to_timestamp(int(mt.interval[m])),
+            source_name=ds.catalog.domains[source],
+            identifier=scalar_url(ds, source, row, int(mt.repeat_k[m])),
+            confidence=int(mt.confidence[m]),
+            doc_tone=float(mt.doc_tone[m]),
+        ))
+    return events, mentions
 
 
 class TestRawExport:
@@ -108,3 +197,32 @@ class TestRawExport:
         path = raw_dir / c.entry.url.rsplit("/", 1)[-1]
         assert hashlib.md5(path.read_bytes()).hexdigest() == c.entry.md5
         assert path.stat().st_size == c.entry.size
+
+    def test_archive_text_equals_per_row_records(self, raw_ds, raw_dir):
+        """Every archive line is the tab-joined row of that record, in
+        the order the master list lands them."""
+        events, mentions = _records(raw_ds)
+        start = raw_ds.cfg.start_interval
+        ev_chunk = (raw_ds.first_interval - start) // 96
+        mt_chunk = (raw_ds.mentions.interval - start) // 96
+        parsed = parse_master_list(
+            (raw_dir / "masterfilelist.txt").read_text(encoding="utf-8")
+        )
+        for c in parsed.chunks:
+            chunk = (c.interval - start) // 96
+            if c.kind == "export":
+                rows = [event_to_row(events[r]) for r in np.flatnonzero(ev_chunk == chunk)]
+            else:
+                rows = [mention_to_row(mentions[m])
+                        for m in np.flatnonzero(mt_chunk == chunk)]
+            with open_chunk_text(raw_dir / c.entry.url.rsplit("/", 1)[-1]) as fh:
+                assert fh.read() == "".join("\t".join(row) + "\n" for row in rows)
+
+    def test_exports_are_file_identical(self, raw_ds, raw_dir, tmp_path):
+        write_raw_archives(raw_ds, tmp_path, chunk_intervals=96)
+        names = sorted(p.name for p in raw_dir.iterdir())
+        assert names == sorted(p.name for p in tmp_path.iterdir())
+        for name in names:
+            assert (raw_dir / name).read_bytes() == (tmp_path / name).read_bytes(), name
+        with zipfile.ZipFile(tmp_path / names[0]) as zf:
+            assert zf.infolist()[0].date_time == (1980, 1, 1, 0, 0, 0)

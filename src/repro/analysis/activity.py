@@ -56,18 +56,14 @@ def sources_per_quarter(store: GdeltStore) -> np.ndarray:
     """
     nq = store.n_quarters()
     mat = group_count_2d(
-        store.mentions["SourceId"].astype(np.int64),
-        store.mention_quarter().astype(np.int64),
-        (store.n_sources, nq),
+        store.mentions["SourceId"], store.mention_quarter(), (store.n_sources, nq)
     )
     return (mat > 0).sum(axis=0).astype(np.int64)
 
 
 def events_per_quarter(store: GdeltStore) -> np.ndarray:
     """Events observed per quarter of their event day (Fig 4)."""
-    return group_count(
-        store.event_quarter().astype(np.int64), store.n_quarters()
-    )
+    return group_count(store.event_quarter(), store.n_quarters())
 
 
 def articles_per_quarter(
@@ -79,7 +75,7 @@ def articles_per_quarter(
     nq = store.n_quarters()
 
     def kernel(sl: slice) -> np.ndarray:
-        return group_count(q[sl].astype(np.int64), nq)
+        return group_count(q[sl], nq)
 
     parts = executor.map_chunks(kernel, store.n_mentions)
     return np.sum(parts, axis=0) if parts else np.zeros(nq, dtype=np.int64)
@@ -99,8 +95,4 @@ def publisher_quarterly_series(
     remap = np.full(store.n_sources, -1, dtype=np.int64)
     remap[source_ids] = np.arange(len(source_ids))
     keys_i = remap[store.mentions["SourceId"]]
-    return group_count_2d(
-        keys_i,
-        store.mention_quarter().astype(np.int64),
-        (len(source_ids), nq),
-    )
+    return group_count_2d(keys_i, store.mention_quarter(), (len(source_ids), nq))

@@ -36,7 +36,7 @@ def _incidence(
     sid = store.mentions["SourceId"]
     rows = store.mention_event_row()
     if source_ids is None:
-        keys = sid.astype(np.int64)
+        keys = sid
         k = store.n_sources
     else:
         source_ids = np.asarray(source_ids)
@@ -107,7 +107,7 @@ def source_coreporting_sparse(
         sid = store.mentions["SourceId"]
         ev_rows_all = store.mention_event_row()
         if source_ids is None:
-            keys_all = sid.astype(np.int64)
+            keys_all = sid
         else:
             remap = np.full(store.n_sources, -1, dtype=np.int64)
             remap[np.asarray(source_ids)] = np.arange(k)

@@ -58,14 +58,18 @@ class SourceDelayStats:
 
 
 def per_source_delay_stats(store: GdeltStore) -> SourceDelayStats:
-    """Compute min/max/mean/median delay per source in one pass each."""
-    keys = store.mentions["SourceId"].astype(np.int64)
-    delay = store.mentions["Delay"].astype(np.int64)
+    """Compute min/max/mean/median delay per source in one pass each.
+
+    Keys and delays are read at stored width; min/max widen the delays
+    because they answer in the values' dtype, and the report's is int64.
+    """
+    keys = store.mentions["SourceId"]
+    delay = store.mentions["Delay"]
     n = store.n_sources
     return SourceDelayStats(
         count=group_count(keys, n),
-        min=group_min(keys, delay, n),
-        max=group_max(keys, delay, n, empty=0),
+        min=group_min(keys, delay.astype(np.int64), n),
+        max=group_max(keys, delay.astype(np.int64), n, empty=0),
         mean=group_mean(keys, delay, n),
         median=group_median(keys, delay, n),
     )

@@ -32,8 +32,8 @@ class QuarterlyDelay:
 
 def quarterly_delay(store: GdeltStore) -> QuarterlyDelay:
     """Figure 10: average and median delay per capture quarter."""
-    q = store.mention_quarter().astype(np.int64)
-    delay = store.mentions["Delay"].astype(np.int64)
+    q = store.mention_quarter()
+    delay = store.mentions["Delay"]
     nq = store.n_quarters()
     return QuarterlyDelay(
         articles=group_count(q, nq),
@@ -49,7 +49,7 @@ def late_articles_per_quarter(
 ) -> np.ndarray:
     """Figure 11: articles per quarter with delay > ``threshold``."""
     executor = executor or SerialExecutor()
-    q = store.mention_quarter().astype(np.int64)
+    q = store.mention_quarter()
     delay = store.mentions["Delay"]
     nq = store.n_quarters()
 

@@ -47,8 +47,8 @@ def repeat_article_rates(store: GdeltStore) -> np.ndarray:
         float64 array per source id; NaN for sources with no articles.
     """
     rows = store.mention_event_row()
-    sid = store.mentions["SourceId"].astype(np.int64)
-    t = store.mentions["MentionInterval"].astype(np.int64)
+    sid = store.mentions["SourceId"]
+    t = store.mentions["MentionInterval"]
     ok = rows >= 0
 
     key = rows[ok] * np.int64(store.n_sources) + sid[ok]
@@ -71,7 +71,7 @@ def first_reaction_delays(store: GdeltStore) -> np.ndarray:
     ingest) hold the int64 max sentinel.
     """
     rows = store.mention_event_row()
-    delay = store.mentions["Delay"].astype(np.int64)
+    delay = store.mentions["Delay"]
     out = np.full(store.n_events, np.iinfo(np.int64).max, dtype=np.int64)
     ok = rows >= 0
     np.minimum.at(out, rows[ok], delay[ok])
@@ -91,8 +91,8 @@ def early_coverage(store: GdeltStore, window: int) -> np.ndarray:
     if window < 1:
         raise ValueError("window must be at least one interval")
     rows = store.mention_event_row()
-    delay = store.mentions["Delay"].astype(np.int64)
-    sid = store.mentions["SourceId"].astype(np.int64)
+    delay = store.mentions["Delay"]
+    sid = store.mentions["SourceId"]
     ok = (rows >= 0) & (delay <= window)
     pair = distinct(rows[ok] * np.int64(store.n_sources) + sid[ok])
     return np.bincount(

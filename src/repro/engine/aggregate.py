@@ -6,6 +6,15 @@ by an integer group key.  All kernels accept an optional boolean mask
 (the filter result) and negative keys mean "ungrouped" (dropped), so
 derived columns can use -1 for unattributable rows.
 
+Dtype contract: keys may be any integer dtype that casts safely to
+``intp`` (int8..int64, uint8..uint32) and are read at their stored
+width — callers never widen a key column, and a result's bytes and
+dtype do not depend on the key dtype.  Values are read at their stored
+width too; only :func:`group_min` / :func:`group_max` return the
+values' dtype, so a caller widens values only to choose that output
+dtype.  When no row is dropped, no compacted copy of keys or values is
+made.
+
 The two-key kernel :func:`group_count_2d` is the workhorse behind every
 matrix the paper reports: co-reporting, follow-reporting, and country
 cross-reporting all reduce to counting (i, j) pairs.
@@ -32,21 +41,30 @@ __all__ = [
 ]
 
 
-def _masked(keys: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+def _kept(
+    keys: np.ndarray, mask: np.ndarray | None, *more_keys: np.ndarray
+) -> np.ndarray | None:
+    """Rows that aggregate (every key >= 0 and mask set), or None for all."""
     keep = keys >= 0
+    for other in more_keys:
+        keep &= other >= 0
     if mask is not None:
         keep = keep & mask
-    return keep
+    return None if keep.all() else keep
+
+
+def _compact(keep: np.ndarray | None, *arrays: np.ndarray) -> list[np.ndarray]:
+    return [np.asarray(a) if keep is None else np.asarray(a)[keep] for a in arrays]
 
 
 def group_count(
     keys: np.ndarray, n_groups: int, mask: np.ndarray | None = None
 ) -> np.ndarray:
     """Row count per group (int64, length ``n_groups``)."""
-    keep = _masked(keys, mask)
+    (k,) = _compact(_kept(keys, mask), keys)
     if _obs._enabled:
         _metrics.counter("aggregate_rows_total", kernel="group_count").inc(len(keys))
-    return np.bincount(keys[keep], minlength=n_groups).astype(np.int64)
+    return np.bincount(k, minlength=n_groups).astype(np.int64)
 
 
 def group_sum(
@@ -62,10 +80,10 @@ def group_sum(
     zeros, which would make an empty selection answer with different
     bytes than a nonempty one.
     """
-    keep = _masked(keys, mask)
-    return np.bincount(
-        keys[keep], weights=values[keep].astype(np.float64), minlength=n_groups
-    ).astype(np.float64, copy=False)
+    k, v = _compact(_kept(keys, mask), keys, values)
+    return np.bincount(k, weights=v, minlength=n_groups).astype(
+        np.float64, copy=False
+    )
 
 
 def _sentinel(values: np.ndarray, largest: bool):
@@ -76,6 +94,15 @@ def _sentinel(values: np.ndarray, largest: bool):
     return np.inf if largest else -np.inf
 
 
+def _group_extreme(ufunc, keys, values, n_groups, mask, empty, largest):
+    k, v = _compact(_kept(keys, mask), keys, values)
+    if empty is None:
+        empty = _sentinel(v, largest)
+    out = np.full(n_groups, empty, dtype=v.dtype)
+    ufunc.at(out, k, v)
+    return out
+
+
 def group_min(
     keys: np.ndarray,
     values: np.ndarray,
@@ -83,14 +110,9 @@ def group_min(
     mask: np.ndarray | None = None,
     empty=None,
 ) -> np.ndarray:
-    """Minimum of ``values`` per group; ``empty`` (default: the dtype's
-    max) for groups with no rows."""
-    keep = _masked(keys, mask)
-    if empty is None:
-        empty = _sentinel(values, largest=True)
-    out = np.full(n_groups, empty, dtype=np.asarray(values).dtype)
-    np.minimum.at(out, keys[keep], values[keep])
-    return out
+    """Minimum of ``values`` per group, in the values' dtype; ``empty``
+    (default: the dtype's max) for groups with no rows."""
+    return _group_extreme(np.minimum, keys, values, n_groups, mask, empty, True)
 
 
 def group_max(
@@ -100,14 +122,9 @@ def group_max(
     mask: np.ndarray | None = None,
     empty=None,
 ) -> np.ndarray:
-    """Maximum of ``values`` per group; ``empty`` (default: the dtype's
-    min) for groups with no rows."""
-    keep = _masked(keys, mask)
-    if empty is None:
-        empty = _sentinel(values, largest=False)
-    out = np.full(n_groups, empty, dtype=np.asarray(values).dtype)
-    np.maximum.at(out, keys[keep], values[keep])
-    return out
+    """Maximum of ``values`` per group, in the values' dtype; ``empty``
+    (default: the dtype's min) for groups with no rows."""
+    return _group_extreme(np.maximum, keys, values, n_groups, mask, empty, False)
 
 
 def group_mean(
@@ -131,25 +148,23 @@ def group_median(
 ) -> np.ndarray:
     """Median of ``values`` per group (NaN for empty groups).
 
-    One global sort by (key, value), then per-group midpoint selection —
-    O(n log n) total rather than per-group sorting.
+    One global sort by (key, value) at stored width, then per-group
+    midpoint selection — O(n log n) total rather than per-group sorting.
+    Only the two middle values of each group become float64.
     """
-    keep = _masked(keys, mask)
-    k = keys[keep]
-    v = np.asarray(values)[keep]
+    k, v = _compact(_kept(keys, mask), keys, values)
     order = np.lexsort((v, k))
     k = k[order]
-    v = v[order].astype(np.float64)
+    v = v[order]
     out = np.full(n_groups, np.nan)
     if len(k) == 0:
         return out
     starts = np.flatnonzero(np.concatenate([[True], k[1:] != k[:-1]]))
     ends = np.concatenate([starts[1:], [len(k)]])
-    group_ids = k[starts]
     counts = ends - starts
-    mid = starts + (counts - 1) // 2
-    mid2 = starts + counts // 2
-    out[group_ids] = (v[mid] + v[mid2]) / 2.0
+    lower = v[starts + (counts - 1) // 2].astype(np.float64)
+    upper = v[starts + counts // 2].astype(np.float64)
+    out[k[starts]] = (lower + upper) / 2.0
     return out
 
 
@@ -185,6 +200,17 @@ def topk_from_counts(counts: np.ndarray, k: int) -> dict[str, np.ndarray]:
     return {"keys": order.astype(np.int64), "counts": counts[order]}
 
 
+def _flat_pairs(
+    keys_i: np.ndarray, keys_j: np.ndarray, nj: int, keep: np.ndarray | None
+) -> np.ndarray:
+    """Row-major cell index ``i * nj + j`` of each kept (i, j) pair (int64)."""
+    ki, kj = _compact(keep, keys_i, keys_j)
+    flat = ki.astype(np.int64)
+    flat *= nj
+    flat += kj
+    return flat
+
+
 def group_count_2d(
     keys_i: np.ndarray,
     keys_j: np.ndarray,
@@ -198,14 +224,11 @@ def group_count_2d(
     matrix is only ~1.8 GB, and the update stream is huge).
     """
     ni, nj = shape
-    keep = (keys_i >= 0) & (keys_j >= 0)
-    if mask is not None:
-        keep = keep & mask
     if _obs._enabled:
         _metrics.counter("aggregate_rows_total", kernel="group_count_2d").inc(
             len(keys_i)
         )
-    flat = keys_i[keep].astype(np.int64) * nj + keys_j[keep]
+    flat = _flat_pairs(keys_i, keys_j, nj, _kept(keys_i, mask, keys_j))
     return np.bincount(flat, minlength=ni * nj).reshape(ni, nj).astype(np.int64)
 
 
@@ -218,10 +241,8 @@ def group_sum_2d(
 ) -> np.ndarray:
     """Pair-wise sums: out[i, j] = sum of values over rows keyed (i, j)."""
     ni, nj = shape
-    keep = (keys_i >= 0) & (keys_j >= 0)
-    if mask is not None:
-        keep = keep & mask
-    flat = keys_i[keep].astype(np.int64) * nj + keys_j[keep]
+    keep = _kept(keys_i, mask, keys_j)
+    (v,) = _compact(keep, values)
     return np.bincount(
-        flat, weights=values[keep].astype(np.float64), minlength=ni * nj
+        _flat_pairs(keys_i, keys_j, nj, keep), weights=v, minlength=ni * nj
     ).astype(np.float64, copy=False).reshape(ni, nj)

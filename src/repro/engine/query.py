@@ -511,10 +511,8 @@ def aggregated_country_query(
 
     def kernel(sl: slice) -> tuple[np.ndarray, np.ndarray]:
         rows = ev_row[sl]
-        pub = src_country[source_id[sl]].astype(np.int64)
-        evc = np.where(rows >= 0, ev_country[np.clip(rows, 0, None)], -1).astype(
-            np.int64
-        )
+        pub = src_country[source_id[sl]]
+        evc = np.where(rows >= 0, ev_country[np.clip(rows, 0, None)], -1)
         counts = group_count_2d(evc, pub, (n_c, n_c))
         ok = (rows >= 0) & (pub >= 0)
         # Compact (event, publisher-country) incidence keys: far smaller
@@ -601,6 +599,6 @@ def _unlocated_articles(
     """
     ev_row = store.mention_event_row()
     ev_country = store.event_country_idx()
-    pub = src_country[source_id].astype(np.int64)
+    pub = src_country[source_id]
     located = np.where(ev_row >= 0, ev_country[np.clip(ev_row, 0, None)], -1) >= 0
     return group_count(pub, n_c, ~located)

@@ -7,7 +7,7 @@ paper's analyses use everywhere:
 * ``source_country`` — roster index per source id, computed from the
   source domain's TLD (the paper's attribution rule);
 * ``mention_quarter`` / ``event_quarter`` — calendar quarter indices of
-  capture and event-day intervals;
+  capture and event-day intervals (int16, int32 if the span needs it);
 * ``mention_event_row`` — events-table row of each mention (join column);
 * ``mention_source_country`` / ``mention_event_country`` — roster index
   of each mention's publisher / event (the country group keys).
@@ -550,27 +550,21 @@ class GdeltStore:
         """Calendar quarter of each mention's capture interval."""
         return self._cached(  # type: ignore[return-value]
             "mention_quarter",
-            lambda: intervals_to_quarters(
-                self.mentions["MentionInterval"].astype(np.int64)
-            ).astype(np.int16),
+            lambda: intervals_to_quarters(self.mentions["MentionInterval"]),
         )
 
     def event_quarter(self) -> np.ndarray:
         """Calendar quarter of each event's day."""
         return self._cached(  # type: ignore[return-value]
             "event_quarter",
-            lambda: intervals_to_quarters(
-                self.events["DayInterval"].astype(np.int64)
-            ).astype(np.int16),
+            lambda: intervals_to_quarters(self.events["DayInterval"]),
         )
 
     def mention_event_quarter(self) -> np.ndarray:
         """Calendar quarter of each mention's *event* interval."""
         return self._cached(  # type: ignore[return-value]
             "mention_event_quarter",
-            lambda: intervals_to_quarters(
-                self.mentions["EventInterval"].astype(np.int64)
-            ).astype(np.int16),
+            lambda: intervals_to_quarters(self.mentions["EventInterval"]),
         )
 
     def n_quarters(self) -> int:

@@ -204,25 +204,70 @@ def intervals_to_timestamps(idx: np.ndarray) -> np.ndarray:
 
 def interval_to_quarter(index: int) -> int:
     """Quarter index (0 = 2015 Q1) of capture interval ``index``."""
-    dt = interval_to_datetime(index)
-    return (dt.year * 4 + (dt.month - 1) // 3) - _EPOCH_QUARTER
+    return int(intervals_to_quarters(index))
+
+
+#: Rows per ``searchsorted`` block of :func:`intervals_to_quarters`: its
+#: scratch is a few blocks of int64, whatever the input length.
+_QUARTER_BLOCK_ROWS = 1 << 15
+
+#: A 400-year Gregorian cycle is exactly 1600 quarters and 146097 days,
+#: so this ratio estimates a quarter to within one.
+_QUARTERS_PER_CYCLE = 1600
+_INTERVALS_PER_CYCLE = 146097 * INTERVALS_PER_DAY
+
+
+def _quarter_starts(q: np.ndarray) -> np.ndarray:
+    """First capture interval of each quarter index in ``q`` (int64).
+
+    Quarters begin at midnight, so the interval is exact.
+    """
+    a = np.asarray(q, dtype=np.int64) + _EPOCH_QUARTER
+    days = _days_from_civil(a // 4, a % 4 * 3 + 1, 1) - _EPOCH_DFC
+    return days * INTERVALS_PER_DAY
+
+
+_QUARTER0_START = int(_quarter_starts(0))
+
+
+def _quarter_estimate(index: int) -> int:
+    """Quarter of interval ``index``, off by at most one (Python ints)."""
+    return (index - _QUARTER0_START) * _QUARTERS_PER_CYCLE // _INTERVALS_PER_CYCLE
 
 
 def intervals_to_quarters(idx: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`interval_to_quarter`.
+    """Vectorized :func:`interval_to_quarter`: quarter index, 0 = 2015 Q1
+    (the partial quarter beginning at the 2015-02-18 epoch, exactly as
+    in the paper's figures).
 
-    Returns:
-        int64 array of quarter indices, 0 = 2015 Q1 (the partial quarter
-        beginning at the 2015-02-18 epoch, exactly as in the paper's
-        figures).
+    A boundary search, not calendar arithmetic per row: the starts of
+    the few quarters spanning ``[idx.min(), idx.max()]`` are computed
+    over the quarters, and each interval's quarter is the number of
+    those starts at or before it.  Scratch is a few fixed-size blocks.
+
+    Dtype contract: any integer ``idx`` (any shape, 0-d included) gives
+    the same values; the result has ``idx``'s shape and the narrowest of
+    int16 / int32 / int64 that holds every quarter in it (int16 for any
+    interval within about 8000 years of the epoch), so a key never wraps.
     """
-    idx = np.asarray(idx, dtype=np.int64)
-    base = np.datetime64(GDELT_V2_EPOCH, "m")
-    dt = base + idx * INTERVAL_MINUTES
-    months = dt.astype("datetime64[M]").astype(np.int64)  # months since 1970-01
-    year = months // 12 + 1970
-    month = months % 12  # 0-based
-    return year * 4 + month // 3 - _EPOCH_QUARTER
+    idx = np.asarray(idx)
+    flat = idx.reshape(-1)
+    if not len(flat):
+        return np.empty(idx.shape, dtype=np.int16)
+    lo, hi = int(flat.min()), int(flat.max())
+    q0 = _quarter_estimate(lo) - 2  # at or before lo's quarter
+    starts = _quarter_starts(np.arange(q0 + 1, _quarter_estimate(hi) + 3))
+    first, last = (q0 + np.searchsorted(starts, [lo, hi], side="right")).tolist()
+    dtype = next(
+        t for t in (np.int16, np.int32, np.int64)
+        if np.iinfo(t).min <= first and last <= np.iinfo(t).max
+    )
+    out = np.empty(len(flat), dtype=dtype)
+    for s in range(0, len(flat), _QUARTER_BLOCK_ROWS):
+        block = np.searchsorted(starts, flat[s : s + _QUARTER_BLOCK_ROWS], side="right")
+        block += q0
+        out[s : s + _QUARTER_BLOCK_ROWS] = block
+    return out.reshape(idx.shape)
 
 
 def quarter_label(q: int) -> str:

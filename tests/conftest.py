@@ -12,6 +12,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ import pytest
 from repro import faults
 from repro.engine import GdeltStore
 from repro.ingest.direct import dataset_to_arrays
+from repro.storage.columns import StringDictionary
 from repro.synth import SynthConfig, generate_dataset, tiny_config, write_raw_archives
 
 #: One knob for every randomized test in the suite.  Override with
@@ -44,6 +46,42 @@ def manifest_crcs(dataset_dir) -> dict[str, int]:
         crcs[f"dict/{d['name']}.blob"] = d["blob_crc32"]
     crcs.update({f"index/{i['name']}": i["crc32"] for i in manifest["indexes"]})
     return crcs
+
+
+def traced_peak(fn) -> int:
+    """Bytes ``fn()`` allocates at its peak, above what was live before
+    (tracemalloc: the Python heap, NumPy buffers included)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def flat_store(n_mentions: int, n_sources: int = 2000, seed: int = 0) -> GdeltStore:
+    """An array store of ``n_mentions`` uniform random mentions over the
+    2015-2019 window, every column at its stored width.  Large enough
+    that a per-row scratch bound is not hidden by fixed-size blocks."""
+    rng = np.random.default_rng(seed)
+    n_events = n_mentions // 4
+    day = np.sort(rng.integers(0, 170_000, n_events)).astype(np.int32)
+    event_row = np.sort(rng.integers(0, n_events, n_mentions))
+    delay = rng.integers(1, 5000, n_mentions).astype(np.int32)
+    events = {"GlobalEventID": np.arange(n_events, dtype=np.int64), "DayInterval": day}
+    mentions = {
+        "GlobalEventID": event_row.astype(np.int64),
+        "EventInterval": day[event_row],
+        "MentionInterval": day[event_row] + delay,
+        "Delay": delay,
+        "SourceId": rng.integers(0, n_sources, n_mentions).astype(np.int32),
+    }
+    dicts = {
+        "sources": StringDictionary.from_strings(f"s{i}.com" for i in range(n_sources)),
+        "countries": StringDictionary.from_strings([""]),
+    }
+    return GdeltStore.from_arrays(events, mentions, dicts)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -113,6 +113,60 @@ class TestGroupKernels:
         assert np.array_equal(full, parts)
 
 
+_KERNELS = {
+    "count": lambda k, v, n, m: group_count(k, n, m),
+    "sum": group_sum,
+    "min": group_min,
+    "max": group_max,
+    "mean": group_mean,
+    "median": group_median,
+    "count_2d": lambda k, v, n, m: group_count_2d(k, k[::-1].copy(), (n, n), m),
+    "sum_2d": lambda k, v, n, m: group_sum_2d(k, k[::-1].copy(), v, (n, n), m),
+}
+
+
+@st.composite
+def narrow_case(draw):
+    """Keys in a narrow dtype (negatives only where signed), values of any
+    stored width, an optional mask; empty and all-dropped inputs included."""
+    dtype = draw(st.sampled_from([np.int8, np.int16, np.int32, np.uint16]))
+    n = draw(st.integers(0, 120))
+    lowest = -1 if np.issubdtype(dtype, np.signedinteger) else 0
+    keys = draw(st.lists(st.integers(lowest, N_GROUPS - 1), min_size=n, max_size=n))
+    if lowest < 0 and draw(st.booleans()):
+        keys = [-1] * n  # every row dropped
+    vdtype = draw(st.sampled_from([np.int16, np.int32, np.int64, np.float32]))
+    values = draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n))
+    mask = None
+    if draw(st.booleans()):
+        mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), bool)
+    return np.array(keys, dtype=dtype), np.array(values, dtype=vdtype), mask
+
+
+class TestNarrowKeys:
+    """Keys are read at stored width: a narrow key gives the bytes and the
+    dtype an int64 key gives, for every kernel."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(narrow_case(), st.sampled_from(sorted(_KERNELS)))
+    def test_same_bytes_as_int64_keys(self, case, kernel):
+        keys, values, mask = case
+        fn = _KERNELS[kernel]
+        got = fn(keys, values, N_GROUPS, mask)
+        want = fn(keys.astype(np.int64), values, N_GROUPS, mask)
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_does_not_mutate_inputs(self):
+        keys = np.array([0, 1, 2, 1], dtype=np.int16)
+        values = np.array([4, 3, 2, 1], dtype=np.int32)
+        before = keys.copy(), values.copy()
+        for fn in _KERNELS.values():
+            fn(keys, values, N_GROUPS, None)
+        assert np.array_equal(keys, before[0]) and np.array_equal(values, before[1])
+
+
 class TestTwoKeyKernels:
     def test_count_2d_brute(self):
         rng = np.random.default_rng(3)

@@ -8,6 +8,7 @@ import pytest
 from repro import analysis as an
 from repro.analysis.delay import FAST_THRESHOLD, SLOW_THRESHOLD
 from repro.engine import ThreadExecutor
+from tests.conftest import flat_store, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +27,13 @@ class TestPerSourceStats:
             assert stats.max[s] == mine.max()
             assert stats.mean[s] == pytest.approx(mine.mean())
             assert stats.median[s] == pytest.approx(np.median(mine))
+
+    def test_scratch_is_bounded(self):
+        """Keys and delays read at stored width: at most 4 x 8 bytes of
+        scratch per row (widening keys to int64 took ~57)."""
+        store = flat_store(200_000)
+        peak = traced_peak(lambda: an.per_source_delay_stats(store))
+        assert peak <= 4 * 8 * store.n_mentions, peak / store.n_mentions
 
     def test_covered_sources(self, tiny_store, stats):
         covered = stats.covered()

@@ -16,6 +16,7 @@ from repro.gdelt.time_util import intervals_to_quarters
 from repro.qa.reference import reference_value
 from repro.serve.protocol import store_meta
 from repro.storage.gdelt import write_gdelt_dataset
+from tests.conftest import flat_store, traced_peak
 
 
 def _store(arrays, events=slice(None), mentions=slice(None)):
@@ -73,6 +74,30 @@ class TestDerivedColumns:
         assert (
             tiny_store.mention_event_quarter() <= tiny_store.mention_quarter()
         ).all()
+
+
+class TestQuarterKeys:
+    """Quarter keys are built at their stored width, by boundary search."""
+
+    def test_key_does_not_wrap_past_int16(self, tiny_arrays):
+        """Interval 2e9 is quarter 228 159; as int16 it would read 31 551."""
+        ev, mt, dicts = tiny_arrays
+        mentions = {k: v[:3].copy() for k, v in mt.items()}
+        mentions["MentionInterval"][:] = [0, 100_000, 2_000_000_000]
+        store = GdeltStore.from_arrays(
+            ev, mentions, {k: dicts[k] for k in ("countries", "sources")}
+        )
+        q = store.mention_quarter()
+        assert q.dtype == np.int32
+        assert q.tolist() == [0, 11, 228_159]
+        assert store.n_quarters() == 228_160
+
+    def test_mention_quarter_scratch_is_bounded(self):
+        """At most 2 x 8 bytes per row, result included (the datetime64
+        path took ~56: ten full-length int64 temporaries)."""
+        store = flat_store(200_000)
+        peak = traced_peak(store.mention_quarter)
+        assert peak <= 2 * 8 * store.n_mentions, peak / store.n_mentions
 
 
 class TestNavigation:

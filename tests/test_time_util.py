@@ -6,7 +6,7 @@ import datetime as dt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.gdelt import time_util as tu
@@ -123,6 +123,100 @@ class TestQuarters:
         q = tu.interval_to_quarter(iv)
         lo, hi = tu.quarter_index_range(q)
         assert lo <= iv < hi
+
+
+_INT32 = st.integers(-(2**31), 2**31 - 1)
+
+
+def _datetime64_quarters(idx) -> np.ndarray:
+    """The row-wise ``datetime64`` formula the boundary search replaced,
+    kept as the oracle (int64 minutes cover the whole int32 range)."""
+    idx = np.asarray(idx, dtype=np.int64)
+    when = np.datetime64(tu.GDELT_V2_EPOCH, "m") + idx * tu.INTERVAL_MINUTES
+    months = when.astype("datetime64[M]").astype(np.int64)  # since 1970-01
+    return (months // 12 + 1970) * 4 + months % 12 // 3 - 2015 * 4
+
+
+def _quarter_start_interval(q: int) -> int:
+    """First interval of quarter ``q``, from ``datetime64`` month math."""
+    absolute = q + 2015 * 4
+    month = np.datetime64((absolute // 4 - 1970) * 12 + absolute % 4 * 3, "M")
+    minutes = month.astype("datetime64[m]") - np.datetime64(tu.GDELT_V2_EPOCH, "m")
+    return int(minutes.astype(np.int64)) // tu.INTERVAL_MINUTES
+
+
+class TestQuarterKernel:
+    """``intervals_to_quarters`` is a boundary search; these pin it to the
+    calendar formula it replaced, value for value."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(_INT32, max_size=60),
+        st.sampled_from([np.int32, np.int64]),
+    )
+    def test_equals_datetime64_over_int32(self, values, dtype):
+        idx = np.array(values, dtype=dtype)
+        assert tu.intervals_to_quarters(idx).tolist() == _datetime64_quarters(idx).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-(2**15), 2**15 - 1), min_size=1, max_size=60))
+    def test_int16_input(self, values):
+        idx = np.array(values, dtype=np.int16)
+        got = tu.intervals_to_quarters(idx)
+        assert got.dtype == np.int16
+        assert got.tolist() == _datetime64_quarters(idx).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-240_000, 240_000), st.integers(-1, 1))
+    def test_quarter_starts_plus_minus_one(self, q, offset):
+        iv = _quarter_start_interval(q) + offset
+        assume(-(2**31) <= iv < 2**31)
+        want = q - 1 if offset < 0 else q
+        got = tu.intervals_to_quarters(np.array([iv], dtype=np.int32))
+        assert got.tolist() == [want] == _datetime64_quarters([iv]).tolist()
+
+    @pytest.mark.parametrize("year", [2016, 2000, 2100, 2400, 1900, -4])
+    def test_end_of_february(self, year):
+        """Leap days (2016, 2000, 2400, -4) and non-leap centuries."""
+        march = _quarter_start_interval((year - 2015) * 4)  # Q1 starts Jan 1
+        march += 59 * tu.INTERVALS_PER_DAY  # Jan 1 + 59 days
+        idx = np.arange(march - 2 * tu.INTERVALS_PER_DAY, march + 2 * tu.INTERVALS_PER_DAY)
+        assert tu.intervals_to_quarters(idx).tolist() == _datetime64_quarters(idx).tolist()
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty(self, dtype, shape):
+        got = tu.intervals_to_quarters(np.empty(shape, dtype=dtype))
+        assert got.shape == shape and got.dtype == np.int16
+
+    @settings(max_examples=100, deadline=None)
+    @given(_INT32)
+    def test_zero_d(self, iv):
+        got = tu.intervals_to_quarters(np.int32(iv))
+        assert got.shape == ()
+        assert int(got) == int(_datetime64_quarters(iv)) == tu.interval_to_quarter(iv)
+
+    def test_shape_kept(self):
+        idx = np.arange(12, dtype=np.int32).reshape(3, 4) * 10_000
+        got = tu.intervals_to_quarters(idx)
+        assert got.shape == (3, 4)
+        assert got.ravel().tolist() == _datetime64_quarters(idx.ravel()).tolist()
+
+    def test_dtype_is_narrowest_that_holds_the_span(self):
+        """int16 while every quarter fits, int32 past it — never a wrap."""
+        in16 = np.array([_quarter_start_interval(2**15 - 1)], dtype=np.int32)
+        past = in16 + 100 * tu.INTERVALS_PER_DAY
+        assert tu.intervals_to_quarters(in16).dtype == np.int16
+        assert tu.intervals_to_quarters(past).dtype == np.int32
+        assert int(tu.intervals_to_quarters(past)[0]) == 2**15
+        below = np.array([-1, _quarter_start_interval(-(2**15)) - 1], dtype=np.int32)
+        assert tu.intervals_to_quarters(below).dtype == np.int32
+        assert int(tu.intervals_to_quarters(np.int32(2_000_000_000))) == 228_159
+
+    def test_blocks_tile_the_input(self):
+        n = tu._QUARTER_BLOCK_ROWS * 2 + 7
+        idx = np.random.default_rng(0).integers(-(2**31), 2**31, n).astype(np.int32)
+        assert np.array_equal(tu.intervals_to_quarters(idx), _datetime64_quarters(idx))
 
 
 class TestCaptureInterval:

@@ -18,8 +18,8 @@ Three independent rejections, checked in order:
    for requests with workable deadlines to meet them.
 
 Admitted requests wait in a strict priority queue (lower number first,
-FIFO within a priority).  :meth:`AdmissionController.take` hands the
-scheduler up to one batch of admitted requests at a time.
+FIFO within a priority).  :meth:`AdmissionController.take` hands each
+service worker up to one batch of admitted requests per pass.
 """
 
 from __future__ import annotations

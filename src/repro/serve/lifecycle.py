@@ -28,7 +28,7 @@ the layer that rolls the dataset forward *under load*:
 ``SIGHUP`` is the conventional reload trigger: the handler only sets a
 flag (:meth:`request_reload`), and the serve main loop calls
 :meth:`run_pending` — reloading on the signal-handling frame itself
-would race the scheduler.  ``/readyz`` surfaces :attr:`reloading` so
+would race the serve workers.  ``/readyz`` surfaces :attr:`reloading` so
 load balancers can expect elevated latency during the swap window.
 """
 

@@ -1,25 +1,23 @@
-"""The concurrent query service: submission, scheduling, execution.
+"""The concurrent query service: submission, admission, execution.
 
 :class:`QueryService` turns the single-caller engine into a
-multi-tenant server in three stages:
+multi-tenant server in two stages:
 
 1. **Admission** (:mod:`repro.serve.admission`) — every
    :meth:`~QueryService.submit` passes the rate-limit / queue-bound /
    deadline gate; rejected requests resolve immediately to ``shed``
    responses and never touch the engine.
-2. **Scheduling** — one scheduler thread drains the priority queue in
-   batches, compiles each request, and single-flights identical ones
-   (same planner canonical key): one leader executes, duplicates attach
-   to its in-flight entry and receive copies of the same value.
-   Requests already past their deadline when dequeued are shed instead
-   of scanned.  Unique requests against the same table are grouped for
-   shared-scan fusion.  Single-flight, grouping and zone-map pruning
-   always apply.
-3. **Execution** — worker threads pull batches, plan each member
-   through the zone-map planner, probe the process-wide result cache,
-   fuse the cache-missing remainder into one pass
-   (:func:`repro.serve.batcher.execute_batch`) on their own engine
-   executor, fill the cache, and resolve every waiter.
+2. **Execution** — each worker pass takes up to ``max_batch``
+   requests straight from the priority queue, pins one store
+   generation, and compiles each request.  Requests already past their
+   deadline are shed instead of scanned; identical ones (same planner
+   canonical key) single-flight: one leader executes, duplicates attach
+   to its in-flight entry and receive copies of the same value.  Per
+   table, the worker plans each leader through the zone-map planner,
+   probes the views and the process-wide result cache, fuses the misses
+   into one scan (:func:`repro.serve.batcher.execute_batch`) on its own
+   engine executor, fills the cache, and resolves every waiter.  A
+   crashed pass resolves what it took and the loop restarts in place.
 
 Graceful drain: :meth:`~QueryService.close` stops admitting (late
 submissions shed with ``SHUTTING_DOWN``), waits for queued and
@@ -33,7 +31,6 @@ requests to prove shedding kicks in and clients retry.
 from __future__ import annotations
 
 import logging
-import queue
 import threading
 import time
 from collections import deque
@@ -73,8 +70,13 @@ _ADMISSION_REASONS = frozenset(
     {ErrorCode.RATE_LIMITED, ErrorCode.QUEUE_FULL, ErrorCode.RETRY_AFTER}
 )
 
-#: Chaos sentinel: a worker that dequeues this exits as if it crashed.
-_KILL = object()
+#: How long an idle worker waits in admission before rechecking for
+#: shutdown (close and kill_worker also wake it directly).
+_IDLE_WAIT_S = 0.1
+
+
+class _WorkerKilled(RuntimeError):
+    """Raised at the start of a pass claimed by :meth:`QueryService.kill_worker`."""
 
 
 class PendingRequest:
@@ -132,13 +134,13 @@ class QueryService:
 
     Args:
         store: the store to serve (never mutated).
-        workers: number of service worker threads (batches in flight
+        workers: number of service worker threads (passes in flight
             concurrently).
         scan_threads: engine threads *per worker* for the fused scan;
             1 keeps each worker serial (concurrency then comes from the
             worker threads themselves — NumPy kernels drop the GIL).
-        max_queue / max_batch: admission queue bound and the largest
-            batch one scheduler pass forms.
+        max_queue / max_batch: admission queue bound and the most
+            requests one worker takes per pass.
         rate_limit / burst: per-client token bucket (requests/second);
             None disables rate limiting.
         default_deadline_s: applied to requests that carry none.
@@ -176,9 +178,9 @@ class QueryService:
         if store is None and lifecycle is None:
             raise ValueError("QueryService needs a store or a lifecycle")
         self._store = store
-        #: Optional hot-reload manager.  When set, every scheduler pass
-        #: pins the current generation and each batch carries its own
-        #: lease, so a reload mid-scan cannot free arrays under a worker.
+        #: Optional hot-reload manager.  When set, every worker pass
+        #: pins the current generation until its last group resolves, so
+        #: a reload mid-scan cannot free arrays under a worker.
         self.lifecycle = lifecycle
         #: Per-failure-class circuit breakers gating :meth:`submit`.
         self.breakers = breakers if breakers is not None else BreakerBoard()
@@ -199,7 +201,6 @@ class QueryService:
         )
         self._inflight: dict[tuple, _InFlight] = {}
         self._inflight_lock = threading.Lock()
-        self._batches: "queue.Queue" = queue.Queue()
         self._lock = threading.Lock()
         self._latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
         self._counts: dict[str, int] = {
@@ -211,6 +212,8 @@ class QueryService:
         self._started_s = time.monotonic()
         self._closed = False
         self._stop = threading.Event()
+        #: Chaos kills requested by :meth:`kill_worker` not yet claimed.
+        self._kills = threading.Semaphore(0)
 
         def make_executor() -> Executor:
             if scan_threads <= 1:
@@ -225,12 +228,8 @@ class QueryService:
             )
             for i, ex in enumerate(self._executors)
         ]
-        self._scheduler = threading.Thread(
-            target=self._scheduler_loop, name="serve-scheduler", daemon=True
-        )
         for t in self._threads:
             t.start()
-        self._scheduler.start()
 
     # -- submission --------------------------------------------------------
 
@@ -282,89 +281,115 @@ class QueryService:
         """Synchronous convenience wrapper around :meth:`submit`."""
         return self.submit(QueryRequest(table=table, **kw)).result(timeout)
 
-    # -- scheduling --------------------------------------------------------
-
-    def _scheduler_loop(self) -> None:
-        while not self._stop.is_set():
-            self._revive_dead_workers()
-            taken = self.admission.take(self.max_batch, timeout=0.1)
-            if not taken:
-                continue
-            # Pin one generation for this whole pass: every request in
-            # it compiles against the same store, and each queued batch
-            # carries its own lease so a reload publishing mid-scan
-            # cannot release arrays a worker is still walking.
-            lease = self.lifecycle.pin() if self.lifecycle is not None else None
-            store = lease.store if lease is not None else self._store
-            try:
-                now = time.monotonic()
-                leaders: list[tuple[PendingRequest, ExecutableOp]] = []
-                for pending in taken:
-                    req = pending.request
-                    # Expired in line: shed instead of wasting a scan.
-                    if (
-                        req.deadline_s is not None
-                        and now - pending.arrival_s > req.deadline_s
-                    ):
-                        self._shed_deadline(pending)
-                        self.admission.done()
-                        continue
-                    try:
-                        op = compile_request(store, req)
-                    except Exception as exc:
-                        self._error(pending, exc)
-                        self.admission.done()
-                        continue
-                    if self._attach_duplicate(pending, op.key):
-                        continue
-                    leaders.append((pending, op))
-                groups: dict[str, list] = {}
-                for entry in leaders:
-                    groups.setdefault(entry[1].req.table, []).append(entry)
-                for group in groups.values():
-                    batch_lease = (
-                        StoreLease(store.retain(), lease.generation)
-                        if lease is not None
-                        else None
-                    )
-                    self._batches.put((group, batch_lease))
-            finally:
-                if lease is not None:
-                    lease.release()
-
-    def _revive_dead_workers(self) -> None:
-        """Respawn any worker thread that died (chaos kill, fatal bug).
-
-        Runs on the scheduler thread each pass, so a killed worker is
-        back before the next batch needs it; the replacement reuses the
-        dead worker's engine executor.
-        """
-        if self._closed:
-            return
-        for i, t in enumerate(self._threads):
-            if t.is_alive():
-                continue
-            replacement = threading.Thread(
-                target=self._worker_loop,
-                args=(self._executors[i],),
-                name=f"{t.name}-revived",
-                daemon=True,
-            )
-            self._threads[i] = replacement
-            replacement.start()
-            self._count("worker_revives")
-            _metrics.counter("serve_worker_revives_total").inc()
-            _telemetry.flight().record("worker_revived", thread=t.name)
-            logger.warning("revived dead serve worker %s", t.name)
+    # -- workers -----------------------------------------------------------
 
     def kill_worker(self) -> None:
-        """Chaos hook: the next idle worker exits as if it crashed.
+        """Chaos hook: the next worker to start a pass crashes.
 
-        The scheduler's supervision (:meth:`_revive_dead_workers`)
-        respawns it; the soak harness uses this to prove serving
-        survives a worker death with no lost requests.
+        Its loop restarts on the same thread (:meth:`_worker_loop`); the
+        soak harness uses this to prove serving survives a worker crash
+        with no lost requests.
         """
-        self._batches.put(_KILL)
+        self._kills.release()
+        self.admission.wake_all()
+
+    def _worker_loop(self, executor: Executor) -> None:
+        """Serve passes until close; a crashed pass restarts the loop.
+
+        The pass has already resolved every request it took, so the
+        restart only accounts the crash and carries on with the same
+        engine executor.
+        """
+        name = threading.current_thread().name
+        while not self._stop.is_set():
+            try:
+                self._serve_pass(executor)
+            except Exception as exc:
+                if isinstance(exc, _WorkerKilled):
+                    _metrics.counter("serve_worker_kills_total").inc()
+                    _telemetry.flight().record("worker_killed", thread=name)
+                else:
+                    logger.exception("serve worker %s crashed", name)
+                self._count("worker_revives")
+                _metrics.counter("serve_worker_revives_total").inc()
+                _telemetry.flight().record("worker_revived", thread=name)
+                logger.warning("revived serve worker %s", name)
+
+    def _serve_pass(self, executor: Executor) -> None:
+        """Take one batch from admission and resolve every request in it."""
+        if self._kills.acquire(blocking=False):
+            raise _WorkerKilled("chaos kill")
+        owed = deque(self.admission.take(self.max_batch, timeout=_IDLE_WAIT_S))
+        if not owed:
+            return
+        # Pin one generation for the whole pass: every request compiles
+        # and executes against one store, and a reload publishing
+        # mid-scan cannot release arrays this worker is still walking.
+        lease = None
+        leaders: list[tuple[PendingRequest, ExecutableOp]] = []
+        try:
+            lease = self.lifecycle.pin() if self.lifecycle is not None else None
+            store = lease.store if lease is not None else self._store
+            now = time.monotonic()
+            while owed:
+                op = self._prepare(owed[0], store, now)
+                if op is not None:
+                    leaders.append((owed[0], op))
+                owed.popleft()
+        except Exception as exc:
+            # Still owed a response: the unprepared rest, and every
+            # flight this pass already leads.
+            for pending in owed:
+                self._error(pending, exc)
+                self.admission.done()
+            self._fail_flights(leaders, exc)
+            if lease is not None:
+                lease.release()
+            raise
+        groups: dict[str, list] = {}
+        for entry in leaders:
+            groups.setdefault(entry[1].req.table, []).append(entry)
+        try:
+            for group in groups.values():
+                try:
+                    self._execute(group, executor, lease)
+                except Exception as exc:
+                    logger.exception("serve batch failed")
+                    self.breakers.failure("execute")
+                    self._fail_flights(group, exc)
+        finally:
+            if lease is not None:
+                lease.release()
+
+    def _prepare(
+        self, pending: PendingRequest, store: GdeltStore, now: float
+    ) -> ExecutableOp | None:
+        """Compile a taken request; None if it resolved or joined a flight.
+
+        Requests already past their deadline are shed instead of wasting
+        a scan; identical in-flight requests single-flight.
+        """
+        req = pending.request
+        if req.deadline_s is not None and now - pending.arrival_s > req.deadline_s:
+            self._shed_deadline(pending)
+            self.admission.done()
+            return None
+        try:
+            op = compile_request(store, req)
+        except Exception as exc:
+            self._error(pending, exc)
+            self.admission.done()
+            return None
+        return None if self._attach_duplicate(pending, op.key) else op
+
+    def _fail_flights(
+        self, batch: list[tuple[PendingRequest, ExecutableOp]], exc: Exception
+    ) -> None:
+        """Resolve each leader in ``batch`` and its duplicates with ``exc``."""
+        for pending, op in batch:
+            for waiter in self._pop_flight(op.key, pending):
+                self._error(waiter, exc)
+                self.admission.done()
 
     def _attach_duplicate(self, pending: PendingRequest, key: tuple | None) -> bool:
         """Attach to an identical in-flight request; True if attached.
@@ -398,31 +423,6 @@ class QueryService:
         return [entry.leader, *entry.followers]
 
     # -- execution ---------------------------------------------------------
-
-    def _worker_loop(self, executor: Executor) -> None:
-        while True:
-            task = self._batches.get()
-            if task is None:  # shutdown sentinel
-                return
-            if task is _KILL:  # chaos: die as if the thread crashed
-                _metrics.counter("serve_worker_kills_total").inc()
-                _telemetry.flight().record(
-                    "worker_killed", thread=threading.current_thread().name
-                )
-                return
-            batch, lease = task
-            try:
-                self._execute(batch, executor, lease)
-            except Exception as exc:
-                logger.exception("serve worker batch failed")
-                self.breakers.failure("execute")
-                for pending, op in batch:
-                    for waiter in self._pop_flight(op.key, pending):
-                        self._error(waiter, exc)
-                        self.admission.done()
-            finally:
-                if lease is not None:
-                    lease.release()
 
     def _batch_cancel_token(
         self, batch: list[tuple[PendingRequest, ExecutableOp]]
@@ -754,11 +754,12 @@ class QueryService:
 
         ``drain=True`` (default) finishes queued and in-flight work
         first; late submissions shed with ``SHUTTING_DOWN`` either way.
-        ``drain=False`` abandons queued work but never strands it:
-        every still-unresolved pending — queued in admission, parked in
-        a batch, or attached to an in-flight leader — resolves with a
-        ``SHUTTING_DOWN`` shed, so no client blocks forever on
-        ``result()`` for a response that can no longer arrive.
+        ``drain=False`` abandons queued work but never strands it: each
+        worker finishes the pass it is in (resolving every request and
+        duplicate that pass took), and every request still queued in
+        admission resolves with a ``SHUTTING_DOWN`` shed, so no client
+        blocks forever on ``result()`` for a response that can no
+        longer arrive.
         """
         if self._closed:
             return
@@ -767,33 +768,12 @@ class QueryService:
             self.admission.wait_idle(timeout)
         self._stop.set()
         self.admission.wake_all()
-        self._scheduler.join(timeout=5.0)
-        for _ in self._threads:
-            self._batches.put(None)
         for t in self._threads:
             t.join(timeout=5.0)
         for pending in self.admission.drain_all():
             self._shed(pending, ErrorCode.SHUTTING_DOWN, 1.0)
-        self._resolve_abandoned_batches()
         for ex in self._executors:
             ex.close()
-
-    def _resolve_abandoned_batches(self) -> None:
-        """Shed batches still queued after the workers stopped."""
-        while True:
-            try:
-                task = self._batches.get_nowait()
-            except queue.Empty:
-                return
-            if task is None or task is _KILL:
-                continue
-            batch, lease = task
-            for pending, op in batch:
-                for waiter in self._pop_flight(op.key, pending):
-                    self._shed(waiter, ErrorCode.SHUTTING_DOWN, 1.0)
-                    self.admission.done()
-            if lease is not None:
-                lease.release()
 
     def __enter__(self) -> "QueryService":
         return self

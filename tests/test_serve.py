@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
 import time
 import urllib.request
@@ -260,6 +261,46 @@ class TestSingleFlight:
         assert stats["scans"] - before == 1
         assert stats["dedup_hits"] + stats["cache_hits"] >= len(pendings) - 1
         assert any(r.stats.get("deduped") for r in responses)
+
+    def test_many_takers_resolve_every_request_once(self, tiny_store):
+        preds = [parse_predicate(f"Delay > {8 * k}") for k in range(6)]
+        expected = [_direct_count(tiny_store, p) for p in preds]
+        n = 240
+        pendings: list = [None] * n
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            # More workers than cores, all taking from one admission queue.
+            with QueryService(tiny_store, workers=4, max_batch=4) as svc:
+                result_cache().invalidate()
+
+                def client(first):
+                    for i in range(first, n, 4):
+                        pendings[i] = svc.submit(
+                            QueryRequest(
+                                table="mentions", op="count", where=preds[i % 6]
+                            )
+                        )
+
+                clients = [
+                    threading.Thread(target=client, args=(k,)) for k in range(4)
+                ]
+                for t in clients:
+                    t.start()
+                svc.kill_worker()
+                for t in clients:
+                    t.join(timeout=30.0)
+                assert not any(t.is_alive() for t in clients)
+                responses = [p.result(timeout=30.0) for p in pendings]
+                assert svc.admission.wait_idle(5.0)
+                stats = svc.stats()
+        finally:
+            sys.setswitchinterval(switch)
+        assert [r.value for r in responses] == [expected[i % 6] for i in range(n)]
+        assert stats["ok"] == n
+        # Every request was answered exactly one way.
+        assert stats["scans"] + stats["dedup_hits"] + stats["cache_hits"] == n
+        assert stats["worker_revives"] >= 1
 
     def test_distinct_requests_batch_into_shared_scans(self, tiny_store):
         preds = [parse_predicate(f"Delay > {16 * i}") for i in range(1, 7)]
@@ -697,13 +738,64 @@ class TestDeadlinesAndBreakers:
                     and svc.stats()["worker_revives"] >= 1
                 ):
                     break
-                # Revival happens on the scheduler pass: poke it.
                 svc.query("mentions", op="count")
                 time.sleep(0.01)
             stats = svc.stats()
             assert stats["worker_revives"] >= 1
             assert svc.alive_workers() == 2
             assert svc.query("mentions", op="count").ok
+
+    def test_killed_sole_worker_restarts_without_traffic(self, tiny_store):
+        with QueryService(tiny_store, workers=1) as svc:
+            assert svc.query("mentions", op="count").ok
+            svc.kill_worker()
+            deadline = time.monotonic() + 2.0
+            while time.monotonic() < deadline:
+                if (
+                    svc.alive_workers() == 1
+                    and svc.stats()["worker_revives"] >= 1
+                ):
+                    break
+                time.sleep(0.01)
+            assert svc.stats()["worker_revives"] >= 1
+            assert svc.alive_workers() == 1
+            assert svc.query("mentions", op="count").ok
+
+    def test_pass_crash_outside_execute_resolves_what_it_took(
+        self, tiny_store, monkeypatch
+    ):
+        with QueryService(tiny_store, workers=1) as svc:
+            real = svc._attach_duplicate
+            crashes = []
+
+            def attach_once(pending, key):
+                if not crashes:
+                    crashes.append(pending)
+                    raise RuntimeError("attach exploded")
+                return real(pending, key)
+
+            monkeypatch.setattr(svc, "_attach_duplicate", attach_once)
+            resp = svc.submit(
+                QueryRequest(table="mentions", op="count")
+            ).result(timeout=5.0)
+            assert resp.status == "error"
+            assert "attach exploded" in resp.error
+            assert svc.query("mentions", op="count").ok
+            assert svc.stats()["worker_revives"] >= 1
+            assert svc.admission.wait_idle(5.0)
+
+    def test_workers_are_the_only_service_threads(self, tiny_store):
+        before = set(threading.enumerate())
+        svc = QueryService(tiny_store, workers=2)
+        try:
+            assert svc.query("mentions", op="count").ok
+            started = set(threading.enumerate()) - before
+            assert sorted(t.name for t in started) == [
+                "serve-worker-0", "serve-worker-1",
+            ]
+        finally:
+            svc.close()
+        assert not any(t.is_alive() for t in started)
 
 
 class TestNonDrainClose:

@@ -20,8 +20,9 @@ Layers:
   chunked kernels;
 * :mod:`repro.engine.planner` — zone-map chunk pruning and the LRU
   plan/result cache every query terminal runs through;
-* :mod:`repro.engine.query` — the user-facing query builder and the
-  paper's aggregated country query;
+* :mod:`repro.engine.query` — the user-facing query builder, the one
+  runner (plan → cache → fused scan) its terminals and the serving
+  layer share, and the paper's aggregated country query;
 * :mod:`repro.engine.baseline` — a row-at-a-time pure-Python engine
   (the generic-system baseline the paper compares against);
 * :mod:`repro.engine.numa`, :mod:`repro.engine.costmodel` — the 8-node
@@ -48,10 +49,12 @@ from repro.engine.planner import (
 )
 from repro.engine.query import (
     CountryQueryResult,
+    ExecutableOp,
     GroupedQuery,
     Query,
     QueryResult,
     aggregated_country_query,
+    run_batch,
 )
 from repro.engine.executor import (
     SerialExecutor,
@@ -70,6 +73,8 @@ __all__ = [
     "Query",
     "QueryResult",
     "GroupedQuery",
+    "ExecutableOp",
+    "run_batch",
     "Plan",
     "ScanUnit",
     "FusedUnit",

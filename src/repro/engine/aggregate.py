@@ -173,10 +173,11 @@ def group_stats_dict(
 ) -> dict[str, np.ndarray]:
     """The ``stats`` terminal's reduce: min/max/mean/median per group.
 
-    The single source of truth shared by the ``Query`` terminal, the
-    serving batcher, and the shard router's partial merge — all three
-    compact passing (key, value) pairs first and then run this once, so
-    a value computed by any of them is byte-identical to the others.
+    The single source of truth shared by the engine runner (local
+    ``Query`` terminals and served requests alike) and the shard
+    router's partial merge — both compact passing (key, value) pairs
+    first and then run this once, so a value computed by either is
+    byte-identical to the other.
     """
     return {
         "min": group_min(keys, values, n_groups),

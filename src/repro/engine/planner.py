@@ -196,14 +196,12 @@ def plan_query(
             mark the terminal uncacheable (e.g. grouping by a caller-
             supplied raw array the planner cannot fingerprint).
         prune: consult zone maps (default).  ``False`` forces the
-            unpruned full scan — the ablation baseline.
+            unpruned full scan — the ablation baseline, which carries no
+            cache key so it always executes.
     """
     n_workers = getattr(executor, "n_workers", 1)
     canonical = where.canonical() if where is not None else None
-    cache_key = None
-    if sig is not None:
-        cache_key = (store.fingerprint(), table, rows.start, rows.stop,
-                     canonical, op, sig)
+    cache_key = request_key(store, table, canonical, rows, op, sig, prune)
 
     with _span("planner.plan", table=table, op=op) as sp:
         if where is None:
@@ -271,21 +269,24 @@ def plan_query(
 def request_key(
     store: "GdeltStore",
     table: str,
-    where: "Expr | None",
+    canonical: str | None,
     rows: slice,
     op: str,
     sig: tuple | None = (),
+    prune: bool = True,
 ) -> tuple | None:
     """The canonical identity of one terminal request.
 
-    Exactly the tuple :func:`plan_query` stamps on ``Plan.cache_key`` —
-    the serving layer uses it to single-flight identical in-flight
-    requests without building a full plan first.  ``None`` means the
-    request has no canonical identity (unfingerprintable ``sig``).
+    ``canonical`` is the filter's :meth:`~repro.engine.expr.Expr
+    .canonical` form (``None`` when unfiltered).  This is the tuple
+    :func:`plan_query` stamps on ``Plan.cache_key`` — the serving layer
+    uses it to single-flight identical in-flight requests without
+    building a full plan first.  ``None`` means the request has no
+    canonical identity: an unfingerprintable ``sig``, or an unpruned
+    baseline that must execute rather than reuse a pruned run's value.
     """
-    if sig is None:
+    if sig is None or not prune:
         return None
-    canonical = where.canonical() if where is not None else None
     return (store.fingerprint(), table, rows.start, rows.stop, canonical, op, sig)
 
 
@@ -313,9 +314,14 @@ def fuse_plans(plans: "list[Plan]", n_workers: int = 1) -> list[FusedUnit]:
     elementary segments; each segment carries the set of plans covering
     it (with their per-plan mask-need).  Adjacent segments with the same
     membership merge, then split into executor-sized morsels — so one
-    scheduler dispatch serves every fused request while preserving each
+    dispatch serves every fused request while preserving each
     plan's own pruning and mask-free decisions.
+
+    A batch of one is its own plan: its morsels come back as they are,
+    without the boundary sweep.
     """
+    if len(plans) == 1:
+        return [FusedUnit(u.rows, ((0, u.need_mask),)) for u in plans[0].units]
     bounds: set[int] = set()
     for p in plans:
         for u in p.units:

@@ -6,14 +6,17 @@ over an executor.  It covers what the paper's "user-defined queries" do
 (filtered scans and grouped aggregations); the heavyweight analyses live
 in :mod:`repro.analysis` as dedicated kernels.
 
-Every terminal operation runs through the query planner
-(:mod:`repro.engine.planner`): zone maps prune chunks the filter cannot
-match, chunks the filter provably matches skip mask evaluation, and
-results land in an LRU cache keyed by the canonicalized filter.  The
-preferred entry point is :meth:`GdeltStore.query`, whose terminals
-return :class:`QueryResult` (value + profile + plan).  Grouped
-aggregation is spelled ``q.group_by("Quarter").count()``.  What each
-aggregate computes per chunk and how chunk partials combine lives in
+Every terminal operation binds to an :class:`ExecutableOp` and runs
+through :func:`run_batch`, the one runner shared with the serving
+layer: the planner (:mod:`repro.engine.planner`) prunes chunks the
+filter cannot match, chunks the filter provably matches skip mask
+evaluation, results land in an LRU cache keyed by the canonicalized
+filter, and the misses of a batch are fused into one scan.  A
+:class:`Query` terminal is a batch of one.  The preferred entry point
+is :meth:`GdeltStore.query`, whose terminals return
+:class:`QueryResult` (value + profile + plan).  Grouped aggregation is
+spelled ``q.group_by("Quarter").count()``.  What each aggregate
+computes per chunk and how chunk partials combine lives in
 :mod:`repro.engine.terminal`; this module plans, dispatches and caches.
 
 :func:`aggregated_country_query` is the paper's Section VI-G workload:
@@ -27,14 +30,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from repro.engine.aggregate import group_count, group_count_2d
-from repro.engine.executor import Executor, SerialExecutor
+from repro.engine.executor import CancelToken, Executor, SerialExecutor
 from repro.engine.expr import Expr
-from repro.engine.planner import Plan, plan_query, result_cache
+from repro.engine.planner import (
+    Plan,
+    fuse_plans,
+    plan_query,
+    request_key,
+    result_cache,
+)
 from repro.engine.store import GdeltStore
 from repro.engine.terminal import Terminal, TerminalSpec
 from repro.kernels import distinct
@@ -48,8 +58,10 @@ __all__ = [
     "QueryResult",
     "GroupedQuery",
     "CountryQueryResult",
+    "ExecutableOp",
     "aggregated_country_query",
     "bind_terminal",
+    "run_batch",
 ]
 
 
@@ -113,6 +125,171 @@ class QueryResult:
     plan: Plan | None = field(default=None, compare=False)
     profile: QueryProfile | None = field(default=None, compare=False)
     stats: dict | None = field(default=None, compare=False)
+
+
+class ExecutableOp:
+    """One terminal bound to a store: kernel, fold and identity.
+
+    ``partial(sl, need_mask)`` computes the chunk partial for an
+    absolute row slice; ``need_mask=False`` means the planner proved
+    every row in the slice passes the filter, so mask evaluation is
+    skipped.  ``reduce(parts)`` folds the partials and finalizes — or,
+    for ``partials=True``, returns the mergeable wire form instead.
+
+    Raises:
+        KeyError: unknown column, group key or filter column.
+    """
+
+    def __init__(
+        self,
+        store: GdeltStore,
+        table: str,
+        spec: TerminalSpec,
+        where: Expr | None,
+        rows: slice,
+        partials: bool = False,
+        prune: bool = True,
+    ) -> None:
+        self.store, self.table, self.where, self.rows = store, table, where, rows
+        self.spec, self.partials, self.prune = spec, partials, prune
+        self._terminal, self._kernel = bind_terminal(store, table, spec, where)
+        self.op_name = spec.op_name
+        self.sig = self._terminal.signature(partial=partials)
+
+    @cached_property
+    def key(self) -> tuple | None:
+        """The request identity (:func:`~repro.engine.planner.request_key`)
+        the serving layer single-flights on; ``None`` for an unpruned op,
+        which never touches the result cache.  Built on first read, so a
+        local terminal, whose plan stamps the same tuple, never pays for
+        it twice."""
+        canonical = self.where.canonical() if self.where is not None else None
+        return request_key(
+            self.store, self.table, canonical, self.rows, self.op_name,
+            self.sig, self.prune,
+        )
+
+    def plan(self, executor: Executor) -> Plan:
+        """This op's scan plan (result-cache key included)."""
+        return plan_query(
+            self.store, self.table, self.where, self.rows, self.op_name,
+            executor, self.sig, prune=self.prune,
+        )
+
+    def partial(self, sl: slice, need_mask: bool):
+        return self._kernel(sl, need_mask and self.where is not None)
+
+    def reduce(self, parts: list):
+        terminal = self._terminal
+        folded = terminal.fold(parts)
+        if self.partials:
+            return terminal.to_wire(folded)
+        return terminal.finalize(folded)
+
+
+def run_batch(
+    ops: list[ExecutableOp],
+    executor: Executor,
+    cancel: CancelToken | None = None,
+) -> list[QueryResult | Exception]:
+    """Plan → cache probe → fused scan → reduce → cache fill, for N ops.
+
+    Each op is planned and its ``plan.cache_key`` probed in the
+    process-wide result cache; a hit completes without scanning
+    (``plan.cache_status == "hit"``).  The misses of each table are
+    fused (:func:`~repro.engine.planner.fuse_plans`) into one
+    ``map_slices`` pass that reads each morsel's columns once for every
+    member covering it; a plan with no cache key (``prune=False``)
+    always scans and reports ``"off"``.
+
+    Returns one entry per op, in order: a :class:`QueryResult`, or the
+    exception that op failed with.  ``cancel`` is checked before every
+    morsel; when it fires, every op of the scan fails with
+    :class:`~repro.engine.executor.QueryCancelled`.
+
+    Float caveat: fused morsel boundaries are the union of the members'
+    boundaries, so float-column sums may associate differently than a
+    solo run (the same last-ulp variation as changing the worker
+    count).  Counts and integer-column aggregates are exact either way.
+    """
+    out: list = [None] * len(ops)
+    misses: dict[str, list[tuple[int, Plan]]] = {}
+    for i, op in enumerate(ops):
+        try:
+            plan = op.plan(executor)
+        except Exception as exc:  # bad column resolved late, etc.
+            out[i] = exc
+            continue
+        if plan.cache_key is not None:
+            hit = result_cache().get(plan.cache_key)
+            if hit is not None:
+                plan.cache_status = "hit"
+                if _obs._enabled:
+                    _metrics.counter("queries_total", op=op.op_name).inc()
+                out[i] = QueryResult(value=hit, plan=plan)
+                continue
+            plan.cache_status = "miss"
+        misses.setdefault(op.table, []).append((i, plan))
+    for group in misses.values():
+        _scan(ops, group, executor, cancel, out)
+    return out
+
+
+def _scan(ops, group, executor, cancel, out) -> None:
+    """One fused pass over the ``(index, plan)`` misses of one table;
+    fills ``out[index]`` for each."""
+    n_workers = getattr(executor, "n_workers", 1)
+    fused = fuse_plans([plan for _, plan in group], n_workers)
+    by_range = {(u.rows.start, u.rows.stop): u.members for u in fused}
+
+    def kernel(sl: slice):
+        return [
+            (j, ops[group[j][0]].partial(sl, need))
+            for j, need in by_range[(sl.start, sl.stop)]
+        ]
+
+    slices = [u.rows for u in fused]
+    profile = None
+    try:
+        if not _obs._enabled:
+            part_lists = executor.map_slices(kernel, slices, cancel=cancel)
+        else:
+            plans = [plan for _, plan in group]
+            name = f"query.{plans[0].op}" if len(plans) == 1 else "query.batch"
+            n_rows = sum(p.rows_total for p in plans)
+            collector = ProfileCollector()
+            with _span(
+                name, table=plans[0].table, rows=n_rows, size=len(plans),
+                chunks_pruned=sum(p.n_chunks_pruned for p in plans),
+            ):
+                t0 = time.perf_counter()
+                part_lists = executor.map_slices(
+                    kernel, slices, profile=collector, cancel=cancel
+                )
+                wall = time.perf_counter() - t0
+            profile = collector.finish(
+                name=name, n_rows=n_rows, n_workers=n_workers, wall_seconds=wall,
+            )
+            for plan in plans:
+                _metrics.counter("queries_total", op=plan.op).inc()
+                _metrics.histogram("query_seconds", op=plan.op).observe(wall)
+    except Exception as exc:  # cancellation, injected aborts, kernel failures
+        for i, _ in group:
+            out[i] = exc
+        return
+    parts: list[list] = [[] for _ in group]
+    for plist in part_lists:
+        for j, part in plist:
+            parts[j].append(part)
+    for (i, plan), mine in zip(group, parts):
+        try:
+            value = ops[i].reduce(mine)
+        except Exception as exc:
+            out[i] = exc
+            continue
+        if plan.cache_key is not None:
+            result_cache().put(plan.cache_key, value)
+        out[i] = QueryResult(value=value, plan=plan, profile=profile)
 
 
 class Query:
@@ -230,7 +407,10 @@ class Query:
         everything the engine decides before running the query.
         """
         total = self.store.n_rows(self.table_name)
-        plan = self._plan("explain", sig=None)
+        plan = plan_query(
+            self.store, self.table_name, self.where, self.rows, "explain",
+            self.executor, None, prune=self.prune,
+        )
         lines = [f"scan {self.table_name}"]
         if self.n_rows != total:
             pct = 100.0 * self.n_rows / total if total else 0.0
@@ -274,118 +454,32 @@ class Query:
         )
         return "\n".join(lines)
 
-    # -- planned execution ---------------------------------------------------
-
-    def _mask_abs(self, sl: slice) -> np.ndarray:
-        """Filter mask for an *absolute* table slice."""
-        return np.asarray(self.where.evaluate(self.table, sl), dtype=bool)
-
-    def _plan(self, op: str, sig: tuple | None) -> Plan:
-        return plan_query(
-            self.store, self.table_name, self.where, self.rows, op,
-            self.executor, sig, prune=self.prune,
-        )
-
-    def _execute_plan(self, plan: Plan, kernel) -> list:
-        """Dispatch a plan's morsels, instrumented like the legacy scan.
-
-        With observability enabled, wraps the scan in a ``query.<op>``
-        span, collects a :class:`QueryProfile` into :attr:`last_profile`,
-        and feeds the query counters/latency histogram.
-        """
-        slices = [u.rows for u in plan.units]
-        if not _obs._enabled:
-            return self.executor.map_slices(kernel, slices)
-        collector = ProfileCollector()
-        with _span(
-            f"query.{plan.op}",
-            table=self.table_name,
-            rows=self.n_rows,
-            chunks_pruned=plan.n_chunks_pruned,
-        ):
-            t0 = time.perf_counter()
-            parts = self.executor.map_slices(kernel, slices, profile=collector)
-            wall = time.perf_counter() - t0
-        self.last_profile = collector.finish(
-            name=f"query.{plan.op}",
-            n_rows=self.n_rows,
-            n_workers=getattr(self.executor, "n_workers", 1),
-            wall_seconds=wall,
-        )
-        _metrics.counter("queries_total", op=plan.op).inc()
-        _metrics.histogram("query_seconds", op=plan.op).observe(wall)
-        return parts
-
-    def _run(
-        self,
-        op: str,
-        kernel: Callable[[slice, bool], object],
-        reduce: Callable[[list, Plan], object],
-        sig: tuple | None = (),
-    ) -> QueryResult:
-        """Plan → cache probe → dispatch → reduce → cache fill.
-
-        ``kernel(sl, need_mask)`` is the chunk kernel; ``need_mask`` is
-        False exactly for morsels the zone maps proved all-matching.
-        ``sig=None`` disables result caching.
-        """
-        plan = self._plan(op, sig)
-        self.last_plan = plan
-        cache = result_cache()
-        if plan.cache_key is not None:
-            hit = cache.get(plan.cache_key)
-            if hit is not None:
-                plan.cache_status = "hit"
-                if _obs._enabled:
-                    _metrics.counter("queries_total", op=op).inc()
-                return QueryResult(value=hit, plan=plan)
-            plan.cache_status = "miss"
-        masked = {
-            (u.rows.start, u.rows.stop) for u in plan.units if u.need_mask
-        }
-        parts = self._execute_plan(
-            plan, lambda sl: kernel(sl, (sl.start, sl.stop) in masked)
-        )
-        value = reduce(parts, plan)
-        if plan.cache_key is not None:
-            cache.put(plan.cache_key, value)
-        return QueryResult(value=value, plan=plan, profile=self.last_profile)
-
     def _aggregate(self, spec: TerminalSpec) -> QueryResult:
-        """Run one aggregate terminal: ``finalize(fold(chunk partials))``."""
+        """Run one aggregate terminal as a batch of one."""
         spec.validate()
-        terminal, kernel = bind_terminal(
-            self.store, self.table_name, spec, self.where
+        op = ExecutableOp(
+            self.store, self.table_name, spec, self.where, self.rows,
+            prune=self.prune,
         )
-        return self._run(
-            spec.op_name,
-            kernel,
-            lambda parts, _: terminal.finalize(terminal.fold(parts)),
-            sig=terminal.signature(),
-        )
+        (result,) = run_batch([op], self.executor)
+        if isinstance(result, Exception):
+            raise result
+        self.last_plan = result.plan
+        if result.profile is not None:
+            self.last_profile = result.profile
+        return result
 
     # -- terminal operations -------------------------------------------------
 
     def mask(self) -> QueryResult:
         """Full boolean filter mask over the view (all-true when
-        unfiltered; pruned regions are filled False without scanning)."""
+        unfiltered): the filter evaluated directly, neither planned nor
+        cached."""
         if self.where is None:
-            value = np.ones(self.n_rows, dtype=bool)
-            return QueryResult(value=value, plan=self._plan("mask", sig=None))
-
-        base = self.rows.start
-
-        def kernel(sl: slice, need_mask: bool):
-            return self._mask_abs(sl) if need_mask else None
-
-        def reduce(parts, plan):
-            out = np.zeros(self.n_rows, dtype=bool)
-            for unit, part in zip(plan.units, parts):
-                seg = slice(unit.rows.start - base, unit.rows.stop - base)
-                out[seg] = True if part is None else part
-            return out
-
-        return self._run("mask", kernel, reduce, sig=("mask",))
+            return QueryResult(value=np.ones(self.n_rows, dtype=bool))
+        return QueryResult(
+            value=np.asarray(self.where.evaluate(self.table, self.rows), dtype=bool)
+        )
 
     def count(self) -> QueryResult:
         """Number of rows passing the filter."""

@@ -20,7 +20,8 @@ they are per op:
     a *finalized* wire value back to local types (null -> NaN, int vs
     float arrays).
 
-:class:`~repro.engine.query.Query`, the serving batcher, materialized
+The engine runner (:func:`~repro.engine.query.run_batch`, which runs
+both ``store.query(...)`` terminals and served requests), materialized
 views, the shard merge and ``repro.connect()`` are all callers.
 
 =============  ====================================================

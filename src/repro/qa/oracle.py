@@ -220,9 +220,10 @@ class Oracle:
         expr = expr_from_spec(case.get("where"))
         if expr is not None:
             q = q.filter(expr)
-        # The result cache does not key on the prune flag (the answers
-        # are identical by contract — the contract under test), so
-        # invalidate to force this path to actually execute.
+        # The in-process served surfaces (the remote backend and the
+        # view service) serve this same store and share the process-wide
+        # result cache, so invalidate to force this path to execute
+        # rather than return a served run's value.
         result_cache().invalidate()
         return _terminal(q, case)
 

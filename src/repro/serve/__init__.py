@@ -32,12 +32,6 @@ import importlib
 
 from repro.engine.terminal import GROUP_OPS, OPS
 from repro.serve.admission import AdmissionController, TokenBucket
-from repro.serve.batcher import (
-    BatchItem,
-    ExecutableOp,
-    compile_request,
-    execute_batch,
-)
 from repro.serve.breaker import BreakerBoard, CircuitBreaker
 from repro.serve.client import ServeClient, ViewSubscription, next_backoff
 from repro.serve.lifecycle import (
@@ -57,6 +51,7 @@ from repro.serve.remote import (
 from repro.serve.request import (
     QueryRequest,
     QueryResponse,
+    compile_request,
     request_from_wire,
 )
 from repro.serve.server import ServeServer
@@ -73,11 +68,9 @@ def __getattr__(name):
 
 __all__ = [
     "AdmissionController",
-    "BatchItem",
     "BreakerBoard",
     "CircuitBreaker",
     "ErrorCode",
-    "ExecutableOp",
     "GROUP_OPS",
     "LifecycleError",
     "METRICS_CONTENT_TYPE",
@@ -101,7 +94,6 @@ __all__ = [
     "ViewSubscription",
     "compile_request",
     "connect",
-    "execute_batch",
     "next_backoff",
     "request_from_wire",
     "store_meta",

@@ -12,11 +12,11 @@ multi-tenant server in two stages:
    generation, and compiles each request.  Requests already past their
    deadline are shed instead of scanned; identical ones (same planner
    canonical key) single-flight: one leader executes, duplicates attach
-   to its in-flight entry and receive copies of the same value.  Per
-   table, the worker plans each leader through the zone-map planner,
-   probes the views and the process-wide result cache, fuses the misses
-   into one scan (:func:`repro.serve.batcher.execute_batch`) on its own
-   engine executor, fills the cache, and resolves every waiter.  A
+   to its in-flight entry and receive copies of the same value.  The
+   worker probes the views, then hands the remaining leaders to the
+   engine's runner (:func:`repro.engine.query.run_batch` — the same
+   plan → result cache → fused scan path every ``store.query(...)``
+   terminal runs) on its own executor, and resolves every waiter.  A
    crashed pass resolves what it took and the loop restarts in place.
 
 Graceful drain: :meth:`~QueryService.close` stops admitting (late
@@ -42,20 +42,19 @@ from repro.engine.executor import (
     SerialExecutor,
     ThreadExecutor,
 )
-from repro.engine.planner import _copy_value, result_cache
+from repro.engine.planner import _copy_value
+from repro.engine.query import ExecutableOp, QueryResult, run_batch
 from repro.engine.store import GdeltStore
 from repro.faults import injector as _faults
 from repro.obs import metrics as _metrics
 from repro.obs import telemetry as _telemetry
 from repro.obs.profile import percentiles
 from repro.obs.telemetry import SloTracker
-from repro.obs.trace import span as _span
 from repro.serve.admission import AdmissionController
-from repro.serve.batcher import BatchItem, ExecutableOp, compile_request, execute_batch
 from repro.serve.breaker import BreakerBoard
 from repro.serve.lifecycle import StoreLease, StoreLifecycle
 from repro.serve.protocol import ErrorCode, store_meta
-from repro.serve.request import QueryRequest, QueryResponse
+from repro.serve.request import QueryRequest, QueryResponse, compile_request
 
 __all__ = ["PendingRequest", "QueryService"]
 
@@ -346,17 +345,13 @@ class QueryService:
             if lease is not None:
                 lease.release()
             raise
-        groups: dict[str, list] = {}
-        for entry in leaders:
-            groups.setdefault(entry[1].req.table, []).append(entry)
         try:
-            for group in groups.values():
-                try:
-                    self._execute(group, executor, lease)
-                except Exception as exc:
-                    logger.exception("serve batch failed")
-                    self.breakers.failure("execute")
-                    self._fail_flights(group, exc)
+            if leaders:
+                self._execute(leaders, executor, lease)
+        except Exception as exc:
+            logger.exception("serve batch failed")
+            self.breakers.failure("execute")
+            self._fail_flights(leaders, exc)
         finally:
             if lease is not None:
                 lease.release()
@@ -449,100 +444,54 @@ class QueryService:
         lease: StoreLease | None = None,
     ) -> None:
         t_start = time.monotonic()
-        items: list[BatchItem] = []
-        for pending, op in batch:
-            item = BatchItem(op=op)
-            items.append(item)
+        #: Per member: a QueryResult, or the exception it failed with.
+        results: list = [None] * len(batch)
+        views: dict[int, str] = {}
+        run: list[int] = []
+        for i, (pending, op) in enumerate(batch):
             try:
                 # The injectable request-path fault site: ``slow`` here
                 # inflates service time until shedding engages; ``abort``
                 # turns into an error response the client can retry.
                 _faults.fault_point("serve.request", key=str(pending.request.id))
             except Exception as exc:
-                item.error = exc
+                results[i] = exc
+                continue
             # A member already past its deadline (queue delay, or the
             # slow fault above) is cancelled before costing any scan.
             req = pending.request
             if (
-                item.error is None
-                and req.deadline_s is not None
+                req.deadline_s is not None
                 and time.monotonic() - pending.arrival_s > req.deadline_s
             ):
-                item.error = QueryCancelled("deadline")
-
-        # View probe: a fresh materialized view answers without a scan
-        # (and without touching the result cache — the view is its own,
-        # incrementally maintained, cache).
-        if self.views is not None:
-            for item in items:
-                if item.error is not None or item.extra.get("cache"):
-                    continue
-                try:
-                    hit = self.views.serve_lookup(item.op)
-                except Exception:  # a broken catalog must not fail serving
-                    logger.exception("view lookup failed; falling back to scan")
-                    hit = None
-                if hit is None:
-                    continue
-                value, meta = hit
-                item.value = value
-                item.extra["cache"] = "view"
-                item.extra["source"] = "view"
-                item.extra["view"] = meta.get("view")
-                # Plan anyway (zone-map arithmetic, no scan) so view hits
-                # carry the same plan accounting as scans, stamped with
-                # the serving source for explain().
-                try:
-                    item.plan = item.op.plan(executor)
-                    item.plan.source = "view"
-                    item.rows_planned = item.plan.rows_planned
-                except Exception:
-                    pass
-                self._count("view_hits")
-
-        # Result-cache probe: hits complete without scanning.
-        cache = result_cache()
-        to_scan: list[BatchItem] = []
-        for item in items:
-            if item.error is not None or item.extra.get("cache") == "view":
+                results[i] = QueryCancelled("deadline")
                 continue
-            hit = cache.get(item.op.key) if item.op.key is not None else None
+            hit = self._view_hit(op, executor) if self.views is not None else None
             if hit is not None:
-                item.value = hit
-                item.extra["cache"] = "hit"
-                # Plan anyway (zone-map arithmetic, no scan): the local
-                # query surface plans before probing this same cache, so
-                # remote clients get identical plan accounting on hits.
-                try:
-                    item.plan = item.op.plan(executor)
-                    item.rows_planned = item.plan.rows_planned
-                except Exception:
-                    pass
-                self._count("cache_hits")
-                _metrics.counter("serve_cache_hits_total").inc()
-            else:
-                item.extra["cache"] = "miss"
-                to_scan.append(item)
+                results[i], views[i] = hit
+                continue
+            run.append(i)
 
-        if to_scan:
-            with _span(
-                "serve.batch", table=to_scan[0].op.req.table, size=len(to_scan)
-            ):
-                execute_batch(
-                    to_scan, executor, cancel=self._batch_cancel_token(batch)
-                )
-            self._count("scans", len(to_scan))
-            _metrics.counter("serve_scans_total").inc(len(to_scan))
-            for item in to_scan:
-                if item.error is None and item.op.key is not None:
-                    cache.put(item.op.key, item.value)
+        if run:
+            answers = run_batch(
+                [batch[i][1] for i in run], executor,
+                cancel=self._batch_cancel_token(batch),
+            )
+            hits = 0
+            for i, res in zip(run, answers):
+                results[i] = res
+                hits += isinstance(res, QueryResult) and res.plan.cache_status == "hit"
+            for name, n in (("cache_hits", hits), ("scans", len(run) - hits)):
+                if n:
+                    self._count(name, n)
+                    _metrics.counter(f"serve_{name}_total").inc(n)
 
         # Breaker outcome: infrastructure failures (injected aborts,
         # kernel crashes) count; deadline cancellations are the client's
         # patience, not the engine's health, and do not.
         if any(
-            it.error is not None and not isinstance(it.error, QueryCancelled)
-            for it in items
+            isinstance(r, Exception) and not isinstance(r, QueryCancelled)
+            for r in results
         ):
             self.breakers.failure("execute")
         else:
@@ -556,46 +505,73 @@ class QueryService:
         self.admission.observe_service(exec_s / len(batch))
 
         now = time.monotonic()
-        for (pending, op), item in zip(batch, items):
+        for i, ((pending, op), res) in enumerate(zip(batch, results)):
             queue_delay = t_start - pending.arrival_s
             _metrics.histogram("serve_queue_delay_seconds").observe(queue_delay)
             waiters = self._pop_flight(op.key, pending)
-            if isinstance(item.error, QueryCancelled):
+            if isinstance(res, QueryCancelled):
                 for waiter in waiters:
                     self._shed_deadline(waiter)
                     self.admission.done()
                 continue
-            if item.error is not None:
+            if isinstance(res, Exception):
                 for waiter in waiters:
-                    self._error(waiter, item.error)
+                    self._error(waiter, res)
                     self.admission.done()
                 continue
+            plan = res.plan
             stats = {
                 "queue_delay_s": round(queue_delay, 6),
                 "exec_s": round(exec_s, 6),
                 "batch_size": len(batch),
-                "cache": item.extra.get("cache", "miss"),
-                "source": item.extra.get("source", "scan"),
-                "rows_planned": item.rows_planned,
+                "cache": "view" if i in views else plan.cache_status,
+                "source": "view" if i in views else "scan",
+                "rows_planned": plan.rows_planned if plan is not None else 0,
                 "store_gen": lease.generation if lease is not None else 0,
             }
-            if item.extra.get("view"):
-                stats["view"] = item.extra["view"]
-            if item.plan is not None:
+            if i in views:
+                stats["view"] = views[i]
+            if plan is not None:
                 # Plan accounting for remote clients: lets a RemoteStore
                 # reconstruct the pruning story a local QueryResult
                 # carries on its Plan.
                 stats.update(
-                    pruning=item.plan.pruning,
-                    chunks_total=item.plan.n_chunks_total,
-                    chunks_pruned=item.plan.n_chunks_pruned,
-                    chunks_full=item.plan.n_chunks_full,
-                    rows_total=item.plan.rows_total,
+                    pruning=plan.pruning,
+                    chunks_total=plan.n_chunks_total,
+                    chunks_pruned=plan.n_chunks_pruned,
+                    chunks_full=plan.n_chunks_full,
+                    rows_total=plan.rows_total,
                 )
-            for i, waiter in enumerate(waiters):
-                value = item.value if i == 0 else _copy_value(item.value)
-                self._resolve_ok(waiter, value, dict(stats, deduped=i > 0), now)
+            for n, waiter in enumerate(waiters):
+                value = res.value if n == 0 else _copy_value(res.value)
+                self._resolve_ok(waiter, value, dict(stats, deduped=n > 0), now)
                 self.admission.done()
+
+    def _view_hit(
+        self, op: ExecutableOp, executor: Executor
+    ) -> tuple[QueryResult, str] | None:
+        """A fresh materialized view's answer for ``op``, if one matches.
+
+        The view is its own, incrementally maintained cache, so a hit
+        skips the result cache and the scan.  It is still planned
+        (zone-map arithmetic, no scan) so it carries the same plan
+        accounting as a scan, stamped ``source="view"`` for explain().
+        """
+        try:
+            hit = self.views.serve_lookup(op)
+        except Exception:  # a broken catalog must not fail serving
+            logger.exception("view lookup failed; falling back to scan")
+            return None
+        if hit is None:
+            return None
+        value, meta = hit
+        try:
+            plan = op.plan(executor)
+            plan.source = "view"
+        except Exception:
+            plan = None
+        self._count("view_hits")
+        return QueryResult(value=value, plan=plan), meta.get("view")
 
     # -- resolution --------------------------------------------------------
 

@@ -507,17 +507,16 @@ class ViewCatalog:
     def serve_lookup(self, op) -> tuple[object, dict] | None:
         """Answer a compiled request from a fresh view, if one matches.
 
-        ``op`` is a :class:`~repro.serve.batcher.ExecutableOp`.  A hit
+        ``op`` is a :class:`~repro.engine.query.ExecutableOp`.  A hit
         requires the same terminal signature, the same canonical filter,
         full-table row coverage, and the *exact* store generation the
         view was refreshed against — anything else falls through to the
         scan path.  Returns ``(value_copy, meta)`` or ``None``.
         """
-        req = op.req
-        if req.partials or req.time_range is not None:
+        if op.partials:
             return None
-        canonical = req.where.canonical() if req.where is not None else None
-        key = self._terminal_key(req.table, canonical, op.op_name, op.sig)
+        canonical = op.where.canonical() if op.where is not None else None
+        key = self._terminal_key(op.table, canonical, op.op_name, op.sig)
         with self._lock:
             entry = self._serving.get(key)
             if entry is None:

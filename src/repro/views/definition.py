@@ -169,7 +169,7 @@ class ViewDefinition:
     def terminal(self, store) -> Terminal:
         """The view's terminal bound to ``store`` (group width, value
         dtype).  Its :meth:`~Terminal.signature` is exactly what
-        :class:`~repro.serve.batcher.ExecutableOp` stamps on a
+        :class:`~repro.engine.query.ExecutableOp` stamps on a
         non-partials request for the same terminal, so a view is
         matched to incoming requests by tuple equality, never by
         re-deriving intent.

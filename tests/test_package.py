@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -122,3 +123,35 @@ class TestOneSpelling:
             f"use repro.kernels.distinct instead of np.unique: {offenders}"
         )
 
+    def test_one_runner_plans_fuses_and_caches(self):
+        """Plan → result cache → fused scan lives in one function, the
+        engine runner (``repro.engine.query.run_batch``): no other module
+        fuses plans or reads or fills the result cache, so a served
+        request and a ``store.query()`` terminal cannot drift apart."""
+        src = Path(repro.__file__).resolve().parent
+        runner = src / "engine" / "query.py"
+        calls = re.compile(
+            r"(?<!def )\bfuse_plans\(|result_cache\(\)\.(get|put)\("
+            r"|=\s*result_cache\(\)\s*$"
+        )
+        offenders = [
+            f"{path.relative_to(src)}:{n}"
+            for path in sorted(src.rglob("*.py"))
+            if path != runner
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if calls.search(line)
+        ]
+        assert not offenders, f"only the engine runner may fuse or cache: {offenders}"
+
+    def test_engine_imports_no_upper_layer(self):
+        """The engine sits below serving, sharding, views and QA."""
+        src = Path(repro.__file__).resolve().parent
+        upper = re.compile(
+            r"^\s*(from|import)\s+repro\.(serve|shard|views|qa)\b", re.M
+        )
+        offenders = [
+            str(path.relative_to(src))
+            for path in sorted((src / "engine").rglob("*.py"))
+            if upper.search(path.read_text(encoding="utf-8"))
+        ]
+        assert not offenders, f"engine modules import an upper layer: {offenders}"

@@ -18,12 +18,16 @@ import pytest
 from repro.engine import (
     GdeltStore,
     GroupedQuery,
+    Plan,
     Query,
     QueryCache,
     QueryResult,
+    SerialExecutor,
     ThreadExecutor,
     col,
     const,
+    fuse_plans,
+    plan_query,
     result_cache,
 )
 from repro.gdelt.time_util import quarter_index_range
@@ -279,6 +283,17 @@ class TestResultCache:
         assert a.value != b.value
         assert b.plan.cache_status == "miss"
 
+    def test_unpruned_bypasses_result_cache(self, zstore, _fresh_cache):
+        """The unpruned baseline executes: it neither reads the pruned
+        run's entry nor fills one of its own."""
+        q = zstore.query("mentions").filter(_interval_pred())
+        assert q.count().plan.cache_status == "miss"
+        base = q.with_pruning(False).count()
+        assert base.plan.cache_status == "off"
+        assert base.plan.pruning == "unavailable"
+        assert base.plan.cache_key is None
+        assert q.with_pruning(False).count().plan.cache_status == "off"
+
     def test_uncacheable_sig_stays_off(self, zstore, _fresh_cache):
         # A plan built without a terminal signature (sig=None) carries no
         # cache key — the path view delta passes and other internal scans
@@ -346,6 +361,45 @@ class TestResultCache:
         stats = cache.stats()
         assert stats["size"] <= 32
         assert stats["hits"] + stats["misses"] == 8 * 2_000
+
+
+def _fixture_plans(zstore):
+    """``(workers, plan)`` for every pruning shape over the fine-chunked
+    store, planned for one and for three workers."""
+    n = zstore.n_rows("mentions")
+    lo, hi = quarter_index_range(10)
+    shapes = [
+        (None, slice(0, n), True),
+        (_interval_pred(), slice(0, n), True),
+        (_interval_pred(), slice(0, n), False),
+        (col("Delay") > 96, slice(0, n), True),
+        (col("Delay") > 96, zstore.interval_rows(lo, hi), True),
+        (col("MentionInterval") < 0, slice(0, n), True),  # everything pruned
+    ]
+    for ex in (SerialExecutor(), ThreadExecutor(3)):
+        with ex:
+            for where, rows, prune in shapes:
+                yield ex.n_workers, plan_query(
+                    zstore, "mentions", where, rows, "count", ex, prune=prune
+                )
+
+
+class TestFusion:
+    def test_batch_of_one_is_its_own_plan(self, zstore):
+        """``fuse_plans([p])`` skips the boundary sweep; its units equal
+        the sweep's (forced by fusing ``p`` with an empty plan)."""
+        seen_pruned = False
+        for workers, p in _fixture_plans(zstore):
+            empty = Plan(table=p.table, rows=slice(0, 0), op=p.op,
+                         where_canonical=None, units=[])
+            fast = fuse_plans([p], workers)
+            swept = fuse_plans([p, empty], workers)
+            assert [(u.rows, u.members) for u in fast] == [
+                (u.rows, u.members) for u in swept
+            ]
+            assert [u.rows for u in fast] == [u.rows for u in p.units]
+            seen_pruned |= p.n_chunks_pruned > 0
+        assert seen_pruned
 
 
 class TestExplain:

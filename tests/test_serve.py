@@ -26,6 +26,7 @@ from repro import obs
 from repro.engine import col
 from repro.engine.expr import parse_predicate
 from repro.engine.planner import result_cache
+from repro.engine.terminal import jsonable
 from repro.serve import (
     AdmissionController,
     OpsServer,
@@ -231,6 +232,56 @@ class TestServiceCorrectness:
         assert resp.ok and resp.value == expected
 
 
+class TestLocalServedParity:
+    """``store.query()`` and ``QueryService`` run one path: same bytes,
+    same plan accounting, same result-cache behaviour."""
+
+    @pytest.mark.parametrize("shape", ["count", "grouped_stats", "time_range"])
+    def test_same_values_plans_and_cache_status(self, tiny_zstore, shape):
+        store = tiny_zstore
+        iv = store.mentions["MentionInterval"]
+        lo, hi = int(iv.min()), int(iv.max()) + 1
+        where = col("MentionInterval") < lo + (hi - lo) // 3
+        local = store.query("mentions")
+        kw: dict = {"op": "count", "where": where}
+        if shape == "time_range":
+            lo += (hi - lo) // 6
+            local = local.time_range(lo, hi)
+            kw["time_range"] = (lo, hi)
+        local = local.filter(where)
+
+        def run_local():
+            if shape == "grouped_stats":
+                res = local.group_by("Quarter").stats("Delay")
+            else:
+                res = local.count()
+            plan = res.plan
+            return res.value, plan.cache_status, {
+                "pruning": plan.pruning,
+                "chunks_total": plan.n_chunks_total,
+                "chunks_pruned": plan.n_chunks_pruned,
+                "chunks_full": plan.n_chunks_full,
+                "rows_planned": plan.rows_planned,
+            }
+
+        if shape == "grouped_stats":
+            kw.update(op="stats", column="Delay", group_by="Quarter")
+        result_cache().invalidate()
+        local_runs = [run_local(), run_local()]
+        result_cache().invalidate()
+        with QueryService(store, workers=1) as svc:
+            served = [svc.query("mentions", **kw) for _ in range(2)]
+        result_cache().invalidate()
+
+        assert all(r.ok for r in served)
+        assert [c for _, c, _ in local_runs] == ["miss", "hit"]
+        assert [r.stats["cache"] for r in served] == ["miss", "hit"]
+        for (value, _, plan), resp in zip(local_runs, served):
+            assert json.dumps(jsonable(value)) == json.dumps(jsonable(resp.value))
+            assert plan == {k: resp.stats[k] for k in plan}
+        assert local_runs[0][2]["chunks_pruned"] > 0
+
+
 class TestSingleFlight:
     def test_identical_concurrent_requests_scan_once(self, tiny_store):
         pred = parse_predicate("Delay > 48")
@@ -315,7 +366,7 @@ class TestSingleFlight:
             stats = svc.stats()
         assert [r.value for r in responses] == expected
         # One worker + one burst: fewer dispatches than requests proves
-        # the batcher fused compatible scans.
+        # the runner fused compatible scans.
         assert stats["batches"] < len(preds)
         assert any(r.stats["batch_size"] > 1 for r in responses)
 

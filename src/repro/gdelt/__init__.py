@@ -39,14 +39,6 @@ from repro.gdelt.codes import (
     tld_to_fips,
     source_country,
 )
-from repro.gdelt.csv_io import (
-    EventRecord,
-    MentionRecord,
-    read_events_tsv,
-    read_mentions_tsv,
-    write_events_tsv,
-    write_mentions_tsv,
-)
 from repro.gdelt.masterlist import (
     MasterListEntry,
     ChunkRef,
@@ -78,12 +70,6 @@ __all__ = [
     "fips_to_name",
     "tld_to_fips",
     "source_country",
-    "EventRecord",
-    "MentionRecord",
-    "read_events_tsv",
-    "read_mentions_tsv",
-    "write_events_tsv",
-    "write_mentions_tsv",
     "MasterListEntry",
     "ChunkRef",
     "format_master_list",

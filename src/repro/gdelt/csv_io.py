@@ -1,11 +1,13 @@
-"""Reading and writing raw GDELT 2.0 TSV chunks.
+"""Reading and writing raw GDELT 2.0 TSV chunks, a column at a time.
 
 The raw export format is tab-separated values with no header and no
 quoting, one file per table per 15-minute interval, each wrapped in a zip
-archive.  This module provides typed record views over the *core* columns
-(the ones the system materializes) while preserving full 61/16-column
-row-width on disk, so that the preprocessing tool exercises the same
-parse-and-project work the paper's converter does.
+archive.  One layout table per raw table says which schema column carries
+which *field* (the core values the system materializes), and it is read
+both ways: :func:`event_lines` renders whole columns of fields into
+full-width 61/16-column rows, and :func:`event_columns` parses a whole
+archive's rows back into those columns, so the preprocessing tool does
+the same parse-and-project work the paper's converter does.
 """
 
 from __future__ import annotations
@@ -13,103 +15,76 @@ from __future__ import annotations
 import io
 import re
 import zipfile
-from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from repro.gdelt.schema import (
-    EVENTS_SCHEMA,
-    MENTIONS_SCHEMA,
-    field_index,
-)
+import numpy as np
+
+from repro.gdelt.schema import EVENTS_SCHEMA, MENTIONS_SCHEMA, Field, FieldKind
+from repro.gdelt.time_util import timestamps_to_intervals
 
 __all__ = [
-    "EventRecord",
-    "MentionRecord",
-    "event_to_row",
     "event_lines",
-    "event_from_row",
-    "mention_to_row",
+    "event_columns",
     "mention_lines",
-    "mention_from_row",
-    "numeric_root_code",
-    "write_events_tsv",
-    "write_mentions_tsv",
-    "read_events_tsv",
-    "read_mentions_tsv",
+    "mention_columns",
+    "numeric_root_codes",
     "open_chunk_text",
     "write_chunk_zip",
 ]
 
-_E = {f.name: field_index(EVENTS_SCHEMA, f.name) for f in EVENTS_SCHEMA}
-_M = {f.name: field_index(MENTIONS_SCHEMA, f.name) for f in MENTIONS_SCHEMA}
+_I64 = (-(2**63), 2**63 - 1)
+_I32 = (-(2**31), 2**31 - 1)
+_I16 = (-(2**15), 2**15 - 1)
+_U8 = (0, 2**8 - 1)
 
-_EVENTS_WIDTH = len(EVENTS_SCHEMA)
-_MENTIONS_WIDTH = len(MENTIONS_SCHEMA)
+#: Timestamps are bounded to whole years: every ``YYYYMMDDHHMMSS`` of
+#: the years -59230 … 63252, month, day, hour, minute and second
+#: anywhere in 00–99 included, becomes an interval inside int32, and
+#: some stamp of the next year out on either side does not.
+_YEARS = (-59_230, 63_252)
+_STAMP = (_YEARS[0] * 10**10, _YEARS[1] * 10**10 + 9_999_999_999)
+_DAY = (_YEARS[0] * 10**4, _YEARS[1] * 10**4 + 9_999)  # Day * 10**6 is a stamp
 
-# Inclusive bounds of every integer field, from the binary column it
-# ends up in (``Day`` becomes the int64 timestamp ``Day * 10**6``).  A
-# row outside them is a bad row here, not an OverflowError at freeze.
-_I64_LO, _I64_HI = -(2**63), 2**63 - 1
-_I32_LO, _I32_HI = -(2**31), 2**31 - 1
-_I16_LO, _I16_HI = -(2**15), 2**15 - 1
-_DAY_LO, _DAY_HI = -(_I64_HI // 10**6), _I64_HI // 10**6
-_U8_HI = 2**8 - 1
-
-
-def numeric_root_code(code: str) -> int:
-    """A CAMEO root code as the ``RootCode`` column stores it
-    (non-numeric codes become 0)."""
-    try:
-        return int(code)
-    except ValueError:
-        return 0
-
-
-def _out_of_range(fields: dict[str, tuple[int, int, int]]) -> ValueError:
-    """The error naming the first of ``fields`` (name → value, lo, hi)
-    whose value lies outside its bounds."""
-    for name, (value, lo, hi) in fields.items():
-        if not lo <= value <= hi:
-            return ValueError(f"{name} {value} out of range for its column [{lo}, {hi}]")
-    raise AssertionError("every field is in range")
-
-
-@dataclass(slots=True)
-class EventRecord:
-    """Core view of one Events-table row."""
-
-    global_event_id: int
-    day: int  # YYYYMMDD
-    event_root_code: str
-    quad_class: int
-    num_mentions: int
-    num_sources: int
-    num_articles: int
-    avg_tone: float
-    action_geo_country: str  # FIPS, may be "" (not geotagged)
-    date_added: int  # YYYYMMDDHHMMSS capture timestamp
-    source_url: str  # seed article URL, may be "" (a data problem)
+#: Inclusive bounds of every checked value, from the binary column it
+#: lands in (:mod:`repro.storage.gdelt`).  A row outside them is a bad
+#: row, never a wrapped or overflowing column value.  Fields are checked
+#: in schema order, then ``Delay`` (``MentionInterval - EventInterval``).
+_BOUNDS = {
+    "GlobalEventID": _I64,
+    "Day": _DAY,  # DayInterval
+    "EventRootCode": _U8,  # RootCode, see numeric_root_codes
+    "QuadClass": _U8,
+    "NumMentions": _I32,
+    "NumSources": _I32,
+    "NumArticles": _I32,
+    "DATEADDED": _STAMP,  # AddedInterval
+    "EventTimeDate": _STAMP,  # EventInterval
+    "MentionTimeDate": _STAMP,  # MentionInterval
+    "Confidence": _I16,
+    "Delay": _I32,
+}
 
 
-@dataclass(slots=True)
-class MentionRecord:
-    """Core view of one Mentions-table row."""
-
-    global_event_id: int
-    event_time: int  # YYYYMMDDHHMMSS
-    mention_time: int  # YYYYMMDDHHMMSS (the 15-min capture instant)
-    source_name: str  # bare domain of the publisher
-    identifier: str  # article URL
-    confidence: int
-    doc_tone: float
+def numeric_root_codes(codes: Sequence[str]) -> list[int]:
+    """CAMEO root codes as the ``RootCode`` column stores them (a code
+    ``int()`` cannot parse becomes 0); each distinct code is parsed once."""
+    numeric = {}
+    for code in set(codes):
+        try:
+            numeric[code] = int(code)
+        except ValueError:
+            numeric[code] = 0
+    return list(map(numeric.__getitem__, codes))
 
 
 # The raw row layouts, the one place they are spelled: schema column →
-# the text it carries, with ``{placeholders}`` naming record fields (or
-# the derived event fields of :func:`_event_values`).  Columns not
-# listed stay empty.  :func:`event_to_row` renders one record through
-# them, :func:`event_lines` whole columns at once.
+# the text it carries, with ``{placeholders}`` naming fields (or the
+# derived values of ``_EVENT_DERIVED``).  Columns not listed stay empty.
+# The writers render whole columns through them; a column whose text is
+# exactly one field placeholder is where the parsers read that field.
 _EVENT_LAYOUT = {
     "GlobalEventID": "{global_event_id}",
     "Day": "{day}",
@@ -144,23 +119,14 @@ _MENTION_LAYOUT = {
 }
 
 
-def _event_values(columns: Mapping[str, list]) -> dict[str, list]:
-    """The event layout's placeholders, one list each: the record
-    fields plus the calendar fields and geo type derived from them."""
-    day = columns["day"]
-    return {
-        **columns,
-        "month_year": [d // 100 for d in day],
-        "year": [d // 10000 for d in day],
-        "month": [d // 100 % 100 for d in day],
-        "geo_type": ["1" if c else "0" for c in columns["action_geo_country"]],
-    }
-
-
-def _one_row(schema, layout: dict[str, str], values: dict[str, list]) -> list[str]:
-    """The full-width row of one record (``values`` holds one-item lists)."""
-    scalars = {name: v[0] for name, v in values.items()}
-    return [layout.get(f.name, "").format_map(scalars) for f in schema]
+#: The event layout's derived placeholders, each computed from the field
+#: columns: rendered into every row, never parsed back from one.
+_EVENT_DERIVED: dict[str, Callable[[Mapping[str, Sequence]], list]] = {
+    "month_year": lambda c: [d // 100 for d in c["day"]],
+    "year": lambda c: [d // 10000 for d in c["day"]],
+    "month": lambda c: [d // 100 % 100 for d in c["day"]],
+    "geo_type": lambda c: ["1" if g else "0" for g in c["action_geo_country"]],
+}
 
 
 def _line(schema, layout: dict[str, str]) -> str:
@@ -172,7 +138,7 @@ _EVENT_LINE = _line(EVENTS_SCHEMA, _EVENT_LAYOUT)
 _MENTION_LINE = _line(MENTIONS_SCHEMA, _MENTION_LAYOUT)
 
 
-def _lines(line: str, values: dict[str, Sequence]) -> list[str]:
+def _lines(line: str, values: Mapping[str, Sequence]) -> list[str]:
     """``line`` rendered once per row of the columns ``values``: its
     named placeholders become positional, so ``str.format`` takes one
     value from each column per call."""
@@ -181,153 +147,147 @@ def _lines(line: str, values: dict[str, Sequence]) -> list[str]:
     return list(map(positional.format, *values.values()))
 
 
-def event_to_row(e: EventRecord) -> list[str]:
-    """Render a full-width 61-column raw row for an event."""
-    columns = {name: [getattr(e, name)] for name in EventRecord.__slots__}
-    return _one_row(EVENTS_SCHEMA, _EVENT_LAYOUT, _event_values(columns))
-
-
-def event_lines(columns: Mapping[str, list]) -> list[str]:
+def event_lines(columns: Mapping[str, Sequence]) -> list[str]:
     """Newline-terminated raw lines of many events at once.
 
-    ``columns`` maps every :class:`EventRecord` field to one list of
-    values per row; line i is record i's :func:`event_to_row`, tab-joined,
-    rendered by one ``str.format`` call instead of a record, a row list
-    and a join.
+    ``columns`` maps every event field (the keys :func:`event_columns`
+    returns) to one sequence of values per row; line i is row i rendered
+    through the layout by one ``str.format`` call.
     """
-    return _lines(_EVENT_LINE, _event_values(columns))
+    derived = {name: f(columns) for name, f in _EVENT_DERIVED.items()}
+    return _lines(_EVENT_LINE, {**columns, **derived})
 
 
-def event_from_row(row: list[str]) -> EventRecord:
-    """Parse a raw 61-column row into an :class:`EventRecord`.
-
-    Raises:
-        ValueError: on a row of the wrong width, with unparseable core
-            numeric fields, or with an integer out of range for its
-            binary column (the validator turns these into problem-report
-            entries rather than crashes).
-    """
-    if len(row) != _EVENTS_WIDTH:
-        raise ValueError(
-            f"events row has {len(row)} columns, expected {_EVENTS_WIDTH}"
-        )
-    e = EventRecord(
-        global_event_id=int(row[_E["GlobalEventID"]]),
-        day=int(row[_E["Day"]]),
-        event_root_code=row[_E["EventRootCode"]],
-        quad_class=int(row[_E["QuadClass"]]),
-        num_mentions=int(row[_E["NumMentions"]]),
-        num_sources=int(row[_E["NumSources"]]),
-        num_articles=int(row[_E["NumArticles"]]),
-        avg_tone=float(row[_E["AvgTone"]] or "0"),
-        action_geo_country=row[_E["ActionGeo_CountryCode"]],
-        date_added=int(row[_E["DATEADDED"]]),
-        source_url=row[_E["SOURCEURL"]],
-    )
-    root = numeric_root_code(e.event_root_code)
-    if not (
-        _I64_LO <= e.global_event_id <= _I64_HI
-        and _DAY_LO <= e.day <= _DAY_HI
-        and 0 <= root <= _U8_HI
-        and 0 <= e.quad_class <= _U8_HI
-        and _I32_LO <= e.num_mentions <= _I32_HI
-        and _I32_LO <= e.num_sources <= _I32_HI
-        and _I32_LO <= e.num_articles <= _I32_HI
-        and _I64_LO <= e.date_added <= _I64_HI
-    ):
-        raise _out_of_range({
-            "GlobalEventID": (e.global_event_id, _I64_LO, _I64_HI),
-            "Day": (e.day, _DAY_LO, _DAY_HI),
-            "EventRootCode": (root, 0, _U8_HI),
-            "QuadClass": (e.quad_class, 0, _U8_HI),
-            "NumMentions": (e.num_mentions, _I32_LO, _I32_HI),
-            "NumSources": (e.num_sources, _I32_LO, _I32_HI),
-            "NumArticles": (e.num_articles, _I32_LO, _I32_HI),
-            "DATEADDED": (e.date_added, _I64_LO, _I64_HI),
-        })
-    return e
-
-
-def mention_to_row(m: MentionRecord) -> list[str]:
-    """Render a full-width 16-column raw row for a mention."""
-    columns = {name: [getattr(m, name)] for name in MentionRecord.__slots__}
-    return _one_row(MENTIONS_SCHEMA, _MENTION_LAYOUT, columns)
-
-
-def mention_lines(columns: Mapping[str, list]) -> list[str]:
+def mention_lines(columns: Mapping[str, Sequence]) -> list[str]:
     """Raw lines of many mentions at once (see :func:`event_lines`)."""
     return _lines(_MENTION_LINE, columns)
 
 
-def mention_from_row(row: list[str]) -> MentionRecord:
-    """Parse a raw 16-column row into a :class:`MentionRecord`.
+def _fields(schema, layout: dict[str, str], derived=()) -> list[tuple[str, int, Field]]:
+    """``(field, column index, schema column)`` of every column whose
+    text is exactly one field placeholder, in schema order."""
+    one = re.compile(r"\{(\w+)(?::[^{}]*)?\}")
+    return [
+        (m[1], i, f)
+        for i, f in enumerate(schema)
+        if (m := one.fullmatch(layout.get(f.name, ""))) and m[1] not in derived
+    ]
 
-    Raises:
-        ValueError: as :func:`event_from_row` does.
+
+_EVENT_FIELDS = _fields(EVENTS_SCHEMA, _EVENT_LAYOUT, _EVENT_DERIVED)
+_MENTION_FIELDS = _fields(MENTIONS_SCHEMA, _MENTION_LAYOUT)
+
+
+def _parse(texts: Sequence[str], f: Field, errors: dict[int, str]) -> list:
+    """Numeric column ``f``'s cells parsed by Python's ``int()`` or
+    ``float()`` (an empty cell of a nullable column is 0).  A cell that
+    does not parse becomes 0 and gives its row an error, unless the row
+    already has one."""
+    cast = float if f.kind is FieldKind.FLOAT else int
+    if f.nullable:
+        texts = [s or "0" for s in texts]
+    try:
+        return list(map(cast, texts))
+    except ValueError:
+        values = []
+        for row, text in enumerate(texts):
+            try:
+                values.append(cast(text))
+            except ValueError as exc:
+                errors.setdefault(row, str(exc))
+                values.append(0)
+        return values
+
+
+def _check(name: str, values: list[int], errors: dict[int, str]) -> None:
+    """Give every row whose value lies outside ``_BOUNDS[name]`` an
+    error naming the value, unless the row already has one."""
+    lo, hi = _BOUNDS[name]
+    if not values or (lo <= min(values) and max(values) <= hi):
+        return
+    for row, value in enumerate(values):
+        if not lo <= value <= hi:
+            errors.setdefault(row, f"{name} {value} out of range for its column [{lo}, {hi}]")
+
+
+def _columns(lines, table, schema, fields, derived) -> tuple[dict, list[tuple[int, str]]]:
+    """The field columns of ``lines``' good rows and the bad rows'
+    ``(line number, message)``, in line order (see :func:`event_columns`)."""
+    width = len(schema)
+    rows = [line.split("\t") for line in lines]
+    widths = list(map(len, rows))
+    line_nos, bad = range(1, len(rows) + 1), []
+    if widths.count(width) < len(rows):  # empty lines are skipped
+        bad = [
+            (no, f"{table} row has {w} columns, expected {width}")
+            for no, w, line in zip(line_nos, widths, lines)
+            if w != width and line
+        ]
+        line_nos = [no for no, w in zip(line_nos, widths) if w == width]
+        rows = [rows[no - 1] for no in line_nos]
+    cells = [()] * len(fields)  # one tuple of texts per field
+    if rows:
+        cells = zip(*map(itemgetter(*(i for _, i, _ in fields)), rows))
+    errors: dict[int, str] = {}  # row → its first error
+    values = {
+        name: list(texts) if f.kind is FieldKind.STR else _parse(texts, f, errors)
+        for (name, _, f), texts in zip(fields, cells)
+    }
+    for name, _, f in fields:
+        if f.name in _BOUNDS:
+            v = values[name]
+            _check(f.name, numeric_root_codes(v) if f.kind is FieldKind.STR else v, errors)
+    columns = {}
+    for name, _, f in fields:
+        v = values[name]
+        if f.kind is not FieldKind.STR:
+            for row in errors:  # only in-bounds values go into an array
+                v[row] = 0
+            v = np.array(v, np.float64 if f.kind is FieldKind.FLOAT else np.int64)
+        columns[name] = v
+    for name, value in derived.items():
+        _check(name, value(columns).tolist(), errors)
+    if errors:
+        keep = np.ones(len(rows), dtype=bool)
+        keep[list(errors)] = False
+        columns = {
+            name: c[keep] if isinstance(c, np.ndarray) else list(compress(c, keep))
+            for name, c in columns.items()
+        }
+        bad += [(line_nos[row], message) for row, message in errors.items()]
+        bad.sort()
+    return columns, bad
+
+
+def event_columns(lines: Sequence[str]) -> tuple[dict, list[tuple[int, str]]]:
+    """Parse raw events lines into field columns: the inverse of
+    :func:`event_lines`, one archive at a time.
+
+    Returns ``(columns, bad)``.  ``columns`` maps each event field to its
+    good rows' values, in line order: int64 and float64 arrays for the
+    numbers, lists of ``str`` for the text.  Empty lines are skipped.
+    ``bad`` lists ``(line number, message)`` (1-based) of every other
+    row, in line order: a row of the wrong width, a number Python's
+    ``int()``/``float()`` refuses (the first such field's error), or a
+    value outside the bounds of the binary column it lands in (the first
+    such field, named with its value).
     """
-    if len(row) != _MENTIONS_WIDTH:
-        raise ValueError(
-            f"mentions row has {len(row)} columns, expected {_MENTIONS_WIDTH}"
-        )
-    m = MentionRecord(
-        global_event_id=int(row[_M["GlobalEventID"]]),
-        event_time=int(row[_M["EventTimeDate"]]),
-        mention_time=int(row[_M["MentionTimeDate"]]),
-        source_name=row[_M["MentionSourceName"]],
-        identifier=row[_M["MentionIdentifier"]],
-        confidence=int(row[_M["Confidence"]] or "0"),
-        doc_tone=float(row[_M["MentionDocTone"]] or "0"),
-    )
-    if not (
-        _I64_LO <= m.global_event_id <= _I64_HI
-        and _I64_LO <= m.event_time <= _I64_HI
-        and _I64_LO <= m.mention_time <= _I64_HI
-        and _I16_LO <= m.confidence <= _I16_HI
-    ):
-        raise _out_of_range({
-            "GlobalEventID": (m.global_event_id, _I64_LO, _I64_HI),
-            "EventTimeDate": (m.event_time, _I64_LO, _I64_HI),
-            "MentionTimeDate": (m.mention_time, _I64_LO, _I64_HI),
-            "Confidence": (m.confidence, _I16_LO, _I16_HI),
-        })
-    return m
+    return _columns(lines, "events", EVENTS_SCHEMA, _EVENT_FIELDS, {})
 
 
-def _write_rows(fh: io.TextIOBase, rows: Iterable[list[str]]) -> int:
-    n = 0
-    for row in rows:
-        fh.write("\t".join(row))
-        fh.write("\n")
-        n += 1
-    return n
+def _delay(columns: Mapping[str, np.ndarray]) -> np.ndarray:
+    """``MentionInterval - EventInterval``: one conversion call for both
+    stamps, as a call costs more than an archive's few hundred rows."""
+    mention, event = columns["mention_time"], columns["event_time"]
+    intervals = timestamps_to_intervals(np.concatenate([mention, event]))
+    return intervals[: len(mention)] - intervals[len(mention):]
 
 
-def write_events_tsv(fh: io.TextIOBase, events: Iterable[EventRecord]) -> int:
-    """Write events as raw TSV; returns the row count."""
-    return _write_rows(fh, (event_to_row(e) for e in events))
-
-
-def write_mentions_tsv(fh: io.TextIOBase, mentions: Iterable[MentionRecord]) -> int:
-    """Write mentions as raw TSV; returns the row count."""
-    return _write_rows(fh, (mention_to_row(m) for m in mentions))
-
-
-def read_events_tsv(fh: io.TextIOBase) -> Iterator[EventRecord]:
-    """Yield parsed events from a raw TSV stream (strict: raises on bad rows)."""
-    for line in fh:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        yield event_from_row(line.split("\t"))
-
-
-def read_mentions_tsv(fh: io.TextIOBase) -> Iterator[MentionRecord]:
-    """Yield parsed mentions from a raw TSV stream (strict)."""
-    for line in fh:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        yield mention_from_row(line.split("\t"))
+def mention_columns(lines: Sequence[str]) -> tuple[dict, list[tuple[int, str]]]:
+    """Parse raw mentions lines into field columns (see
+    :func:`event_columns`); a row whose capture delay in intervals does
+    not fit the ``Delay`` column is bad too."""
+    return _columns(lines, "mentions", MENTIONS_SCHEMA, _MENTION_FIELDS, {"Delay": _delay})
 
 
 #: Timestamp stamped on every chunk member (the zip format's epoch), so

@@ -1,25 +1,26 @@
 """Typed, append-only column buffers behind the live follower.
 
-The follower hands each archive's parsed rows to an accumulator, which
-validates and stages them; :meth:`flush` (at the end of every poll, or
-sooner in a large one) interns their strings, casts their values to the
-binary layout's dtypes (intervals and ``Delay`` included) and appends
-them to one amortised-doubling NumPy buffer per column.  :meth:`freeze`
-stable-sorts the rows appended since the last freeze by the table's key
-and merges them behind the rows already held, so each table is a sorted
-prefix of its buffers, and returns read-only views of it.  A prefix once
-handed out is never written again (growth and out-of-order merges
-allocate fresh buffers), so every snapshot keeps its contents while
-ingest goes on, and successive snapshots share memory.
+The follower hands each archive's parsed field columns
+(:func:`~repro.gdelt.csv_io.event_columns`) to an accumulator, which
+notes their Table II problems and stages them; :meth:`flush` (at the end
+of every poll, or sooner in a large one) interns their strings, casts
+their values to the binary layout's dtypes (intervals and ``Delay``
+included) and appends them to one amortised-doubling NumPy buffer per
+column.  :meth:`freeze` stable-sorts the rows appended since the last
+freeze by the table's key and merges them behind the rows already held,
+so each table is a sorted prefix of its buffers, and returns read-only
+views of it.  A prefix once handed out is never written again (growth
+and out-of-order merges allocate fresh buffers), so every snapshot keeps
+its contents while ingest goes on, and successive snapshots share memory.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
+from itertools import chain
 
 import numpy as np
 
-from repro.gdelt.csv_io import EventRecord, MentionRecord, numeric_root_code
+from repro.gdelt.csv_io import event_columns, mention_columns, numeric_root_codes
 from repro.gdelt.time_util import timestamps_to_intervals
 from repro.ingest.validate import ProblemReport
 from repro.storage.columns import (
@@ -33,45 +34,51 @@ __all__ = ["EventAccumulator", "MentionAccumulator"]
 
 #: Staged rows are converted once at least this many are waiting, and at
 #: the end of every poll.  A conversion costs a fixed ~0.1 ms of NumPy
-#: calls, more than appending row by row saves on one archive of a few
-#: hundred rows; the bound keeps staged records to a few MB in a bulk poll.
+#: calls, more than appending archive by archive saves on one archive of
+#: a few hundred rows; the bound keeps staged columns to a few MB in a
+#: bulk poll.
 _BATCH_ROWS = 4096
 
 
-def _column(records: list, attr: str, dtype: type) -> np.ndarray:
-    return np.fromiter(map(attrgetter(attr), records), dtype, len(records))
+def _concat(parts: list[dict]) -> dict:
+    """One columns dict of the staged ``parts``, in staging order."""
+    return {
+        name: np.concatenate([p[name] for p in parts])
+        if isinstance(col, np.ndarray) else list(chain.from_iterable(p[name] for p in parts))
+        for name, col in parts[0].items()
+    }
 
 
 class _Accumulator:
-    """One table: staged records, then column buffers holding a sorted
-    prefix of ``_sorted`` rows followed by the rows appended since."""
+    """One table: staged field columns, then column buffers holding a
+    sorted prefix of ``_sorted`` rows followed by the rows appended since."""
 
     __slots__ = ("_staged", "_key", "_bufs", "_sorted", "_rows")
 
-    def __init__(self, key: str) -> None:
-        self._staged: list = []
+    def __init__(self, key: str, empty: dict) -> None:
+        self._staged: list[dict] = []
         self._key = key
-        self._bufs = self._columns([])  # the layout: names, order, dtypes
+        self._bufs = self._columns(empty)  # the layout: names, order, dtypes
         self._sorted = self._rows = 0
 
     def __len__(self) -> int:
-        return self._rows + len(self._staged)
+        return self._rows + sum(len(f["global_event_id"]) for f in self._staged)
 
-    def _columns(self, records: list) -> dict[str, np.ndarray]:
-        """The table's columns of ``records`` in accumulation order, in
-        the binary layout's order and dtypes (:mod:`repro.storage.gdelt`)."""
+    def _columns(self, fields: dict) -> dict[str, np.ndarray]:
+        """The table's columns of the field columns ``fields``, in the
+        binary layout's order and dtypes (:mod:`repro.storage.gdelt`)."""
         raise NotImplementedError
 
-    def _stage(self, records: list) -> None:
-        self._staged += records
-        if len(self._staged) >= _BATCH_ROWS:
+    def _stage(self, fields: dict) -> None:
+        self._staged.append(fields)
+        if len(self) - self._rows >= _BATCH_ROWS:
             self.flush()
 
     def flush(self) -> None:
         """Convert the staged rows and append them to the buffers."""
         if not self._staged:
             return
-        columns = self._columns(self._staged)
+        columns = self._columns(_concat(self._staged))
         self._staged = []
         start = self._rows
         end = start + len(columns[self._key])
@@ -115,39 +122,36 @@ class EventAccumulator(_Accumulator):
         self.countries = DictionaryBuilder()
         self.countries.intern_many([""])  # code 0 = untagged
         self.urls = DictionaryBuilder()
-        super().__init__(key="GlobalEventID")
+        super().__init__("GlobalEventID", event_columns([])[0])
 
-    def extend(self, records: list[EventRecord], report: ProblemReport) -> None:
-        """Validate and take one archive's rows (never raises on content)."""
-        for e in records:
-            if not e.source_url:
-                report.note("missing_source_urls", str(e.global_event_id))
-            if e.day * 10**6 > e.date_added:  # midnight YYYYMMDD000000
-                report.note("future_event_dates", str(e.global_event_id))
-        self._stage(records)
+    def extend(self, fields: dict, report: ProblemReport) -> None:
+        """Note the Table II problems of one archive's parsed rows, in
+        row order, and take the rows (never raises on content)."""
+        missing = np.array([not url for url in fields["source_url"]], dtype=bool)
+        future = fields["day"] * 10**6 > fields["date_added"]  # midnight YYYYMMDD000000
+        ids = fields["global_event_id"]
+        for row in np.flatnonzero(missing | future):
+            if missing[row]:
+                report.note("missing_source_urls", str(ids[row]))
+            if future[row]:
+                report.note("future_event_dates", str(ids[row]))
+        self._stage(fields)
 
-    def _columns(self, records: list[EventRecord]) -> dict[str, np.ndarray]:
-        roots = map(numeric_root_code, map(attrgetter("event_root_code"), records))
+    def _columns(self, fields: dict) -> dict[str, np.ndarray]:
         return {
-            "GlobalEventID": _column(records, "global_event_id", np.int64),
-            "DayInterval": timestamps_to_intervals(
-                _column(records, "day", np.int64) * 10**6
-            ).astype(np.int32),
-            "RootCode": np.fromiter(roots, np.uint8, len(records)),
-            "QuadClass": _column(records, "quad_class", np.uint8),
-            "NumMentions": _column(records, "num_mentions", np.int32),
-            "NumSources": _column(records, "num_sources", np.int32),
-            "NumArticles": _column(records, "num_articles", np.int32),
-            "AvgTone": _column(records, "avg_tone", np.float32),
+            "GlobalEventID": fields["global_event_id"],
+            "DayInterval": timestamps_to_intervals(fields["day"] * 10**6).astype(np.int32),
+            "RootCode": np.array(numeric_root_codes(fields["event_root_code"]), np.uint8),
+            "QuadClass": fields["quad_class"].astype(np.uint8),
+            "NumMentions": fields["num_mentions"].astype(np.int32),
+            "NumSources": fields["num_sources"].astype(np.int32),
+            "NumArticles": fields["num_articles"].astype(np.int32),
+            "AvgTone": fields["avg_tone"].astype(np.float32),
             "CountryCode": self.countries.intern_many(
-                [e.action_geo_country for e in records]
+                fields["action_geo_country"]
             ).astype(np.int16),
-            "AddedInterval": timestamps_to_intervals(
-                _column(records, "date_added", np.int64)
-            ).astype(np.int32),
-            "SourceURLId": self.urls.intern_many(
-                [e.source_url for e in records]
-            ).astype(np.int32),
+            "AddedInterval": timestamps_to_intervals(fields["date_added"]).astype(np.int32),
+            "SourceURLId": self.urls.intern_many(fields["source_url"]).astype(np.int32),
         }
 
     def freeze(self) -> tuple[dict[str, np.ndarray], StringDictionary, StringDictionary]:
@@ -163,29 +167,24 @@ class MentionAccumulator(_Accumulator):
     def __init__(self) -> None:
         self.sources = DictionaryBuilder()
         self.urls = DictionaryBuilder()
-        super().__init__(key="MentionInterval")
+        super().__init__("MentionInterval", mention_columns([])[0])
 
-    def extend(self, records: list[MentionRecord], report: ProblemReport) -> None:
-        """Take one archive's rows."""
-        self._stage(records)
+    def extend(self, fields: dict, report: ProblemReport) -> None:
+        """Take one archive's parsed rows."""
+        self._stage(fields)
 
-    def _columns(self, records: list[MentionRecord]) -> dict[str, np.ndarray]:
-        e_iv = timestamps_to_intervals(_column(records, "event_time", np.int64))
-        m_iv = timestamps_to_intervals(_column(records, "mention_time", np.int64))
-        e_iv, m_iv = e_iv.astype(np.int32), m_iv.astype(np.int32)
+    def _columns(self, fields: dict) -> dict[str, np.ndarray]:
+        e_iv = timestamps_to_intervals(fields["event_time"]).astype(np.int32)
+        m_iv = timestamps_to_intervals(fields["mention_time"]).astype(np.int32)
         return {
-            "GlobalEventID": _column(records, "global_event_id", np.int64),
+            "GlobalEventID": fields["global_event_id"],
             "EventInterval": e_iv,
             "MentionInterval": m_iv,
             "Delay": m_iv - e_iv,
-            "SourceId": self.sources.intern_many(
-                [m.source_name for m in records]
-            ).astype(np.int32),
-            "UrlId": self.urls.intern_many(
-                [m.identifier for m in records]
-            ).astype(np.int32),
-            "Confidence": _column(records, "confidence", np.int16),
-            "DocTone": _column(records, "doc_tone", np.float32),
+            "SourceId": self.sources.intern_many(fields["source_name"]).astype(np.int32),
+            "UrlId": self.urls.intern_many(fields["identifier"]).astype(np.int32),
+            "Confidence": fields["confidence"].astype(np.int16),
+            "DocTone": fields["doc_tone"].astype(np.float32),
         }
 
     def freeze(self) -> tuple[dict[str, np.ndarray], StringDictionary, StringDictionary]:

@@ -28,12 +28,13 @@ import logging
 import os
 import time
 import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.engine.store import GdeltStore
 from repro.faults.injector import fault_point
-from repro.gdelt.csv_io import event_from_row, mention_from_row, open_chunk_text
+from repro.gdelt.csv_io import event_columns, mention_columns, open_chunk_text
 from repro.gdelt.masterlist import EXPORT_KIND, ChunkRef, parse_master_list
 from repro.ingest.accumulate import EventAccumulator, MentionAccumulator
 from repro.ingest.checkpoint import CheckpointJournal
@@ -139,26 +140,21 @@ class LiveFollower:
         return set(os.listdir(self.raw_dir))
 
     def _parse_chunk_lines(self, kind: str, lines: list[str], name: str) -> int:
-        """Validate and accumulate one chunk's rows; returns rows kept.
+        """Parse and accumulate one chunk's lines; returns the rows kept.
 
-        The only row parser: fetched archives and checkpoint replay both
-        come through here, so they leave identical accumulator,
-        dictionary, and problem-report state.
+        Fetched archives and checkpoint replay both come through here, so
+        they leave identical accumulator, dictionary, and problem-report
+        state.
         """
         if kind == EXPORT_KIND:
-            from_row, acc, bad = event_from_row, self._events, "bad_event_rows"
+            parse, acc, bad_kind = event_columns, self._events, "bad_event_rows"
         else:
-            from_row, acc, bad = mention_from_row, self._mentions, "bad_mention_rows"
-        records = []
-        for line in lines:
-            if not line:
-                continue
-            try:
-                records.append(from_row(line.split("\t")))
-            except (ValueError, IndexError) as exc:
-                self.report.note(bad, f"{name}: {exc}")
-        acc.extend(records, self.report)
-        return len(records)
+            parse, acc, bad_kind = mention_columns, self._mentions, "bad_mention_rows"
+        columns, bad = parse(lines)
+        for _, message in bad:
+            self.report.note(bad_kind, f"{name}: {message}")
+        acc.extend(columns, self.report)
+        return len(columns["global_event_id"])
 
     def _ingest_archive(self, ref: ChunkRef, name: str) -> None:
         """Fetch, open, parse and (with a journal) commit one archive."""
@@ -171,14 +167,15 @@ class LiveFollower:
             # reach the accumulators (and therefore never a snapshot).
             _metrics.counter("live_checksum_skips_total").inc()
             return
+        t0 = time.perf_counter()
         try:
-            fh = open_chunk_text(res.path)
-        except (zipfile.BadZipFile, ValueError, OSError) as exc:
+            with open_chunk_text(res.path) as fh:
+                text = fh.read()  # one 15-minute file; the journal needs it whole
+        except (zipfile.BadZipFile, zlib.error, EOFError, ValueError, OSError) as exc:
+            # ValueError covers a member that is not UTF-8 and a zip that
+            # holds more than one member.
             self.report.note("corrupt_archives", f"{name}: {exc}")
             return
-        t0 = time.perf_counter()
-        with fh:
-            text = fh.read()  # one 15-minute file; the journal needs it whole
         rows = self._parse_chunk_lines(ref.kind, text.split("\n"), name)
         if self._journal is not None:
             self._journal.commit(name, text)

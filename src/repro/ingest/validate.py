@@ -10,9 +10,12 @@ to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 __all__ = ["ProblemReport"]
+
+#: Detail samples kept per problem class, to keep reports small.
+_EXAMPLE_CAP = 20
 
 
 @dataclass(slots=True)
@@ -38,29 +41,19 @@ class ProblemReport:
     #: failures); the rest of the conversion proceeds without them.
     quarantined_archives: int = 0
 
-    #: Samples of offending inputs, capped to keep reports small.
+    #: Samples of offending inputs, ``_EXAMPLE_CAP`` per class.
     examples: dict[str, list[str]] = field(default_factory=dict)
-    _example_cap: int = 20
 
     def note(self, kind: str, detail: str) -> None:
         """Increment ``kind`` and stash a detail sample."""
         setattr(self, kind, getattr(self, kind) + 1)
         bucket = self.examples.setdefault(kind, [])
-        if len(bucket) < self._example_cap:
+        if len(bucket) < _EXAMPLE_CAP:
             bucket.append(detail)
 
     def total(self) -> int:
-        return (
-            self.malformed_master_entries
-            + self.missing_archives
-            + self.missing_source_urls
-            + self.future_event_dates
-            + self.bad_event_rows
-            + self.bad_mention_rows
-            + self.corrupt_archives
-            + self.checksum_mismatch
-            + self.quarantined_archives
-        )
+        """Problems of every class."""
+        return sum(getattr(self, f.name) for f in fields(self) if f.name != "examples")
 
     def as_table(self) -> list[tuple[str, int]]:
         """Rows in the paper's Table II layout (named classes only)."""
@@ -74,21 +67,3 @@ class ProblemReport:
                 self.future_event_dates,
             ),
         ]
-
-    def merge(self, other: "ProblemReport") -> None:
-        """Fold another report into this one (for parallel ingest shards)."""
-        self.malformed_master_entries += other.malformed_master_entries
-        self.missing_archives += other.missing_archives
-        self.missing_source_urls += other.missing_source_urls
-        self.future_event_dates += other.future_event_dates
-        self.bad_event_rows += other.bad_event_rows
-        self.bad_mention_rows += other.bad_mention_rows
-        self.corrupt_archives += other.corrupt_archives
-        self.checksum_mismatch += other.checksum_mismatch
-        self.quarantined_archives += other.quarantined_archives
-        for kind, samples in other.examples.items():
-            bucket = self.examples.setdefault(kind, [])
-            for s in samples:
-                if len(bucket) >= self._example_cap:
-                    break
-                bucket.append(s)

@@ -163,8 +163,8 @@ def generate_dataset(cfg: SynthConfig) -> SyntheticDataset:
 
 
 def _event_columns(ds: SyntheticDataset) -> dict:
-    """Every :class:`~repro.gdelt.csv_io.EventRecord` field as a column
-    over event rows (the URLs as a dictionary whose code is the row)."""
+    """Every event field of :func:`~repro.gdelt.csv_io.event_lines` as a
+    column over event rows (the URLs as a dictionary whose code is the row)."""
     ev = ds.events
     root = ev.root_code.astype(np.int64)
     codes = range(int(root.max(initial=0)) + 1)
@@ -186,8 +186,8 @@ def _event_columns(ds: SyntheticDataset) -> dict:
 
 
 def _mention_columns(ds: SyntheticDataset) -> dict:
-    """Every :class:`~repro.gdelt.csv_io.MentionRecord` field as a
-    column over mention rows (the URLs as a dictionary, code = row)."""
+    """Every mention field of :func:`~repro.gdelt.csv_io.mention_lines`
+    as a column over mention rows (the URLs as a dictionary, code = row)."""
     mt, ev = ds.mentions, ds.events
     return {
         "global_event_id": ev.event_id[mt.event_row],
@@ -219,7 +219,7 @@ def write_raw_archives(
     mentions in the chunk containing their capture interval — mirroring
     GDELT's publish-when-scraped behaviour.  Each archive's text is
     rendered from columns (:func:`~repro.gdelt.csv_io.event_lines`), not
-    one record per row.  Returns the master list path.
+    row by row.  Returns the master list path.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -48,6 +48,16 @@ def manifest_crcs(dataset_dir) -> dict[str, int]:
     return crcs
 
 
+def column_rows(columns: dict) -> list[dict]:
+    """The parsed field ``columns`` of ``repro.gdelt.csv_io`` as one dict
+    per row, numbers as Python ``int``/``float``."""
+    listed = {
+        name: col.tolist() if isinstance(col, np.ndarray) else list(col)
+        for name, col in columns.items()
+    }
+    return [dict(zip(listed, values)) for values in zip(*listed.values())]
+
+
 def traced_peak(fn) -> int:
     """Bytes ``fn()`` allocates at its peak, above what was live before
     (tracemalloc: the Python heap, NumPy buffers included)."""

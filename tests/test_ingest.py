@@ -4,11 +4,13 @@ same logical dataset as the vectorized direct path."""
 
 from __future__ import annotations
 
+import zipfile
+
 import numpy as np
 import pytest
 
 from repro.engine import GdeltStore
-from repro.ingest import convert_raw_to_binary
+from repro.ingest import LiveFollower, convert_raw_to_binary
 from repro.ingest.direct import dataset_to_arrays, dataset_to_binary
 from repro.ingest.validate import ProblemReport
 from repro.storage.gdelt import write_gdelt_dataset
@@ -211,16 +213,6 @@ class TestProblemReport:
         assert rep.bad_mention_rows == 100
         assert len(rep.examples["bad_mention_rows"]) == 20
 
-    def test_merge(self):
-        a, b = ProblemReport(), ProblemReport()
-        a.note("missing_archives", "a.zip")
-        b.note("missing_archives", "b.zip")
-        b.note("future_event_dates", "410")
-        a.merge(b)
-        assert a.missing_archives == 2
-        assert a.future_event_dates == 1
-        assert set(a.examples["missing_archives"]) == {"a.zip", "b.zip"}
-
     def test_as_table_has_four_paper_rows(self):
         assert len(ProblemReport().as_table()) == 4
 
@@ -241,8 +233,6 @@ class TestCorruptArchives:
         assert result.n_events > 0
 
     def test_checksum_mismatch_skips_chunk(self, raw_ds, tmp_path):
-        import zipfile
-
         from repro.synth import write_raw_archives
 
         raw = tmp_path / "raw"
@@ -257,3 +247,58 @@ class TestCorruptArchives:
         )
         assert result.report.checksum_mismatch == 1
         assert result.n_mentions < raw_ds.n_articles
+
+    @pytest.mark.parametrize("damage", ["bad_crc", "not_utf8"])
+    def test_unreadable_member_recorded(self, raw_ds, tmp_path, damage):
+        """A zip that opens but whose member cannot be read as text is a
+        corrupt archive, for the batch converter as for the follower."""
+        raw = tmp_path / "raw"
+        write_raw_archives(raw_ds, raw, chunk_intervals=96)
+        victim = sorted(raw.glob("*.mentions.CSV.zip"))[0]
+        DAMAGE[damage](victim)
+        result = convert_raw_to_binary(raw, tmp_path / "db")
+        assert result.report.corrupt_archives == 1
+        assert result.report.examples["corrupt_archives"][0].startswith(f"{victim.name}: ")
+        assert 0 < result.n_mentions < raw_ds.n_articles
+
+    @pytest.mark.parametrize("damage", ["bad_crc", "not_utf8"])
+    def test_follower_records_unreadable_member_and_keeps_polling(
+        self, raw_ds, tmp_path, damage
+    ):
+        raw = tmp_path / "raw"
+        write_raw_archives(raw_ds, raw, chunk_intervals=96)
+        master = raw / "masterfilelist.txt"
+        lines = master.read_text().splitlines(keepends=True)
+        victim = raw / lines[0].split()[2].rsplit("/", 1)[-1]
+        DAMAGE[damage](victim)
+        master.write_text("".join(lines[:2]))
+        follower = LiveFollower(raw)
+        follower.poll()
+        assert follower.report.corrupt_archives == 1
+        master.write_text("".join(lines))  # the rest of the mirror lands
+        assert follower.poll().new_chunks == len(lines) - 2
+        assert follower.report.corrupt_archives == 1
+        clean = convert_raw_to_binary(raw, tmp_path / "db")
+        assert follower.snapshot().n_events == clean.n_events
+
+
+def _bad_crc(path) -> None:
+    """Store the member uncompressed, then change one byte of its data,
+    so reading it fails the CRC-32 check."""
+    with zipfile.ZipFile(path) as zf:
+        (name,) = zf.namelist()
+        data = zf.read(name)
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+        zf.writestr(name, data)
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(data[:32], data[:31] + b"#", 1))
+
+
+def _not_utf8(path) -> None:
+    with zipfile.ZipFile(path) as zf:
+        (name,) = zf.namelist()
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr(name, b"1\t\xff\xfe\n")
+
+
+DAMAGE = {"bad_crc": _bad_crc, "not_utf8": _not_utf8}

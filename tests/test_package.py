@@ -143,6 +143,19 @@ class TestOneSpelling:
         ]
         assert not offenders, f"only the engine runner may fuse or cache: {offenders}"
 
+    def test_one_raw_row_parser(self):
+        """A raw line is split into cells in one place, the column parser
+        of ``repro.gdelt.csv_io``: no ingest module splits lines itself."""
+        src = Path(repro.__file__).resolve().parent
+        split = re.compile(r"""\.split\(\s*["']\\t["']""")
+        offenders = [
+            f"{path.relative_to(src)}:{n}"
+            for path in sorted((src / "ingest").rglob("*.py"))
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if split.search(line)
+        ]
+        assert not offenders, f"parse raw rows with csv_io's column parser: {offenders}"
+
     def test_engine_imports_no_upper_layer(self):
         """The engine sits below serving, sharding, views and QA."""
         src = Path(repro.__file__).resolve().parent

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import shutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ import pytest
 from repro import faults
 from repro.engine import GdeltStore
 from repro.gdelt.csv_io import (
+    event_columns,
+    mention_columns,
     open_chunk_text,
-    read_events_tsv,
-    read_mentions_tsv,
     write_chunk_zip,
 )
 from repro.gdelt.masterlist import parse_master_list
@@ -23,7 +24,7 @@ from repro.ingest import LiveFollower, RetryPolicy, convert_raw_to_binary
 from repro.obs import metrics as _metrics
 from repro.storage.gdelt import write_gdelt_dataset
 from repro.synth import CorruptionPlan, inject_corruption, write_raw_archives
-from tests.conftest import manifest_crcs
+from tests.conftest import column_rows, manifest_crcs
 
 NO_FAULTS = faults.FaultPlan()  # masks any session-level chaos plan
 
@@ -188,10 +189,13 @@ class TestLiveFollower:
         events, mentions = [], []
         for name in [n for n in names if n not in held] + held:
             with open_chunk_text(stage / name) as fh:
-                if ".export." in name:
-                    events += read_events_tsv(fh)
-                else:
-                    mentions += read_mentions_tsv(fh)
+                lines = fh.read().split("\n")
+            is_event = ".export." in name
+            columns, bad = (event_columns if is_event else mention_columns)(lines)
+            assert bad == []
+            (events if is_event else mentions).extend(
+                SimpleNamespace(**row) for row in column_rows(columns)
+            )
         ev = sorted(events, key=lambda e: e.global_event_id)
         mt = sorted(mentions, key=lambda m: timestamp_to_interval(m.mention_time))
         # The held rows really interleave with the earlier ones.
@@ -379,6 +383,24 @@ class TestOutOfRangeRows:
             tmp_path / "snap", snap.events, snap.mentions, snap.dictionaries()
         )
         assert manifest_crcs(tmp_path / "snap") == manifest_crcs(batch.dataset_dir)
+
+    def test_far_future_timestamp_is_a_bad_row(self, raw_dir, tmp_path):
+        """A stamp that fits int64 but whose interval does not fit the
+        int32 interval column is a bad row, not a wrapped interval."""
+        stage = tmp_path / "mirror"
+        split_mirror(raw_dir, stage, 1.0)
+        set_first_row_field(
+            sorted(stage.glob("*.mentions.CSV.zip"))[1],
+            MENTIONS_SCHEMA, "MentionTimeDate", "700000101000000",
+        )
+        follower = LiveFollower(stage)
+        follower.poll()
+        snap = follower.snapshot()
+        assert follower.report.bad_mention_rows == 1
+        (message,) = follower.report.examples["bad_mention_rows"]
+        assert "MentionTimeDate 700000101000000 out of range" in message
+        assert snap.mentions["MentionInterval"].min() >= 0
+        assert snap.mentions["Delay"].min() >= 0
 
 
 class TestChecksumVerification:

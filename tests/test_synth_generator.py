@@ -7,13 +7,7 @@ import zipfile
 
 import numpy as np
 
-from repro.gdelt.csv_io import (
-    EventRecord,
-    MentionRecord,
-    event_to_row,
-    mention_to_row,
-    open_chunk_text,
-)
+from repro.gdelt.csv_io import event_lines, mention_lines, open_chunk_text
 from repro.gdelt.codes import COUNTRIES
 from repro.gdelt.masterlist import parse_master_list
 from repro.gdelt.time_util import interval_to_timestamp
@@ -120,14 +114,14 @@ class TestArticleUrl:
 
 
 def _records(ds):
-    """Per-row records of every event and mention, built the way a
-    record-at-a-time exporter would (the reference for the columns)."""
+    """Per-row field values of every event and mention, built the way a
+    row-at-a-time exporter would (the reference for the columns)."""
     ev, mt = ds.events, ds.mentions
     events = []
     for row in range(ds.n_events):
         m = int(ds.seed_mention[row])
         ci = int(ev.country_idx[row])
-        events.append(EventRecord(
+        events.append(dict(
             global_event_id=int(ev.event_id[row]),
             day=interval_to_timestamp(int(ev.interval[row])) // 10**6,
             event_root_code=f"{int(ev.root_code[row]):02d}",
@@ -143,7 +137,7 @@ def _records(ds):
     mentions = []
     for m in range(ds.n_articles):
         row, source = int(mt.event_row[m]), int(mt.source_idx[m])
-        mentions.append(MentionRecord(
+        mentions.append(dict(
             global_event_id=int(ev.event_id[row]),
             event_time=interval_to_timestamp(int(ev.interval[row])),
             mention_time=interval_to_timestamp(int(mt.interval[m])),
@@ -199,7 +193,7 @@ class TestRawExport:
         assert path.stat().st_size == c.entry.size
 
     def test_archive_text_equals_per_row_records(self, raw_ds, raw_dir):
-        """Every archive line is the tab-joined row of that record, in
+        """Every archive line is that row's values rendered alone, in
         the order the master list lands them."""
         events, mentions = _records(raw_ds)
         start = raw_ds.cfg.start_interval
@@ -211,12 +205,15 @@ class TestRawExport:
         for c in parsed.chunks:
             chunk = (c.interval - start) // 96
             if c.kind == "export":
-                rows = [event_to_row(events[r]) for r in np.flatnonzero(ev_chunk == chunk)]
+                rows = [events[r] for r in np.flatnonzero(ev_chunk == chunk)]
+                render = event_lines
             else:
-                rows = [mention_to_row(mentions[m])
-                        for m in np.flatnonzero(mt_chunk == chunk)]
+                rows = [mentions[m] for m in np.flatnonzero(mt_chunk == chunk)]
+                render = mention_lines
+            # Each row rendered alone, as a one-row column each.
+            want = [render({k: [v] for k, v in row.items()})[0] for row in rows]
             with open_chunk_text(raw_dir / c.entry.url.rsplit("/", 1)[-1]) as fh:
-                assert fh.read() == "".join("\t".join(row) + "\n" for row in rows)
+                assert fh.read() == "".join(want)
 
     def test_exports_are_file_identical(self, raw_ds, raw_dir, tmp_path):
         write_raw_archives(raw_ds, tmp_path, chunk_intervals=96)

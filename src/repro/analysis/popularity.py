@@ -51,8 +51,16 @@ class DatasetStatistics:
 
 
 def _articles_per_event(store: GdeltStore) -> np.ndarray:
-    """Mention count per events-table row."""
-    return (store.ev_hi - store.ev_lo).astype(np.int64)
+    """Mention count per events-table row.
+
+    Counted over :meth:`GdeltStore.mention_event_row`, which joins each
+    mention to the first row of its id; every duplicate row of an id
+    takes that row's count (dangling mentions count nowhere).
+    """
+    eids = store.events["GlobalEventID"]
+    rows = store.mention_event_row()
+    counts = np.bincount(rows[rows >= 0], minlength=len(eids))
+    return counts[np.searchsorted(eids, eids)]
 
 
 def dataset_statistics(store: GdeltStore) -> DatasetStatistics:

@@ -10,12 +10,11 @@ shared-memory parallel engine, standing in for the paper's OpenMP loops.
 Layers:
 
 * :mod:`repro.engine.store` — table container + derived columns
-  (source→country via the TLD rule, interval→quarter);
+  (source→country via the TLD rule, interval→quarter) and the one
+  event↔mention join, ``mention_event_row``;
 * :mod:`repro.engine.expr` — vectorized filter expressions;
 * :mod:`repro.engine.aggregate` — grouped aggregation kernels
   (bincount-based counts/sums, per-group min/max/median);
-* :mod:`repro.engine.join` — event↔mention navigation via the
-  precomputed sort index;
 * :mod:`repro.engine.executor` — serial / threaded execution of
   chunked kernels;
 * :mod:`repro.engine.planner` — zone-map chunk pruning and the LRU

@@ -1,14 +1,15 @@
 """The in-memory GDELT store.
 
-Holds the two column tables, the shared string dictionaries, the
-event→mentions index, and lazily computed *derived* columns that the
-paper's analyses use everywhere:
+Holds the two column tables, the shared string dictionaries, and
+lazily computed *derived* columns that the paper's analyses use
+everywhere:
 
 * ``source_country`` — roster index per source id, computed from the
   source domain's TLD (the paper's attribution rule);
 * ``mention_quarter`` / ``event_quarter`` — calendar quarter indices of
   capture and event-day intervals (int16, int32 if the span needs it);
-* ``mention_event_row`` — events-table row of each mention (join column);
+* ``mention_event_row`` — events-table row of each mention: the one
+  event↔mention join, a binary search of the id-sorted events table;
 * ``mention_source_country`` / ``mention_event_country`` — roster index
   of each mention's publisher / event (the country group keys).
 
@@ -34,7 +35,6 @@ from repro.obs import metrics as _metrics
 from repro.storage.columns import StringDictionary
 from repro.storage.format import StorageError
 from repro.storage.gdelt import DICTIONARIES
-from repro.storage.index import mention_join_index
 from repro.storage.reader import DatasetReader
 from repro.storage.stats import DEFAULT_ZONE_CHUNK_ROWS, ZoneMaps, compute_zone_maps
 
@@ -68,9 +68,6 @@ class GdeltStore:
         mentions: dict[str, np.ndarray],
         sources: StringDictionary,
         countries: StringDictionary,
-        mentions_by_event: np.ndarray,
-        ev_lo: np.ndarray,
-        ev_hi: np.ndarray,
         reader: DatasetReader | None = None,
         zone_chunk_rows: int | None = None,
     ) -> None:
@@ -78,9 +75,6 @@ class GdeltStore:
         self.mentions = mentions
         self.sources = sources
         self.countries = countries
-        self.mentions_by_event = mentions_by_event
-        self.ev_lo = ev_lo
-        self.ev_hi = ev_hi
         self._reader = reader
         self._cache: dict[str, object] = {}
         #: Guards lazy derivation and generation bumps; re-entrant so a
@@ -112,33 +106,13 @@ class GdeltStore:
         ``mode="memory"`` (default) loads columns into resident arrays,
         matching the paper's load-once-then-query usage; ``"mmap"`` maps
         them lazily.
-
-        The join indexes are redundant with the tables, so a corrupt
-        index file (CRC32 mismatch) degrades gracefully: the store
-        rebuilds the permutation and boundaries from the key columns
-        instead of failing to open.
         """
         reader = DatasetReader(Path(path), mode=mode)
-        events = reader.table_arrays("events")
-        mentions = reader.table_arrays("mentions")
-        try:
-            perm = reader.index("mentions_by_event")
-            ev_lo = reader.index("mentions_ev_lo")
-            ev_hi = reader.index("mentions_ev_hi")
-        except StorageError as exc:
-            logger.warning("index load failed (%s); rebuilding from tables", exc)
-            _metrics.counter("storage_index_rebuilds_total").inc()
-            perm, ev_lo, ev_hi = mention_join_index(
-                events["GlobalEventID"], mentions["GlobalEventID"]
-            )
         return cls(
-            events=events,
-            mentions=mentions,
+            events=reader.table_arrays("events"),
+            mentions=reader.table_arrays("mentions"),
             sources=reader.dictionary("sources"),
             countries=reader.dictionary("countries"),
-            mentions_by_event=perm,
-            ev_lo=ev_lo,
-            ev_hi=ev_hi,
             reader=reader,
         )
 
@@ -152,21 +126,15 @@ class GdeltStore:
     ) -> "GdeltStore":
         """Build a live store from binary-layout arrays (no disk round trip).
 
-        The join index is computed on the fly; zone maps are computed
-        lazily on first planner use (``zone_chunk_rows`` sets their
-        granularity — useful for tests exercising pruning on small data).
+        Zone maps are computed lazily on first planner use
+        (``zone_chunk_rows`` sets their granularity — useful for tests
+        exercising pruning on small data).
         """
-        perm, ev_lo, ev_hi = mention_join_index(
-            events["GlobalEventID"], mentions["GlobalEventID"]
-        )
         store = cls(
             events=events,
             mentions=mentions,
             sources=dictionaries["sources"],
             countries=dictionaries["countries"],
-            mentions_by_event=perm,
-            ev_lo=ev_lo,
-            ev_hi=ev_hi,
             zone_chunk_rows=zone_chunk_rows,
         )
         if "mention_urls" in dictionaries:
@@ -455,18 +423,20 @@ class GdeltStore:
         return out
 
     def _lazy_dict(self, name: str) -> StringDictionary | None:
+        """Dictionary ``name``, loaded on first use; None when the
+        dataset has none.  A corrupt dictionary file raises
+        :class:`StorageError`, like any other corrupt data."""
         cached = self._cache.get(name)
         if cached is not None:
             return cached  # type: ignore[return-value]
-        if self._reader is None:
+        if self._reader is None or all(
+            d.name != name for d in self._reader.manifest.dictionaries
+        ):
             return None
         with self._lock:
             cached = self._cache.get(name)
             if cached is None:
-                try:
-                    cached = self._reader.dictionary(name)
-                except StorageError:
-                    return None
+                cached = self._reader.dictionary(name)
                 self._cache[name] = cached
         return cached  # type: ignore[return-value]
 
@@ -584,10 +554,3 @@ class GdeltStore:
             return hi + 1
 
         return self._cached("n_quarters", compute)  # type: ignore[return-value]
-
-    # -- navigation ---------------------------------------------------------------
-
-    def mentions_of_event(self, event_row: int) -> np.ndarray:
-        """Mention row indices for events-table row ``event_row``."""
-        lo, hi = int(self.ev_lo[event_row]), int(self.ev_hi[event_row])
-        return np.asarray(self.mentions_by_event[lo:hi])

@@ -41,16 +41,16 @@ class CheckpointJournal:
 
     def __init__(self, out_dir: Path) -> None:
         self.dir = Path(out_dir) / JOURNAL_DIRNAME
-        self.index_path = self.dir / "journal.jsonl"
+        self.journal_path = self.dir / "journal.jsonl"
         self._committed: dict[str, dict] = {}
         self._load()
         self.dir.mkdir(parents=True, exist_ok=True)
-        self._index_fh = open(self.index_path, "a", encoding="utf-8")
+        self._fh = open(self.journal_path, "a", encoding="utf-8")
 
     def _load(self) -> None:
-        if not self.index_path.exists():
+        if not self.journal_path.exists():
             return
-        for line in self.index_path.read_text(encoding="utf-8").splitlines():
+        for line in self.journal_path.read_text(encoding="utf-8").splitlines():
             line = line.strip()
             if not line:
                 continue
@@ -102,14 +102,14 @@ class CheckpointJournal:
             "crc32": zlib.crc32(payload),
             "bytes": len(text),
         }
-        self._index_fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        self._index_fh.flush()
-        os.fsync(self._index_fh.fileno())
+        self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        self._fh.flush()
+        os.fsync(self._fh.fileno())
         self._committed[chunk_name] = rec
 
     def close(self) -> None:
-        if not self._index_fh.closed:
-            self._index_fh.close()
+        if not self._fh.closed:
+            self._fh.close()
 
     def discard(self) -> None:
         """Remove the journal (called after a successful conversion)."""

@@ -1,6 +1,6 @@
 """Vectorized fast path: synthetic dataset → binary layout.
 
-Produces exactly the same tables, dictionaries, and indexes as
+Produces exactly the same tables and dictionaries as
 :func:`repro.ingest.convert.convert_raw_to_binary`, but straight from the
 in-memory arrays of a :class:`~repro.synth.generator.SyntheticDataset`,
 skipping TSV serialization and parsing.  Benchmarks that measure *query*

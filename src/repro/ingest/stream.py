@@ -16,7 +16,7 @@ Rows land in typed, append-only column buffers
 (:mod:`repro.ingest.accumulate`) that stay sorted as they grow, so a
 snapshot sorts only the rows that arrived since the previous one and
 hands :meth:`GdeltStore.from_arrays` read-only views of the shared
-sorted prefix; the store then builds its join index.  Nothing is ever
+sorted prefix, with nothing further to build.  Nothing is ever
 dropped or rewritten, so each snapshot strictly extends the previous one
 and older snapshots keep their contents.  A poll re-parses the master
 list only when its text changed, and lists the mirror once.

@@ -115,16 +115,25 @@ class ShardMap:
             return max((s.rows(table) for s in self.shards), default=0)
         return sum(s.rows(table) for s in self.shards)
 
-    def global_n_groups(self, table: str, alias: str) -> int | None:
-        """Global group-key cardinality for a registered key.
+    def n_groups(self, table: str, key: str) -> int | None:
+        """Global group-key cardinality (``None`` when unknown).
 
-        The max over shards is exact: every row lives on some shard, and
-        a shard's local cardinality is the max key it holds plus one.
+        For a registered key the max over shards is exact: every row
+        lives on some shard, and a shard's local cardinality is the max
+        key it holds plus one.  Any other key is a raw integer column,
+        whose cardinality comes from the zone bounds (mirrors
+        :meth:`GdeltStore.group_width`'s fallback).
         """
-        vals = [
-            n for s in self.shards if (n := s.n_groups(table, alias)) is not None
-        ]
-        return max(vals) if vals else None
+        vals = [n for s in self.shards if (n := s.n_groups(table, key)) is not None]
+        if vals:
+            return max(vals)
+        his = []
+        for s in self.shards:
+            bounds = s.columns(table).get(key)
+            if bounds is None or bounds.get("max") is None:
+                return None
+            his.append(int(bounds["max"]))
+        return max(his) + 1 if his else None
 
     def column_dtype(self, table: str, column: str) -> str | None:
         """The column's numpy dtype name, if every shard agrees on it.
@@ -142,17 +151,6 @@ class ShardMap:
                 return None
             names.add(bounds["dtype"])
         return names.pop() if len(names) == 1 else None
-
-    def column_n_groups(self, table: str, column: str) -> int | None:
-        """Cardinality of a raw integer-column group key from the zone
-        bounds (mirrors :meth:`GdeltStore.group_key`'s fallback)."""
-        his = []
-        for s in self.shards:
-            bounds = s.columns(table).get(column)
-            if bounds is None or bounds.get("max") is None:
-                return None
-            his.append(int(bounds["max"]))
-        return max(his) + 1 if his else None
 
     # -- routing -----------------------------------------------------------
 

@@ -11,7 +11,7 @@ The placement contract the whole sharding tier leans on:
   order, which is what makes order-sensitive merges byte-identical;
 * **events and every string dictionary are replicated.**  Events are
   small relative to mentions (one row per event vs. one per article),
-  every shard needs them for join indexes and derived group keys, and a
+  every shard needs them for the event join and derived group keys, and a
   full replica means any one shard can answer an events-table query
   exactly.  Dictionary ids stay global, so no id remapping happens
   anywhere.
@@ -90,9 +90,8 @@ def split_dataset(
     zone-map granularity (None keeps the default).  Each shard's
     manifest meta is the source's with ``origin: split`` and the
     ``shard`` stamp; its columns are written raw whatever the source's
-    codecs, and its join index is rebuilt against the shard's mention
-    slice while the (replicated) events side keeps its global row
-    numbering.  The source's own index files are never read.
+    codecs.  A contiguous slice of the sorted source is itself sorted, so
+    nothing is re-sorted per shard.
     """
     source = DatasetReader(Path(dataset_dir), mode="memory")
     present = {d.name for d in source.manifest.dictionaries}

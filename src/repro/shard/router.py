@@ -271,11 +271,7 @@ class ShardRouter:
         grouped = request.group_by is not None
         n_groups = None
         if grouped:
-            n_groups = self.map.global_n_groups(request.table, request.group_by)
-            if n_groups is None:
-                n_groups = self.map.column_n_groups(
-                    request.table, request.group_by
-                )
+            n_groups = self.map.n_groups(request.table, request.group_by)
         sub_deadline, expired = self._sub_deadline(request, time.monotonic())
         if expired:
             return self._shed_deadline()
@@ -323,11 +319,7 @@ class ShardRouter:
 
         n_groups = None
         if request.group_by is not None:
-            n_groups = self.map.global_n_groups(request.table, request.group_by)
-            if n_groups is None:
-                n_groups = self.map.column_n_groups(
-                    request.table, request.group_by
-                )
+            n_groups = self.map.n_groups(request.table, request.group_by)
 
         if not targets:
             # Pruning answered the query: no shard can hold a matching

@@ -9,14 +9,17 @@ This subpackage is that format: a dataset directory holding
 * ``<table>/<column>.bin`` — raw little-endian fixed-width column files,
   loadable with ``np.memmap`` (zero parse cost);
 * ``dict/<name>.*`` — shared string dictionaries (offsets + UTF-8 blob)
-  for dictionary-encoded columns such as source names and URLs;
-* ``index/*.bin`` — precomputed sort permutations and partition
-  boundaries used by the join and time-slice kernels.
+  for dictionary-encoded columns such as source names and URLs.
+
+The tables themselves are the index: events are stored sorted by
+``GlobalEventID`` and mentions by capture interval, so the event join
+and time slices are ``searchsorted`` on key columns, and per-chunk zone
+maps in the manifest let the planner skip chunks.
 
 Writers validate shapes and fsync the manifest last, so a dataset
 directory is either complete or detectably unfinished.
 :class:`DatasetWriter` is schema-agnostic; the GDELT layout on top of it
-(dictionary bindings, codecs, index names) is :mod:`repro.storage.gdelt`.
+(dictionary bindings, codecs) is :mod:`repro.storage.gdelt`.
 """
 
 from repro.storage.format import (
@@ -24,7 +27,6 @@ from repro.storage.format import (
     ColumnMeta,
     TableMeta,
     DictionaryMeta,
-    IndexMeta,
     Manifest,
     StorageError,
 )
@@ -44,7 +46,6 @@ __all__ = [
     "ColumnMeta",
     "TableMeta",
     "DictionaryMeta",
-    "IndexMeta",
     "Manifest",
     "StorageError",
     "StringDictionary",

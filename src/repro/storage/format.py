@@ -6,7 +6,7 @@ little-endian column files whose byte size must equal
 catches truncated writes without checksumming gigabytes.
 
 Since format version 3 every data file additionally records its CRC32
-in the manifest (``crc32`` on columns and indexes, ``offsets_crc32`` /
+in the manifest (``crc32`` on columns, ``offsets_crc32`` /
 ``blob_crc32`` on dictionaries).  Size checks stay the cheap always-on
 guard; checksums catch *silent* corruption (bit rot, torn writes that
 kept the length) and back the ``repro-gdelt verify`` subcommand.
@@ -16,9 +16,11 @@ without them still load — they are then simply not verifiable.
 Every table carries **zone maps** (``zone_maps``: min/max/null-count
 per column per fixed-size row chunk, see :mod:`repro.storage.stats`),
 which the query planner uses to skip chunks a filter provably cannot
-match.  The reader accepts exactly :data:`FORMAT_VERSION` (4, the
-revision that made zone maps part of every table); a manifest of any
-other version, or one with a table lacking zone maps, is malformed.
+match.  The reader accepts exactly :data:`FORMAT_VERSION` (5).  Version
+4 made zone maps part of every table; version 5 dropped the index
+section, because the tables are stored sorted and joins and time slices
+are ``searchsorted`` on their key columns.  A manifest of any other
+version, or one with a table lacking zone maps, is malformed.
 """
 
 from __future__ import annotations
@@ -36,12 +38,11 @@ __all__ = [
     "ColumnMeta",
     "TableMeta",
     "DictionaryMeta",
-    "IndexMeta",
     "Manifest",
     "write_manifest",
 ]
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 #: dtypes allowed in column files (little-endian, fixed width).
 ALLOWED_DTYPES = frozenset(
@@ -119,23 +120,10 @@ class DictionaryMeta:
 
 
 @dataclass(slots=True)
-class IndexMeta:
-    """A precomputed index array over a table (e.g. a sort permutation)."""
-
-    name: str
-    table: str
-    kind: str  # "permutation" | "boundaries"
-    dtype: str
-    length: int
-    crc32: int | None = None
-
-
-@dataclass(slots=True)
 class Manifest:
     version: int
     tables: list[TableMeta] = field(default_factory=list)
     dictionaries: list[DictionaryMeta] = field(default_factory=list)
-    indexes: list[IndexMeta] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
     def table(self, name: str) -> TableMeta:
@@ -149,12 +137,6 @@ class Manifest:
             if d.name == name:
                 return d
         raise StorageError(f"no dictionary {name!r} in dataset")
-
-    def index(self, name: str) -> IndexMeta:
-        for i in self.indexes:
-            if i.name == name:
-                return i
-        raise StorageError(f"no index {name!r} in dataset")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=1, sort_keys=True)
@@ -183,12 +165,10 @@ class Manifest:
                 )
             )
         dicts = [DictionaryMeta(**d) for d in raw.get("dictionaries", [])]
-        indexes = [IndexMeta(**i) for i in raw.get("indexes", [])]
         return cls(
             version=raw["version"],
             tables=tables,
             dictionaries=dicts,
-            indexes=indexes,
             meta=raw.get("meta", {}),
         )
 
@@ -203,10 +183,6 @@ def dict_offsets_path(root: Path, name: str) -> Path:
 
 def dict_blob_path(root: Path, name: str) -> Path:
     return root / "dict" / f"{name}.blob.bin"
-
-
-def index_path(root: Path, name: str) -> Path:
-    return root / "index" / f"{name}.bin"
 
 
 def manifest_path(root: Path) -> Path:

@@ -2,8 +2,8 @@
 
 :class:`~repro.storage.writer.DatasetWriter` is schema-agnostic; this
 module is the one place that knows what a *GDELT* dataset looks like on
-disk — which columns are dictionary codes, which columns the
-compression codecs apply to, and the names of the join-index files.
+disk — which columns are dictionary codes and which columns the
+compression codecs apply to.
 Raw conversion, the synthetic fast path and the shard splitter all end
 in :func:`write_gdelt_dataset`; :meth:`GdeltStore.open` is its reader.
 
@@ -16,8 +16,9 @@ Tables (see ``docs/FORMAT.md``):
 * ``mentions``: GlobalEventID i64, EventInterval i32, MentionInterval
   i32, Delay i32, SourceId i32 (``sources``), UrlId i32
   (``mention_urls``), Confidence i16, DocTone f32.
-* indexes ``mentions_by_event`` (permutation), ``mentions_ev_lo`` /
-  ``mentions_ev_hi`` (per-event [start, end) into the permutation).
+
+Events are sorted by GlobalEventID and mentions by MentionInterval;
+that order is the only index (see ``docs/FORMAT.md``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 
 from repro.storage.columns import StringDictionary
 from repro.storage.format import Manifest
-from repro.storage.index import mention_join_index
 from repro.storage.reader import DatasetReader
 from repro.storage.stats import DEFAULT_ZONE_CHUNK_ROWS
 from repro.storage.writer import DatasetWriter
@@ -56,7 +56,7 @@ DICTIONARY_COLUMNS = {
 #: Codec assignment used when compression is requested: delta-zlib for
 #: near-sorted interval columns, plain zlib for the rest of the bulky
 #: ones.  Key/id columns stay raw so the dataset remains partially
-#: mmap-able and index navigation stays zero-decode.
+#: mmap-able and key searches stay zero-decode.
 COMPRESSED_CODECS = {
     "events": {"DayInterval": "delta-zlib", "AvgTone": "zlib"},
     "mentions": {
@@ -79,12 +79,11 @@ def write_gdelt_dataset(
 ) -> Manifest:
     """Write binary-layout tables + dictionaries as a dataset directory.
 
-    The event→mentions join index is rebuilt from the tables' key
-    columns, so ``mentions`` may be any row subset (a shard's slice).
-    The arrays are written as given, never copied, and taken one column
-    at a time: ``events``/``mentions`` may be mappings that load each
-    column (or slice) only when asked, and a dictionary may be given as
-    the source dataset whose files are copied (see
+    ``mentions`` may be any row subset (a shard's slice).  The arrays
+    are written as given, never copied, and taken one column at a
+    time: ``events``/``mentions`` may be mappings that load each column
+    (or slice) only when asked, and a dictionary may be given as the
+    source dataset whose files are copied (see
     :meth:`DatasetWriter.add_dictionary`) — together that is how a shard
     split streams a dataset instead of holding it.
 
@@ -115,10 +114,4 @@ def write_gdelt_dataset(
         )
     for name, dictionary in dictionaries.items():
         writer.add_dictionary(name, dictionary)
-    perm, ev_lo, ev_hi = mention_join_index(
-        events["GlobalEventID"], mentions["GlobalEventID"]
-    )
-    writer.add_index("mentions_by_event", "mentions", "permutation", perm)
-    writer.add_index("mentions_ev_lo", "events", "boundaries", ev_lo)
-    writer.add_index("mentions_ev_hi", "events", "boundaries", ev_hi)
     return writer.finish(meta=meta)

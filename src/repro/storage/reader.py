@@ -8,10 +8,9 @@ stable timings.
 
 Integrity: column byte sizes are validated at open (cheap, always on).
 Manifest CRC32s are verified where the bytes are in hand anyway —
-compressed columns, dictionaries, and index arrays — so silent
-corruption of the small-but-critical files is caught at load time;
-corrupt *index* files degrade gracefully (the store rebuilds them)
-while corrupt table data raises.  ``verify_checksums=True`` (or the
+compressed columns and dictionaries — so silent corruption of the
+small-but-critical files is caught at load time and raises.
+``verify_checksums=True`` (or the
 ``repro-gdelt verify`` subcommand) checksums everything, including raw
 columns.
 """
@@ -34,7 +33,6 @@ from repro.storage.format import (
     column_path,
     dict_blob_path,
     dict_offsets_path,
-    index_path,
     manifest_path,
 )
 
@@ -190,28 +188,6 @@ class DatasetReader:
         offsets = np.frombuffer(obytes, dtype="<i8")
         blob = np.frombuffer(bbytes, dtype=np.uint8)
         return StringDictionary(offsets, blob)
-
-    def index(self, name: str) -> np.ndarray:
-        """Load an index array (CRC-checked; corrupt indexes raise and the
-        store rebuilds them from the tables).
-
-        In either mode the result is a read-only view over the bytes
-        read for the checksum: the file is already resident, so a copy
-        would only hold the index twice.
-        """
-        meta = self.manifest.index(name)
-        path = index_path(self.root, name)
-        data = path.read_bytes()
-        itemsize = np.dtype(meta.dtype).itemsize
-        if len(data) != meta.length * itemsize:
-            raise note_corrupt(
-                path, "index",
-                f"{len(data) // itemsize} entries, "
-                f"manifest says {meta.length}",
-            )
-        if meta.crc32 is not None and zlib.crc32(data) != meta.crc32:
-            raise note_corrupt(path, "index", "CRC32 mismatch")
-        return np.frombuffer(data, dtype=np.dtype(meta.dtype))
 
     def zone_maps(self, table: str):
         """Zone maps recorded for ``table``."""

@@ -19,15 +19,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-import numpy as np
-
 from repro.storage.format import (
     Manifest,
     StorageError,
     column_path,
     dict_blob_path,
     dict_offsets_path,
-    index_path,
     manifest_path,
 )
 
@@ -189,7 +186,4 @@ def verify_dataset(root: Path) -> VerifyReport:
             d.offsets_crc32,
         )
         _check_file(report, dict_blob_path(root, d.name), None, d.blob_crc32)
-    for i in manifest.indexes:
-        expect = i.length * np.dtype(i.dtype).itemsize
-        _check_file(report, index_path(root, i.name), expect, i.crc32)
     return report

@@ -23,14 +23,12 @@ from repro.storage.format import (
     FORMAT_VERSION,
     ColumnMeta,
     DictionaryMeta,
-    IndexMeta,
     Manifest,
     StorageError,
     TableMeta,
     column_path,
     dict_blob_path,
     dict_offsets_path,
-    index_path,
     write_manifest,
 )
 from repro.storage.reader import DatasetReader, note_corrupt
@@ -48,7 +46,6 @@ class DatasetWriter:
         w = DatasetWriter(path)
         w.add_table("events", {"GlobalEventID": ids, ...})
         w.add_dictionary("sources", source_dict)
-        w.add_index("mentions_by_event", "mentions", "permutation", perm)
         w.finish(meta={"origin": "synthetic"})
 
     ``zone_chunk_rows`` sets the zone-map granularity recorded for each
@@ -228,26 +225,6 @@ class DatasetWriter:
                 size=size,
                 offsets_crc32=o_crc,
                 blob_crc32=b_crc,
-            )
-        )
-
-    def add_index(
-        self, name: str, table: str, kind: str, data: np.ndarray
-    ) -> None:
-        """Write an index array (sort permutation or boundary offsets)."""
-        self._check_open()
-        if kind not in ("permutation", "boundaries"):
-            raise StorageError(f"unknown index kind {kind!r}")
-        data = np.ascontiguousarray(data)
-        crc = self._commit_array(index_path(self.root, name), data)
-        self._manifest.indexes.append(
-            IndexMeta(
-                name=name,
-                table=table,
-                kind=kind,
-                dtype=data.dtype.name,
-                length=len(data),
-                crc32=crc,
             )
         )
 

@@ -44,7 +44,6 @@ def manifest_crcs(dataset_dir) -> dict[str, int]:
     for d in manifest["dictionaries"]:
         crcs[f"dict/{d['name']}.offsets"] = d["offsets_crc32"]
         crcs[f"dict/{d['name']}.blob"] = d["blob_crc32"]
-    crcs.update({f"index/{i['name']}": i["crc32"] for i in manifest["indexes"]})
     return crcs
 
 

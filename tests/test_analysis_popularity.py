@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import analysis as an
+from repro.analysis.popularity import _articles_per_event
+from repro.engine import GdeltStore
+from repro.storage import StringDictionary
 
 
 class TestDatasetStatistics:
@@ -25,6 +30,31 @@ class TestDatasetStatistics:
     def test_min_is_one(self, tiny_store):
         """Every GDELT event has at least its seed article."""
         assert an.dataset_statistics(tiny_store).min_articles_per_event == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 30), max_size=40),
+        st.lists(st.integers(-5, 35), max_size=80),
+    )
+    def test_articles_per_event_counts_every_matching_mention(self, eids, mids):
+        """Per-event counts equal two binary searches of the sorted
+        mention ids, for duplicate event ids (each duplicate row counts
+        all mentions of its id), dangling mention ids and empty tables."""
+        eids = np.sort(np.array(eids, dtype=np.int64))
+        mids = np.array(mids, dtype=np.int64)
+        empty = StringDictionary.from_strings([""])
+        store = GdeltStore.from_arrays(
+            {"GlobalEventID": eids},
+            {"GlobalEventID": mids},
+            {"sources": empty, "countries": empty},
+        )
+        sorted_mids = np.sort(mids)
+        want = np.searchsorted(sorted_mids, eids, "right") - np.searchsorted(
+            sorted_mids, eids, "left"
+        )
+        got = _articles_per_event(store)
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
 
     def test_as_table_shape(self, tiny_store):
         table = an.dataset_statistics(tiny_store).as_table()
@@ -73,8 +103,8 @@ class TestTopEvents:
         assert counts == sorted(counts, reverse=True)
 
     def test_top1_is_max(self, tiny_store):
-        per_event = (tiny_store.ev_hi - tiny_store.ev_lo)
-        assert an.top_events(tiny_store, 1)[0][0] == int(per_event.max())
+        _, counts = np.unique(tiny_store.mentions["GlobalEventID"], return_counts=True)
+        assert an.top_events(tiny_store, 1)[0][0] == int(counts.max())
 
     def test_urls_resolve(self, tiny_store):
         for _, url in an.top_events(tiny_store, 5):

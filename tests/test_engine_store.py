@@ -1,4 +1,4 @@
-"""GdeltStore: derived columns, joins, navigation."""
+"""GdeltStore: derived columns, the event join, navigation."""
 
 from __future__ import annotations
 
@@ -6,11 +6,6 @@ import numpy as np
 import pytest
 
 from repro.engine import GdeltStore
-from repro.engine.join import (
-    gather_event_column,
-    mention_mask_for_event_mask,
-    mentions_for_events,
-)
 from repro.gdelt.codes import COUNTRIES, source_country
 from repro.gdelt.time_util import intervals_to_quarters
 from repro.qa.reference import reference_value
@@ -101,38 +96,45 @@ class TestQuarterKeys:
 
 
 class TestNavigation:
+    """Event → mention navigation through the one join,
+    :meth:`GdeltStore.mention_event_row`."""
+
     def test_mentions_of_event_complete(self, tiny_store):
-        """Index navigation must equal a brute-force scan."""
+        """An event's mentions via the join equal a brute-force scan."""
         m_eids = np.asarray(tiny_store.mentions["GlobalEventID"])
+        rows = tiny_store.mention_event_row()
         for row in (0, 17, tiny_store.n_events - 1):
-            got = np.sort(tiny_store.mentions_of_event(row))
+            got = np.flatnonzero(rows == row)
             eid = tiny_store.events["GlobalEventID"][row]
             want = np.flatnonzero(m_eids == eid)
-            assert np.array_equal(got, want)
+            assert len(got) and np.array_equal(got, want)
 
     def test_mentions_for_events_batch(self, tiny_store):
-        rows = np.array([0, 5, 10])
-        got = np.sort(mentions_for_events(tiny_store, rows))
-        want = np.sort(
-            np.concatenate([tiny_store.mentions_of_event(int(r)) for r in rows])
-        )
-        assert np.array_equal(got, want)
-
-    def test_mentions_for_events_empty(self, tiny_store):
-        assert len(mentions_for_events(tiny_store, np.array([], dtype=int))) == 0
+        """The mentions of a batch of events via the join equal those
+        whose id is one of the batch's ids."""
+        batch = np.array([0, 5, 10])
+        got = np.flatnonzero(np.isin(tiny_store.mention_event_row(), batch))
+        ids = np.asarray(tiny_store.events["GlobalEventID"])[batch]
+        want = np.flatnonzero(np.isin(tiny_store.mentions["GlobalEventID"], ids))
+        assert len(got) and np.array_equal(got, want)
 
     def test_semi_join_mask(self, tiny_store):
+        """Mentions of the events an event mask keeps: the join's gather
+        equals membership of each mention's id in the kept ids."""
         ev_mask = np.zeros(tiny_store.n_events, dtype=bool)
         ev_mask[::2] = True
-        m_mask = mention_mask_for_event_mask(tiny_store, ev_mask)
-        rows = tiny_store.mention_event_row()
-        assert np.array_equal(m_mask, ev_mask[rows])
+        m_mask = ev_mask[tiny_store.mention_event_row()]
+        kept = np.asarray(tiny_store.events["GlobalEventID"])[ev_mask]
+        want = np.isin(tiny_store.mentions["GlobalEventID"], kept)
+        assert m_mask.any() and np.array_equal(m_mask, want)
 
     def test_gather_event_column(self, tiny_store):
-        per_event = tiny_store.events["NumArticles"]
-        per_mention = gather_event_column(tiny_store, per_event)
-        rows = tiny_store.mention_event_row()
-        assert np.array_equal(per_mention, np.asarray(per_event)[rows])
+        """A per-event column gathered per mention (the event-country key)
+        equals a lookup of each mention's event id."""
+        countries = tiny_store.event_country_idx()
+        by_id = dict(zip(tiny_store.events["GlobalEventID"].tolist(), countries.tolist()))
+        want = [by_id[e] for e in tiny_store.mentions["GlobalEventID"].tolist()]
+        assert tiny_store.mention_event_country().tolist() == want
 
 
 class TestSizesAndUrls:

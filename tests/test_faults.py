@@ -21,7 +21,7 @@ class TestPlanParsing:
     def test_explicit_specs_and_seed(self):
         plan = faults.FaultPlan.parse(
             "seed=101;fetch.read:transient:prob=0.2,fail_attempts=2;"
-            "storage.write:bitflip:key=index/*,max_injections=1"
+            "storage.write:bitflip:key=dict/*,max_injections=1"
         )
         assert plan.seed == 101
         assert len(plan.specs) == 2
@@ -30,7 +30,7 @@ class TestPlanParsing:
             "fetch.read", "transient", 0.2, 2
         )
         assert (b.site, b.kind, b.key, b.max_injections) == (
-            "storage.write", "bitflip", "index/*", 1
+            "storage.write", "bitflip", "dict/*", 1
         )
 
     def test_bad_specs_rejected(self):

@@ -4,6 +4,7 @@ same logical dataset as the vectorized direct path."""
 
 from __future__ import annotations
 
+import json
 import zipfile
 
 import numpy as np
@@ -46,6 +47,10 @@ class TestCleanConversion:
         store = GdeltStore.open(converted.dataset_dir)
         assert store.n_events == converted.n_events
         assert store.n_mentions == converted.n_mentions
+        # The sorted tables are the only index: none is written.
+        assert not (converted.dataset_dir / "index").exists()
+        manifest = (converted.dataset_dir / "manifest.json").read_text()
+        assert "indexes" not in json.loads(manifest)
 
     def test_equivalent_to_direct_path(self, converted, raw_ds):
         """Raw TSV round trip and the vectorized fast path must agree on
@@ -81,6 +86,15 @@ class TestCleanConversion:
 
         assert source_counts(via_raw) == source_counts(direct)
 
+    def test_join_index_valid(self, converted):
+        """On a converted dataset the id-sorted events table is the join
+        index: every mention joins to the event row carrying its id."""
+        store = GdeltStore.open(converted.dataset_dir)
+        rows = store.mention_event_row()
+        assert (rows >= 0).all()
+        eids = np.asarray(store.events["GlobalEventID"])
+        assert np.array_equal(eids[rows], store.mentions["GlobalEventID"])
+
     def test_event_country_agrees(self, converted, raw_ds):
         via_raw = GdeltStore.open(converted.dataset_dir)
         ev, mt, dicts = dataset_to_arrays(raw_ds)
@@ -88,14 +102,6 @@ class TestCleanConversion:
         assert np.array_equal(
             via_raw.event_country_idx(), direct.event_country_idx()
         )
-
-    def test_join_index_valid(self, converted):
-        store = GdeltStore.open(converted.dataset_dir)
-        # Every event's indexed mentions actually reference it.
-        for row in (0, store.n_events // 2, store.n_events - 1):
-            rows = store.mentions_of_event(row)
-            eid = store.events["GlobalEventID"][row]
-            assert (np.asarray(store.mentions["GlobalEventID"])[rows] == eid).all()
 
 
     @pytest.mark.parametrize("compress", [False, True])

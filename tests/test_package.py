@@ -156,6 +156,26 @@ class TestOneSpelling:
         ]
         assert not offenders, f"parse raw rows with csv_io's column parser: {offenders}"
 
+    def test_one_event_mention_join(self):
+        """A mention finds its event in one place,
+        ``GdeltStore.mention_event_row``: no other module reads the
+        mentions' ``GlobalEventID`` column.  The row-at-a-time baseline
+        engine is exempt; it is the generic system the paper compares
+        against and joins by hashing on purpose."""
+        src = Path(repro.__file__).resolve().parent
+        exempt = {src / "engine" / "store.py", src / "engine" / "baseline.py"}
+        read = re.compile(r"""mentions\[\s*["']GlobalEventID["']\s*\]""")
+        offenders = [
+            f"{path.relative_to(src)}:{n}"
+            for path in sorted(src.rglob("*.py"))
+            if path not in exempt
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if read.search(line)
+        ]
+        assert not offenders, (
+            f"join mentions to events through mention_event_row(): {offenders}"
+        )
+
     def test_engine_imports_no_upper_layer(self):
         """The engine sits below serving, sharding, views and QA."""
         src = Path(repro.__file__).resolve().parent

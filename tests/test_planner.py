@@ -451,9 +451,9 @@ class TestQuerySurface:
 class TestManifestZoneMaps:
     @pytest.mark.parametrize("version", [3, FORMAT_VERSION], ids=["v3", "v4-null"])
     def test_manifest_without_zone_maps_is_refused(self, tmp_path, tiny_ds, version):
-        """A v3 manifest (tables carry no zone maps) and a v4 one whose
-        zone maps are null are both malformed: the store refuses them and
-        writes nothing into the dataset directory."""
+        """A v3 manifest (tables carry no zone maps) and a current one
+        whose zone maps are null are both malformed: the store refuses
+        them and writes nothing into the dataset directory."""
         db = tmp_path / "db"
         dataset_to_binary(tiny_ds, db)
         mpath = manifest_path(db)

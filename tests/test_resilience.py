@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro import faults
@@ -32,6 +31,7 @@ from repro.ingest import (
 )
 from repro.ingest.checkpoint import JOURNAL_DIRNAME
 from repro.obs import metrics as _metrics
+from repro.storage.format import StorageError
 from repro.storage.verify import verify_dataset
 
 NO_SLEEP = RetryPolicy(sleep=lambda s: None)
@@ -286,54 +286,6 @@ class TestStorageIntegrity:
         out = capsys.readouterr().out
         assert victim_rel in out
 
-    def test_corrupt_index_degrades_to_rebuild(self, raw_dir, tmp_path):
-        out = tmp_path / "db"
-        plan = _plan(
-            faults.FaultSpec(
-                site="storage.write", kind="bitflip",
-                key="index/mentions_by_event.bin",
-            )
-        )
-        with faults.active(plan) as inj:
-            convert_raw_to_binary(raw_dir, out, retry_policy=NO_SLEEP)
-        assert inj.receipt.count(kind="bitflip") == 1
-
-        issues = verify_dataset(out).issues
-        assert [i.path for i in issues] == ["index/mentions_by_event.bin"]
-
-        before = _counter("storage_index_rebuilds_total")
-        with faults.active(NO_FAULTS):
-            store = GdeltStore.open(out)
-        assert _counter("storage_index_rebuilds_total") - before == 1
-
-        # The rebuilt index must equal what an intact dataset loads.
-        with faults.active(NO_FAULTS):
-            clean_dir = tmp_path / "clean"
-            convert_raw_to_binary(raw_dir, clean_dir)
-            clean = GdeltStore.open(clean_dir)
-        np.testing.assert_array_equal(
-            np.asarray(store.mentions_by_event),
-            np.asarray(clean.mentions_by_event),
-        )
-        np.testing.assert_array_equal(
-            np.asarray(store.ev_lo), np.asarray(clean.ev_lo)
-        )
-        np.testing.assert_array_equal(
-            np.asarray(store.ev_hi), np.asarray(clean.ev_hi)
-        )
-        # ...down to the dtypes, and it is the one join-index helper
-        # every writer uses (the stored files are its output).
-        from repro.storage.index import mention_join_index
-
-        rebuilt = (store.mentions_by_event, store.ev_lo, store.ev_hi)
-        stored = (clean.mentions_by_event, clean.ev_lo, clean.ev_hi)
-        helper = mention_join_index(
-            clean.events["GlobalEventID"], clean.mentions["GlobalEventID"]
-        )
-        for a, b, c in zip(rebuilt, stored, helper):
-            assert a.dtype == b.dtype == c.dtype
-            np.testing.assert_array_equal(np.asarray(b), c)
-
     def test_corrupt_dictionary_raises(self, dataset):
         victim = dataset / "dict" / "sources.offsets.bin"
         plan = _plan(faults.FaultSpec(site="poke", kind="bitflip"))
@@ -441,9 +393,9 @@ class TestExecutorResilience:
 
 class TestEndToEndAcceptance:
     """Seeded transient fetch errors, one permanently failing archive
-    and one flipped index byte — and the full synth → convert → verify →
-    scaling pipeline still completes, with recovery counts matching the
-    injector's ground truth exactly."""
+    and one flipped byte in a lazily loaded dictionary — and the full
+    synth → convert → verify → scaling pipeline still completes, with
+    recovery counts matching the injector's ground truth exactly."""
 
     def test_full_pipeline_under_faults(self, raw_dir, tmp_path):
         refs = _chunk_refs(raw_dir)
@@ -461,7 +413,7 @@ class TestEndToEndAcceptance:
             ),
             faults.FaultSpec(
                 site="storage.write", kind="bitflip",
-                key="index/mentions_ev_lo.bin", max_injections=1,
+                key="dict/mention_urls.blob.bin", max_injections=1,
             ),
             seed=101,
         )
@@ -485,14 +437,17 @@ class TestEndToEndAcceptance:
             # verify pinpoints exactly the flipped file.
             vreport = verify_dataset(out)
             assert [i.path for i in vreport.issues] == [
-                "index/mentions_ev_lo.bin"
+                "dict/mention_urls.blob.bin"
             ]
             assert vreport.issues[0].kind == "crc"
 
-            # The store still opens (index rebuilt) and the paper's
-            # scaling benchmark completes end-to-end.
+            # The store still opens (the URL dictionary loads on first
+            # use) and the paper's scaling benchmark completes
+            # end-to-end; reading a mention URL hits the flipped file.
             store = GdeltStore.open(out)
             from repro.benchlib import fig12_scaling
 
             scaling = fig12_scaling(store, thread_counts=(1, 2))
             assert "1" in scaling.text and "2" in scaling.text
+            with pytest.raises(StorageError, match="mention_urls.blob.bin"):
+                store.mention_url(0)

@@ -52,10 +52,9 @@ from repro.shard import (
 from repro.shard.map import ShardInfo
 from repro.shard.partition import shard_ranges
 from repro.storage.columns import StringDictionary
-from repro.storage.format import StorageError, dict_blob_path, index_path
+from repro.storage.format import StorageError, dict_blob_path
 from repro.storage.gdelt import write_gdelt_dataset
 from repro.storage.verify import file_crc32, verify_dataset
-from tests.conftest import manifest_crcs
 
 N_SHARDS = 3
 
@@ -291,18 +290,6 @@ class TestSplit:
         shard0 = tmp_path / "shards" / "shard0"
         assert not (shard0 / "manifest.json").exists()
         assert not list(shard0.rglob("*.tmp"))
-
-    def test_corrupt_source_index_is_never_read(self, shard_env, tmp_path):
-        src = tmp_path / "db"
-        shutil.copytree(shard_env[0], src)
-        index = index_path(src, "mentions_by_event")
-        raw = bytearray(index.read_bytes())
-        raw[0] ^= 0xFF
-        index.write_bytes(bytes(raw))
-        paths = split_dataset(src, tmp_path / "shards", N_SHARDS, zone_chunk_rows=4096)
-        assert [manifest_crcs(p) for p in paths] == [
-            manifest_crcs(p) for p in shard_env[1]
-        ]
 
     def test_bitflip_in_a_copied_dictionary_is_caught_by_verify(
         self, shard_env, tmp_path

@@ -1,4 +1,4 @@
-"""Binary columnar format: writers, readers, dictionaries, indexes."""
+"""Binary columnar format: writers, readers, dictionaries."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from repro.storage import (
 from repro.storage import columns
 from repro.storage.columns import DictionaryBuilder, concat_gather
 from repro.storage.format import FORMAT_VERSION, ColumnMeta
-from repro.storage.index import aligned_group_bounds, run_boundaries, sort_permutation
 
 
 def write_simple(tmp_path, rows=100):
@@ -33,7 +32,6 @@ def write_simple(tmp_path, rows=100):
     }
     w.add_table("t", cols, dictionaries={"c": "names"})
     w.add_dictionary("names", StringDictionary.from_strings(["v0", "v1", "v2", "v3", "v4"]))
-    w.add_index("perm", "t", "permutation", np.argsort(cols["b"]).astype(np.int32))
     w.finish(meta={"origin": "test"})
     return tmp_path / "db", cols
 
@@ -61,11 +59,6 @@ class TestRoundTrip:
         d = DatasetReader(root).dictionary("names")
         assert d.to_list() == ["v0", "v1", "v2", "v3", "v4"]
 
-    def test_index_roundtrip(self, tmp_path):
-        root, cols = write_simple(tmp_path)
-        perm = DatasetReader(root).index("perm")
-        assert np.array_equal(perm, np.argsort(cols["b"]))
-
     def test_meta_preserved(self, tmp_path):
         root, _ = write_simple(tmp_path)
         assert DatasetReader(root).manifest.meta["origin"] == "test"
@@ -90,11 +83,17 @@ class TestValidation:
             DatasetReader(root)
 
     def test_version_mismatch(self, tmp_path):
+        """Any version but the current one is refused, the previous one
+        (4, which still carried an index section) included."""
         root, _ = write_simple(tmp_path)
         m = root / "manifest.json"
-        m.write_text(m.read_text().replace(f'"version": {FORMAT_VERSION}', '"version": 999'))
-        with pytest.raises(StorageError, match="version"):
-            DatasetReader(root)
+        current = m.read_text()
+        for version in (4, 999):
+            m.write_text(
+                current.replace(f'"version": {FORMAT_VERSION}', f'"version": {version}')
+            )
+            with pytest.raises(StorageError, match=f"version {version} is not"):
+                DatasetReader(root)
 
     def test_corrupt_manifest_json(self, tmp_path):
         root, _ = write_simple(tmp_path)
@@ -123,11 +122,6 @@ class TestValidation:
         with pytest.raises(StorageError, match="dtype"):
             ColumnMeta(name="x", dtype="complex128")
 
-    def test_unknown_index_kind(self, tmp_path):
-        w = DatasetWriter(tmp_path / "db5")
-        with pytest.raises(StorageError, match="index kind"):
-            w.add_index("x", "t", "btree", np.zeros(1))
-
     def test_manifest_unknown_lookups(self, tmp_path):
         root, _ = write_simple(tmp_path)
         m = DatasetReader(root).manifest
@@ -135,8 +129,6 @@ class TestValidation:
             m.table("missing")
         with pytest.raises(StorageError):
             m.dictionary("missing")
-        with pytest.raises(StorageError):
-            m.index("missing")
 
 
 class TestStringDictionary:
@@ -263,35 +255,3 @@ class TestConcatGather:
         assert d.take(np.empty(0, dtype=np.int64)) == []
         with pytest.raises(IndexError):
             d.take([-1])
-
-
-class TestIndexHelpers:
-    def test_sort_permutation_stable(self):
-        keys = np.array([3, 1, 3, 1, 2])
-        perm = sort_permutation(keys)
-        assert keys[perm].tolist() == [1, 1, 2, 3, 3]
-        assert perm.tolist() == [1, 3, 4, 0, 2]  # stability
-
-    def test_run_boundaries(self):
-        b = run_boundaries(np.array([1, 1, 2, 5, 5, 5]))
-        assert b.tolist() == [0, 2, 3, 6]
-
-    def test_run_boundaries_empty(self):
-        assert run_boundaries(np.array([])).tolist() == [0]
-
-    def test_aligned_group_bounds(self):
-        sorted_keys = np.array([10, 10, 20, 40])
-        bounds = aligned_group_bounds(np.array([10, 20, 30, 40]), sorted_keys)
-        assert bounds.tolist() == [[0, 2], [2, 3], [3, 3], [3, 4]]
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=60))
-    def test_bounds_select_exactly_matching_rows(self, raw):
-        keys = np.array(raw)
-        perm = sort_permutation(keys)
-        sk = keys[perm]
-        groups = np.unique(keys)
-        bounds = aligned_group_bounds(groups, sk)
-        for g, (lo, hi) in zip(groups, bounds):
-            assert (sk[lo:hi] == g).all()
-            assert hi - lo == (keys == g).sum()

@@ -117,8 +117,8 @@ def test_store_pipeline_invariants(cfg):
     assert (j >= 0).all() and (j <= 1).all()
     assert np.allclose(j, j.T)
 
-    # Per-event mention counts agree between generator and join index.
-    per_event = (store.ev_hi - store.ev_lo).astype(np.int64)
+    # Per-event mention counts agree between generator and the join.
+    per_event = np.bincount(store.mention_event_row(), minlength=store.n_events)
     assert np.array_equal(per_event, ds.num_articles)
 
 

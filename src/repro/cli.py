@@ -237,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument(
         "--views", type=Path, default=None, metavar="DIR",
         help="serve materialized views from this catalog directory "
-        "(created if missing); a background refresher keeps them fresh "
-        "on every publication and the subscribe verb pushes updates",
+        "(created if missing); each new generation is published with "
+        "its views refreshed and the subscribe verb pushes updates",
     )
     sv.add_argument(
         "--slo-latency", type=float, default=0.5,
@@ -691,12 +691,21 @@ def _cmd_serve(args) -> int:
             )
         else:
             store = GdeltStore.open(args.dataset)
+        views = None
+        if args.views is not None:
+            from repro.views import ViewCatalog
+
+            views = ViewCatalog(args.views)
+            logger.info(
+                "view catalog %s: %d view(s)", args.views, len(views)
+            )
         lifecycle = StoreLifecycle(
             store,
             follower=follower,
             reload_path=None if args.follow else args.dataset,
             verify_storage=not args.no_verify,
             breakers=breakers,
+            views=views,
         )
         lifecycle.install_sighup()
         slo = SloTracker(
@@ -704,15 +713,6 @@ def _cmd_serve(args) -> int:
                 latency_threshold_s=args.slo_latency, target=args.slo_target
             )
         )
-        views = refresher = None
-        if args.views is not None:
-            from repro.views import ViewCatalog, ViewRefresher
-
-            views = ViewCatalog(args.views)
-            refresher = ViewRefresher(views, lifecycle).start(initial=True)
-            logger.info(
-                "view catalog %s: %d view(s)", args.views, len(views)
-            )
         service = QueryService(
             workers=args.workers,
             scan_threads=args.scan_threads,
@@ -748,8 +748,6 @@ def _cmd_serve(args) -> int:
                 )
 
         def stop() -> None:
-            if refresher is not None:
-                refresher.stop()
             lifecycle.close()
             stats = service.stats()
             logger.info(

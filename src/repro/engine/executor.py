@@ -19,11 +19,12 @@ span/metrics layer.  With observability off and no collector, the cost
 is a single flag check per map call.
 
 Fault tolerance: chunks are pure functions of their row range, so every
-recovery is a re-execution.  A :class:`ChunkRetryPolicy` retries a
-chunk whose kernel raised a transient error, and the :class:`ThreadTeam`
-revives a worker thread that died.  All of it is off the hot path: with
-no retry policy and no fault injector installed, kernels run exactly as
-before.
+recovery is a re-execution.  While a fault injector targets
+``executor.chunk``, a chunk whose kernel raised :class:`TransientFault`
+is re-run, up to :data:`CHUNK_ATTEMPTS` runs in all, and the
+:class:`ThreadTeam` revives a worker thread that died.  All of it is off
+the hot path: with no fault injector installed, kernels run exactly as
+written.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 from repro.faults import injector as _faults
@@ -49,7 +49,7 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ChunkRetryPolicy",
+    "CHUNK_ATTEMPTS",
     "CancelToken",
     "QueryCancelled",
     "default_chunk_rows",
@@ -105,20 +105,10 @@ class CancelToken:
             raise QueryCancelled(self.reason)
 
 
-@dataclass(frozen=True, slots=True)
-class ChunkRetryPolicy:
-    """Bounded re-execution of chunks whose kernel raised transiently.
-
-    Chunk kernels are pure reads over immutable columns, so re-running
-    one is always safe.  A chunk that raises :class:`TransientFault` is
-    re-run at once, up to ``max_attempts`` runs in all.
-    """
-
-    max_attempts: int = 3
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+#: Runs a chunk gets when its kernel keeps raising :class:`TransientFault`
+#: (chunk kernels are pure reads over immutable columns, so a re-run is
+#: always safe).
+CHUNK_ATTEMPTS = 3
 
 
 def default_chunk_rows(n_rows: int, n_workers: int) -> int:
@@ -131,24 +121,18 @@ class Executor:
     """Base class; subclasses implement :meth:`_run`."""
 
     n_workers: int = 1
-    #: Optional per-chunk retry policy (set by subclass constructors).
-    retry: ChunkRetryPolicy | None = None
 
     def _maybe_resilient(
         self, kernel: Callable[[slice], T]
     ) -> Callable[[slice], T]:
         """Wrap ``kernel`` with the fault point + retry loop when needed.
 
-        The wrapper is applied only when a retry policy is set or a
-        fault injector targets ``executor.chunk`` — otherwise the
-        caller's kernel passes through untouched and the map hot path
-        costs one attribute check.
+        The wrapper is applied only when a fault injector targets
+        ``executor.chunk`` — otherwise the caller's kernel passes
+        through untouched and the map hot path costs one check.
         """
-        policy = self.retry
-        if policy is None:
-            if not _faults.site_active("executor.chunk"):
-                return kernel
-            policy = ChunkRetryPolicy()
+        if not _faults.site_active("executor.chunk"):
+            return kernel
         name = type(self).__name__
 
         def resilient(sl: slice) -> T:
@@ -163,7 +147,7 @@ class Executor:
                     return kernel(sl)
                 except TransientFault:
                     attempt += 1
-                    if attempt >= policy.max_attempts:
+                    if attempt >= CHUNK_ATTEMPTS:
                         raise
                     _metrics.counter("chunk_retries_total", executor=name).inc()
                     _telemetry.flight().record(
@@ -321,13 +305,8 @@ class SerialExecutor(Executor):
 class ThreadExecutor(Executor):
     """A persistent thread team running chunks concurrently."""
 
-    def __init__(
-        self,
-        n_threads: int | None = None,
-        retry: ChunkRetryPolicy | None = None,
-    ) -> None:
+    def __init__(self, n_threads: int | None = None) -> None:
         self.n_workers = n_threads or (os.cpu_count() or 1)
-        self.retry = retry
         self._team: ThreadTeam | None = None
 
     def _ensure_team(self) -> ThreadTeam:

@@ -76,6 +76,10 @@ class GdeltStore:
         self.sources = sources
         self.countries = countries
         self._reader = reader
+        #: URL dictionaries: handed over by :meth:`from_arrays` or loaded
+        #: from the reader on first use.  Data, not derived state, so
+        #: :meth:`invalidate` keeps them.
+        self._dicts: dict[str, StringDictionary] = {}
         self._cache: dict[str, object] = {}
         #: Guards lazy derivation and generation bumps; re-entrant so a
         #: derived-column factory may itself request other derived
@@ -137,10 +141,10 @@ class GdeltStore:
             countries=dictionaries["countries"],
             zone_chunk_rows=zone_chunk_rows,
         )
-        if "mention_urls" in dictionaries:
-            store._cache["mention_urls"] = dictionaries["mention_urls"]
-        if "event_urls" in dictionaries:
-            store._cache["event_urls"] = dictionaries["event_urls"]
+        store._dicts = {
+            name: d for name, d in dictionaries.items()
+            if name not in ("sources", "countries")
+        }
         return store
 
     # -- sizes ----------------------------------------------------------------
@@ -296,6 +300,7 @@ class GdeltStore:
                 return remaining
             self._released = True
             self._cache.clear()
+            self._dicts.clear()
             self._reader = None
         from repro.engine.planner import invalidate_cache
 
@@ -426,19 +431,19 @@ class GdeltStore:
         """Dictionary ``name``, loaded on first use; None when the
         dataset has none.  A corrupt dictionary file raises
         :class:`StorageError`, like any other corrupt data."""
-        cached = self._cache.get(name)
+        cached = self._dicts.get(name)
         if cached is not None:
-            return cached  # type: ignore[return-value]
+            return cached
         if self._reader is None or all(
             d.name != name for d in self._reader.manifest.dictionaries
         ):
             return None
         with self._lock:
-            cached = self._cache.get(name)
+            cached = self._dicts.get(name)
             if cached is None:
                 cached = self._reader.dictionary(name)
-                self._cache[name] = cached
-        return cached  # type: ignore[return-value]
+                self._dicts[name] = cached
+        return cached
 
     def mention_url(self, row: int) -> str | None:
         """URL of mention ``row`` (None when URLs were not materialized)."""

@@ -14,11 +14,9 @@ from __future__ import annotations
 
 import queue
 import threading
-import time
 from typing import Callable, Sequence
 
 from repro.obs import metrics as _metrics
-from repro.obs import state as _obs
 from repro.obs import telemetry as _telemetry
 
 __all__ = ["ThreadTeam"]
@@ -41,15 +39,11 @@ class ThreadTeam:
         self.n_threads = n_threads
         self._tasks: queue.SimpleQueue = queue.SimpleQueue()
         self._shutdown = False
-        # Per-worker busy nanoseconds; each slot is written only by its
-        # own worker thread, so no lock is needed.  Only accumulated
-        # while observability is enabled.
-        self._busy_ns = [0] * n_threads
         self._workers = [self._spawn(i) for i in range(n_threads)]
 
     def _spawn(self, index: int) -> threading.Thread:
         w = threading.Thread(
-            target=self._worker, args=(index,), name=f"team-{index}", daemon=True
+            target=self._worker, name=f"team-{index}", daemon=True
         )
         w.start()
         return w
@@ -65,21 +59,14 @@ class ThreadTeam:
 
     # -- worker loop -----------------------------------------------------
 
-    def _worker(self, index: int) -> None:
+    def _worker(self) -> None:
         while True:
             item = self._tasks.get()
             if item is _SENTINEL:
                 return
             fn, done = item
             try:
-                if _obs._enabled:
-                    t0 = time.perf_counter_ns()
-                    try:
-                        fn()
-                    finally:
-                        self._busy_ns[index] += time.perf_counter_ns() - t0
-                else:
-                    fn()
+                fn()
             finally:
                 done.release()
 
@@ -108,9 +95,6 @@ class ThreadTeam:
         """
         if self._shutdown:
             raise RuntimeError("team is closed")
-        obs_on = _obs._enabled
-        busy0 = sum(self._busy_ns) if obs_on else 0
-        wall0 = time.perf_counter_ns() if obs_on else 0
         n = len(items)
         results: list[object] = [None] * n
         errors: list[BaseException] = []
@@ -125,23 +109,9 @@ class ThreadTeam:
 
         thunks = [lambda i=i: run_one(i) for i in range(n)]
         self._submit_and_wait(thunks)
-        if obs_on:
-            # Busy/idle accounting for this batch: busy is summed worker
-            # kernel time, idle is the remainder of (wall x team size).
-            busy_s = (sum(self._busy_ns) - busy0) / 1e9
-            wall_s = (time.perf_counter_ns() - wall0) / 1e9
-            _metrics.counter("team_tasks_total").inc(len(thunks))
-            _metrics.counter("team_busy_seconds_total").inc(busy_s)
-            _metrics.counter("team_idle_seconds_total").inc(
-                max(0.0, wall_s * self.n_threads - busy_s)
-            )
         if errors:
             raise errors[0]
         return results
-
-    def busy_seconds(self) -> list[float]:
-        """Cumulative per-worker busy time (observability-enabled runs only)."""
-        return [ns / 1e9 for ns in self._busy_ns]
 
     def close(self) -> None:
         """Stop all workers (idempotent)."""

@@ -24,6 +24,15 @@ the layer that rolls the dataset forward *under load*:
   embed the store fingerprint (token, generation), so a response can
   never mix data across generations and stale cache hits are
   structurally impossible.
+* A lifecycle built with ``views=`` (a
+  :class:`~repro.views.catalog.ViewCatalog`) refreshes those views
+  against every validated candidate *before* the swap, on the
+  publishing thread, so a generation is published with its views
+  already fresh and no request on it falls through to a scan.  A
+  ``poll`` candidate extends them incrementally (``_validate`` has just
+  checked it strictly extends the live generation); a path ``reload``
+  may swap in any dataset, so it rebuilds them.  A failing view is
+  recorded on that view and never blocks the publication.
 
 ``SIGHUP`` is the conventional reload trigger: the handler only sets a
 flag (:meth:`request_reload`), and the serve main loop calls
@@ -70,6 +79,9 @@ class ReloadResult:
     rows: dict[str, int] = field(default_factory=dict)
     error: str | None = None
     elapsed_s: float = 0.0
+    #: Per-view refresh summary (:meth:`ViewCatalog.refresh`) of a
+    #: published generation; empty without a catalog.
+    views: dict[str, dict] = field(default_factory=dict)
 
 
 class StoreLease:
@@ -122,6 +134,9 @@ class StoreLifecycle:
             reload outcomes feed its ``"reload"`` class, and
             :meth:`run_pending` fast-fails while that breaker is open —
             a wedged reload source stops being retried on every SIGHUP.
+        views: optional :class:`~repro.views.catalog.ViewCatalog` served
+            beside the store; refreshed against the initial store here
+            and against every candidate before it is published.
     """
 
     def __init__(
@@ -132,6 +147,7 @@ class StoreLifecycle:
         verify_storage: bool = True,
         mode: str = "memory",
         breakers=None,
+        views=None,
     ) -> None:
         self._lock = threading.Lock()
         self._current = store
@@ -143,10 +159,11 @@ class StoreLifecycle:
         self.verify_storage = verify_storage
         self.mode = mode
         self.breakers = breakers
+        self.views = views
         self._reload_requested = threading.Event()
-        self._listeners: list = []
         self._history: list[dict] = [self._entry(store, "initial")]
         _metrics.gauge("store_generation").set(self._generation)
+        self._refresh_views(store, "initial")
 
     # -- pinning -----------------------------------------------------------
 
@@ -255,6 +272,7 @@ class StoreLifecycle:
                         elapsed_s=time.monotonic() - t0,
                     )
                 rows = self._validate(candidate, source)
+                views = self._refresh_views(candidate, source)
                 old, gen = self._publish(candidate, source, rows)
             candidate = None  # published: lifecycle owns the reference now
             old.release()
@@ -271,12 +289,9 @@ class StoreLifecycle:
             )
             if self.breakers is not None:
                 self.breakers.success("reload")
-            self._notify_listeners(
-                {"source": source, "generation": gen, "rows": dict(rows)}
-            )
             return ReloadResult(
                 ok=True, changed=True, generation=gen, rows=rows,
-                elapsed_s=elapsed,
+                elapsed_s=elapsed, views=views,
             )
         except (StorageError, OSError, ValueError) as exc:
             if candidate is not None:
@@ -356,37 +371,19 @@ class StoreLifecycle:
             "published_unix": time.time(),
         }
 
-    # -- publication listeners ---------------------------------------------
+    def _refresh_views(self, store: GdeltStore, source: str) -> dict[str, dict]:
+        """Bring the catalog's views up to date against ``store``.
 
-    def add_listener(self, fn) -> None:
-        """Register ``fn(event_dict)`` called after each successful publish.
-
-        The event carries ``source`` (``"reload"``/``"poll"``),
-        ``generation``, and per-table ``rows``.  Listeners run on the
-        publishing thread *outside* the lifecycle lock, after the old
-        generation's creator reference has been dropped; exceptions are
-        logged and swallowed — a broken listener must never fail a
-        reload.  This is the hook the view refresher uses to learn
-        about new generations.
+        Only a path ``reload`` rebuilds: the initial store and ``poll``
+        snapshots (checked by :meth:`_validate`) extend the prefix the
+        views were computed from.  Never raises for a failing view — the
+        catalog records (and logs) the error on it.
         """
-        with self._lock:
-            self._listeners.append(fn)
-
-    def remove_listener(self, fn) -> None:
-        with self._lock:
-            try:
-                self._listeners.remove(fn)
-            except ValueError:
-                pass
-
-    def _notify_listeners(self, event: dict) -> None:
-        with self._lock:
-            listeners = list(self._listeners)
-        for fn in listeners:
-            try:
-                fn(dict(event))
-            except Exception:  # noqa: BLE001
-                logger.exception("publication listener failed for %s", event)
+        if self.views is None:
+            return {}
+        return self.views.refresh(
+            store, assume_prefix=source != "reload", source=source
+        )
 
     # -- SIGHUP plumbing ---------------------------------------------------
 

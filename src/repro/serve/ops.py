@@ -7,7 +7,8 @@ production query engines:
 
 ``GET /metrics``
     Live Prometheus text exposition of the process-global registry
-    (SLO burn-rate and queue-depth gauges are refreshed on scrape).
+    (SLO burn-rate, queue-depth and view-staleness gauges are computed
+    on scrape).
 ``GET /healthz``
     Liveness — always ``200`` while the process can answer; the JSON
     body carries the SLO detail (``status`` flips to ``"degraded"``
@@ -143,6 +144,9 @@ class OpsServer:
         admission = getattr(self.service, "admission", None)
         if admission is not None:
             _metrics.gauge("serve_queue_depth").set(admission.depth())
+        views = getattr(self.service, "views", None)
+        if views is not None:
+            views.update_staleness_gauges()
 
     def _metrics(self, query) -> tuple[int, str, str]:
         self._refresh_gauges()

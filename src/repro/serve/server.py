@@ -28,7 +28,8 @@ frames on every refresh of those views, interleaved with (but never
 inside — a per-connection send lock frames every line atomically)
 ordinary replies.  Backpressure is latest-wins: each connection buffers
 at most one pending update per view, so a slow subscriber skips
-intermediate values instead of stalling the refresher; skipped updates
+intermediate values instead of stalling the publishing thread that
+refreshes the views; skipped updates
 are counted on the next frame's ``coalesced`` field.  Subscribing
 replays the current value immediately (``replay: true``), which makes
 reconnect + resubscribe lossless at the latest-value level.
@@ -256,8 +257,9 @@ class ServeServer:
         return {"status": "ok", "subscribed": sorted(state.subs)}
 
     def _on_view_refresh(self, event: dict) -> None:
-        """Catalog listener (refresher thread): enqueue only, never send —
-        a slow subscriber must not stall view maintenance."""
+        """Catalog listener (the refreshing thread, which publishes the
+        generation): enqueue only, never send — a slow subscriber must
+        not stall a publication."""
         name = event.get("view")
         with self._conns_lock:
             states = list(self._conns.values())

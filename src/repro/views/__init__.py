@@ -7,14 +7,12 @@ See :mod:`repro.views.catalog` for the consistency model and
 from repro.views.catalog import ViewCatalog, ViewError, ViewState
 from repro.views.definition import ViewDefinition
 from repro.views.delta import Segment, compute_segments
-from repro.views.refresher import ViewRefresher
 
 __all__ = [
     "Segment",
     "ViewCatalog",
     "ViewDefinition",
     "ViewError",
-    "ViewRefresher",
     "ViewState",
     "compute_segments",
 ]

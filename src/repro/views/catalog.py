@@ -22,14 +22,17 @@ Consistency model
   :class:`~repro.ingest.stream.LiveFollower` snapshots (accumulators
   strictly extend; the lifecycle validates it) and for in-place appends
   on one store object.  ``refresh(..., assume_prefix=False)`` — what
-  the refresher uses for path-reload publications — drops the segments
-  and rebuilds instead of trusting the prefix.
+  :class:`~repro.serve.lifecycle.StoreLifecycle` uses for path-reload
+  candidates — drops the segments and rebuilds instead of trusting the
+  prefix.
 * **Freshness.**  A view answers a serving request only when it was
   refreshed against the *exact* store generation executing the request
-  (fingerprint token + generation + full row coverage).  A new
-  publication makes every view stale until the refresher catches up —
-  stale views are never served, requests simply fall through to the
-  scanning path.
+  (fingerprint token + generation + full row coverage).  The lifecycle
+  refreshes its catalog against each candidate before publishing it, so
+  a published generation's views are already fresh; a view that is
+  not (its refresh failed, it was retracted, or the store was swapped
+  outside a lifecycle) is never served — requests simply fall through
+  to the scanning path.
 * **Retraction.**  Because per-chunk partials are retained,
   :meth:`ViewCatalog.retract` can subtract a quarantined/bad chunk by
   dropping its segments and re-merging — no rescan.  A retracted view
@@ -344,14 +347,17 @@ class ViewCatalog:
         Returns a summary dict: ``{view: {"rows", "delta_rows",
         "elapsed_s", "rebuilt", "error"}}``.
         """
-        targets = [name] if name is not None else self.names()
         summary: dict[str, dict] = {}
         with self._refresh_lock:
-            for view_name in targets:
-                state = self.get(view_name)  # raises on unknown explicit name
-                summary[view_name] = self._refresh_one(state, store, assume_prefix)
-        if name is None:
-            self._update_staleness_gauges()
+            if name is not None:
+                states = [self.get(name)]  # raises on unknown explicit name
+            else:
+                with self._lock:
+                    states = [self._states[n] for n in sorted(self._states)]
+            for state in states:
+                summary[state.definition.name] = self._refresh_one(
+                    state, store, assume_prefix
+                )
         return summary
 
     def _refresh_one(self, state: ViewState, store, assume_prefix: bool) -> dict:
@@ -393,7 +399,6 @@ class ViewCatalog:
             elapsed = time.monotonic() - t0
             _metrics.counter("view_refresh_total", status="ok").inc()
             _metrics.histogram("view_refresh_ms").observe(elapsed * 1000.0)
-            _metrics.gauge("view_staleness_s", view=d.name).set(0.0)
             changed = state.last_delta_rows > 0 or not extend
             if changed:
                 self._notify(
@@ -544,8 +549,10 @@ class ViewCatalog:
     def add_listener(self, fn) -> None:
         """Register ``fn(event_dict)`` called after each changing refresh.
 
-        Listeners run on the refreshing thread; exceptions are swallowed
-        (a broken subscriber must not fail maintenance).
+        Listeners run on the refreshing thread — for a lifecycle's
+        catalog, the publishing one — so they must only enqueue;
+        exceptions are swallowed (a broken subscriber must not fail
+        maintenance).
         """
         with self._lock:
             self._listeners.append(fn)
@@ -606,7 +613,9 @@ class ViewCatalog:
                 },
             }
 
-    def _update_staleness_gauges(self) -> None:
+    def update_staleness_gauges(self) -> None:
+        """Set ``view_staleness_s{view}`` to each view's age now (the ops
+        plane calls this on every ``/metrics`` scrape)."""
         now = time.time()
         with self._lock:
             states = list(self._states.values())

@@ -349,6 +349,59 @@ class TestServeCommands:
                 proc.kill()
                 proc.wait(timeout=10.0)
 
+    def test_serve_views_fresh_before_listening(self, tiny_binary, tmp_path):
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+        import urllib.request
+
+        from pathlib import Path
+
+        import repro
+        from repro.serve import ServeClient
+        from repro.views import ViewCatalog, ViewDefinition
+
+        views = tmp_path / "views"
+        ViewCatalog(views).create(ViewDefinition(name="total", op="count"))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        env.pop("REPRO_FAULTS", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", str(tiny_binary),
+             "--port", "0", "--ops-port", "0", "--workers", "2",
+             "--views", str(views)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            banner = proc.stdout.readline()
+            m = re.match(r"listening on ([\d.]+):(\d+)", banner)
+            assert m, f"unexpected banner: {banner!r}"
+            host, port = m.group(1), int(m.group(2))
+            ops_line = proc.stdout.readline()
+            m = re.match(r"ops on ([\d.]+):(\d+)", ops_line)
+            assert m, f"unexpected ops banner: {ops_line!r}"
+            ops_port = int(m.group(2))
+
+            with ServeClient(host, port) as client:
+                # The first request: the views were refreshed before the
+                # server listened, so no waiting for them.
+                resp = client.query(table="mentions", op="count")
+                assert resp["status"] == "ok"
+                assert resp["stats"]["source"] == "view"
+            url = f"http://{host}:{ops_port}/metrics"
+            with urllib.request.urlopen(url, timeout=10.0) as r:
+                text = r.read().decode()
+            assert 'repro_view_staleness_s{view="total"}' in text
+
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=30.0) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10.0)
+
     def test_shard_serve_survives_sigusr1(self, tiny_binary, tmp_path):
         """``shard-serve`` shares ``serve``'s front end, flight dump
         included: SIGUSR1 writes the dump instead of killing the router."""

@@ -189,10 +189,28 @@ class TestRefcounting:
 
     def test_release_clears_derived_cache(self, tiny_ds):
         store = self._store(tiny_ds)
-        store.query("mentions").count()  # populate derived-column cache
+        store.query("mentions").group_by("Quarter").count()  # derive a key column
         assert store._cache
         store.release()
         assert not store._cache
+
+
+class TestInvalidate:
+    def test_keeps_array_backed_url_dictionaries(self, tiny_ds):
+        from repro.ingest.direct import dataset_to_arrays
+
+        store = GdeltStore.from_arrays(*dataset_to_arrays(tiny_ds))
+        names = sorted(store.dictionaries())
+        mention_url, event_url = store.mention_url(0), store.event_url(0)
+        assert mention_url is not None and event_url is not None
+        assert names == ["countries", "event_urls", "mention_urls", "sources"]
+        store.query("mentions").group_by("Quarter").count()  # derive a key column
+        assert store._cache
+        store.invalidate()
+        assert not store._cache
+        assert store.mention_url(0) == mention_url
+        assert store.event_url(0) == event_url
+        assert sorted(store.dictionaries()) == names
 
 
 class TestMentionsWithoutEvents:

@@ -15,7 +15,6 @@ from repro.engine.executor import SerialExecutor, ThreadExecutor
 from repro.engine.query import Query, _unlocated_articles, aggregated_country_query
 from repro.obs.metrics import MetricsRegistry, _bucket_index
 from repro.obs.profile import ProfileCollector, QueryProfile
-from repro.parallel.pool import ThreadTeam
 
 
 @pytest.fixture()
@@ -355,12 +354,13 @@ class TestInstrumentationFlow:
         assert c.value == tiny_store.n_mentions
 
     def test_thread_team_busy_accounting(self, obs_on):
-        with ThreadTeam(2) as team:
-            team.run(lambda _: time.sleep(0.01), [None] * 4)
-            busy = sum(team.busy_seconds())
-        assert busy >= 0.03  # 4 sleeps of 10ms over 2 workers
-        assert obs.counter("team_busy_seconds_total").value >= 0.03
-        assert obs.counter("team_tasks_total").value >= 1
+        busy = obs.counter("worker_busy_seconds_total", executor="ThreadExecutor")
+        before = busy.value
+        with ThreadExecutor(2) as ex:
+            ex.map_slices(
+                lambda _: time.sleep(0.01), [slice(i, i + 1) for i in range(4)]
+            )
+        assert busy.value - before >= 0.03  # 4 sleeps of 10ms over 2 workers
 
     def test_group_count_2d_counts_rows(self, obs_on):
         group_count_2d(

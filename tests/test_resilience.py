@@ -16,10 +16,7 @@ import pytest
 from repro import faults
 from repro.cli import main as cli_main
 from repro.engine import GdeltStore
-from repro.engine.executor import (
-    ChunkRetryPolicy,
-    ThreadExecutor,
-)
+from repro.engine.executor import ThreadExecutor
 from repro.gdelt.masterlist import parse_master_list
 from repro.ingest import (
     CheckpointJournal,
@@ -354,21 +351,6 @@ class TestExecutorResilience:
                     ex.map_chunks(
                         _range_kernel, self.N_ROWS, chunk_rows=self.CHUNK
                     )
-
-    def test_explicit_retry_policy_without_injector(self):
-        calls: dict[int, int] = {}
-
-        def flaky(sl: slice):
-            calls[sl.start] = calls.get(sl.start, 0) + 1
-            if sl.start == 200 and calls[sl.start] == 1:
-                raise faults.TransientFault("flaky read")
-            return sl.start
-
-        ex = ThreadExecutor(2, retry=ChunkRetryPolicy(max_attempts=2))
-        with faults.active(NO_FAULTS), ex:
-            out = ex.map_chunks(flaky, self.N_ROWS, chunk_rows=self.CHUNK)
-        assert out == list(range(0, self.N_ROWS, self.CHUNK))
-        assert calls[200] == 2
 
     def test_thread_team_revives_dead_worker(self):
         from repro.parallel.pool import _SENTINEL, ThreadTeam

@@ -35,6 +35,7 @@ from repro.serve import (
     QueryService,
     ServeClient,
     ServeServer,
+    StoreLifecycle,
     TokenBucket,
     request_from_wire,
 )
@@ -836,17 +837,29 @@ class TestDeadlinesAndBreakers:
             assert svc.admission.wait_idle(5.0)
 
     def test_workers_are_the_only_service_threads(self, tiny_store):
-        before = set(threading.enumerate())
-        svc = QueryService(tiny_store, workers=2)
-        try:
-            assert svc.query("mentions", op="count").ok
-            started = set(threading.enumerate()) - before
-            assert sorted(t.name for t in started) == [
-                "serve-worker-0", "serve-worker-1",
-            ]
-        finally:
-            svc.close()
-        assert not any(t.is_alive() for t in started)
+        from repro.views import ViewCatalog, ViewDefinition
+
+        def with_views() -> QueryService:
+            catalog = ViewCatalog(None)
+            catalog.create(ViewDefinition(name="total", op="count"))
+            # The lifecycle adopts (and on close releases) one reference.
+            lifecycle = StoreLifecycle(tiny_store.retain(), views=catalog)
+            return QueryService(lifecycle=lifecycle, views=catalog, workers=2)
+
+        for make in (lambda: QueryService(tiny_store, workers=2), with_views):
+            before = set(threading.enumerate())
+            svc = make()
+            try:
+                assert svc.query("mentions", op="count").ok
+                started = set(threading.enumerate()) - before
+                assert sorted(t.name for t in started) == [
+                    "serve-worker-0", "serve-worker-1",
+                ]
+            finally:
+                svc.close()
+                if svc.lifecycle is not None:
+                    svc.lifecycle.close()
+            assert not any(t.is_alive() for t in started)
 
 
 class TestNonDrainClose:

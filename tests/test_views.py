@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import shutil
 import socket
-import time
 
 import numpy as np
 import pytest
@@ -38,7 +37,6 @@ from repro.views import (
     ViewCatalog,
     ViewDefinition,
     ViewError,
-    ViewRefresher,
     compute_segments,
 )
 from tests.test_stream import split_mirror
@@ -59,15 +57,6 @@ def assert_same_value(got, want) -> None:
         assert got.tobytes() == want.tobytes()
     else:
         assert got == want or (got != got and want != want)  # NaN == NaN
-
-
-def wait_until(check, timeout_s: float = 10.0, interval_s: float = 0.02):
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if check():
-            return
-        time.sleep(interval_s)
-    raise AssertionError("condition not met within timeout")
 
 
 @pytest.fixture(scope="module")
@@ -460,38 +449,88 @@ class TestServeIntegration:
         assert resp.value == direct.value  # scan path: still the full truth
 
 
+def land(raw_dir, stage, lines) -> None:
+    """Copy ``lines``' archives into the mirror and list them."""
+    for line in lines:
+        name = line.split(" ")[2].rsplit("/", 1)[-1]
+        shutil.copy(raw_dir / name, stage / name)
+    master = (stage / "masterfilelist.txt").read_text()
+    (stage / "masterfilelist.txt").write_text(master + "\n".join(lines) + "\n")
+
+
 class TestRefresher:
+    """The lifecycle refreshes its catalog before each publication."""
+
     def test_publications_drive_incremental_refreshes(self, raw_dir, tmp_path):
         stage = tmp_path / "mirror"
         late = split_mirror(raw_dir, stage, 0.5)
         follower = LiveFollower(stage)
         follower.poll()
-        lc = StoreLifecycle(follower.snapshot(), follower=follower)
         cat = ViewCatalog(None)
         cat.create(ViewDefinition(name="total", op="count"))
-        refresher = ViewRefresher(cat, lc, staleness_interval_s=0.2)
+        lc = StoreLifecycle(follower.snapshot(), follower=follower, views=cat)
+        svc = QueryService(lifecycle=lc, views=cat, workers=1)
         try:
-            refresher.start(initial=True)
-            wait_until(lambda: cat.get("total").refresh_count >= 1)
             with lc.pin() as lease:
                 assert cat.get("total").value() == lease.store.n_rows("mentions")
 
-            for line in late:
-                name = line.split(" ")[2].rsplit("/", 1)[-1]
-                shutil.copy(raw_dir / name, stage / name)
-            master = (stage / "masterfilelist.txt").read_text()
-            (stage / "masterfilelist.txt").write_text(
-                master + "\n".join(late) + "\n"
-            )
+            land(raw_dir, stage, late)
             grown = lc.poll()
             assert grown.ok and grown.changed
-            wait_until(lambda: cat.get("total").refresh_count >= 2)
-            state = cat.get("total")
+            assert not grown.views["total"]["rebuilt"]
+            # No wait: the generation was published with its views fresh.
+            resp = svc.query("mentions", op="count")
+            assert resp.status == "ok" and resp.stats["source"] == "view"
             with lc.pin() as lease:
-                assert state.value() == lease.store.n_rows("mentions")
-            assert state.last_delta_rows > 0  # extended, not rebuilt
+                assert resp.value == lease.store.query("mentions").count().value
+            assert cat.get("total").last_delta_rows > 0  # extended, not rebuilt
         finally:
-            refresher.stop()
+            svc.close(drain=False)
+            lc.close()
+
+    def test_path_reload_rebuilds(self, tiny_arrays, tmp_path):
+        from repro.storage.gdelt import write_gdelt_dataset
+
+        events, mentions, dicts = tiny_arrays
+        db = tmp_path / "db"
+        write_gdelt_dataset(db, events, mentions, dicts)
+        cat = ViewCatalog(None)
+        cat.create(ViewDefinition(name="total", op="count"))
+        lc = StoreLifecycle(GdeltStore.open(db), reload_path=db, views=cat)
+        svc = QueryService(lifecycle=lc, views=cat, workers=1)
+        try:
+            result = lc.reload()
+            assert result.ok and result.changed
+            assert result.views["total"]["rebuilt"]
+            resp = svc.query("mentions", op="count")
+            assert resp.stats["source"] == "view"
+            assert resp.value == len(mentions["MentionInterval"])
+        finally:
+            svc.close(drain=False)
+            lc.close()
+
+    def test_failing_view_never_blocks_publication(self, raw_dir, tmp_path):
+        stage = tmp_path / "mirror"
+        late = split_mirror(raw_dir, stage, 0.5)
+        follower = LiveFollower(stage)
+        follower.poll()
+        cat = ViewCatalog(None)
+        cat.create(ViewDefinition(name="total", op="count"))
+        cat.create(ViewDefinition(name="bad", op="sum", column="NoSuchColumn"))
+        lc = StoreLifecycle(follower.snapshot(), follower=follower, views=cat)
+        try:
+            assert cat.get("bad").last_error is not None
+            land(raw_dir, stage, late)
+            grown = lc.poll()
+            assert grown.ok and grown.changed
+            assert lc.generation == 2
+            assert grown.views["bad"]["error"]
+            assert cat.get("bad").last_error == grown.views["bad"]["error"]
+            assert grown.views["total"]["error"] is None
+            with lc.pin() as lease:
+                assert cat.get("total").fresh_for(lease.store)
+                assert not cat.get("bad").fresh_for(lease.store)
+        finally:
             lc.close()
 
 
@@ -600,7 +639,6 @@ class TestAcceptance:
 
         follower = LiveFollower(stage, verify_checksums=True)
         follower.poll()
-        lc = StoreLifecycle(follower.snapshot(), follower=follower)
         root = tmp_path / "views"
         cat = ViewCatalog(root)
         cat.create(ViewDefinition(name="delayed", op="count",
@@ -608,7 +646,8 @@ class TestAcceptance:
         cat.create(ViewDefinition(
             name="by-quarter", op="sum", group_by="Quarter", column="Delay"
         ))
-        refresher = ViewRefresher(cat, lc)
+        # Construction refreshes the views against the initial store.
+        lc = StoreLifecycle(follower.snapshot(), follower=follower, views=cat)
 
         def check_identity():
             with lc.pin() as lease:
@@ -622,7 +661,6 @@ class TestAcceptance:
                 )
 
         try:
-            refresher.refresh_now()
             check_identity()
 
             for i, batch in enumerate(batches):
@@ -640,7 +678,8 @@ class TestAcceptance:
                 )
                 result = lc.poll()
                 assert result.ok and result.changed
-                summary = refresher.refresh_now()
+                summary = result.views
+                assert set(summary) == set(cat.names())
                 for name, info in summary.items():
                     assert info["error"] is None
                     assert not info["rebuilt"], (
@@ -661,7 +700,8 @@ class TestAcceptance:
             keep = np.ones(len(delay), dtype=bool)
             keep[seg.row_lo: seg.row_hi] = False
             assert state.value() == int(np.count_nonzero((delay > 96) & keep))
-            summary = refresher.refresh_now()
+            with lc.pin() as lease:
+                summary = cat.refresh(lease.store)
             assert summary["delayed"]["rebuilt"]
             check_identity()
 

@@ -11,7 +11,7 @@ Walks the `repro.views` surface (docs/views.md):
 3. open a live `ViewSubscription` and receive the replayed current
    value plus a pushed update when new rows are folded in — the
    incremental refresh aggregates only the delta,
-4. print the catalog's `/varz` snapshot (staleness, segments, hits).
+4. print the catalog's `/varz` snapshot (staleness, refresh source, hits).
 
 Run:  python examples/view_subscriber.py
 """
@@ -82,7 +82,7 @@ def main() -> None:
         snap = catalog.snapshot()
         for name, view in snap["views"].items():
             print(f"view {name:18s} rows={view['rows']:,} "
-                  f"segments={view['segments']} "
+                  f"last_source={view['last_source']} "
                   f"refreshes={view['refresh_count']} "
                   f"staleness={view['staleness_s']}s")
         print(f"view hits: {snap['hits']}")

@@ -809,8 +809,7 @@ def _cmd_view(args) -> int:
                     else "never refreshed"
                 )
                 extra = f" [ERROR: {view['last_error']}]" if view["last_error"] else ""
-                retracted = " [retracted]" if view["retracted"] else ""
-                print(f"{name}: {view['terminal']} ({fresh}){retracted}{extra}")
+                print(f"{name}: {view['terminal']} ({fresh}){extra}")
             return 0
         if args.view_command == "drop":
             catalog.drop(args.name)

@@ -134,7 +134,9 @@ class ExecutableOp:
     absolute row slice; ``need_mask=False`` means the planner proved
     every row in the slice passes the filter, so mask evaluation is
     skipped.  ``reduce(parts)`` folds the partials and finalizes — or,
-    for ``partials=True``, returns the mergeable wire form instead.
+    for ``partials=True``, returns the mergeable wire form instead;
+    ``terminal`` is the bound :class:`~repro.engine.terminal.Terminal`
+    that does both.
 
     Raises:
         KeyError: unknown column, group key or filter column.
@@ -152,9 +154,9 @@ class ExecutableOp:
     ) -> None:
         self.store, self.table, self.where, self.rows = store, table, where, rows
         self.spec, self.partials, self.prune = spec, partials, prune
-        self._terminal, self._kernel = bind_terminal(store, table, spec, where)
+        self.terminal, self._kernel = bind_terminal(store, table, spec, where)
         self.op_name = spec.op_name
-        self.sig = self._terminal.signature(partial=partials)
+        self.sig = self.terminal.signature(partial=partials)
 
     @cached_property
     def key(self) -> tuple | None:
@@ -180,7 +182,7 @@ class ExecutableOp:
         return self._kernel(sl, need_mask and self.where is not None)
 
     def reduce(self, parts: list):
-        terminal = self._terminal
+        terminal = self.terminal
         folded = terminal.fold(parts)
         if self.partials:
             return terminal.to_wire(folded)

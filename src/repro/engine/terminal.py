@@ -21,11 +21,13 @@ they are per op:
     float arrays).
 
 The engine runner (:func:`~repro.engine.query.run_batch`, which runs
-both ``store.query(...)`` terminals and served requests), materialized
-views, the shard merge and ``repro.connect()`` are all callers.
+``store.query(...)`` terminals, served requests and view refreshes),
+materialized views (which fold each refresh's delta into their one
+retained partial), the shard merge and ``repro.connect()`` are all
+callers.
 
 =============  ====================================================
-op             partial on the wire (one per shard / view segment)
+op             partial on the wire (one per shard / view)
 =============  ====================================================
 count          int
 sum            float

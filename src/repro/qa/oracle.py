@@ -287,7 +287,10 @@ class Oracle:
             # Second refresh: the no-op delta path must not disturb it.
             catalog.refresh(harness.store, name)
             redelta = canon(catalog.get(name).value())
-            # Cold rebuild on a fresh catalog.
+            # Cold rebuild on a fresh catalog, with the result cache
+            # emptied so the rebuild rescans instead of reading back the
+            # partial the refresh above cached.
+            result_cache().invalidate()
             rebuilt_cat = ViewCatalog()
             rebuilt_cat.create(defn)
             rebuilt_cat.refresh(harness.store, name)

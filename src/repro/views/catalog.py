@@ -1,52 +1,49 @@
 """The materialized-view catalog: state, refresh, persistence, serving.
 
 One :class:`ViewCatalog` owns a set of named views
-(:class:`~repro.views.definition.ViewDefinition`) and, per view, the
-retained per-chunk partial aggregates (:class:`~repro.views.delta
-.Segment`) that make maintenance *exact*: a refresh computes partials
-over only the rows published since the last refresh
-(:func:`~repro.views.delta.compute_segments`) and appends them; the
-finalized value is the terminal's merge
-(:meth:`repro.engine.terminal.Terminal.merge`) over all retained
-segments in row order — the same fold a scatter-gather router applies
-to shard partials, so counts and integer-column aggregates are
-bit-exact against a direct query (float-column sums carry the usual
-last-ulp association caveat).
+(:class:`~repro.views.definition.ViewDefinition`) and, per view, one
+retained partial aggregate over the table's rows ``[0, rows)``, in the
+terminal's mergeable wire shape (:mod:`repro.engine.terminal`).  A
+refresh runs one ``partials=True``
+:class:`~repro.engine.query.ExecutableOp` per view over only the rows
+published since the last refresh, all of them through one
+:func:`~repro.engine.query.run_batch` call (one fused, zone-map-pruned
+scan of the new rows), and folds each delta into its view's partial
+with the view's own terminal — the fold a scatter-gather router
+applies to shard partials.  Counts and integer-column aggregates are
+therefore bit-exact against a direct query (float-column sums carry the
+usual last-ulp association caveat).  The finalized value is computed
+once per refresh, not once per lookup.
 
 Consistency model
 -----------------
 
 * **Append-only prefix contract.**  Incremental refresh assumes the
-  store's first ``rows_total`` rows are byte-identical to the rows the
-  retained segments were computed from.  That holds for
+  store's first ``rows`` rows are byte-identical to the rows the
+  retained partial was computed from.  That holds for
   :class:`~repro.ingest.stream.LiveFollower` snapshots (accumulators
   strictly extend; the lifecycle validates it) and for in-place appends
   on one store object.  ``refresh(..., assume_prefix=False)`` — what
   :class:`~repro.serve.lifecycle.StoreLifecycle` uses for path-reload
-  candidates — drops the segments and rebuilds instead of trusting the
+  candidates — drops the partial and rebuilds instead of trusting the
   prefix.
 * **Freshness.**  A view answers a serving request only when it was
   refreshed against the *exact* store generation executing the request
-  (fingerprint token + generation + full row coverage).  The lifecycle
-  refreshes its catalog against each candidate before publishing it, so
-  a published generation's views are already fresh; a view that is
-  not (its refresh failed, it was retracted, or the store was swapped
-  outside a lifecycle) is never served — requests simply fall through
-  to the scanning path.
-* **Retraction.**  Because per-chunk partials are retained,
-  :meth:`ViewCatalog.retract` can subtract a quarantined/bad chunk by
-  dropping its segments and re-merging — no rescan.  A retracted view
-  no longer equals a direct query over the full store, so it is marked
-  non-servable; the next refresh rebuilds it from the (corrected)
-  store and restores servability.
+  (fingerprint token + generation, :meth:`ViewState.fresh_for`) and the
+  request covers the whole table.  The lifecycle refreshes its catalog
+  against each candidate before publishing it, so a published
+  generation's views are already fresh; a view that is not (its refresh
+  failed, or the store was swapped outside a lifecycle) is never served
+  — requests simply fall through to the scanning path.
 
 Persistence is atomic temp-file + ``os.replace`` per file:
-``catalog.json`` (definitions) plus ``state/<view>.json`` (segments +
-freshness).  A crash mid-write leaves the previous snapshot intact; an
-unreadable state file is discarded at load and the view rebuilds from
-row zero — state is a cache of the data, never the source of truth.
-Each state file embeds its definition, so a lost ``catalog.json`` is
-recovered by scanning the state directory.
+``catalog.json`` (definitions) plus ``state/<view>.json`` (definition,
+store anchor and partial).  A crash mid-write leaves the previous
+snapshot intact; an unreadable state file (including one of an older
+format) is discarded at load and the view rebuilds from row zero —
+state is a cache of the data, never the source of truth.  Each state
+file embeds its definition, so a lost ``catalog.json`` is recovered by
+scanning the state directory.
 """
 
 from __future__ import annotations
@@ -58,71 +55,80 @@ import threading
 import time
 from pathlib import Path
 
+from repro.engine.executor import SerialExecutor
 from repro.engine.planner import _copy_value
+from repro.engine.query import ExecutableOp, run_batch
 from repro.obs import metrics as _metrics
 from repro.obs import telemetry as _telemetry
 from repro.engine.terminal import jsonable
 from repro.views.definition import ViewDefinition
-from repro.views.delta import Segment, compute_segments, segment_parts
 
 __all__ = ["ViewCatalog", "ViewError", "ViewState"]
 
 logger = logging.getLogger(__name__)
 
-#: On-disk state format revision.
-STATE_VERSION = 1
+#: On-disk state format revision.  Version 1 kept one partial per
+#: zone-map chunk; its files are discarded at load and rebuilt.
+STATE_VERSION = 2
 
 
 class ViewError(RuntimeError):
-    """A catalog operation failed (unknown view, bad retraction, ...)."""
+    """A catalog operation failed (unknown view, duplicate name, ...)."""
 
 
 class ViewState:
-    """One view's live state: definition + retained segments + freshness."""
+    """One view's live state: definition + retained partial + freshness."""
 
     __slots__ = (
         "definition", "store_token", "store_generation", "rows_total",
-        "n_groups", "value_dtype", "segments", "retracted", "refreshed_unix",
+        "n_groups", "partial", "_value", "refreshed_unix",
         "refresh_count", "last_refresh_s", "last_delta_rows", "last_error",
+        "last_source",
     )
 
     def __init__(self, definition: ViewDefinition) -> None:
         self.definition = definition
         self.store_token: str | None = None
         self.store_generation: int = 0
-        #: Rows of the table covered by the retained segments.
+        #: Rows of the table ``partial`` covers: ``[0, rows_total)``.
         self.rows_total: int = 0
         #: Global group width at the last refresh (grouped views).
         self.n_groups: int = 0
-        #: Aggregated column's dtype name at the last refresh; decides
-        #: ``stats``' empty-group sentinels when the table has no rows
-        #: and therefore no segment carries the dtype.
-        self.value_dtype: str | None = None
-        self.segments: list[Segment] = []
-        #: Retracted ``[lo, hi)`` row ranges (non-servable until rebuilt).
-        self.retracted: list[tuple[int, int]] = []
+        #: The terminal's wire-shaped partial over ``[0, rows_total)``
+        #: (NumPy arrays after a refresh, JSON lists after a load; a
+        #: ``stats`` partial carries its value dtype); ``None`` until
+        #: the first refresh.
+        self.partial = None
+        self._value = None
         self.refreshed_unix: float = 0.0
         self.refresh_count: int = 0
         self.last_refresh_s: float = 0.0
         self.last_delta_rows: int = 0
         self.last_error: str | None = None
+        #: Who asked for the last refresh (``initial``, ``poll``,
+        #: ``reload``, ``manual``, ...).
+        self.last_source: str | None = None
 
     # -- derived -----------------------------------------------------------
 
+    def _finalize(self):
+        terminal = self.definition.spec.bind(self.n_groups or None)
+        return terminal.merge([] if self.partial is None else [self.partial])
+
     def value(self):
-        """Finalize the view: exact merge of retained segments in row order."""
-        terminal = self.definition.spec.bind(self.n_groups or None, self.value_dtype)
-        return terminal.merge(segment_parts(self.segments))
+        """The view's finalized value (a copy; finalized once per refresh)."""
+        if self._value is None:
+            self._value = self._finalize()
+        return _copy_value(self._value)
 
     def fresh_for(self, store) -> bool:
-        """True when this view answers queries against ``store`` exactly."""
-        if self.retracted or self.refresh_count == 0:
-            return False
-        token, gen = store.fingerprint()
-        return (
-            token == self.store_token
-            and gen == self.store_generation
-            and self.rows_total == store.n_rows(self.definition.table)
+        """True when this view answers queries against ``store`` exactly:
+        it was last refreshed against this very store generation (code
+        that changes a store's rows must call
+        :meth:`~repro.engine.store.GdeltStore.invalidate`, which bumps
+        the fingerprint's generation)."""
+        return self.refresh_count > 0 and store.fingerprint() == (
+            self.store_token, self.store_generation
         )
 
     def staleness_s(self, now: float | None = None) -> float:
@@ -136,8 +142,6 @@ class ViewState:
             "name": self.definition.name,
             "terminal": self.definition.describe(),
             "rows": self.rows_total,
-            "segments": len(self.segments),
-            "retracted": [list(r) for r in self.retracted],
             "generation": self.store_generation,
             "refresh_count": self.refresh_count,
             "refreshed_unix": round(self.refreshed_unix, 3),
@@ -146,6 +150,7 @@ class ViewState:
             ),
             "last_refresh_s": round(self.last_refresh_s, 6),
             "last_delta_rows": self.last_delta_rows,
+            "last_source": self.last_source,
             "last_error": self.last_error,
         }
 
@@ -160,53 +165,38 @@ class ViewState:
                 "generation": self.store_generation,
                 "rows": self.rows_total,
                 "n_groups": self.n_groups,
-                "value_dtype": self.value_dtype,
             },
-            "segments": [s.to_dict() for s in self.segments],
-            "retracted": [list(r) for r in self.retracted],
+            "partial": jsonable(self.partial),
             "refreshed_unix": self.refreshed_unix,
             "refresh_count": self.refresh_count,
+            "last_source": self.last_source,
         }
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ViewState":
+        """Decode a state file; the partial is finalized here, so a
+        damaged one is rejected at load, not at the first lookup.
+
+        Raises:
+            ViewError: another format version.
+            ValueError / LookupError / TypeError: a damaged document.
+        """
         if int(raw.get("version", 0)) != STATE_VERSION:
             raise ViewError(f"unsupported view state version {raw.get('version')!r}")
         state = cls(ViewDefinition.from_dict(raw["definition"]))
-        meta = raw.get("store") or {}
+        meta = raw["store"]
         state.store_token = meta.get("token")
         state.store_generation = int(meta.get("generation", 0))
         state.rows_total = int(meta.get("rows", 0))
         state.n_groups = int(meta.get("n_groups", 0))
-        state.value_dtype = meta.get("value_dtype")
-        state.segments = [Segment.from_dict(s) for s in raw.get("segments", [])]
-        state.retracted = [
-            (int(lo), int(hi)) for lo, hi in raw.get("retracted", [])
-        ]
+        state.partial = raw["partial"]
         state.refreshed_unix = float(raw.get("refreshed_unix", 0.0))
         state.refresh_count = int(raw.get("refresh_count", 0))
-        _check_tiling(state.segments, state.retracted, state.rows_total)
+        state.last_source = raw.get("last_source")
+        if (state.partial is None) != (state.refresh_count == 0):
+            raise ViewError("a refreshed view needs a partial, a new one none")
+        state._value = state._finalize()
         return state
-
-
-def _check_tiling(
-    segments: list[Segment], retracted: list[tuple[int, int]], rows_total: int
-) -> None:
-    """Segments + retracted ranges must tile ``[0, rows_total)`` exactly."""
-    spans = sorted(
-        [(s.row_lo, s.row_hi) for s in segments] + [tuple(r) for r in retracted]
-    )
-    cursor = 0
-    for lo, hi in spans:
-        if lo != cursor or hi <= lo:
-            raise ViewError(
-                f"segment coverage broken at row {cursor} (next span [{lo}, {hi}))"
-            )
-        cursor = hi
-    if cursor != rows_total:
-        raise ViewError(
-            f"segments cover [0, {cursor}) but state claims {rows_total} rows"
-        )
 
 
 def _atomic_write_json(path: Path, doc: dict) -> None:
@@ -215,19 +205,6 @@ def _atomic_write_json(path: Path, doc: dict) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
     os.replace(tmp, path)
-
-
-class _Serving:
-    """One fresh finalized value keyed by its terminal signature."""
-
-    __slots__ = ("name", "fingerprint", "rows", "value", "refreshed_unix")
-
-    def __init__(self, name, fingerprint, rows, value, refreshed_unix) -> None:
-        self.name = name
-        self.fingerprint = fingerprint
-        self.rows = rows
-        self.value = value
-        self.refreshed_unix = refreshed_unix
 
 
 class ViewCatalog:
@@ -240,7 +217,7 @@ class ViewCatalog:
 
     Reads (``serve_lookup``, ``get``, ``snapshot``) take a short lock;
     refreshes serialize on their own lock and only mutate state under
-    the read lock once the delta pass has finished, so serving is never
+    the read lock once the delta scan has finished, so serving is never
     blocked behind a scan.
     """
 
@@ -249,7 +226,8 @@ class ViewCatalog:
         self._lock = threading.RLock()
         self._refresh_lock = threading.Lock()
         self._states: dict[str, ViewState] = {}
-        self._serving: dict[tuple, _Serving] = {}
+        #: Terminal key -> the view that answers it (when fresh).
+        self._served: dict[tuple, ViewState] = {}
         self._listeners: list = []
         self._hits = 0
         if self.root is not None:
@@ -297,9 +275,7 @@ class ViewCatalog:
             state = self._states.pop(name, None)
             if state is None:
                 raise ViewError(f"no such view {name!r}")
-            self._serving = {
-                key: e for key, e in self._serving.items() if e.name != name
-            }
+            self._served = {k: s for k, s in self._served.items() if s is not state}
             self._persist_catalog()
             if self.root is not None:
                 try:
@@ -338,14 +314,18 @@ class ViewCatalog:
         """Bring one view (or all) up to date against ``store``.
 
         ``assume_prefix=True`` trusts the append-only prefix contract
-        (see module docstring) and extends the retained segments with a
-        delta pass; ``False`` rebuilds from row zero — correct against
-        any store at full-refresh cost.  Never raises for a failing
-        view: its error is recorded on the state (and in the flight
-        recorder) and the other views still refresh.
+        (see module docstring) and folds a delta over the new rows into
+        the retained partial; ``False`` rebuilds from row zero — correct
+        against any store at full-refresh cost.  Every view's delta runs
+        in one :func:`~repro.engine.query.run_batch` call.  Never raises
+        for a failing view: its error is recorded on the state (and in
+        the flight recorder) and the other views still refresh.
+        ``source`` names who asked (``initial``, ``poll``, ``reload``,
+        ``manual``); it is recorded on each view as ``last_source``.
 
         Returns a summary dict: ``{view: {"rows", "delta_rows",
-        "elapsed_s", "rebuilt", "error"}}``.
+        "elapsed_s", "rebuilt", "error"}}``.  A view dropped while the
+        refresh runs is left out (and stays dropped).
         """
         summary: dict[str, dict] = {}
         with self._refresh_lock:
@@ -354,160 +334,121 @@ class ViewCatalog:
             else:
                 with self._lock:
                     states = [self._states[n] for n in sorted(self._states)]
+            t0 = time.monotonic()
+            jobs: list[tuple[ViewState, bool, ExecutableOp]] = []
             for state in states:
-                summary[state.definition.name] = self._refresh_one(
-                    state, store, assume_prefix
-                )
+                try:
+                    jobs.append((state, *self._delta_op(state, store, assume_prefix)))
+                except Exception as exc:  # noqa: BLE001 - unknown column, ...
+                    summary[state.definition.name] = self._failed(
+                        state, exc, source, t0
+                    )
+            answers = run_batch([op for _, _, op in jobs], SerialExecutor())
+            for (state, extend, op), answer in zip(jobs, answers):
+                try:
+                    if isinstance(answer, Exception):
+                        raise answer
+                    info = self._fold(state, op, answer.value, extend, source, t0)
+                except Exception as exc:  # noqa: BLE001 - recorded, never propagated
+                    info = self._failed(state, exc, source, t0)
+                if info is not None:
+                    summary[state.definition.name] = info
         return summary
 
-    def _refresh_one(self, state: ViewState, store, assume_prefix: bool) -> dict:
+    @staticmethod
+    def _delta_op(state: ViewState, store, assume_prefix: bool):
+        """``(extend, op)``: the ``partials=True`` op over the rows the
+        retained partial does not cover yet (all of them on a rebuild)."""
         d = state.definition
-        t0 = time.monotonic()
-        try:
-            token, gen = store.fingerprint()
-            rows_now = store.n_rows(d.table)
-            same_store = token == state.store_token
-            extend = (
-                (same_store or assume_prefix)
-                and rows_now >= state.rows_total
-                and not state.retracted
-                and state.refresh_count > 0
-            )
-            base_rows = state.rows_total if extend else 0
-            new_segments = compute_segments(store, d, base_rows, rows_now)
-            terminal = d.terminal(store)
-            value = None
-            with self._lock:
-                if not extend:
-                    state.segments = []
-                    state.retracted = []
-                state.segments.extend(new_segments)
-                state.store_token = token
-                state.store_generation = gen
-                state.rows_total = rows_now
-                state.n_groups = int(terminal.n_groups or 0)
-                if terminal.value_dtype is not None:
-                    state.value_dtype = terminal.value_dtype.name
-                state.refreshed_unix = time.time()
-                state.refresh_count += 1
-                state.last_delta_rows = rows_now - base_rows
-                state.last_refresh_s = time.monotonic() - t0
-                state.last_error = None
-                value = state.value()
-                self._install_serving(state, store, value, terminal.signature())
-                self._persist_state(state)
-            elapsed = time.monotonic() - t0
-            _metrics.counter("view_refresh_total", status="ok").inc()
-            _metrics.histogram("view_refresh_ms").observe(elapsed * 1000.0)
-            changed = state.last_delta_rows > 0 or not extend
-            if changed:
-                self._notify(
-                    {
-                        "view": d.name,
-                        "seq": state.refresh_count,
-                        "rows": state.rows_total,
-                        "delta_rows": state.last_delta_rows,
-                        "generation": state.store_generation,
-                        "refreshed_unix": round(state.refreshed_unix, 3),
-                        "value": jsonable(value),
-                    }
-                )
-            return {
-                "rows": state.rows_total,
-                "delta_rows": state.last_delta_rows,
-                "elapsed_s": round(elapsed, 6),
-                "rebuilt": not extend,
-                "error": None,
-            }
-        except Exception as exc:  # noqa: BLE001 - recorded, never propagated
-            elapsed = time.monotonic() - t0
-            with self._lock:
-                state.last_error = f"{type(exc).__name__}: {exc}"
-            _metrics.counter("view_refresh_total", status="failed").inc()
-            _telemetry.flight().record(
-                "view_refresh_failed",
-                view=d.name,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            logger.error("refresh of view %s failed: %s", d.name, exc)
-            return {
-                "rows": state.rows_total,
-                "delta_rows": 0,
-                "elapsed_s": round(elapsed, 6),
-                "rebuilt": False,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
+        rows_now = store.n_rows(d.table)
+        extend = (
+            (assume_prefix or store.fingerprint()[0] == state.store_token)
+            and rows_now >= state.rows_total
+            and state.refresh_count > 0
+        )
+        base_rows = state.rows_total if extend else 0
+        op = ExecutableOp(
+            store, d.table, d.spec, d.parsed_where(),
+            slice(base_rows, rows_now), partials=True,
+        )
+        return extend, op
 
-    def retract(self, name: str, row_lo: int, row_hi: int) -> None:
-        """Subtract retained chunks covering ``[row_lo, row_hi)``.
-
-        The range must be exactly tiled by whole retained segments
-        (segments are zone-map-chunk aligned, so any chunk range
-        qualifies).  The view's value immediately reflects the
-        subtraction; it is marked non-servable until a refresh rebuilds
-        it against a corrected store.
-
-        Raises:
-            ViewError: unknown view or a misaligned range.
-        """
-        row_lo, row_hi = int(row_lo), int(row_hi)
-        if row_hi <= row_lo:
-            raise ViewError(f"empty retraction range [{row_lo}, {row_hi})")
+    def _fold(
+        self, state: ViewState, op: ExecutableOp, delta, extend: bool,
+        source: str, t0: float,
+    ) -> dict | None:
+        """Fold ``delta`` into the retained partial, then serve, persist
+        and announce the new value.  ``None`` when the view was dropped
+        while its delta ran: it is then neither served nor persisted."""
+        d = state.definition
+        terminal = op.terminal
+        parts = [state.partial, delta] if extend else [delta]
+        folded = terminal.fold([terminal.from_wire(p) for p in parts])
+        value = terminal.finalize(folded)
+        token, gen = op.store.fingerprint()
         with self._lock:
-            state = self._states.get(name)
-            if state is None:
-                raise ViewError(f"no such view {name!r}")
-            inside = [
-                s for s in state.segments
-                if row_lo <= s.row_lo and s.row_hi <= row_hi
-            ]
-            covered = sum(s.row_hi - s.row_lo for s in inside)
-            if covered != row_hi - row_lo:
-                raise ViewError(
-                    f"retraction [{row_lo}, {row_hi}) is not tiled by retained "
-                    f"segments (covered {covered} of {row_hi - row_lo} rows); "
-                    "retract whole zone-map chunks"
-                )
-            drop = {(s.row_lo, s.row_hi) for s in inside}
-            state.segments = [
-                s for s in state.segments if (s.row_lo, s.row_hi) not in drop
-            ]
-            state.retracted.append((row_lo, row_hi))
-            state.retracted.sort()
-            self._serving = {
-                key: e for key, e in self._serving.items() if e.name != name
-            }
+            if self._states.get(d.name) is not state:
+                return None
+            state.partial = terminal.to_wire(folded)
+            state._value = value
+            state.store_token = token
+            state.store_generation = gen
+            state.rows_total = op.rows.stop
+            state.n_groups = int(terminal.n_groups or 0)
+            state.refreshed_unix = time.time()
+            state.refresh_count += 1
+            state.last_delta_rows = op.rows.stop - op.rows.start
+            state.last_refresh_s = time.monotonic() - t0
+            state.last_error = None
+            state.last_source = source
+            key = self._terminal_key(op, terminal.signature())
+            self._served = {k: s for k, s in self._served.items() if s is not state}
+            self._served[key] = state
             self._persist_state(state)
+        elapsed = time.monotonic() - t0
+        _metrics.counter("view_refresh_total", status="ok").inc()
+        _metrics.histogram("view_refresh_ms").observe(elapsed * 1000.0)
+        if state.last_delta_rows > 0 or not extend:
+            self._notify(self._event(state, value))
+        return {
+            "rows": state.rows_total,
+            "delta_rows": state.last_delta_rows,
+            "elapsed_s": round(elapsed, 6),
+            "rebuilt": not extend,
+            "error": None,
+        }
+
+    def _failed(self, state: ViewState, exc: Exception, source: str, t0: float) -> dict:
+        """Record a failed refresh on the view; its previous value stays
+        (and stays fresh only for the store it was computed against)."""
+        d = state.definition
+        error = f"{type(exc).__name__}: {exc}"
+        with self._lock:
+            state.last_error = error
+            state.last_source = source
+        _metrics.counter("view_refresh_total", status="failed").inc()
         _telemetry.flight().record(
-            "view_retraction", view=name, rows=[row_lo, row_hi]
+            "view_refresh_failed", view=d.name, source=source, error=error,
         )
-        logger.warning(
-            "view %s: retracted rows [%d, %d) (non-servable until rebuilt)",
-            name, row_lo, row_hi,
-        )
+        logger.error("refresh of view %s failed: %s", d.name, exc)
+        return {
+            "rows": state.rows_total,
+            "delta_rows": 0,
+            "elapsed_s": round(time.monotonic() - t0, 6),
+            "rebuilt": False,
+            "error": error,
+        }
 
     # -- serving -----------------------------------------------------------
 
     @staticmethod
-    def _terminal_key(table: str, canonical: str | None, op_name: str, sig) -> tuple:
-        return (table, canonical, op_name, tuple(sig) if sig is not None else None)
-
-    def _install_serving(self, state: ViewState, store, value, sig: tuple) -> None:
-        """Replace ``state``'s serving entry (caller holds the lock)."""
-        self._serving = {
-            key: e for key, e in self._serving.items() if e.name != state.definition.name
-        }
-        if state.retracted:
-            return
-        d = state.definition
-        key = self._terminal_key(d.table, d.where_canonical(), d.spec.op_name, sig)
-        self._serving[key] = _Serving(
-            name=d.name,
-            fingerprint=store.fingerprint(),
-            rows=state.rows_total,
-            value=value,
-            refreshed_unix=state.refreshed_unix,
-        )
+    def _terminal_key(op: ExecutableOp, sig: tuple) -> tuple:
+        """What a view answers: table, canonical filter, op and the
+        non-partials terminal signature — exactly what a matching
+        request's op carries, so a view is matched by tuple equality,
+        never by re-deriving intent."""
+        canonical = op.where.canonical() if op.where is not None else None
+        return (op.table, canonical, op.op_name, sig)
 
     def serve_lookup(self, op) -> tuple[object, dict] | None:
         """Answer a compiled request from a fresh view, if one matches.
@@ -515,28 +456,29 @@ class ViewCatalog:
         ``op`` is a :class:`~repro.engine.query.ExecutableOp`.  A hit
         requires the same terminal signature, the same canonical filter,
         full-table row coverage, and the *exact* store generation the
-        view was refreshed against — anything else falls through to the
-        scan path.  Returns ``(value_copy, meta)`` or ``None``.
+        view was refreshed against (:meth:`ViewState.fresh_for`) —
+        anything else falls through to the scan path.  Returns
+        ``(value_copy, meta)`` or ``None``.
         """
-        if op.partials:
+        if op.partials or op.rows.start != 0:
             return None
-        canonical = op.where.canonical() if op.where is not None else None
-        key = self._terminal_key(op.table, canonical, op.op_name, op.sig)
+        key = self._terminal_key(op, op.sig)
         with self._lock:
-            entry = self._serving.get(key)
-            if entry is None:
-                return None
-            if entry.fingerprint != op.store.fingerprint():
-                return None
-            if op.rows.start != 0 or op.rows.stop != entry.rows:
+            state = self._served.get(key)
+            if (
+                state is None
+                or op.rows.stop != state.rows_total
+                or not state.fresh_for(op.store)
+            ):
                 return None
             self._hits += 1
-            value = _copy_value(entry.value)
+            value = state.value()
+            name = state.definition.name
             meta = {
-                "view": entry.name,
-                "view_refreshed_unix": round(entry.refreshed_unix, 3),
+                "view": name,
+                "view_refreshed_unix": round(state.refreshed_unix, 3),
             }
-        _metrics.counter("view_hits_total", view=entry.name).inc()
+        _metrics.counter("view_hits_total", view=name).inc()
         return value, meta
 
     @property
@@ -569,7 +511,7 @@ class ViewCatalog:
         refresh — replayed to (re)connecting subscribers so a dropped
         connection never strands a client on a stale value.
 
-        Returns ``None`` for a never-refreshed or retracted view.
+        Returns ``None`` for a never-refreshed view.
 
         Raises:
             ViewError: unknown view.
@@ -578,17 +520,21 @@ class ViewCatalog:
             state = self._states.get(name)
             if state is None:
                 raise ViewError(f"no such view {name!r}")
-            if state.refresh_count == 0 or state.retracted:
+            if state.refresh_count == 0:
                 return None
-            return {
-                "view": name,
-                "seq": state.refresh_count,
-                "rows": state.rows_total,
-                "delta_rows": state.last_delta_rows,
-                "generation": state.store_generation,
-                "refreshed_unix": round(state.refreshed_unix, 3),
-                "value": jsonable(state.value()),
-            }
+            return self._event(state, state.value())
+
+    @staticmethod
+    def _event(state: ViewState, value) -> dict:
+        return {
+            "view": state.definition.name,
+            "seq": state.refresh_count,
+            "rows": state.rows_total,
+            "delta_rows": state.last_delta_rows,
+            "generation": state.store_generation,
+            "refreshed_unix": round(state.refreshed_unix, 3),
+            "value": jsonable(value),
+        }
 
     def _notify(self, event: dict) -> None:
         with self._lock:
@@ -690,7 +636,7 @@ class ViewCatalog:
                     # refresh re-anchors it to a live store.
                     self._states[name] = state
                     definitions.pop(name, None)
-                except (ValueError, KeyError, TypeError, ViewError) as exc:
+                except (ValueError, LookupError, TypeError, ViewError) as exc:
                     logger.warning(
                         "view state %s unreadable (%s); view will rebuild",
                         path.name, exc,

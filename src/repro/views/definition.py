@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.engine.expr import Expr, parse_conjuncts, to_conjuncts
-from repro.engine.query import bind_terminal
-from repro.engine.terminal import Terminal, TerminalSpec
+from repro.engine.terminal import TerminalSpec
 
 __all__ = ["ViewDefinition"]
 
@@ -160,21 +159,6 @@ class ViewDefinition:
 
     def parsed_where(self) -> Expr | None:
         return parse_conjuncts(self.where)
-
-    def where_canonical(self) -> str | None:
-        """The filter's planner-canonical string (cache-key component)."""
-        expr = self.parsed_where()
-        return expr.canonical() if expr is not None else None
-
-    def terminal(self, store) -> Terminal:
-        """The view's terminal bound to ``store`` (group width, value
-        dtype).  Its :meth:`~Terminal.signature` is exactly what
-        :class:`~repro.engine.query.ExecutableOp` stamps on a
-        non-partials request for the same terminal, so a view is
-        matched to incoming requests by tuple equality, never by
-        re-deriving intent.
-        """
-        return bind_terminal(store, self.table, self.spec)[0]
 
     def describe(self) -> str:
         """One-line human summary for ``view list`` and ``/varz``."""

@@ -126,12 +126,13 @@ class TestOneSpelling:
     def test_one_runner_plans_fuses_and_caches(self):
         """Plan → result cache → fused scan lives in one function, the
         engine runner (``repro.engine.query.run_batch``): no other module
-        fuses plans or reads or fills the result cache, so a served
-        request and a ``store.query()`` terminal cannot drift apart."""
+        plans a scan, fuses plans or reads or fills the result cache, so
+        a served request, a ``store.query()`` terminal and a view refresh
+        cannot drift apart."""
         src = Path(repro.__file__).resolve().parent
         runner = src / "engine" / "query.py"
         calls = re.compile(
-            r"(?<!def )\bfuse_plans\(|result_cache\(\)\.(get|put)\("
+            r"(?<!def )\b(plan_query|fuse_plans)\(|result_cache\(\)\.(get|put)\("
             r"|=\s*result_cache\(\)\s*$"
         )
         offenders = [
@@ -141,7 +142,9 @@ class TestOneSpelling:
             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if calls.search(line)
         ]
-        assert not offenders, f"only the engine runner may fuse or cache: {offenders}"
+        assert not offenders, (
+            f"only the engine runner may plan, fuse or cache: {offenders}"
+        )
 
     def test_one_raw_row_parser(self):
         """A raw line is split into cells in one place, the column parser

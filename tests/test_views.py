@@ -1,16 +1,15 @@
-"""Materialized views: definitions, delta maintenance, catalog, serving.
+"""Materialized views: definitions, incremental maintenance, catalog, serving.
 
 The contract under test:
 
 * a view's finalized value is byte-identical to the direct query it
   stands for (counts and integer-column aggregates exactly; float sums
   share the shard-merge last-ulp caveat) — including after incremental
-  refreshes, a retraction, and a catalog restart from disk;
+  refreshes over any prefix cuts and a catalog restart from disk;
 * incremental refresh scans only the rows published since the last
-  refresh, and retained per-chunk partials make retraction a merge,
-  not a rescan;
+  refresh and folds them into the view's one retained partial;
 * serving answers a matching request from a *fresh* view only — any
-  staleness (new generation, retraction, never refreshed) silently
+  staleness (new generation, failed refresh, never refreshed) silently
   falls through to the scan path;
 * subscriptions push refresh deltas with latest-wins backpressure and
   resume losslessly (at the latest-value level) across reconnects.
@@ -26,19 +25,18 @@ import numpy as np
 import pytest
 
 from repro.engine import GdeltStore, col
+from repro.engine.planner import result_cache
+from repro.engine.query import ExecutableOp
+from repro.engine.terminal import TerminalSpec
 from repro.ingest import LiveFollower
+from repro.obs import telemetry
 from repro.serve import (
     QueryService,
     ServeServer,
     StoreLifecycle,
     ViewSubscription,
 )
-from repro.views import (
-    ViewCatalog,
-    ViewDefinition,
-    ViewError,
-    compute_segments,
-)
+from repro.views import ViewCatalog, ViewDefinition, ViewError
 from tests.test_stream import split_mirror
 
 ZONE_CHUNK_ROWS = 2_048
@@ -136,46 +134,97 @@ class TestViewDefinition:
         assert ViewDefinition.from_dict(d.to_dict()) == d
 
 
-class TestDeltaSegments:
-    def test_segments_tile_the_window_on_chunk_boundaries(self, zstore):
-        n = zstore.n_rows("mentions")
-        d = ViewDefinition(name="c", op="count")
-        segments = compute_segments(zstore, d, 0, n)
-        assert segments[0].row_lo == 0 and segments[-1].row_hi == n
-        for a, b in zip(segments, segments[1:]):
-            assert a.row_hi == b.row_lo
-        assert all(
-            s.row_hi - s.row_lo <= ZONE_CHUNK_ROWS for s in segments
-        )
-        assert len(segments) > 1  # the fixture really is multi-chunk
+#: A filter whose zone maps prune every chunk (Confidence tops out at 100).
+PRUNED = "Confidence > 100"
+
+
+def direct_value(store, d: ViewDefinition):
+    """The direct ``store.query`` value a definition stands for."""
+    q = store.query(d.table)
+    if d.where:
+        q = q.filter(d.parsed_where())
+    if d.group_by is not None:
+        q = q.group_by(d.group_by)
+    args = [a for a in (d.column, d.k) if a is not None]
+    return getattr(q, d.op)(*args).value
+
+
+@pytest.fixture(scope="module")
+def growth(tiny_arrays):
+    """Five random ascending prefix cuts of the mentions table, as the
+    stores a live follower would publish: each cut's events are the
+    ones that had happened by its last mention, so later cuts widen the
+    ``Quarter`` group width.  Every sequence holds a repeated cut (a
+    zero-row extension) and ends at the full table."""
+    events, mentions, dicts = tiny_arrays
+    n = len(mentions["MentionInterval"])
+    sequences = []
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        cuts = sorted(int(c) for c in rng.integers(1, n, 3))
+        cuts = cuts[:2] + [cuts[1]] + cuts[2:] + [n]
+        stores = []
+        for cut in cuts:
+            last = mentions["MentionInterval"][cut - 1]
+            keep = events["DayInterval"] <= last
+            stores.append(GdeltStore.from_arrays(
+                {c: a[keep] for c, a in events.items()},
+                {c: a[:cut] for c, a in mentions.items()},
+                dicts, zone_chunk_rows=512,
+            ))
+        sequences.append(stores)
+    return sequences
+
+
+class TestIncrementalMaintenance:
+    def test_growth_covers_the_edge_cases(self, growth):
+        rows = [[s.n_rows("mentions") for s in seq] for seq in growth]
+        assert all(any(a == b for a, b in zip(r, r[1:])) for r in rows)
+        assert any(r % 512 for seq in rows for r in seq)  # mid-chunk cuts
+        widths = [[s.group_width("mentions", "Quarter")[1] for s in seq]
+                  for seq in growth]
+        assert any(w[0] < w[-1] for w in widths)
 
     @pytest.mark.parametrize("spec,direct", TERMINALS)
-    def test_full_window_merge_matches_direct(self, zstore, spec, direct):
-        from repro.shard.merge import merge_parts
-
-        d = ViewDefinition(name="v", **spec)
-        segments = compute_segments(zstore, d, 0, zstore.n_rows("mentions"))
-        n_groups = None
-        if d.group_by is not None:
-            _canon, _keys, n_groups = zstore.group_key("mentions", d.group_by)
-        merged = merge_parts(
-            d.op, d.group_by, d.k, [s.part for s in segments], n_groups
-        )
-        assert_same_value(merged, direct(zstore))
-
-    def test_window_partial_matches_numpy(self, zstore):
-        lo, hi = 3_000, 9_500  # deliberately chunk-misaligned
-        d = ViewDefinition(name="w", op="count", where=("Delay > 96",))
-        segments = compute_segments(zstore, d, lo, hi)
-        assert segments[0].row_lo == lo and segments[-1].row_hi == hi
-        delay = np.asarray(zstore.mentions["Delay"])[lo:hi]
-        assert sum(int(s.part) for s in segments) == int(
-            np.count_nonzero(delay > 96)
-        )
-
-    def test_empty_window_is_empty(self, zstore):
-        d = ViewDefinition(name="e", op="count")
-        assert compute_segments(zstore, d, 500, 500) == []
+    def test_refresh_equals_rebuild_and_direct(
+        self, growth, tmp_path, spec, direct
+    ):
+        """Over every cut sequence, an extended view (reloaded from disk
+        before each step) equals a cold rebuild and the direct query,
+        byte for byte — also for a filter zone maps prune entirely."""
+        defs = [
+            ViewDefinition(name="plain", **spec),
+            ViewDefinition(
+                name="pruned", **{**spec, "where": (*spec.get("where", ()), PRUNED)}
+            ),
+        ]
+        for i, stores in enumerate(growth):
+            root = tmp_path / f"seq{i}"
+            cat = ViewCatalog(root)
+            for d in defs:
+                cat.create(d)
+            prev = 0
+            for step, store in enumerate(stores):
+                rows = store.n_rows("mentions")
+                summary = cat.refresh(store, source="poll")
+                for info in summary.values():
+                    assert info["error"] is None
+                    assert info["rebuilt"] == (step == 0)
+                    assert info["delta_rows"] == rows - prev
+                prev = rows
+                result_cache().invalidate()
+                cold = ViewCatalog(None)
+                for d in defs:
+                    cold.create(d)
+                cold.refresh(store)
+                reloaded = ViewCatalog(root)
+                for d in defs:
+                    got = cat.get(d.name).value()
+                    want = direct(store) if d.name == "plain" else direct_value(store, d)
+                    assert_same_value(got, want)
+                    assert_same_value(cold.get(d.name).value(), want)
+                    assert_same_value(reloaded.get(d.name).value(), want)
+                cat = reloaded
 
 
 class TestCatalogRefresh:
@@ -251,6 +300,33 @@ class TestCatalogRefresh:
         assert summary["good"]["error"] is None
         assert cat.get("bad").last_error is not None
         assert cat.get("good").value() == zstore.n_rows("mentions")
+        failed = [e for e in telemetry.flight().events()
+                  if e["kind"] == "view_refresh_failed" and e["view"] == "bad"]
+        assert failed and failed[-1]["source"] == "manual"
+
+    def test_view_dropped_mid_refresh_stays_dropped(
+        self, tmp_path, zstore, monkeypatch
+    ):
+        """A drop that lands while the view's delta runs wins: the
+        refresh neither serves nor persists the dropped view."""
+        import repro.views.catalog as catalog_module
+
+        cat = ViewCatalog(tmp_path)
+        cat.create(ViewDefinition(name="v", op="count"))
+        real = catalog_module.run_batch
+
+        def drop_first(ops, executor, cancel=None):
+            cat.drop("v")
+            return real(ops, executor, cancel)
+
+        monkeypatch.setattr(catalog_module, "run_batch", drop_first)
+        summary = cat.refresh(zstore)
+        assert "v" not in summary and "v" not in cat
+        n = zstore.n_rows("mentions")
+        op = ExecutableOp(zstore, "mentions", TerminalSpec("count"), None, slice(0, n))
+        assert cat.serve_lookup(op) is None
+        assert not (tmp_path / "state" / "v.json").exists()
+        assert ViewCatalog(tmp_path).names() == []
 
     def test_duplicate_and_unknown_names_raise(self, zstore):
         cat = ViewCatalog(None)
@@ -263,47 +339,6 @@ class TestCatalogRefresh:
             cat.drop("nope")
         cat.drop("v")
         assert "v" not in cat
-
-
-class TestRetraction:
-    def test_retract_segment_matches_numpy(self, zstore):
-        cat = ViewCatalog(None)
-        cat.create(ViewDefinition(name="d", op="count", where=("Delay > 96",)))
-        cat.refresh(zstore)
-        state = cat.get("d")
-        victim = state.segments[1]
-        lo, hi = victim.row_lo, victim.row_hi
-        cat.retract("d", lo, hi)
-        delay = np.asarray(zstore.mentions["Delay"])
-        keep = np.ones(len(delay), dtype=bool)
-        keep[lo:hi] = False
-        assert state.value() == int(np.count_nonzero((delay > 96) & keep))
-        # A rebuild-refresh restores the full value and servability.
-        summary = cat.refresh(zstore)
-        assert summary["d"]["rebuilt"]
-        assert state.value() == int(np.count_nonzero(delay > 96))
-        assert not state.retracted
-
-    def test_retract_grouped_matches_numpy(self, zstore):
-        cat = ViewCatalog(None)
-        cat.create(ViewDefinition(name="q", op="count", group_by="Quarter"))
-        cat.refresh(zstore)
-        state = cat.get("q")
-        lo, hi = state.segments[0].row_lo, state.segments[0].row_hi
-        cat.retract("q", lo, hi)
-        _canon, keys, n_groups = zstore.group_key("mentions", "Quarter")
-        keys = np.asarray(keys)
-        expected = np.bincount(keys[hi:], minlength=n_groups).astype(np.int64)
-        assert_same_value(state.value(), expected)
-
-    def test_misaligned_retraction_raises(self, zstore):
-        cat = ViewCatalog(None)
-        cat.create(ViewDefinition(name="d", op="count"))
-        cat.refresh(zstore)
-        with pytest.raises(ViewError, match="not tiled"):
-            cat.retract("d", 1, ZONE_CHUNK_ROWS + 1)
-        with pytest.raises(ViewError, match="empty"):
-            cat.retract("d", 10, 10)
 
 
 class TestPersistence:
@@ -324,16 +359,23 @@ class TestPersistence:
         for name, want in before.items():
             state = reloaded.get(name)
             assert state.refresh_count >= 1
+            assert state.last_source == "manual"
             assert_same_value(state.value(), want)
         # Recovered state never serves until a refresh re-anchors it to
-        # a live store (serving entries are process-local, not persisted).
-        assert reloaded._serving == {}
+        # a live store (store tokens are process-local).
+        n = zstore.n_rows("mentions")
+        op = ExecutableOp(
+            zstore, "mentions", TerminalSpec("count"), col("Delay") > 96,
+            slice(0, n),
+        )
+        assert reloaded.serve_lookup(op) is None
         # Re-anchoring is a zero-row extension, not a rebuild.
         summary = reloaded.refresh(zstore, assume_prefix=True)
         for info in summary.values():
             assert info["error"] is None and not info["rebuilt"]
             assert info["delta_rows"] == 0
         assert reloaded.get("d").fresh_for(zstore)
+        assert reloaded.serve_lookup(op)[1]["view"] == "d"
 
     def test_corrupt_state_file_discarded_and_rebuilt(self, tmp_path, zstore):
         cat = self._build(tmp_path, zstore)
@@ -357,14 +399,38 @@ class TestPersistence:
         for name, want in before.items():
             assert_same_value(reloaded.get(name).value(), want)
 
-    def test_inconsistent_state_tiling_is_rejected(self, tmp_path, zstore):
+    def test_version_1_state_is_discarded_and_rebuilt(self, tmp_path, zstore):
+        """A state file of the per-chunk format (version 1, ``segments``)
+        is discarded at load and the first refresh rebuilds the view."""
         cat = self._build(tmp_path, zstore)
         path = tmp_path / "state" / "d.json"
         doc = json.loads(path.read_text())
-        doc["segments"] = doc["segments"][1:]  # break [0, n) coverage
+        doc["version"] = 1
+        doc["segments"] = [{"rows": [0, doc["store"]["rows"]],
+                            "part": doc.pop("partial")}]
+        path.write_text(json.dumps(doc))
+        before = telemetry.flight().counts().get("view_state_discarded", 0)
+        reloaded = ViewCatalog(tmp_path)
+        assert telemetry.flight().counts()["view_state_discarded"] == before + 1
+        assert reloaded.names() == ["d", "m"]
+        assert reloaded.get("d").refresh_count == 0
+        summary = reloaded.refresh(zstore)
+        assert summary["d"]["rebuilt"]
+        assert reloaded.get("d").value() == (
+            zstore.query("mentions").filter(col("Delay") > 96).count().value
+        )
+
+    def test_damaged_partial_is_discarded_at_load(self, tmp_path, zstore):
+        cat = self._build(tmp_path, zstore)
+        cat.create(ViewDefinition(name="avg", op="mean", column="Delay"))
+        cat.refresh(zstore, name="avg")
+        path = tmp_path / "state" / "avg.json"
+        doc = json.loads(path.read_text())
+        doc["partial"] = doc["partial"][:1]  # [n, sum] cut to [n]
         path.write_text(json.dumps(doc))
         reloaded = ViewCatalog(tmp_path)
-        assert reloaded.get("d").refresh_count == 0  # discarded, will rebuild
+        assert reloaded.get("avg").refresh_count == 0  # discarded, will rebuild
+        assert reloaded.get("d").refresh_count >= 1
 
     def test_drop_removes_state_file(self, tmp_path, zstore):
         cat = self._build(tmp_path, zstore)
@@ -436,17 +502,6 @@ class TestServeIntegration:
             assert resp.value == store_b.n_rows("mentions")
         finally:
             svc.close(drain=False)
-
-    def test_retracted_view_not_served(self, served, zstore):
-        svc, cat = served
-        state = cat.get("delayed")
-        seg = state.segments[0]
-        cat.retract("delayed", seg.row_lo, seg.row_hi)
-        resp = svc.query("mentions", op="count", where=col("Delay") > 96)
-        assert resp.status == "ok"
-        assert resp.stats["source"] == "scan"
-        direct = zstore.query("mentions").filter(col("Delay") > 96).count()
-        assert resp.value == direct.value  # scan path: still the full truth
 
 
 def land(raw_dir, stage, lines) -> None:
@@ -530,6 +585,30 @@ class TestRefresher:
             with lc.pin() as lease:
                 assert cat.get("total").fresh_for(lease.store)
                 assert not cat.get("bad").fresh_for(lease.store)
+        finally:
+            lc.close()
+
+    def test_views_record_the_refresh_source(
+        self, raw_dir, tmp_path, tiny_arrays
+    ):
+        from repro.storage.gdelt import write_gdelt_dataset
+
+        stage = tmp_path / "mirror"
+        late = split_mirror(raw_dir, stage, 0.5)
+        follower = LiveFollower(stage)
+        follower.poll()
+        db = tmp_path / "db"
+        write_gdelt_dataset(db, *tiny_arrays)
+        cat = ViewCatalog(None)
+        cat.create(ViewDefinition(name="total", op="count"))
+        lc = StoreLifecycle(follower.snapshot(), follower=follower, views=cat)
+        try:
+            assert cat.get("total").last_source == "initial"
+            land(raw_dir, stage, late)
+            assert lc.poll().changed
+            assert cat.get("total").last_source == "poll"
+            assert lc.reload(db).ok
+            assert cat.snapshot()["views"]["total"]["last_source"] == "reload"
         finally:
             lc.close()
 
@@ -623,9 +702,9 @@ class TestSubscriptions:
 
 
 class TestAcceptance:
-    """The issue's end-to-end scenario: a live-followed mirror with >= 3
-    incremental refreshes, one checksum-quarantined chunk, one
-    retraction, and one catalog restart — byte-identity throughout."""
+    """The end-to-end scenario: a live-followed mirror with >= 3
+    incremental refreshes, one checksum-quarantined chunk and one
+    catalog restart — byte-identity throughout."""
 
     def test_live_mirror_full_story(self, raw_dir, tmp_path):
         stage = tmp_path / "mirror"
@@ -689,24 +768,8 @@ class TestAcceptance:
             assert follower.report.checksum_mismatch == 1
             assert cat.get("delayed").refresh_count >= 4  # initial + 3 deltas
 
-            # Retraction: a segment of the count view is declared bad;
-            # the value reflects the subtraction immediately (numpy is
-            # the witness), and the next refresh rebuilds it.
-            state = cat.get("delayed")
-            seg = state.segments[1]
-            cat.retract("delayed", seg.row_lo, seg.row_hi)
-            with lc.pin() as lease:
-                delay = np.asarray(lease.store.mentions["Delay"])
-            keep = np.ones(len(delay), dtype=bool)
-            keep[seg.row_lo: seg.row_hi] = False
-            assert state.value() == int(np.count_nonzero((delay > 96) & keep))
-            with lc.pin() as lease:
-                summary = cat.refresh(lease.store)
-            assert summary["delayed"]["rebuilt"]
-            check_identity()
-
             # Crash-recovery restart: a fresh catalog over the same root
-            # resumes from persisted segments, byte-identical, and
+            # resumes from the persisted partials, byte-identical, and
             # re-anchors with a zero-row extension.
             before = {n: cat.get(n).value() for n in cat.names()}
             reloaded = ViewCatalog(root)

@@ -71,6 +71,8 @@ def bench_ablation_coreporting_sparse(benchmark, bench_store, top200):
         source_coreporting_sparse, bench_store, top200, True
     )
     assert j.shape == (200, 200)
+    # The two strategies count the same integers: equal to the byte.
+    assert j.tobytes() == source_coreporting(bench_store, top200).tobytes()
 
 
 # --- 3. morsel size ------------------------------------------------------------

@@ -6,8 +6,9 @@ Each module maps to one experiment family:
   and top-publisher series (Figs 3-6);
 * :mod:`repro.analysis.popularity` — dataset statistics, the event-
   popularity power law, top events (Table I, Fig 2, Table III);
-* :mod:`repro.analysis.coreporting` — co-reporting matrices, dense and
-  sparse-assembled, plus country co-reporting (Table V);
+* :mod:`repro.analysis.coreporting` — source co-reporting matrices,
+  dense and sparse-assembled (Section VI-B; Table V's country matrix is
+  ``aggregated_country_query(store).jaccard()``);
 * :mod:`repro.analysis.followreporting` — time-ordered follow-reporting
   (Table IV, Fig 7);
 * :mod:`repro.analysis.crossreporting` — country cross-reporting counts
@@ -39,7 +40,6 @@ from repro.analysis.popularity import (
 from repro.analysis.coreporting import (
     source_coreporting,
     source_coreporting_sparse,
-    country_coreporting,
 )
 from repro.analysis.followreporting import follow_reporting
 from repro.analysis.crossreporting import (
@@ -73,7 +73,6 @@ __all__ = [
     "top_events",
     "source_coreporting",
     "source_coreporting_sparse",
-    "country_coreporting",
     "follow_reporting",
     "cross_reporting_counts",
     "cross_reporting_percentages",

@@ -9,6 +9,10 @@ published on strictly earlier, and n_j is the total number of articles
 site j published.  The diagonal f_jj counts repeat articles — a site
 following up on its own earlier reporting (the paper reads it as either
 thorough journalism or deliberate amplification).
+
+The first-publication table holds one row per event the chosen sources
+reported on, not one per event in the store, and only their articles'
+capture intervals are gathered.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.store import GdeltStore
+from repro.kernels import distinct
 
 __all__ = ["follow_reporting"]
 
@@ -28,10 +33,12 @@ def follow_reporting(
     """f_ij matrix for the chosen publishers (typically top-10 or top-50).
 
     Algorithm: restrict mentions to the k chosen sources; compute each
-    (event, source)'s *first* publication interval with a grouped min;
-    then, for every article by source j on event e and every leader i,
-    count it if i's first article on e precedes this article strictly.
-    Complexity O(k * A_S) for A_S articles by chosen sources.
+    (event, source)'s *first* publication interval with a grouped min
+    over a table of only the events those sources reported on; then, for
+    every article by source j on event e and every leader i, count it if
+    i's first article on e precedes this article strictly.  Complexity
+    O(k * A_S) time and O(k * E_S) scratch for A_S articles by chosen
+    sources on E_S distinct events.
 
     Returns:
         float64 matrix of shape (k, k); rows = first publisher i,
@@ -47,22 +54,24 @@ def follow_reporting(
     remap[source_ids] = np.arange(k)
     keys = remap[sid]
     rows = store.mention_event_row()
-    t = store.mentions["MentionInterval"].astype(np.int64)
 
     sel = (keys >= 0) & (rows >= 0)
-    e_sel = rows[sel]
     s_sel = keys[sel]
-    t_sel = t[sel]
+    t_sel = store.mentions["MentionInterval"][sel].astype(np.int64)
+    # Compact event index: rank among the events the chosen sources
+    # reported on, so the first-publication table is E_S x k.
+    ev_rows = rows[sel]
+    events = distinct(ev_rows)
+    e_sel = np.searchsorted(events, ev_rows)
 
     # n_j counts ALL articles by j (the Fig 6 totals), not only joinable
     # ones, matching the paper's use of per-source article counts.
     n_j = np.bincount(keys[keys >= 0], minlength=k).astype(np.float64)
 
     # First publication interval per (event, chosen source).
-    first = np.full(store.n_events * k, _NO_MENTION, dtype=np.int64)
-    flat = e_sel * k + s_sel
-    np.minimum.at(first, flat, t_sel)
-    first = first.reshape(store.n_events, k)
+    first = np.full(len(events) * k, _NO_MENTION, dtype=np.int64)
+    np.minimum.at(first, e_sel * k + s_sel, t_sel)
+    first = first.reshape(len(events), k)
 
     n_ij = np.zeros((k, k), dtype=np.int64)
     for i in range(k):

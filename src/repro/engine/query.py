@@ -47,7 +47,7 @@ from repro.engine.planner import (
 )
 from repro.engine.store import GdeltStore
 from repro.engine.terminal import Terminal, TerminalSpec
-from repro.kernels import distinct
+from repro.kernels import cooccurrence, distinct
 from repro.obs import metrics as _metrics
 from repro.obs import state as _obs
 from repro.obs.profile import ProfileCollector, QueryProfile
@@ -587,7 +587,7 @@ def aggregated_country_query(
     and publisher country (via the TLD rule), accumulate the 2-D article
     count matrix, and mark (event, country) incidence bits.  The reduce
     step sums count matrices, ORs incidence, and turns incidence into the
-    country-pair co-event matrix with one sparse product.
+    country-pair co-event matrix with one co-occurrence count.
 
     Args:
         profile: force profile collection on (True) or off (False);
@@ -595,15 +595,12 @@ def aggregated_country_query(
             The collected :class:`QueryProfile` lands on the result's
             ``profile`` attribute.
     """
-    import scipy.sparse as sp  # its one user here: the co-event reduce
-
     executor = executor or SerialExecutor()
     n_c = store.n_countries
     src_country = store.source_country_idx()
     ev_country = store.event_country_idx()
     ev_row = store.mention_event_row()
     source_id = store.mentions["SourceId"]
-    n_events = store.n_events
 
     def kernel(sl: slice) -> tuple[np.ndarray, np.ndarray]:
         rows = ev_row[sl]
@@ -640,15 +637,10 @@ def aggregated_country_query(
             )
 
         with _span("query.reduce", pairs=int(len(all_pairs))):
-            # e_ij = I^T I over the sparse (events x countries) incidence
-            # I: one nonzero per unique (event, publisher country) pair,
-            # so the product costs O(pairs), not O(events x countries).
-            incidence = sp.csr_matrix(
-                (np.ones(len(all_pairs), dtype=np.int64),
-                 (all_pairs // n_c, all_pairs % n_c)),
-                shape=(n_events, n_c),
-            )
-            co_events = (incidence.T @ incidence).toarray()
+            # e_ij = I^T I over the (events x countries) incidence whose
+            # nonzeros are the unique (event, publisher country) pairs,
+            # already sorted by event: O(pairs), not O(events x countries).
+            co_events = cooccurrence(all_pairs // n_c, all_pairs % n_c, n_c)
             publisher_articles = cross.sum(axis=0) + _unlocated_articles(
                 store, src_country, source_id, n_c
             )

@@ -10,13 +10,19 @@ packed ``row * k + key`` pairs, interval and source ids) one sort plus
 an adjacent-difference mask is ~40x faster — 411 k int64 keys take
 ~5 ms instead of 220-290 ms on a 2-core x86 host — and returns the
 same array.
+
+:func:`cooccurrence` counts, for every pair of keys, the groups that
+hold both — the ``IᵀI`` of a 0/1 incidence matrix — from its nonzeros
+sorted by group, by shift-and-compare over the sorted group column
+(PM4Py-GPU's way of counting relations over sorted columnar keys): no
+sparse matrix and no per-group pair expansion is built.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["distinct"]
+__all__ = ["cooccurrence", "distinct"]
 
 
 def distinct(keys) -> np.ndarray:
@@ -30,3 +36,44 @@ def distinct(keys) -> np.ndarray:
         nan = np.isnan(aux)
         keep[1:] &= ~(nan[1:] & nan[:-1])
     return aux[keep]
+
+
+def cooccurrence(groups, keys, k: int) -> np.ndarray:
+    """(k, k) int64 co-occurrence counts of distinct ``(group, key)`` pairs.
+
+    ``groups`` must be sorted (equal groups adjacent) and no pair may
+    repeat.  ``[a, b]`` is the number of groups holding both ``a`` and
+    ``b``; the diagonal is the number of groups holding each key.
+
+    Shift ``d`` compares every still-live position ``p`` with ``p + d``:
+    a position whose group ends before ``p + d`` never matches again, so
+    the live set only shrinks, and there is one pass per member of the
+    largest group.  Each unordered pair is seen once, in either
+    orientation, so adding the transpose completes the matrix.  The
+    matched pair codes wait until there are k² of them before one
+    ``bincount``: a k²-sized count per shift would cost O(k²) per
+    member of the largest group.  Memory is O(pairs + k²).
+    """
+    groups = np.asarray(groups)
+    keys = np.asarray(keys, dtype=np.int64)
+    n, kk = len(keys), k * k
+    seen = np.zeros(kk, dtype=np.int64)
+    pending: list[np.ndarray] = []
+    n_pending = 0
+    live = np.flatnonzero(groups[1:] == groups[:-1])
+    d = 1
+    while len(live):
+        pending.append(keys[live] * k + keys[live + d])
+        n_pending += len(live)
+        if n_pending >= kk:
+            seen += np.bincount(np.concatenate(pending), minlength=kk)
+            pending, n_pending = [], 0
+        d += 1
+        live = live[live < n - d]
+        live = live[groups[live + d] == groups[live]]
+    if pending:
+        seen += np.bincount(np.concatenate(pending), minlength=kk)
+    half = seen.reshape(k, k)
+    co = half + half.T
+    co[np.diag_indices(k)] = np.bincount(keys, minlength=k)
+    return co

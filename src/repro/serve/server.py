@@ -323,6 +323,12 @@ class ServeServer:
         self._stop.set()
         if self._views is not None:
             self._views.remove_listener(self._on_view_refresh)
+        # close() alone does not wake a thread blocked in accept();
+        # shutdown() does, so the accept thread exits at once.
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._sock.close()
         except OSError:

@@ -93,6 +93,29 @@ def flat_store(n_mentions: int, n_sources: int = 2000, seed: int = 0) -> GdeltSt
     return GdeltStore.from_arrays(events, mentions, dicts)
 
 
+def mention_store(
+    n_events: int, n_sources: int, event_row, source_id, interval
+) -> GdeltStore:
+    """An array store of the given mentions over ``n_events`` events and
+    ``n_sources`` sources; an ``event_row`` of -1 is a mention whose
+    event id matches no event (a dangling join)."""
+    event_row = np.asarray(event_row, dtype=np.int64)
+    events = {
+        "GlobalEventID": 2 * np.arange(n_events, dtype=np.int64),
+        "DayInterval": np.zeros(n_events, dtype=np.int32),
+    }
+    mentions = {
+        "GlobalEventID": np.where(event_row >= 0, 2 * event_row, 1),
+        "MentionInterval": np.asarray(interval, dtype=np.int32),
+        "SourceId": np.asarray(source_id, dtype=np.int32),
+    }
+    dicts = {
+        "sources": StringDictionary.from_strings(f"s{i}.com" for i in range(n_sources)),
+        "countries": StringDictionary.from_strings([""]),
+    }
+    return GdeltStore.from_arrays(events, mentions, dicts)
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _env_fault_plan():
     """Run the whole suite under REPRO_FAULTS chaos when the env asks.

@@ -8,17 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import analysis as an
-from repro.analysis.coreporting import jaccard_from_co_counts, source_event_counts
-
-
-class TestSourceEventCounts:
-    def test_brute_force(self, tiny_store):
-        ids = an.top_publishers(tiny_store, 5)
-        e = source_event_counts(tiny_store, ids)
-        sid = np.asarray(tiny_store.mentions["SourceId"])
-        rows = tiny_store.mention_event_row()
-        for k, s in enumerate(ids):
-            assert e[k] == len(np.unique(rows[sid == s]))
+from repro.analysis import coreporting
+from repro.analysis.coreporting import jaccard_from_co_counts
+from tests.conftest import mention_store
 
 
 class TestJaccard:
@@ -96,10 +88,68 @@ class TestJaccard:
                     assert j[a, b] == pytest.approx(want)
 
 
-class TestCountryCoreporting:
-    def test_equals_aggregated_query(self, tiny_store):
-        from repro.engine import aggregated_country_query
+@st.composite
+def _mentions(draw):
+    """(store, source_ids or None) of a random small mention table:
+    dangling joins, sources with no joinable mention and events spread
+    over several quarters (a quarter is 8 640 intervals)."""
+    n_events = draw(st.integers(1, 40))
+    n_sources = draw(st.integers(1, 9))
+    n = draw(st.integers(0, 120))
+    row = st.integers(-1, n_events - 1)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    sids = draw(st.lists(st.integers(0, n_sources - 1), min_size=n, max_size=n))
+    times = draw(st.lists(st.integers(0, 40_000), min_size=n, max_size=n))
+    store = mention_store(n_events, n_sources, rows, sids, times)
+    ids = draw(st.none() | st.lists(st.integers(0, n_sources - 1), unique=True))
+    return store, ids if ids is None else np.array(ids, dtype=np.int64)
 
-        j = an.country_coreporting(tiny_store)
-        want = aggregated_country_query(tiny_store).jaccard()
-        assert np.array_equal(j, want)
+
+def _unblocked_float64(store, ids):
+    """The dense strategy without blocks, in float64: one n_events x k
+    incidence matrix and one product."""
+    sid = np.asarray(store.mentions["SourceId"])
+    rows = store.mention_event_row()
+    ids = np.arange(store.n_sources) if ids is None else ids
+    inc = np.zeros((store.n_events, len(ids)), dtype=np.float64)
+    for j, s in enumerate(ids):
+        hit = (sid == s) & (rows >= 0)
+        inc[rows[hit], j] = 1.0
+    return jaccard_from_co_counts(np.rint(inc.T @ inc).astype(np.int64))
+
+
+class TestBlockedDense:
+    """``source_coreporting`` accumulates Mᵀ M over blocks of the event
+    rows the chosen sources reported on; a small block makes every corpus
+    here span several blocks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_mentions(), st.sampled_from([1, 3, 4, 7]))
+    def test_equals_unblocked_reference(self, case, block):
+        store, ids = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coreporting, "_BLOCK_ROWS", block)
+            got = an.source_coreporting(store, ids)
+        want = _unblocked_float64(store, ids)
+        assert got.tobytes() == want.tobytes()
+        sparse = an.source_coreporting_sparse(store, ids)
+        assert sparse.tobytes() == want.tobytes()
+
+    def test_events_only_in_the_last_block(self, monkeypatch):
+        monkeypatch.setattr(coreporting, "_BLOCK_ROWS", 4)
+        rows = [9, 9, 10, 10, 10, 8, 9]  # n_events 11: the last 4-row block is rows 8-10
+        sids = [0, 1, 0, 1, 2, 2, 2]
+        store = mention_store(11, 4, rows, sids, [5] * len(rows))
+        ids = np.array([2, 0, 1, 3])  # source 3 has no mention at all
+        got = an.source_coreporting(store, ids)
+        assert got.tobytes() == _unblocked_float64(store, ids).tobytes()
+        assert got[1, 2] == 1.0 and got[0, 1] == pytest.approx(2 / 3)
+        assert not got[3].any()
+
+    def test_chosen_sources_without_joinable_mentions(self, monkeypatch):
+        monkeypatch.setattr(coreporting, "_BLOCK_ROWS", 2)
+        store = mention_store(5, 3, [-1, -1, 0, 4], [0, 0, 1, 1], [1, 2, 3, 4])
+        ids = np.array([0, 2])  # 0 only dangles, 2 never reports
+        got = an.source_coreporting(store, ids)
+        assert got.tobytes() == np.zeros((2, 2)).tobytes()
+        assert an.source_coreporting(store, ids[:0]).shape == (0, 0)

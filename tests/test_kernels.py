@@ -1,4 +1,5 @@
-"""The shared array kernels: ``distinct`` is NumPy's ``unique``, faster."""
+"""The shared array kernels: ``distinct`` is NumPy's ``unique``, faster;
+``cooccurrence`` is the ``IᵀI`` of a 0/1 incidence matrix."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.kernels import distinct
+from repro.kernels import cooccurrence, distinct
 
 INT_DTYPES = [np.int8, np.int16, np.int32, np.int64,
               np.uint8, np.uint16, np.uint32, np.uint64]
@@ -62,3 +63,66 @@ class TestDistinct:
         keys = np.array([3, 1, 2], dtype=np.int64)
         distinct(keys)
         assert keys.tolist() == [3, 1, 2]
+
+
+def _brute_cooccurrence(groups, keys, k: int, n_groups: int) -> np.ndarray:
+    """Dense ``IᵀI`` of the (group x key) 0/1 incidence matrix."""
+    inc = np.zeros((n_groups, k), dtype=np.int64)
+    inc[np.asarray(groups, dtype=np.int64), np.asarray(keys, dtype=np.int64)] = 1
+    return inc.T @ inc
+
+
+@st.composite
+def _pair_sets(draw):
+    """(groups, keys, k, n_groups): distinct pairs sorted by group, keys
+    in any order within a group."""
+    k = draw(st.integers(1, 12))
+    n_groups = draw(st.integers(1, 15))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n_groups - 1),
+                                   st.integers(0, k - 1)), max_size=80))
+    pairs = draw(st.permutations(sorted(pairs)))
+    pairs = sorted(pairs, key=lambda p: p[0])  # stable: within-group order kept
+    groups = np.array([g for g, _ in pairs], dtype=np.int64)
+    keys = np.array([c for _, c in pairs], dtype=np.int64)
+    return groups, keys, k, n_groups
+
+
+class TestCooccurrence:
+    @settings(max_examples=150, deadline=None)
+    @given(_pair_sets())
+    def test_equals_brute_force_incidence_product(self, case):
+        groups, keys, k, n_groups = case
+        got = cooccurrence(groups, keys, k)
+        assert got.dtype == np.int64 and got.shape == (k, k)
+        assert np.array_equal(got, _brute_cooccurrence(groups, keys, k, n_groups))
+
+    def test_empty_input(self):
+        empty = np.empty(0, dtype=np.int64)
+        for k in (0, 1, 5):
+            got = cooccurrence(empty, empty, k)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.zeros((k, k), dtype=np.int64))
+
+    def test_single_group(self):
+        got = cooccurrence(np.zeros(3, dtype=np.int64), np.array([4, 0, 2]), 5)
+        assert np.array_equal(got, _brute_cooccurrence([0, 0, 0], [4, 0, 2], 5, 1))
+
+    def test_group_holding_every_key(self):
+        k = 9
+        groups = np.array([0] + [1] * k + [2, 2], dtype=np.int64)
+        keys = np.concatenate([[3], np.arange(k)[::-1], [1, 7]])
+        got = cooccurrence(groups, keys, k)
+        assert np.array_equal(got, _brute_cooccurrence(groups, keys, k, 3))
+        assert (got[np.triu_indices(k, 1)] >= 1).all()
+
+    def test_one_key(self):
+        groups = np.array([0, 3, 4, 9], dtype=np.int64)
+        got = cooccurrence(groups, np.zeros(4, dtype=np.int64), 1)
+        assert got.tolist() == [[4]]
+
+    def test_diagonal_counts_groups_per_key(self):
+        groups = np.array([0, 0, 1, 2, 2, 2], dtype=np.int32)
+        keys = np.array([0, 1, 1, 0, 1, 2], dtype=np.int16)
+        got = cooccurrence(groups, keys, 3)
+        assert np.diag(got).tolist() == [2, 3, 1]
+        assert got.tolist() == [[2, 2, 1], [2, 3, 1], [1, 1, 1]]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -105,6 +106,62 @@ class TestImports:
         assert set(repro.__all__) <= set(namespace)
         with pytest.raises(AttributeError):
             repro.no_such_subpackage  # noqa: B018
+
+
+class TestDependencies:
+    """NumPy is the one runtime dependency.  CI installs ``.[dev]``, whose
+    tools pull in more, so an import that slips in would pass there."""
+
+    def test_pyproject_runtime_dependencies_are_numpy_only(self):
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(
+            encoding="utf-8"
+        )
+        listed = re.search(r"^dependencies\s*=\s*\[(.*?)\]", text, re.M | re.S)
+        names = [
+            re.match(r"[A-Za-z0-9_.-]+", dep).group(0)
+            for dep in re.findall(r"[\"']([^\"']+)[\"']", listed.group(1))
+        ]
+        assert names == ["numpy"]
+
+    def test_no_module_imports_scipy(self):
+        src = Path(repro.__file__).resolve().parent
+        offenders = []
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                    offenders.append(f"{path.relative_to(src)}:{node.lineno}")
+        assert not offenders, f"repro must not import scipy: {offenders}"
+
+    def test_mining_suite_runs_without_scipy(self):
+        """Every ``mine_suite`` analysis and the sparse co-reporting
+        fallback, in an interpreter where ``import scipy`` fails."""
+        out = _fresh_python(
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from repro import analysis, engine, synth\n"
+            "from repro.ingest.direct import dataset_to_arrays\n"
+            "ds = synth.generate_dataset(synth.tiny_config())\n"
+            "s = engine.GdeltStore.from_arrays(*dataset_to_arrays(ds))\n"
+            "ex = engine.ThreadExecutor(2)\n"
+            "top10 = analysis.top_publishers(s, 10, ex)\n"
+            "top50 = analysis.top_publishers(s, 50, ex)\n"
+            "analysis.dataset_statistics(s)\n"
+            "analysis.follow_reporting(s, top10)\n"
+            "engine.aggregated_country_query(s, ex).jaccard()\n"
+            "analysis.per_source_delay_stats(s)\n"
+            "analysis.quarterly_delay(s)\n"
+            "dense = analysis.source_coreporting(s, top50)\n"
+            "sparse = analysis.source_coreporting_sparse(s, top50)\n"
+            "ex.close()\n"
+            "print((dense == sparse).all(), sys.modules['scipy'] is None)\n"
+        )
+        assert out.split() == ["True", "True"]
 
 
 class TestOneSpelling:

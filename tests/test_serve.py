@@ -611,6 +611,16 @@ class TestSocketServer:
                     )
                     assert third["status"] == "ok"
 
+    def test_close_wakes_the_accept_thread(self, service):
+        """Closing an idle server returns at once and its accept thread
+        has exited: closing the listening socket alone left accept()
+        blocked until close() gave up joining after 5 s."""
+        server = ServeServer(service, port=0)
+        t0 = time.perf_counter()
+        server.close()
+        assert time.perf_counter() - t0 < 1.0
+        assert not server._accept_thread.is_alive()
+
 
 class TestProtocolRobustness:
     """Hostile/broken wire input: every reply is a clean, coded error —

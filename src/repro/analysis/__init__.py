@@ -11,8 +11,9 @@ Each module maps to one experiment family:
   ``aggregated_country_query(store).jaccard()``);
 * :mod:`repro.analysis.followreporting` — time-ordered follow-reporting
   (Table IV, Fig 7);
-* :mod:`repro.analysis.crossreporting` — country cross-reporting counts
-  and percentages (Tables VI-VII, Fig 8);
+* :mod:`repro.analysis.crossreporting` — the row and column orders of
+  the country cross-reporting tables (Tables VI-VII, Fig 8; the counts
+  and percentages are ``aggregated_country_query(store)``);
 * :mod:`repro.analysis.delay` — per-source publishing-delay statistics
   (Fig 9, Table VIII);
 * :mod:`repro.analysis.trends` — quarterly delay trends (Figs 10-11);
@@ -42,10 +43,6 @@ from repro.analysis.coreporting import (
     source_coreporting_sparse,
 )
 from repro.analysis.followreporting import follow_reporting
-from repro.analysis.crossreporting import (
-    cross_reporting_counts,
-    cross_reporting_percentages,
-)
 from repro.analysis.delay import SourceDelayStats, per_source_delay_stats, delay_histogram, speed_groups
 from repro.analysis.trends import quarterly_delay, late_articles_per_quarter
 from repro.analysis.clustering import markov_clustering, sharpen_similarity
@@ -54,7 +51,6 @@ from repro.analysis.velocity import (
     detect_wildfires,
     early_coverage,
     first_reaction_delays,
-    repeat_article_rates,
 )
 from repro.analysis.plots import ascii_heatmap, ascii_loglog, ascii_series
 from repro.analysis.report import render_table
@@ -74,8 +70,6 @@ __all__ = [
     "source_coreporting",
     "source_coreporting_sparse",
     "follow_reporting",
-    "cross_reporting_counts",
-    "cross_reporting_percentages",
     "SourceDelayStats",
     "per_source_delay_stats",
     "delay_histogram",
@@ -88,7 +82,6 @@ __all__ = [
     "detect_wildfires",
     "early_coverage",
     "first_reaction_delays",
-    "repeat_article_rates",
     "render_table",
     "ascii_series",
     "ascii_loglog",

@@ -5,35 +5,23 @@ Unlike co-reporting, the cross-reporting matrix is *asymmetric*: entry
 country i.  The paper orders reported-on countries by total events
 recorded and publishing countries by total articles recorded; helpers
 here reproduce those orderings so benchmark output lines up with the
-printed tables.
+printed tables.  The matrix itself (Table VI) and its per-publisher
+percentages (Table VII) come from
+:func:`~repro.engine.query.aggregated_country_query` and
+:meth:`~repro.engine.query.CountryQueryResult.percentages`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.executor import Executor
-from repro.engine.query import CountryQueryResult, aggregated_country_query
+from repro.engine.query import CountryQueryResult
 from repro.engine.store import GdeltStore
 
 __all__ = [
-    "cross_reporting_counts",
-    "cross_reporting_percentages",
     "reported_country_order",
     "publishing_country_order",
 ]
-
-
-def cross_reporting_counts(
-    store: GdeltStore, executor: Executor | None = None
-) -> CountryQueryResult:
-    """Run the aggregated query; result carries the Table VI matrix."""
-    return aggregated_country_query(store, executor)
-
-
-def cross_reporting_percentages(result: CountryQueryResult) -> np.ndarray:
-    """Table VII: per-publishing-country percentage view."""
-    return result.percentages()
 
 
 def reported_country_order(

@@ -27,40 +27,9 @@ from repro.kernels import distinct
 __all__ = [
     "first_reaction_delays",
     "early_coverage",
-    "repeat_article_rates",
     "WildfireCandidate",
     "detect_wildfires",
 ]
-
-
-def repeat_article_rates(store: GdeltStore) -> np.ndarray:
-    """Per-source fraction of articles that revisit an event the source
-    already covered.
-
-    The paper flags this signal explicitly: repeated articles on one
-    event by a single source "might very well be an indicator of thorough
-    and responsible reporting. However, it could also be an indication of
-    intentional spreading of misinformation."  Either way it is worth a
-    per-source dial.
-
-    Returns:
-        float64 array per source id; NaN for sources with no articles.
-    """
-    rows = store.mention_event_row()
-    sid = store.mentions["SourceId"]
-    t = store.mentions["MentionInterval"]
-    ok = rows >= 0
-
-    key = rows[ok] * np.int64(store.n_sources) + sid[ok]
-    order = np.lexsort((t[ok], key))
-    sk = key[order]
-    is_repeat_sorted = np.concatenate([[False], sk[1:] == sk[:-1]])
-    repeats_by_source = np.bincount(
-        sid[ok][order][is_repeat_sorted], minlength=store.n_sources
-    )
-    totals = np.bincount(sid, minlength=store.n_sources)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(totals > 0, repeats_by_source / totals, np.nan)
 
 
 def first_reaction_delays(store: GdeltStore) -> np.ndarray:

@@ -17,6 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import analysis as an
+from repro.analysis.crossreporting import (
+    publishing_country_order,
+    reported_country_order,
+)
 from repro.engine import GdeltStore
 from repro.engine.costmodel import calibrate_from_measurement
 from repro.engine.executor import Executor, SerialExecutor, ThreadExecutor
@@ -120,7 +124,7 @@ def table5_country_coreporting(
 ) -> TableResult:
     result = result or aggregated_country_query(store)
     jac = result.jaccard()
-    pubs = an.crossreporting.publishing_country_order(result, k)
+    pubs = publishing_country_order(result, k)
     rows = _country_block(jac, pubs, pubs)
     text = an.render_table(
         ["Country"] + [_NAMES[int(c)] for c in pubs],
@@ -136,8 +140,8 @@ def table6_cross_counts(
     k: int = 10,
 ) -> TableResult:
     result = result or aggregated_country_query(store)
-    reported = an.crossreporting.reported_country_order(store, result, k)
-    pubs = an.crossreporting.publishing_country_order(result, k)
+    reported = reported_country_order(store, result, k)
+    pubs = publishing_country_order(result, k)
     rows = [
         [_NAMES[int(r)]] + [int(result.cross_counts[int(r), int(c)]) for c in pubs]
         for r in reported
@@ -157,8 +161,8 @@ def table7_cross_percentages(
 ) -> TableResult:
     result = result or aggregated_country_query(store)
     pct = result.percentages()
-    reported = an.crossreporting.reported_country_order(store, result, k)
-    pubs = an.crossreporting.publishing_country_order(result, k)
+    reported = reported_country_order(store, result, k)
+    pubs = publishing_country_order(result, k)
     rows = [
         [_NAMES[int(r)]] + [float(pct[int(r), int(c)]) for c in pubs]
         for r in reported
@@ -357,8 +361,8 @@ def fig8_cross_matrix_top50(
     store: GdeltStore, result: CountryQueryResult | None = None, k: int = 50
 ) -> TableResult:
     result = result or aggregated_country_query(store)
-    reported = an.crossreporting.reported_country_order(store, result, k)
-    pubs = an.crossreporting.publishing_country_order(result, k)
+    reported = reported_country_order(store, result, k)
+    pubs = publishing_country_order(result, k)
     block = result.cross_counts[np.ix_(reported, pubs)]
     text = an.ascii_heatmap(
         block,

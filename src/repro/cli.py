@@ -198,10 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=7311, help="0 picks an ephemeral port"
     )
     sv.add_argument("--workers", type=int, default=2)
-    sv.add_argument(
-        "--scan-threads", type=int, default=1,
-        help="engine threads per worker for the fused scan",
-    )
     sv.add_argument("--max-queue", type=int, default=256)
     sv.add_argument("--max-batch", type=int, default=16)
     sv.add_argument(
@@ -285,11 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--partial-ok", action="store_true",
         help="with shards down, answer degraded PARTIAL_RESULT responses "
         "(missing shards listed) instead of failing the request",
-    )
-    ss.add_argument(
-        "--deadline-fraction", type=float, default=0.9,
-        help="share of a request's remaining deadline granted to the "
-        "backends (the rest is merge budget)",
     )
     ss.add_argument(
         "--ops-port", type=int, default=None,
@@ -715,7 +706,6 @@ def _cmd_serve(args) -> int:
         )
         service = QueryService(
             workers=args.workers,
-            scan_threads=args.scan_threads,
             max_queue=args.max_queue,
             max_batch=args.max_batch,
             rate_limit=args.rate_limit,
@@ -880,7 +870,6 @@ def _cmd_shard_serve(args) -> int:
         router = ShardRouter(
             [p.address for p in procs] + list(args.backend),
             partial_ok=args.partial_ok,
-            deadline_fraction=args.deadline_fraction,
         )
         logger.info(
             "routing %d shards (partial_ok=%s)", len(router.map), args.partial_ok

@@ -37,7 +37,6 @@ __all__ = [
     "group_stats_dict",
     "topk_from_counts",
     "group_count_2d",
-    "group_sum_2d",
 ]
 
 
@@ -232,18 +231,3 @@ def group_count_2d(
     flat = _flat_pairs(keys_i, keys_j, nj, _kept(keys_i, mask, keys_j))
     return np.bincount(flat, minlength=ni * nj).reshape(ni, nj).astype(np.int64)
 
-
-def group_sum_2d(
-    keys_i: np.ndarray,
-    keys_j: np.ndarray,
-    values: np.ndarray,
-    shape: tuple[int, int],
-    mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Pair-wise sums: out[i, j] = sum of values over rows keyed (i, j)."""
-    ni, nj = shape
-    keep = _kept(keys_i, mask, keys_j)
-    (v,) = _compact(keep, values)
-    return np.bincount(
-        _flat_pairs(keys_i, keys_j, nj, keep), weights=v, minlength=ni * nj
-    ).astype(np.float64, copy=False).reshape(ni, nj)

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.engine.aggregate import group_count, group_count_2d
+from repro.engine.aggregate import group_count_2d
 from repro.engine.executor import CancelToken, Executor, SerialExecutor
 from repro.engine.expr import Expr
 from repro.engine.planner import (
@@ -585,9 +585,12 @@ def aggregated_country_query(
 
     Per chunk: gather each mention's event country (via the join column)
     and publisher country (via the TLD rule), accumulate the 2-D article
-    count matrix, and mark (event, country) incidence bits.  The reduce
-    step sums count matrices, ORs incidence, and turns incidence into the
-    country-pair co-event matrix with one co-occurrence count.
+    count matrix, and mark (event, country) incidence bits.  Articles
+    about untagged events (or whose event row is missing) count in an
+    extra row ``n_c`` of the matrix, so each publisher's total output —
+    Table VII's denominator — is a column sum of the same pass.  The
+    reduce step sums count matrices, ORs incidence, and turns incidence
+    into the country-pair co-event matrix with one co-occurrence count.
 
     Args:
         profile: force profile collection on (True) or off (False);
@@ -606,7 +609,7 @@ def aggregated_country_query(
         rows = ev_row[sl]
         pub = src_country[source_id[sl]]
         evc = np.where(rows >= 0, ev_country[np.clip(rows, 0, None)], -1)
-        counts = group_count_2d(evc, pub, (n_c, n_c))
+        counts = group_count_2d(np.where(evc >= 0, evc, n_c), pub, (n_c + 1, n_c))
         ok = (rows >= 0) & (pub >= 0)
         # Compact (event, publisher-country) incidence keys: far smaller
         # than a per-chunk boolean matrix, and cheap to union at reduce.
@@ -625,7 +628,7 @@ def aggregated_country_query(
             scan_wall = time.perf_counter() - t0
 
         with _span("query.aggregate", chunks=len(partials)):
-            cross = np.zeros((n_c, n_c), dtype=np.int64)
+            cross = np.zeros((n_c + 1, n_c), dtype=np.int64)
             pair_parts = []
             for counts, pairs in partials:
                 cross += counts
@@ -641,9 +644,7 @@ def aggregated_country_query(
             # nonzeros are the unique (event, publisher country) pairs,
             # already sorted by event: O(pairs), not O(events x countries).
             co_events = cooccurrence(all_pairs // n_c, all_pairs % n_c, n_c)
-            publisher_articles = cross.sum(axis=0) + _unlocated_articles(
-                store, src_country, source_id, n_c
-            )
+            publisher_articles = cross.sum(axis=0)
 
     query_profile = None
     if collector is not None:
@@ -666,27 +667,9 @@ def aggregated_country_query(
             )
 
     return CountryQueryResult(
-        cross_counts=cross,
+        cross_counts=cross[:n_c],
         co_events=co_events,
         publisher_articles=publisher_articles,
         profile=query_profile,
     )
 
-
-def _unlocated_articles(
-    store: GdeltStore,
-    src_country: np.ndarray,
-    source_id: np.ndarray,
-    n_c: int,
-) -> np.ndarray:
-    """Articles per publisher country about *untagged* events.
-
-    Table VII divides by each country's total article output, including
-    articles about events with no geotag, so those are counted here and
-    added to the column totals.
-    """
-    ev_row = store.mention_event_row()
-    ev_country = store.event_country_idx()
-    pub = src_country[source_id]
-    located = np.where(ev_row >= 0, ev_country[np.clip(ev_row, 0, None)], -1) >= 0
-    return group_count(pub, n_c, ~located)

@@ -23,7 +23,6 @@ from repro.gdelt.time_util import (
     GDELT_V2_EPOCH,
     INTERVAL_MINUTES,
     INTERVALS_PER_DAY,
-    CaptureInterval,
     interval_to_timestamp,
     timestamp_to_interval,
     timestamps_to_intervals,
@@ -35,7 +34,6 @@ from repro.gdelt.time_util import (
 from repro.gdelt.codes import (
     COUNTRIES,
     Country,
-    fips_to_name,
     tld_to_fips,
     source_country,
 )
@@ -57,7 +55,6 @@ __all__ = [
     "GDELT_V2_EPOCH",
     "INTERVAL_MINUTES",
     "INTERVALS_PER_DAY",
-    "CaptureInterval",
     "interval_to_timestamp",
     "timestamp_to_interval",
     "timestamps_to_intervals",
@@ -67,7 +64,6 @@ __all__ = [
     "quarter_range",
     "COUNTRIES",
     "Country",
-    "fips_to_name",
     "tld_to_fips",
     "source_country",
     "MasterListEntry",

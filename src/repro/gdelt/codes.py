@@ -19,10 +19,8 @@ from dataclasses import dataclass
 __all__ = [
     "Country",
     "COUNTRIES",
-    "FIPS_TO_COUNTRY",
     "TLD_TO_COUNTRY",
     "GENERIC_TLDS",
-    "fips_to_name",
     "tld_to_fips",
     "source_country",
     "split_tld",
@@ -115,7 +113,6 @@ COUNTRIES: tuple[Country, ...] = (
     Country("SY", "Syria", "sy"),
 )
 
-FIPS_TO_COUNTRY: dict[str, Country] = {c.fips: c for c in COUNTRIES}
 TLD_TO_COUNTRY: dict[str, Country] = {c.tld: c for c in COUNTRIES}
 
 #: Generic TLDs that carry no country signal.  Following the paper's
@@ -124,12 +121,6 @@ TLD_TO_COUNTRY: dict[str, Country] = {c.tld: c for c in COUNTRIES}
 GENERIC_TLDS: frozenset[str] = frozenset(
     {"com", "org", "net", "info", "news", "co", "online", "press", "tv"}
 )
-
-
-def fips_to_name(fips: str) -> str:
-    """Display name for a FIPS code; the code itself if unknown."""
-    c = FIPS_TO_COUNTRY.get(fips)
-    return c.name if c is not None else fips
 
 
 def tld_to_fips(tld: str) -> str | None:

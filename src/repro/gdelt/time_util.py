@@ -17,7 +17,6 @@ per-row ``datetime`` calls.
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +25,6 @@ __all__ = [
     "INTERVAL_MINUTES",
     "INTERVALS_PER_DAY",
     "INTERVALS_PER_HOUR",
-    "CaptureInterval",
     "datetime_to_timestamp",
     "timestamp_to_datetime",
     "interval_to_datetime",
@@ -77,37 +75,6 @@ _EPOCH_DFC = int(
         np.array([GDELT_V2_EPOCH.day], dtype=np.int64),
     )[0]
 )
-
-
-@dataclass(frozen=True, slots=True, order=True)
-class CaptureInterval:
-    """A single 15-minute GDELT capture interval.
-
-    ``index`` counts intervals since :data:`GDELT_V2_EPOCH` (index 0 covers
-    2015-02-18 00:00–00:15).
-    """
-
-    index: int
-
-    @property
-    def start(self) -> _dt.datetime:
-        return interval_to_datetime(self.index)
-
-    @property
-    def end(self) -> _dt.datetime:
-        return interval_to_datetime(self.index + 1)
-
-    @property
-    def timestamp(self) -> int:
-        """``YYYYMMDDHHMMSS`` integer of the interval start."""
-        return interval_to_timestamp(self.index)
-
-    @property
-    def quarter(self) -> int:
-        return interval_to_quarter(self.index)
-
-    def __int__(self) -> int:
-        return self.index
 
 
 def datetime_to_timestamp(dt: _dt.datetime) -> int:

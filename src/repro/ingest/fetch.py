@@ -35,14 +35,14 @@ __all__ = ["FetchResult", "LocalFetcher", "RetryPolicy", "RetryingFetcher"]
 _MD5_BLOCK = 1 << 20
 
 
-def stream_md5(path: Path, block_size: int = _MD5_BLOCK) -> str:
+def stream_md5(path: Path) -> str:
     """md5 of a file, read in fixed-size blocks."""
     import hashlib  # lazy: loads OpenSSL, which only ingest needs
 
     digest = hashlib.md5()
     with open(path, "rb") as fh:
         while True:
-            block = fh.read(block_size)
+            block = fh.read(_MD5_BLOCK)
             if not block:
                 break
             digest.update(block)

@@ -29,6 +29,9 @@ from repro.serve.protocol import RETRYABLE_CODES
 
 __all__ = ["ServeClient", "ViewSubscription", "next_backoff"]
 
+#: Socket timeout of a subscription's (re)dial and its subscribe handshake.
+_SUBSCRIBE_CONNECT_TIMEOUT_S = 10.0
+
 
 def next_backoff(
     hint_s: float, prev_s: float, max_backoff_s: float, rng: random.Random
@@ -212,13 +215,11 @@ class ViewSubscription:
         host: str,
         port: int,
         views: list[str],
-        connect_timeout_s: float = 10.0,
         max_backoff_s: float = 2.0,
         rng: random.Random | None = None,
     ) -> None:
         self.views = [str(v) for v in views]
         self._host, self._port = host, int(port)
-        self._connect_timeout_s = connect_timeout_s
         self._max_backoff_s = max_backoff_s
         self._rng = rng if rng is not None else random.Random()
         self._events: "queue.Queue" = queue.Queue()
@@ -282,7 +283,7 @@ class ViewSubscription:
 
     def _connect_and_read(self, first_attempt: bool) -> None:
         sock = socket.create_connection(
-            (self._host, self._port), timeout=self._connect_timeout_s
+            (self._host, self._port), timeout=_SUBSCRIBE_CONNECT_TIMEOUT_S
         )
         self._sock = sock
         reader = sock.makefile("rb")

@@ -80,7 +80,7 @@ class RemoteStore:
             per-connection default).
         retries: shed retries per terminal, honouring the server's
             backoff hints.
-        deadline_s: default per-query deadline sent with every request
+        deadline_s: per-query deadline sent with every request
             (None sends none; the server may apply its own default).
     """
 
@@ -130,10 +130,6 @@ class RemoteStore:
             int(self.meta.get("generation", 0)),
         )
 
-    def server_profile(self) -> dict:
-        """The endpoint's live service/router profile (``stats`` verb)."""
-        return self._client.stats()
-
     # -- plumbing ----------------------------------------------------------
 
     def _call(self, **kw) -> dict:
@@ -179,20 +175,16 @@ class RemoteQuery:
         table: str,
         where: Expr | None = None,
         rows: tuple[int, int] | None = None,
-        deadline_s: float | None = None,
-        priority: int = 1,
     ) -> None:
         self.store = store
         self.table_name = table
         self.where = where
         self._range = rows
-        self.deadline_s = deadline_s if deadline_s is not None else store.deadline_s
-        self.priority = priority
 
     def _clone(self, **kw) -> "RemoteQuery":
         args = dict(
             store=self.store, table=self.table_name, where=self.where,
-            rows=self._range, deadline_s=self.deadline_s, priority=self.priority,
+            rows=self._range,
         )
         args.update(kw)
         return RemoteQuery(**args)
@@ -213,10 +205,6 @@ class RemoteQuery:
             lo = max(lo, self._range[0])
             hi = max(lo, min(hi, self._range[1]))
         return self._clone(rows=(lo, hi))
-
-    def with_deadline(self, deadline_s: float | None) -> "RemoteQuery":
-        """Per-query deadline override (None removes the default)."""
-        return self._clone(deadline_s=deadline_s)
 
     def group_by(self, key: str) -> "RemoteGroupedQuery":
         """Group passing rows by a named key (server-side registry)."""
@@ -255,8 +243,7 @@ class RemoteQuery:
             column=column,
             group_by=group_by,
             time_range=self._range,
-            priority=self.priority,
-            deadline_s=self.deadline_s,
+            deadline_s=self.store.deadline_s,
             k=k,
         )
         stats = dict(resp.get("stats") or {})

@@ -16,8 +16,9 @@ multi-tenant server in two stages:
    worker probes the views, then hands the remaining leaders to the
    engine's runner (:func:`repro.engine.query.run_batch` — the same
    plan → result cache → fused scan path every ``store.query(...)``
-   terminal runs) on its own executor, and resolves every waiter.  A
-   crashed pass resolves what it took and the loop restarts in place.
+   terminal runs) on its own serial executor, and resolves every
+   waiter.  A crashed pass resolves what it took and the loop restarts
+   in place.
 
 Graceful drain: :meth:`~QueryService.close` stops admitting (late
 submissions shed with ``SHUTTING_DOWN``), waits for queued and
@@ -40,7 +41,6 @@ from repro.engine.executor import (
     Executor,
     QueryCancelled,
     SerialExecutor,
-    ThreadExecutor,
 )
 from repro.engine.planner import _copy_value
 from repro.engine.query import ExecutableOp, QueryResult, run_batch
@@ -134,10 +134,8 @@ class QueryService:
     Args:
         store: the store to serve (never mutated).
         workers: number of service worker threads (passes in flight
-            concurrently).
-        scan_threads: engine threads *per worker* for the fused scan;
-            1 keeps each worker serial (concurrency then comes from the
-            worker threads themselves — NumPy kernels drop the GIL).
+            concurrently).  Each scans serially; concurrency comes from
+            the worker threads themselves (NumPy kernels drop the GIL).
         max_queue / max_batch: admission queue bound and the most
             requests one worker takes per pass.
         rate_limit / burst: per-client token bucket (requests/second);
@@ -163,7 +161,6 @@ class QueryService:
         self,
         store: GdeltStore | None = None,
         workers: int = 2,
-        scan_threads: int = 1,
         max_queue: int = 256,
         max_batch: int = 16,
         rate_limit: float | None = None,
@@ -213,19 +210,11 @@ class QueryService:
         self._stop = threading.Event()
         #: Chaos kills requested by :meth:`kill_worker` not yet claimed.
         self._kills = threading.Semaphore(0)
-
-        def make_executor() -> Executor:
-            if scan_threads <= 1:
-                return SerialExecutor()
-            return ThreadExecutor(scan_threads)
-
-        self._executors = [make_executor() for _ in range(self.workers)]
         self._threads = [
             threading.Thread(
-                target=self._worker_loop, args=(ex,), name=f"serve-worker-{i}",
-                daemon=True,
+                target=self._worker_loop, name=f"serve-worker-{i}", daemon=True
             )
-            for i, ex in enumerate(self._executors)
+            for i in range(self.workers)
         ]
         for t in self._threads:
             t.start()
@@ -292,7 +281,7 @@ class QueryService:
         self._kills.release()
         self.admission.wake_all()
 
-    def _worker_loop(self, executor: Executor) -> None:
+    def _worker_loop(self) -> None:
         """Serve passes until close; a crashed pass restarts the loop.
 
         The pass has already resolved every request it took, so the
@@ -300,6 +289,7 @@ class QueryService:
         engine executor.
         """
         name = threading.current_thread().name
+        executor = SerialExecutor()
         while not self._stop.is_set():
             try:
                 self._serve_pass(executor)
@@ -748,8 +738,6 @@ class QueryService:
             t.join(timeout=5.0)
         for pending in self.admission.drain_all():
             self._shed(pending, ErrorCode.SHUTTING_DOWN, 1.0)
-        for ex in self._executors:
-            ex.close()
 
     def __enter__(self) -> "QueryService":
         return self

@@ -15,19 +15,18 @@ process.  This package scales it *out*:
   (:meth:`~repro.engine.expr.Expr.prune_chunks`) runs against the map
   with whole backends as "chunks", so a filtered query skips entire
   shards before any network hop.
-* :mod:`repro.shard.merge` — exact merges of the backends' mergeable
-  partial aggregates (the ``partials`` wire mode) into the same value a
-  single-store run produces.
 * :mod:`repro.shard.router` — :class:`~repro.shard.router.ShardRouter`,
   a scatter-gather front end speaking the same LDJSON protocol as a
-  single server, so clients cannot tell a router from a store.
+  single server, so clients cannot tell a router from a store.  It
+  merges the backends' mergeable partial aggregates (the ``partials``
+  wire mode) with the terminal algebra (:mod:`repro.engine.terminal`)
+  into the same value a single-store run produces.
 * :mod:`repro.shard.cluster` — per-shard server subprocess management
   for ``repro-gdelt shard-serve``.
 """
 
 from repro.shard.cluster import ShardProcess, launch_shards
 from repro.shard.map import ShardMap
-from repro.shard.merge import merge_parts, zero_value
 from repro.shard.partition import split_dataset
 from repro.shard.router import ShardRouter
 
@@ -36,7 +35,5 @@ __all__ = [
     "ShardProcess",
     "ShardRouter",
     "launch_shards",
-    "merge_parts",
     "split_dataset",
-    "zero_value",
 ]

@@ -21,17 +21,14 @@ from pathlib import Path
 
 __all__ = ["ShardProcess", "launch_shards"]
 
+#: How long a spawned backend may take to print its ``listening on`` line.
+_STARTUP_TIMEOUT_S = 30.0
+
 
 class ShardProcess:
     """One spawned ``repro-gdelt serve`` backend."""
 
-    def __init__(
-        self,
-        dataset: Path,
-        host: str = "127.0.0.1",
-        extra_args: tuple[str, ...] = (),
-        startup_timeout_s: float = 30.0,
-    ) -> None:
+    def __init__(self, dataset: Path) -> None:
         self.dataset = Path(dataset)
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[2])
@@ -43,17 +40,17 @@ class ShardProcess:
         self.proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "serve", str(self.dataset),
-                "--host", host, "--port", "0", *extra_args,
+                "--port", "0",
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             text=True,
             env=env,
         )
-        self.host, self.port = self._await_listening(startup_timeout_s)
+        self.host, self.port = self._await_listening()
 
-    def _await_listening(self, timeout_s: float) -> tuple[str, int]:
-        deadline = time.monotonic() + timeout_s
+    def _await_listening(self) -> tuple[str, int]:
+        deadline = time.monotonic() + _STARTUP_TIMEOUT_S
         assert self.proc.stdout is not None
         while time.monotonic() < deadline:
             line = self.proc.stdout.readline()
@@ -87,16 +84,12 @@ class ShardProcess:
         return f"ShardProcess({self.dataset.name}, {self.address}, {state})"
 
 
-def launch_shards(
-    shard_dirs: list[Path],
-    host: str = "127.0.0.1",
-    extra_args: tuple[str, ...] = (),
-) -> list[ShardProcess]:
+def launch_shards(shard_dirs: list[Path]) -> list[ShardProcess]:
     """Spawn one backend per shard directory; kills all on any failure."""
     procs: list[ShardProcess] = []
     try:
         for d in shard_dirs:
-            procs.append(ShardProcess(d, host=host, extra_args=extra_args))
+            procs.append(ShardProcess(d))
     except Exception:
         for p in procs:
             p.kill()

@@ -13,12 +13,13 @@ whole.  Per request it:
    query every shard prunes is answered from the op's zero value with
    no network traffic at all;
 2. **scatters** — surviving shards get the request in ``partials``
-   mode with a split deadline (a fraction of the client's remaining
-   budget, so the router has time left to merge and answer);
-3. **gathers** — partials merge in shard order
-   (:func:`~repro.shard.merge.merge_parts`), which equals global row
-   order, so merged values are byte-identical to a single-store run
-   for counts and integer-column aggregates.
+   mode with a split deadline (:data:`DEADLINE_FRACTION` of the
+   client's remaining budget, so the router has time left to merge and
+   answer);
+3. **gathers** — partials merge in shard order through the terminal
+   algebra (:meth:`~repro.engine.terminal.Terminal.merge`), which
+   equals global row order, so merged values are byte-identical to a
+   single-store run for counts and integer-column aggregates.
 
 Degradation: each shard has its own circuit breaker.  Backend *errors*
 and transport failures trip it; *sheds* do not (an overloaded backend
@@ -39,6 +40,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.engine.expr import to_conjuncts
+from repro.engine.terminal import TerminalSpec
 from repro.obs import metrics as _metrics
 from repro.serve.breaker import BreakerBoard
 from repro.serve.client import ServeClient
@@ -46,11 +48,17 @@ from repro.serve.protocol import ErrorCode
 from repro.serve.request import QueryRequest, QueryResponse
 from repro.serve.service import PendingRequest
 from repro.shard.map import ShardInfo, ShardMap
-from repro.shard.merge import merge_parts, zero_value
 
 __all__ = ["ShardRouter", "parse_address"]
 
 logger = logging.getLogger(__name__)
+
+#: Share of the client's remaining deadline granted to the backends; the
+#: rest is the router's merge budget.
+DEADLINE_FRACTION = 0.9
+#: Below this remaining budget the router sheds ``DEADLINE_EXCEEDED``
+#: without any fan-out (and hints this long a retry).
+DEADLINE_FLOOR_S = 0.02
 
 
 def parse_address(spec) -> tuple[str, int]:
@@ -112,27 +120,20 @@ class ShardRouter:
         partial_ok: with shards missing, answer ``status="partial"``
             (reason ``PARTIAL_RESULT``, missing ids listed) instead of
             failing the request with ``SHARD_UNAVAILABLE``.
-        deadline_fraction: share of the client's remaining deadline
-            granted to the backends; the rest is the router's merge
-            budget.
-        deadline_floor_s: below this remaining budget the router sheds
-            ``DEADLINE_EXCEEDED`` without any fan-out.
         timeout_s: per-connection socket timeout (bounds a hung shard).
         breakers: per-shard circuit breakers (class = shard id); a
             fresh board by default.
 
-    A group-``stats`` query whose every shard was pruned answers from
-    :func:`~repro.shard.merge.zero_value` seeded with the value
-    column's dtype (from the shard meta), so its empty-group sentinels
-    are byte-identical to a scanned run's.
+    A group-``stats`` query whose every shard was pruned answers with
+    the merge of no partials, bound to the value column's dtype (from
+    the shard meta), so its empty-group sentinels are byte-identical to
+    a scanned run's.
     """
 
     def __init__(
         self,
         backends,
         partial_ok: bool = False,
-        deadline_fraction: float = 0.9,
-        deadline_floor_s: float = 0.02,
         timeout_s: float = 30.0,
         breakers: BreakerBoard | None = None,
     ) -> None:
@@ -140,8 +141,6 @@ class ShardRouter:
         if not addresses:
             raise ValueError("a shard router needs at least one backend")
         self.partial_ok = bool(partial_ok)
-        self.deadline_fraction = float(deadline_fraction)
-        self.deadline_floor_s = float(deadline_floor_s)
         self.timeout_s = float(timeout_s)
         self.breakers = breakers if breakers is not None else BreakerBoard()
         self._pools: dict[str, _ClientPool] = {}
@@ -243,9 +242,9 @@ class ShardRouter:
         if request.deadline_s is None:
             return None, False
         remaining = request.deadline_s - (time.monotonic() - arrival_s)
-        if remaining <= self.deadline_floor_s:
+        if remaining <= DEADLINE_FLOOR_S:
             return None, True
-        return max(self.deadline_floor_s, remaining * self.deadline_fraction), False
+        return max(DEADLINE_FLOOR_S, remaining * DEADLINE_FRACTION), False
 
     def _route_single(
         self, request: QueryRequest, conjuncts: list[str]
@@ -257,13 +256,13 @@ class ShardRouter:
         through verbatim (the next replica holds the same data but the
         shed is about *load*, and its retry hint is already correct).
 
-        Grouped ops go through the partials wire and a one-part
-        :func:`~repro.shard.merge.merge_parts` rather than taking the
-        replica's value verbatim: derived group domains (quarters) are
-        computed from a store's *mention* slice too, so a replica whose
-        mentions stop early would answer with fewer trailing empty
-        groups than the global width — padding through the merge keeps
-        the single-replica path byte-identical to an unsharded store.
+        Grouped ops go through the partials wire and a one-part merge
+        rather than taking the replica's value verbatim: derived group
+        domains (quarters) are computed from a store's *mention* slice
+        too, so a replica whose mentions stop early would answer with
+        fewer trailing empty groups than the global width — padding
+        through the merge keeps the single-replica path byte-identical
+        to an unsharded store.
         """
         self._count("single_shard")
         _metrics.histogram("shard_fanout").observe(1)
@@ -287,10 +286,8 @@ class ShardRouter:
                 self.breakers.success(shard.shard_id)
                 value, stats = payload
                 if grouped:
-                    value = merge_parts(
-                        request.op, request.group_by, request.k, [value],
-                        n_groups,
-                    )
+                    spec = TerminalSpec(request.op, group=request.group_by, k=request.k)
+                    value = spec.bind(n_groups).merge([value])
                 stats = dict(stats, fanout=1, routed_shard=shard.shard_id)
                 return QueryResponse(status="ok", value=value, stats=stats)
             if kind == "shed":
@@ -320,6 +317,7 @@ class ShardRouter:
         n_groups = None
         if request.group_by is not None:
             n_groups = self.map.n_groups(request.table, request.group_by)
+        spec = TerminalSpec(request.op, group=request.group_by, k=request.k)
 
         if not targets:
             # Pruning answered the query: no shard can hold a matching
@@ -331,9 +329,7 @@ class ShardRouter:
             dtype = None
             if request.column is not None:
                 dtype = self.map.column_dtype(request.table, request.column)
-            value = zero_value(
-                request.op, request.group_by, request.k, n_groups, dtype=dtype
-            )
+            value = spec.bind(n_groups, dtype).merge([])
             return QueryResponse(
                 status="ok",
                 value=value,
@@ -403,9 +399,7 @@ class ShardRouter:
             )
 
         t_merge = time.monotonic()
-        value = merge_parts(
-            request.op, request.group_by, request.k, parts, n_groups
-        )
+        value = spec.bind(n_groups).merge(parts)
         merge_ms = (time.monotonic() - t_merge) * 1e3
         _metrics.histogram("shard_partial_merge_ms").observe(merge_ms)
         exec_s = time.monotonic() - arrival_s
@@ -476,7 +470,7 @@ class ShardRouter:
         return QueryResponse(
             status="shed",
             reason=ErrorCode.DEADLINE_EXCEEDED,
-            retry_after_s=self.deadline_floor_s,
+            retry_after_s=DEADLINE_FLOOR_S,
         )
 
     def _gather_stats(
@@ -580,8 +574,6 @@ class ShardRouter:
             "config": {
                 "n_shards": len(self.map),
                 "partial_ok": self.partial_ok,
-                "deadline_fraction": self.deadline_fraction,
-                "deadline_floor_s": self.deadline_floor_s,
             },
             "stats": self.stats(),
         }

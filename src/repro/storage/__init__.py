@@ -30,7 +30,7 @@ from repro.storage.format import (
     Manifest,
     StorageError,
 )
-from repro.storage.columns import StringDictionary, encode_strings
+from repro.storage.columns import StringDictionary
 from repro.storage.codecs import CODECS, codec_supports, decode_column, encode_column
 from repro.storage.stats import DEFAULT_ZONE_CHUNK_ROWS, ZoneMaps, compute_zone_maps
 from repro.storage.writer import DatasetWriter
@@ -49,7 +49,6 @@ __all__ = [
     "Manifest",
     "StorageError",
     "StringDictionary",
-    "encode_strings",
     "CODECS",
     "codec_supports",
     "decode_column",

@@ -23,7 +23,6 @@ __all__ = [
     "StringDictionary",
     "DictionaryBuilder",
     "concat_gather",
-    "encode_strings",
     "ensure_capacity",
     "readonly_prefix",
 ]
@@ -203,15 +202,3 @@ class DictionaryBuilder:
         offsets = readonly_prefix(self._offsets, len(self._codes) + 1)
         return StringDictionary(offsets, readonly_prefix(self._blob, int(offsets[-1])))
 
-
-def encode_strings(strings: list[str]) -> tuple[np.ndarray, StringDictionary]:
-    """Dictionary-encode a string column in one shot.
-
-    Returns (codes, dictionary); codes are int32 when the dictionary fits,
-    else int64.
-    """
-    builder = DictionaryBuilder()
-    codes = builder.intern_many(strings)
-    if len(builder) <= np.iinfo(np.int32).max:
-        codes = codes.astype(np.int32)
-    return codes, builder.build()

@@ -40,24 +40,24 @@ __all__ = [
 _BLOCK = 1 << 20
 
 
-def file_blocks(path: Path, block_size: int = _BLOCK) -> Iterator[memoryview]:
+def file_blocks(path: Path) -> Iterator[memoryview]:
     """A file's bytes in fixed-size blocks (the last one may be short).
 
     Every block is a view of one reused buffer, so streaming a file of
-    any size holds ``block_size`` bytes; a block is valid only until the
+    any size holds ``_BLOCK`` bytes; a block is valid only until the
     next one is taken.
     """
-    buf = bytearray(block_size)
+    buf = bytearray(_BLOCK)
     view = memoryview(buf)
     with open(path, "rb", buffering=0) as fh:
         while n := fh.readinto(buf):
             yield view[:n]
 
 
-def file_crc32(path: Path, block_size: int = _BLOCK) -> int:
+def file_crc32(path: Path) -> int:
     """CRC32 of a file's bytes, streamed in fixed-size blocks."""
     crc = 0
-    for block in file_blocks(path, block_size):
+    for block in file_blocks(path):
         crc = zlib.crc32(block, crc)
     return crc
 

@@ -27,11 +27,13 @@ Consistency model
   :class:`~repro.serve.lifecycle.StoreLifecycle` uses for path-reload
   candidates — drops the partial and rebuilds instead of trusting the
   prefix.
-* **Freshness.**  A view answers a serving request only when it was
-  refreshed against the *exact* store generation executing the request
-  (fingerprint token + generation, :meth:`ViewState.fresh_for`) and the
-  request covers the whole table.  The lifecycle refreshes its catalog
-  against each candidate before publishing it, so a published
+* **Freshness.**  A view is served under the request key
+  (:attr:`~repro.engine.query.ExecutableOp.key`) of the whole-table
+  request it answers on the generation it was last refreshed against:
+  store fingerprint (token + generation), table, row range, canonical
+  filter, op and terminal signature.  A request matches only by being
+  that request on that exact generation.  The lifecycle refreshes its
+  catalog against each candidate before publishing it, so a published
   generation's views are already fresh; a view that is not (its refresh
   failed, or the store was swapped outside a lifecycle) is never served
   — requests simply fall through to the scanning path.
@@ -120,16 +122,6 @@ class ViewState:
         if self._value is None:
             self._value = self._finalize()
         return _copy_value(self._value)
-
-    def fresh_for(self, store) -> bool:
-        """True when this view answers queries against ``store`` exactly:
-        it was last refreshed against this very store generation (code
-        that changes a store's rows must call
-        :meth:`~repro.engine.store.GdeltStore.invalidate`, which bumps
-        the fingerprint's generation)."""
-        return self.refresh_count > 0 and store.fingerprint() == (
-            self.store_token, self.store_generation
-        )
 
     def staleness_s(self, now: float | None = None) -> float:
         if not self.refreshed_unix:
@@ -226,7 +218,7 @@ class ViewCatalog:
         self._lock = threading.RLock()
         self._refresh_lock = threading.Lock()
         self._states: dict[str, ViewState] = {}
-        #: Terminal key -> the view that answers it (when fresh).
+        #: Request key -> the view that answers it.
         self._served: dict[tuple, ViewState] = {}
         self._listeners: list = []
         self._hits = 0
@@ -252,18 +244,6 @@ class ViewCatalog:
             self._persist_state(state)
         logger.info("registered view %s: %s", definition.name, definition.describe())
         return state
-
-    def create_from_query(
-        self,
-        name: str,
-        query,
-        op: str,
-        column: str | None = None,
-        k: int | None = None,
-    ) -> ViewState:
-        """Register a view captured from a fluent query (see
-        :meth:`ViewDefinition.from_query`)."""
-        return self.create(ViewDefinition.from_query(name, query, op, column, k))
 
     def drop(self, name: str) -> None:
         """Remove a view and its persisted state.
@@ -386,6 +366,9 @@ class ViewCatalog:
         folded = terminal.fold([terminal.from_wire(p) for p in parts])
         value = terminal.finalize(folded)
         token, gen = op.store.fingerprint()
+        key = ExecutableOp(
+            op.store, d.table, d.spec, op.where, slice(0, op.rows.stop)
+        ).key
         with self._lock:
             if self._states.get(d.name) is not state:
                 return None
@@ -401,7 +384,6 @@ class ViewCatalog:
             state.last_refresh_s = time.monotonic() - t0
             state.last_error = None
             state.last_source = source
-            key = self._terminal_key(op, terminal.signature())
             self._served = {k: s for k, s in self._served.items() if s is not state}
             self._served[key] = state
             self._persist_state(state)
@@ -441,35 +423,17 @@ class ViewCatalog:
 
     # -- serving -----------------------------------------------------------
 
-    @staticmethod
-    def _terminal_key(op: ExecutableOp, sig: tuple) -> tuple:
-        """What a view answers: table, canonical filter, op and the
-        non-partials terminal signature — exactly what a matching
-        request's op carries, so a view is matched by tuple equality,
-        never by re-deriving intent."""
-        canonical = op.where.canonical() if op.where is not None else None
-        return (op.table, canonical, op.op_name, sig)
-
     def serve_lookup(self, op) -> tuple[object, dict] | None:
         """Answer a compiled request from a fresh view, if one matches.
 
-        ``op`` is a :class:`~repro.engine.query.ExecutableOp`.  A hit
-        requires the same terminal signature, the same canonical filter,
-        full-table row coverage, and the *exact* store generation the
-        view was refreshed against (:meth:`ViewState.fresh_for`) —
-        anything else falls through to the scan path.  Returns
-        ``(value_copy, meta)`` or ``None``.
+        ``op`` is a :class:`~repro.engine.query.ExecutableOp`; it hits
+        when its request key is the one a view was refreshed under (see
+        the module docstring) — anything else falls through to the scan
+        path.  Returns ``(value_copy, meta)`` or ``None``.
         """
-        if op.partials or op.rows.start != 0:
-            return None
-        key = self._terminal_key(op, op.sig)
         with self._lock:
-            state = self._served.get(key)
-            if (
-                state is None
-                or op.rows.stop != state.rows_total
-                or not state.fresh_for(op.store)
-            ):
+            state = self._served.get(op.key)
+            if state is None:
                 return None
             self._hits += 1
             value = state.value()

@@ -15,7 +15,6 @@ from repro.engine.aggregate import (
     group_median,
     group_min,
     group_sum,
-    group_sum_2d,
 )
 
 N_GROUPS = 6
@@ -121,7 +120,6 @@ _KERNELS = {
     "mean": group_mean,
     "median": group_median,
     "count_2d": lambda k, v, n, m: group_count_2d(k, k[::-1].copy(), (n, n), m),
-    "sum_2d": lambda k, v, n, m: group_sum_2d(k, k[::-1].copy(), v, (n, n), m),
 }
 
 
@@ -178,17 +176,6 @@ class TestTwoKeyKernels:
             if a >= 0 and b >= 0:
                 want[a, b] += 1
         assert np.array_equal(got, want)
-
-    def test_sum_2d_brute(self):
-        rng = np.random.default_rng(4)
-        ki = rng.integers(0, 3, 100)
-        kj = rng.integers(0, 3, 100)
-        v = rng.integers(0, 10, 100)
-        got = group_sum_2d(ki, kj, v, (3, 3))
-        want = np.zeros((3, 3))
-        for a, b, x in zip(ki, kj, v):
-            want[a, b] += x
-        assert np.allclose(got, want)
 
     def test_count_2d_total(self):
         rng = np.random.default_rng(5)

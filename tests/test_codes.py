@@ -27,10 +27,6 @@ class TestRoster:
     def test_roster_large_enough_for_fig8(self):
         assert len(codes.COUNTRIES) >= 50
 
-    def test_fips_to_name(self):
-        assert codes.fips_to_name("UK") == "United Kingdom"
-        assert codes.fips_to_name("ZZ") == "ZZ"  # unknown passes through
-
 
 class TestTldAttribution:
     @pytest.mark.parametrize(

@@ -111,13 +111,13 @@ class TestKernelRegressions:
         assert none.tolist() == [0.0, 0.0, 0.0]
 
     def test_zero_value_stats_carries_dtype(self):
-        from repro.shard.merge import zero_value
+        from repro.engine.terminal import TerminalSpec
 
         for dtype, lo, hi in (
             ("int16", np.iinfo(np.int16).max, np.iinfo(np.int16).min),
             ("float32", np.inf, -np.inf),
         ):
-            v = zero_value("stats", "Quarter", None, 3, dtype=dtype)
+            v = TerminalSpec("stats", group="Quarter").bind(3, dtype).merge([])
             assert v["min"].dtype == np.dtype(dtype)
             assert list(v["min"]) == [lo] * 3
             assert list(v["max"]) == [hi] * 3

@@ -1,15 +1,17 @@
 """Property-style randomized tests for the exact-merge kernels.
 
-:func:`repro.shard.merge.merge_parts` is the single fold shared by the
-scatter-gather router and the materialized-view catalog, so its
-algebra has to hold for *any* partition of the rows into parts:
+A terminal's :meth:`~repro.engine.terminal.Terminal.merge` is the
+single fold shared by the scatter-gather router and the materialized-
+view catalog, so its algebra has to hold for *any* partition of the
+rows into parts:
 
 * merging the parts of any consecutive partition equals aggregating
   the whole array at once (counts and int-column aggregates exactly);
 * empty parts (a pruned shard/chunk) are identities;
 * a partition into single-group or single-row parts degenerates
   correctly;
-* ``zero_value`` is the merge of nothing, for every op shape.
+* the merge of nothing (a router's all-pruned answer) equals the merge
+  of all-pruned partials, for every op shape.
 
 Each test draws several random partitions per run; shapes mirror the
 partial table documented in ``repro/engine/terminal.py``.
@@ -32,9 +34,13 @@ from repro.engine.aggregate import group_stats_dict, topk_from_counts
 from repro.engine.terminal import TerminalSpec, jsonable
 from repro.qa.oracle import canon
 from repro.qa.reference import reference_value
-from repro.shard.merge import merge_parts, zero_value
 
 N_TRIALS = 5
+
+
+def merge(op, group_by, k, parts, width=None, dtype=None):
+    """Fold shard partials into the finalized value, as the router does."""
+    return TerminalSpec(op, group=group_by, k=k).bind(width, dtype).merge(parts)
 
 
 def random_cuts(rng, n: int, max_parts: int = 9) -> list[tuple[int, int]]:
@@ -50,7 +56,7 @@ def group_parts(op, keys, values, cuts, width):
     """Per-part partials in the documented shard shapes.
 
     A part only knows its *local* group width (groups it actually saw),
-    like a shard that never met the tail groups — merge_parts must pad.
+    like a shard that never met the tail groups — the merge must pad.
     """
     parts = []
     for lo, hi in cuts:
@@ -97,22 +103,22 @@ class TestScalarMerges:
             n = int(rng.integers(0, 500))
             cuts = random_cuts(rng, n)
             parts = [hi - lo for lo, hi in cuts]
-            assert merge_parts("count", None, None, parts) == n
+            assert merge("count", None, None, parts) == n
 
     def test_sum_mean_int_columns_exact(self, rng):
         for _ in range(N_TRIALS):
             values = rng.integers(-1000, 1000, size=int(rng.integers(1, 400)))
             cuts = random_cuts(rng, len(values))
             sums = [float(values[lo:hi].sum()) for lo, hi in cuts]
-            assert merge_parts("sum", None, None, sums) == float(values.sum())
+            assert merge("sum", None, None, sums) == float(values.sum())
             means = [
                 [hi - lo, float(values[lo:hi].sum())] for lo, hi in cuts
             ]
-            got = merge_parts("mean", None, None, means)
+            got = merge("mean", None, None, means)
             assert got == float(values.sum()) / len(values)
 
     def test_mean_of_nothing_is_nan(self):
-        assert np.isnan(merge_parts("mean", None, None, [[0, 0.0], [0, None]]))
+        assert np.isnan(merge("mean", None, None, [[0, 0.0], [0, None]]))
 
 
 class TestGroupedMerges:
@@ -126,7 +132,7 @@ class TestGroupedMerges:
             cuts = random_cuts(rng, n)
             k = 3 if op == "top" else None
             parts = group_parts(op, keys, values, cuts, width)
-            got = merge_parts(op, "g", k, parts, width)
+            got = merge(op, "g", k, parts, width)
             if op == "count":
                 want = np.bincount(keys, minlength=width).astype(np.int64)
             elif op == "sum":
@@ -150,7 +156,7 @@ class TestGroupedMerges:
         keys = np.zeros(n, dtype=np.int64)
         values = rng.integers(0, 10, size=n).astype(np.int64)
         cuts = random_cuts(rng, n)
-        got = merge_parts(
+        got = merge(
             "count", "g", None, group_parts("count", keys, values, cuts, width),
             width,
         )
@@ -164,7 +170,7 @@ class TestGroupedMerges:
         keys = rng.integers(0, width, size=40).astype(np.int64)
         values = rng.integers(0, 100, size=40).astype(np.int64)
         cuts = [(i, i + 1) for i in range(len(keys))]
-        got = merge_parts(
+        got = merge(
             "sum", "g", None, group_parts("sum", keys, values, cuts, width),
             width,
         )
@@ -197,10 +203,12 @@ class TestZeroValueIdentity:
 
     @pytest.mark.parametrize("op,group_by,k", SHAPES)
     def test_zero_value_is_merge_of_nothing(self, op, group_by, k):
+        """Pruning every shard answers what every shard scanning nothing
+        answers."""
         width = 4 if group_by is not None else None
         assert_same(
-            zero_value(op, group_by, k, width),
-            merge_parts(op, group_by, k, [], width),
+            merge(op, group_by, k, [], width, "int64"),
+            merge(op, group_by, k, [self.zero_part(op, group_by)], width, "int64"),
         )
 
     @pytest.mark.parametrize("op,group_by,k", SHAPES)
@@ -220,13 +228,13 @@ class TestZeroValueIdentity:
             }[op]
         else:
             parts = group_parts(op, keys, values, cuts, width)
-        want = merge_parts(op, group_by, k, parts, width)
+        want = merge(op, group_by, k, parts, width)
         zero = self.zero_part(op, group_by)
         padded = []
         for p in parts:
             padded.extend([zero, p])
         padded.append(zero)
-        assert_same(merge_parts(op, group_by, k, padded, width), want)
+        assert_same(merge(op, group_by, k, padded, width), want)
 
 
 class _ArrayStore:

@@ -12,7 +12,7 @@ import pytest
 import repro.obs as obs
 from repro.engine.aggregate import group_count_2d
 from repro.engine.executor import SerialExecutor, ThreadExecutor
-from repro.engine.query import Query, _unlocated_articles, aggregated_country_query
+from repro.engine.query import Query, aggregated_country_query
 from repro.obs.metrics import MetricsRegistry, _bucket_index
 from repro.obs.profile import ProfileCollector, QueryProfile
 
@@ -398,14 +398,14 @@ def _bare_country_query(store, executor, chunk_rows):
         evc = np.where(rows >= 0, ev_country[np.clip(rows, 0, None)], -1).astype(
             np.int64
         )
-        counts = group_count_2d(evc, pub, (n_c, n_c))
+        counts = group_count_2d(np.where(evc >= 0, evc, n_c), pub, (n_c + 1, n_c))
         ok = (rows >= 0) & (pub >= 0)
         pairs = np.unique(rows[ok] * np.int64(n_c) + pub[ok])
         return counts, pairs
 
     chunks = executor._plan(store.n_mentions, chunk_rows)
     partials = executor._run(kernel, chunks)
-    cross = np.zeros((n_c, n_c), dtype=np.int64)
+    cross = np.zeros((n_c + 1, n_c), dtype=np.int64)
     pair_parts = []
     for counts, pairs in partials:
         cross += counts
@@ -418,10 +418,8 @@ def _bare_country_query(store, executor, chunk_rows):
     incidence = np.zeros((n_events, n_c), dtype=np.float32)
     incidence[all_pairs // n_c, all_pairs % n_c] = 1.0
     co_events = np.rint(incidence.T @ incidence).astype(np.int64)
-    publisher_articles = cross.sum(axis=0) + _unlocated_articles(
-        store, src_country, source_id, n_c
-    )
-    return cross, co_events, publisher_articles
+    publisher_articles = cross.sum(axis=0)
+    return cross[:n_c], co_events, publisher_articles
 
 
 class TestDisabledOverhead:

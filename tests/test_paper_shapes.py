@@ -12,6 +12,10 @@ import numpy as np
 import pytest
 
 from repro import analysis as an
+from repro.analysis.crossreporting import (
+    publishing_country_order,
+    reported_country_order,
+)
 from repro.engine import aggregated_country_query
 from repro.gdelt.codes import COUNTRIES
 
@@ -81,13 +85,13 @@ class TestSectionVID:
     """Cross-reporting (Tables VI/VII, Fig 8)."""
 
     def test_us_is_most_reported_on(self, tiny_store, country_result):
-        order = an.crossreporting.reported_country_order(
+        order = reported_country_order(
             tiny_store, country_result, 10
         )
         assert order[0] == _POS["US"]
 
     def test_uk_is_top_publisher_country(self, country_result):
-        order = an.crossreporting.publishing_country_order(country_result, 10)
+        order = publishing_country_order(country_result, 10)
         assert order[0] == _POS["UK"]
         assert _POS["US"] in order[:3]
 
@@ -95,7 +99,7 @@ class TestSectionVID:
         """Table VII: every publishing country spends ~1/3+ of its articles
         on US events, far above any other target."""
         pct = country_result.percentages()
-        pubs = an.crossreporting.publishing_country_order(country_result, 6)
+        pubs = publishing_country_order(country_result, 6)
         us_row = pct[_POS["US"], pubs]
         assert (us_row > 15).all()
         uk_row = pct[_POS["UK"], pubs]

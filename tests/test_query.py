@@ -89,6 +89,21 @@ class TestAggregatedCountryQuery:
     def result(self, tiny_store):
         return aggregated_country_query(tiny_store)
 
+    @pytest.fixture(scope="class")
+    def edge_store(self, tiny_arrays):
+        """The tiny corpus with every 7th source stripped of its country
+        and every 11th event dropped, so some mentions join no event."""
+        events, mentions, dicts = tiny_arrays
+        domains = [
+            d if i % 7 else f"unattributable-{i}" for i, d in enumerate(dicts["sources"])
+        ]
+        keep = np.arange(len(events["GlobalEventID"])) % 11 != 0
+        return GdeltStore.from_arrays(
+            {name: column[keep] for name, column in events.items()},
+            mentions,
+            {**dicts, "sources": StringDictionary.from_strings(domains)},
+        )
+
     def test_co_events_symmetric(self, result):
         assert np.array_equal(result.co_events, result.co_events.T)
 
@@ -159,9 +174,16 @@ class TestAggregatedCountryQuery:
         assert np.array_equal(par.co_events, result.co_events)
         assert np.array_equal(par.publisher_articles, result.publisher_articles)
 
-    def test_baseline_engine_identical(self, tiny_store, result):
-        """The row-at-a-time baseline must compute the same answer."""
-        base = row_at_a_time_country_query(tiny_store)
+    def test_baseline_engine_identical(self, edge_store):
+        """The row-at-a-time baseline must compute the same answer, on a
+        store holding untagged events, dangling joins and sources with
+        no country."""
+        ev_row = edge_store.mention_event_row()
+        assert (ev_row < 0).any()
+        assert (edge_store.event_country_idx()[ev_row[ev_row >= 0]] < 0).any()
+        assert (edge_store.source_country_idx() < 0).any()
+        base = row_at_a_time_country_query(edge_store)
+        result = aggregated_country_query(edge_store)
         assert np.array_equal(base.cross_counts, result.cross_counts)
         assert np.array_equal(base.co_events, result.co_events)
         assert np.array_equal(base.publisher_articles, result.publisher_articles)

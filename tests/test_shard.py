@@ -7,8 +7,8 @@ The sharding contract under test:
   traversal reproduces global row order — streaming the source one
   column slice at a time, yet writing exactly the files a whole-store
   round trip writes;
-* ``merge_parts`` over per-shard partials is byte-identical to running
-  the same query on the unsplit store — for every terminal;
+* the terminal's merge of per-shard partials is byte-identical to
+  running the same query on the unsplit store — for every terminal;
 * the router prunes whole shards with the planner's own interval
   analysis, degrades to ``PARTIAL_RESULT`` when asked, sheds expired
   deadlines without fan-out, and routes events to a single replica;
@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import re
 import shutil
+import time
 import tracemalloc
 
 import numpy as np
@@ -29,12 +30,13 @@ import repro
 from repro import faults
 from repro.engine import GdeltStore, col
 from repro.engine.query import QueryResult
-from repro.engine.terminal import jsonable
+from repro.engine.terminal import TerminalSpec, jsonable
 from repro.ingest.direct import dataset_to_binary
 from repro.obs import metrics as _metrics
 from repro.serve import (
     RETRYABLE_CODES,
     ErrorCode,
+    QueryRequest,
     QueryService,
     RemoteError,
     ServeClient,
@@ -45,12 +47,11 @@ from repro.shard import (
     ShardProcess,
     ShardRouter,
     launch_shards,
-    merge_parts,
     split_dataset,
-    zero_value,
 )
 from repro.shard.map import ShardInfo
 from repro.shard.partition import shard_ranges
+from repro.shard.router import DEADLINE_FLOOR_S, DEADLINE_FRACTION
 from repro.storage.columns import StringDictionary
 from repro.storage.format import StorageError, dict_blob_path
 from repro.storage.gdelt import write_gdelt_dataset
@@ -307,7 +308,7 @@ class TestSplit:
 
 
 class TestMergeVsBruteForce:
-    """merge_parts over real per-shard partials == the unsplit answer."""
+    """The merge of real per-shard partials == the unsplit answer."""
 
     CASES = [
         dict(op="count"),
@@ -337,7 +338,7 @@ class TestMergeVsBruteForce:
         n_groups = (
             full_store.group_key("mentions", group_by)[2] if group_by else None
         )
-        merged = merge_parts(op, group_by, k, parts, n_groups=n_groups)
+        merged = TerminalSpec(op, group=group_by, k=k).bind(n_groups).merge(parts)
 
         q = full_store.query("mentions")
         if where is not None:
@@ -373,7 +374,7 @@ class TestMergeVsBruteForce:
                 for svc in services
             ]
             n_groups = full_store.group_key("mentions", key)[2]
-            merged = merge_parts(op, key, k, parts, n_groups=n_groups)
+            merged = TerminalSpec(op, group=key, k=k).bind(n_groups).merge(parts)
             g = full_store.query("mentions").filter(where).group_by(key)
             expected = (
                 g.top(k) if op == "top"
@@ -384,9 +385,9 @@ class TestMergeVsBruteForce:
 
     def test_zero_value_is_empty_merge(self, full_store):
         n = full_store.group_key("mentions", "Quarter")[2]
-        z = zero_value("count", "Quarter", None, n)
+        z = TerminalSpec("count", group="Quarter").bind(n).merge([])
         assert canon(z) == canon(np.zeros(n, dtype=np.int64))
-        assert zero_value("count", None, None, None) == 0
+        assert TerminalSpec("count").bind().merge([]) == 0
 
 
 class TestShardMapRouting:
@@ -507,6 +508,52 @@ class TestRouter:
         resp = router.query(op="count", deadline_s=1e-6)
         assert resp.status == "shed"
         assert resp.reason == ErrorCode.DEADLINE_EXCEEDED
+        assert _submitted(services) == before
+
+    @pytest.mark.parametrize("table", ["mentions", "events"])
+    def test_backends_get_a_share_of_the_remaining_deadline(
+        self, router, monkeypatch, table
+    ):
+        """Scatter and single-replica paths alike hand each backend
+        max(DEADLINE_FLOOR_S, DEADLINE_FRACTION * remaining budget)."""
+        seen = []
+        real = router._call_shard
+
+        def spy(shard, request, conjuncts, deadline_s, partials):
+            seen.append(deadline_s)
+            return real(shard, request, conjuncts, deadline_s, partials)
+
+        monkeypatch.setattr(router, "_call_shard", spy)
+        budget = 5.0
+        t0 = time.monotonic()
+        resp = router.query(table, op="count", deadline_s=budget)
+        elapsed = time.monotonic() - t0
+        assert resp.status == "ok"
+        assert seen
+        for granted in seen:
+            assert DEADLINE_FRACTION * (budget - elapsed) <= granted
+            assert granted <= DEADLINE_FRACTION * budget
+
+    def test_floor_bounds_the_backend_deadline(self, router):
+        # 0.9 x 0.0222 s is below the floor, but 0.0222 s is not.
+        granted, expired = router._sub_deadline(
+            QueryRequest(op="count", deadline_s=0.0222), time.monotonic()
+        )
+        assert not expired
+        assert granted == DEADLINE_FLOOR_S
+
+    def test_budget_below_floor_sheds_without_fanout(
+        self, router, backends, monkeypatch
+    ):
+        services, _ = backends
+        calls = []
+        monkeypatch.setattr(router, "_call_shard", lambda *a: calls.append(a))
+        before = _submitted(services)
+        resp = router.query(op="count", deadline_s=DEADLINE_FLOOR_S / 2)
+        assert resp.status == "shed"
+        assert resp.reason == ErrorCode.DEADLINE_EXCEEDED
+        assert resp.retry_after_s == DEADLINE_FLOOR_S
+        assert not calls
         assert _submitted(services) == before
 
     def test_partials_request_rejected(self, router):

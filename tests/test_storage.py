@@ -15,7 +15,6 @@ from repro.storage import (
     Manifest,
     StorageError,
     StringDictionary,
-    encode_strings,
 )
 from repro.storage import columns
 from repro.storage.columns import DictionaryBuilder, concat_gather
@@ -195,7 +194,9 @@ class TestStringDictionary:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.text(max_size=30), max_size=40))
     def test_encode_decode_property(self, strings):
-        codes, d = encode_strings(strings)
+        b = DictionaryBuilder()
+        codes = b.intern_many(strings)
+        d = b.build()
         assert [d[int(c)] for c in codes] == strings
 
     def test_manifest_size_check(self, tmp_path):

@@ -217,16 +217,3 @@ class TestQuarterKernel:
         n = tu._QUARTER_BLOCK_ROWS * 2 + 7
         idx = np.random.default_rng(0).integers(-(2**31), 2**31, n).astype(np.int32)
         assert np.array_equal(tu.intervals_to_quarters(idx), _datetime64_quarters(idx))
-
-
-class TestCaptureInterval:
-    def test_properties(self):
-        ci = tu.CaptureInterval(96)
-        assert ci.start == dt.datetime(2015, 2, 19)
-        assert ci.end == dt.datetime(2015, 2, 19, 0, 15)
-        assert ci.timestamp == 20150219000000
-        assert ci.quarter == 0
-        assert int(ci) == 96
-
-    def test_ordering(self):
-        assert tu.CaptureInterval(1) < tu.CaptureInterval(2)

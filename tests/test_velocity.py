@@ -94,35 +94,3 @@ class TestWildfireDetection:
 
     def test_high_threshold_empty(self, tiny_store):
         assert detect_wildfires(tiny_store, window=8, min_sources=10**6) == []
-
-
-class TestRepeatArticleRates:
-    def test_brute_force(self, tiny_store):
-        from repro.analysis.velocity import repeat_article_rates
-
-        rates = repeat_article_rates(tiny_store)
-        rows = tiny_store.mention_event_row()
-        sid = np.asarray(tiny_store.mentions["SourceId"])
-        for s in np.unique(sid)[:10]:
-            sel = sid == s
-            pairs = rows[sel]
-            n_repeats = len(pairs) - len(np.unique(pairs))
-            assert rates[s] == pytest.approx(n_repeats / sel.sum())
-
-    def test_range(self, tiny_store):
-        from repro.analysis.velocity import repeat_article_rates
-
-        rates = repeat_article_rates(tiny_store)
-        covered = np.isfinite(rates)
-        assert (rates[covered] >= 0).all()
-        assert (rates[covered] < 1).all()  # the first article never counts
-
-    def test_group_members_have_repeats(self, tiny_store, tiny_ds):
-        """Syndication + popular events produce measurable repeat rates
-        for the top publishers (the Table IV diagonal phenomenon)."""
-        from repro.analysis import top_publishers
-        from repro.analysis.velocity import repeat_article_rates
-
-        rates = repeat_article_rates(tiny_store)
-        top = top_publishers(tiny_store, 10)
-        assert np.nanmean(rates[top]) > 0.01

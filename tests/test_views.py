@@ -374,7 +374,6 @@ class TestPersistence:
         for info in summary.values():
             assert info["error"] is None and not info["rebuilt"]
             assert info["delta_rows"] == 0
-        assert reloaded.get("d").fresh_for(zstore)
         assert reloaded.serve_lookup(op)[1]["view"] == "d"
 
     def test_corrupt_state_file_discarded_and_rebuilt(self, tmp_path, zstore):
@@ -478,6 +477,26 @@ class TestServeIntegration:
         resp = svc.query("mentions", op="count", where=col("Delay") > 42)
         assert resp.status == "ok"
         assert resp.stats["source"] == "scan"
+
+    @pytest.mark.parametrize("skip, source", [(0, "view"), (1, "scan")])
+    def test_time_range_served_only_when_it_covers_the_table(
+        self, served, zstore, skip, source
+    ):
+        """A time range covering every row compiles to the whole table's
+        row range, so its request key is the view's; a strict window's
+        is not."""
+        svc, _cat = served
+        iv = zstore.mentions["MentionInterval"]
+        lo, hi = int(iv[0]) + skip, int(iv[-1]) + 1
+        resp = svc.query(
+            "mentions", op="count", where=col("Delay") > 96, time_range=(lo, hi)
+        )
+        assert resp.stats["source"] == source
+        direct = (
+            zstore.query("mentions").time_range(lo, hi)
+            .filter(col("Delay") > 96).count()
+        )
+        assert resp.value == direct.value
 
     def test_partials_request_never_view_served(self, served):
         svc, _cat = served
@@ -583,8 +602,14 @@ class TestRefresher:
             assert cat.get("bad").last_error == grown.views["bad"]["error"]
             assert grown.views["total"]["error"] is None
             with lc.pin() as lease:
-                assert cat.get("total").fresh_for(lease.store)
-                assert not cat.get("bad").fresh_for(lease.store)
+                n = lease.store.n_rows("mentions")
+                op = ExecutableOp(
+                    lease.store, "mentions", TerminalSpec("count"), None,
+                    slice(0, n),
+                )
+                assert cat.serve_lookup(op)[1]["view"] == "total"
+            # Its refresh never folded, so it has no request key to serve.
+            assert cat.get("bad").refresh_count == 0
         finally:
             lc.close()
 

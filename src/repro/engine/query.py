@@ -62,6 +62,7 @@ __all__ = [
     "aggregated_country_query",
     "bind_terminal",
     "run_batch",
+    "window_rows",
 ]
 
 
@@ -294,6 +295,22 @@ def _scan(ops, group, executor, cancel, out) -> None:
         out[i] = QueryResult(value=value, plan=plan, profile=profile)
 
 
+def window_rows(
+    store: GdeltStore, table: str, window: tuple[int, int] | None
+) -> slice:
+    """The rows of ``table`` a capture window ``[lo, hi)`` selects.
+
+    The whole table without a window; with one, the capture-sorted
+    mentions rows of :meth:`GdeltStore.interval_rows`.  The one place a
+    window becomes rows: a :class:`Query` terminal and a served request
+    (:func:`repro.serve.request.compile_request`) both resolve it here,
+    so a served request and its local twin share one cache key.
+    """
+    if window is None:
+        return slice(0, store.n_rows(table))
+    return store.interval_rows(*window)
+
+
 class Query:
     """A filtered view over one table of a store.
 
@@ -302,6 +319,16 @@ class Query:
         q = store.query("mentions").filter(col("Delay") > 96)
         q.count()                      # QueryResult(value=..., plan=...)
         q.group_by("Quarter").count()  # per-quarter counts
+
+    One builder for every store: a local
+    :class:`~repro.engine.store.GdeltStore` and a
+    :class:`~repro.serve.remote.RemoteStore` both return it from
+    ``query()``.  The store supplies how a terminal runs
+    (``run_terminal(query, spec)``) and how a group key resolves
+    (``group_width(table, key)``); everything else is written here
+    once.  :attr:`rows`, :meth:`explain`, :meth:`mask`,
+    :meth:`with_executor` and :meth:`with_pruning` act on local
+    columns and raise :class:`TypeError` on any other store.
 
     Re-entrancy: a ``Query`` is cheap per-call state — builder methods
     return fresh instances and terminals touch only locals plus the
@@ -314,35 +341,45 @@ class Query:
 
     def __init__(
         self,
-        store: GdeltStore,
+        store,
         table: str,
         where: Expr | None = None,
         executor: Executor | None = None,
-        rows: slice | None = None,
+        window: tuple[int, int] | None = None,
         prune: bool = True,
     ) -> None:
+        store.n_rows(table)  # an unknown table raises ValueError here
         self.store = store
         self.table_name = table
-        self.table = store.table(table)
         self.where = where
         self.executor = executor or SerialExecutor()
+        #: Capture-interval window ``(lo, hi)`` from :meth:`time_range`.
+        self.window = window
         self.prune = prune
-        total = store.n_rows(table)
-        if rows is None:
-            rows = slice(0, total)
-        if not (0 <= rows.start <= rows.stop <= total):
-            raise ValueError(f"row range {rows} outside table of {total} rows")
-        self.rows = rows
         #: Execution profile of the most recent terminal operation run
         #: with observability enabled (None otherwise).
         self.last_profile: QueryProfile | None = None
         #: Plan of the most recent terminal operation.
         self.last_plan: Plan | None = None
 
+    def _local(self, what: str) -> None:
+        if not isinstance(self.store, GdeltStore):
+            raise TypeError(
+                f"{what} needs a local GdeltStore; "
+                f"{type(self.store).__name__} runs terminals on its server"
+            )
+
+    @property
+    def rows(self) -> slice:
+        """The table rows the query's window selects (local stores)."""
+        self._local("rows")
+        return window_rows(self.store, self.table_name, self.window)
+
     @property
     def n_rows(self) -> int:
         """Rows in the query's (possibly time-restricted) view."""
-        return self.rows.stop - self.rows.start
+        rows = self.rows
+        return rows.stop - rows.start
 
     def _clone(self, **kw) -> "Query":
         args = dict(
@@ -350,7 +387,7 @@ class Query:
             table=self.table_name,
             where=self.where,
             executor=self.executor,
-            rows=self.rows,
+            window=self.window,
             prune=self.prune,
         )
         args.update(kw)
@@ -363,11 +400,13 @@ class Query:
 
     def with_executor(self, executor: Executor) -> "Query":
         """Run subsequent terminal operations on ``executor``."""
+        self._local("with_executor")
         return self._clone(executor=executor)
 
     def with_pruning(self, enabled: bool) -> "Query":
         """Enable/disable zone-map pruning (the ablation baseline runs
         with ``False``); results are identical either way."""
+        self._local("with_pruning")
         return self._clone(prune=enabled)
 
     def time_range(self, start_interval: int, end_interval: int) -> "Query":
@@ -377,7 +416,8 @@ class Query:
         The mentions table is stored sorted by capture interval, so the
         restriction is two binary searches narrowing the scanned row
         range — a time slice costs O(log n) plus the rows it selects,
-        never a full-table predicate scan.
+        never a full-table predicate scan.  Chained windows intersect
+        (and may come out empty).
 
         Raises:
             ValueError: on the events table (stored in id order) or an
@@ -387,16 +427,20 @@ class Query:
             raise ValueError("time_range requires the capture-sorted mentions table")
         if end_interval < start_interval:
             raise ValueError("inverted time range")
-        span = self.store.interval_rows(start_interval, end_interval)
-        lo = max(span.start, self.rows.start)
-        hi = min(span.stop, self.rows.stop)
-        return self._clone(rows=slice(lo, max(lo, hi)))
+        lo, hi = start_interval, end_interval
+        if self.window is not None:
+            lo = max(lo, self.window[0])
+            hi = max(lo, min(hi, self.window[1]))
+        return self._clone(window=(lo, hi))
 
     def group_by(self, key: str) -> "GroupedQuery":
         """Group passing rows by a named key (``"Quarter"``,
         ``"SourceCountry"``, any integer column, ...).
 
         See :meth:`GdeltStore.group_key` for the registry.
+
+        Raises:
+            KeyError: unknown group key.
         """
         return GroupedQuery(self, key)
 
@@ -408,16 +452,18 @@ class Query:
         pruned / scanned / mask-free), cache status, and the executor —
         everything the engine decides before running the query.
         """
+        rows = self.rows
         total = self.store.n_rows(self.table_name)
         plan = plan_query(
-            self.store, self.table_name, self.where, self.rows, "explain",
+            self.store, self.table_name, self.where, rows, "explain",
             self.executor, None, prune=self.prune,
         )
         lines = [f"scan {self.table_name}"]
-        if self.n_rows != total:
-            pct = 100.0 * self.n_rows / total if total else 0.0
+        n_rows = rows.stop - rows.start
+        if n_rows != total:
+            pct = 100.0 * n_rows / total if total else 0.0
             lines.append(
-                f"  rows [{self.rows.start:,}, {self.rows.stop:,}) "
+                f"  rows [{rows.start:,}, {rows.stop:,}) "
                 f"of {total:,} ({pct:.1f}%) via sorted-range restriction"
             )
         else:
@@ -457,15 +503,9 @@ class Query:
         return "\n".join(lines)
 
     def _aggregate(self, spec: TerminalSpec) -> QueryResult:
-        """Run one aggregate terminal as a batch of one."""
+        """Run one aggregate terminal on the query's store."""
         spec.validate()
-        op = ExecutableOp(
-            self.store, self.table_name, spec, self.where, self.rows,
-            prune=self.prune,
-        )
-        (result,) = run_batch([op], self.executor)
-        if isinstance(result, Exception):
-            raise result
+        result = self.store.run_terminal(self, spec)
         self.last_plan = result.plan
         if result.profile is not None:
             self.last_profile = result.profile
@@ -477,11 +517,11 @@ class Query:
         """Full boolean filter mask over the view (all-true when
         unfiltered): the filter evaluated directly, neither planned nor
         cached."""
+        rows = self.rows
         if self.where is None:
-            return QueryResult(value=np.ones(self.n_rows, dtype=bool))
-        return QueryResult(
-            value=np.asarray(self.where.evaluate(self.table, self.rows), dtype=bool)
-        )
+            return QueryResult(value=np.ones(rows.stop - rows.start, dtype=bool))
+        cols = self.store.table(self.table_name)
+        return QueryResult(value=np.asarray(self.where.evaluate(cols, rows), dtype=bool))
 
     def count(self) -> QueryResult:
         """Number of rows passing the filter."""
@@ -500,9 +540,10 @@ class GroupedQuery:
     """Grouped aggregation over a query's passing rows.
 
     Built by :meth:`Query.group_by`; the key name resolves through the
-    store's group-key registry (aliases share one canonical name, so
+    store's ``group_width`` (aliases share one canonical name, so
     ``group_by("Quarter")`` and ``group_by("MentionQuarter")`` share
-    cache entries).  Terminals return a :class:`QueryResult` wrapping
+    cache entries; a remote store reads the same answer from its
+    ``meta``).  Terminals return a :class:`QueryResult` wrapping
     arrays of length :attr:`n_groups`.
     """
 

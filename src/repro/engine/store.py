@@ -213,6 +213,21 @@ class GdeltStore:
 
         return Query(self, table)
 
+    def run_terminal(self, query, spec):
+        """Run one :class:`~repro.engine.query.Query` terminal in process:
+        a batch of one through the engine runner
+        (:func:`~repro.engine.query.run_batch`)."""
+        from repro.engine.query import ExecutableOp, run_batch
+
+        op = ExecutableOp(
+            self, query.table_name, spec, query.where, query.rows,
+            prune=query.prune,
+        )
+        (result,) = run_batch([op], query.executor)
+        if isinstance(result, Exception):
+            raise result
+        return result
+
     def interval_rows(self, start_interval: int, end_interval: int) -> slice:
         """Mention rows captured in ``[start_interval, end_interval)``.
 

@@ -41,13 +41,7 @@ from repro.serve.lifecycle import (
     StoreLifecycle,
 )
 from repro.serve.protocol import RETRYABLE_CODES, ErrorCode, store_meta
-from repro.serve.remote import (
-    RemoteError,
-    RemoteGroupedQuery,
-    RemoteQuery,
-    RemoteStore,
-    connect,
-)
+from repro.serve.remote import RemoteError, RemoteStore, connect
 from repro.serve.request import (
     QueryRequest,
     QueryResponse,
@@ -83,8 +77,6 @@ __all__ = [
     "RETRYABLE_CODES",
     "ReloadResult",
     "RemoteError",
-    "RemoteGroupedQuery",
-    "RemoteQuery",
     "RemoteStore",
     "ServeClient",
     "ServeServer",

@@ -27,10 +27,21 @@ import time
 
 from repro.serve.protocol import RETRYABLE_CODES
 
-__all__ = ["ServeClient", "ViewSubscription", "next_backoff"]
+__all__ = ["ServeClient", "ViewSubscription", "next_backoff", "parse_address"]
 
 #: Socket timeout of a subscription's (re)dial and its subscribe handshake.
 _SUBSCRIBE_CONNECT_TIMEOUT_S = 10.0
+#: Cap on a subscription's jittered redial backoff.
+_SUBSCRIBE_MAX_BACKOFF_S = 2.0
+
+
+def parse_address(spec) -> tuple[str, int]:
+    """``"host:port"`` / ``(host, port)`` → ``(host, port)``."""
+    if isinstance(spec, str):
+        host, _, port = spec.rpartition(":")
+        return host or "127.0.0.1", int(port)
+    host, port = spec
+    return str(host), int(port)
 
 
 def next_backoff(
@@ -62,7 +73,6 @@ class ServeClient:
         rng: random.Random | None = None,
     ) -> None:
         self.client_id = client_id
-        self._host, self._port = host, int(port)
         self._rng = rng if rng is not None else random.Random()
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._reader = self._sock.makefile("rb")
@@ -156,15 +166,6 @@ class ServeClient:
             time.sleep(wait)
         return resp
 
-    def subscribe(self, views: list[str], **kw) -> "ViewSubscription":
-        """Open a view subscription to this client's endpoint.
-
-        Subscriptions live on their *own* connection (this client stays
-        free for request/response traffic — pushed frames would desync
-        its blocking :meth:`call` loop).
-        """
-        return ViewSubscription(self._host, self._port, views, **kw)
-
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
@@ -210,18 +211,10 @@ class ViewSubscription:
     succeed.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        views: list[str],
-        max_backoff_s: float = 2.0,
-        rng: random.Random | None = None,
-    ) -> None:
+    def __init__(self, host: str, port: int, views: list[str]) -> None:
         self.views = [str(v) for v in views]
         self._host, self._port = host, int(port)
-        self._max_backoff_s = max_backoff_s
-        self._rng = rng if rng is not None else random.Random()
+        self._rng = random.Random()
         self._events: "queue.Queue" = queue.Queue()
         self._stop = threading.Event()
         self._sock: socket.socket | None = None
@@ -273,7 +266,7 @@ class ViewSubscription:
             if self._stop.is_set() or self._fatal is not None:
                 break
             first = False
-            wait = next_backoff(0.05, prev_wait or 0.05, self._max_backoff_s,
+            wait = next_backoff(0.05, prev_wait or 0.05, _SUBSCRIBE_MAX_BACKOFF_S,
                                 self._rng)
             prev_wait = wait
             if self._stop.wait(wait):

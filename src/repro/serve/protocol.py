@@ -16,13 +16,16 @@ peer reads:
   This is what a :class:`~repro.shard.router.ShardRouter` builds its
   shard map from — the same interval analysis the planner applies per
   chunk, lifted to whole backends.
+* :func:`meta_group_width` — a group key's ``(canonical, n_groups)``
+  read back from that dict, the answer
+  :meth:`~repro.engine.store.GdeltStore.group_width` gives in process.
 """
 
 from __future__ import annotations
 
 import enum
 
-__all__ = ["ErrorCode", "RETRYABLE_CODES", "store_meta"]
+__all__ = ["ErrorCode", "RETRYABLE_CODES", "meta_group_width", "store_meta"]
 
 
 class ErrorCode(str, enum.Enum):
@@ -137,3 +140,32 @@ def store_meta(store) -> dict:
     if shard_stamp is not None:
         meta["shard"] = shard_stamp
     return meta
+
+
+def meta_group_width(meta: dict, table: str, name: str) -> tuple[str, int]:
+    """``(canonical name, n_groups)`` of a group key, from a ``meta`` dict.
+
+    A registered key (or alias) reads its ``groups`` entry; any integer
+    column is ``(f"{table}.{name}", max + 1)`` from its column bounds —
+    the answers :meth:`~repro.engine.store.GdeltStore.group_width`
+    gives for the store that wrote the dict.
+
+    Raises:
+        KeyError: unknown group key (or a non-integer column).
+    """
+    groups = meta.get("groups", {}).get(table, {})
+    entry = groups.get(name)
+    if entry is not None:
+        return str(entry["canonical"]), int(entry["n_groups"])
+    columns = meta.get("tables", {}).get(table, {}).get("columns", {})
+    bounds = columns.get(name)
+    if (
+        bounds is not None
+        and bounds.get("max") is not None
+        and str(bounds.get("dtype", "")).startswith(("int", "uint"))
+    ):
+        return f"{table}.{name}", int(bounds["max"]) + 1
+    raise KeyError(
+        f"unknown group key {name!r} for table {table!r}; "
+        f"available: {', '.join(sorted(set(groups) | set(columns)))}"
+    )

@@ -1,9 +1,13 @@
 """``repro.connect()`` — the local query surface over a remote server.
 
 :class:`RemoteStore` speaks the LDJSON protocol to a single server or a
-shard router (they are indistinguishable on the wire) and exposes the
-same fluent query surface as a local
-:class:`~repro.engine.store.GdeltStore`::
+shard router (they are indistinguishable on the wire).  Its ``query()``
+returns the one fluent builder, :class:`~repro.engine.query.Query`, that
+a local :class:`~repro.engine.store.GdeltStore` returns too; the store
+supplies only how a terminal runs (:meth:`RemoteStore.run_terminal`, one
+wire request) and how a group key resolves
+(:meth:`RemoteStore.group_width`, read from the ``meta`` fetched at
+connect)::
 
     store = repro.connect("127.0.0.1:7311")
     q = store.query("mentions").filter(col("Delay") > 96)
@@ -24,18 +28,20 @@ surfaced as :class:`RemoteError` with the server's machine-readable
 reason and retry hint once the client-side retry budget is exhausted;
 ``PARTIAL_RESULT`` responses from a degraded router are *returned*,
 with the missing shard ids in ``result.stats["missing_shards"]``.
+What acts on local columns — ``rows``, ``.mask()``, ``.explain()``,
+``with_executor`` and ``with_pruning`` — raises :class:`TypeError`.
 """
 
 from __future__ import annotations
 
-from repro.engine.expr import Expr, to_conjuncts
+from repro.engine.expr import to_conjuncts
 from repro.engine.planner import Plan, ScanUnit
-from repro.engine.query import QueryResult
+from repro.engine.query import Query, QueryResult
 from repro.engine.terminal import TerminalSpec
-from repro.serve.client import ServeClient
-from repro.serve.protocol import ErrorCode
+from repro.serve.client import ServeClient, parse_address
+from repro.serve.protocol import ErrorCode, meta_group_width
 
-__all__ = ["RemoteError", "RemoteGroupedQuery", "RemoteQuery", "RemoteStore", "connect"]
+__all__ = ["RemoteError", "RemoteStore", "connect"]
 
 
 class RemoteError(RuntimeError):
@@ -92,11 +98,7 @@ class RemoteStore:
         retries: int = 2,
         deadline_s: float | None = None,
     ) -> None:
-        if isinstance(address, str):
-            host, _, port = address.rpartition(":")
-            self.host, self.port = host or "127.0.0.1", int(port)
-        else:
-            self.host, self.port = str(address[0]), int(address[1])
+        self.host, self.port = parse_address(address)
         self.retries = int(retries)
         self.deadline_s = deadline_s
         self._client = ServeClient(
@@ -108,12 +110,29 @@ class RemoteStore:
 
     # -- store-shaped surface ----------------------------------------------
 
-    def query(self, table: str = "mentions") -> "RemoteQuery":
-        """A fluent query over one remote table (rich terminals)."""
-        return RemoteQuery(self, table)
+    def query(self, table: str = "mentions") -> Query:
+        """A fluent query over one remote table."""
+        return Query(self, table)
 
     def n_rows(self, table: str) -> int:
-        return int(self.meta.get("tables", {}).get(table, {}).get("rows", 0))
+        """Row count of a remote table.
+
+        Raises:
+            ValueError: a table the server does not describe.
+        """
+        tables = self.meta.get("tables", {})
+        if table not in tables:
+            raise ValueError(f"unknown table {table!r} (expected events or mentions)")
+        return int(tables[table].get("rows", 0))
+
+    def group_width(self, table: str, name: str) -> tuple[str, int]:
+        """``(canonical name, n_groups)`` of a group key, from ``meta``
+        (:func:`~repro.serve.protocol.meta_group_width`).
+
+        Raises:
+            KeyError: unknown group key.
+        """
+        return meta_group_width(self.meta, table, name)
 
     @property
     def n_events(self) -> int:
@@ -130,7 +149,30 @@ class RemoteStore:
             int(self.meta.get("generation", 0)),
         )
 
-    # -- plumbing ----------------------------------------------------------
+    # -- execution ---------------------------------------------------------
+
+    def run_terminal(self, query: Query, spec: TerminalSpec) -> QueryResult:
+        """Run one terminal as one wire request; values are revived with
+        the local dtypes and the plan is rebuilt from the serving stats."""
+        resp = self._call(
+            table=query.table_name,
+            op=spec.op,
+            where=to_conjuncts(query.where) or None,
+            column=spec.column,
+            group_by=spec.group,
+            time_range=query.window,
+            deadline_s=self.deadline_s,
+            k=spec.k,
+        )
+        stats = dict(resp.get("stats") or {})
+        if resp.get("status") == "partial":
+            stats["missing_shards"] = list(resp.get("missing_shards") or [])
+            stats["reason"] = str(ErrorCode.PARTIAL_RESULT)
+        return QueryResult(
+            value=spec.bind().revive(resp.get("value")),
+            plan=_synthesize_plan(query, spec.op_name, stats),
+            stats=stats,
+        )
 
     def _call(self, **kw) -> dict:
         resp = self._client.query(retries=self.retries, **kw)
@@ -162,161 +204,32 @@ class RemoteStore:
         return f"RemoteStore({self.host}:{self.port})"
 
 
-class RemoteQuery:
-    """Mirror of :class:`~repro.engine.query.Query` over the wire.
+def _synthesize_plan(query: Query, op_name: str, stats: dict) -> Plan:
+    """A local-shaped plan from the server's execution accounting.
 
-    Builder methods return fresh instances; terminals run one wire
-    request and return :class:`QueryResult`.
+    ``rows_planned``/``chunks_*`` come from the backend planner (or the
+    router's shards-as-chunks accounting); the single synthetic scan
+    unit keeps ``Plan.rows_planned`` — a property summed over units —
+    truthful.
     """
-
-    def __init__(
-        self,
-        store: RemoteStore,
-        table: str,
-        where: Expr | None = None,
-        rows: tuple[int, int] | None = None,
-    ) -> None:
-        self.store = store
-        self.table_name = table
-        self.where = where
-        self._range = rows
-
-    def _clone(self, **kw) -> "RemoteQuery":
-        args = dict(
-            store=self.store, table=self.table_name, where=self.where,
-            rows=self._range,
-        )
-        args.update(kw)
-        return RemoteQuery(**args)
-
-    def filter(self, expr: Expr) -> "RemoteQuery":
-        """Add a conjunct to the filter; returns a new query."""
-        combined = expr if self.where is None else (self.where & expr)
-        return self._clone(where=combined)
-
-    def time_range(self, start_interval: int, end_interval: int) -> "RemoteQuery":
-        """Restrict to capture intervals in [start, end) (mentions only)."""
-        if self.table_name != "mentions":
-            raise ValueError("time_range requires the mentions table")
-        if end_interval < start_interval:
-            raise ValueError("inverted time range")
-        lo, hi = int(start_interval), int(end_interval)
-        if self._range is not None:  # chained ranges intersect, as locally
-            lo = max(lo, self._range[0])
-            hi = max(lo, min(hi, self._range[1]))
-        return self._clone(rows=(lo, hi))
-
-    def group_by(self, key: str) -> "RemoteGroupedQuery":
-        """Group passing rows by a named key (server-side registry)."""
-        return RemoteGroupedQuery(self, key)
-
-    # -- terminals ---------------------------------------------------------
-
-    def count(self) -> QueryResult:
-        """Number of rows passing the filter."""
-        return self._run("count")
-
-    def sum(self, column: str) -> QueryResult:
-        """Sum of a column over passing rows."""
-        return self._run("sum", column=column)
-
-    def mean(self, column: str) -> QueryResult:
-        """Mean of a column over passing rows (NaN when empty)."""
-        return self._run("mean", column=column)
-
-    # -- execution ---------------------------------------------------------
-
-    def _run(
-        self,
-        op: str,
-        column: str | None = None,
-        group_by: str | None = None,
-        k: int | None = None,
-    ) -> QueryResult:
-        spec = TerminalSpec(op, column, group_by, k)
-        spec.validate()
-        conjuncts = to_conjuncts(self.where) if self.where is not None else []
-        resp = self.store._call(
-            table=self.table_name,
-            op=op,
-            where=conjuncts or None,
-            column=column,
-            group_by=group_by,
-            time_range=self._range,
-            deadline_s=self.store.deadline_s,
-            k=k,
-        )
-        stats = dict(resp.get("stats") or {})
-        if resp.get("status") == "partial":
-            stats["missing_shards"] = list(resp.get("missing_shards") or [])
-            stats["reason"] = str(ErrorCode.PARTIAL_RESULT)
-        return QueryResult(
-            value=spec.bind().revive(resp.get("value")),
-            plan=self._synthesize_plan(spec.op_name, stats),
-            stats=stats,
-        )
-
-    def _synthesize_plan(self, op_name: str, stats: dict) -> Plan:
-        """A local-shaped plan from the server's execution accounting.
-
-        ``rows_planned``/``chunks_*`` come from the backend planner (or
-        the router's shards-as-chunks accounting); the single synthetic
-        scan unit keeps ``Plan.rows_planned`` — a property summed over
-        units — truthful.
-        """
-        rows_total = int(stats.get("rows_total", 0))
-        rows_planned = int(stats.get("rows_planned", rows_total))
-        units = (
-            [ScanUnit(rows=slice(0, rows_planned), need_mask=self.where is not None)]
-            if rows_planned
-            else []
-        )
-        return Plan(
-            table=self.table_name,
-            rows=slice(0, rows_total),
-            op=op_name,
-            where_canonical=str(self.where) if self.where is not None else None,
-            units=units,
-            n_chunks_total=int(stats.get("chunks_total", 0)),
-            n_chunks_pruned=int(stats.get("chunks_pruned", 0)),
-            n_chunks_full=int(stats.get("chunks_full", 0)),
-            pruning=str(stats.get("pruning", "unavailable")),
-            cache_status=str(stats.get("cache", "off")),
-            source=str(stats.get("source", "scan")),
-        )
-
-
-class RemoteGroupedQuery:
-    """Mirror of :class:`~repro.engine.query.GroupedQuery` over the wire."""
-
-    def __init__(self, query: RemoteQuery, key: str) -> None:
-        self._q = query
-        self.key = key
-        entry = (
-            query.store.meta.get("groups", {})
-            .get(query.table_name, {})
-            .get(key)
-        )
-        #: Global group-key cardinality when the server's registry knows
-        #: the key; None for raw integer columns (the server derives it).
-        self.n_groups = int(entry["n_groups"]) if entry else None
-
-    def count(self) -> QueryResult:
-        """Rows per group."""
-        return self._q._run("count", group_by=self.key)
-
-    def sum(self, column: str) -> QueryResult:
-        """Sum of ``column`` per group."""
-        return self._q._run("sum", column=column, group_by=self.key)
-
-    def mean(self, column: str) -> QueryResult:
-        """Mean of ``column`` per group (NaN for empty groups)."""
-        return self._q._run("mean", column=column, group_by=self.key)
-
-    def stats(self, column: str) -> QueryResult:
-        """min/max/mean/median of ``column`` per group."""
-        return self._q._run("stats", column=column, group_by=self.key)
-
-    def top(self, k: int) -> QueryResult:
-        """The ``k`` busiest groups (descending count, ascending key ties)."""
-        return self._q._run("top", group_by=self.key, k=k)
+    rows_total = int(stats.get("rows_total", 0))
+    rows_planned = int(stats.get("rows_planned", rows_total))
+    where = query.where
+    units = (
+        [ScanUnit(rows=slice(0, rows_planned), need_mask=where is not None)]
+        if rows_planned
+        else []
+    )
+    return Plan(
+        table=query.table_name,
+        rows=slice(0, rows_total),
+        op=op_name,
+        where_canonical=str(where) if where is not None else None,
+        units=units,
+        n_chunks_total=int(stats.get("chunks_total", 0)),
+        n_chunks_pruned=int(stats.get("chunks_pruned", 0)),
+        n_chunks_full=int(stats.get("chunks_full", 0)),
+        pruning=str(stats.get("pruning", "unavailable")),
+        cache_status=str(stats.get("cache", "off")),
+        source=str(stats.get("source", "scan")),
+    )

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.engine.expr import Expr, parse_conjuncts
-from repro.engine.query import ExecutableOp
+from repro.engine.query import ExecutableOp, window_rows
 from repro.engine.store import GdeltStore
 from repro.engine.terminal import TerminalSpec, jsonable
 from repro.serve.protocol import ErrorCode
@@ -95,19 +95,17 @@ class QueryRequest:
 def compile_request(store: GdeltStore, req: QueryRequest) -> ExecutableOp:
     """Compile one request into the engine op ``store.query(...)`` runs.
 
-    A ``time_range`` becomes the capture-sorted row range, exactly as
-    :meth:`~repro.engine.query.Query.time_range` narrows it, so a served
-    request and its local twin share one cache key.
+    A ``time_range`` becomes rows through
+    :func:`~repro.engine.query.window_rows`, the function a
+    :class:`~repro.engine.query.Query` terminal resolves its window
+    with, so a served request and its local twin share one cache key.
 
     Raises:
         KeyError / ValueError: unknown column or group key — surfaced
         to the client as an ``error`` response, never a crash.
     """
     req.validate()
-    if req.time_range is not None:
-        rows = store.interval_rows(*req.time_range)
-    else:
-        rows = slice(0, store.n_rows(req.table))
+    rows = window_rows(store, req.table, req.time_range)
     return ExecutableOp(
         store, req.table, req.terminal(), req.where, rows, partials=req.partials
     )

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.expr import Expr
+from repro.serve.protocol import meta_group_width
 
 __all__ = ["ShardInfo", "ShardMap"]
 
@@ -44,10 +45,6 @@ class ShardInfo:
     def columns(self, table: str) -> dict:
         """Per-column ``{min, max, nulls}`` bounds (may be empty)."""
         return self.meta.get("tables", {}).get(table, {}).get("columns", {})
-
-    def n_groups(self, table: str, alias: str) -> int | None:
-        entry = self.meta.get("groups", {}).get(table, {}).get(alias)
-        return None if entry is None else int(entry["n_groups"])
 
     def __repr__(self) -> str:
         host, port = self.address
@@ -99,6 +96,8 @@ class ShardMap:
         if not shards:
             raise ValueError("a shard map needs at least one shard")
         self.shards = list(shards)
+        #: Shard metas are read once, at enrollment, so the merge is too.
+        self._meta = self.merged_meta()
 
     def __len__(self) -> int:
         return len(self.shards)
@@ -116,24 +115,20 @@ class ShardMap:
         return sum(s.rows(table) for s in self.shards)
 
     def n_groups(self, table: str, key: str) -> int | None:
-        """Global group-key cardinality (``None`` when unknown).
+        """Global group-key cardinality (``None`` for an unknown key).
 
-        For a registered key the max over shards is exact: every row
-        lives on some shard, and a shard's local cardinality is the max
-        key it holds plus one.  Any other key is a raw integer column,
-        whose cardinality comes from the zone bounds (mirrors
-        :meth:`GdeltStore.group_width`'s fallback).
+        :func:`~repro.serve.protocol.meta_group_width` over
+        :meth:`merged_meta`, the helper a
+        :class:`~repro.serve.remote.RemoteStore` reads its widths with.
+        For a registered key the merged entry is the max over shards,
+        which is exact: every row lives on some shard, and a shard's
+        local cardinality is the max key it holds plus one.  An integer
+        column's width is its merged max plus one.
         """
-        vals = [n for s in self.shards if (n := s.n_groups(table, key)) is not None]
-        if vals:
-            return max(vals)
-        his = []
-        for s in self.shards:
-            bounds = s.columns(table).get(key)
-            if bounds is None or bounds.get("max") is None:
-                return None
-            his.append(int(bounds["max"]))
-        return max(his) + 1 if his else None
+        try:
+            return meta_group_width(self._meta, table, key)[1]
+        except KeyError:
+            return None
 
     def column_dtype(self, table: str, column: str) -> str | None:
         """The column's numpy dtype name, if every shard agrees on it.

@@ -43,13 +43,13 @@ from repro.engine.expr import to_conjuncts
 from repro.engine.terminal import TerminalSpec
 from repro.obs import metrics as _metrics
 from repro.serve.breaker import BreakerBoard
-from repro.serve.client import ServeClient
+from repro.serve.client import ServeClient, parse_address
 from repro.serve.protocol import ErrorCode
 from repro.serve.request import QueryRequest, QueryResponse
 from repro.serve.service import PendingRequest
 from repro.shard.map import ShardInfo, ShardMap
 
-__all__ = ["ShardRouter", "parse_address"]
+__all__ = ["ShardRouter"]
 
 logger = logging.getLogger(__name__)
 
@@ -59,15 +59,8 @@ DEADLINE_FRACTION = 0.9
 #: Below this remaining budget the router sheds ``DEADLINE_EXCEEDED``
 #: without any fan-out (and hints this long a retry).
 DEADLINE_FLOOR_S = 0.02
-
-
-def parse_address(spec) -> tuple[str, int]:
-    """``"host:port"`` / ``(host, port)`` → ``(host, port)``."""
-    if isinstance(spec, str):
-        host, _, port = spec.rpartition(":")
-        return host or "127.0.0.1", int(port)
-    host, port = spec
-    return str(host), int(port)
+#: Per-connection socket timeout to a backend (bounds a hung shard).
+SHARD_TIMEOUT_S = 30.0
 
 
 class _ClientPool:
@@ -79,9 +72,8 @@ class _ClientPool:
     mid-call is discarded, never reused.
     """
 
-    def __init__(self, address: tuple[str, int], timeout_s: float) -> None:
+    def __init__(self, address: tuple[str, int]) -> None:
         self.address = address
-        self.timeout_s = timeout_s
         self._free: list[ServeClient] = []
         self._lock = threading.Lock()
 
@@ -90,7 +82,7 @@ class _ClientPool:
             if self._free:
                 return self._free.pop()
         host, port = self.address
-        return ServeClient(host, port, timeout=self.timeout_s, client_id="router")
+        return ServeClient(host, port, timeout=SHARD_TIMEOUT_S, client_id="router")
 
     def release(self, client: ServeClient) -> None:
         with self._lock:
@@ -120,9 +112,10 @@ class ShardRouter:
         partial_ok: with shards missing, answer ``status="partial"``
             (reason ``PARTIAL_RESULT``, missing ids listed) instead of
             failing the request with ``SHARD_UNAVAILABLE``.
-        timeout_s: per-connection socket timeout (bounds a hung shard).
-        breakers: per-shard circuit breakers (class = shard id); a
-            fresh board by default.
+
+    Each backend connection times out after :data:`SHARD_TIMEOUT_S`, and
+    each shard has its own circuit breaker in :attr:`breakers` (class =
+    shard id).
 
     A group-``stats`` query whose every shard was pruned answers with
     the merge of no partials, bound to the value column's dtype (from
@@ -130,25 +123,18 @@ class ShardRouter:
     a scanned run's.
     """
 
-    def __init__(
-        self,
-        backends,
-        partial_ok: bool = False,
-        timeout_s: float = 30.0,
-        breakers: BreakerBoard | None = None,
-    ) -> None:
+    def __init__(self, backends, partial_ok: bool = False) -> None:
         addresses = [parse_address(b) for b in backends]
         if not addresses:
             raise ValueError("a shard router needs at least one backend")
         self.partial_ok = bool(partial_ok)
-        self.timeout_s = float(timeout_s)
-        self.breakers = breakers if breakers is not None else BreakerBoard()
+        self.breakers = BreakerBoard()
         self._pools: dict[str, _ClientPool] = {}
         shards: list[ShardInfo] = []
         for i, address in enumerate(addresses):
             shard = self._enroll(i, address)
             shards.append(shard)
-            self._pools[shard.shard_id] = _ClientPool(address, self.timeout_s)
+            self._pools[shard.shard_id] = _ClientPool(address)
         self.map = ShardMap(shards)
         self._fanout = ThreadPoolExecutor(
             max_workers=max(4, 2 * len(shards)), thread_name_prefix="shard-fanout"
@@ -165,7 +151,7 @@ class ShardRouter:
     def _enroll(self, index: int, address: tuple[str, int]) -> ShardInfo:
         """Read one backend's self-description; refuse another router."""
         host, port = address
-        client = ServeClient(host, port, timeout=self.timeout_s, client_id="router")
+        client = ServeClient(host, port, timeout=SHARD_TIMEOUT_S, client_id="router")
         try:
             meta = client.meta()
         finally:

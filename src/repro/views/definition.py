@@ -13,10 +13,12 @@ lets :class:`~repro.serve.service.QueryService` recognise "this wire
 request IS that view" without any per-request matching heuristics.
 
 Definitions are append-only-friendly by construction: ``time_range``
-restrictions are rejected (row positions shift as the table grows, so
-a positional window is not incrementally maintainable), and the group
-key is stored under its *canonical* registry name so aliases
-(``Quarter`` / ``MentionQuarter``) resolve to one view.
+restrictions are rejected (rows past the window arrive as the table
+grows, so a windowed query is not incrementally maintainable).  The
+group key is stored under the name the query used, which every store's
+registry resolves; aliases (``Quarter`` / ``MentionQuarter``) still
+answer as one view, because a view is matched by its request key,
+whose terminal signature carries the canonical name.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.engine.expr import Expr, parse_conjuncts, to_conjuncts
+from repro.engine.query import GroupedQuery
 from repro.engine.terminal import TerminalSpec
 
 __all__ = ["ViewDefinition"]
@@ -43,7 +46,7 @@ class ViewDefinition:
             views additionally allow ``stats``/``top``).
         where: textual predicate conjuncts, ANDed (wire grammar only).
         column: aggregated column for ``sum``/``mean``/``stats``.
-        group_by: group-key name (canonicalised at registration).
+        group_by: group-key name (any registered name or alias).
         k: ``top`` views only — how many groups to keep.
     """
 
@@ -81,15 +84,15 @@ class ViewDefinition:
         the same restriction remote queries live under.
 
         Raises:
-            ValueError: on a time-restricted query (not incrementally
+            ValueError: on a query carrying a ``time_range`` window, even
+                one that covers every current row (not incrementally
                 maintainable), an inexpressible filter, or a bad name.
         """
         group_by = None
-        if hasattr(query, "_q") and hasattr(query, "key"):  # GroupedQuery
-            group_by = query.key
+        if isinstance(query, GroupedQuery):
+            group_by = query._name
             query = query._q
-        total = query.store.n_rows(query.table_name)
-        if (query.rows.start, query.rows.stop) != (0, total):
+        if query.window is not None:
             raise ValueError(
                 "materialized views cover whole tables; a time_range view "
                 "is not incrementally maintainable (row positions shift "

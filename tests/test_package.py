@@ -236,6 +236,37 @@ class TestOneSpelling:
             f"join mentions to events through mention_event_row(): {offenders}"
         )
 
+    def test_one_query_builder(self):
+        """The fluent builder is written once, ``repro.engine.query``:
+        no other module defines ``group_by`` or ``time_range``, so a
+        local and a remote store cannot drift apart."""
+        src = Path(repro.__file__).resolve().parent
+        builder = src / "engine" / "query.py"
+        defines = re.compile(r"\bdef (group_by|time_range)\(")
+        offenders = [
+            f"{path.relative_to(src)}:{n}"
+            for path in sorted(src.rglob("*.py"))
+            if path != builder
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if defines.search(line)
+        ]
+        assert not offenders, f"only engine/query.py builds queries: {offenders}"
+
+    def test_one_window_resolution(self):
+        """A capture window becomes rows in one place: outside the store
+        itself, ``interval_rows`` is called exactly once (by
+        ``repro.engine.query.window_rows``)."""
+        src = Path(repro.__file__).resolve().parent
+        calls = re.compile(r"(?<!def )\binterval_rows\(")
+        sites = [
+            f"{path.relative_to(src)}:{n}"
+            for path in sorted(src.rglob("*.py"))
+            if path != src / "engine" / "store.py"
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if calls.search(line)
+        ]
+        assert len(sites) == 1 and sites[0].startswith("engine/query.py"), sites
+
     def test_engine_imports_no_upper_layer(self):
         """The engine sits below serving, sharding, views and QA."""
         src = Path(repro.__file__).resolve().parent

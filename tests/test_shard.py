@@ -29,7 +29,7 @@ import pytest
 import repro
 from repro import faults
 from repro.engine import GdeltStore, col
-from repro.engine.query import QueryResult
+from repro.engine.query import Query, QueryResult
 from repro.engine.terminal import TerminalSpec, jsonable
 from repro.ingest.direct import dataset_to_binary
 from repro.obs import metrics as _metrics
@@ -684,6 +684,7 @@ class TestRemoteStore:
         assert 0 < want[-2] < full_store.n_mentions and want[-1] == 0
 
     def test_result_shape(self, remote):
+        assert type(remote.query("mentions")) is Query  # the one builder
         r = remote.query("mentions").filter(col("Delay") > 96).count()
         assert isinstance(r, QueryResult)
         assert r.plan.op == "count"
@@ -702,6 +703,49 @@ class TestRemoteStore:
             remote.query("mentions").filter(
                 (col("Delay") > 96) | (col("Delay") < 2)
             ).count()
+        with pytest.raises(ValueError, match="unknown table"):
+            remote.query("nope")
+        # What acts on local columns fails loudly, never silently ignored.
+        with pytest.raises(TypeError):
+            remote.query("mentions").with_pruning(False).count()
+        with pytest.raises(TypeError):
+            remote.query("mentions").explain()
+        with pytest.raises(TypeError):
+            remote.query("mentions").mask()
+
+    @pytest.mark.parametrize("key", ["Quarter", "Source", "Delay"])
+    def test_group_by_parity(self, remote, full_store, key):
+        local = full_store.query("mentions").group_by(key)
+        there = remote.query("mentions").group_by(key)
+        assert (there.key, there.n_groups) == (local.key, local.n_groups)
+
+    def test_unknown_group_key_raises_at_group_by(self, remote, full_store):
+        for store in (remote, full_store):
+            with pytest.raises(KeyError, match="NoSuchKey"):
+                store.query("mentions").group_by("NoSuchKey")
+
+    def test_wire_request_unchanged(self, endpoint):
+        """A filtered, windowed, grouped ``top(k)`` chain sends exactly
+        the request dict the dedicated remote builder used to send."""
+        with repro.connect(endpoint, deadline_s=2.0, client_id="probe") as store:
+            sent = []
+            call = store._client.call
+            store._client.call = lambda obj: sent.append(dict(obj)) or call(obj)
+            (
+                store.query("mentions")
+                .filter(col("Delay") > 96)
+                .filter(col("Confidence") >= 50)
+                .time_range(40_000, 170_000)
+                .time_range(0, 160_000)
+                .group_by("Source")
+                .top(5)
+            )
+        assert sent == [{
+            "kind": "query", "table": "mentions", "op": "top",
+            "where": ["Delay > 96", "Confidence >= 50"], "group_by": "Source",
+            "time_range": [40000, 160000], "deadline_s": 2.0, "k": 5,
+            "client_id": "probe", "id": "c1",
+        }]
 
     def test_bad_request_raises_remote_error(self, remote):
         with pytest.raises(RemoteError) as exc:

@@ -106,13 +106,36 @@ class TestViewDefinition:
         d = ViewDefinition.from_query("delayed", q, op="count")
         assert d.table == "mentions"
         assert d.op == "count"
-        assert d.group_by == q.key
+        assert d.group_by == "Quarter"  # a name the registry resolves
         assert d.where and "Delay" in d.where[0]
+        cat = ViewCatalog(None)
+        cat.create(d)
+        assert cat.refresh(zstore)["delayed"]["error"] is None
+        assert_same_value(cat.get("delayed").value(), q.count().value)
 
     def test_from_query_rejects_time_range(self, zstore):
         q = zstore.query("mentions").time_range(0, 10_000)
         with pytest.raises(ValueError, match="time_range"):
             ViewDefinition.from_query("windowed", q, op="count")
+
+    def test_from_query_rejects_window_covering_every_row(self, tiny_arrays):
+        """A window past the last row today still excludes tomorrow's
+        rows: a store cut at the median capture interval answers
+        ``time_range(0, mid)`` with every row it has, yet the window is
+        no whole-table view once the store grows."""
+        events, mentions, dicts = tiny_arrays
+        mid = int(np.median(mentions["MentionInterval"]))
+        keep = np.asarray(mentions["MentionInterval"]) < mid
+        prefix = GdeltStore.from_arrays(
+            events, {c: a[keep] for c, a in mentions.items()}, dicts,
+            zone_chunk_rows=ZONE_CHUNK_ROWS,
+        )
+        q = prefix.query("mentions").time_range(0, mid)
+        assert q.n_rows == prefix.n_mentions
+        with pytest.raises(ValueError, match="time_range"):
+            ViewDefinition.from_query("windowed", q, op="count")
+        with pytest.raises(ValueError, match="time_range"):
+            ViewDefinition.from_query("windowed", q.group_by("Quarter"), op="count")
 
     def test_validate_rejects_bad_shapes(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,9 @@ seconds to build).  Set ``REPRO_BENCH_PRESET=calibrated`` for the
 
 Every bench writes its paper-style output to ``benchmarks/out/<id>.txt``
 in addition to timing the kernel, so a ``--benchmark-only`` run leaves a
-full set of reproduced tables behind.
+full set of reproduced tables behind.  An untimed ``--benchmark-disable``
+pass writes them to a temporary directory instead, so the smoke run
+leaves the tracked tables as they are.
 """
 
 from __future__ import annotations
@@ -63,7 +65,9 @@ def country_result(bench_store):
 
 
 @pytest.fixture(scope="session")
-def out_dir() -> Path:
+def out_dir(request, tmp_path_factory) -> Path:
+    if request.config.getoption("benchmark_disable"):
+        return tmp_path_factory.mktemp("out")
     OUT_DIR.mkdir(exist_ok=True)
     return OUT_DIR
 

@@ -10,29 +10,42 @@ Table II audit.
 :mod:`repro.ingest.direct` is the vectorized fast path that converts an
 in-memory synthetic dataset straight to the binary format (or to a live
 store), bypassing TSV — used by benchmarks that do not measure ingest.
+
+The names below resolve lazily, on first attribute access (PEP 562), as
+:mod:`repro` does, so a process pays only for the code it runs: ``import
+repro.ingest.direct`` runs this file first, and an eager import here
+would load the raw-archive converter, the live follower and the engine
+into a process that only writes a synthetic dataset.  ``from
+repro.ingest import LiveFollower`` and ``from repro.ingest import *``
+both resolve through :func:`__getattr__`.
 """
 
-from repro.ingest.fetch import LocalFetcher, FetchResult, RetryPolicy, RetryingFetcher
-from repro.ingest.validate import ProblemReport
-from repro.ingest.accumulate import EventAccumulator, MentionAccumulator
-from repro.ingest.checkpoint import CheckpointJournal
-from repro.ingest.convert import convert_raw_to_binary, ConversionResult
-from repro.ingest.direct import dataset_to_binary, dataset_to_arrays
-from repro.ingest.stream import LiveFollower, PollResult
+import importlib
 
-__all__ = [
-    "LocalFetcher",
-    "FetchResult",
-    "RetryPolicy",
-    "RetryingFetcher",
-    "CheckpointJournal",
-    "ProblemReport",
-    "EventAccumulator",
-    "MentionAccumulator",
-    "convert_raw_to_binary",
-    "ConversionResult",
-    "dataset_to_binary",
-    "dataset_to_arrays",
-    "LiveFollower",
-    "PollResult",
-]
+#: Public name → the submodule that defines it.
+_EXPORTS = {
+    "LocalFetcher": "fetch",
+    "FetchResult": "fetch",
+    "RetryPolicy": "fetch",
+    "RetryingFetcher": "fetch",
+    "CheckpointJournal": "checkpoint",
+    "ProblemReport": "validate",
+    "EventAccumulator": "accumulate",
+    "MentionAccumulator": "accumulate",
+    "convert_raw_to_binary": "convert",
+    "ConversionResult": "convert",
+    "dataset_to_binary": "direct",
+    "dataset_to_arrays": "direct",
+    "LiveFollower": "stream",
+    "PollResult": "stream",
+}
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro.ingest' has no attribute {name!r}")
+    return getattr(importlib.import_module(f"repro.ingest.{module}"), name)
+
+
+__all__ = list(_EXPORTS)

@@ -23,6 +23,7 @@ import numpy as np
 from repro.gdelt.csv_io import event_columns, mention_columns, numeric_root_codes
 from repro.gdelt.time_util import timestamps_to_intervals
 from repro.ingest.validate import ProblemReport
+from repro.kernels import stable_order
 from repro.storage.columns import (
     DictionaryBuilder,
     StringDictionary,
@@ -93,7 +94,7 @@ class _Accumulator:
         lo, hi = self._sorted, self._rows
         if hi > lo:
             key = self._bufs[self._key]
-            order = np.argsort(key[lo:hi], kind="stable")
+            order = stable_order(key[lo:hi])
             tail = {name: buf[lo:hi][order] for name, buf in self._bufs.items()}
             if lo == 0 or tail[self._key][0] >= key[lo - 1]:
                 for name, buf in self._bufs.items():

@@ -6,12 +6,17 @@ in-memory arrays of a :class:`~repro.synth.generator.SyntheticDataset`,
 skipping TSV serialization and parsing.  Benchmarks that measure *query*
 performance (not ingest) build their stores this way.
 
-Every column is array work, the URL dictionaries included: they are
-gathered from per-site, per-event and per-repeat pieces
+Every column is array work, the URL dictionaries included: the mention
+URLs are gathered from per-site, per-event and per-repeat pieces
 (:meth:`~repro.synth.generator.SyntheticDataset.article_urls`), never
-formatted per article.  ``include_urls=False`` still chooses the data
-shape — no URL dictionaries, -1 id columns — for experiments that do
-not display URLs.
+formatted per article, and built once — the event URLs are gathered
+from them at each event's seed mention.  ``include_urls=False`` still
+chooses the data shape — no URL dictionaries, -1 id columns — for
+experiments that do not display URLs.
+
+Importing this module loads the storage writer, not the rest of
+:mod:`repro.ingest` (whose names resolve lazily), so a process that
+only writes a synthetic dataset pays for nothing else.
 """
 
 from __future__ import annotations
@@ -93,9 +98,10 @@ def dataset_to_arrays(
     }
 
     if include_urls:
-        dictionaries["mention_urls"] = ds.mention_urls()
+        urls = ds.mention_urls()
+        dictionaries["mention_urls"] = urls
         mentions["UrlId"] = np.arange(mt.n_mentions, dtype=np.int32)
-        dictionaries["event_urls"] = ds.event_urls()
+        dictionaries["event_urls"] = ds.event_urls(urls)
         events["SourceURLId"] = np.arange(ev.n_events, dtype=np.int32)
     else:
         mentions["UrlId"] = np.full(mt.n_mentions, -1, dtype=np.int32)

@@ -11,6 +11,13 @@ an adjacent-difference mask is ~40x faster — 411 k int64 keys take
 ~5 ms instead of 220-290 ms on a 2-core x86 host — and returns the
 same array.
 
+:func:`stable_order` is the one spelling of "the stable sorting
+permutation of integer keys".  NumPy radix-sorts 8- and 16-bit keys but
+merge-sorts wider ones; non-negative keys below 2**32 (intervals, event
+ids, packed ``row * k + key`` pairs) sort as two stable 16-bit radix
+passes instead, least significant half first — the same permutation,
+~10 ms instead of ~45 ms for 415 k int64 keys on the same host.
+
 :func:`cooccurrence` counts, for every pair of keys, the groups that
 hold both — the ``IᵀI`` of a 0/1 incidence matrix — from its nonzeros
 sorted by group, by shift-and-compare over the sorted group column
@@ -22,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["cooccurrence", "distinct"]
+__all__ = ["cooccurrence", "distinct", "stable_order"]
 
 
 def distinct(keys) -> np.ndarray:
@@ -36,6 +43,20 @@ def distinct(keys) -> np.ndarray:
         nan = np.isnan(aux)
         keep[1:] &= ~(nan[1:] & nan[:-1])
     return aux[keep]
+
+
+def stable_order(keys) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")``, by 16-bit radix passes when
+    ``keys`` are integers in ``[0, 2**32)``."""
+    keys = np.asarray(keys)
+    if (keys.dtype.kind not in "iu" or not len(keys) or keys.min() < 0
+            or keys.max() >= 1 << 32):
+        return np.argsort(keys, kind="stable")
+    if keys.max() < 1 << 16:
+        return np.argsort(keys.astype(np.uint16), kind="stable")
+    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    high = (keys >> 16).astype(np.uint16)[order]
+    return order[np.argsort(high, kind="stable")]
 
 
 def cooccurrence(groups, keys, k: int) -> np.ndarray:

@@ -247,7 +247,7 @@ class QueryService:
         try:
             request.validate()
         except ValueError as exc:
-            self._error(pending, exc)
+            self._error(pending, exc, ErrorCode.BAD_REQUEST)
             return pending
         if request.deadline_s is None and self.default_deadline_s is not None:
             request.deadline_s = self.default_deadline_s
@@ -361,6 +361,10 @@ class QueryService:
             return None
         try:
             op = compile_request(store, req)
+        except (KeyError, ValueError) as exc:  # unknown column or group key
+            self._error(pending, exc, ErrorCode.BAD_REQUEST)
+            self.admission.done()
+            return None
         except Exception as exc:
             self._error(pending, exc)
             self.admission.done()
@@ -610,7 +614,9 @@ class QueryService:
             QueryResponse(status="shed", reason=reason, retry_after_s=retry_after)
         )
 
-    def _error(self, pending: PendingRequest, exc: Exception) -> None:
+    def _error(
+        self, pending: PendingRequest, exc: Exception, reason: str | None = None
+    ) -> None:
         self._count("error")
         _metrics.counter("serve_requests_total", status="error").inc()
         self.slo.observe(None, error=True)
@@ -619,9 +625,9 @@ class QueryService:
             request=str(pending.request.id),
             error=f"{type(exc).__name__}: {exc}",
         )
-        pending._resolve(
-            QueryResponse(status="error", error=f"{type(exc).__name__}: {exc}")
-        )
+        pending._resolve(QueryResponse(
+            status="error", reason=reason, error=f"{type(exc).__name__}: {exc}"
+        ))
 
     # -- introspection -----------------------------------------------------
 

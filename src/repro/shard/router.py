@@ -23,10 +23,12 @@ whole.  Per request it:
 
 Degradation: each shard has its own circuit breaker.  Backend *errors*
 and transport failures trip it; *sheds* do not (an overloaded backend
-is alive).  When shards are missing and ``partial_ok`` is set the
-router answers ``status="partial"`` with ``reason=PARTIAL_RESULT`` and
-the missing shard ids — a degraded answer instead of no answer;
-otherwise the request fails with ``SHARD_UNAVAILABLE``.
+is alive), and neither does a backend's ``BAD_REQUEST``: the request is
+at fault, not the shard, so the router answers it as its own.  When
+shards are missing and ``partial_ok`` is set the router answers
+``status="partial"`` with ``reason=PARTIAL_RESULT`` and the missing
+shard ids — a degraded answer instead of no answer; otherwise the
+request fails with ``SHARD_UNAVAILABLE``.
 
 The replicated ``events`` table never fans out: one healthy replica
 answers, and its response is final.
@@ -61,6 +63,10 @@ DEADLINE_FRACTION = 0.9
 DEADLINE_FLOOR_S = 0.02
 #: Per-connection socket timeout to a backend (bounds a hung shard).
 SHARD_TIMEOUT_S = 30.0
+
+
+def _bad_request(error: str) -> QueryResponse:
+    return QueryResponse(status="error", reason=ErrorCode.BAD_REQUEST, error=error)
 
 
 class _ClientPool:
@@ -212,11 +218,7 @@ class ShardRouter:
                 to_conjuncts(request.where) if request.where is not None else []
             )
         except ValueError as exc:
-            return QueryResponse(
-                status="error",
-                reason=ErrorCode.BAD_REQUEST,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            return _bad_request(f"{type(exc).__name__}: {exc}")
         if request.table != "mentions":
             return self._route_single(request, conjuncts)
         return self._scatter_gather(request, conjuncts)
@@ -281,6 +283,9 @@ class ShardRouter:
                 return QueryResponse(
                     status="shed", reason=reason, retry_after_s=retry_after
                 )
+            if kind == "bad":
+                self.breakers.success(shard.shard_id)
+                return _bad_request(payload)
             self.breakers.failure(shard.shard_id)
             last_error = payload
         return QueryResponse(
@@ -351,6 +356,7 @@ class ShardRouter:
         parts: list = []
         part_stats: list[dict] = []
         sheds: list[tuple[str, float]] = []
+        bad = None
         for shard, future in zip(asked, futures):
             kind, payload = future.result()
             if kind == "ok":
@@ -362,9 +368,14 @@ class ShardRouter:
                 reason, retry_after = payload
                 sheds.append((str(reason), retry_after))
                 missing.append((shard.shard_id, str(reason)))
+            elif kind == "bad":
+                self.breakers.success(shard.shard_id)
+                bad = payload
             else:
                 self.breakers.failure(shard.shard_id)
                 missing.append((shard.shard_id, str(payload)))
+        if bad is not None:
+            return _bad_request(bad)
         self._count("shards_missing", len(missing))
 
         if not parts:
@@ -421,7 +432,8 @@ class ShardRouter:
         partials: bool,
     ) -> tuple[str, object]:
         """One backend call → ('ok', (value, stats)) / ('shed', (reason,
-        retry_s)) / ('fail', message).  Never raises."""
+        retry_s)) / ('bad', message) for a ``BAD_REQUEST`` reply /
+        ('fail', message).  Never raises."""
         pool = self._pools[shard.shard_id]
         try:
             client = pool.acquire()
@@ -450,7 +462,11 @@ class ShardRouter:
         if status == "shed":
             reason = resp.get("reason") or str(ErrorCode.RETRY_AFTER)
             return "shed", (reason, float(resp.get("retry_after_s") or 0.05))
-        return "fail", str(resp.get("error") or f"status={status!r}")
+        error = str(resp.get("error") or f"status={status!r}")
+        # A service answers in ``reason``, the server's wire checks in ``code``.
+        if ErrorCode.BAD_REQUEST in (resp.get("reason"), resp.get("code")):
+            return "bad", error
+        return "fail", error
 
     def _shed_deadline(self) -> QueryResponse:
         return QueryResponse(

@@ -5,9 +5,11 @@ expensive part of GDELT rows.  The binary format stores them as integer
 code columns plus one shared dictionary per namespace: an ``int64``
 offsets array (size + 1 entries) into a single UTF-8 blob.  Lookups are
 O(1) slices of the memory-mapped blob, and the whole dictionary never
-needs to be materialized as Python strings unless asked for.
-:class:`DictionaryBuilder` appends to the same two arrays while ingest
-runs, so a built dictionary is a view, never a re-encoding, and
+needs to be materialized as Python strings unless asked for.  Strings
+become those two arrays in one place, :func:`_encode` (one join and one
+``encode`` per batch, not per string).  :class:`DictionaryBuilder`
+appends to the same two arrays while ingest runs, so a built dictionary
+is a view, never a re-encoding, and
 :func:`concat_gather` builds a dictionary of composite strings (an
 article URL is a site prefix + an event stem + a repeat suffix) by
 gathering bytes from a few small ones instead of formatting each row.
@@ -83,11 +85,26 @@ class StringDictionary:
 
     @classmethod
     def from_strings(cls, strings: Iterable[str]) -> "StringDictionary":
-        encoded = [s.encode("utf-8") for s in strings]
-        offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
-        np.cumsum([len(b) for b in encoded], out=offsets[1:])
-        blob = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-        return cls(offsets, blob)
+        return cls(*_encode(list(strings)))
+
+
+def _encode(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``(offsets, blob)`` of ``strings`` laid end to end as UTF-8.
+
+    One join and one ``encode`` for the whole batch: the offsets are the
+    running character lengths, mapped to bytes through the blob's
+    character-start index only when the text is not ASCII (a character
+    starts at every byte that is not a ``10xxxxxx`` continuation).
+    """
+    text = "".join(strings)
+    data = text.encode("utf-8")
+    blob = np.frombuffer(data, dtype=np.uint8)
+    offsets = np.zeros(len(strings) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, strings), np.int64, len(strings)), out=offsets[1:])
+    if len(data) != len(text):
+        starts = np.flatnonzero((blob & 0xC0) != 0x80)
+        offsets = np.append(starts, len(data))[offsets]
+    return offsets, blob
 
 
 # Rows per gather step in :func:`concat_gather`: the step's byte index
@@ -162,11 +179,12 @@ def readonly_prefix(buf: np.ndarray, n: int) -> np.ndarray:
 class DictionaryBuilder:
     """Append-only string interner assigning codes by first occurrence.
 
-    Codes live in a ``str → code`` dict; each new string's UTF-8 bytes
-    are appended to a growing ``uint8`` blob with ``int64`` offsets, the
-    layout :class:`StringDictionary` reads.  :meth:`build` is therefore
-    a read-only view of the prefix interned so far, not a copy, and a
-    dictionary built earlier never changes as interning goes on.
+    Codes live in a ``str → code`` dict; a batch's new strings are
+    packed by :func:`_encode` and appended to a growing ``uint8`` blob
+    with ``int64`` offsets, the layout :class:`StringDictionary` reads.
+    :meth:`build` is therefore a read-only view of the prefix interned
+    so far, not a copy, and a dictionary built earlier never changes as
+    interning goes on.
     """
 
     def __init__(self) -> None:
@@ -182,20 +200,16 @@ class DictionaryBuilder:
         order of first occurrence."""
         codes = self._codes
         n = len(codes)
-        new = []
-        for s in strings:
-            if s not in codes:
-                codes[s] = len(codes)
-                new.append(s)
+        new = [s for s in dict.fromkeys(strings) if s not in codes]
         if new:
-            encoded = [s.encode("utf-8") for s in new]
+            codes.update(zip(new, range(n, n + len(new))))
+            offsets, blob = _encode(new)
             start = int(self._offsets[n])
-            ends = start + np.cumsum(np.fromiter(map(len, encoded), np.int64, len(new)))
-            end = int(ends[-1])
+            end = start + len(blob)
             self._offsets = ensure_capacity(self._offsets, n + 1, len(codes) + 1)
-            self._offsets[n + 1:len(codes) + 1] = ends
+            self._offsets[n + 1:len(codes) + 1] = start + offsets[1:]
             self._blob = ensure_capacity(self._blob, start, end)
-            self._blob[start:end] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+            self._blob[start:end] = blob
         return np.fromiter(map(codes.__getitem__, strings), np.int64, len(strings))
 
     def build(self) -> StringDictionary:

@@ -24,6 +24,7 @@ from repro.gdelt.time_util import (
     datetime_to_interval,
     intervals_to_quarters,
 )
+from repro.kernels import stable_order
 from repro.synth.config import SynthConfig
 
 __all__ = ["EventTable", "generate_events", "sample_popularity"]
@@ -179,7 +180,7 @@ def generate_events(cfg: SynthConfig, rng: np.random.Generator) -> EventTable:
             [mega_idx, np.arange(len(megas), dtype=np.int16)]
         )
 
-    order = np.argsort(intervals, kind="stable")
+    order = stable_order(intervals)
     intervals = intervals[order]
     country_idx = country_idx[order]
     true_country = true_country[order]

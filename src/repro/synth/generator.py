@@ -4,7 +4,10 @@
 mentions) and resolves the event-table bookkeeping that GDELT itself
 derives from scraping: ``DATEADDED`` (capture time of the first article),
 the seed ``SOURCEURL``, and the ``NumMentions``/``NumSources``/
-``NumArticles`` counters.
+``NumArticles`` counters.  An event's ``SOURCEURL`` is by definition its
+seed mention's URL, so the URL dictionaries are built once per export:
+:meth:`SyntheticDataset.mention_urls`, then
+:meth:`SyntheticDataset.event_urls` gathered from it.
 
 :func:`write_raw_archives` serializes a dataset into the exact on-disk
 layout the paper's preprocessing tool consumes: ``masterfilelist.txt``
@@ -30,7 +33,7 @@ from repro.gdelt.masterlist import (
     format_master_list,
 )
 from repro.gdelt.time_util import intervals_to_timestamps
-from repro.kernels import distinct
+from repro.kernels import distinct, stable_order
 from repro.storage.columns import StringDictionary, concat_gather
 from repro.synth.config import SynthConfig
 from repro.synth.events import EventTable, generate_events
@@ -81,8 +84,8 @@ class SyntheticDataset:
         heads, event stems, repeat suffixes), not formatted per row.
         """
         ev = self.events
-        stems = ev.event_id.astype(str).astype(object)
-        for row in np.flatnonzero(ev.mega_idx >= 0):
+        stems = list(map(str, ev.event_id.tolist()))
+        for row in np.flatnonzero(ev.mega_idx >= 0).tolist():
             slug = self.cfg.mega_events[ev.mega_idx[row]].slug
             if slug:
                 stems[row] = f"{slug}-{stems[row]}"
@@ -100,13 +103,11 @@ class SyntheticDataset:
         mt = self.mentions
         return self.article_urls(mt.source_idx, mt.event_row, mt.repeat_k)
 
-    def event_urls(self) -> StringDictionary:
+    def event_urls(self, mention_urls: StringDictionary) -> StringDictionary:
         """SOURCEURL of every event row: the URL of its first captured
-        article."""
-        mt, seed = self.mentions, self.seed_mention
-        return self.article_urls(
-            mt.source_idx[seed], np.arange(self.n_events), mt.repeat_k[seed]
-        )
+        article, gathered from :meth:`mention_urls`' dictionary, so the
+        URLs are built once."""
+        return concat_gather([(mention_urls, self.seed_mention)])
 
 
 def _first_mentions(
@@ -162,7 +163,7 @@ def generate_dataset(cfg: SynthConfig) -> SyntheticDataset:
     )
 
 
-def _event_columns(ds: SyntheticDataset) -> dict:
+def _event_columns(ds: SyntheticDataset, mention_urls: StringDictionary) -> dict:
     """Every event field of :func:`~repro.gdelt.csv_io.event_lines` as a
     column over event rows (the URLs as a dictionary whose code is the row)."""
     ev = ds.events
@@ -181,11 +182,11 @@ def _event_columns(ds: SyntheticDataset) -> dict:
         "avg_tone": ev.avg_tone,
         "action_geo_country": fips[ev.country_idx],
         "date_added": intervals_to_timestamps(ds.first_interval),
-        "source_url": ds.event_urls(),
+        "source_url": ds.event_urls(mention_urls),
     }
 
 
-def _mention_columns(ds: SyntheticDataset) -> dict:
+def _mention_columns(ds: SyntheticDataset, mention_urls: StringDictionary) -> dict:
     """Every mention field of :func:`~repro.gdelt.csv_io.mention_lines`
     as a column over mention rows (the URLs as a dictionary, code = row)."""
     mt, ev = ds.mentions, ds.events
@@ -194,7 +195,7 @@ def _mention_columns(ds: SyntheticDataset) -> dict:
         "event_time": intervals_to_timestamps(ev.interval)[mt.event_row],
         "mention_time": intervals_to_timestamps(mt.interval),
         "source_name": np.array(ds.catalog.domains, dtype=object)[mt.source_idx],
-        "identifier": ds.mention_urls(),
+        "identifier": mention_urls,
         "confidence": mt.confidence,
         "doc_tone": mt.doc_tone,
     }
@@ -230,12 +231,13 @@ def write_raw_archives(
     mt_chunk = (ds.mentions.interval - start) // chunk_intervals
     n_chunks = int(np.ceil((end - start) / chunk_intervals))
 
+    urls = ds.mention_urls()
     tables = []
     for kind, chunk_of, columns, lines in (
-        (EXPORT_KIND, ev_chunk, _event_columns(ds), event_lines),
-        (MENTIONS_KIND, mt_chunk, _mention_columns(ds), mention_lines),
+        (EXPORT_KIND, ev_chunk, _event_columns(ds, urls), event_lines),
+        (MENTIONS_KIND, mt_chunk, _mention_columns(ds, urls), mention_lines),
     ):
-        order = np.argsort(chunk_of, kind="stable")
+        order = stable_order(chunk_of)
         tables.append((kind, order, chunk_of[order], columns, lines))
     entries = []
     for chunk in range(n_chunks):

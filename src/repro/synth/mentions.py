@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.gdelt.codes import COUNTRIES
 from repro.gdelt.time_util import intervals_to_quarters
-from repro.kernels import distinct
+from repro.kernels import distinct, stable_order
 from repro.synth.config import SynthConfig
 from repro.synth.delays import sample_delays
 from repro.synth.events import EventTable
@@ -97,33 +97,38 @@ def _sample_sources_grouped(
     Articles are grouped by (event country, quarter); within a group the
     publisher distribution is ``productivity * attention[src_country,
     event_country]`` masked by quarterly activity, sampled via inverse
-    CDF.  At most ``n_countries * n_quarters`` CDFs are built.
+    CDF.  Each country's quarter CDFs are one ``(quarters × sources)``
+    block, and the uniforms are one ``rng.random(n_art)`` consumed in
+    group order (the stream a draw per group would consume).
     """
     n_art = len(art_country)
-    out = np.empty(n_art, dtype=np.int32)
+    nq = catalog.n_quarters
+    group_key = art_country.astype(np.int64) * nq + np.clip(art_quarter, 0, nq - 1)
+    order = stable_order(group_key)
+    sorted_key = group_key[order]
+    starts = np.flatnonzero(np.diff(sorted_key, prepend=-1))
+    ends = np.append(starts[1:], n_art)
+    u = rng.random(n_art)
+
     src_country = catalog.country_idx.astype(np.int64)
     prod = catalog.productivity
-    nq = catalog.n_quarters
-
-    group_key = art_country.astype(np.int64) * nq + np.clip(art_quarter, 0, nq - 1)
-    order = np.argsort(group_key, kind="stable")
-    sorted_key = group_key[order]
-    bounds = np.flatnonzero(np.diff(sorted_key)) + 1
-    starts = np.concatenate([[0], bounds])
-    ends = np.concatenate([bounds, [n_art]])
-
-    for s, e in zip(starts, ends):
-        key = int(sorted_key[s])
-        c, q = key // nq, key % nq
-        weights = prod * attention[src_country, c]
-        weights = weights * catalog.activity[:, q]
-        total = weights.sum()
-        if total <= 0:  # nobody active: fall back to ignoring activity
-            weights = prod * attention[src_country, c]
-            total = weights.sum()
-        cdf = np.cumsum(weights)
-        u = rng.random(e - s) * total
-        out[order[s:e]] = np.searchsorted(cdf, u, side="right").astype(np.int32)
+    active = catalog.activity.T.astype(np.float64)  # (quarters, sources)
+    picked = np.empty(n_art, dtype=np.int64)
+    block_country = -1
+    for s, e in zip(starts.tolist(), ends.tolist()):
+        c, q = divmod(int(sorted_key[s]), nq)
+        if c != block_country:
+            block_country = c
+            base = prod * attention[src_country, c]
+            weights = base * active
+            totals = weights.sum(axis=1)
+            idle = totals <= 0  # nobody active: fall back to ignoring activity
+            weights[idle] = base
+            totals[idle] = base.sum()
+            cdf = np.cumsum(weights, axis=1)
+        picked[s:e] = np.searchsorted(cdf[q], u[s:e] * totals[q], side="right")
+    out = np.empty(n_art, dtype=np.int32)
+    out[order] = picked
     return np.minimum(out, catalog.n_sources - 1)
 
 
@@ -178,7 +183,7 @@ def _repeat_numbers(event_row: np.ndarray, source_idx: np.ndarray) -> np.ndarray
     """0-based occurrence counter per (event, source) pair, in array order."""
     n = len(event_row)
     key = event_row.astype(np.int64) * (source_idx.max() + 1 if n else 1) + source_idx
-    order = np.argsort(key, kind="stable")
+    order = stable_order(key)
     sk = key[order]
     new_group = np.concatenate([[True], sk[1:] != sk[:-1]])
     # Occurrence index = position - position of group start.
@@ -255,7 +260,7 @@ def generate_mentions(
     delay = delay[keep]
     interval = interval[keep]
 
-    order = np.argsort(interval, kind="stable")
+    order = stable_order(interval)
     event_row = event_row[order]
     source_idx = source_idx[order]
     delay = delay[order]

@@ -100,12 +100,14 @@ def _make_domains(
     """
     domains: list[str] = []
     seen: set[str] = set()
-    leak = rng.random(len(country_idx)) < GENERIC_TLD_LEAK
-    for i, ci in enumerate(country_idx):
+    n = len(country_idx)
+    leak = rng.random(n) < GENERIC_TLD_LEAK
+    # One bounded draw per name part, A then B per source, from one call:
+    # the stream two scalar ``rng.integers`` calls per source consume.
+    names = rng.integers(0, np.tile([len(_NAME_A), len(_NAME_B)], n)).reshape(n, 2)
+    for i, (ci, a, b) in enumerate(zip(country_idx.tolist(), *names.T.tolist())):
         country = COUNTRIES[ci]
-        a = _NAME_A[rng.integers(len(_NAME_A))]
-        b = _NAME_B[rng.integers(len(_NAME_B))]
-        stem = f"{a}{b}"
+        stem = f"{_NAME_A[a]}{_NAME_B[b]}"
         if group_id[i] >= 0:
             tld = "co.uk"
         elif country.fips == "US" or (leak[i] and not country.fips == "US"):

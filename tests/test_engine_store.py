@@ -147,7 +147,7 @@ class TestSizesAndUrls:
         assert tiny_store.memory_bytes() > 0
 
     def test_event_url_matches_generator(self, tiny_store, tiny_ds):
-        assert tiny_store.event_url(3) == tiny_ds.event_urls()[3]
+        assert tiny_store.event_url(3) == tiny_ds.event_urls(tiny_ds.mention_urls())[3]
 
     def test_mention_url_contains_domain(self, tiny_store):
         sid = int(tiny_store.mentions["SourceId"][0])

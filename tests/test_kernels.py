@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.kernels import cooccurrence, distinct
+from repro.kernels import cooccurrence, distinct, stable_order
 
 INT_DTYPES = [np.int8, np.int16, np.int32, np.int64,
               np.uint8, np.uint16, np.uint32, np.uint64]
@@ -63,6 +63,35 @@ class TestDistinct:
         keys = np.array([3, 1, 2], dtype=np.int64)
         distinct(keys)
         assert keys.tolist() == [3, 1, 2]
+
+
+class TestStableOrder:
+    """The radix passes give ``np.argsort(kind="stable")``'s permutation,
+    ties in input order, whatever path the key range takes."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        dtype=st.sampled_from([np.int16, np.uint16, np.int32, np.int64, np.uint64]),
+        high=st.sampled_from([1, 3, 1 << 16, (1 << 16) + 1, 1 << 32, (1 << 32) + 5]),
+    )
+    def test_equals_stable_argsort(self, data, dtype, high):
+        high = min(high, int(np.iinfo(dtype).max) + 1)
+        low = 0 if np.iinfo(dtype).min == 0 else -data.draw(st.sampled_from([0, 2]))
+        keys = np.array(
+            data.draw(st.lists(st.integers(low, high - 1), max_size=300)), dtype=dtype
+        )
+        got = stable_order(keys)
+        assert np.array_equal(got, np.argsort(keys, kind="stable"))
+
+    def test_ties_keep_input_order_across_both_passes(self):
+        keys = np.array([70_000, 5, 70_000, 5, 1 << 20, 70_000], dtype=np.int64)
+        assert stable_order(keys).tolist() == [1, 3, 0, 2, 5, 4]
+
+    def test_empty_and_non_integer_keys(self):
+        assert stable_order(np.empty(0, dtype=np.int64)).tolist() == []
+        floats = np.array([2.5, -1.0, 2.5, 0.0])
+        assert np.array_equal(stable_order(floats), np.argsort(floats, kind="stable"))
 
 
 def _brute_cooccurrence(groups, keys, k: int, n_groups: int) -> np.ndarray:

@@ -92,6 +92,26 @@ class TestImports:
         )
         assert out.split() == []
 
+    def test_direct_ingest_leaves_converter_and_engine_out(self):
+        """``repro.ingest`` resolves its names lazily, so the synthetic
+        writer's import loads neither the engine, the live follower nor
+        the raw-archive converter."""
+        out = _fresh_python(
+            "import sys\n"
+            "import repro.ingest.direct\n"
+            "heavy = ('repro.engine', 'repro.ingest.stream', 'repro.ingest.convert')\n"
+            "print(' '.join(m for m in heavy if m in sys.modules))\n"
+        )
+        assert out.split() == []
+
+    def test_lazy_ingest_names_resolve(self):
+        import repro.ingest
+        from repro.ingest.stream import LiveFollower
+
+        assert repro.ingest.LiveFollower is LiveFollower
+        with pytest.raises(AttributeError):
+            repro.ingest.no_such_name  # noqa: B018
+
     def test_lazy_subpackages_resolve(self):
         out = _fresh_python(
             "import repro\n"

@@ -39,6 +39,7 @@ from repro.serve import (
     TokenBucket,
     request_from_wire,
 )
+from repro.serve.protocol import ErrorCode
 
 
 @pytest.fixture()
@@ -214,6 +215,7 @@ class TestServiceCorrectness:
     def test_unknown_column_is_error_response(self, service):
         resp = service.query("mentions", op="sum", column="NoSuchColumn")
         assert resp.status == "error"
+        assert resp.reason == ErrorCode.BAD_REQUEST
         assert "NoSuchColumn" in resp.error
 
     def test_unknown_filter_column_is_error_response(self, service):
@@ -221,11 +223,19 @@ class TestServiceCorrectness:
             "mentions", op="count", where=col("Bogus") > 1
         )
         assert resp.status == "error"
+        assert resp.reason == ErrorCode.BAD_REQUEST
         assert "Bogus" in resp.error
 
     def test_bad_request_is_error_response(self, service):
         resp = service.query("mentions", op="median")
         assert resp.status == "error"
+        assert resp.reason == ErrorCode.BAD_REQUEST
+
+    def test_unknown_group_key_is_bad_request(self, service):
+        resp = service.query("mentions", op="count", group_by="NoSuchKey")
+        assert resp.status == "error"
+        assert resp.reason == ErrorCode.BAD_REQUEST
+        assert "NoSuchKey" in resp.error
 
     def test_events_table_served(self, service, tiny_store):
         expected = tiny_store.query("events").count().value
@@ -421,6 +431,7 @@ class TestOverloadAndFaults:
                 resp = svc.submit(bad).result(timeout=30.0)
                 ok = svc.query("mentions", op="count")
         assert resp.status == "error"
+        assert resp.reason is None  # a crash is the service's fault, not the request's
         assert "InjectedCrash" in resp.error
         assert ok.ok  # the service survived the injected crash
 

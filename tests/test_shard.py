@@ -561,6 +561,20 @@ class TestRouter:
         assert resp.status == "error"
         assert resp.reason == ErrorCode.BAD_REQUEST
 
+    @pytest.mark.parametrize("table", ["mentions", "events"])
+    def test_backend_bad_request_is_not_a_shard_failure(self, router, table):
+        """A backend's BAD_REQUEST is the client's fault: the router
+        answers it as its own and every breaker stays closed, so a run
+        of malformed queries cannot refuse the well-formed ones."""
+        for _ in range(8):
+            resp = router.query(table=table, op="count", group_by="NoSuchKey")
+            assert resp.status == "error"
+            assert resp.reason == ErrorCode.BAD_REQUEST
+            assert "NoSuchKey" in resp.error
+        states = router.shard_states()
+        assert all(s["breaker"]["state"] == "closed" for s in states.values())
+        assert router.query(table=table, op="count").status == "ok"
+
     def test_refuses_another_router_as_backend(self, router):
         """A router does not serve partials, so an outer router over it
         would fail every scattered query: construction refuses it."""

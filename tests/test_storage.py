@@ -130,6 +130,19 @@ class TestValidation:
             m.dictionary("missing")
 
 
+#: Text over 1- to 4-byte UTF-8 characters, NUL included.
+_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from("a\x00é新🦉"), st.characters(codec="utf-8")),
+    max_size=6,
+)
+
+
+def _per_string_encode(strings) -> tuple[list[int], bytes]:
+    """The reference packing: one ``encode`` per string."""
+    encoded = [s.encode("utf-8") for s in strings]
+    return np.cumsum([0] + [len(e) for e in encoded]).tolist(), b"".join(encoded)
+
+
 class TestStringDictionary:
     def test_empty_strings_ok(self):
         d = StringDictionary.from_strings(["", "a", ""])
@@ -198,6 +211,41 @@ class TestStringDictionary:
         codes = b.intern_many(strings)
         d = b.build()
         assert [d[int(c)] for c in codes] == strings
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_TEXT, max_size=40))
+    def test_from_strings_equals_per_string_encode(self, strings):
+        offsets, blob = StringDictionary.from_strings(strings).arrays
+        want_offsets, want_blob = _per_string_encode(strings)
+        assert offsets.tolist() == want_offsets
+        assert blob.tobytes() == want_blob
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), pool=st.lists(_TEXT, min_size=1, max_size=12))
+    def test_intern_many_equals_per_string_reference(self, data, pool):
+        """Batches drawn from a small pool repeat strings within and
+        across batches; codes are first-occurrence order throughout."""
+        batches = data.draw(
+            st.lists(st.lists(st.sampled_from(pool), max_size=15), max_size=5)
+        )
+        b = DictionaryBuilder()
+        seen: dict[str, int] = {}
+        for batch in batches:
+            want = [seen.setdefault(s, len(seen)) for s in batch]
+            assert b.intern_many(batch).tolist() == want
+        offsets, blob = b.build().arrays
+        want_offsets, want_blob = _per_string_encode(list(seen))
+        assert offsets.tolist() == want_offsets
+        assert blob.tobytes() == want_blob
+
+    def test_packer_edge_strings(self):
+        strings = ["", "\x00", "é", "新", "🦉", "a\x00新🦉é", "", "🦉"]
+        offsets, blob = StringDictionary.from_strings(strings).arrays
+        assert (offsets.tolist(), blob.tobytes()) == _per_string_encode(strings)
+        b = DictionaryBuilder()
+        assert b.intern_many(strings[:4]).tolist() == [0, 1, 2, 3]
+        assert b.intern_many(strings[3:]).tolist() == [3, 4, 5, 0, 4]
+        assert b.build().to_list() == strings[:6]
 
     def test_manifest_size_check(self, tmp_path):
         root, _ = write_simple(tmp_path)

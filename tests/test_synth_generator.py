@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import zipfile
 
 import numpy as np
+import pytest
 
 from repro.gdelt.csv_io import event_lines, mention_lines, open_chunk_text
 from repro.gdelt.codes import COUNTRIES
 from repro.gdelt.masterlist import parse_master_list
 from repro.gdelt.time_util import interval_to_timestamp
+from repro.ingest.direct import dataset_to_arrays
 from repro.synth import generate_dataset, tiny_config, write_raw_archives
 
 
@@ -67,7 +70,7 @@ class TestDatasetAssembly:
         assert not np.array_equal(a.mentions.source_idx[:100], b.mentions.source_idx[:100])
 
     def test_event_seed_url_well_formed(self, tiny_ds):
-        url = tiny_ds.event_urls()[0]
+        url = tiny_ds.event_urls(tiny_ds.mention_urls())[0]
         assert url.startswith("https://")
         assert str(int(tiny_ds.events.event_id[0])) in url
 
@@ -105,7 +108,7 @@ class TestArticleUrl:
             scalar_url(tiny_ds, int(mt.source_idx[m]), r, int(mt.repeat_k[m]))
             for r, m in enumerate(seed.tolist())
         ]
-        assert tiny_ds.event_urls().to_list() == want
+        assert tiny_ds.event_urls(tiny_ds.mention_urls()).to_list() == want
 
     def test_zero_rows(self, tiny_ds):
         none = np.empty(0, dtype=np.int64)
@@ -223,3 +226,54 @@ class TestRawExport:
             assert (raw_dir / name).read_bytes() == (tmp_path / name).read_bytes(), name
         with zipfile.ZipFile(tmp_path / names[0]) as zf:
             assert zf.infolist()[0].date_time == (1980, 1, 1, 0, 0, 0)
+
+
+#: SHA-256 of ``dataset_to_arrays(generate_dataset(tiny_config(seed)))``
+#: (:func:`_arrays_digest`) per seed, and of the files
+#: ``write_raw_archives`` leaves for the tiny corpus at weekly chunks
+#: (:func:`_dir_digest`).  A rewrite of the publisher sampler, the URL
+#: builder or the string packer must reproduce these bytes exactly: the
+#: benchmark corpora, and every number measured on them, depend on it.
+ARRAY_DIGESTS = {
+    0: "c002d3e3b74be2ce0e2a8387ee08ffc66b63bde4a5bdd68c0b987ea15fd80f8d",
+    1: "8aad5d114f1c51c93ddcde715e47e172c1a2efc932739c76d153a85032611f0a",
+    2: "666c18e8c681df1e1b0896f0e2e4b0f8869cd702e91d6eb864d14582438a129b",
+}
+RAW_DIGEST_WEEKLY = "f7fcb52db378d104b7fa258adc3e41e6aac6268019a7f5cedb03b6266a259b5a"
+
+
+def _arrays_digest(ds) -> str:
+    """Every column (name, dtype, length, bytes) and dictionary (offsets,
+    blob) ``dataset_to_arrays`` returns, hashed in name order."""
+    h = hashlib.sha256()
+    events, mentions, dicts = dataset_to_arrays(ds)
+    for table in (events, mentions):
+        for name in sorted(table):
+            col = np.ascontiguousarray(table[name])
+            h.update(f"{name}:{col.dtype.str}:{len(col)};".encode())
+            h.update(col.tobytes())
+    for name in sorted(dicts):
+        offsets, blob = dicts[name].arrays
+        h.update(f"{name};".encode())
+        h.update(offsets.astype("<i8").tobytes())
+        h.update(blob.tobytes())
+    return h.hexdigest()
+
+
+def _dir_digest(root) -> str:
+    h = hashlib.sha256()
+    for path in sorted(root.iterdir()):
+        h.update(path.name.encode() + b";")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("seed", sorted(ARRAY_DIGESTS))
+    def test_arrays_are_pinned(self, seed):
+        ds = generate_dataset(tiny_config(seed=seed))
+        assert _arrays_digest(ds) == ARRAY_DIGESTS[seed]
+
+    def test_raw_archives_are_pinned(self, tiny_ds, tmp_path):
+        write_raw_archives(tiny_ds, tmp_path, chunk_intervals=672)
+        assert _dir_digest(tmp_path) == RAW_DIGEST_WEEKLY

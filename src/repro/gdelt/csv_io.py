@@ -210,9 +210,23 @@ def _check(name: str, values: list[int], errors: dict[int, str]) -> None:
             errors.setdefault(row, f"{name} {value} out of range for its column [{lo}, {hi}]")
 
 
-def _columns(lines, table, schema, fields, derived) -> tuple[dict, list[tuple[int, str]]]:
-    """The field columns of ``lines``' good rows and the bad rows'
-    ``(line number, message)``, in line order (see :func:`event_columns`)."""
+def _array(values: list, errors: dict[int, str], dtype) -> np.ndarray:
+    """``values`` as an array, 0 in every row with an error: only
+    in-bounds values go into an array."""
+    for row in errors:
+        values[row] = 0
+    return np.array(values, dtype)
+
+
+#: Text fields whose bound check parses them, and the binary column the
+#: parsed numbers are kept as.
+_NUMBERED = {"EventRootCode": "RootCode"}
+
+
+def _columns(lines, table, schema, fields, derive) -> tuple[dict, list[tuple[int, str]]]:
+    """The field columns of ``lines``' good rows, plus the binary columns
+    ``derive`` and the bound checks compute, and the bad rows' ``(line
+    number, message)``, in line order (see :func:`event_columns`)."""
     width = len(schema)
     rows = [line.split("\t") for line in lines]
     widths = list(map(len, rows))
@@ -233,20 +247,24 @@ def _columns(lines, table, schema, fields, derived) -> tuple[dict, list[tuple[in
         name: list(texts) if f.kind is FieldKind.STR else _parse(texts, f, errors)
         for (name, _, f), texts in zip(fields, cells)
     }
+    numbers = {}  # binary column → a text field's numbers, as checked
     for name, _, f in fields:
         if f.name in _BOUNDS:
             v = values[name]
-            _check(f.name, numeric_root_codes(v) if f.kind is FieldKind.STR else v, errors)
+            if f.kind is FieldKind.STR:
+                v = numbers[_NUMBERED[f.name]] = numeric_root_codes(v)
+            _check(f.name, v, errors)
     columns = {}
     for name, _, f in fields:
         v = values[name]
         if f.kind is not FieldKind.STR:
-            for row in errors:  # only in-bounds values go into an array
-                v[row] = 0
-            v = np.array(v, np.float64 if f.kind is FieldKind.FLOAT else np.int64)
+            v = _array(v, errors, np.float64 if f.kind is FieldKind.FLOAT else np.int64)
         columns[name] = v
-    for name, value in derived.items():
-        _check(name, value(columns).tolist(), errors)
+    columns.update((name, _array(v, errors, np.int64)) for name, v in numbers.items())
+    for name, value in derive(columns).items():
+        if name in _BOUNDS:
+            _check(name, value.tolist(), errors)
+        columns[name] = value
     if errors:
         keep = np.ones(len(rows), dtype=bool)
         keep[list(errors)] = False
@@ -265,29 +283,36 @@ def event_columns(lines: Sequence[str]) -> tuple[dict, list[tuple[int, str]]]:
 
     Returns ``(columns, bad)``.  ``columns`` maps each event field to its
     good rows' values, in line order: int64 and float64 arrays for the
-    numbers, lists of ``str`` for the text.  Empty lines are skipped.
+    numbers, lists of ``str`` for the text.  It also holds, as int64
+    arrays named after the binary columns they become (capitalised, so
+    never a field's name), the values the bound checks computed, so no
+    caller converts them again: ``RootCode`` here, and ``EventInterval``,
+    ``MentionInterval`` and ``Delay`` for mentions.  Empty lines are
+    skipped.
     ``bad`` lists ``(line number, message)`` (1-based) of every other
     row, in line order: a row of the wrong width, a number Python's
     ``int()``/``float()`` refuses (the first such field's error), or a
     value outside the bounds of the binary column it lands in (the first
     such field, named with its value).
     """
-    return _columns(lines, "events", EVENTS_SCHEMA, _EVENT_FIELDS, {})
+    return _columns(lines, "events", EVENTS_SCHEMA, _EVENT_FIELDS, lambda c: {})
 
 
-def _delay(columns: Mapping[str, np.ndarray]) -> np.ndarray:
-    """``MentionInterval - EventInterval``: one conversion call for both
-    stamps, as a call costs more than an archive's few hundred rows."""
+def _intervals(columns: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """``EventInterval``, ``MentionInterval`` and their difference
+    ``Delay``: one conversion call for both stamps, as a call costs more
+    than an archive's few hundred rows."""
     mention, event = columns["mention_time"], columns["event_time"]
     intervals = timestamps_to_intervals(np.concatenate([mention, event]))
-    return intervals[: len(mention)] - intervals[len(mention):]
+    mention, event = intervals[: len(mention)], intervals[len(mention):]
+    return {"EventInterval": event, "MentionInterval": mention, "Delay": mention - event}
 
 
 def mention_columns(lines: Sequence[str]) -> tuple[dict, list[tuple[int, str]]]:
     """Parse raw mentions lines into field columns (see
     :func:`event_columns`); a row whose capture delay in intervals does
     not fit the ``Delay`` column is bad too."""
-    return _columns(lines, "mentions", MENTIONS_SCHEMA, _MENTION_FIELDS, {"Delay": _delay})
+    return _columns(lines, "mentions", MENTIONS_SCHEMA, _MENTION_FIELDS, _intervals)
 
 
 #: Timestamp stamped on every chunk member (the zip format's epoch), so

@@ -4,12 +4,13 @@ The follower hands each archive's parsed field columns
 (:func:`~repro.gdelt.csv_io.event_columns`) to an accumulator, which
 notes their Table II problems and stages them; :meth:`flush` (at the end
 of every poll, or sooner in a large one) interns their strings, casts
-their values to the binary layout's dtypes (intervals and ``Delay``
-included) and appends them to one amortised-doubling NumPy buffer per
-column.  :meth:`freeze` stable-sorts the rows appended since the last
-freeze by the table's key and merges them behind the rows already held,
-so each table is a sorted prefix of its buffers, and returns read-only
-views of it.  A prefix once handed out is never written again (growth
+their values to the binary layout's dtypes (the event day and date-added
+intervals computed there; root codes, mention intervals and ``Delay``
+as the parse's bound checks computed them) and appends them to one
+amortised-doubling NumPy buffer per column.  :meth:`freeze`
+stable-sorts the rows appended since the last freeze by the table's key
+and merges them behind the rows already held, so each table is a sorted
+prefix of its buffers, and returns read-only views of it.  A prefix once handed out is never written again (growth
 and out-of-order merges allocate fresh buffers), so every snapshot keeps
 its contents while ingest goes on, and successive snapshots share memory.
 """
@@ -20,7 +21,7 @@ from itertools import chain
 
 import numpy as np
 
-from repro.gdelt.csv_io import event_columns, mention_columns, numeric_root_codes
+from repro.gdelt.csv_io import event_columns, mention_columns
 from repro.gdelt.time_util import timestamps_to_intervals
 from repro.ingest.validate import ProblemReport
 from repro.kernels import stable_order
@@ -142,7 +143,7 @@ class EventAccumulator(_Accumulator):
         return {
             "GlobalEventID": fields["global_event_id"],
             "DayInterval": timestamps_to_intervals(fields["day"] * 10**6).astype(np.int32),
-            "RootCode": np.array(numeric_root_codes(fields["event_root_code"]), np.uint8),
+            "RootCode": fields["RootCode"].astype(np.uint8),
             "QuadClass": fields["quad_class"].astype(np.uint8),
             "NumMentions": fields["num_mentions"].astype(np.int32),
             "NumSources": fields["num_sources"].astype(np.int32),
@@ -175,13 +176,11 @@ class MentionAccumulator(_Accumulator):
         self._stage(fields)
 
     def _columns(self, fields: dict) -> dict[str, np.ndarray]:
-        e_iv = timestamps_to_intervals(fields["event_time"]).astype(np.int32)
-        m_iv = timestamps_to_intervals(fields["mention_time"]).astype(np.int32)
         return {
             "GlobalEventID": fields["global_event_id"],
-            "EventInterval": e_iv,
-            "MentionInterval": m_iv,
-            "Delay": m_iv - e_iv,
+            "EventInterval": fields["EventInterval"].astype(np.int32),
+            "MentionInterval": fields["MentionInterval"].astype(np.int32),
+            "Delay": fields["Delay"].astype(np.int32),
             "SourceId": self.sources.intern_many(fields["source_name"]).astype(np.int32),
             "UrlId": self.urls.intern_many(fields["identifier"]).astype(np.int32),
             "Confidence": fields["confidence"].astype(np.int16),

@@ -25,7 +25,7 @@ import socket
 import threading
 import time
 
-from repro.serve.protocol import RETRYABLE_CODES
+from repro.serve.protocol import RETRYABLE_CODES, ErrorCode
 
 __all__ = ["ServeClient", "ViewSubscription", "next_backoff", "parse_address"]
 
@@ -289,7 +289,7 @@ class ViewSubscription:
             # reconnect the server may still be starting up, so keep
             # retrying unless it explicitly rejected the view set.
             message = reply.get("error", "subscribe failed")
-            if first_attempt or reply.get("code") == "BAD_REQUEST":
+            if first_attempt or reply.get("reason") == ErrorCode.BAD_REQUEST:
                 self._fatal = f"subscribe rejected: {message}"
             raise ConnectionError(message)
         # Pushed frames arrive without further requests; read until the

@@ -63,8 +63,9 @@ logger = logging.getLogger(__name__)
 MAX_LINE_BYTES = 64 * 1024
 
 
-def _error(message: str, code: ErrorCode, request_id=None) -> dict:
-    out = {"status": "error", "error": message, "code": str(code)}
+def _error(message: str, reason: ErrorCode, request_id=None) -> dict:
+    """An error reply: its ``ErrorCode`` in ``reason``, as in every reply."""
+    out = {"status": "error", "error": message, "reason": str(reason)}
     if request_id is not None:
         out["id"] = request_id
     return out

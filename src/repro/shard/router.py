@@ -463,8 +463,7 @@ class ShardRouter:
             reason = resp.get("reason") or str(ErrorCode.RETRY_AFTER)
             return "shed", (reason, float(resp.get("retry_after_s") or 0.05))
         error = str(resp.get("error") or f"status={status!r}")
-        # A service answers in ``reason``, the server's wire checks in ``code``.
-        if ErrorCode.BAD_REQUEST in (resp.get("reason"), resp.get("code")):
+        if resp.get("reason") == ErrorCode.BAD_REQUEST:
             return "bad", error
         return "fail", error
 

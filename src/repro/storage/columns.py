@@ -9,10 +9,12 @@ needs to be materialized as Python strings unless asked for.  Strings
 become those two arrays in one place, :func:`_encode` (one join and one
 ``encode`` per batch, not per string).  :class:`DictionaryBuilder`
 appends to the same two arrays while ingest runs, so a built dictionary
-is a view, never a re-encoding, and
-:func:`concat_gather` builds a dictionary of composite strings (an
-article URL is a site prefix + an event stem + a repeat suffix) by
-gathering bytes from a few small ones instead of formatting each row.
+is a view, never a re-encoding; it finds a string again through a NumPy
+hash index over its codes (12 B a slot), so the strings are held once,
+as bytes, and never as Python objects.  :func:`concat_gather` builds a
+dictionary of composite strings (an article URL is a site prefix + an
+event stem + a repeat suffix) by gathering bytes from a few small ones
+instead of formatting each row.
 """
 
 from __future__ import annotations
@@ -176,43 +178,192 @@ def readonly_prefix(buf: np.ndarray, n: int) -> np.ndarray:
     return view
 
 
+#: The interner's string hash: Python's own, which a ``str`` caches once
+#: hashed (a batch's de-dup hashes every string it keeps).  It is salted
+#: per process, which is fine: the index is never persisted, and codes
+#: are first-occurrence whatever the hash, so files do not depend on it.
+_hash = hash
+
+#: What a free index slot holds, as its hash and as its code.  Python's
+#: hash is never -1, but a string whose hash is may stop at a free slot
+#: only to find it free: the code tells a free slot from an entry.
+_FREE = -1
+
+#: Slots of an empty builder's index (a power of two).
+_MIN_SLOTS = 8
+
+#: A lookup round probes a window of slots per string: the first round
+#: about ``_WINDOW_SLOTS`` slots in all (a small batch settles in one
+#: round, a large one probes home slots first), each later round four
+#: times as many per string, never more than ``_MAX_WINDOW``.
+_WINDOW_SLOTS, _MAX_WINDOW = 1 << 12, 64
+_STEPS = np.arange(_MAX_WINDOW)
+
+
 class DictionaryBuilder:
     """Append-only string interner assigning codes by first occurrence.
 
-    Codes live in a ``str → code`` dict; a batch's new strings are
-    packed by :func:`_encode` and appended to a growing ``uint8`` blob
-    with ``int64`` offsets, the layout :class:`StringDictionary` reads.
-    :meth:`build` is therefore a read-only view of the prefix interned
-    so far, not a copy, and a dictionary built earlier never changes as
-    interning goes on.
+    The strings live once, as UTF-8 in a growing ``uint8`` blob with
+    ``int64`` offsets, the layout :class:`StringDictionary` reads, so
+    :meth:`build` is a read-only view of the prefix interned so far, not
+    a copy, and a dictionary built earlier never changes as interning
+    goes on.  They are found again through an open-addressing hash
+    index over the codes: per slot an ``int64`` string hash and an
+    ``int32`` code, a power-of-two number of slots at most half full, so
+    24–48 B per entry besides the blob and offsets, and no Python object
+    per entry.  A batch probes it linearly in vectorised rounds; a slot
+    whose hash matches counts only once its stored bytes equal the
+    string's, so the interner is exact under any hash function,
+    collisions included.  The index grows by rebuilding itself from the
+    hashes it stores.
     """
 
     def __init__(self) -> None:
-        self._codes: dict[str, int] = {}
+        self._n = 0
         self._offsets = np.zeros(1, dtype=np.int64)
         self._blob = np.empty(0, dtype=np.uint8)
+        self._slot_hashes = np.full(_MIN_SLOTS, _FREE, dtype=np.int64)
+        self._slot_codes = np.full(_MIN_SLOTS, _FREE, dtype=np.int32)
 
     def __len__(self) -> int:
-        return len(self._codes)
+        return self._n
 
     def intern_many(self, strings: Sequence[str]) -> np.ndarray:
         """Codes (int64) of a whole column, interning unseen strings in
-        order of first occurrence."""
-        codes = self._codes
-        n = len(codes)
-        new = [s for s in dict.fromkeys(strings) if s not in codes]
-        if new:
-            codes.update(zip(new, range(n, n + len(new))))
-            offsets, blob = _encode(new)
-            start = int(self._offsets[n])
-            end = start + len(blob)
-            self._offsets = ensure_capacity(self._offsets, n + 1, len(codes) + 1)
-            self._offsets[n + 1:len(codes) + 1] = start + offsets[1:]
-            self._blob = ensure_capacity(self._blob, start, end)
-            self._blob[start:end] = blob
-        return np.fromiter(map(codes.__getitem__, strings), np.int64, len(strings))
+        order of first occurrence.
+
+        One ``dict.fromkeys`` pass de-duplicates the batch; its distinct
+        strings are hashed, packed by :func:`_encode` and looked up
+        together, and the unseen ones are appended and indexed.
+        """
+        batch = dict.fromkeys(strings)
+        uniq = list(batch)
+        hashes = np.fromiter(map(_hash, uniq), np.int64, len(uniq))
+        offsets, blob = _encode(uniq)
+        codes, slots = self._find(hashes, offsets, blob)
+        new = np.flatnonzero(codes < 0)
+        if len(new):
+            codes[new] = np.arange(self._n, self._n + len(new))
+            self._append(new, offsets, blob)
+            self._index(hashes[new], codes[new], slots[new])
+        if len(uniq) == len(strings):
+            return codes
+        batch.update(zip(uniq, codes.tolist()))
+        return np.fromiter(map(batch.__getitem__, strings), np.int64, len(strings))
 
     def build(self) -> StringDictionary:
-        offsets = readonly_prefix(self._offsets, len(self._codes) + 1)
+        offsets = readonly_prefix(self._offsets, self._n + 1)
         return StringDictionary(offsets, readonly_prefix(self._blob, int(offsets[-1])))
 
+    def _find(self, hashes, offsets, blob) -> tuple[np.ndarray, np.ndarray]:
+        """Each batch string's code (-1 if unseen) and, for an unseen one,
+        the first free slot of its probe sequence.
+
+        A round stops each string at the first slot of its window that
+        holds its hash or is free.  Free means unseen; an entry with the
+        string's bytes is its code; any other entry is passed, and the
+        string probes on from the slot after the stop (or the window).
+        """
+        mask = len(self._slot_codes) - 1
+        codes = np.full(len(hashes), -1, dtype=np.int64)
+        slots = np.empty(len(hashes), dtype=np.int64)
+        rows, at = np.arange(len(hashes)), hashes & mask
+        width = min(_MAX_WINDOW, max(1, _WINDOW_SLOTS // max(1, len(rows))))
+        while len(rows):
+            window = (at[:, None] + _STEPS[:width]) & mask
+            held = self._slot_hashes[window]
+            stop = (held == hashes[rows, None]) | (held == _FREE)
+            pick = np.arange(len(rows)), stop.argmax(axis=1)
+            stopped, at_stop = stop[pick], window[pick]
+            slots[rows] = at_stop  # read only where the probe ends free
+            found = np.where(stopped, self._slot_codes[at_stop], _FREE - 1)  # -2: no stop
+            done = found == _FREE
+            match = np.flatnonzero(found >= 0)
+            if len(match):
+                match = match[self._same(offsets, blob, rows[match], found[match])]
+                codes[rows[match]] = found[match]
+                done[match] = True
+            rest = np.flatnonzero(~done)
+            if not len(rest):
+                break
+            at = np.where(stopped[rest], at_stop[rest] + 1, at[rest] + width) & mask
+            rows = rows[rest]
+            width = min(4 * width, _MAX_WINDOW)
+        return codes, slots
+
+    def _same(self, offsets, blob, rows, codes) -> np.ndarray:
+        """Whether batch string ``rows[i]`` (of ``offsets``/``blob``) has
+        the bytes of entry ``codes[i]``, compared byte by byte at once."""
+        lo, at = offsets[rows], self._offsets[codes]
+        lengths = offsets[rows + 1] - lo
+        same = lengths == self._offsets[codes + 1] - at
+        lengths *= same  # a pair of unequal lengths compares no bytes
+        # The pairs' bytes laid end to end: where each sits in the batch.
+        start = np.cumsum(lengths) - lengths
+        pos = np.arange(start[-1] + lengths[-1]) - np.repeat(start - lo, lengths)
+        differ = blob[pos] != self._blob[pos + np.repeat(at - lo, lengths)]
+        if differ.any():
+            same[np.searchsorted(start, np.flatnonzero(differ), "right") - 1] = False
+        return same
+
+    def _append(self, new: np.ndarray, offsets, blob) -> None:
+        """Append the bytes of batch strings ``new`` (ascending) as the next entries."""
+        ends = offsets[1:]
+        if len(new) < len(ends):  # some were found: keep the new ones' bytes
+            lengths = np.diff(offsets)
+            keep = np.zeros(len(lengths), dtype=bool)
+            keep[new] = True
+            blob, ends = blob[np.repeat(keep, lengths)], np.cumsum(lengths[new])
+        n, m = self._n, len(new)
+        start = int(self._offsets[n])
+        self._offsets = ensure_capacity(self._offsets, n + 1, n + m + 1)
+        np.add(ends, start, out=self._offsets[n + 1:n + m + 1])
+        self._blob = ensure_capacity(self._blob, start, start + len(blob))
+        self._blob[start:start + len(blob)] = blob
+        self._n = n + m
+
+    def _index(self, hashes, codes, slots) -> None:
+        """Index the new entries ``codes`` (``_find`` stopped each at the
+        free slot in ``slots``); if the index would be more than half
+        full, rebuild it instead, at the power of two that is not."""
+        if 2 * self._n <= len(self._slot_codes):
+            self._place(hashes, codes, slots)
+            return
+        held = np.flatnonzero(self._slot_codes != _FREE)
+        hashes = np.concatenate([self._slot_hashes[held], hashes])
+        codes = np.concatenate([self._slot_codes[held], codes])
+        size = 1 << (2 * self._n - 1).bit_length()
+        # Entries put in order of home slot each take the first free slot
+        # from home on: the later of their home and the slot after the
+        # previous entry's, a running maximum.
+        order = np.argsort(hashes & (size - 1))
+        hashes, codes = hashes[order], codes[order]
+        step = np.arange(len(order))
+        at = np.maximum.accumulate((hashes & (size - 1)) - step) + step
+        fit = int(np.searchsorted(at, size))
+        self._slot_hashes = np.full(size, _FREE, dtype=np.int64)
+        self._slot_codes = np.full(size, _FREE, dtype=np.int32)
+        self._slot_hashes[at[:fit]] = hashes[:fit]
+        self._slot_codes[at[:fit]] = codes[:fit]
+        # Entries past the last slot wrap around to the first ones.
+        self._place(hashes[fit:], codes[fit:], at[fit:] - size)
+
+    def _place(self, hashes, codes, at) -> None:
+        """Store entries absent from the index, each in the first free
+        slot at or after ``at`` in its probe sequence: every round, each
+        entry moves on to a free slot and writes its code there, and one
+        writer wins a contested slot."""
+        mask = len(self._slot_codes) - 1
+        while len(codes):
+            busy = self._slot_codes[at] != _FREE
+            while busy.any():
+                at[busy] = (at[busy] + 1) & mask
+                busy = self._slot_codes[at] != _FREE
+            self._slot_codes[at] = codes
+            won = self._slot_codes[at] == codes
+            if won.all():
+                self._slot_hashes[at] = hashes
+                return
+            self._slot_hashes[at[won]] = hashes[won]
+            lost = ~won
+            hashes, codes, at = hashes[lost], codes[lost], at[lost]

@@ -49,10 +49,13 @@ def manifest_crcs(dataset_dir) -> dict[str, int]:
 
 def column_rows(columns: dict) -> list[dict]:
     """The parsed field ``columns`` of ``repro.gdelt.csv_io`` as one dict
-    per row, numbers as Python ``int``/``float``."""
+    per row, numbers as Python ``int``/``float``.  The binary columns the
+    parse also computes (capitalised, e.g. ``RootCode``) are left out:
+    they are not fields of a row."""
     listed = {
         name: col.tolist() if isinstance(col, np.ndarray) else list(col)
         for name, col in columns.items()
+        if name.islower()
     }
     return [dict(zip(listed, values)) for values in zip(*listed.values())]
 

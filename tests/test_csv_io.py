@@ -14,6 +14,7 @@ from repro.gdelt.csv_io import (
     event_lines,
     mention_columns,
     mention_lines,
+    numeric_root_codes,
     open_chunk_text,
     write_chunk_zip,
 )
@@ -447,6 +448,9 @@ class TestColumnParserEqualsRowOracle:
         rows, want_bad = oracle_columns(oracle_event, lines)
         assert bad == want_bad
         assert repr(column_rows(columns)) == repr(rows)
+        # The numbers the bound check parsed ride along, good rows only.
+        want = numeric_root_codes(columns["event_root_code"])
+        assert columns["RootCode"].tolist() == want
 
     @settings(max_examples=300, deadline=None)
     @given(corrupted_lines(mention_records, render_mention, [
@@ -458,6 +462,12 @@ class TestColumnParserEqualsRowOracle:
         rows, want_bad = oracle_columns(oracle_mention, lines)
         assert bad == want_bad
         assert repr(column_rows(columns)) == repr(rows)
+        # The intervals the Delay check converted ride along, good rows only.
+        event = timestamps_to_intervals(columns["event_time"])
+        mention = timestamps_to_intervals(columns["mention_time"])
+        assert columns["EventInterval"].tolist() == event.tolist()
+        assert columns["MentionInterval"].tolist() == mention.tolist()
+        assert columns["Delay"].tolist() == (mention - event).tolist()
 
 
 class TestChunkZip:

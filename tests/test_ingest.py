@@ -4,14 +4,22 @@ same logical dataset as the vectorized direct path."""
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import zipfile
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
+from repro import faults
 from repro.engine import GdeltStore
-from repro.ingest import LiveFollower, convert_raw_to_binary
+from repro.ingest import LiveFollower, RetryPolicy, convert_raw_to_binary
 from repro.ingest.direct import dataset_to_arrays, dataset_to_binary
 from repro.ingest.validate import ProblemReport
 from repro.storage.gdelt import write_gdelt_dataset
@@ -308,3 +316,89 @@ def _not_utf8(path) -> None:
 
 
 DAMAGE = {"bad_crc": _bad_crc, "not_utf8": _not_utf8}
+
+
+#: SHA-256 of every file ``convert_raw_to_binary`` writes for the raw
+#: test mirror (:func:`_tree_digest`), and of the run's problem report
+#: (:func:`_report_digest`): clean, under ``CorruptionPlan`` (seed 5),
+#: and with one archive's reads failing for good.  A crash and resume
+#: must write the clean bytes.  Any change to parsing, interning,
+#: conversion or the writer must reproduce these bytes exactly.
+PINNED = {
+    "clean": (
+        "0b253c8402ba5f58b23581d253cd3177cd54a62561aff2e56c9878f05106e802",
+        "905cb49a7e1c721a4a2034128d743b8cd993f0dc93a69132b49f3feb4fe9bf55",
+    ),
+    "corrupt": (
+        "48375cf56b4f068174809c9f5bb6d987118cd200422d32b9b56a069d2c0b40ca",
+        "8e8c3c458fe89614c3d8eaa32eb57683ccc1a4a755e885d132c2881b80cb15b1",
+    ),
+    "quarantined": (
+        "ec0e998aa247e4c6e0eb96af76cf4c04258012c9ed4ab20a0845bb550bc321bb",
+        "d91e66c98010c4e3ade41a026a8c3e91ef4f5dd02b0986838ad48613ace57dfe",
+    ),
+}
+
+
+def _tree_digest(root) -> str:
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(path.relative_to(root).as_posix().encode() + b";")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def _report_digest(report) -> str:
+    return hashlib.sha256(json.dumps(asdict(report), sort_keys=True).encode()).hexdigest()
+
+
+class TestPinnedOutput:
+    """The write path's output, byte for byte.  Every conversion runs
+    under its own fault plan, so a suite-wide chaos plan cannot move it."""
+
+    def _convert(self, raw, out, plan=None):
+        no_sleep = RetryPolicy(sleep=lambda s: None)
+        with faults.active(plan or faults.FaultPlan()):
+            result = convert_raw_to_binary(raw, out, retry_policy=no_sleep)
+        return _tree_digest(out), _report_digest(result.report)
+
+    def test_clean(self, raw_dir, tmp_path):
+        assert self._convert(raw_dir, tmp_path / "db") == PINNED["clean"]
+
+    def test_corrupt(self, raw_ds, tmp_path):
+        raw = tmp_path / "raw"
+        write_raw_archives(raw_ds, raw, chunk_intervals=96)
+        inject_corruption(raw, CorruptionPlan(
+            malformed_master_entries=7, missing_archives=3,
+            missing_source_urls=2, future_event_dates=4, seed=5,
+        ))
+        assert self._convert(raw, tmp_path / "db") == PINNED["corrupt"]
+
+    def test_quarantined(self, raw_dir, tmp_path):
+        victim = sorted(p.name for p in raw_dir.glob("*.mentions.CSV.zip"))[3]
+        plan = faults.FaultPlan(specs=(
+            faults.FaultSpec(site="fetch.read", kind="permanent", key=victim),
+        ))
+        assert self._convert(raw_dir, tmp_path / "db", plan) == PINNED["quarantined"]
+
+    def test_crash_and_resume(self, raw_dir, tmp_path):
+        names = sorted(p.name for p in raw_dir.glob("*.zip"))
+        plan = faults.FaultPlan(specs=(
+            faults.FaultSpec(site="convert.commit", kind="abort", key=names[len(names) // 2]),
+        ))
+        with pytest.raises(faults.InjectedCrash):
+            self._convert(raw_dir, tmp_path / "db", plan)
+        assert self._convert(raw_dir, tmp_path / "db")[0] == PINNED["clean"][0]
+
+    def test_independent_of_the_string_hash(self, raw_dir, tmp_path):
+        """Python salts ``str`` hashes per process; the files must not care."""
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_FAULTS"}
+        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+        script = "import sys, repro.ingest as i; i.convert_raw_to_binary(*sys.argv[1:])"
+        for seed in ("0", "1"):
+            out = tmp_path / f"seed{seed}"
+            subprocess.run(
+                [sys.executable, "-c", script, str(raw_dir), str(out)],
+                env={**env, "PYTHONHASHSEED": seed}, check=True,
+            )
+            assert _tree_digest(out) == PINNED["clean"][0]

@@ -532,6 +532,17 @@ class TestSocketServer:
                 prof = client.stats()
                 assert prof["kind"] == "service_profile"
 
+    def test_remote_unparsable_predicate_names_its_reason(self, service):
+        """A predicate the server cannot parse is refused before it reaches
+        the service, and ``repro.connect`` callers still get its reason."""
+        from repro.serve.remote import RemoteError, connect
+
+        with ServeServer(service, port=0) as server:
+            with connect(("127.0.0.1", server.port)) as store:
+                with pytest.raises(RemoteError, match="cannot parse") as err:
+                    store.query("mentions").filter(col("No Such") > 3).count()
+        assert err.value.reason == "BAD_REQUEST"
+
     def test_malformed_lines_get_error_replies(self, service):
         with ServeServer(service, port=0) as server:
             with socket.create_connection(
@@ -657,7 +668,7 @@ class TestProtocolRobustness:
                     conn.sendall(payload + b"\n")
                     reply = json.loads(reader.readline())
                     assert reply["status"] == "error", payload
-                    assert reply["code"] == "BAD_REQUEST", payload
+                    assert reply["reason"] == "BAD_REQUEST", payload
                     assert "Traceback" not in reply.get("error", ""), payload
                 # The connection survived all of it.
                 conn.sendall(b'{"kind": "ping"}\n')
@@ -673,7 +684,7 @@ class TestProtocolRobustness:
                 conn.sendall(blob + b'"}\n')
                 reply = json.loads(reader.readline())
                 assert reply["status"] == "error"
-                assert reply["code"] == "BAD_REQUEST"
+                assert reply["reason"] == "BAD_REQUEST"
                 assert reader.readline() == b""  # server closed the line
             # ...but the server itself is still accepting.
             with self._raw(server) as conn2:
@@ -703,7 +714,7 @@ class TestProtocolRobustness:
                     conn.sendall(b'{"kind": "stats"}\n')
                     reply = json.loads(reader.readline())
                     assert reply["status"] == "error"
-                    assert reply["code"] == "INTERNAL"
+                    assert reply["reason"] == "INTERNAL"
                     assert "Traceback" not in reply["error"]
                     # The connection survives an internal error too.
                     conn.sendall(b'{"kind": "ping"}\n')

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -137,6 +138,23 @@ _TEXT = st.text(
 )
 
 
+#: Strings every interner reference test starts its pool with: empty,
+#: NUL, 2-, 3- and 4-byte UTF-8, and equal-length strings that differ.
+_EDGE_STRINGS = ["", "\x00", "é", "新", "🦉", "ab", "ba", "a\x00"]
+
+#: The interner's string hash, and degenerate ones that collide often or
+#: always (``-1`` is what a free index slot holds, ``-2`` homes every
+#: string at the last slot, so probes wrap around).
+_HASHES = {
+    "python": hash,
+    "constant": lambda s: 0,
+    "length": len,
+    "low_2_bits": lambda s: hash(s) & 3,
+    "free_marker": lambda s: -1,
+    "last_slot": lambda s: -2,
+}
+
+
 def _per_string_encode(strings) -> tuple[list[int], bytes]:
     """The reference packing: one ``encode`` per string."""
     encoded = [s.encode("utf-8") for s in strings]
@@ -220,23 +238,70 @@ class TestStringDictionary:
         assert offsets.tolist() == want_offsets
         assert blob.tobytes() == want_blob
 
-    @settings(max_examples=80, deadline=None)
-    @given(data=st.data(), pool=st.lists(_TEXT, min_size=1, max_size=12))
-    def test_intern_many_equals_per_string_reference(self, data, pool):
-        """Batches drawn from a small pool repeat strings within and
-        across batches; codes are first-occurrence order throughout."""
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        pool=st.lists(_TEXT, max_size=12),
+        string_hash=st.sampled_from(sorted(_HASHES)),
+    )
+    def test_intern_many_equals_per_string_reference(self, data, pool, string_hash):
+        """Batches drawn from a pool repeat strings within and across
+        batches; codes are first-occurrence order throughout, and the
+        interner is exact whatever its hash."""
+        pool = _EDGE_STRINGS + pool
         batches = data.draw(
             st.lists(st.lists(st.sampled_from(pool), max_size=15), max_size=5)
         )
         b = DictionaryBuilder()
         seen: dict[str, int] = {}
-        for batch in batches:
-            want = [seen.setdefault(s, len(seen)) for s in batch]
-            assert b.intern_many(batch).tolist() == want
+        with mock.patch.object(columns, "_hash", _HASHES[string_hash]):
+            for batch in batches:
+                want = [seen.setdefault(s, len(seen)) for s in batch]
+                assert b.intern_many(batch).tolist() == want
         offsets, blob = b.build().arrays
         want_offsets, want_blob = _per_string_encode(list(seen))
         assert offsets.tolist() == want_offsets
         assert blob.tobytes() == want_blob
+
+    @pytest.mark.parametrize("string_hash", _HASHES.values(), ids=list(_HASHES))
+    def test_index_growth_keeps_every_code(self, string_hash):
+        """Hundreds of strings over many batches: the index doubles and
+        rebuilds, probes run long and wrap around its end, and every
+        string keeps its first-occurrence code."""
+        rng = np.random.default_rng(0)
+        strings = [f"{i}" * (1 + i % 3) + "é" * (i % 2) for i in range(400)]
+        b = DictionaryBuilder()
+        seen: dict[str, int] = {}
+        with mock.patch.object(columns, "_hash", string_hash):
+            for top in range(40, 440, 40):
+                batch = [strings[i] for i in rng.integers(0, top, 60)]
+                want = [seen.setdefault(s, len(seen)) for s in batch]
+                assert b.intern_many(batch).tolist() == want
+            assert b.intern_many(list(seen)).tolist() == list(range(len(seen)))
+        assert b.build().to_list() == list(seen)
+
+    def test_retains_only_the_bytes_and_a_small_index(self):
+        """50 000 distinct URLs interned: besides the blob and offsets,
+        the builder keeps at most 32 B per entry (its index), and none of
+        the batch's Python strings."""
+        n = 50_000
+
+        def intern() -> DictionaryBuilder:
+            b = DictionaryBuilder()
+            urls = [f"https://www.example{i % 97:02d}.com/news/{i:08d}.html" for i in range(n)]
+            b.intern_many(urls)
+            return b
+
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            b = intern()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        offsets, blob = b.build().arrays
+        assert len(b) == n and len(blob) == 44 * n
+        assert retained <= blob.nbytes + offsets.nbytes + 32 * n
 
     def test_packer_edge_strings(self):
         strings = ["", "\x00", "é", "新", "🦉", "a\x00新🦉é", "", "🦉"]

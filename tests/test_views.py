@@ -744,7 +744,7 @@ class TestSubscriptions:
                     conn.sendall(b'{"kind": "subscribe", "views": ["x"]}\n')
                     reply = json.loads(reader.readline())
                     assert reply["status"] == "error"
-                    assert reply["code"] == "BAD_REQUEST"
+                    assert reply["reason"] == "BAD_REQUEST"
         finally:
             svc.close(drain=False)
 

@@ -14,7 +14,8 @@ filter) into an explicit :class:`Plan`:
 3. **Cache** — plans carry a cache key built from the store fingerprint
    and the filter's canonical form; terminal results are kept in a
    process-wide LRU (:class:`QueryCache`) so a repeated identical query
-   returns a byte-identical copy without scanning at all.
+   returns a byte-identical copy without scanning at all; a
+   materialized view's answer is a pinned entry of the same cache.
 
 Everything is conservative: a table without zone maps, or a filter the
 interval analysis cannot bound, degrades to the unpruned full scan.
@@ -88,9 +89,13 @@ class Plan:
     cache_key: tuple | None = None
     #: "off" | "miss" | "hit" — filled in by the terminal that runs the plan.
     cache_status: str = "off"
-    #: "scan" | "view" — where the value came from.  "view" means a fresh
-    #: materialized view answered without running the scan units.
-    source: str = "scan"
+    #: The materialized view whose pinned answer the plan returned.
+    view: str | None = None
+
+    @property
+    def source(self) -> str:
+        """"view" when a view's pinned answer served the plan, else "scan"."""
+        return "scan" if self.view is None else "view"
 
     @property
     def rows_planned(self) -> int:
@@ -127,8 +132,8 @@ class Plan:
         lines.append(f"  dispatch {len(self.units)} morsel(s)")
         if self.cache_key is not None:
             lines.append(f"  result cache: {self.cache_status}")
-        if self.source != "scan":
-            lines.append(f"  source: {self.source}")
+        if self.view is not None:
+            lines.append(f"  source: view {self.view}")
         return "\n".join(lines)
 
 
@@ -378,12 +383,17 @@ def _copy_value(value):
 
 
 class QueryCache:
-    """LRU cache of terminal-operation results.
+    """LRU cache of terminal-operation results, plus pinned view answers.
 
     Keys are ``(store fingerprint, table, row range, canonical filter,
     op, sig)``; the store fingerprint includes a generation counter, so
     :meth:`GdeltStore.invalidate` implicitly orphans every stale entry
     (and :meth:`invalidate` evicts them eagerly).
+
+    A *pinned* entry (:meth:`pin`) is a materialized view's answer under
+    the request key it answers.  Pins sit outside the LRU capacity and
+    never age out; :meth:`get` finds them with the same one probe.
+    ``stats()["pinned"]`` counts them, ``size`` and ``len()`` do not.
 
     Thread-safe: one process-wide instance is shared by every query —
     including the serving subsystem's worker threads — so every access
@@ -397,6 +407,8 @@ class QueryCache:
     def __init__(self, capacity: int = DEFAULT_CACHE_CAPACITY) -> None:
         self.capacity = capacity
         self._data: "OrderedDict[tuple, object]" = OrderedDict()
+        #: Request key -> ``(value, view name)``.
+        self._pins: dict[tuple, tuple[object, str]] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -406,19 +418,21 @@ class QueryCache:
         with self._lock:
             return len(self._data)
 
-    def get(self, key: tuple):
-        """Cached value (a fresh copy) or None; counts the hit/miss."""
+    def get(self, key: tuple) -> tuple[object, str | None] | None:
+        """``(value copy, pinning view's name or None)`` or None; counts
+        the hit/miss."""
         with self._lock:
-            value = self._data.get(key)
-            if value is not None:
+            value, view = self._pins.get(key, (None, None))
+            if value is None and (value := self._data.get(key)) is not None:
                 self._data.move_to_end(key)
+            if value is not None:
                 self.hits += 1
             else:
                 self.misses += 1
         if value is not None:
             if _obs._enabled:
                 _metrics.counter("planner_cache_hits_total").inc()
-            return _copy_value(value)
+            return _copy_value(value), view
         if _obs._enabled:
             _metrics.counter("planner_cache_misses_total").inc()
         return None
@@ -436,22 +450,34 @@ class QueryCache:
         if evicted and _obs._enabled:
             _metrics.counter("planner_cache_evictions_total").inc(evicted)
 
-    def invalidate(self, store_token: str | None = None) -> int:
-        """Evict entries for one store (by fingerprint token) or all."""
+    def pin(self, key: tuple, value, view: str) -> None:
+        """Keep ``value`` as view ``view``'s answer to ``key`` until
+        :meth:`discard` or :meth:`invalidate` removes it."""
+        value = _copy_value(value)
         with self._lock:
-            if store_token is None:
-                n = len(self._data)
-                self._data.clear()
-                return n
-            stale = [k for k in self._data if k[0][0] == store_token]
-            for k in stale:
-                del self._data[k]
-            return len(stale)
+            self._pins[key] = (value, view)
+
+    def discard(self, key: tuple | None) -> None:
+        """Remove ``key``'s entry, pinned or not (a no-op when absent)."""
+        with self._lock:
+            self._pins.pop(key, None)
+            self._data.pop(key, None)
+
+    def invalidate(self, store_token: str | None = None) -> int:
+        """Evict entries, pins included, for one store (by fingerprint
+        token) or all."""
+        with self._lock:
+            n = len(self._data) + len(self._pins)
+            for entries in (self._data, self._pins):
+                for k in [k for k in entries if store_token in (None, k[0][0])]:
+                    del entries[k]
+            return n - len(self._data) - len(self._pins)
 
     def stats(self) -> dict[str, int]:
         with self._lock:
             return {
                 "size": len(self._data),
+                "pinned": len(self._pins),
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,

@@ -199,11 +199,13 @@ def run_batch(
 
     Each op is planned and its ``plan.cache_key`` probed in the
     process-wide result cache; a hit completes without scanning
-    (``plan.cache_status == "hit"``).  The misses of each table are
-    fused (:func:`~repro.engine.planner.fuse_plans`) into one
-    ``map_slices`` pass that reads each morsel's columns once for every
-    member covering it; a plan with no cache key (``prune=False``)
-    always scans and reports ``"off"``.
+    (``plan.cache_status == "hit"``); a materialized view's pinned
+    answer also names its view (``plan.view``, so ``plan.source ==
+    "view"``).  The misses of each table are fused
+    (:func:`~repro.engine.planner.fuse_plans`) into one ``map_slices``
+    pass that reads each morsel's columns once for every member
+    covering it; a plan with no cache key (``prune=False``) always
+    scans and reports ``"off"``.
 
     Returns one entry per op, in order: a :class:`QueryResult`, or the
     exception that op failed with.  ``cancel`` is checked before every
@@ -226,6 +228,7 @@ def run_batch(
         if plan.cache_key is not None:
             hit = result_cache().get(plan.cache_key)
             if hit is not None:
+                hit, plan.view = hit
                 plan.cache_status = "hit"
                 if _obs._enabled:
                     _metrics.counter("queries_total", op=op.op_name).inc()

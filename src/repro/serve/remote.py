@@ -231,5 +231,5 @@ def _synthesize_plan(query: Query, op_name: str, stats: dict) -> Plan:
         n_chunks_full=int(stats.get("chunks_full", 0)),
         pruning=str(stats.get("pruning", "unavailable")),
         cache_status=str(stats.get("cache", "off")),
-        source=str(stats.get("source", "scan")),
+        view=stats.get("view"),
     )

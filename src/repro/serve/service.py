@@ -13,12 +13,12 @@ multi-tenant server in two stages:
    deadline are shed instead of scanned; identical ones (same planner
    canonical key) single-flight: one leader executes, duplicates attach
    to its in-flight entry and receive copies of the same value.  The
-   worker probes the views, then hands the remaining leaders to the
-   engine's runner (:func:`repro.engine.query.run_batch` — the same
-   plan → result cache → fused scan path every ``store.query(...)``
-   terminal runs) on its own serial executor, and resolves every
-   waiter.  A crashed pass resolves what it took and the loop restarts
-   in place.
+   worker hands the leaders to the engine's runner
+   (:func:`repro.engine.query.run_batch` — the same plan → result
+   cache → fused scan path every ``store.query(...)`` terminal runs,
+   whose cache also holds the views' pinned answers) on its own serial
+   executor, and resolves every waiter.  A crashed pass resolves what
+   it took and the loop restarts in place.
 
 Graceful drain: :meth:`~QueryService.close` stops admitting (late
 submissions shed with ``SHUTTING_DOWN``), waits for queued and
@@ -150,11 +150,10 @@ class QueryService:
         breakers: per-failure-class circuit breakers; a fresh board by
             default.  The ``"execute"`` class gates :meth:`submit` —
             while open, requests shed immediately with ``CIRCUIT_OPEN``.
-        views: optional :class:`~repro.views.catalog.ViewCatalog`.
-            When set, each request probes the catalog before the result
-            cache: a fresh matching view resolves the request without
-            planning a scan (``stats["source"] == "view"``); stale or
-            non-matching requests fall through unchanged.
+        views: optional :class:`~repro.views.catalog.ViewCatalog`
+            whose views the server streams to subscribers.  A view hit
+            needs no catalog here: a fresh view's answer is a pinned
+            result-cache entry (``stats["source"] == "view"``).
     """
 
     def __init__(
@@ -180,7 +179,7 @@ class QueryService:
         self.lifecycle = lifecycle
         #: Per-failure-class circuit breakers gating :meth:`submit`.
         self.breakers = breakers if breakers is not None else BreakerBoard()
-        #: Optional materialized-view catalog probed before every scan.
+        #: Optional materialized-view catalog (subscriptions, ``/varz``).
         self.views = views
         self.workers = max(1, workers)
         #: SLO burn-rate tracker fed by every resolution.  Sheds count as
@@ -440,7 +439,6 @@ class QueryService:
         t_start = time.monotonic()
         #: Per member: a QueryResult, or the exception it failed with.
         results: list = [None] * len(batch)
-        views: dict[int, str] = {}
         run: list[int] = []
         for i, (pending, op) in enumerate(batch):
             try:
@@ -460,10 +458,6 @@ class QueryService:
             ):
                 results[i] = QueryCancelled("deadline")
                 continue
-            hit = self._view_hit(op, executor) if self.views is not None else None
-            if hit is not None:
-                results[i], views[i] = hit
-                continue
             run.append(i)
 
         if run:
@@ -471,11 +465,18 @@ class QueryService:
                 [batch[i][1] for i in run], executor,
                 cancel=self._batch_cancel_token(batch),
             )
-            hits = 0
+            hits = views = 0
             for i, res in zip(run, answers):
                 results[i] = res
-                hits += isinstance(res, QueryResult) and res.plan.cache_status == "hit"
-            for name, n in (("cache_hits", hits), ("scans", len(run) - hits)):
+                if isinstance(res, QueryResult) and res.plan.cache_status == "hit":
+                    if res.plan.source == "view":
+                        views += 1
+                        _metrics.counter("view_hits_total", view=res.plan.view).inc()
+                    else:
+                        hits += 1
+            if views:
+                self._count("view_hits", views)
+            for name, n in (("cache_hits", hits), ("scans", len(run) - hits - views)):
                 if n:
                     self._count(name, n)
                     _metrics.counter(f"serve_{name}_total").inc(n)
@@ -499,7 +500,7 @@ class QueryService:
         self.admission.observe_service(exec_s / len(batch))
 
         now = time.monotonic()
-        for i, ((pending, op), res) in enumerate(zip(batch, results)):
+        for (pending, op), res in zip(batch, results):
             queue_delay = t_start - pending.arrival_s
             _metrics.histogram("serve_queue_delay_seconds").observe(queue_delay)
             waiters = self._pop_flight(op.key, pending)
@@ -514,58 +515,29 @@ class QueryService:
                     self.admission.done()
                 continue
             plan = res.plan
+            viewed = plan.source == "view"
+            # The plan accounting lets a RemoteStore reconstruct the
+            # pruning story a local QueryResult carries on its Plan.
             stats = {
                 "queue_delay_s": round(queue_delay, 6),
                 "exec_s": round(exec_s, 6),
                 "batch_size": len(batch),
-                "cache": "view" if i in views else plan.cache_status,
-                "source": "view" if i in views else "scan",
-                "rows_planned": plan.rows_planned if plan is not None else 0,
+                "cache": "view" if viewed else plan.cache_status,
+                "source": plan.source,
+                "rows_planned": plan.rows_planned,
                 "store_gen": lease.generation if lease is not None else 0,
+                "pruning": plan.pruning,
+                "chunks_total": plan.n_chunks_total,
+                "chunks_pruned": plan.n_chunks_pruned,
+                "chunks_full": plan.n_chunks_full,
+                "rows_total": plan.rows_total,
             }
-            if i in views:
-                stats["view"] = views[i]
-            if plan is not None:
-                # Plan accounting for remote clients: lets a RemoteStore
-                # reconstruct the pruning story a local QueryResult
-                # carries on its Plan.
-                stats.update(
-                    pruning=plan.pruning,
-                    chunks_total=plan.n_chunks_total,
-                    chunks_pruned=plan.n_chunks_pruned,
-                    chunks_full=plan.n_chunks_full,
-                    rows_total=plan.rows_total,
-                )
+            if viewed:
+                stats["view"] = plan.view
             for n, waiter in enumerate(waiters):
                 value = res.value if n == 0 else _copy_value(res.value)
                 self._resolve_ok(waiter, value, dict(stats, deduped=n > 0), now)
                 self.admission.done()
-
-    def _view_hit(
-        self, op: ExecutableOp, executor: Executor
-    ) -> tuple[QueryResult, str] | None:
-        """A fresh materialized view's answer for ``op``, if one matches.
-
-        The view is its own, incrementally maintained cache, so a hit
-        skips the result cache and the scan.  It is still planned
-        (zone-map arithmetic, no scan) so it carries the same plan
-        accounting as a scan, stamped ``source="view"`` for explain().
-        """
-        try:
-            hit = self.views.serve_lookup(op)
-        except Exception:  # a broken catalog must not fail serving
-            logger.exception("view lookup failed; falling back to scan")
-            return None
-        if hit is None:
-            return None
-        value, meta = hit
-        try:
-            plan = op.plan(executor)
-            plan.source = "view"
-        except Exception:
-            plan = None
-        self._count("view_hits")
-        return QueryResult(value=value, plan=plan), meta.get("view")
 
     # -- resolution --------------------------------------------------------
 

@@ -27,16 +27,21 @@ Consistency model
   :class:`~repro.serve.lifecycle.StoreLifecycle` uses for path-reload
   candidates — drops the partial and rebuilds instead of trusting the
   prefix.
-* **Freshness.**  A view is served under the request key
-  (:attr:`~repro.engine.query.ExecutableOp.key`) of the whole-table
+* **Freshness.**  A view's finalized value is a *pinned* entry of the
+  process-wide result cache (:class:`~repro.engine.planner.QueryCache`;
+  outside its LRU capacity, reported as ``pinned``) under the request
+  key (:attr:`~repro.engine.query.ExecutableOp.key`) of the whole-table
   request it answers on the generation it was last refreshed against:
   store fingerprint (token + generation), table, row range, canonical
   filter, op and terminal signature.  A request matches only by being
-  that request on that exact generation.  The lifecycle refreshes its
-  catalog against each candidate before publishing it, so a published
-  generation's views are already fresh; a view that is not (its refresh
-  failed, or the store was swapped outside a lifecycle) is never served
-  — requests simply fall through to the scanning path.
+  that request on that exact generation, through the one
+  :func:`~repro.engine.query.run_batch` cache probe (``plan.source ==
+  "view"``).  A refresh replaces the view's pin, ``drop`` discards it,
+  and a store's ``release()``/``invalidate()`` drops it.  The lifecycle
+  refreshes its catalog against each candidate before publishing it, so
+  a published generation's views are already fresh; a view that is not
+  (its refresh failed, or the store was swapped outside a lifecycle) is
+  never served — requests fall through to the scanning path.
 
 Persistence is atomic temp-file + ``os.replace`` per file:
 ``catalog.json`` (definitions) plus ``state/<view>.json`` (definition,
@@ -58,7 +63,7 @@ import time
 from pathlib import Path
 
 from repro.engine.executor import SerialExecutor
-from repro.engine.planner import _copy_value
+from repro.engine.planner import _copy_value, result_cache
 from repro.engine.query import ExecutableOp, run_batch
 from repro.obs import metrics as _metrics
 from repro.obs import telemetry as _telemetry
@@ -85,7 +90,7 @@ class ViewState:
         "definition", "store_token", "store_generation", "rows_total",
         "n_groups", "partial", "_value", "refreshed_unix",
         "refresh_count", "last_refresh_s", "last_delta_rows", "last_error",
-        "last_source",
+        "last_source", "key",
     )
 
     def __init__(self, definition: ViewDefinition) -> None:
@@ -110,6 +115,10 @@ class ViewState:
         #: Who asked for the last refresh (``initial``, ``poll``,
         #: ``reload``, ``manual``, ...).
         self.last_source: str | None = None
+        #: The request key the view's answer is pinned under; ``None``
+        #: until a refresh (never persisted: store tokens are
+        #: process-local).
+        self.key: tuple | None = None
 
     # -- derived -----------------------------------------------------------
 
@@ -207,7 +216,7 @@ class ViewCatalog:
             (created on first write).  ``None`` keeps everything
             in-memory — useful for tests and embedded use.
 
-    Reads (``serve_lookup``, ``get``, ``snapshot``) take a short lock;
+    Reads (``get``, ``snapshot``) take a short lock;
     refreshes serialize on their own lock and only mutate state under
     the read lock once the delta scan has finished, so serving is never
     blocked behind a scan.
@@ -218,10 +227,7 @@ class ViewCatalog:
         self._lock = threading.RLock()
         self._refresh_lock = threading.Lock()
         self._states: dict[str, ViewState] = {}
-        #: Request key -> the view that answers it.
-        self._served: dict[tuple, ViewState] = {}
         self._listeners: list = []
-        self._hits = 0
         if self.root is not None:
             self._load()
 
@@ -255,7 +261,7 @@ class ViewCatalog:
             state = self._states.pop(name, None)
             if state is None:
                 raise ViewError(f"no such view {name!r}")
-            self._served = {k: s for k, s in self._served.items() if s is not state}
+            result_cache().discard(state.key)
             self._persist_catalog()
             if self.root is not None:
                 try:
@@ -325,6 +331,8 @@ class ViewCatalog:
                     )
             answers = run_batch([op for _, _, op in jobs], SerialExecutor())
             for (state, extend, op), answer in zip(jobs, answers):
+                # A delta is read once, here: its cache entry goes.
+                result_cache().discard(op.key)
                 try:
                     if isinstance(answer, Exception):
                         raise answer
@@ -357,9 +365,9 @@ class ViewCatalog:
         self, state: ViewState, op: ExecutableOp, delta, extend: bool,
         source: str, t0: float,
     ) -> dict | None:
-        """Fold ``delta`` into the retained partial, then serve, persist
+        """Fold ``delta`` into the retained partial, then pin, persist
         and announce the new value.  ``None`` when the view was dropped
-        while its delta ran: it is then neither served nor persisted."""
+        while its delta ran: it is then neither pinned nor persisted."""
         d = state.definition
         terminal = op.terminal
         parts = [state.partial, delta] if extend else [delta]
@@ -384,8 +392,9 @@ class ViewCatalog:
             state.last_refresh_s = time.monotonic() - t0
             state.last_error = None
             state.last_source = source
-            self._served = {k: s for k, s in self._served.items() if s is not state}
-            self._served[key] = state
+            result_cache().discard(state.key)
+            result_cache().pin(key, value, d.name)
+            state.key = key
             self._persist_state(state)
         elapsed = time.monotonic() - t0
         _metrics.counter("view_refresh_total", status="ok").inc()
@@ -421,34 +430,18 @@ class ViewCatalog:
             "error": error,
         }
 
-    # -- serving -----------------------------------------------------------
+    # -- benchmark probe --------------------------------------------------
 
     def serve_lookup(self, op) -> tuple[object, dict] | None:
-        """Answer a compiled request from a fresh view, if one matches.
-
-        ``op`` is a :class:`~repro.engine.query.ExecutableOp`; it hits
-        when its request key is the one a view was refreshed under (see
-        the module docstring) — anything else falls through to the scan
-        path.  Returns ``(value_copy, meta)`` or ``None``.
-        """
+        """``(value copy, {"view": name})`` of the view pinned under
+        ``op.key``, or ``None``.  Nothing serves through this read (see
+        the module docstring); it remains only because the benchmark's
+        ``views.lookup_us_p50`` probe times it."""
         with self._lock:
-            state = self._served.get(op.key)
-            if state is None:
-                return None
-            self._hits += 1
-            value = state.value()
-            name = state.definition.name
-            meta = {
-                "view": name,
-                "view_refreshed_unix": round(state.refreshed_unix, 3),
-            }
-        _metrics.counter("view_hits_total", view=name).inc()
-        return value, meta
-
-    @property
-    def hits(self) -> int:
-        with self._lock:
-            return self._hits
+            for state in self._states.values():
+                if state.key is not None and state.key == op.key:
+                    return state.value(), {"view": state.definition.name}
+        return None
 
     # -- subscriptions -----------------------------------------------------
 
@@ -516,7 +509,6 @@ class ViewCatalog:
         with self._lock:
             return {
                 "root": str(self.root) if self.root is not None else None,
-                "hits": self._hits,
                 "views": {
                     name: state.snapshot()
                     for name, state in sorted(self._states.items())

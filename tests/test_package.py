@@ -222,6 +222,18 @@ class TestOneSpelling:
         assert not offenders, (
             f"only the engine runner may plan, fuse or cache: {offenders}"
         )
+        # A view's answer is a pin of that one cache: only the catalog
+        # pins or discards, and nothing serves beside the runner's probe.
+        catalog = src / "views" / "catalog.py"
+        pins = re.compile(r"result_cache\(\)\.(pin|discard)\(")
+        offenders = [
+            f"{path.relative_to(src)}:{n}"
+            for path in sorted(src.rglob("*.py"))
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if (path != catalog and pins.search(line))
+            or (path.parent.name == "serve" and "serve_lookup(" in line)
+        ]
+        assert not offenders, f"only the view catalog pins: {offenders}"
 
     def test_one_raw_row_parser(self):
         """A raw line is split into cells in one place, the column parser

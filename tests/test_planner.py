@@ -312,23 +312,46 @@ class TestResultCache:
         cache = QueryCache(capacity=2)
         cache.put(("s", 1), 1)
         cache.put(("s", 2), 2)
-        assert cache.get(("s", 1)) == 1  # refresh 1 -> 2 becomes LRU
+        assert cache.get(("s", 1)) == (1, None)  # refresh 1 -> 2 becomes LRU
         cache.put(("s", 3), 3)
         assert cache.get(("s", 2)) is None
-        assert cache.get(("s", 1)) == 1
+        assert cache.get(("s", 1)) == (1, None)
         assert cache.evictions == 1
+
+    def test_pin_survives_capacity_plus_one_puts(self):
+        cache = QueryCache(capacity=2)
+        cache.pin((("tok", 0), "view"), 7, "v")
+        for i in range(cache.capacity + 1):
+            cache.put((("tok", 0), i), i)
+        assert cache.get((("tok", 0), "view")) == (7, "v")
+        assert cache.stats()["pinned"] == 1
+        assert len(cache) == cache.stats()["size"] == 2
+        cache.discard((("tok", 0), "view"))
+        assert cache.get((("tok", 0), "view")) is None
+
+    def test_invalidation_drops_pins(self):
+        cache = QueryCache()
+        cache.pin((("tokA", 0), "x"), 1, "a")
+        cache.pin((("tokB", 0), "y"), 2, "b")
+        assert cache.invalidate("tokA") == 1
+        assert cache.get((("tokA", 0), "x")) is None
+        assert cache.get((("tokB", 0), "y")) == (2, "b")
+        assert cache.invalidate() == 1
+        assert cache.stats()["pinned"] == 0
 
     def test_token_scoped_invalidation(self):
         cache = QueryCache()
         cache.put((("tokA", 0), "x"), 1)
         cache.put((("tokB", 0), "y"), 2)
         assert cache.invalidate("tokA") == 1
-        assert cache.get((("tokB", 0), "y")) == 2
+        assert cache.get((("tokB", 0), "y")) == (2, None)
 
     def test_concurrent_hammering_is_safe(self):
         """Regression: the process-wide LRU is shared by every serving
         worker; unsynchronized gets/puts/evictions used to corrupt the
-        OrderedDict under free-threaded access."""
+        OrderedDict under free-threaded access.  Pins and discards race
+        the LRU too."""
+        import sys
         import threading
 
         cache = QueryCache(capacity=32)
@@ -342,8 +365,13 @@ class TestResultCache:
                     key = ("k", (seed * 7 + i) % 64)
                     hit = cache.get(key)
                     if hit is not None:
-                        assert hit == key[1]
+                        assert hit == (key[1], None)
                     cache.put(key, key[1])
+                    pinned = (("p", 0), seed)
+                    cache.pin(pinned, seed, "v")
+                    assert cache.get(pinned) in (None, (seed, "v"))
+                    if i % 3 == 0:
+                        cache.discard(pinned)
                     if i % 500 == seed % 500:
                         cache.invalidate()
             except Exception as exc:  # noqa: BLE001 - re-raised via errors
@@ -353,14 +381,20 @@ class TestResultCache:
             threading.Thread(target=hammer, args=(s,), daemon=True)
             for s in range(8)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors, errors[:3]
         stats = cache.stats()
-        assert stats["size"] <= 32
-        assert stats["hits"] + stats["misses"] == 8 * 2_000
+        assert stats["size"] <= 32 and stats["pinned"] <= 8
+        assert stats["hits"] + stats["misses"] == 8 * 2_000 * 2
 
 
 def _fixture_plans(zstore):

@@ -25,8 +25,9 @@ import numpy as np
 import pytest
 
 from repro.engine import GdeltStore, col
+from repro.engine.executor import SerialExecutor
 from repro.engine.planner import result_cache
-from repro.engine.query import ExecutableOp
+from repro.engine.query import ExecutableOp, run_batch
 from repro.engine.terminal import TerminalSpec
 from repro.ingest import LiveFollower
 from repro.obs import telemetry
@@ -40,6 +41,12 @@ from repro.views import ViewCatalog, ViewDefinition, ViewError
 from tests.test_stream import split_mirror
 
 ZONE_CHUNK_ROWS = 2_048
+
+
+def source_of(op: ExecutableOp) -> tuple[str, str | None]:
+    """``(plan.source, plan.view)`` of ``op`` run through ``run_batch``."""
+    (res,) = run_batch([op], SerialExecutor())
+    return res.plan.source, res.plan.view
 
 
 def assert_same_value(got, want) -> None:
@@ -65,6 +72,13 @@ def zstore(tiny_arrays):
     return GdeltStore.from_arrays(
         events, mentions, dicts, zone_chunk_rows=ZONE_CHUNK_ROWS
     )
+
+
+@pytest.fixture(autouse=True)
+def _unpin():
+    """Pins are process-wide: no test is served another test's views."""
+    yield
+    result_cache().invalidate()
 
 
 #: Terminal shapes every maintenance test sweeps: (definition kwargs,
@@ -347,7 +361,7 @@ class TestCatalogRefresh:
         assert "v" not in summary and "v" not in cat
         n = zstore.n_rows("mentions")
         op = ExecutableOp(zstore, "mentions", TerminalSpec("count"), None, slice(0, n))
-        assert cat.serve_lookup(op) is None
+        assert source_of(op) == ("scan", None)
         assert not (tmp_path / "state" / "v.json").exists()
         assert ViewCatalog(tmp_path).names() == []
 
@@ -362,6 +376,72 @@ class TestCatalogRefresh:
             cat.drop("nope")
         cat.drop("v")
         assert "v" not in cat
+
+
+class TestOneAnswerStore:
+    """A view's answer is a pinned entry of the process-wide result
+    cache, found by the runner's one probe."""
+
+    @staticmethod
+    def _total(store) -> ExecutableOp:
+        n = store.n_rows("mentions")
+        return ExecutableOp(store, "mentions", TerminalSpec("count"), None, slice(0, n))
+
+    def _pinned_total(self, store) -> ViewCatalog:
+        cat = ViewCatalog(None)
+        cat.create(ViewDefinition(name="total", op="count"))
+        cat.refresh(store)
+        assert source_of(self._total(store)) == ("view", "total")
+        return cat
+
+    def test_refreshes_leave_no_delta_entries(self, growth):
+        """Regression: every refresh left its ``partials=True`` delta
+        answers in the LRU, under keys nothing reads again."""
+        result_cache().invalidate()
+        cat = ViewCatalog(None)
+        for i, (spec, _direct) in enumerate(TERMINALS[:4]):
+            cat.create(ViewDefinition(name=f"v{i}", **spec))
+        for store in growth[0][:4]:
+            cat.refresh(store, source="poll")
+            assert len(result_cache()) == 0
+            assert result_cache().stats()["pinned"] == 4
+
+    def test_local_query_is_view_served_and_byte_equal(self, zstore):
+        result_cache().invalidate()
+        cat = ViewCatalog(None)
+        cat.create(ViewDefinition(name="by_quarter", group_by="Quarter"))
+        cat.refresh(zstore)
+        viewed = zstore.query("mentions").group_by("Quarter").count()
+        assert (viewed.plan.source, viewed.plan.view) == ("view", "by_quarter")
+        assert viewed.plan.cache_status == "hit"
+        cat.drop("by_quarter")
+        scanned = zstore.query("mentions").group_by("Quarter").count()
+        assert (scanned.plan.source, scanned.plan.cache_status) == ("scan", "miss")
+        assert_same_value(viewed.value, scanned.value)
+
+    def test_drop_unpins(self, zstore):
+        cat = self._pinned_total(zstore)
+        cat.drop("total")
+        assert source_of(self._total(zstore)) == ("scan", None)
+
+    def test_next_refresh_repins_under_the_new_generation(self, growth):
+        old, new = growth[0][0], growth[0][-1]
+        cat = self._pinned_total(old)
+        cat.refresh(new, source="poll")
+        assert source_of(self._total(new)) == ("view", "total")
+        assert source_of(self._total(old)) == ("scan", None)
+
+    def test_store_release_unpins(self, tiny_arrays):
+        store = GdeltStore.from_arrays(*tiny_arrays)
+        key = self._total(store).key
+        self._pinned_total(store)
+        store.release()
+        assert result_cache().get(key) is None
+
+    def test_full_invalidate_unpins(self, zstore):
+        self._pinned_total(zstore)
+        result_cache().invalidate()
+        assert source_of(self._total(zstore)) == ("scan", None)
 
 
 class TestPersistence:
@@ -385,19 +465,22 @@ class TestPersistence:
             assert state.last_source == "manual"
             assert_same_value(state.value(), want)
         # Recovered state never serves until a refresh re-anchors it to
-        # a live store (store tokens are process-local).
+        # a live store (store tokens are process-local).  Pins are
+        # process-wide, so the first catalog's views go first.
+        for name in cat.names():
+            cat.drop(name)
         n = zstore.n_rows("mentions")
         op = ExecutableOp(
             zstore, "mentions", TerminalSpec("count"), col("Delay") > 96,
             slice(0, n),
         )
-        assert reloaded.serve_lookup(op) is None
+        assert source_of(op) == ("scan", None)
         # Re-anchoring is a zero-row extension, not a rebuild.
         summary = reloaded.refresh(zstore, assume_prefix=True)
         for info in summary.values():
             assert info["error"] is None and not info["rebuilt"]
             assert info["delta_rows"] == 0
-        assert reloaded.serve_lookup(op)[1]["view"] == "d"
+        assert source_of(op) == ("view", "d")
 
     def test_corrupt_state_file_discarded_and_rebuilt(self, tmp_path, zstore):
         cat = self._build(tmp_path, zstore)
@@ -483,7 +566,6 @@ class TestServeIntegration:
         assert resp.stats["view"] == "delayed"
         direct = zstore.query("mentions").filter(col("Delay") > 96).count()
         assert resp.value == direct.value
-        assert cat.hits >= 1
         assert svc.stats()["view_hits"] >= 1
 
     def test_grouped_request_byte_identical(self, served, zstore):
@@ -630,7 +712,7 @@ class TestRefresher:
                     lease.store, "mentions", TerminalSpec("count"), None,
                     slice(0, n),
                 )
-                assert cat.serve_lookup(op)[1]["view"] == "total"
+                assert source_of(op) == ("view", "total")
             # Its refresh never folded, so it has no request key to serve.
             assert cat.get("bad").refresh_count == 0
         finally:

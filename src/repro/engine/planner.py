@@ -394,6 +394,8 @@ class QueryCache:
     the request key it answers.  Pins sit outside the LRU capacity and
     never age out; :meth:`get` finds them with the same one probe.
     ``stats()["pinned"]`` counts them, ``size`` and ``len()`` do not.
+    A pin counts its holders, so the views of two catalogs that answer
+    one request share the entry until both let go of it.
 
     Thread-safe: one process-wide instance is shared by every query —
     including the serving subsystem's worker threads — so every access
@@ -409,6 +411,8 @@ class QueryCache:
         self._data: "OrderedDict[tuple, object]" = OrderedDict()
         #: Request key -> ``(value, view name)``.
         self._pins: dict[tuple, tuple[object, str]] = {}
+        #: Request key -> how many views hold its pin.
+        self._holders: dict[tuple, int] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -451,24 +455,31 @@ class QueryCache:
             _metrics.counter("planner_cache_evictions_total").inc(evicted)
 
     def pin(self, key: tuple, value, view: str) -> None:
-        """Keep ``value`` as view ``view``'s answer to ``key`` until
-        :meth:`discard` or :meth:`invalidate` removes it."""
+        """Keep ``value`` as view ``view``'s answer to ``key`` until its
+        last holder is discarded or :meth:`invalidate` removes it;
+        pinning a pinned key adds a holder."""
         value = _copy_value(value)
         with self._lock:
             self._pins[key] = (value, view)
+            self._holders[key] = self._holders.get(key, 0) + 1
 
     def discard(self, key: tuple | None) -> None:
-        """Remove ``key``'s entry, pinned or not (a no-op when absent)."""
+        """Remove ``key``'s LRU entry and one holder of its pin; the pin
+        goes with its last holder (a no-op when absent)."""
         with self._lock:
-            self._pins.pop(key, None)
             self._data.pop(key, None)
+            held = self._holders.pop(key, 0) - 1
+            if held > 0:
+                self._holders[key] = held
+            else:
+                self._pins.pop(key, None)
 
     def invalidate(self, store_token: str | None = None) -> int:
         """Evict entries, pins included, for one store (by fingerprint
         token) or all."""
         with self._lock:
             n = len(self._data) + len(self._pins)
-            for entries in (self._data, self._pins):
+            for entries in (self._data, self._pins, self._holders):
                 for k in [k for k in entries if store_token in (None, k[0][0])]:
                     del entries[k]
             return n - len(self._data) - len(self._pins)

@@ -104,8 +104,6 @@ class AdmissionController:
         self._buckets: dict[str, TokenBucket] = {}
         self._ewma_service_s = 0.0
         self._in_flight = 0
-        self.shed_counts: dict[str, int] = {}
-        self.admitted_total = 0
         self.peak_depth = 0
 
     # -- estimates ---------------------------------------------------------
@@ -157,7 +155,6 @@ class AdmissionController:
                 return self._shed_locked(ErrorCode.RETRY_AFTER, est)
             self._seq += 1
             heapq.heappush(self._heap, Admitted(priority, self._seq, pending))
-            self.admitted_total += 1
             self.peak_depth = max(self.peak_depth, len(self._heap))
             _metrics.gauge("serve_queue_depth").set(len(self._heap))
             self._not_empty.notify()
@@ -165,7 +162,6 @@ class AdmissionController:
 
     def _shed_locked(self, reason: str, retry_after: float) -> tuple[str, float]:
         reason = str(reason)
-        self.shed_counts[reason] = self.shed_counts.get(reason, 0) + 1
         _metrics.counter("serve_shed_total", reason=reason).inc()
         return reason, retry_after
 

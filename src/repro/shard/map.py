@@ -15,15 +15,16 @@ The data placement contract (established by ``repro-gdelt split``):
   of the globally capture-sorted table — shard order IS global row
   order, which is what makes order-sensitive merges (group stats)
   byte-identical to a single-store run;
-* ``events`` and the string dictionaries are replicated, so any single
-  healthy shard can answer an events-table query exactly.
+* ``events`` and the string dictionaries are replicated, so the
+  shards form one replica group for the events table: any single
+  healthy replica answers an events-table query exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.expr import Expr
+from repro.engine.expr import Expr, col
 from repro.serve.protocol import meta_group_width
 
 __all__ = ["ShardInfo", "ShardMap"]
@@ -154,43 +155,32 @@ class ShardMap:
         table: str,
         where: Expr | None = None,
         time_range: tuple[int, int] | None = None,
-    ) -> tuple[list[ShardInfo], list[tuple[ShardInfo, str]]]:
-        """Which shards can contain matching rows?
+    ) -> tuple[list[list[ShardInfo]], list[tuple[ShardInfo, str]]]:
+        """Which replica groups can hold matching rows?
 
-        Returns ``(targets, skipped)`` where each skipped entry carries
-        its reason (``"empty"`` / ``"pruned"``).  Only the partitioned
-        mentions table is ever pruned; events queries should be routed
-        to a single replica instead (see
-        :meth:`ShardRouter.submit <repro.shard.router.ShardRouter>`).
+        Returns ``(groups, skipped)``: the groups in global row order,
+        each a list of shards holding the same rows (any one answers for
+        the group), and every skipped shard with its reason (``"empty"``
+        / ``"pruned"``).  The partitioned mentions table is one group per
+        shard the filter cannot rule out — a capture window ``[lo, hi)``
+        is ANDed into it as a ``MentionInterval`` range, so one interval
+        analysis prunes both.  The replicated events table is one group
+        of every non-empty replica in shard order, or no group at all.
         """
         live = [s for s in self.shards if s.rows(table) > 0]
         skipped: list[tuple[ShardInfo, str]] = [
             (s, "empty") for s in self.shards if s.rows(table) == 0
         ]
         if table != "mentions" or not live:
-            return live, skipped
-
-        keep = np.ones(len(live), dtype=bool)
+            return ([live] if live else []), skipped
         if time_range is not None:
             lo, hi = time_range
-            for i, shard in enumerate(live):
-                bounds = shard.columns(table).get("MentionInterval")
-                if bounds is None:
-                    continue
-                b_lo, b_hi = bounds.get("min"), bounds.get("max")
-                if b_lo is None or b_hi is None:
-                    continue  # all-null interval column: cannot bound
-                # Request interval [lo, hi) vs shard rows in [b_lo, b_hi].
-                if b_hi < lo or b_lo >= hi:
-                    keep[i] = False
-        if where is not None and keep.any():
-            pruned = where.prune_chunks(_ShardStatsView(live))
-            if pruned is not None:
-                keep &= pruned[0]
-
-        targets = [s for i, s in enumerate(live) if keep[i]]
-        skipped += [(s, "pruned") for i, s in enumerate(live) if not keep[i]]
-        return targets, skipped
+            window = (col("MentionInterval") >= lo) & (col("MentionInterval") < hi)
+            where = window if where is None else where & window
+        pruned = where.prune_chunks(_ShardStatsView(live)) if where is not None else None
+        keep = [True] * len(live) if pruned is None else pruned[0]
+        skipped += [(s, "pruned") for s, k in zip(live, keep) if not k]
+        return [[s] for s, k in zip(live, keep) if k], skipped
 
     # -- merged self-description -------------------------------------------
 

@@ -8,30 +8,30 @@ knowing which): ``submit`` returns a resolved
 ``meta``/``stats``/``profile``/``health`` answer for the cluster as a
 whole.  Per request it:
 
-1. **routes** — the shard map prunes backends whose zone-map bounds
-   cannot contain matching rows (``shard_skipped_total{reason}``); a
-   query every shard prunes is answered from the op's zero value with
-   no network traffic at all;
-2. **scatters** — surviving shards get the request in ``partials``
-   mode with a split deadline (:data:`DEADLINE_FRACTION` of the
-   client's remaining budget, so the router has time left to merge and
-   answer);
-3. **gathers** — partials merge in shard order through the terminal
+1. **routes** — the shard map turns the table's placement into
+   replica groups in global row order: one per mentions shard whose
+   zone-map bounds can contain matching rows (the others are skipped,
+   ``shard_skipped_total{reason}``), or one group of every events
+   replica.  A query left with no group is answered from the op's zero
+   value with no network traffic at all;
+2. **scatters** — every group gets the request in ``partials`` mode
+   with a split deadline (:data:`DEADLINE_FRACTION` of the client's
+   remaining budget, so the router has time left to merge and answer);
+   a group's replicas are asked in order until one answers;
+3. **gathers** — partials merge in group order through the terminal
    algebra (:meth:`~repro.engine.terminal.Terminal.merge`), which
    equals global row order, so merged values are byte-identical to a
    single-store run for counts and integer-column aggregates.
 
 Degradation: each shard has its own circuit breaker.  Backend *errors*
-and transport failures trip it; *sheds* do not (an overloaded backend
-is alive), and neither does a backend's ``BAD_REQUEST``: the request is
-at fault, not the shard, so the router answers it as its own.  When
-shards are missing and ``partial_ok`` is set the router answers
+and transport failures trip it and fail over to the group's next
+replica; *sheds* do not (an overloaded backend is alive), and neither
+does a backend's ``BAD_REQUEST``: the request is at fault, not the
+shard, so the router answers it as its own.  When a group has no
+answer and ``partial_ok`` is set the router answers
 ``status="partial"`` with ``reason=PARTIAL_RESULT`` and the missing
 shard ids — a degraded answer instead of no answer; otherwise the
 request fails with ``SHARD_UNAVAILABLE``.
-
-The replicated ``events`` table never fans out: one healthy replica
-answers, and its response is final.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ class ShardRouter:
         self._lock = threading.Lock()
         self._counts: dict[str, int] = {
             "submitted": 0, "ok": 0, "partial": 0, "shed": 0, "error": 0,
-            "fanout_queries": 0, "zero_fanout": 0, "single_shard": 0,
+            "fanout_queries": 0, "zero_fanout": 0,
             "shards_asked": 0, "shards_skipped": 0, "shards_missing": 0,
         }
         self._started_s = time.monotonic()
@@ -219,8 +219,6 @@ class ShardRouter:
             )
         except ValueError as exc:
             return _bad_request(f"{type(exc).__name__}: {exc}")
-        if request.table != "mentions":
-            return self._route_single(request, conjuncts)
         return self._scatter_gather(request, conjuncts)
 
     def _sub_deadline(
@@ -234,71 +232,11 @@ class ShardRouter:
             return None, True
         return max(DEADLINE_FLOOR_S, remaining * DEADLINE_FRACTION), False
 
-    def _route_single(
-        self, request: QueryRequest, conjuncts: list[str]
-    ) -> QueryResponse:
-        """Replicated-table path: one healthy replica answers, finally.
-
-        Replicas are tried in shard order; breaker-open and failing
-        shards are passed over.  A shed from a live replica is passed
-        through verbatim (the next replica holds the same data but the
-        shed is about *load*, and its retry hint is already correct).
-
-        Grouped ops go through the partials wire and a one-part merge
-        rather than taking the replica's value verbatim: derived group
-        domains (quarters) are computed from a store's *mention* slice
-        too, so a replica whose mentions stop early would answer with
-        fewer trailing empty groups than the global width — padding
-        through the merge keeps the single-replica path byte-identical
-        to an unsharded store.
-        """
-        self._count("single_shard")
-        _metrics.histogram("shard_fanout").observe(1)
-        targets, _skipped = self.map.route(request.table)
-        grouped = request.group_by is not None
-        n_groups = None
-        if grouped:
-            n_groups = self.map.n_groups(request.table, request.group_by)
-        sub_deadline, expired = self._sub_deadline(request, time.monotonic())
-        if expired:
-            return self._shed_deadline()
-        last_error = "no replica holds this table"
-        for shard in targets:
-            allowed, _retry = self.breakers.allow(shard.shard_id)
-            if not allowed:
-                continue
-            kind, payload = self._call_shard(
-                shard, request, conjuncts, sub_deadline, partials=grouped
-            )
-            if kind == "ok":
-                self.breakers.success(shard.shard_id)
-                value, stats = payload
-                if grouped:
-                    spec = TerminalSpec(request.op, group=request.group_by, k=request.k)
-                    value = spec.bind(n_groups).merge([value])
-                stats = dict(stats, fanout=1, routed_shard=shard.shard_id)
-                return QueryResponse(status="ok", value=value, stats=stats)
-            if kind == "shed":
-                reason, retry_after = payload
-                return QueryResponse(
-                    status="shed", reason=reason, retry_after_s=retry_after
-                )
-            if kind == "bad":
-                self.breakers.success(shard.shard_id)
-                return _bad_request(payload)
-            self.breakers.failure(shard.shard_id)
-            last_error = payload
-        return QueryResponse(
-            status="error",
-            reason=ErrorCode.SHARD_UNAVAILABLE,
-            error=f"no replica could answer: {last_error}",
-        )
-
     def _scatter_gather(
         self, request: QueryRequest, conjuncts: list[str]
     ) -> QueryResponse:
         arrival_s = time.monotonic()
-        targets, skipped = self.map.route(
+        groups, skipped = self.map.route(
             request.table, request.where, request.time_range
         )
         for _shard, reason in skipped:
@@ -310,8 +248,8 @@ class ShardRouter:
             n_groups = self.map.n_groups(request.table, request.group_by)
         spec = TerminalSpec(request.op, group=request.group_by, k=request.k)
 
-        if not targets:
-            # Pruning answered the query: no shard can hold a matching
+        if not groups:
+            # Placement answered the query: no shard can hold a matching
             # row, so the op's zero value IS the exact result — built
             # with the value column's dtype from the shard meta, so it
             # matches a run that scanned and selected nothing.
@@ -331,57 +269,44 @@ class ShardRouter:
         if expired:
             return self._shed_deadline()
 
-        # Scatter: breaker-gated, every allowed shard concurrently.
-        asked: list[ShardInfo] = []
-        futures = []
-        missing: list[tuple[str, str]] = []  # (shard_id, why)
-        for shard in targets:
-            allowed, _retry = self.breakers.allow(shard.shard_id)
-            if not allowed:
-                missing.append((shard.shard_id, "CIRCUIT_OPEN"))
-                _metrics.counter("shard_skipped_total", reason="breaker").inc()
-                continue
-            asked.append(shard)
-            futures.append(
-                self._fanout.submit(
-                    self._call_shard, shard, request, conjuncts, sub_deadline,
-                    True,
-                )
+        # Scatter: every group concurrently, its replicas in order.
+        futures = [
+            self._fanout.submit(
+                self._call_group, group, request, conjuncts, sub_deadline
             )
+            for group in groups
+        ]
         self._count("fanout_queries")
-        self._count("shards_asked", len(asked))
-        _metrics.histogram("shard_fanout").observe(len(asked))
+        _metrics.histogram("shard_fanout").observe(len(groups))
 
-        # Gather in shard order == global row order (merge exactness).
+        # Gather in group order == global row order (merge exactness).
         parts: list = []
         part_stats: list[dict] = []
         sheds: list[tuple[str, float]] = []
+        lost: list[tuple[list[ShardInfo], str]] = []  # (group, why)
         bad = None
-        for shard, future in zip(asked, futures):
+        for group, future in zip(groups, futures):
             kind, payload = future.result()
             if kind == "ok":
-                self.breakers.success(shard.shard_id)
                 value, stats = payload
                 parts.append(value)
                 part_stats.append(stats)
             elif kind == "shed":
-                reason, retry_after = payload
-                sheds.append((str(reason), retry_after))
-                missing.append((shard.shard_id, str(reason)))
+                sheds.append(payload)
+                lost.append((group, str(payload[0])))
             elif kind == "bad":
-                self.breakers.success(shard.shard_id)
                 bad = payload
             else:
-                self.breakers.failure(shard.shard_id)
-                missing.append((shard.shard_id, str(payload)))
+                lost.append((group, str(payload)))
         if bad is not None:
             return _bad_request(bad)
+        missing = [(s.shard_id, why) for group, why in lost for s in group]
         self._count("shards_missing", len(missing))
 
         if not parts:
-            if sheds and len(sheds) == len(missing):
-                # Every asked shard is alive but shedding: propagate the
-                # shed (retryable) rather than declaring shards lost.
+            if sheds and len(sheds) == len(lost):
+                # Every unanswered group is alive but shedding: propagate
+                # the shed (retryable) rather than declaring shards lost.
                 reason, _ = sheds[0]
                 retry_after = max(r for _, r in sheds)
                 return QueryResponse(
@@ -423,13 +348,45 @@ class ShardRouter:
             )
         return QueryResponse(status="ok", value=value, stats=stats)
 
+    def _call_group(
+        self,
+        group: list[ShardInfo],
+        request: QueryRequest,
+        conjuncts: list[str],
+        deadline_s: float | None,
+    ) -> tuple[str, object]:
+        """Ask a replica group's shards in order: the first outcome of
+        :meth:`_call_shard` that is not a failure, or ``('fail', why)``
+        when no replica answered.
+
+        A replica whose breaker is open is passed over; a failing one
+        trips its breaker and the next is asked.  A shed ends the loop
+        like an answer: the next replica holds the same rows, but a shed
+        is about *load*, and its retry hint is already correct.
+        """
+        why = "CIRCUIT_OPEN"
+        for shard in group:
+            allowed, _retry = self.breakers.allow(shard.shard_id)
+            if not allowed:
+                _metrics.counter("shard_skipped_total", reason="breaker").inc()
+                continue
+            self._count("shards_asked")
+            kind, payload = self._call_shard(shard, request, conjuncts, deadline_s)
+            if kind == "fail":
+                self.breakers.failure(shard.shard_id)
+                why = payload
+                continue
+            if kind != "shed":
+                self.breakers.success(shard.shard_id)
+            return kind, payload
+        return "fail", why
+
     def _call_shard(
         self,
         shard: ShardInfo,
         request: QueryRequest,
         conjuncts: list[str],
         deadline_s: float | None,
-        partials: bool,
     ) -> tuple[str, object]:
         """One backend call → ('ok', (value, stats)) / ('shed', (reason,
         retry_s)) / ('bad', message) for a ``BAD_REQUEST`` reply /
@@ -450,7 +407,7 @@ class ShardRouter:
                 priority=request.priority,
                 deadline_s=deadline_s,
                 k=request.k,
-                partials=partials,
+                partials=True,
             )
         except (OSError, ValueError) as exc:  # transport / framing
             pool.discard(client)

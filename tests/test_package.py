@@ -299,6 +299,16 @@ class TestOneSpelling:
         ]
         assert len(sites) == 1 and sites[0].startswith("engine/query.py"), sites
 
+    def test_one_gather_path(self):
+        """The shard router asks backends in one place: every table is
+        replica groups of the one scatter-gather, so a shard's breaker
+        is consulted at a single call site and no second, single-replica
+        path exists to drift from it."""
+        router = Path(repro.__file__).resolve().parent / "shard" / "router.py"
+        text = router.read_text(encoding="utf-8")
+        assert text.count("breakers.allow(") == 1
+        assert "_route_single" not in text
+
     def test_engine_imports_no_upper_layer(self):
         """The engine sits below serving, sharding, views and QA."""
         src = Path(repro.__file__).resolve().parent

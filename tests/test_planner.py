@@ -329,6 +329,43 @@ class TestResultCache:
         cache.discard((("tok", 0), "view"))
         assert cache.get((("tok", 0), "view")) is None
 
+    def test_shared_pin_lives_while_any_holder_does(self):
+        """A pin counts its holders: racing pin/discard pairs on one key
+        never drop it while a holder remains, and the last discard does."""
+        import sys
+        import threading
+
+        cache = QueryCache()
+        key = (("tok", 0), "shared")
+        errors: list[Exception] = []
+        start = threading.Barrier(8)
+
+        def hold(seed: int) -> None:
+            try:
+                start.wait(timeout=10.0)
+                for _ in range(1_000):
+                    cache.pin(key, 1, "v")
+                    assert cache.get(key) == (1, "v")
+                    cache.discard(key)
+            except Exception as exc:  # noqa: BLE001 - re-raised via errors
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=hold, args=(s,), daemon=True) for s in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[:3]
+        assert cache.get(key) is None and cache.stats()["pinned"] == 0
+
     def test_invalidation_drops_pins(self):
         cache = QueryCache()
         cache.pin((("tokA", 0), "x"), 1, "a")

@@ -11,7 +11,8 @@ The sharding contract under test:
   running the same query on the unsplit store — for every terminal;
 * the router prunes whole shards with the planner's own interval
   analysis, degrades to ``PARTIAL_RESULT`` when asked, sheds expired
-  deadlines without fan-out, and routes events to a single replica;
+  deadlines without fan-out, and asks the events replicas in order
+  until one answers;
 * ``repro.connect()`` gives the local fluent surface over any endpoint.
 """
 
@@ -409,10 +410,14 @@ class TestShardMapRouting:
             },
         )
 
+    @staticmethod
+    def _ids(groups):
+        return [[s.shard_id for s in group] for group in groups]
+
     def test_empty_shard_skipped(self):
         smap = ShardMap([self._info(0, 100, 0, 9), self._info(1, 0, None, None)])
-        targets, skipped = smap.route("mentions")
-        assert [s.shard_id for s in targets] == ["s0"]
+        groups, skipped = smap.route("mentions")
+        assert self._ids(groups) == [["s0"]]
         assert [(s.shard_id, r) for s, r in skipped] == [("s1", "empty")]
 
     def test_time_range_prunes_disjoint_shards(self):
@@ -420,17 +425,34 @@ class TestShardMapRouting:
             [self._info(0, 10, 0, 9), self._info(1, 10, 10, 19),
              self._info(2, 10, 20, 29)]
         )
-        targets, skipped = smap.route("mentions", time_range=(10, 20))
-        assert [s.shard_id for s in targets] == ["s1"]
+        groups, skipped = smap.route("mentions", time_range=(10, 20))
+        assert self._ids(groups) == [["s1"]]
         assert sorted(r for _, r in skipped) == ["pruned", "pruned"]
         # Boundary: request [9, 10) touches only shard 0.
-        targets, _ = smap.route("mentions", time_range=(9, 10))
-        assert [s.shard_id for s in targets] == ["s0"]
+        groups, _ = smap.route("mentions", time_range=(9, 10))
+        assert self._ids(groups) == [["s0"]]
 
     def test_unknown_column_never_prunes(self):
         smap = ShardMap([self._info(0, 10, 0, 9), self._info(1, 10, 10, 19)])
-        targets, skipped = smap.route("mentions", where=col("Mystery") > 5)
-        assert len(targets) == 2 and not skipped
+        groups, skipped = smap.route("mentions", where=col("Mystery") > 5)
+        assert self._ids(groups) == [["s0"], ["s1"]] and not skipped
+        # ANDed with a window, the unknown side keeps the window's pruning.
+        groups, _ = smap.route(
+            "mentions", where=col("Mystery") > 5, time_range=(10, 20)
+        )
+        assert self._ids(groups) == [["s1"]]
+
+    def test_events_are_one_group_of_every_live_replica(self):
+        smap = ShardMap(
+            [self._info(0, 10, 0, 9), self._info(1, 10, 10, 19),
+             self._info(2, 10, 20, 29)]
+        )
+        groups, skipped = smap.route("events", time_range=(10, 20))
+        assert self._ids(groups) == [["s0", "s1", "s2"]] and not skipped
+        empty = self._info(3, 10, 30, 39)
+        empty.meta["tables"]["events"]["rows"] = 0
+        groups, skipped = ShardMap([empty]).route("events")
+        assert groups == [] and [r for _, r in skipped] == ["empty"]
 
 
 class TestRouter:
@@ -514,14 +536,14 @@ class TestRouter:
     def test_backends_get_a_share_of_the_remaining_deadline(
         self, router, monkeypatch, table
     ):
-        """Scatter and single-replica paths alike hand each backend
-        max(DEADLINE_FLOOR_S, DEADLINE_FRACTION * remaining budget)."""
+        """Every backend is handed max(DEADLINE_FLOOR_S,
+        DEADLINE_FRACTION * remaining budget)."""
         seen = []
         real = router._call_shard
 
-        def spy(shard, request, conjuncts, deadline_s, partials):
+        def spy(shard, request, conjuncts, deadline_s):
             seen.append(deadline_s)
-            return real(shard, request, conjuncts, deadline_s, partials)
+            return real(shard, request, conjuncts, deadline_s)
 
         monkeypatch.setattr(router, "_call_shard", spy)
         budget = 5.0
@@ -588,12 +610,41 @@ class TestRouter:
         assert resp.status == "error"
         assert resp.reason == ErrorCode.BAD_REQUEST
 
-    def test_events_routed_to_one_replica(self, router, full_store):
+    def test_events_routed_to_one_replica(self, router, backends, full_store):
+        services, _ = backends
+        before = [svc.stats()["submitted"] for svc in services]
         resp = router.query(table="events", op="count", where=col("RootCode") <= 5)
         local = full_store.query("events").filter(col("RootCode") <= 5).count().value
         assert resp.status == "ok" and resp.value == local
         assert resp.stats["fanout"] == 1
-        assert resp.stats["routed_shard"] in {f"shard{i}" for i in range(N_SHARDS)}
+        grew = [svc.stats()["submitted"] - n for svc, n in zip(services, before)]
+        assert sorted(grew) == [0] * (N_SHARDS - 1) + [1]
+
+    def test_empty_replicated_table_answers_zero(self, tiny_arrays):
+        """An events table every replica holds empty is answered like
+        an all-pruned mentions query: the merge of no parts, as the
+        unsplit store counts it."""
+        events, mentions, dicts = tiny_arrays
+        events = {c: a[:0] for c, a in events.items()}
+        half = len(mentions["MentionInterval"]) // 2
+        services, servers = [], []
+        for sl in (slice(0, half), slice(half, None)):
+            store = GdeltStore.from_arrays(
+                events, {c: a[sl] for c, a in mentions.items()}, dicts
+            )
+            services.append(QueryService(store, workers=1))
+            servers.append(ServeServer(services[-1], host="127.0.0.1", port=0))
+        try:
+            with ShardRouter([f"127.0.0.1:{s.port}" for s in servers]) as router:
+                resp = router.query(table="events", op="count")
+        finally:
+            for srv in servers:
+                srv.close()
+            for svc in services:
+                svc.close(drain=False)
+        unsplit = GdeltStore.from_arrays(events, mentions, dicts)
+        assert resp.status == "ok", (resp.reason, resp.error)
+        assert resp.value == unsplit.query("events").count().value == 0
 
     def test_meta_merges_cluster(self, router, full_store):
         meta = router.meta()
@@ -628,6 +679,16 @@ class TestRouterDegraded:
             assert resp.missing == ["shard1"]
             assert 0 < resp.value < full_store.n_mentions
             assert resp.stats["shards_missing"] == 1
+
+    def test_events_fail_over_to_the_next_replica(self, flaky_cluster, full_store):
+        addresses = [f"127.0.0.1:{s.port}" for s in flaky_cluster]
+        with ShardRouter(addresses) as router:
+            flaky_cluster[0].close()  # the first replica goes dark
+            resp = router.query(table="events", op="count", group_by="Quarter")
+            assert resp.status == "ok", (resp.reason, resp.error)
+            assert resp.stats["fanout"] == 1
+            local = full_store.query("events").group_by("Quarter").count()
+            assert canon(resp.value) == canon(local.value)
 
     def test_partial_not_ok_errors(self, flaky_cluster):
         addresses = [f"127.0.0.1:{s.port}" for s in flaky_cluster]

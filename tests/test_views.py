@@ -424,6 +424,16 @@ class TestOneAnswerStore:
         cat.drop("total")
         assert source_of(self._total(zstore)) == ("scan", None)
 
+    def test_pin_outlives_one_of_two_catalogs(self, zstore):
+        """Regression: one catalog's drop unpinned the answer another
+        catalog's view of the same request still held."""
+        result_cache().invalidate()
+        a, b = self._pinned_total(zstore), self._pinned_total(zstore)
+        a.drop("total")
+        assert zstore.query("mentions").count().plan.source == "view"
+        b.drop("total")
+        assert zstore.query("mentions").count().plan.source == "scan"
+
     def test_next_refresh_repins_under_the_new_generation(self, growth):
         old, new = growth[0][0], growth[0][-1]
         cat = self._pinned_total(old)

@@ -23,7 +23,8 @@ def main() -> None:
 
     # 2. Straight to a live store (no disk round trip).  To persist:
     #    ingest.dataset_to_binary(ds, "my_dataset/") and later
-    #    engine.GdeltStore.open("my_dataset/").
+    #    engine.GdeltStore.open("my_dataset/"), which maps the columns:
+    #    memory_bytes() is then their logical size, not resident memory.
     events, mentions, dicts = ingest.dataset_to_arrays(ds)
     store = engine.GdeltStore.from_arrays(events, mentions, dicts)
     print(

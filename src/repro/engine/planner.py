@@ -13,9 +13,10 @@ filter) into an explicit :class:`Plan`:
    degrades load balance.
 3. **Cache** — plans carry a cache key built from the store fingerprint
    and the filter's canonical form; terminal results are kept in a
-   process-wide LRU (:class:`QueryCache`) so a repeated identical query
-   returns a byte-identical copy without scanning at all; a
-   materialized view's answer is a pinned entry of the same cache.
+   process-wide LRU bounded by bytes (:class:`QueryCache`) so a repeated
+   identical query returns a byte-identical copy without scanning at
+   all; a materialized view's answer is a pinned entry of the same
+   cache.
 
 Everything is conservative: a table without zone maps, or a filter the
 interval analysis cannot bound, degrades to the unpruned full scan.
@@ -52,9 +53,17 @@ __all__ = [
     "invalidate_cache",
 ]
 
-#: Result-cache capacity (entries).  Terminal results are small — counts,
-#: group vectors, stats dicts — so a shallow LRU is plenty.
-DEFAULT_CACHE_CAPACITY = 128
+#: Result-cache budget: the bytes its LRU entries may hold (pins sit
+#: outside it).  A hot pool of small answers fits in a few dozen KB; a
+#: 6 000-group vector costs 48-96 KB, and a ``stats`` partial (every
+#: passing key/value pair) can run to megabytes, so a server keeps a
+#: handful of wide answers and none larger than the whole budget.
+CACHE_BUDGET_BYTES = 1 << 20
+
+#: Flat charge of one LRU entry for its key and slot, beside its arrays'
+#: ``nbytes``: a served request's key, dict slot and scalar answer hold
+#: ~400 B, a grouped answer's key and array header ~600 B (tracemalloc).
+ENTRY_OVERHEAD_BYTES = 512
 
 
 @dataclass(slots=True)
@@ -382,6 +391,22 @@ def _copy_value(value):
     return value
 
 
+def _nbytes(value) -> int:
+    """Array bytes held by a (copied) result value."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, dict):
+        return sum(_nbytes(v) for v in value.values())
+    if isinstance(value, tuple):
+        return sum(_nbytes(v) for v in value)
+    return 0
+
+
+def _note_bytes(held: int) -> None:
+    if _obs._enabled:
+        _metrics.gauge("planner_cache_bytes").set(held)
+
+
 class QueryCache:
     """LRU cache of terminal-operation results, plus pinned view answers.
 
@@ -390,30 +415,39 @@ class QueryCache:
     :meth:`GdeltStore.invalidate` implicitly orphans every stale entry
     (and :meth:`invalidate` evicts them eagerly).
 
+    The LRU is bounded by bytes, not entries: an entry costs its arrays'
+    ``nbytes`` plus :data:`ENTRY_OVERHEAD_BYTES`, least recently used
+    entries go until the total (``stats()["bytes"]``) fits
+    ``budget_bytes``, and an answer costing more than the whole budget
+    is returned to its caller but never kept.
+
     A *pinned* entry (:meth:`pin`) is a materialized view's answer under
-    the request key it answers.  Pins sit outside the LRU capacity and
+    the request key it answers.  Pins sit outside the byte budget and
     never age out; :meth:`get` finds them with the same one probe.
-    ``stats()["pinned"]`` counts them, ``size`` and ``len()`` do not.
-    A pin counts its holders, so the views of two catalogs that answer
-    one request share the entry until both let go of it.
+    ``stats()["pinned"]`` counts them; ``size``, ``bytes`` and ``len()``
+    do not.  A pin counts its holders, so the views of two catalogs that
+    answer one request share the entry until both let go of it.
 
     Thread-safe: one process-wide instance is shared by every query —
     including the serving subsystem's worker threads — so every access
-    to the ordered dict and the hit/miss counters happens under a lock.
-    (``OrderedDict.move_to_end`` during a concurrent iteration, or two
-    racing ``popitem`` evictions, would otherwise corrupt the LRU
-    order or raise.)  Values are copied on the way in and out, outside
-    the lock — cached objects are never handed to two callers.
+    to the ordered dict, the byte total and the hit/miss counters
+    happens under a lock.  (``OrderedDict.move_to_end`` during a
+    concurrent iteration, or two racing ``popitem`` evictions, would
+    otherwise corrupt the LRU order or raise.)  Values are copied on the
+    way in and out, outside the lock — cached objects are never handed
+    to two callers.
     """
 
-    def __init__(self, capacity: int = DEFAULT_CACHE_CAPACITY) -> None:
-        self.capacity = capacity
-        self._data: "OrderedDict[tuple, object]" = OrderedDict()
+    def __init__(self, budget_bytes: int = CACHE_BUDGET_BYTES) -> None:
+        self.budget_bytes = budget_bytes
+        #: Request key -> ``(value, cost in bytes)``.
+        self._data: "OrderedDict[tuple, tuple[object, int]]" = OrderedDict()
         #: Request key -> ``(value, view name)``.
         self._pins: dict[tuple, tuple[object, str]] = {}
         #: Request key -> how many views hold its pin.
         self._holders: dict[tuple, int] = {}
         self._lock = threading.Lock()
+        self.bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -427,7 +461,8 @@ class QueryCache:
         the hit/miss."""
         with self._lock:
             value, view = self._pins.get(key, (None, None))
-            if value is None and (value := self._data.get(key)) is not None:
+            if value is None and (entry := self._data.get(key)) is not None:
+                value = entry[0]
                 self._data.move_to_end(key)
             if value is not None:
                 self.hits += 1
@@ -442,17 +477,26 @@ class QueryCache:
         return None
 
     def put(self, key: tuple, value) -> None:
+        """Keep a copy of ``value`` under ``key`` unless it alone costs
+        more than the budget, evicting least recently used entries until
+        the held bytes fit."""
         value = _copy_value(value)
+        cost = _nbytes(value) + ENTRY_OVERHEAD_BYTES
+        if cost > self.budget_bytes:
+            return
         evicted = 0
         with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-                self.evictions += 1
+            old = self._data.pop(key, None)
+            self.bytes += cost - (0 if old is None else old[1])
+            self._data[key] = (value, cost)
+            while self.bytes > self.budget_bytes:
+                self.bytes -= self._data.popitem(last=False)[1][1]
                 evicted += 1
+            self.evictions += evicted
+            held = self.bytes
         if evicted and _obs._enabled:
             _metrics.counter("planner_cache_evictions_total").inc(evicted)
+        _note_bytes(held)
 
     def pin(self, key: tuple, value, view: str) -> None:
         """Keep ``value`` as view ``view``'s answer to ``key`` until its
@@ -467,12 +511,15 @@ class QueryCache:
         """Remove ``key``'s LRU entry and one holder of its pin; the pin
         goes with its last holder (a no-op when absent)."""
         with self._lock:
-            self._data.pop(key, None)
-            held = self._holders.pop(key, 0) - 1
-            if held > 0:
-                self._holders[key] = held
+            if (entry := self._data.pop(key, None)) is not None:
+                self.bytes -= entry[1]
+            holders = self._holders.pop(key, 0) - 1
+            if holders > 0:
+                self._holders[key] = holders
             else:
                 self._pins.pop(key, None)
+            held = self.bytes
+        _note_bytes(held)
 
     def invalidate(self, store_token: str | None = None) -> int:
         """Evict entries, pins included, for one store (by fingerprint
@@ -482,12 +529,16 @@ class QueryCache:
             for entries in (self._data, self._pins, self._holders):
                 for k in [k for k in entries if store_token in (None, k[0][0])]:
                     del entries[k]
-            return n - len(self._data) - len(self._pins)
+            self.bytes = held = sum(cost for _, cost in self._data.values())
+            n -= len(self._data) + len(self._pins)
+        _note_bytes(held)
+        return n
 
     def stats(self) -> dict[str, int]:
         with self._lock:
             return {
                 "size": len(self._data),
+                "bytes": self.bytes,
                 "pinned": len(self._pins),
                 "hits": self.hits,
                 "misses": self.misses,

@@ -104,12 +104,17 @@ class GdeltStore:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def open(cls, path: Path, mode: str = "memory") -> "GdeltStore":
+    def open(cls, path: Path, mode: str = "mmap") -> "GdeltStore":
         """Open a binary dataset directory.
 
-        ``mode="memory"`` (default) loads columns into resident arrays,
-        matching the paper's load-once-then-query usage; ``"mmap"`` maps
-        them lazily.
+        ``mode="mmap"`` (default, as :class:`DatasetReader`) maps raw
+        columns read-only: the OS page cache is the buffer pool, a
+        process holds only the pages its queries touch, and a dataset
+        rewritten through the writer (temp + rename) leaves the mapped
+        files of an open store intact.  ``"memory"`` copies every column
+        into process-private arrays once, the paper's load-once-then-
+        query usage, for callers that want timings free of page faults.
+        Compressed columns decode into private arrays in either mode.
         """
         reader = DatasetReader(Path(path), mode=mode)
         return cls(
@@ -167,7 +172,11 @@ class GdeltStore:
         return len(COUNTRIES)
 
     def memory_bytes(self) -> int:
-        """Resident bytes of all table columns (dictionaries excluded)."""
+        """Logical bytes of all table columns (dictionaries excluded).
+
+        Of a mapped store, only the pages its queries touched are
+        resident, and those are the OS page cache's, not the process's.
+        """
         return sum(a.nbytes for a in self.events.values()) + sum(
             a.nbytes for a in self.mentions.values()
         )

@@ -129,7 +129,6 @@ class StoreLifecycle:
         verify_storage: run checksum verification on on-disk candidates
             before publish (skipped for in-memory snapshots, which were
             never serialized).
-        mode: ``GdeltStore.open`` mode for path reloads.
         breakers: optional :class:`~repro.serve.breaker.BreakerBoard`;
             reload outcomes feed its ``"reload"`` class, and
             :meth:`run_pending` fast-fails while that breaker is open —
@@ -145,7 +144,6 @@ class StoreLifecycle:
         follower=None,
         reload_path: Path | None = None,
         verify_storage: bool = True,
-        mode: str = "memory",
         breakers=None,
         views=None,
     ) -> None:
@@ -157,7 +155,6 @@ class StoreLifecycle:
         self.follower = follower
         self.reload_path = Path(reload_path) if reload_path is not None else None
         self.verify_storage = verify_storage
-        self.mode = mode
         self.breakers = breakers
         self.views = views
         self._reload_requested = threading.Event()
@@ -248,7 +245,7 @@ class StoreLifecycle:
                     "candidate %s has %d unchecked file(s)",
                     path, len(report.issues),
                 )
-        return GdeltStore.open(path, mode=self.mode)
+        return GdeltStore.open(path)
 
     def _attempt(self, source: str, build, path: Path | None) -> ReloadResult:
         with self._lock:

@@ -1,10 +1,10 @@
 """Dataset directory reader.
 
-Columns are exposed as ``np.memmap`` views by default (the OS page cache
-is the buffer pool; the paper's engine similarly loads tables into the
-node's large memory once).  ``mode="memory"`` copies columns into
-process-private arrays, which is what the benchmark harness uses for
-stable timings.
+Columns are exposed as read-only views of a memory map by default (the
+OS page cache is the buffer pool; the paper's engine similarly loads
+tables into the node's large memory once).  ``mode="memory"`` copies
+columns into process-private arrays, which is what the benchmark
+harness uses for stable timings.
 
 Integrity: column byte sizes are validated at open (cheap, always on).
 Manifest CRC32s are verified where the bytes are in hand anyway —
@@ -117,7 +117,7 @@ class DatasetReader:
     def column(
         self, table: str, name: str, rows: tuple[int, int] | None = None
     ) -> np.ndarray:
-        """Load one column (memmap view or in-memory copy per ``mode``).
+        """Load one column (mapped view or in-memory copy per ``mode``).
 
         ``rows=(lo, hi)`` loads only rows ``[lo, hi)``: a raw column is
         read (or mapped) at that byte offset, so a slice costs its own
@@ -142,10 +142,13 @@ class DatasetReader:
             if rows is not None:
                 out = out[lo:hi]
         elif self.mode == "mmap" and hi > lo:
-            out = np.memmap(
+            # A plain ndarray over the map (its base keeps the map open):
+            # np.memmap's Python-level finalize/wrap hooks would run on
+            # every morsel slice and ufunc of every query.
+            out = np.asarray(np.memmap(
                 path, dtype=dtype, mode="r", offset=lo * dtype.itemsize,
                 shape=(hi - lo,),
-            )
+            ))
         else:
             out = np.fromfile(
                 path, dtype=dtype, count=hi - lo, offset=lo * dtype.itemsize

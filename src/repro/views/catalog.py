@@ -29,7 +29,7 @@ Consistency model
   prefix.
 * **Freshness.**  A view's finalized value is a *pinned* entry of the
   process-wide result cache (:class:`~repro.engine.planner.QueryCache`;
-  outside its LRU capacity, reported as ``pinned``) under the request
+  outside its LRU byte budget, reported as ``pinned``) under the request
   key (:attr:`~repro.engine.query.ExecutableOp.key`) of the whole-table
   request it answers on the generation it was last refreshed against:
   store fingerprint (token + generation), table, row range, canonical
@@ -248,7 +248,7 @@ class ViewCatalog:
             self._states[definition.name] = state
             self._persist_catalog()
             self._persist_state(state)
-        logger.info("registered view %s: %s", definition.name, definition.describe())
+        logger.debug("registered view %s: %s", definition.name, definition.describe())
         return state
 
     def drop(self, name: str) -> None:

@@ -15,12 +15,16 @@ The robustness contract under test:
 from __future__ import annotations
 
 import os
+import shutil
 import signal
 import threading
 
+import numpy as np
 import pytest
 
-from repro.engine import GdeltStore
+from repro.engine import GdeltStore, SerialExecutor, col, result_cache
+from repro.engine.query import ExecutableOp, run_batch
+from repro.engine.terminal import GROUP_OPS, OPS, TerminalSpec
 from repro.ingest import convert_raw_to_binary
 from repro.obs import telemetry as _telemetry
 from repro.serve import (
@@ -30,7 +34,9 @@ from repro.serve import (
     StoreLifecycle,
 )
 from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
+from repro.storage.gdelt import write_gdelt_dataset
 from tests.test_stream import split_mirror
+from tests.test_views import assert_same_value
 
 
 class FakeClock:
@@ -362,3 +368,91 @@ class TestStoreLifecycle:
             lc.close()
         assert not failures, failures[:5]
         assert lc.generation == 4
+
+
+def _answers(store: GdeltStore) -> list:
+    q = store.query("mentions")
+    return [
+        q.count().value,
+        q.filter(col("Delay") > 96).sum("Delay").value,
+        q.group_by("SourceId").mean("Delay").value,
+        q.group_by("Quarter").stats("Delay").value,
+    ]
+
+
+def _assert_answers(store: GdeltStore, want: list) -> None:
+    for got, expected in zip(_answers(store), want, strict=True):
+        assert_same_value(got, expected)
+
+
+def _mapped(column: np.ndarray) -> bool:
+    """A read-only view of a memory map, not a private copy."""
+    return isinstance(column.base, np.memmap) and not column.flags.writeable
+
+
+def _arrays(value):
+    """Every array inside a result value."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (dict, tuple)):
+        for v in value.values() if isinstance(value, dict) else value:
+            yield from _arrays(v)
+
+
+class TestMappedServing:
+    """``GdeltStore.open`` maps a dataset: a server holds only the pages
+    its queries touch, so what it hands out must never be those pages."""
+
+    def test_pinned_mapped_generation_survives_rewrite_and_reload(
+        self, small_dir, full_dir, tmp_path
+    ):
+        db = tmp_path / "db"
+        shutil.copytree(small_dir, db)
+        refs = [GdeltStore.open(d, mode="memory") for d in (small_dir, full_dir)]
+        want_small, want_full = (_answers(s) for s in refs)
+        lc = StoreLifecycle(GdeltStore.open(db), reload_path=db)
+        try:
+            assert _mapped(lc.current.mentions["Delay"])
+            lease = lc.pin()
+            _assert_answers(lease.store, want_small)
+            full = refs[1]
+            write_gdelt_dataset(db, full.events, full.mentions, full.dictionaries())
+            assert lc.reload().ok and lc.generation == 2
+            result_cache().invalidate()  # rescan the mapped columns
+            _assert_answers(lease.store, want_small)
+            _assert_answers(lc.current, want_full)
+            lease.release()
+        finally:
+            lc.close()
+            for s in refs:
+                s.release()
+
+    def test_results_and_cache_entries_never_alias_columns(self, small_dir):
+        store = GdeltStore.open(small_dir)
+        result_cache().invalidate()
+        try:
+            cols = store.mentions
+            assert all(_mapped(a) for a in cols.values())
+            n = store.n_rows("mentions")
+            specs = [TerminalSpec(op, column="Delay" if op in ("sum", "mean") else None)
+                     for op in OPS]
+            specs += [
+                TerminalSpec(op, group="SourceId", k=3 if op == "top" else None,
+                             column="Delay" if op in ("sum", "mean", "stats") else None)
+                for op in GROUP_OPS
+            ]
+            ops = [
+                ExecutableOp(store, "mentions", spec, where, slice(0, n), partials)
+                for spec in specs
+                for where in (None, col("Delay") > 96)
+                for partials in (False, True)
+            ]
+            for _ in range(2):  # a miss, then a hit
+                results = run_batch(ops, SerialExecutor())
+                values = [r.value for r in results]
+                values += [v for v, _ in result_cache()._data.values()]
+                for arr in (a for v in values for a in _arrays(v)):
+                    assert not isinstance(arr, np.memmap)
+                    assert not any(np.shares_memory(arr, c) for c in cols.values())
+        finally:
+            store.release()

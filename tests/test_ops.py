@@ -91,6 +91,10 @@ class TestEndpoints:
         assert status == 503
 
     def test_varz_reports_service_and_buckets(self, service, ops):
+        from repro.engine.planner import result_cache
+
+        obs.enable()
+        result_cache().invalidate()
         for _ in range(3):
             assert service.query("mentions", op="count").ok
         status, doc = _get_json(ops, "/varz")
@@ -103,7 +107,11 @@ class TestEndpoints:
         assert bucket["rate"] == 50.0
         assert bucket["tokens"] < bucket["burst"]
         assert "flight_events" in doc
-        assert "result_cache" in doc
+        # The result cache's LRU bytes, and the gauge that follows them.
+        held = doc["result_cache"]["bytes"]
+        assert held == result_cache().stats()["bytes"] > 0
+        _, _, body = _get(ops, "/metrics")
+        assert f"repro_planner_cache_bytes {held}" in body.decode()
 
     def test_tracez_spans_and_n_param(self, service, ops):
         from repro.engine.planner import result_cache

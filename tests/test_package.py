@@ -235,6 +235,21 @@ class TestOneSpelling:
         ]
         assert not offenders, f"only the view catalog pins: {offenders}"
 
+    def test_serving_opens_datasets_one_way(self):
+        """A serving process maps its dataset the way ``GdeltStore.open``
+        does by default: nothing under ``repro.serve`` or the CLI picks
+        a storage mode, so a server holds only the pages its queries
+        touch and a reload opens a dataset like the first open."""
+        src = Path(repro.__file__).resolve().parent
+        opens = re.compile(r"GdeltStore\.open\([^)]*\bmode\s*=")
+        offenders = [
+            f"{path.relative_to(src)}:{n}"
+            for path in [*sorted((src / "serve").rglob("*.py")), src / "cli.py"]
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if opens.search(line)
+        ]
+        assert not offenders, f"serving code picks a storage mode: {offenders}"
+
     def test_one_raw_row_parser(self):
         """A raw line is split into cells in one place, the column parser
         of ``repro.gdelt.csv_io``: no ingest module splits lines itself."""

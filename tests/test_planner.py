@@ -30,6 +30,7 @@ from repro.engine import (
     plan_query,
     result_cache,
 )
+from repro.engine.planner import CACHE_BUDGET_BYTES, ENTRY_OVERHEAD_BYTES
 from repro.gdelt.time_util import quarter_index_range
 from repro.ingest.direct import dataset_to_binary
 from repro.storage.format import FORMAT_VERSION, StorageError, manifest_path
@@ -309,7 +310,7 @@ class TestResultCache:
         assert plan.cache_status == "off"
 
     def test_lru_eviction(self):
-        cache = QueryCache(capacity=2)
+        cache = QueryCache(budget_bytes=2 * ENTRY_OVERHEAD_BYTES)  # two scalars
         cache.put(("s", 1), 1)
         cache.put(("s", 2), 2)
         assert cache.get(("s", 1)) == (1, None)  # refresh 1 -> 2 becomes LRU
@@ -319,9 +320,9 @@ class TestResultCache:
         assert cache.evictions == 1
 
     def test_pin_survives_capacity_plus_one_puts(self):
-        cache = QueryCache(capacity=2)
+        cache = QueryCache(budget_bytes=2 * ENTRY_OVERHEAD_BYTES)  # two scalars
         cache.pin((("tok", 0), "view"), 7, "v")
-        for i in range(cache.capacity + 1):
+        for i in range(2 + 1):
             cache.put((("tok", 0), i), i)
         assert cache.get((("tok", 0), "view")) == (7, "v")
         assert cache.stats()["pinned"] == 1
@@ -391,7 +392,7 @@ class TestResultCache:
         import sys
         import threading
 
-        cache = QueryCache(capacity=32)
+        cache = QueryCache(budget_bytes=32 * ENTRY_OVERHEAD_BYTES)  # 32 scalars
         errors: list[Exception] = []
         start = threading.Barrier(8)
 
@@ -431,7 +432,77 @@ class TestResultCache:
         assert not errors, errors[:3]
         stats = cache.stats()
         assert stats["size"] <= 32 and stats["pinned"] <= 8
+        assert stats["bytes"] == stats["size"] * ENTRY_OVERHEAD_BYTES
         assert stats["hits"] + stats["misses"] == 8 * 2_000 * 2
+
+    @staticmethod
+    def _stats_partial(n_pairs: int, seed: int) -> dict:
+        """A ``group_by(...).stats(col)`` wire partial: every passing
+        (key, value) pair, 16 B a pair."""
+        rng = np.random.default_rng(seed)
+        return {
+            "keys": rng.integers(0, 6_000, n_pairs, dtype=np.int64),
+            "values": rng.integers(0, 10_000, n_pairs, dtype=np.int64),
+            "dtype": "int64",
+        }
+
+    def test_wide_partials_stay_within_the_byte_budget(self):
+        """Regression: 128 distinct ``stats`` partials used to be held
+        whole, ~2 MB each, however many bytes that came to."""
+        cache = QueryCache()
+        for i in range(128):
+            cache.put((("tok", 0), "wide", i), self._stats_partial(1 << 17, i))
+            assert cache.stats()["bytes"] <= CACHE_BUDGET_BYTES
+        assert len(cache) == 0  # each is larger than the whole budget
+        small = 1 << 12  # 64 KiB partials: the LRU evicts to fit
+        for i in range(128):
+            cache.put((("tok", 0), "narrow", i), self._stats_partial(small, i))
+            assert cache.stats()["bytes"] <= CACHE_BUDGET_BYTES
+        stats = cache.stats()
+        assert stats["evictions"] > 0
+        assert stats["bytes"] == stats["size"] * (16 * small + ENTRY_OVERHEAD_BYTES)
+        hit, _ = cache.get((("tok", 0), "narrow", 127))
+        np.testing.assert_array_equal(hit["keys"], self._stats_partial(small, 127)["keys"])
+        assert cache.get((("tok", 0), "narrow", 0)) is None
+
+    def test_over_budget_answer_is_returned_not_cached(
+        self, zstore, monkeypatch
+    ):
+        from repro.engine import planner
+
+        q = zstore.query("mentions").group_by("Source")
+        want = (
+            zstore.query("mentions").with_pruning(False).group_by("Source")
+            .stats("Delay").value
+        )
+        tight = QueryCache(budget_bytes=4 * ENTRY_OVERHEAD_BYTES)
+        monkeypatch.setattr(planner, "_CACHE", tight)
+        for _ in range(2):
+            res = q.stats("Delay")
+            assert res.plan.cache_status == "miss"
+            assert want.keys() == res.value.keys()
+            for name in want:
+                np.testing.assert_array_equal(res.value[name], want[name])
+        assert tight.stats()["size"] == tight.stats()["bytes"] == 0
+        small = zstore.query("mentions").filter(col("Delay") > 96)
+        assert small.count().plan.cache_status == "miss"  # a scalar is kept
+        assert small.count().plan.cache_status == "hit"
+        assert 0 < tight.stats()["bytes"] <= tight.budget_bytes
+
+    def test_invalidate_and_discard_return_their_bytes(self):
+        cache = QueryCache()
+        cache.put((("tokA", 0), "x"), np.arange(1_000))
+        cache.put((("tokB", 0), "y"), {"a": np.zeros(10), "b": (np.ones(3), 2)})
+        assert cache.stats()["bytes"] == 8_000 + 104 + 2 * ENTRY_OVERHEAD_BYTES
+        cache.pin((("tokB", 0), "z"), np.arange(50), "v")  # outside the budget
+        assert cache.stats()["bytes"] == 8_000 + 104 + 2 * ENTRY_OVERHEAD_BYTES
+        cache.discard((("tokA", 0), "x"))
+        assert cache.stats()["bytes"] == 104 + ENTRY_OVERHEAD_BYTES
+        assert cache.invalidate("tokB") == 2
+        assert cache.stats()["bytes"] == 0
+        cache.put((("tokA", 0), "x"), np.arange(1_000))
+        assert cache.invalidate() == 1
+        assert cache.stats()["bytes"] == 0
 
 
 def _fixture_plans(zstore):

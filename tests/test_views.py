@@ -464,6 +464,18 @@ class TestPersistence:
         cat.refresh(zstore)
         return cat
 
+    def test_create_logs_no_info_record(self, tmp_path, caplog):
+        """Registering is routine: ``repro-gdelt view create`` prints its
+        own line, and a fuzz run registering hundreds of views must not
+        bury its summary under INFO records."""
+        import logging
+
+        with caplog.at_level(logging.INFO):
+            ViewCatalog(tmp_path).create(
+                ViewDefinition(name="d", op="count", where=("Delay > 96",))
+            )
+        assert not [r for r in caplog.records if r.levelno >= logging.INFO]
+
     def test_restart_restores_values_without_rescan(self, tmp_path, zstore):
         cat = self._build(tmp_path, zstore)
         before = {name: cat.get(name).value() for name in cat.names()}

@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import signal
 import sys
 import time
 from pathlib import Path
@@ -606,6 +607,10 @@ def _cmd_explain(args) -> int:
     return 0
 
 
+def _interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
+
+
 def _run_front_end(args, start, interval_s: float) -> int:
     """The front end ``serve`` and ``shard-serve`` share.
 
@@ -614,8 +619,11 @@ def _run_front_end(args, start, interval_s: float) -> int:
     ``ShardRouter``) and returns ``(service, tick, stop)``, or ``None``
     for exit status 2.  The service is mounted on a socket server (and
     an ops server), the banners are printed, and ``tick()`` runs every
-    ``interval_s`` until Ctrl-C; then the servers close around a draining
-    service, and ``stop()`` runs the command's teardown and stats line.
+    ``interval_s`` until SIGINT or SIGTERM; then the servers close around
+    a draining service, and ``stop()`` runs the command's teardown and
+    stats line.  Both signals get a handler of their own, so a server
+    that inherited an ignored SIGINT (started with ``&`` from a script)
+    still drains, and a supervisor's SIGTERM drains like Ctrl-C.
     """
     from repro.obs.telemetry import install_signal_dump
     from repro.serve import ServeServer
@@ -632,6 +640,8 @@ def _run_front_end(args, start, interval_s: float) -> int:
     service, tick, stop = started
     server = ops = None
     try:
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(signum, _interrupt)
         server = ServeServer(service, host=args.host, port=args.port)
         if args.ops_port is not None:
             from repro.serve.ops import OpsServer

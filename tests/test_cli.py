@@ -65,6 +65,33 @@ class TestQueries:
         out = capsys.readouterr().out
         assert "Table VIII" in out
 
+    def test_tables_match_the_lexsort_median(self, tiny_binary, capsys, monkeypatch):
+        """Table VIII's medians are the bytes the ``lexsort`` kernel gave:
+        ``tables`` prints the same text with every binding of
+        ``group_median`` swapped for the test's oracle."""
+        import sys
+
+        from repro.engine import aggregate
+        from tests.test_aggregate import lexsort_median
+
+        assert main(["tables", str(tiny_binary)]) == 0
+        shipped = capsys.readouterr().out
+        calls = []
+
+        def oracle(*args, **kwargs):
+            calls.append(1)
+            return lexsort_median(*args, **kwargs)
+
+        kernel = aggregate.group_median
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro") and (
+                getattr(module, "group_median", None) is kernel
+            ):
+                monkeypatch.setattr(module, "group_median", oracle)
+        assert main(["tables", str(tiny_binary)]) == 0
+        assert calls, "the oracle never ran"
+        assert capsys.readouterr().out == shipped
+
     def test_scaling_with_model(self, tiny_binary, capsys):
         assert main(["scaling", str(tiny_binary), "--threads", "1", "2", "--model"]) == 0
         out = capsys.readouterr().out
@@ -280,6 +307,87 @@ class TestServeCommands:
         # --metrics-out wrote the registry on clean shutdown.
         text = metrics.read_text()
         assert "repro_serve_requests_total" in text
+
+    @pytest.mark.parametrize(
+        "signame, ignore_sigint",
+        [("SIGTERM", False), ("SIGINT", True)],
+        ids=["sigterm", "sigint-inherited-ignored"],
+    )
+    def test_serve_drains_on_signal(self, tiny_binary, signame, ignore_sigint):
+        """A supervisor's SIGTERM drains ``serve`` like Ctrl-C, and so does
+        SIGINT when the server was started with SIGINT ignored (``&`` in a
+        non-interactive shell): exit 0 and the ``served N requests`` line."""
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+
+        from pathlib import Path
+
+        import repro
+        from repro.serve import ServeClient
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        env.pop("REPRO_FAULTS", None)
+        def ignore():
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", str(tiny_binary),
+             "--port", "0", "--workers", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            preexec_fn=ignore if ignore_sigint else None,
+        )
+        try:
+            m = re.match(r"listening on ([\d.]+):(\d+)", proc.stdout.readline())
+            assert m
+            with ServeClient(m.group(1), int(m.group(2))) as client:
+                assert client.query(table="mentions", op="count")["status"] == "ok"
+            proc.send_signal(getattr(signal, signame))
+            _, err = proc.communicate(timeout=10.0)
+            assert proc.returncode == 0, err
+            assert re.search(r"served 1 requests \(1 ok", err), err
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10.0)
+
+    def test_shard_serve_drains_on_sigterm(self, tiny_binary):
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+
+        from pathlib import Path
+
+        import repro
+        from repro.engine import GdeltStore
+        from repro.serve import QueryService, ServeServer
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        env.pop("REPRO_FAULTS", None)
+        with QueryService(GdeltStore.open(tiny_binary), workers=1) as svc, \
+                ServeServer(svc) as backend:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "shard-serve",
+                 "--backend", f"{backend.host}:{backend.port}", "--port", "0"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env=env,
+            )
+            try:
+                assert proc.stdout.readline().startswith("listening on ")
+                proc.send_signal(signal.SIGTERM)
+                _, err = proc.communicate(timeout=10.0)
+                assert proc.returncode == 0, err
+                assert "routed 0 requests" in err, err
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait(timeout=10.0)
 
     def test_serve_ops_plane_and_sigusr1_dump(self, tiny_binary, tmp_path):
         import json

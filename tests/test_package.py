@@ -200,6 +200,23 @@ class TestOneSpelling:
             f"use repro.kernels.distinct instead of np.unique: {offenders}"
         )
 
+    def test_lexsort_only_in_the_group_kernels(self):
+        """A grouped median has one spelling, ``engine.aggregate.group_median``
+        (a composite-key sort, ``np.lexsort`` only as its fallback): no
+        other module under ``src/repro`` calls ``np.lexsort``."""
+        src = Path(repro.__file__).resolve().parent
+        kernels = src / "engine" / "aggregate.py"
+        offenders = [
+            f"{path.relative_to(src)}:{n}"
+            for path in sorted(src.rglob("*.py"))
+            if path != kernels
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if "np.lexsort(" in line or "numpy.lexsort(" in line
+        ]
+        assert not offenders, (
+            f"sort (key, value) pairs through repro.engine.aggregate: {offenders}"
+        )
+
     def test_one_runner_plans_fuses_and_caches(self):
         """Plan → result cache → fused scan lives in one function, the
         engine runner (``repro.engine.query.run_batch``): no other module

@@ -12,7 +12,6 @@ forgiving: malformed lines are returned separately, not raised.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 from repro.gdelt.time_util import interval_to_timestamp
@@ -66,18 +65,6 @@ def chunk_basename(interval: int, kind: str) -> str:
     if kind not in (EXPORT_KIND, MENTIONS_KIND):
         raise ValueError(f"unknown chunk kind {kind!r}")
     return f"{interval_to_timestamp(interval):014d}.{kind}.CSV.zip"
-
-
-def entry_for_file(path: Path, url_prefix: str = "") -> MasterListEntry:
-    """Build a list entry (size + md5) for an archive on disk."""
-    import hashlib  # lazy: loads OpenSSL, which only ingest needs
-
-    data = path.read_bytes()
-    return MasterListEntry(
-        size=len(data),
-        md5=hashlib.md5(data).hexdigest(),
-        url=url_prefix + path.name,
-    )
 
 
 def format_master_list(entries: Iterable[MasterListEntry]) -> str:

@@ -124,7 +124,7 @@ class EventAccumulator(_Accumulator):
         self.countries = DictionaryBuilder()
         self.countries.intern_many([""])  # code 0 = untagged
         self.urls = DictionaryBuilder()
-        super().__init__("GlobalEventID", event_columns([])[0])
+        super().__init__("GlobalEventID", event_columns(b"")[0])
 
     def extend(self, fields: dict, report: ProblemReport) -> None:
         """Note the Table II problems of one archive's parsed rows, in
@@ -169,7 +169,7 @@ class MentionAccumulator(_Accumulator):
     def __init__(self) -> None:
         self.sources = DictionaryBuilder()
         self.urls = DictionaryBuilder()
-        super().__init__("MentionInterval", mention_columns([])[0])
+        super().__init__("MentionInterval", mention_columns(b"")[0])
 
     def extend(self, fields: dict, report: ProblemReport) -> None:
         """Take one archive's parsed rows."""

@@ -1,10 +1,11 @@
 """Chunk fetching, with retry, timeout, and quarantine.
 
 The paper's system downloads every archive referenced by the master file
-list.  Offline, the "download" is a lookup in a local mirror directory;
-the interface is kept transport-shaped (resolve → verify → open) so a
-real HTTP fetcher could be dropped in.  Missing archives are a recorded
-problem class (8 in the paper's run), not an error.
+list.  Offline, the "download" is a read of a local mirror file; the
+interface is kept transport-shaped (resolve → read → verify) so a real
+HTTP fetcher could be dropped in.  Each archive is read once: the md5 is
+taken over the very bytes the caller then parses.  Missing archives are
+a recorded problem class (8 in the paper's run), not an error.
 
 Real GDELT mirrors add *operational* failure on top of missing data:
 flaky reads, stalls, and archives that never come back.
@@ -30,31 +31,13 @@ from repro.obs import metrics as _metrics
 
 __all__ = ["FetchResult", "LocalFetcher", "RetryPolicy", "RetryingFetcher"]
 
-#: Block size for streaming md5 computation (bounded memory regardless
-#: of archive size).
-_MD5_BLOCK = 1 << 20
-
-
-def stream_md5(path: Path) -> str:
-    """md5 of a file, read in fixed-size blocks."""
-    import hashlib  # lazy: loads OpenSSL, which only ingest needs
-
-    digest = hashlib.md5()
-    with open(path, "rb") as fh:
-        while True:
-            block = fh.read(_MD5_BLOCK)
-            if not block:
-                break
-            digest.update(block)
-    return digest.hexdigest()
-
-
 @dataclass(slots=True)
 class FetchResult:
     """Outcome of fetching one chunk."""
 
     ref: ChunkRef
     path: Path | None  # None = missing or quarantined
+    data: bytes | None = None  # the archive's bytes, as read (and verified)
     checksum_ok: bool | None = None  # None = not verified
     attempts: int = 1
     quarantined: bool = False
@@ -76,14 +59,14 @@ class LocalFetcher:
     def fetch(
         self, ref: ChunkRef, report: ProblemReport, attempt: int = 0
     ) -> FetchResult:
-        """Resolve one chunk.
+        """Resolve and read one chunk.
 
         Records a ``missing_archives`` problem when the referenced file
         does not exist and a ``checksum_mismatch`` problem when md5
-        verification fails.  Raises :class:`TransientFault` when the
-        fetch exceeded ``timeout_s`` (retryable by a wrapping
-        :class:`RetryingFetcher`); I/O errors propagate for the same
-        reason.
+        verification of the bytes read fails.  Raises
+        :class:`TransientFault` when the fetch exceeded ``timeout_s``
+        (retryable by a wrapping :class:`RetryingFetcher`); I/O errors
+        propagate for the same reason.
         """
         name = ref.entry.url.rsplit("/", 1)[-1]
         path = self.mirror_dir / name
@@ -92,9 +75,12 @@ class LocalFetcher:
             return FetchResult(ref=ref, path=None)
         t0 = time.perf_counter()
         fault_point("fetch.read", key=name, attempt=attempt)
+        data = path.read_bytes()
         checksum_ok = None
         if self.verify_checksums:
-            checksum_ok = stream_md5(path) == ref.entry.md5
+            import hashlib  # lazy: loads OpenSSL, which only ingest needs
+
+            checksum_ok = hashlib.md5(data).hexdigest() == ref.entry.md5
         if self.timeout_s is not None:
             elapsed = time.perf_counter() - t0
             if elapsed > self.timeout_s:
@@ -105,7 +91,7 @@ class LocalFetcher:
                 )
         if checksum_ok is False:
             report.note("checksum_mismatch", name)
-        return FetchResult(ref=ref, path=path, checksum_ok=checksum_ok)
+        return FetchResult(ref=ref, path=path, data=data, checksum_ok=checksum_ok)
 
 
 @dataclass(frozen=True, slots=True)

@@ -34,7 +34,7 @@ from pathlib import Path
 
 from repro.engine.store import GdeltStore
 from repro.faults.injector import fault_point
-from repro.gdelt.csv_io import event_columns, mention_columns, open_chunk_text
+from repro.gdelt.csv_io import chunk_member, event_columns, mention_columns
 from repro.gdelt.masterlist import EXPORT_KIND, ChunkRef, parse_master_list
 from repro.ingest.accumulate import EventAccumulator, MentionAccumulator
 from repro.ingest.checkpoint import CheckpointJournal
@@ -139,8 +139,8 @@ class LiveFollower:
         """Names of the files in the mirror right now."""
         return set(os.listdir(self.raw_dir))
 
-    def _parse_chunk_lines(self, kind: str, lines: list[str], name: str) -> int:
-        """Parse and accumulate one chunk's lines; returns the rows kept.
+    def _parse_chunk(self, kind: str, member: bytes, name: str) -> int:
+        """Parse and accumulate one chunk's member; returns the rows kept.
 
         Fetched archives and checkpoint replay both come through here, so
         they leave identical accumulator, dictionary, and problem-report
@@ -150,16 +150,17 @@ class LiveFollower:
             parse, acc, bad_kind = event_columns, self._events, "bad_event_rows"
         else:
             parse, acc, bad_kind = mention_columns, self._mentions, "bad_mention_rows"
-        columns, bad = parse(lines)
+        columns, bad = parse(member)
         for _, message in bad:
             self.report.note(bad_kind, f"{name}: {message}")
         acc.extend(columns, self.report)
         return len(columns["global_event_id"])
 
     def _ingest_archive(self, ref: ChunkRef, name: str) -> None:
-        """Fetch, open, parse and (with a journal) commit one archive."""
+        """Fetch, open, parse and (with a journal) commit one archive:
+        the bytes parsed are the bytes the fetcher read and verified."""
         res = self._fetcher.fetch(ref, self.report)
-        if res.path is None:
+        if res.data is None:
             return  # quarantined (or vanished since the exists() check)
         if res.checksum_ok is False:
             # A truncated upload or on-disk corruption, recorded by the
@@ -169,14 +170,14 @@ class LiveFollower:
             return
         t0 = time.perf_counter()
         try:
-            with open_chunk_text(res.path) as fh:
-                text = fh.read()  # one 15-minute file; the journal needs it whole
+            member = chunk_member(res.data)
+            text = member.decode("utf-8")  # the parser reads UTF-8; the journal keeps text
         except (zipfile.BadZipFile, zlib.error, EOFError, ValueError, OSError) as exc:
             # ValueError covers a member that is not UTF-8 and a zip that
             # holds more than one member.
             self.report.note("corrupt_archives", f"{name}: {exc}")
             return
-        rows = self._parse_chunk_lines(ref.kind, text.split("\n"), name)
+        rows = self._parse_chunk(ref.kind, member, name)
         if self._journal is not None:
             self._journal.commit(name, text)
             # Crash-resume test hook: the chunk is committed, the run may
@@ -216,7 +217,7 @@ class LiveFollower:
                 self._seen_urls.add(ref.entry.url)
                 new_chunks += 1
                 if cached is not None:
-                    self._parse_chunk_lines(ref.kind, cached.split("\n"), name)
+                    self._parse_chunk(ref.kind, cached.encode("utf-8"), name)
                     resumed += 1
                 else:
                     self._ingest_archive(ref, name)

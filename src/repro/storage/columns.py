@@ -14,7 +14,8 @@ hash index over its codes (12 B a slot), so the strings are held once,
 as bytes, and never as Python objects.  :func:`concat_gather` builds a
 dictionary of composite strings (an article URL is a site prefix + an
 event stem + a repeat suffix) by gathering bytes from a few small ones
-instead of formatting each row.
+instead of formatting each row; :func:`gather_runs` is its byte gather,
+which the raw-archive parser also slices cells out of a member with.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "DictionaryBuilder",
     "concat_gather",
     "ensure_capacity",
+    "gather_runs",
     "readonly_prefix",
 ]
 
@@ -150,11 +152,18 @@ def concat_gather(
     for lo in range(0, n, _GATHER_BLOCK_ROWS):
         hi = min(n, lo + _GATHER_BLOCK_ROWS)
         first = np.stack([s[codes[lo:hi]] for s, (_, codes) in zip(starts, parts)], axis=1)
-        piece = lengths[lo:hi].ravel()
-        src = np.repeat(first.ravel() - (np.cumsum(piece) - piece), piece)
-        src += np.arange(len(src))
-        out[offsets[lo]:offsets[hi]] = blob[src]
+        out[offsets[lo]:offsets[hi]] = gather_runs(blob, first.ravel(), lengths[lo:hi].ravel())
     return StringDictionary(offsets, out)
+
+
+def gather_runs(blob: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The runs ``blob[starts[i]:starts[i] + lengths[i]]`` laid end to
+    end, as one gather: its index array is each run's start repeated
+    over its length plus a running byte counter."""
+    ends = np.cumsum(lengths)
+    src = np.repeat(starts - (ends - lengths), lengths)
+    src += np.arange(len(src))
+    return blob[src]
 
 
 def ensure_capacity(buf: np.ndarray, used: int, need: int) -> np.ndarray:

@@ -6,18 +6,22 @@ archives, 1 event with an empty source URL, and 4 events whose recorded
 date lies *after* their first article's publication date.  This module
 plants a configurable number of each defect into an exported raw-archive
 directory, so the preprocessing validator has real work to do and the
-Table II benchmark can compare found-vs-planted counts exactly.
+Table II benchmark can compare found-vs-planted counts exactly.  A
+rewritten archive goes through the exporter's own writer and its
+master-list entry gets the new size and md5, so a checksum-verified
+conversion still reaches the planted rows, and one plan always gives
+the same bytes.
 """
 
 from __future__ import annotations
 
 import datetime
 import random
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.gdelt.masterlist import parse_master_list
+from repro.gdelt.csv_io import chunk_member, write_chunk_zip
+from repro.gdelt.masterlist import MasterListEntry, parse_master_list
 from repro.gdelt.schema import EVENTS_SCHEMA, field_index
 from repro.gdelt.time_util import timestamp_to_datetime
 
@@ -49,22 +53,19 @@ class CorruptionReceipt:
     future_dated_event_ids: list[int] = field(default_factory=list)
 
 
-def _rewrite_events_chunk(path: Path, mutate) -> bool:
+def _rewrite_events_chunk(path: Path, mutate) -> tuple[int, str] | None:
     """Apply ``mutate(rows) -> n_changed`` to the rows of one events chunk.
 
-    The archive is only recompressed and rewritten when ``mutate``
-    actually changed something; returns whether it did.
+    The archive is only rewritten (by
+    :func:`~repro.gdelt.csv_io.write_chunk_zip`) when ``mutate`` actually
+    changed something; returns its new size and md5 if it was.
     """
-    with zipfile.ZipFile(path, "r") as zf:
-        name = zf.namelist()[0]
-        text = zf.read(name).decode("utf-8")
+    text = chunk_member(path.read_bytes()).decode("utf-8")
     rows = [line.split("\t") for line in text.splitlines() if line]
     if not mutate(rows):
-        return False
+        return None
     out = "\n".join("\t".join(r) for r in rows) + "\n"
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
-        zf.writestr(name, out)
-    return True
+    return write_chunk_zip(path, path.name.removesuffix(".zip"), out.encode("utf-8"))
 
 
 def inject_corruption(raw_dir: Path, plan: CorruptionPlan) -> CorruptionReceipt:
@@ -117,6 +118,7 @@ def inject_corruption(raw_dir: Path, plan: CorruptionPlan) -> CorruptionReceipt:
 
     need_blank = plan.missing_source_urls
     need_future = plan.future_event_dates
+    rewritten: dict[str, tuple[int, str]] = {}  # archive name → its new size and md5
     for path in event_chunks:
         if need_blank == 0 and need_future == 0:
             break
@@ -145,6 +147,14 @@ def inject_corruption(raw_dir: Path, plan: CorruptionPlan) -> CorruptionReceipt:
                     break
             return changed
 
-        _rewrite_events_chunk(path, mutate)
+        if (entry := _rewrite_events_chunk(path, mutate)) is not None:
+            rewritten[path.name] = entry
 
+    if rewritten:  # the list names the archives as they now are
+        for i, line in enumerate(lines):
+            parts = line.split(" ")
+            name = parts[-1].rsplit("/", 1)[-1]
+            if len(parts) == 3 and name in rewritten:
+                lines[i] = MasterListEntry(*rewritten[name], url=parts[2]).to_line()
+        master_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return receipt

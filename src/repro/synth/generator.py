@@ -5,9 +5,10 @@ mentions) and resolves the event-table bookkeeping that GDELT itself
 derives from scraping: ``DATEADDED`` (capture time of the first article),
 the seed ``SOURCEURL``, and the ``NumMentions``/``NumSources``/
 ``NumArticles`` counters.  An event's ``SOURCEURL`` is by definition its
-seed mention's URL, so the URL dictionaries are built once per export:
-:meth:`SyntheticDataset.mention_urls`, then
-:meth:`SyntheticDataset.event_urls` gathered from it.
+seed mention's URL, so the URLs are built once per export:
+:meth:`SyntheticDataset.mention_urls`, which the raw export reads by
+seed-mention code and the binary path gathers into
+:meth:`SyntheticDataset.event_urls`.
 
 :func:`write_raw_archives` serializes a dataset into the exact on-disk
 layout the paper's preprocessing tool consumes: ``masterfilelist.txt``
@@ -28,8 +29,8 @@ from repro.gdelt.csv_io import event_lines, mention_lines, write_chunk_zip
 from repro.gdelt.masterlist import (
     EXPORT_KIND,
     MENTIONS_KIND,
+    MasterListEntry,
     chunk_basename,
-    entry_for_file,
     format_master_list,
 )
 from repro.gdelt.time_util import intervals_to_timestamps
@@ -165,48 +166,61 @@ def generate_dataset(cfg: SynthConfig) -> SyntheticDataset:
 
 def _event_columns(ds: SyntheticDataset, mention_urls: StringDictionary) -> dict:
     """Every event field of :func:`~repro.gdelt.csv_io.event_lines` as a
-    column over event rows (the URLs as a dictionary whose code is the row)."""
+    column over event rows; text as ``(dictionary, codes)``, so a row's
+    URL is its seed mention's entry of ``mention_urls``."""
     ev = ds.events
     root = ev.root_code.astype(np.int64)
     codes = range(int(root.max(initial=0)) + 1)
-    two_digit = np.array([f"{r:02d}" for r in codes], dtype=object)
-    fips = np.array([c.fips for c in COUNTRIES] + [""], dtype=object)
+    fips = [c.fips for c in COUNTRIES] + [""]  # the last: untagged (-1)
     return {
         "global_event_id": ev.event_id,
         "day": intervals_to_timestamps(ev.interval) // 10**6,
-        "event_root_code": two_digit[root],
+        "event_root_code": (StringDictionary.from_strings(f"{r:02d}" for r in codes), root),
         "quad_class": (root - 1) // 5 + 1,
         "num_mentions": ds.num_articles,
         "num_sources": ds.num_sources,
         "num_articles": ds.num_articles,
         "avg_tone": ev.avg_tone,
-        "action_geo_country": fips[ev.country_idx],
+        "action_geo_country": (
+            StringDictionary.from_strings(fips),
+            np.where(ev.country_idx < 0, len(COUNTRIES), ev.country_idx),
+        ),
         "date_added": intervals_to_timestamps(ds.first_interval),
-        "source_url": ds.event_urls(mention_urls),
+        "source_url": (mention_urls, ds.seed_mention),
     }
 
 
 def _mention_columns(ds: SyntheticDataset, mention_urls: StringDictionary) -> dict:
     """Every mention field of :func:`~repro.gdelt.csv_io.mention_lines`
-    as a column over mention rows (the URLs as a dictionary, code = row)."""
+    as a column over mention rows (see :func:`_event_columns`)."""
     mt, ev = ds.mentions, ds.events
     return {
         "global_event_id": ev.event_id[mt.event_row],
         "event_time": intervals_to_timestamps(ev.interval)[mt.event_row],
         "mention_time": intervals_to_timestamps(mt.interval),
-        "source_name": np.array(ds.catalog.domains, dtype=object)[mt.source_idx],
-        "identifier": mention_urls,
+        "source_name": (StringDictionary.from_strings(ds.catalog.domains), mt.source_idx),
+        "identifier": (mention_urls, np.arange(ds.n_articles)),
         "confidence": mt.confidence,
         "doc_tone": mt.doc_tone,
     }
 
 
-def _take(columns: dict, rows: np.ndarray) -> dict[str, list]:
-    """Rows ``rows`` of every column, as Python lists."""
+def _take(columns: dict, rows: np.ndarray) -> dict:
+    """Rows ``rows`` of every column (of a text column, its codes)."""
     return {
-        name: col.take(rows) if isinstance(col, StringDictionary) else col[rows].tolist()
+        name: (col[0], col[1][rows]) if isinstance(col, tuple) else col[rows]
         for name, col in columns.items()
     }
+
+
+#: Threads that deflate, hash and write archives while the main thread
+#: renders: zlib, md5 and file writes release the GIL.
+_WRITERS = 2
+
+#: Rows rendered per buffer, in whole chunks: a table this size renders
+#: as one buffer, a larger one in a few, so an export's memory follows
+#: the block (~0.5 KB a row at its peak), not the table.
+_RENDER_ROWS = 1 << 16
 
 
 def write_raw_archives(
@@ -218,38 +232,49 @@ def write_raw_archives(
 
     Events land in the chunk containing their DATEADDED capture interval,
     mentions in the chunk containing their capture interval — mirroring
-    GDELT's publish-when-scraped behaviour.  Each archive's text is
-    rendered from columns (:func:`~repro.gdelt.csv_io.event_lines`), not
-    row by row.  Returns the master list path.
+    GDELT's publish-when-scraped behaviour.  Each table is rendered once,
+    in chunk order, into one byte buffer
+    (:func:`~repro.gdelt.csv_io.event_lines`; past ``_RENDER_ROWS`` rows,
+    one per block of whole chunks), and each archive's text is a slice
+    of it; the archives are deflated and written on a small thread pool
+    while the rendering goes on, and listed in chunk order.  Returns the
+    master list path.
     """
+    from concurrent.futures import ThreadPoolExecutor  # lazy: only an export starts threads
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     start = ds.cfg.start_interval
-    end = ds.cfg.end_interval
-
-    ev_chunk = (ds.first_interval - start) // chunk_intervals
-    mt_chunk = (ds.mentions.interval - start) // chunk_intervals
-    n_chunks = int(np.ceil((end - start) / chunk_intervals))
+    n_chunks = int(np.ceil((ds.cfg.end_interval - start) / chunk_intervals))
 
     urls = ds.mention_urls()
-    tables = []
-    for kind, chunk_of, columns, lines in (
-        (EXPORT_KIND, ev_chunk, _event_columns(ds, urls), event_lines),
-        (MENTIONS_KIND, mt_chunk, _mention_columns(ds, urls), mention_lines),
-    ):
-        order = stable_order(chunk_of)
-        tables.append((kind, order, chunk_of[order], columns, lines))
-    entries = []
-    for chunk in range(n_chunks):
-        interval0 = start + chunk * chunk_intervals
-        for kind, order, chunk_sorted, columns, lines in tables:
-            lo, hi = np.searchsorted(chunk_sorted, [chunk, chunk + 1])
-            if hi > lo:
-                text = "".join(lines(_take(columns, order[lo:hi])))
-                name = chunk_basename(interval0, kind)
-                path = out_dir / name
-                write_chunk_zip(path, name[: -len(".zip")], text)
-                entries.append(entry_for_file(path))
+    written = {}  # (chunk, table) → (archive name, future of its size and md5)
+    with ThreadPoolExecutor(_WRITERS) as pool:
+        for table, (kind, chunk_of, fields, lines) in enumerate((
+            (EXPORT_KIND, ds.first_interval, _event_columns, event_lines),
+            (MENTIONS_KIND, ds.mentions.interval, _mention_columns, mention_lines),
+        )):
+            chunk_of = (chunk_of - start) // chunk_intervals
+            order = stable_order(chunk_of)
+            bounds = np.searchsorted(chunk_of[order], np.arange(n_chunks + 1))
+            columns = fields(ds, urls)
+            first = 0
+            while first < n_chunks:  # chunks [first, last) render as one buffer
+                last = int(np.searchsorted(bounds, bounds[first] + _RENDER_ROWS, side="right")) - 1
+                last = min(max(last, first + 1), n_chunks)
+                rows = order[bounds[first]:bounds[last]]
+                offsets, text = lines(_take(columns, rows)).arrays
+                at = offsets[bounds[first:last + 1] - bounds[first]].tolist()  # chunk starts
+                for chunk, lo, hi in zip(range(first, last), at, at[1:]):
+                    if hi > lo:
+                        name = chunk_basename(start + chunk * chunk_intervals, kind)
+                        future = pool.submit(write_chunk_zip, out_dir / name, name[: -len(".zip")], text[lo:hi])
+                        written[chunk, table] = name, future
+                first = last
+        entries = [
+            MasterListEntry(*future.result(), url=name)
+            for _, (name, future) in sorted(written.items())
+        ]
 
     master = out_dir / "masterfilelist.txt"
     master.write_text(format_master_list(entries), encoding="utf-8")

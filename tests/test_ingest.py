@@ -202,6 +202,39 @@ class TestCorruptedConversion:
         assert rep.missing_source_urls == plan.missing_source_urls
         assert rep.future_event_dates == plan.future_event_dates
 
+    def test_verified_conversion_finds_planted_rows(self, raw_ds, tmp_path):
+        """A rewritten archive is listed with its new size and md5, so a
+        checksum-verified conversion (what ``serve --follow`` does by
+        default) parses it and finds every planted row defect."""
+        raw = tmp_path / "raw"
+        write_raw_archives(raw_ds, raw, chunk_intervals=96)
+        plan = CorruptionPlan(
+            malformed_master_entries=7, missing_archives=3,
+            missing_source_urls=2, future_event_dates=4, seed=5,
+        )
+        receipt = inject_corruption(raw, plan)
+        result = convert_raw_to_binary(raw, tmp_path / "db", verify_checksums=True)
+        rep = result.report
+        assert rep.checksum_mismatch == 0
+        assert rep.missing_source_urls == plan.missing_source_urls
+        assert rep.future_event_dates == plan.future_event_dates
+        assert set(rep.examples["missing_source_urls"]) == set(map(str, receipt.blanked_event_ids))
+        assert set(rep.examples["future_event_dates"]) == set(map(str, receipt.future_dated_event_ids))
+
+    def test_rewritten_archives_keep_the_fixed_stamp(self, raw_ds, tmp_path):
+        """Rewritten archives carry the exporter's fixed member timestamp,
+        not the wall clock, so one plan always leaves the same bytes."""
+        raw = tmp_path / "raw"
+        write_raw_archives(raw_ds, raw, chunk_intervals=96)
+        receipt = inject_corruption(raw, CorruptionPlan(
+            malformed_master_entries=7, missing_archives=3,
+            missing_source_urls=2, future_event_dates=4, seed=5,
+        ))
+        assert receipt.blanked_event_ids and receipt.future_dated_event_ids
+        for path in raw.glob("*.zip"):
+            with zipfile.ZipFile(path) as zf:
+                assert zf.infolist()[0].date_time == (1980, 1, 1, 0, 0, 0), path.name
+
     def test_conversion_still_succeeds(self, corrupt_setup, raw_ds):
         _, receipt, result = corrupt_setup
         # Rows from the 3 deleted archives are gone; everything else loads.

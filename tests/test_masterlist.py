@@ -12,7 +12,6 @@ from repro.gdelt.masterlist import (
     MENTIONS_KIND,
     MasterListEntry,
     chunk_basename,
-    entry_for_file,
     format_master_list,
     parse_master_list,
 )
@@ -86,13 +85,3 @@ class TestParse:
         parsed = parse_master_list(format_master_list([entry(url)]))
         assert len(parsed.chunks) == 1
         assert parsed.chunks[0].interval == interval
-
-
-class TestEntryForFile:
-    def test_size_and_md5(self, tmp_path):
-        p = tmp_path / "f.zip"
-        p.write_bytes(b"hello world")
-        e = entry_for_file(p, url_prefix="http://x/")
-        assert e.size == 11
-        assert e.url == "http://x/f.zip"
-        assert e.md5 == "5eb63bbbe01eeed093cb22bb8f5acdc3"

@@ -200,6 +200,30 @@ class TestOneSpelling:
             f"use repro.kernels.distinct instead of np.unique: {offenders}"
         )
 
+    def test_one_chunk_archive_codec(self):
+        """A raw chunk archive is built and opened in one module,
+        ``gdelt/csv_io.py`` (``write_chunk_zip`` / ``chunk_member``), so
+        every archive carries the same member stamp and its master-list
+        entry the bytes written; and a raw row is spelled by the layout
+        tables alone, never rendered by ``str.format`` in ``repro.gdelt``."""
+        src = Path(repro.__file__).resolve().parent
+        codec = src / "gdelt" / "csv_io.py"
+        lines = [
+            (path, n, line)
+            for path in sorted(src.rglob("*.py"))
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        ]
+        zips = [
+            f"{path.relative_to(src)}:{n}" for path, n, line in lines
+            if path != codec and "zipfile.ZipFile(" in line
+        ]
+        assert not zips, f"build or open chunk archives through repro.gdelt.csv_io: {zips}"
+        formats = [
+            f"{path.relative_to(src)}:{n}" for path, n, line in lines
+            if path.is_relative_to(src / "gdelt") and re.search(r"\.format\b", line)
+        ]
+        assert not formats, f"render raw rows through the layout tables: {formats}"
+
     def test_lexsort_only_in_the_group_kernels(self):
         """A grouped median has one spelling, ``engine.aggregate.group_median``
         (a composite-key sort, ``np.lexsort`` only as its fallback): no

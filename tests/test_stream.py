@@ -12,9 +12,9 @@ import pytest
 from repro import faults
 from repro.engine import GdeltStore
 from repro.gdelt.csv_io import (
+    chunk_member,
     event_columns,
     mention_columns,
-    open_chunk_text,
     write_chunk_zip,
 )
 from repro.gdelt.masterlist import parse_master_list
@@ -188,10 +188,9 @@ class TestLiveFollower:
         # then Python's (stable) sort by each table's key.
         events, mentions = [], []
         for name in [n for n in names if n not in held] + held:
-            with open_chunk_text(stage / name) as fh:
-                lines = fh.read().split("\n")
+            member = chunk_member((stage / name).read_bytes())
             is_event = ".export." in name
-            columns, bad = (event_columns if is_event else mention_columns)(lines)
+            columns, bad = (event_columns if is_event else mention_columns)(member)
             assert bad == []
             (events if is_event else mentions).extend(
                 SimpleNamespace(**row) for row in column_rows(columns)
@@ -349,12 +348,11 @@ class TestLiveFollower:
 
 def set_first_row_field(archive, schema, field: str, value: str) -> None:
     """Rewrite ``field`` of the first row of one chunk archive."""
-    with open_chunk_text(archive) as fh:
-        lines = fh.read().split("\n")
+    lines = chunk_member(archive.read_bytes()).decode("utf-8").split("\n")
     row = lines[0].split("\t")
     row[field_index(schema, field)] = value
     lines[0] = "\t".join(row)
-    write_chunk_zip(archive, archive.name.removesuffix(".zip"), "\n".join(lines))
+    write_chunk_zip(archive, archive.name.removesuffix(".zip"), "\n".join(lines).encode("utf-8"))
 
 
 class TestOutOfRangeRows:
@@ -425,6 +423,32 @@ class TestChecksumVerification:
             tainted.n_events + tainted.n_mentions
             < clean.n_events + clean.n_mentions
         )
+
+    def test_parses_the_bytes_it_verified(self, raw_dir, tmp_path, monkeypatch):
+        """An archive replaced on disk right after its verified fetch is
+        not read again: the rows come from the bytes whose md5 matched."""
+        from repro.ingest import fetch
+
+        stage = tmp_path / "mirror"
+        split_mirror(raw_dir, stage, 1.0)
+        names = sorted(p.name for p in stage.glob("*.mentions.CSV.zip"))
+        victim, impostor = stage / names[0], raw_dir / names[1]
+        fetch_once = fetch.LocalFetcher.fetch
+
+        def fetch_then_swap(self, ref, report, attempt=0):
+            result = fetch_once(self, ref, report, attempt)
+            if result.path == victim:
+                shutil.copy(impostor, victim)  # valid archive, other rows
+            return result
+
+        monkeypatch.setattr(fetch.LocalFetcher, "fetch", fetch_then_swap)
+        follower = LiveFollower(stage, verify_checksums=True)
+        follower.poll()
+        clean = LiveFollower(raw_dir, verify_checksums=True)
+        clean.poll()
+        assert follower.report.total() == 0
+        assert follower.n_mentions == clean.n_mentions
+        assert digests(follower.snapshot()) == digests(clean.snapshot())
 
     def test_unverified_follower_accepts_same_bytes(self, raw_dir):
         follower = LiveFollower(raw_dir, verify_checksums=False)

@@ -9,12 +9,13 @@ import zipfile
 import numpy as np
 import pytest
 
-from repro.gdelt.csv_io import event_lines, mention_lines, open_chunk_text
+from repro.gdelt.csv_io import chunk_member
 from repro.gdelt.codes import COUNTRIES
 from repro.gdelt.masterlist import parse_master_list
 from repro.gdelt.time_util import interval_to_timestamp
 from repro.ingest.direct import dataset_to_arrays
 from repro.synth import generate_dataset, tiny_config, write_raw_archives
+from tests.test_csv_io import oracle_event_lines, oracle_mention_lines
 
 
 def scalar_url(ds, source: int, event_row: int, repeat_k: int) -> str:
@@ -175,8 +176,8 @@ class TestRawExport:
         n_events = n_mentions = 0
         for c in parsed.chunks:
             path = raw_dir / c.entry.url.rsplit("/", 1)[-1]
-            with open_chunk_text(path) as fh:
-                rows = sum(1 for line in fh if line.strip())
+            text = chunk_member(path.read_bytes()).decode("utf-8")
+            rows = sum(1 for line in text.split("\n") if line.strip())
             if c.kind == "export":
                 n_events += rows
             else:
@@ -196,8 +197,8 @@ class TestRawExport:
         assert path.stat().st_size == c.entry.size
 
     def test_archive_text_equals_per_row_records(self, raw_ds, raw_dir):
-        """Every archive line is that row's values rendered alone, in
-        the order the master list lands them."""
+        """Every archive line is that row's values rendered alone by the
+        per-row oracle renderer, in the order the master list lands them."""
         events, mentions = _records(raw_ds)
         start = raw_ds.cfg.start_interval
         ev_chunk = (raw_ds.first_interval - start) // 96
@@ -209,14 +210,26 @@ class TestRawExport:
             chunk = (c.interval - start) // 96
             if c.kind == "export":
                 rows = [events[r] for r in np.flatnonzero(ev_chunk == chunk)]
-                render = event_lines
+                render = oracle_event_lines
             else:
                 rows = [mentions[m] for m in np.flatnonzero(mt_chunk == chunk)]
-                render = mention_lines
+                render = oracle_mention_lines
             # Each row rendered alone, as a one-row column each.
             want = [render({k: [v] for k, v in row.items()})[0] for row in rows]
-            with open_chunk_text(raw_dir / c.entry.url.rsplit("/", 1)[-1]) as fh:
-                assert fh.read() == "".join(want)
+            archive = (raw_dir / c.entry.url.rsplit("/", 1)[-1]).read_bytes()
+            assert chunk_member(archive).decode("utf-8") == "".join(want)
+
+    def test_render_blocks_leave_the_bytes(self, raw_ds, raw_dir, tmp_path, monkeypatch):
+        """A table rendered in several chunk-aligned blocks, some chunk
+        larger than a block, exports the same files as one buffer."""
+        from repro.synth import generator
+
+        monkeypatch.setattr(generator, "_RENDER_ROWS", 40)
+        mt_chunk = (raw_ds.mentions.interval - raw_ds.cfg.start_interval) // 96
+        assert np.bincount(mt_chunk).max() > 40
+        write_raw_archives(raw_ds, tmp_path, chunk_intervals=96)
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert files == {p.name: p.read_bytes() for p in raw_dir.iterdir()}
 
     def test_exports_are_file_identical(self, raw_ds, raw_dir, tmp_path):
         write_raw_archives(raw_ds, tmp_path, chunk_intervals=96)

@@ -85,7 +85,7 @@ def main() -> None:
                   f"last_source={view['last_source']} "
                   f"refreshes={view['refresh_count']} "
                   f"staleness={view['staleness_s']}s")
-        print(f"view hits: {snap['hits']}")
+        print(f"view hits: {service.stats()['view_hits']}")
 
         mean_q = np.asarray(catalog.get("delay-by-quarter").value())
         print(f"delay-by-quarter   : {np.nansum(mean_q >= 0)} quarters "

@@ -9,15 +9,17 @@ everywhere:
 * ``mention_quarter`` / ``event_quarter`` — calendar quarter indices of
   capture and event-day intervals (int16, int32 if the span needs it);
 * ``mention_event_row`` — events-table row of each mention: the one
-  event↔mention join, a binary search of the id-sorted events table;
+  event↔mention join, an id → row table when the event ids are dense,
+  a binary search of the id-sorted events table otherwise;
 * ``mention_source_country`` / ``mention_event_country`` — roster index
   of each mention's publisher / event (the country group keys).
 
 Group keys resolve through one registry: :meth:`GdeltStore.group_key`
 builds a key column, :meth:`GdeltStore.group_width` reads only its width.
 
-A store can be opened from a binary dataset directory (the normal path)
-or constructed directly from arrays (the synthetic fast path).
+A store can be opened from a binary dataset directory (the normal path;
+each column is read on its first access) or constructed directly from
+arrays (the synthetic fast path).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import itertools
 import logging
 import threading
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +38,7 @@ from repro.obs import metrics as _metrics
 from repro.storage.columns import StringDictionary
 from repro.storage.format import StorageError
 from repro.storage.gdelt import DICTIONARIES
-from repro.storage.reader import DatasetReader
+from repro.storage.reader import DatasetReader, LazyColumns
 from repro.storage.stats import DEFAULT_ZONE_CHUNK_ROWS, ZoneMaps, compute_zone_maps
 
 __all__ = ["GdeltStore"]
@@ -47,6 +50,11 @@ _ROSTER_POS = {c.fips: i for i, c in enumerate(COUNTRIES)}
 
 #: Monotonic store identity tokens (part of the planner cache key).
 _STORE_SEQ = itertools.count()
+
+#: :meth:`GdeltStore.mention_event_row` addresses an id → row table when
+#: the event ids span at most this many ids per event row (the table
+#: costs 8 bytes per id in the span), and binary-searches them otherwise.
+_DIRECT_SPAN_PER_ROW = 4
 
 
 class GdeltStore:
@@ -64,8 +72,8 @@ class GdeltStore:
 
     def __init__(
         self,
-        events: dict[str, np.ndarray],
-        mentions: dict[str, np.ndarray],
+        events: Mapping[str, np.ndarray],
+        mentions: Mapping[str, np.ndarray],
         sources: StringDictionary,
         countries: StringDictionary,
         reader: DatasetReader | None = None,
@@ -107,19 +115,23 @@ class GdeltStore:
     def open(cls, path: Path, mode: str = "mmap") -> "GdeltStore":
         """Open a binary dataset directory.
 
-        ``mode="mmap"`` (default, as :class:`DatasetReader`) maps raw
-        columns read-only: the OS page cache is the buffer pool, a
-        process holds only the pages its queries touch, and a dataset
-        rewritten through the writer (temp + rename) leaves the mapped
-        files of an open store intact.  ``"memory"`` copies every column
-        into process-private arrays once, the paper's load-once-then-
-        query usage, for callers that want timings free of page faults.
-        Compressed columns decode into private arrays in either mode.
+        Each column is loaded on its first access
+        (:class:`~repro.storage.reader.LazyColumns`), so a process holds
+        only the columns its queries read.  ``mode="mmap"`` (default, as
+        :class:`DatasetReader`) maps a raw column read-only: the OS page
+        cache is the buffer pool and a process holds only the pages its
+        queries touch.  ``"memory"`` copies a column into a
+        process-private array once, the paper's load-once-then-query
+        usage, for callers that want timings free of page faults.
+        Compressed columns decode into private arrays in either mode,
+        their CRC checked at that first read.  Every column file is
+        opened (pinned) here, so a dataset rewritten through the writer
+        (temp + rename) after the open never reaches the store.
         """
         reader = DatasetReader(Path(path), mode=mode)
         return cls(
-            events=reader.table_arrays("events"),
-            mentions=reader.table_arrays("mentions"),
+            events=reader.lazy_table("events"),
+            mentions=reader.lazy_table("mentions"),
             sources=reader.dictionary("sources"),
             countries=reader.dictionary("countries"),
             reader=reader,
@@ -156,11 +168,11 @@ class GdeltStore:
 
     @property
     def n_events(self) -> int:
-        return len(self.events["GlobalEventID"])
+        return self.n_rows("events")
 
     @property
     def n_mentions(self) -> int:
-        return len(self.mentions["GlobalEventID"])
+        return self.n_rows("mentions")
 
     @property
     def n_sources(self) -> int:
@@ -174,16 +186,20 @@ class GdeltStore:
     def memory_bytes(self) -> int:
         """Logical bytes of all table columns (dictionaries excluded).
 
-        Of a mapped store, only the pages its queries touched are
-        resident, and those are the OS page cache's, not the process's.
+        Of a dataset-backed store this is the manifest's figure: only
+        the columns its queries read are loaded, and of a mapped store
+        only the pages they touched are resident (the OS page cache's,
+        not the process's).
         """
-        return sum(a.nbytes for a in self.events.values()) + sum(
-            a.nbytes for a in self.mentions.values()
+        return sum(
+            cols.nbytes if isinstance(cols, LazyColumns)
+            else sum(a.nbytes for a in cols.values())
+            for cols in (self.events, self.mentions)
         )
 
     # -- query surface -------------------------------------------------------
 
-    def table(self, name: str) -> dict[str, np.ndarray]:
+    def table(self, name: str) -> Mapping[str, np.ndarray]:
         """Column dict of table ``name`` (``"events"`` or ``"mentions"``)."""
         if name == "events":
             return self.events
@@ -192,7 +208,8 @@ class GdeltStore:
         raise ValueError(f"unknown table {name!r} (expected events or mentions)")
 
     def n_rows(self, name: str) -> int:
-        """Row count of a table, validated against every column.
+        """Row count of a table, validated against every column (for a
+        dataset-backed table, by the size checks at open).
 
         Raises:
             StorageError: on a table with no columns or ragged columns —
@@ -201,11 +218,23 @@ class GdeltStore:
         cols = self.table(name)
         if not cols:
             raise StorageError(f"table {name!r} has no columns")
+        if isinstance(cols, LazyColumns):
+            return cols.rows
         lengths = {c: len(a) for c, a in cols.items()}
         n = next(iter(lengths.values()))
         if any(v != n for v in lengths.values()):
             raise StorageError(f"table {name!r}: ragged columns {lengths}")
         return n
+
+    def column_dtype(self, table: str, name: str) -> np.dtype | None:
+        """dtype of a column (None when the table has no such column),
+        without loading it."""
+        cols = self.table(table)
+        if name not in cols:
+            return None
+        if isinstance(cols, LazyColumns):
+            return cols.dtype(name)
+        return np.asarray(cols[name]).dtype
 
     def query(self, table: str):
         """The end-user query entry point.
@@ -309,11 +338,13 @@ class GdeltStore:
         """Drop one reference; returns the remaining count.
 
         The last release frees what the store *owns* — derived-column
-        caches, its planner result-cache entries, and the dataset
-        reader (whose memory-mapped columns close when the arrays are
-        garbage collected).  Table dicts are left intact, so a stray
-        late reader sees consistent data rather than a crash; the
-        contract is that nobody holds the store past its last release.
+        caches, its planner result-cache entries, the dataset reader
+        (whose memory-mapped columns close when the arrays are garbage
+        collected) and the pinned files of columns never read.  Loaded
+        columns are left intact, so a stray late reader of them sees
+        consistent data rather than a crash (a first read raises
+        :class:`StorageError`); the contract is that nobody holds the
+        store past its last release.
         """
         with self._lock:
             if self._released:
@@ -326,6 +357,9 @@ class GdeltStore:
             self._cache.clear()
             self._dicts.clear()
             self._reader = None
+        for cols in (self.events, self.mentions):
+            if isinstance(cols, LazyColumns):
+                cols.close()
         from repro.engine.planner import invalidate_cache
 
         invalidate_cache(self._token)
@@ -514,16 +548,18 @@ class GdeltStore:
         return self._cached("event_country_idx", compute)  # type: ignore[return-value]
 
     def mention_event_row(self) -> np.ndarray:
-        """Events-table row index per mention (-1 = dangling event id)."""
+        """Events-table row index per mention (-1 = dangling event id).
+
+        The events table is sorted by id, so this is the first row
+        holding each mention's id.  When the ids span at most
+        :data:`_DIRECT_SPAN_PER_ROW` ids per event, an id → row table is
+        built and gathered from (O(n)); otherwise each id is found by
+        binary search.  int64, because composite keys multiply it.
+        """
         def compute() -> np.ndarray:
-            eids = self.events["GlobalEventID"]
-            m = self.mentions["GlobalEventID"]
-            if not len(eids):  # e.g. a mentions archive landed first
-                return np.full(len(m), -1, dtype=np.int64)
-            pos = np.searchsorted(eids, m)
-            pos_c = np.clip(pos, 0, len(eids) - 1)
-            ok = eids[pos_c] == m
-            return np.where(ok, pos_c, -1).astype(np.int64)
+            return _event_rows(
+                self.events["GlobalEventID"], self.mentions["GlobalEventID"]
+            )
 
         return self._cached("mention_event_row", compute)  # type: ignore[return-value]
 
@@ -583,3 +619,24 @@ class GdeltStore:
             return hi + 1
 
         return self._cached("n_quarters", compute)  # type: ignore[return-value]
+
+
+def _event_rows(eids: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """First row of sorted ``eids`` holding each of ``ids`` (int64, -1
+    where none does)."""
+    n = len(eids)
+    if not n:  # e.g. a mentions archive landed first
+        return np.full(len(ids), -1, dtype=np.int64)
+    lo = int(eids[0])
+    span = int(eids[-1]) - lo + 1
+    if span > _DIRECT_SPAN_PER_ROW * n:
+        pos = np.clip(np.searchsorted(eids, ids), 0, n - 1)
+        return np.where(eids[pos] == ids, pos, -1).astype(np.int64)
+    # Slot s holds the first row of id lo + s; slot span is "no event".
+    # Offsets wrap modulo 2**64, so every id outside the span lands at
+    # or past it, however far out of range.
+    first = np.concatenate(([0], np.flatnonzero(eids[1:] != eids[:-1]) + 1))
+    table = np.full(span + 1, -1, dtype=np.int64)
+    table[eids[first] - lo] = first
+    slot = np.asarray(ids, dtype=np.int64).view(np.uint64) - np.uint64(lo % (1 << 64))
+    return table[np.minimum(slot, span, out=slot)]

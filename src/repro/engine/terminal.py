@@ -72,8 +72,18 @@ __all__ = ["OPS", "GROUP_OPS", "Terminal", "TerminalSpec", "jsonable"]
 
 
 def jsonable(value):
-    """JSON-safe form of a query value: arrays -> lists, NaN -> null."""
+    """JSON-safe form of a query value: arrays -> lists, NaN -> null.
+
+    A 1-D bool, int or float array is one ``tolist()`` (its NaNs then
+    set to None): a grouped answer is thousands of elements.
+    """
     if isinstance(value, np.ndarray):
+        if value.ndim == 1 and value.dtype.kind in "biuf":
+            out = value.tolist()
+            if value.dtype.kind == "f":
+                for i in np.flatnonzero(np.isnan(value)).tolist():
+                    out[i] = None
+            return out
         return [jsonable(v) for v in value.tolist()]
     if isinstance(value, np.generic):
         value = value.item()

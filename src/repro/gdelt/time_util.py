@@ -137,13 +137,13 @@ def timestamps_to_intervals(ts: np.ndarray) -> np.ndarray:
     Returns:
         int64 array of interval indices since the GDELT 2.0 epoch.
     """
-    ts = np.asarray(ts, dtype=np.int64)
-    sec = ts % 100
-    minute = ts // 10**2 % 100
-    hour = ts // 10**4 % 100
-    day = ts // 10**6 % 100
-    month = ts // 10**8 % 100
-    year = ts // 10**10
+    # Floor division composes (a // b // c == a // (b * c)), so peeling
+    # two digits at a time equals dividing by each power of ten.
+    rest, sec = np.divmod(np.asarray(ts, dtype=np.int64), 100)
+    rest, minute = np.divmod(rest, 100)
+    rest, hour = np.divmod(rest, 100)
+    rest, day = np.divmod(rest, 100)
+    year, month = np.divmod(rest, 100)
     days = _days_from_civil(year, month, day) - _EPOCH_DFC
     minutes = days * 1440 + hour * 60 + minute + (sec // 60)
     return np.floor_divide(minutes, INTERVAL_MINUTES)

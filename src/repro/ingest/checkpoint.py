@@ -2,7 +2,7 @@
 
 A multi-hour conversion must not restart from zero because the process
 died at hour three.  The converter therefore journals every chunk it
-has fully parsed: the chunk's decoded text is spilled (zlib-compressed)
+has fully parsed: the chunk's member bytes are spilled (zlib-compressed)
 to a sidecar file, then a record is appended to ``journal.jsonl`` and
 flushed — the append is the commit point.  On re-run, committed chunks
 are *replayed* from their spills through the exact same parse path
@@ -14,7 +14,7 @@ Layout, inside the output dataset directory (removed on success)::
 
     out_dir/.convert-journal/
       journal.jsonl            # one JSON record per committed chunk
-      <chunk-name>.zlib        # compressed decoded text
+      <chunk-name>.zlib        # compressed member bytes
 
 Torn records (a crash mid-append) and spills with a bad CRC are
 silently discarded — the chunk is simply reprocessed.
@@ -73,8 +73,9 @@ class CheckpointJournal:
     def __len__(self) -> int:
         return len(self._committed)
 
-    def get_text(self, chunk_name: str) -> str | None:
-        """Decoded text of a committed chunk, or ``None`` if absent/bad."""
+    def get_text(self, chunk_name: str) -> bytes | None:
+        """Member text (UTF-8 bytes) of a committed chunk, or ``None`` if
+        absent/bad."""
         rec = self._committed.get(chunk_name)
         if rec is None:
             return None
@@ -86,11 +87,11 @@ class CheckpointJournal:
             )
             del self._committed[chunk_name]
             return None
-        return zlib.decompress(payload).decode("utf-8")
+        return zlib.decompress(payload)
 
-    def commit(self, chunk_name: str, text: str) -> None:
-        """Durably record one fully-parsed chunk."""
-        payload = zlib.compress(text.encode("utf-8"), 1)
+    def commit(self, chunk_name: str, text: bytes) -> None:
+        """Durably record one fully-parsed chunk's member text."""
+        payload = zlib.compress(text, 1)
         spill_name = chunk_name + ".zlib"
         spill = self.dir / spill_name
         tmp = spill.with_suffix(spill.suffix + ".tmp")

@@ -171,7 +171,8 @@ class LiveFollower:
         t0 = time.perf_counter()
         try:
             member = chunk_member(res.data)
-            text = member.decode("utf-8")  # the parser reads UTF-8; the journal keeps text
+            if not member.isascii():
+                member.decode("utf-8")  # the parser reads UTF-8: check it all
         except (zipfile.BadZipFile, zlib.error, EOFError, ValueError, OSError) as exc:
             # ValueError covers a member that is not UTF-8 and a zip that
             # holds more than one member.
@@ -179,7 +180,7 @@ class LiveFollower:
             return
         rows = self._parse_chunk(ref.kind, member, name)
         if self._journal is not None:
-            self._journal.commit(name, text)
+            self._journal.commit(name, member)
             # Crash-resume test hook: the chunk is committed, the run may
             # "die" here and must resume from the next chunk.
             fault_point("convert.commit", key=name)
@@ -217,7 +218,7 @@ class LiveFollower:
                 self._seen_urls.add(ref.entry.url)
                 new_chunks += 1
                 if cached is not None:
-                    self._parse_chunk(ref.kind, cached.encode("utf-8"), name)
+                    self._parse_chunk(ref.kind, cached, name)
                     resumed += 1
                 else:
                     self._ingest_archive(ref, name)

@@ -87,10 +87,6 @@ def _table_bounds(store, table: str) -> dict:
         zm = store.zone_maps(table)
     except Exception:  # array store with 0 rows, unreadable maps, ...
         return out
-    try:
-        columns = store.table(table)
-    except Exception:
-        columns = {}
     for name, mins in zm.mins.items():
         mins = np.asarray(mins, dtype=np.float64)
         maxs = np.asarray(zm.maxs[name], dtype=np.float64)
@@ -101,9 +97,9 @@ def _table_bounds(store, table: str) -> dict:
             lo = float(np.nanmin(mins)) if not np.all(np.isnan(mins)) else None
             hi = float(np.nanmax(maxs)) if not np.all(np.isnan(maxs)) else None
         entry = {"min": lo, "max": hi, "nulls": int(nulls.sum())}
-        arr = columns.get(name)
-        if arr is not None:
-            entry["dtype"] = np.asarray(arr).dtype.name
+        dtype = store.column_dtype(table, name)
+        if dtype is not None:
+            entry["dtype"] = dtype.name
         out[name] = entry
     return out
 

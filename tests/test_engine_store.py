@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import gc
+import sys
+import threading
+import time
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.engine import GdeltStore
+from repro.engine import GdeltStore, col
 from repro.gdelt.codes import COUNTRIES, source_country
 from repro.gdelt.time_util import intervals_to_quarters
 from repro.qa.reference import reference_value
 from repro.serve.protocol import store_meta
+from repro.storage.columns import StringDictionary
+from repro.storage.format import StorageError
 from repro.storage.gdelt import write_gdelt_dataset
+from repro.storage.reader import DatasetReader
 from tests.conftest import flat_store, traced_peak
 
 
@@ -322,3 +331,215 @@ class TestNQuarters:
         store = _store(tiny_arrays)
         store.n_quarters()
         assert set(store._cache) == {"n_quarters"}
+
+
+def _event_rows_by_search(eids, ids):
+    """The join as one binary search of the sorted ids: the oracle."""
+    if not len(eids):
+        return np.full(len(ids), -1, dtype=np.int64)
+    pos = np.clip(np.searchsorted(eids, ids), 0, len(eids) - 1)
+    return np.where(eids[pos] == ids, pos, -1).astype(np.int64)
+
+
+class TestEventJoin:
+    """``mention_event_row`` equals a binary search of the events' ids,
+    whichever way it addresses them."""
+
+    I64 = np.iinfo(np.int64)
+
+    def _check(self, eids, ids):
+        eids = np.asarray(eids, dtype=np.int64)
+        ids = np.asarray(ids, dtype=np.int64)
+        store = GdeltStore.from_arrays(
+            {"GlobalEventID": eids},
+            {"GlobalEventID": ids},
+            {
+                "sources": StringDictionary.from_strings(["s.com"]),
+                "countries": StringDictionary.from_strings([""]),
+            },
+        )
+        got = store.mention_event_row()
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _event_rows_by_search(eids, ids))
+
+    def _probes(self, rng, eids):
+        hits = rng.choice(eids, 200) if len(eids) else np.zeros(0, dtype=np.int64)
+        lo = int(eids[0]) if len(eids) else 0
+        near = rng.integers(
+            max(lo - 50, self.I64.min), min(lo + 4 * len(eids) + 50, self.I64.max),
+            200, dtype=np.int64,
+        )
+        far = rng.integers(self.I64.min, self.I64.max, 200, dtype=np.int64)
+        ends = [self.I64.min, self.I64.min + 1, self.I64.max - 1, self.I64.max, -1, 0]
+        return np.concatenate([hits, near, far, ends]).astype(np.int64)
+
+    def test_dense_gappy_sparse_and_duplicate_ids(self, rng):
+        for n in (1, 2, 7, 500):
+            dense = 1000 + np.arange(n)
+            gappy = np.sort(rng.choice(3 * n, n, replace=False)) - n
+            sparse = np.sort(rng.choice(10**12, n, replace=False)) * 997
+            dupes = np.sort(rng.integers(0, max(1, n // 3), n))
+            for eids in (dense, gappy, sparse, dupes):
+                self._check(eids, self._probes(rng, eids))
+
+    def test_ids_at_the_int64_bounds(self, rng):
+        for eids in (
+            self.I64.min + np.arange(5), self.I64.max - 4 + np.arange(5),
+            [self.I64.min, self.I64.max],
+        ):
+            eids = np.asarray(eids, dtype=np.int64)
+            self._check(eids, self._probes(rng, eids))
+
+    def test_empty_events_and_mentions(self, rng):
+        self._check([], self._probes(rng, np.zeros(0, dtype=np.int64)))
+        self._check(np.arange(10), [])
+        self._check([], [])
+
+    def test_dataset_backed_store_agrees(self, tiny_store):
+        eids = tiny_store.events["GlobalEventID"]
+        ids = tiny_store.mentions["GlobalEventID"]
+        assert np.array_equal(
+            tiny_store.mention_event_row(), _event_rows_by_search(eids, ids)
+        )
+
+
+@pytest.fixture(scope="module")
+def tiny_db(tiny_arrays, tmp_path_factory):
+    """The tiny corpus as a dataset directory, bulky columns compressed."""
+    events, mentions, dicts = tiny_arrays
+    db = tmp_path_factory.mktemp("lazy") / "db"
+    write_gdelt_dataset(db, events, mentions, dicts, compress=True)
+    return db
+
+
+@pytest.fixture()
+def loads(monkeypatch):
+    """Every column load of a dataset-backed store, as ``(table, name)``."""
+    seen: list[tuple[str, str]] = []
+    read = DatasetReader._read
+
+    def counted(self, f, table, name, lo, hi):
+        seen.append((table, name))
+        time.sleep(0.01)  # widen the window for concurrent first reads
+        return read(self, f, table, name, lo, hi)
+
+    monkeypatch.setattr(DatasetReader, "_read", counted)
+    return seen
+
+
+class TestLazyColumns:
+    """A dataset-backed store loads each column on its first access."""
+
+    @pytest.mark.parametrize("mode", ["memory", "mmap"])
+    def test_unread_columns_are_never_loaded(self, tiny_db, tiny_arrays, loads, mode):
+        store = GdeltStore.open(tiny_db, mode=mode)
+        try:
+            assert loads == []
+            res = store.query("mentions").filter(col("Delay") > 96).count()
+            assert res.value == int((tiny_arrays[1]["Delay"] > 96).sum())
+            assert loads == [("mentions", "Delay")]
+            store.mentions["Delay"]
+            assert "DocTone" in store.mentions and "Nope" not in store.mentions
+            assert sorted(store.mentions) == sorted(tiny_arrays[1])
+            assert loads == [("mentions", "Delay")]
+        finally:
+            store.release()
+
+    @pytest.mark.parametrize("mode", ["memory", "mmap"])
+    def test_concurrent_first_reads_load_once(self, tiny_db, tiny_arrays, loads, mode):
+        store = GdeltStore.open(tiny_db, mode=mode)
+        barrier = threading.Barrier(8)
+        got = []
+
+        def reader(name):
+            barrier.wait(timeout=30)
+            got.append(store.mentions[name])
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=reader, args=(name,))
+                for name in ["Delay"] * 4 + ["SourceId"] * 4
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert sorted(loads) == [("mentions", "Delay"), ("mentions", "SourceId")]
+            assert len({id(a) for a in got}) == 2
+            assert np.array_equal(store.mentions["Delay"], tiny_arrays[1]["Delay"])
+        finally:
+            sys.setswitchinterval(switch)
+            store.release()
+
+    def test_sizes_load_nothing(self, tiny_db, tiny_arrays, loads):
+        events, mentions, _ = tiny_arrays
+        store = GdeltStore.open(tiny_db, mode="memory")
+        try:
+            assert store.n_rows("mentions") == store.n_mentions == len(mentions["Delay"])
+            assert store.n_rows("events") == store.n_events == len(events["GlobalEventID"])
+            assert store.memory_bytes() == sum(
+                a.nbytes for t in (events, mentions) for a in t.values()
+            )
+            assert loads == []
+            meta = store_meta(store)  # widths read the interval columns' maxima
+            assert meta["tables"]["mentions"]["columns"]["DocTone"]["dtype"] == "float32"
+            assert ("mentions", "DocTone") not in loads
+        finally:
+            store.release()
+
+    @pytest.mark.parametrize("mode", ["memory", "mmap"])
+    def test_rewrite_after_open_does_not_reach_the_store(self, tiny_arrays, tmp_path, mode):
+        events, mentions, dicts = tiny_arrays
+        db = tmp_path / "db"
+        write_gdelt_dataset(db, events, mentions, dicts, compress=True)
+        store = GdeltStore.open(db, mode=mode)
+        try:
+            changed = {k: v.copy() for k, v in mentions.items()}
+            changed["Delay"] += 1
+            changed["SourceId"][:] = 0
+            write_gdelt_dataset(db, events, changed, dicts, compress=True)
+            assert np.array_equal(store.mentions["Delay"], mentions["Delay"])
+            assert np.array_equal(store.mentions["SourceId"], mentions["SourceId"])
+        finally:
+            store.release()
+        assert np.array_equal(
+            GdeltStore.open(db).mentions["Delay"], changed["Delay"]
+        )
+
+    def test_corrupt_column_is_an_error_response(self, tiny_arrays, tmp_path):
+        from repro.serve import QueryService
+
+        events, mentions, dicts = tiny_arrays
+        db = tmp_path / "db"
+        write_gdelt_dataset(db, events, mentions, dicts, compress=True)
+        victim = db / "mentions" / "Delay.bin"
+        data = bytearray(victim.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        victim.write_bytes(bytes(data))
+        with QueryService(GdeltStore.open(db, mode="memory"), workers=1) as svc:
+            bad = svc.query("mentions", op="mean", column="Delay")
+            again = svc.query("mentions", op="sum", column="Delay")
+            ok = svc.query("mentions", op="count")
+            revives = svc.stats()["worker_revives"]
+        assert bad.status == again.status == "error"
+        assert "StorageError" in bad.error and "CRC32 mismatch" in bad.error
+        assert ok.ok and ok.value == len(mentions["Delay"])
+        assert revives == 0
+
+    @pytest.mark.parametrize("mode", ["memory", "mmap"])
+    def test_pinned_files_raise_no_resource_warning(self, tiny_db, mode):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            released = GdeltStore.open(tiny_db, mode=mode)
+            released.mentions["Delay"]
+            released.release()
+            with pytest.raises(StorageError, match="closed"):
+                released.mentions["DocTone"]
+            dropped = GdeltStore.open(tiny_db, mode=mode)
+            dropped.events["GlobalEventID"]
+            del dropped
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []

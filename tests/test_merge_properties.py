@@ -316,3 +316,67 @@ class TestFullAlgebra:
         if op == "stats":
             assert scanned["min"].dtype == np.dtype(dtype)
             assert len(scanned["min"]) == term.n_groups
+
+
+def _jsonable_per_element(value):
+    """``jsonable`` one Python call per element: the oracle its
+    array fast path must match byte for byte."""
+    if isinstance(value, np.ndarray):
+        return [_jsonable_per_element(v) for v in value.tolist()]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and value != value:
+        return None
+    if isinstance(value, dict):
+        return {k: _jsonable_per_element(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable_per_element(v) for v in value]
+    return value
+
+
+class TestJsonable:
+    SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e308, 5e-324]
+
+    def _array(self, rng):
+        n = int(rng.integers(0, 12))
+        kind = int(rng.integers(0, 7))
+        if kind == 0:
+            return rng.integers(-(2**63), 2**63 - 1, n, dtype=np.int64)
+        if kind == 1:
+            return rng.integers(0, 2**64 - 1, n, dtype=np.uint64)
+        if kind == 2:
+            return rng.integers(0, 2, n).astype(bool)
+        if kind == 3:  # 2-D, through the per-element path
+            return rng.normal(size=(n, 2)).astype(np.float32)
+        values = rng.normal(size=n) * 10.0 ** rng.integers(-5, 5, n)
+        picks = rng.integers(0, len(self.SPECIALS), n)
+        values = np.where(rng.random(n) < 0.4, np.take(self.SPECIALS, picks), values)
+        with np.errstate(over="ignore", under="ignore"):  # float32: 1e308 -> inf, 5e-324 -> 0
+            return values.astype(np.float32 if kind == 4 else np.float64)
+
+    def _value(self, rng, depth=0):
+        choice = int(rng.integers(0, 6 if depth < 3 else 3))
+        if choice == 0:
+            return self._array(rng)
+        if choice == 1:
+            return float(np.take(self.SPECIALS, int(rng.integers(0, len(self.SPECIALS)))))
+        if choice == 2:
+            return np.float32(rng.normal()) if rng.random() < 0.5 else np.int16(7)
+        if choice == 3:
+            return {f"k{i}": self._value(rng, depth + 1) for i in range(int(rng.integers(0, 4)))}
+        if choice == 4:
+            return [self._value(rng, depth + 1) for _ in range(int(rng.integers(0, 4)))]
+        return tuple(self._value(rng, depth + 1) for _ in range(int(rng.integers(0, 3))))
+
+    def test_json_equals_per_element_oracle(self, rng):
+        for _ in range(400):
+            value = self._value(rng)
+            assert json.dumps(jsonable(value)) == json.dumps(_jsonable_per_element(value))
+
+    def test_edge_arrays(self):
+        for value in (
+            np.array([], dtype=np.float64), np.array([], dtype=np.int64),
+            np.array([np.nan, -0.0, np.inf, -np.inf], dtype=np.float32),
+            np.array([True, False]), np.zeros((0, 3)), np.full((2, 2), np.nan),
+        ):
+            assert json.dumps(jsonable(value)) == json.dumps(_jsonable_per_element(value))

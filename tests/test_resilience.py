@@ -229,21 +229,21 @@ class TestCrashResume:
 
     def test_journal_survives_torn_tail_record(self, tmp_path):
         j = CheckpointJournal(tmp_path)
-        j.commit("a.zip", "row1\trow2\n")
-        j.commit("b.zip", "row3\n")
+        j.commit("a.zip", b"row1\trow2\n")
+        j.commit("b.zip", b"row3\n")
         j.close()
         # Simulate a crash mid-append: garbage half-record at the tail.
         with open(tmp_path / JOURNAL_DIRNAME / "journal.jsonl", "a") as fh:
             fh.write('{"chunk": "c.zip", "spi')
         j2 = CheckpointJournal(tmp_path)
         assert len(j2) == 2
-        assert j2.get_text("a.zip") == "row1\trow2\n"
+        assert j2.get_text("a.zip") == b"row1\trow2\n"
         assert j2.get_text("c.zip") is None
         j2.close()
 
     def test_corrupt_spill_is_reprocessed(self, tmp_path):
         j = CheckpointJournal(tmp_path)
-        j.commit("a.zip", "some rows\n")
+        j.commit("a.zip", b"some rows\n")
         j.close()
         spill = tmp_path / JOURNAL_DIRNAME / "a.zip.zlib"
         spill.write_bytes(b"garbage")

@@ -78,6 +78,41 @@ class TestVectorized:
     def test_empty_arrays(self):
         assert len(tu.timestamps_to_intervals(np.array([], dtype=np.int64))) == 0
 
+    @staticmethod
+    def _by_powers_of_ten(ts):
+        """The conversion as eleven ``//``/``%`` passes by powers of
+        ten: the oracle for the divmod chain."""
+        ts = np.asarray(ts, dtype=np.int64)
+        sec = ts % 100
+        minute = ts // 10**2 % 100
+        hour = ts // 10**4 % 100
+        day = ts // 10**6 % 100
+        month = ts // 10**8 % 100
+        year = ts // 10**10
+        days = tu._days_from_civil(year, month, day) - tu._EPOCH_DFC
+        minutes = days * 1440 + hour * 60 + minute + (sec // 60)
+        return np.floor_divide(minutes, tu.INTERVAL_MINUTES)
+
+    def test_divmod_chain_equals_powers_of_ten(self, rng):
+        i64 = np.iinfo(np.int64)
+        edges = [
+            20160229000000, 20160229235959, 20200229120000, 20190228235959,
+            20190301000000, 20151231235959, 20160101000000, 20190131235959,
+            20190430235959, 20150218000000, 20150217234500, 0, 1, -1, 99, -100,
+            i64.min, i64.min + 1, i64.max, i64.max - 1,
+        ]
+        ts = np.concatenate([
+            np.array(edges, dtype=np.int64),
+            rng.integers(i64.min, i64.max, 5000, dtype=np.int64),
+            rng.integers(-(10**14), 10**14, 5000, dtype=np.int64),
+            rng.integers(20150101000000, 20201231235959, 5000, dtype=np.int64),
+        ])
+        with np.errstate(over="ignore"):
+            want = self._by_powers_of_ten(ts)
+            got = tu.timestamps_to_intervals(ts)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
 
 class TestQuarters:
     def test_epoch_quarter_zero(self):
